@@ -43,26 +43,13 @@ def _pin_blas_threads():
 
 
 def _git_commit():
-    """HEAD of the checkout read from ``.git`` files, or None outside git."""
-    git_dir = os.path.join(ROOT, ".git")
+    """HEAD of the checkout, or None outside a git repository."""
     try:
-        with open(os.path.join(git_dir, "HEAD")) as fh:
-            head = fh.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        ref_path = os.path.join(git_dir, ref)
-        if os.path.exists(ref_path):
-            with open(ref_path) as fh:
-                return fh.read().strip()
-        with open(os.path.join(git_dir, "packed-refs")) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 2 and parts[1] == ref:
-                    return parts[0]
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, check=False)
     except OSError:
-        pass
-    return None
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _manifest(threads, nproc, result):

@@ -16,19 +16,26 @@ import os
 import resource
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from rclstm import checkpoint, data, network, training
 
 import inputs
-from spec import TRACED_FUNCTIONS
+from spec import BATCH_SIZE, MIN_B1_CALLS, N_LOCATIONS, SETUP_REPS, TRACED_FUNCTIONS
 from tracer import Tracer
 
 TRACED_MODULES = ("data", "network", "cell", "kernels", "training", "checkpoint")
 
 #: share of ``--seconds`` each serving phase (B=256, B=1) runs past its minimum
 SERVE_SHARE = 0.15
+
+#: training windows of each round whose loss must drop through ``fit``
+LOSS_WINDOWS = 256
+
+#: B=1 calls of a ``fixed_counts`` session, which takes no percentile
+FIXED_B1_CALLS = 20
 
 
 class Checks:
@@ -72,6 +79,16 @@ def _set_up(workload, csv_path):
     return train, test, model
 
 
+def _loss(model, inputs, targets):
+    """The training loss of ``model`` on these windows: mean squared error
+    for regression, mean cross-entropy for classification."""
+    out, _ = network.forward_batch(model, inputs)
+    if model.task == "regression":
+        return float(np.mean((out[:, 0] - targets) ** 2))
+    probs = network.softmax(out)
+    return float(np.mean(-np.log(probs[np.arange(len(targets)), targets.astype(int) - 1])))
+
+
 def _timed(fn, *args):
     start = time.perf_counter()
     out = fn(*args)
@@ -93,8 +110,8 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
     hits all metrics alike instead of one phase.  Training is fixed work,
     so ``val_error`` depends only on the seed.  Each serving phase runs its
     minimum count, then until its share of ``seconds`` (``SERVE_SHARE``,
-    split over the rounds) has gone; ``fixed_counts`` stops at the minimum,
-    so that two sessions do the same work.
+    split over the rounds) has gone; ``fixed_counts`` makes one B=256 pass
+    and ``FIXED_B1_CALLS`` B=1 calls, so that two sessions do the same work.
     """
     checks = Checks()
     os.makedirs(out_dir, exist_ok=True)
@@ -102,20 +119,20 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
     if workload.task == "traffic":
         inputs.write_traffic_csv(csv_path, workload.n_rows, seed)
     else:
-        inputs.write_mobility_csv(csv_path, workload.n_rows, workload.n_locations, seed)
+        inputs.write_mobility_csv(csv_path, workload.n_rows, N_LOCATIONS, seed)
     wall_start = time.perf_counter()
 
     rounds = workload.rounds
     per_round = workload.n_train // rounds
     share = SERVE_SHARE * seconds / rounds
-    b1_per_round = math.ceil(workload.min_b1_calls / rounds)
-    config = training.TrainingConfig(epochs=1, batch_size=workload.batch_size,
+    b1_per_round = math.ceil((FIXED_B1_CALLS if fixed_counts else MIN_B1_CALLS) / rounds)
+    config = training.TrainingConfig(epochs=1, batch_size=BATCH_SIZE,
                                      learning_rate=workload.learning_rate, seed=seed)
     setup_times, fit_times, handoff_times, b256_rates, latencies = [], [], [], [], []
     train_loss = []
     model = None
     for r in range(rounds):
-        for _ in range(workload.setup_reps):
+        for _ in range(SETUP_REPS):
             gc.collect()
             fresh, dt = _timed(_set_up, workload, csv_path)
             setup_times.append(dt)
@@ -129,15 +146,22 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
         chunk = data.WindowedDataset(train.inputs[lo : lo + per_round],
                                      train.targets[lo : lo + per_round],
                                      train.window, train.classes)
-        checks.ops(math.ceil(per_round / workload.batch_size))
+        # Fails if the updates are skipped or point the wrong way, which
+        # val_error cannot show after a couple of small steps.  The first
+        # LOSS_WINDOWS of the chunk keep the check cheap.
+        probe = chunk.inputs[:LOSS_WINDOWS], chunk.targets[:LOSS_WINDOWS]
+        loss_before = _loss(model, *probe)
+        checks.ops(math.ceil(per_round / BATCH_SIZE))
         gc.collect()
         (_, history), dt = _timed(training.fit, model, chunk, config)
         fit_times.append(dt)
         train_loss += history.train_loss
         checks.check(all(math.isfinite(x) for x in history.train_loss), "finite training loss")
+        loss_after = _loss(model, *probe)
+        checks.check(loss_after < loss_before, "training lowers the loss on its chunk")
         checks.check(masked_nonzero(model) == 0, "masked weights zero after training")
 
-        for _ in range(workload.setup_reps):
+        for _ in range(SETUP_REPS):
             gc.collect()
             start = time.perf_counter()
             blob = checkpoint.save_checkpoint(model)
@@ -177,7 +201,7 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
                          "B=1 matches B=256")
 
     # The loaded model must predict bit for bit what the in-memory one does.
-    head = test.inputs[: workload.batch_size]
+    head = test.inputs[:BATCH_SIZE]
     checks.check(np.array_equal(training.predict_batch(model, head, 256),
                                 training.predict_batch(served, head, 256)),
                  "loaded model bit-identical")
@@ -210,7 +234,7 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
             "b256_passes": len(b256_rates),
         },
         "samples": {"setup_s": setup_times, "handoff_s": handoff_times, "fit_s": fit_times,
-                    "b256_windows_per_s": b256_rates},
+                    "b256_windows_per_s": b256_rates, "b1_latency_s": latencies},
         "layers": [{"input_dim": layer.input_dim, "hidden_dim": layer.hidden_dim,
                     "density": layer.mask.density, "nnz": n}
                    for layer, n in zip(model.layers, nnz)],
@@ -224,7 +248,11 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
 
 def run_traced(workload, seed, seconds, out_dir):
     """Per-layer run: one untraced and one traced session with the same
-    fixed work; their wall-time ratio is the tracing overhead."""
+    fixed work; their wall-time ratio is the tracing overhead.  An untimed
+    one-round session runs first, so that both start with a warm allocator
+    and BLAS."""
+    warm_up = replace(workload, rounds=1, n_train=workload.n_train // workload.rounds)
+    run_session(warm_up, seed, seconds, out_dir, fixed_counts=True)
     plain = run_session(workload, seed, seconds, out_dir, fixed_counts=True)
     modules = [importlib.import_module(f"rclstm.{m}") for m in TRACED_MODULES]
     with Tracer().install(modules) as tracer:

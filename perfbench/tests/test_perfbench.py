@@ -133,9 +133,7 @@ class TestTracer:
 def tiny(workload):
     """A seconds-long version of a workload with the same shape of session."""
     return replace(workload, hidden=(8, 8, 8), window=min(workload.window, 6),
-                   n_train=48, n_test=24, batch_size=8,
-                   n_locations=min(workload.n_locations, 6), setup_reps=2,
-                   min_b1_calls=12)
+                   n_train=192, n_test=24)
 
 
 @pytest.mark.parametrize("name", list(spec.WORKLOADS))
@@ -145,7 +143,7 @@ def test_tiny_session(name, tmp_path):
     assert result["failed"] == 0, result["failures"]
     assert set(result["metrics"]) == {m.name for m in spec.END_TO_END}
     assert all(np.isfinite(v) and v > 0 for v in result["metrics"].values())
-    assert result["counts"]["b1_calls"] >= workload.min_b1_calls
+    assert result["counts"]["b1_calls"] >= spec.MIN_B1_CALLS
 
     traced = session.run_traced(workload, seed=3, seconds=0.05, out_dir=tmp_path)
     assert traced["failed"] == 0, traced["failures"]
@@ -191,3 +189,12 @@ def test_run_fails_without_engine_sources(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0
     assert proc.stdout == ""
+
+
+def test_skipped_updates_fail_the_run(tmp_path, monkeypatch):
+    from rclstm import training
+
+    monkeypatch.setattr(training, "optimizer_step", lambda params, *args, **kw: (params, None))
+    workload = tiny(spec.WORKLOADS["paper_sparse"])
+    result = session.run_session(workload, seed=3, seconds=0.05, out_dir=tmp_path)
+    assert result["failures"] == ["training lowers the loss on its chunk"] * workload.rounds
