@@ -119,6 +119,10 @@ def run_one(args):
     print(f"{args.workload:16s} samples: {counts['b1_calls']} B=1 calls, "
           f"{counts['b256_passes']} B=256 passes, {counts['setup_reps']} set-ups, "
           f"{counts['train_windows']} training windows; BLAS threads {threads} of {nproc}")
+    if not args.trace:
+        print(f"{args.workload:16s} host pace factor p10/p50/p90: "
+              + " / ".join(f"{v:.3f}" for v in result["pace"].values())
+              + "; unpaced: " + ", ".join(f"{k} {v:.6g}" for k, v in result["raw"].items()))
     for what in result["failures"]:
         print(f"{args.workload:16s} FAILED check: {what}", file=sys.stderr)
     print(json.dumps({

@@ -9,6 +9,7 @@ Every call into the engine goes through a module attribute
 (``training.fit``, not a bound name), so the tracer's wrappers see it.
 """
 
+import bisect
 import gc
 import importlib
 import math
@@ -23,13 +24,21 @@ import numpy as np
 from rclstm import checkpoint, data, network, training
 
 import inputs
+import pace
 from spec import BATCH_SIZE, MIN_B1_CALLS, N_LOCATIONS, SETUP_REPS, TRACED_FUNCTIONS
 from tracer import Tracer
 
 TRACED_MODULES = ("data", "network", "cell", "kernels", "training", "checkpoint")
 
 #: share of ``--seconds`` each serving phase (B=256, B=1) runs past its minimum
-SERVE_SHARE = 0.15
+SERVE_SHARE = 0.2
+
+#: seconds of B=1 calls between two readings of the host pace
+B1_BLOCK_S = 0.25
+
+#: a timed step is paced by the median of the readings within this many
+#: seconds of it, so that one noisy reading weighs little
+PACE_WINDOW_S = 1.0
 
 #: training windows of each round whose loss must drop through ``fit``
 LOSS_WINDOWS = 256
@@ -99,6 +108,61 @@ def _finite(values):
     return bool(np.all(np.isfinite(np.asarray(values, dtype=np.float64))))
 
 
+class Pacer:
+    """Readings of the host pace through a session, in time order."""
+
+    def __init__(self):
+        self.times = []
+        self.factors = []
+
+    def read(self):
+        start = time.perf_counter()
+        factor = pace.factor()
+        self.times.append((start + time.perf_counter()) / 2)
+        self.factors.append(factor)
+
+    def around(self, start, end):
+        """The median of the readings within ``PACE_WINDOW_S`` of the span
+        from ``start`` to ``end``."""
+        lo = bisect.bisect_left(self.times, start - PACE_WINDOW_S)
+        hi = bisect.bisect_right(self.times, end + PACE_WINDOW_S)
+        return statistics.median(self.factors[lo:hi])
+
+
+class Samples:
+    """Timed steps of one kind: when each started and how long it took."""
+
+    def __init__(self, pacer):
+        self.pacer = pacer
+        self.start = []
+        self.raw_s = []
+
+    def time(self, fn, *args):
+        """Call ``fn`` between two pace readings and record its time."""
+        self.pacer.read()
+        out, dt = _timed(fn, *args)
+        self.add(time.perf_counter() - dt, dt)
+        self.pacer.read()
+        return out
+
+    def add(self, start, dt):
+        self.start.append(start)
+        self.raw_s.append(dt)
+
+    def pace(self):
+        return [self.pacer.around(t, t + dt) for t, dt in zip(self.start, self.raw_s)]
+
+    def paced_s(self):
+        """Each duration divided by the pace factor around it: its time at
+        the reference host's uncontended speed."""
+        return [dt / f for dt, f in zip(self.raw_s, self.pace())]
+
+
+def _handoff(model):
+    blob = checkpoint.save_checkpoint(model)
+    return blob, checkpoint.load_checkpoint(blob)
+
+
 def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
     """Run one session and return its measurements.
 
@@ -112,6 +176,9 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
     minimum count, then until its share of ``seconds`` (``SERVE_SHARE``,
     split over the rounds) has gone; ``fixed_counts`` makes one B=256 pass
     and ``FIXED_B1_CALLS`` B=1 calls, so that two sessions do the same work.
+    Every timed step is paced: its time is divided by the host's slowdown
+    measured around it (``pace.factor``, see ``Pacer``).  The metrics are
+    taken over the paced times; the raw ones are kept in the result.
     """
     checks = Checks()
     os.makedirs(out_dir, exist_ok=True)
@@ -128,14 +195,14 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
     b1_per_round = math.ceil((FIXED_B1_CALLS if fixed_counts else MIN_B1_CALLS) / rounds)
     config = training.TrainingConfig(epochs=1, batch_size=BATCH_SIZE,
                                      learning_rate=workload.learning_rate, seed=seed)
-    setup_times, fit_times, handoff_times, b256_rates, latencies = [], [], [], [], []
+    pacer = Pacer()
+    setups, handoffs, fits, passes, b1 = (Samples(pacer) for _ in range(5))
     train_loss = []
     model = None
     for r in range(rounds):
         for _ in range(SETUP_REPS):
             gc.collect()
-            fresh, dt = _timed(_set_up, workload, csv_path)
-            setup_times.append(dt)
+            fresh = setups.time(_set_up, workload, csv_path)
             if model is None:  # later set-ups are timed, then dropped
                 train, test, model = fresh
                 checks.check(len(train) == workload.n_train
@@ -153,8 +220,7 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
         loss_before = _loss(model, *probe)
         checks.ops(math.ceil(per_round / BATCH_SIZE))
         gc.collect()
-        (_, history), dt = _timed(training.fit, model, chunk, config)
-        fit_times.append(dt)
+        _, history = fits.time(training.fit, model, chunk, config)
         train_loss += history.train_loss
         checks.check(all(math.isfinite(x) for x in history.train_loss), "finite training loss")
         loss_after = _loss(model, *probe)
@@ -163,10 +229,7 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
 
         for _ in range(SETUP_REPS):
             gc.collect()
-            start = time.perf_counter()
-            blob = checkpoint.save_checkpoint(model)
-            served = checkpoint.load_checkpoint(blob)
-            handoff_times.append(time.perf_counter() - start)
+            blob, served = handoffs.time(_handoff, model)
         checks.check(checkpoint.save_checkpoint(served) == blob, "checkpoint round trip")
         checks.check(masked_nonzero(served) == 0, "masked weights zero after load")
 
@@ -175,30 +238,36 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
         gc.collect()
         phase_end = time.perf_counter() + share
         checks.ops(1)
-        (quality, reference), dt = _timed(training.evaluate_model, served, test, 256)
-        b256_rates.append(workload.n_test / dt)
+        quality, reference = passes.time(training.evaluate_model, served, test, 256)
         checks.check(_finite(reference), "finite outputs")
         while not fixed_counts and time.perf_counter() < phase_end:
             checks.ops(1)
-            preds, dt = _timed(training.predict_batch, served, test.inputs, 256)
-            b256_rates.append(workload.n_test / dt)
+            preds = passes.time(training.predict_batch, served, test.inputs, 256)
             checks.check(np.array_equal(preds, reference), "B=256 passes bit-identical")
 
         # Closed-loop single-window stream: one client, next request after
         # the previous reply, cycling through the test windows in order.
+        # The pace is read between blocks of at least B1_BLOCK_S seconds of
+        # calls.
         training.predict_batch(served, test.inputs[:1], batch_size=1)  # warm-up, untimed
         gc.collect()
         phase_end = time.perf_counter() + share
-        calls = 0
+        calls, block_s = 0, 0.0
+        pacer.read()
         while calls < b1_per_round or (not fixed_counts and time.perf_counter() < phase_end):
-            k = len(latencies) % workload.n_test
+            k = len(b1.raw_s) % workload.n_test
             checks.ops(1)
             pred, dt = _timed(training.predict_batch, served, test.inputs[k][None], 1)
-            latencies.append(dt)
+            b1.add(time.perf_counter() - dt, dt)
+            block_s += dt
+            if block_s >= B1_BLOCK_S:
+                pacer.read()
+                block_s = 0.0
             calls += 1
             checks.check(pred.shape == (1,) and _finite(pred)
                          and abs(float(pred[0]) - float(reference[k])) <= 1e-12,
                          "B=1 matches B=256")
+        pacer.read()
 
     # The loaded model must predict bit for bit what the in-memory one does.
     head = test.inputs[:BATCH_SIZE]
@@ -210,31 +279,51 @@ def run_session(workload, seed, seconds, out_dir, fixed_counts=False):
     nnz = [int(layer.mask.bits.sum()) for layer in model.layers]
     train_windows = rounds * per_round
     useful_gmacs = 3 * workload.window * sum(nnz) * train_windows / 1e9
+
+    def timings(times):
+        """The timing metrics from ``times(samples)``, paced or raw."""
+        return {
+            "setup_s": statistics.median(times(setups)) + statistics.median(times(handoffs)),
+            "train_windows_per_s": train_windows / sum(times(fits)),
+            "infer_b1_p50_ms": 1e3 * float(np.percentile(times(b1), 50)),
+            "infer_b1_p90_ms": 1e3 * float(np.percentile(times(b1), 90)),
+            "infer_b256_windows_per_s": workload.n_test / statistics.median(times(passes)),
+        }
+
+    paced = timings(Samples.paced_s)
     return {
         "metrics": {
-            "setup_s": statistics.median(setup_times) + statistics.median(handoff_times),
-            "train_windows_per_s": train_windows / sum(fit_times),
+            "setup_s": paced["setup_s"],
+            "train_windows_per_s": paced["train_windows_per_s"],
             "val_error": quality if workload.task == "traffic" else 1.0 - quality,
-            "infer_b1_p50_ms": 1e3 * float(np.percentile(latencies, 50)),
-            "infer_b1_p90_ms": 1e3 * float(np.percentile(latencies, 90)),
-            "infer_b256_windows_per_s": statistics.median(b256_rates),
+            "infer_b1_p50_ms": paced["infer_b1_p50_ms"],
+            "infer_b1_p90_ms": paced["infer_b1_p90_ms"],
+            "infer_b256_windows_per_s": paced["infer_b256_windows_per_s"],
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         },
+        # the timing metrics from the times as measured, for reading only
+        "raw": timings(lambda samples: samples.raw_s),
+        "pace": dict(zip(("p10", "p50", "p90"),
+                         np.percentile(pacer.factors, [10, 50, 90]).tolist())),
         "counters": {
             "checkpoint.bytes": len(blob),
             "model.nnz": sum(nnz),
             "train.useful_gmacs": useful_gmacs,
-            "train.useful_gmacs_per_s": useful_gmacs / sum(fit_times),
+            "train.useful_gmacs_per_s": useful_gmacs / sum(fits.paced_s()),
         },
         "counts": {
             "rounds": rounds,
-            "setup_reps": len(setup_times),
+            "setup_reps": len(setups.raw_s),
             "train_windows": train_windows,
-            "b1_calls": len(latencies),
-            "b256_passes": len(b256_rates),
+            "b1_calls": len(b1.raw_s),
+            "b256_passes": len(passes.raw_s),
         },
-        "samples": {"setup_s": setup_times, "handoff_s": handoff_times, "fit_s": fit_times,
-                    "b256_windows_per_s": b256_rates, "b1_latency_s": latencies},
+        "pace_readings": {"t": [t - wall_start for t in pacer.times], "factor": pacer.factors},
+        "samples": {name: {"start": [t - wall_start for t in samples.start],
+                           "raw_s": samples.raw_s, "pace": samples.pace()}
+                    for name, samples in (("setup", setups), ("handoff", handoffs),
+                                          ("fit", fits), ("b256_pass", passes),
+                                          ("b1_call", b1))},
         "layers": [{"input_dim": layer.input_dim, "hidden_dim": layer.hidden_dim,
                     "density": layer.mask.density, "nnz": n}
                    for layer, n in zip(model.layers, nnz)],

@@ -19,6 +19,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), BENCH]
 
 import compare  # noqa: E402
 import inputs  # noqa: E402
+import pace  # noqa: E402
 import session  # noqa: E402
 import spec  # noqa: E402
 from tracer import Tracer  # noqa: E402
@@ -153,6 +154,30 @@ def test_tiny_session(name, tmp_path):
     assert metrics["training.fit.calls"] == workload.rounds
     assert metrics["cell.cell_backward.calls"] > 0
     assert metrics["trace.overhead_ratio"] > 0
+
+
+class TestPace:
+    def test_factor_is_a_positive_slowdown(self):
+        factors = [pace.factor() for _ in range(5)]
+        assert all(0.1 < f < 20 for f in factors)
+
+    def test_steps_are_paced_by_the_median_reading_near_them(self):
+        pacer = session.Pacer()
+        pacer.times = [0.0, 0.5, 1.0, 1.5, 5.0, 9.0]
+        pacer.factors = [1.0, 9.0, 2.0, 3.0, 4.0, 1.5]
+        samples = session.Samples(pacer)
+        samples.add(1.0, 0.4)  # readings within 1 s: 0.0 .. 1.5
+        samples.add(5.5, 1.0)  # only the reading at 5.0
+        assert session.PACE_WINDOW_S == 1.0
+        assert samples.pace() == [2.5, 4.0]
+        assert samples.paced_s() == pytest.approx([0.16, 0.25])
+
+    def test_timed_call_reads_the_pace_on_both_sides(self, monkeypatch):
+        monkeypatch.setattr(pace, "factor", lambda: 2.0)
+        samples = session.Samples(session.Pacer())
+        assert samples.time(lambda x: x + 1, 1) == 2
+        assert len(samples.pacer.factors) == 2
+        assert samples.pace() == [2.0]
 
 
 def test_absent_function_reads_zero():
