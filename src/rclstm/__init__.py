@@ -1,8 +1,10 @@
 """Sparse randomly-connected LSTM engine and time-series experiment harness.
 
 The memory-block gate weights are sparsified once at construction by a
-random connectivity mask; forward passes route through CSR kernels below a
-density threshold and dense BLAS above it.
+random connectivity mask.  Training and inference run one batched unroll,
+a layer at a time, where a single window is a batch of one; below a
+crossover density every product with the gate weights goes through scipy
+CSR, above it through dense BLAS.
 """
 
 from .cell import (ConnectivityMask, LstmLayerParams, cell_backward,
@@ -14,9 +16,9 @@ from .data import (LocationCodebook, NormalizationParams, PreparedData,
                    denormalize, load_mobility_csv, load_traffic_csv,
                    log_minmax_normalize, one_hot_encode, sliding_window)
 from .metrics import MetricsReport, accuracy, rmse
-from .network import (Prediction, StackedRclstm, backward_sequence,
-                      build_model, cross_entropy_loss, forward_sequence,
-                      mse_loss, softmax)
-from .training import TrainingConfig, TrainingHistory, clip_gradients, fit
+from .network import (StackedRclstm, backward_sequence, build_model,
+                      forward_batch, softmax)
+from .training import (TrainingConfig, TrainingHistory, batch_loss_and_grad,
+                       clip_gradients, fit)
 
 __version__ = "0.1.0"

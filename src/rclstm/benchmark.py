@@ -1,4 +1,4 @@
-"""Wall-clock measurement of forward passes and of the kernel backends.
+"""Wall-clock measurement of forward passes and of the gate-product kernels.
 
 Timings use a monotonic clock and report the median as the headline number
 (robust to scheduler noise).  Model outputs are accumulated into a checksum
@@ -11,14 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .linalg import csr_from_masked
-from .network import forward_sequence
+from .linalg import MaskedMatrix
+from .network import forward_batch
+
+#: batch sizes of the kernel comparison: one window, a training batch and
+#: an inference chunk
+KERNEL_BATCHES = (1, 32, 256)
+
+#: mask densities at which ``rclstm bench`` compares the two kernels
+KERNEL_DENSITIES = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 
 @dataclass
 class TimingStats:
-    """Seconds per measured forward pass."""
+    """Seconds per measured call."""
 
     median: float
     mean: float
@@ -39,73 +45,79 @@ def _stats(samples, warmup, checksum):
     )
 
 
-def benchmark_forward(model, windows, reps=100, warmup=5):
-    """Time single-window forward passes over identical inputs.
+def _time(fn, reps, warmup):
+    """Median-bearing stats of ``fn()``, whose result is a float."""
+    checksum = 0.0
+    for _ in range(warmup):
+        checksum += fn()
+    samples = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        checksum += fn()
+        samples.append(time.perf_counter() - t0)
+    if not np.isfinite(checksum):
+        raise RuntimeError("non-finite outputs during benchmark")
+    return _stats(samples, warmup, checksum)
 
-    Runs ``warmup`` unmeasured sweeps (also absorbs JIT compilation), then
-    ``reps`` measured sweeps; every individual forward is one sample.
+
+def benchmark_forward(model, windows, reps=100, warmup=5):
+    """Time single-window forward passes (``forward_batch`` at B=1) over
+    identical (T, F) windows.
+
+    Runs ``warmup`` unmeasured sweeps, then ``reps`` measured sweeps; every
+    individual forward is one sample.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    windows = [np.asarray(w, dtype=np.float64) for w in windows]
+    windows = [np.asarray(w, dtype=np.float64)[None] for w in windows]
+    samples = []
     sink = 0.0
     for _ in range(warmup):
         for w in windows:
-            pred, _ = forward_sequence(model, w)
-            sink += pred.value if pred.value is not None else float(pred.distribution[0])
-    samples = []
+            sink += float(forward_batch(model, w)[0][0, 0])
     for _ in range(reps):
         for w in windows:
             t0 = time.perf_counter()
-            pred, _ = forward_sequence(model, w)
-            t1 = time.perf_counter()
-            sink += pred.value if pred.value is not None else float(pred.distribution[0])
-            samples.append(t1 - t0)
+            out, _ = forward_batch(model, w)
+            samples.append(time.perf_counter() - t0)
+            sink += float(out[0, 0])
     if not np.isfinite(sink):
         raise RuntimeError("non-finite outputs during benchmark")
     return _stats(samples, warmup, sink)
 
 
-def benchmark_kernel_paths(hidden=300, input_dim=1, density=0.01, reps=200,
-                           warmup=10, seed=0):
-    """Micro-benchmark the sparse kernel backends against dense BLAS.
+def benchmark_kernel_paths(hidden=300, density=0.01, reps=200, warmup=10, seed=0):
+    """Time the recurrent gate products of one timestep, dense BLAS against
+    scipy CSR, at each of ``KERNEL_BATCHES``.
 
-    Returns {name: TimingStats} with entries for the dense matvec, the
-    numpy CSR kernel and (when importable) the numba CSR kernel.
+    One sample is the forward product W_h @ h and the backward product
+    W_h.T @ dA of a 4H x H block with a random mask of the given density.
+    Returns {"dense_b<B>": TimingStats, "csr_b<B>": TimingStats, ...}.
     """
     rng = np.random.default_rng(seed)
-    rows, cols = 4 * hidden, input_dim + hidden
-    w = rng.normal(size=(rows, cols))
-    mask = rng.random((rows, cols)) < density
-    w = w * mask
-    csr = csr_from_masked(w, mask)
-    x = rng.normal(size=cols)
-
-    def run_dense():
-        return w @ x
-
-    def run_numpy():
-        return kernels.csr_matvec_numpy(csr.row_offsets, csr.col_indices,
-                                        csr.values, x, csr.rows)
-
-    candidates = {"dense_blas": run_dense, "csr_numpy": run_numpy}
-    if kernels.NUMBA_AVAILABLE:
-        def run_numba():
-            return kernels.csr_matvec_numba(csr.row_offsets, csr.col_indices,
-                                            csr.values, x, csr.rows)
-        candidates["csr_numba"] = run_numba
-
+    mask = rng.random((4 * hidden, hidden)) < density
+    w = rng.normal(size=mask.shape) * mask
     results = {}
-    for name, fn in candidates.items():
-        checksum = 0.0
-        for _ in range(warmup):
-            checksum += float(fn()[0])
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            out = fn()
-            t1 = time.perf_counter()
-            checksum += float(out[0])
-            samples.append(t1 - t0)
-        results[name] = _stats(samples, warmup, checksum)
+    for batch in KERNEL_BATCHES:
+        h = rng.normal(size=(hidden, batch))
+        da = rng.normal(size=(4 * hidden, batch))
+        for name, sparse in (("dense", False), ("csr", True)):
+            m = MaskedMatrix(mask, sparse).load(w)
+
+            def run():
+                return float(m.dot(h)[0, 0] + m.tdot(da)[0, 0])
+
+            results[f"{name}_b{batch}"] = _time(run, reps, warmup)
     return results
+
+
+def kernel_crossover(tables):
+    """The lowest density at which CSR is slower than dense at some batch
+    size, from {density: benchmark_kernel_paths result}; None if CSR wins
+    everywhere."""
+    for density in sorted(tables):
+        paths = tables[density]
+        if any(paths[f"csr_b{b}"].median >= paths[f"dense_b{b}"].median
+               for b in KERNEL_BATCHES):
+            return density
+    return None

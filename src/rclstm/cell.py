@@ -5,6 +5,9 @@ weight matrix (shape 4H x (D+H), gate order [forget; input; candidate;
 output]).  The mask is sampled once from per-connection uniform draws and
 never changes; masked weights and their gradients are exactly zero for the
 life of the model.
+
+The cell works on a batch of B windows at a time: one timestep of a
+layer's state is an (H, B) block, one column per window.
 """
 
 import math
@@ -13,13 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DivergenceError, ShapeError
-from .linalg import CsrMatrix, csr_from_masked
+from .linalg import MaskedMatrix
 
 GATE_ORDER = ("forget", "input", "candidate", "output")
 
-#: below this mask density the single-sample forward switches to the CSR kernel
-DEFAULT_KERNEL_THRESHOLD = 0.2
+#: below this mask density the gate products go through scipy CSR, at or
+#: above it through dense BLAS.  ``rclstm bench`` measures the crossover
+#: (table in CHANGES.md): at H=300 CSR is faster at B=1, 32 and 256 up to
+#: 10% density; at H=150 it is faster or even at every B up to 5% and
+#: slower at B=1 from 10%.
+DEFAULT_KERNEL_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,21 @@ def generate_mask(rows, cols, target_density, seed, mode="probabilistic"):
 
 
 @dataclass
+class GateProducts:
+    """The two column blocks of a layer's gate matrix, ready for products."""
+
+    x: MaskedMatrix  # input block W[:, :D]
+    h: MaskedMatrix  # recurrent block W[:, D:]
+
+
+@dataclass
 class LstmLayerParams:
     """Weights, biases and mask for one memory-block layer.
 
     ``w`` is 4H x (D+H) with masked positions held at exactly zero; biases
-    are dense (connectivity applies to neuron pairs, not biases).
+    are dense (connectivity applies to neuron pairs, not biases).  ``w`` is
+    the master copy of the weights: the products read it afresh on every
+    pass (see ``products``).
     """
 
     input_dim: int
@@ -75,24 +91,32 @@ class LstmLayerParams:
     b: np.ndarray
     mask: ConnectivityMask
     kernel_threshold: float = DEFAULT_KERNEL_THRESHOLD
-    _csr: CsrMatrix | None = field(default=None, repr=False, compare=False)
+    _products: GateProducts | None = field(default=None, repr=False, compare=False)
 
     @property
     def uses_sparse(self):
         return self.mask.density < self.kernel_threshold
 
-    def csr(self):
-        """CSR view of the masked weights, cached until invalidated."""
-        if self._csr is None:
-            self._csr = csr_from_masked(self.w, self.mask.bits)
-        return self._csr
+    def products(self):
+        """The input and recurrent blocks of ``w`` as ``MaskedMatrix``
+        objects holding its current values.
 
-    def invalidate(self):
-        self._csr = None
+        The CSR index structure comes from the fixed mask bits; it is built
+        on the first call and kept for the layer's life.  Every call
+        gathers the nonzeros from ``w`` again, so in-place edits of ``w``
+        (optimizer steps, finite differences) are always seen.
+        """
+        ops, sparse, d = self._products, self.uses_sparse, self.input_dim
+        if ops is None or ops.x.sparse != sparse:
+            bits = self.mask.bits
+            ops = self._products = GateProducts(MaskedMatrix(bits[:, :d], sparse),
+                                                MaskedMatrix(bits[:, d:], sparse))
+        ops.x.load(self.w[:, :d])
+        ops.h.load(self.w[:, d:])
+        return ops
 
     def apply_mask(self):
         self.w[~self.mask.bits] = 0.0
-        self.invalidate()
 
 
 def init_layer(input_dim, hidden_dim, density=1.0, seed=0, mode="probabilistic",
@@ -109,103 +133,54 @@ def init_layer(input_dim, hidden_dim, density=1.0, seed=0, mode="probabilistic",
     return LstmLayerParams(input_dim, hidden_dim, w, b, mask, kernel_threshold)
 
 
-@dataclass
-class CellState:
-    """Hidden activation and memory cell for one layer at one timestep."""
+def cell_forward(w_h, a, h_prev, c_prev, c, tanh_c, h):
+    """One timestep of the memory block for a batch, in place.
 
-    h: np.ndarray
-    c: np.ndarray
-
-
-def zero_state(hidden_dim, batch=None):
-    shape = (hidden_dim,) if batch is None else (batch, hidden_dim)
-    return CellState(np.zeros(shape), np.zeros(shape))
-
-
-@dataclass
-class StepCache:
-    """Everything the backward pass needs from one forward step."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    z: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
-
-
-@dataclass
-class CellGrads:
-    grad_w: np.ndarray
-    grad_b: np.ndarray
-    grad_x: np.ndarray
-    grad_h_prev: np.ndarray
-    grad_c_prev: np.ndarray
-
-
-def cell_forward(p, x, prev):
-    """One timestep of the memory block.
-
-    ``x`` may be a single input vector (D,) or a batch (B, D) with matching
-    batched ``prev`` state.  Single vectors take the hybrid kernel path
-    (CSR below the density threshold, dense BLAS otherwise); batches always
-    use the dense path.  Both routes agree to ~1e-15.
+    ``a`` (4H, B) holds this step's input projection plus bias.  The
+    recurrent product ``w_h @ h_prev`` is added to it, then it is
+    overwritten with the gate activations f, i, z, o.  ``h_prev`` and
+    ``c_prev`` are the previous (H, B) states, or None at the first step
+    (zero state).  The new memory cell, its tanh and the hidden state are
+    written into ``c``, ``tanh_c`` and ``h``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != p.input_dim:
-        raise ShapeError(f"input dim {x.shape[-1]} != layer input dim {p.input_dim}")
-    if prev.h.shape != prev.c.shape or prev.h.shape[-1] != p.hidden_dim:
-        raise ShapeError("previous state does not match layer hidden dim")
-    xh = np.concatenate([x, prev.h], axis=-1)
-    if x.ndim == 1:
-        if p.uses_sparse:
-            csr = p.csr()
-            a = kernels.csr_matvec(csr.row_offsets, csr.col_indices, csr.values,
-                                   xh, csr.rows) + p.b
-        else:
-            a = p.w @ xh + p.b
-        f, i, z, o, c, tanh_c, h = kernels.lstm_pointwise(a, prev.c)
-    else:
-        a = xh @ p.w.T + p.b
-        f, i, z, o, c, tanh_c, h = kernels.lstm_pointwise_numpy(a, prev.c)
-    if not math.isfinite(float(np.sum(h)) + float(np.sum(c))):
-        raise DivergenceError("non-finite cell state")
-    state = CellState(h, c)
-    cache = StepCache(x, prev.h, prev.c, f, i, z, o, c, tanh_c, h)
-    return state, cache
+    if h_prev is not None:
+        a += w_h.dot(h_prev)
+    kernels.lstm_pointwise_numpy(a, c_prev, c, tanh_c, h)
 
 
-def cell_backward(p, cache, grad_h, grad_c):
-    """Exact gradients for one timestep.
+def cell_backward(w_h, a, c_prev, tanh_c, grad_h, grad_c):
+    """Exact gradients for one timestep of a batch, in place.
 
-    ``grad_h``/``grad_c`` are the loss gradients flowing into this step's
-    outputs.  For batched caches the weight and bias gradients are summed
-    over the batch while the state/input gradients stay per-sample.
-    ``grad_w`` is projected onto the mask, so masked weights never move.
+    ``a`` holds the step's activations f, i, z, o from ``cell_forward``;
+    it is overwritten with dA, the loss gradient wrt the gate
+    preactivations.  ``grad_h``/``grad_c`` are the loss gradients flowing
+    into this step's outputs.  Returns (grad_c_prev, grad_h_prev), the
+    gradients wrt the previous states; grad_h_prev is ``w_h.T @ dA``.
     """
-    if grad_h.shape != cache.h.shape or grad_c.shape != cache.c.shape:
-        raise ShapeError("gradient shapes do not match cached state")
-    do = grad_h * cache.tanh_c
-    dc = grad_c + grad_h * cache.o * (1.0 - cache.tanh_c ** 2)
-    da_f = dc * cache.c_prev * cache.f * (1.0 - cache.f)
-    da_i = dc * cache.z * cache.i * (1.0 - cache.i)
-    da_z = dc * cache.i * (1.0 - cache.z ** 2)
-    da_o = do * cache.o * (1.0 - cache.o)
-    grad_c_prev = dc * cache.f
-    da = np.concatenate([da_f, da_i, da_z, da_o], axis=-1)
-    xh = np.concatenate([cache.x, cache.h_prev], axis=-1)
-    if da.ndim == 1:
-        grad_w = np.outer(da, xh)
-        grad_b = da.copy()
+    hidden = tanh_c.shape[0]
+    f, i, z, o = (a[g * hidden : (g + 1) * hidden] for g in range(4))
+    dc = 1.0 - tanh_c * tanh_c
+    dc *= o
+    dc *= grad_h
+    dc += grad_c
+    grad_c_prev = dc * f
+    # Each gate's slot is overwritten only once nothing else reads it.
+    da_o = 1.0 - o
+    da_o *= o
+    da_o *= tanh_c
+    np.multiply(da_o, grad_h, out=o)
+    da_i = 1.0 - i
+    da_i *= z
+    da_i *= dc
+    da_z = 1.0 - z * z
+    da_z *= i
+    np.multiply(da_z, dc, out=z)
+    i *= da_i
+    if c_prev is None:
+        f[...] = 0.0
     else:
-        grad_w = da.T @ xh
-        grad_b = da.sum(axis=0)
-    grad_w *= p.mask.bits
-    grad_xh = da @ p.w
-    grad_x = grad_xh[..., : p.input_dim]
-    grad_h_prev = grad_xh[..., p.input_dim :]
-    return CellGrads(grad_w, grad_b, grad_x, grad_h_prev, grad_c_prev)
+        da_f = 1.0 - f
+        da_f *= f
+        da_f *= c_prev
+        np.multiply(da_f, dc, out=f)
+    return grad_c_prev, w_h.tdot(a)

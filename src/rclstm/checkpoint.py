@@ -62,6 +62,8 @@ def read_container(data, expect_kind=None):
         header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"corrupt header: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt header: not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"unsupported container version {header.get('version')}")
     if expect_kind is not None and header.get("kind") != expect_kind:
@@ -69,20 +71,24 @@ def read_container(data, expect_kind=None):
             f"container holds {header.get('kind')!r}, expected {expect_kind!r}")
     arrays = {}
     offset = 12 + hlen
-    for entry in header["arrays"]:
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"unknown dtype {entry['dtype']!r}")
-        count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(data):
-            raise CheckpointError(f"truncated stream: array {entry['name']} incomplete")
-        arr = np.frombuffer(data[offset : offset + nbytes], dtype=dtype).copy()
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
-        offset += nbytes
+    try:
+        meta, entries = header["meta"], header["arrays"]
+        for entry in entries:
+            name, dtype, shape = entry["name"], _DTYPES.get(entry["dtype"]), entry["shape"]
+            if dtype is None:
+                raise CheckpointError(f"unknown dtype {entry['dtype']!r}")
+            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            nbytes = count * dtype.itemsize
+            if offset + nbytes > len(data):
+                raise CheckpointError(f"truncated stream: array {name} incomplete")
+            arr = np.frombuffer(data[offset : offset + nbytes], dtype=dtype).copy()
+            arrays[name] = arr.reshape(shape)
+            offset += nbytes
+    except KeyError as err:
+        raise CheckpointError(f"container header lacks key {err}") from None
     if offset != len(data):
         raise CheckpointError("trailing bytes after final array")
-    return header["meta"], arrays
+    return meta, arrays
 
 
 def save_checkpoint(model):
@@ -114,16 +120,19 @@ def save_checkpoint(model):
 def load_checkpoint(data):
     """Rebuild a model from ``save_checkpoint`` bytes, bit for bit."""
     meta, arrays = read_container(data, expect_kind="model")
-    layers = []
-    for k, spec in enumerate(meta["layers"]):
-        bits = arrays[f"layer{k}.mask"].astype(bool)
-        mask = ConnectivityMask(bits.shape[0], bits.shape[1], bits,
-                                spec["mask_density"], spec["mask_seed"],
-                                spec["mask_mode"], spec["mask_target_density"])
-        layers.append(LstmLayerParams(spec["input_dim"], spec["hidden_dim"],
-                                      arrays[f"layer{k}.w"], arrays[f"layer{k}.b"],
-                                      mask, spec["kernel_threshold"]))
-    return StackedRclstm(layers, arrays["head.w"], arrays["head.b"], meta["task"])
+    try:
+        layers = []
+        for k, spec in enumerate(meta["layers"]):
+            bits = arrays[f"layer{k}.mask"].astype(bool)
+            mask = ConnectivityMask(bits.shape[0], bits.shape[1], bits,
+                                    spec["mask_density"], spec["mask_seed"],
+                                    spec["mask_mode"], spec["mask_target_density"])
+            layers.append(LstmLayerParams(spec["input_dim"], spec["hidden_dim"],
+                                          arrays[f"layer{k}.w"], arrays[f"layer{k}.b"],
+                                          mask, spec["kernel_threshold"]))
+        return StackedRclstm(layers, arrays["head.w"], arrays["head.b"], meta["task"])
+    except KeyError as err:
+        raise CheckpointError(f"checkpoint lacks {err}") from None
 
 
 def save_checkpoint_file(model, path):

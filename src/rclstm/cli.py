@@ -15,8 +15,9 @@ from datetime import datetime
 
 import numpy as np
 
-from . import kernels, synth
-from .benchmark import benchmark_forward, benchmark_kernel_paths
+from . import synth
+from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, benchmark_forward,
+                        benchmark_kernel_paths, kernel_crossover)
 from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
 from .data import (PreparedData, chronological_split, denormalize,
@@ -133,7 +134,7 @@ def cmd_train(cfg, args):
     try:
         model, history = fit(model, train, cfg.training, val_ds=test)
     except DivergenceError as err:
-        print(f"training diverged at epoch {err.epoch}: {err}", file=sys.stderr)
+        print(f"training diverged: {err}", file=sys.stderr)
         return 1
     out = _outdir(cfg)
     ckpt = os.path.join(out, "checkpoint.bin")
@@ -214,8 +215,9 @@ def cmd_bench(cfg, args):
     window = np.clip(
         synth.sine_series(cfg.bench.window + 1, seed=1).values[:-1], 0.0, 1.0)
     windows = [window[:, None]]
-    results = {"backend": kernels.backend_name(), "hidden": cfg.bench.hidden,
-               "window": cfg.bench.window, "density": cfg.bench.density}
+    results = {"hidden": cfg.bench.hidden, "window": cfg.bench.window,
+               "density": cfg.bench.density,
+               "kernel_threshold": cfg.model.kernel_threshold}
     for label, density in (("sparse", cfg.bench.density), ("dense", 1.0)):
         model = build_model(1, [cfg.bench.hidden], density=density,
                             seed=cfg.model.seed,
@@ -223,20 +225,32 @@ def cmd_bench(cfg, args):
         stats = benchmark_forward(model, windows, reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
         results[label] = {"median_s": stats.median, "mean_s": stats.mean,
-                          "std_s": stats.std, "repetitions": stats.repetitions}
-        print(f"{label} (density={density:g}): median "
+                          "std_s": stats.std, "repetitions": stats.repetitions,
+                          "csr": model.layers[0].uses_sparse}
+        print(f"{label} (density={density:g}, "
+              f"{'CSR' if model.layers[0].uses_sparse else 'dense'}): median "
               f"{stats.median * 1e3:.3f} ms over {stats.repetitions} reps")
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")
     if cfg.bench.compare_kernels:
-        paths = benchmark_kernel_paths(hidden=cfg.bench.hidden,
-                                       density=cfg.bench.density,
-                                       reps=max(cfg.bench.reps, 100))
-        results["kernels"] = {}
-        for name, stats in paths.items():
-            results["kernels"][name] = {"median_s": stats.median, "mean_s": stats.mean}
-            print(f"kernel {name}: median {stats.median * 1e6:.2f} us")
+        tables = {density: benchmark_kernel_paths(hidden=cfg.bench.hidden,
+                                                  density=density,
+                                                  reps=max(cfg.bench.reps, 100))
+                  for density in KERNEL_DENSITIES}
+        results["kernels"] = {
+            f"{density:g}": {name: {"median_s": s.median, "mean_s": s.mean}
+                             for name, s in paths.items()}
+            for density, paths in tables.items()}
+        for density, paths in tables.items():
+            print(f"kernel density {density:g}: " + "  ".join(
+                f"B={b} dense {paths[f'dense_b{b}'].median * 1e6:.1f} us "
+                f"csr {paths[f'csr_b{b}'].median * 1e6:.1f} us" for b in KERNEL_BATCHES))
+        crossover = kernel_crossover(tables)
+        results["crossover_density"] = crossover
+        print("CSR is slower than dense at some batch size from density "
+              f"{crossover:g}" if crossover is not None
+              else "CSR is faster than dense at every measured density")
     path = os.path.join(_outdir(cfg), f"bench_{_stamp(args.freeze_timestamps)}.json")
     with open(path, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)

@@ -10,6 +10,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .cell import DEFAULT_KERNEL_THRESHOLD
 from .errors import ConfigError
 from .training import TrainingConfig
 
@@ -62,7 +63,7 @@ class ModelSection:
     hidden: tuple = (300, 300, 300)
     density: float = 1.0
     mask_mode: str = "probabilistic"
-    kernel_threshold: float = 0.2
+    kernel_threshold: float = DEFAULT_KERNEL_THRESHOLD
     seed: int = 0
 
 

@@ -18,11 +18,26 @@ class EncodingError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss, gradient or state."""
+    """Training produced a non-finite loss, gradient or state.
 
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
+    ``epoch``, ``batch``, ``layer`` and ``timestep`` locate the failure
+    where known (None otherwise); the message names each one that is set.
+    """
+
+    def __init__(self, reason, epoch=None, batch=None, layer=None, timestep=None):
+        self.reason = reason
+        self.epoch, self.batch, self.layer, self.timestep = epoch, batch, layer, timestep
+        where = ", ".join(f"{name} {value}" for name, value in self.location().items()
+                          if value is not None)
+        super().__init__(f"{reason} at {where}" if where else reason)
+
+    def location(self):
+        return {"epoch": self.epoch, "batch": self.batch, "layer": self.layer,
+                "timestep": self.timestep}
+
+    def at(self, **where):
+        """The same failure with more of its location filled in."""
+        return DivergenceError(self.reason, **{**self.location(), **where})
 
 
 class CheckpointError(ValueError):

@@ -1,131 +1,41 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Element-wise kernels of the memory block, in vectorized numpy.
 
-The compiled backend uses numba ``@njit``; the fallback is vectorized numpy.
-Selection happens once at import time: set ``RCLSTM_DISABLE_NUMBA=1`` (or
-run without numba installed) to force the numpy path.  Both backends stay
-importable so the benchmark command can time them against each other, and
-both must agree to ~1e-15; the module-level names ``csr_matvec`` and
-``lstm_pointwise`` point at the active one.
+Both work in place on feature-major blocks: one column per window of the
+batch, the four gate blocks [forget; input; candidate; output] stacked
+along the first axis.
 """
-
-import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("RCLSTM_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in ("1", "true", "yes", "on")
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via RCLSTM_DISABLE_NUMBA")
-    from numba import njit
+def sigmoid_stable(x, out=None):
+    """Logistic function as ``0.5 * (1 + tanh(x / 2))``.
 
-    NUMBA_AVAILABLE = True
-except ImportError:
-    njit = None
-    NUMBA_AVAILABLE = False
-
-USING_NUMBA = NUMBA_AVAILABLE
-
-
-def sigmoid_stable(x):
-    """Numerically stable logistic function; saturates instead of overflowing."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    No branch on the sign and nothing to overflow: it stays within 1e-16
+    of the logistic everywhere and reaches exactly 0 or 1 only beyond
+    |x| of about 37.  ``out`` may be ``x`` itself.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
-def csr_matvec_numpy(row_offsets, col_indices, values, x, n_rows):
-    """CSR matrix times vector, vectorized over the nonzeros via bincount."""
-    if values.shape[0] == 0:
-        return np.zeros(n_rows)
-    contrib = values * x[col_indices]
-    row_ids = np.repeat(np.arange(n_rows), np.diff(row_offsets))
-    return np.bincount(row_ids, weights=contrib, minlength=n_rows)
-
-
-def lstm_pointwise_numpy(a, c_prev):
+def lstm_pointwise_numpy(a, c_prev, c, tanh_c, h):
     """Gate activations and state update from stacked preactivations.
 
-    ``a`` holds the four gate blocks in order [forget; input; candidate;
-    output] along the last axis; works for a single vector (4H,) or a batch
-    (B, 4H).  Returns (f, i, z, o, c, tanh_c, h).
+    ``a`` is (4H, B) and is overwritten with the activations f, i, z, o;
+    ``c``, ``tanh_c`` and ``h`` are (H, B) outputs.  ``c_prev`` is the
+    previous memory cell, or None for a zero one.
     """
-    hidden = c_prev.shape[-1]
-    f = sigmoid_stable(a[..., 0:hidden])
-    i = sigmoid_stable(a[..., hidden : 2 * hidden])
-    z = np.tanh(a[..., 2 * hidden : 3 * hidden])
-    o = sigmoid_stable(a[..., 3 * hidden : 4 * hidden])
-    c = f * c_prev + i * z
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return f, i, z, o, c, tanh_c, h
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _sigmoid_scalar(v):
-        if v >= 0.0:
-            return 1.0 / (1.0 + math.exp(-v))
-        ev = math.exp(v)
-        return ev / (1.0 + ev)
-
-    @njit(cache=True)
-    def csr_matvec_numba(row_offsets, col_indices, values, x, n_rows):
-        out = np.zeros(n_rows)
-        for r in range(n_rows):
-            acc = 0.0
-            for k in range(row_offsets[r], row_offsets[r + 1]):
-                acc += values[k] * x[col_indices[k]]
-            out[r] = acc
-        return out
-
-    @njit(cache=True)
-    def lstm_pointwise_numba(a, c_prev):
-        hidden = c_prev.shape[0]
-        f = np.empty(hidden)
-        i = np.empty(hidden)
-        z = np.empty(hidden)
-        o = np.empty(hidden)
-        c = np.empty(hidden)
-        tanh_c = np.empty(hidden)
-        h = np.empty(hidden)
-        for j in range(hidden):
-            f[j] = _sigmoid_scalar(a[j])
-            i[j] = _sigmoid_scalar(a[hidden + j])
-            z[j] = math.tanh(a[2 * hidden + j])
-            o[j] = _sigmoid_scalar(a[3 * hidden + j])
-            c[j] = f[j] * c_prev[j] + i[j] * z[j]
-            tanh_c[j] = math.tanh(c[j])
-            h[j] = o[j] * tanh_c[j]
-        return f, i, z, o, c, tanh_c, h
-
-    csr_matvec = csr_matvec_numba
-    lstm_pointwise = lstm_pointwise_numba
-else:
-    csr_matvec_numba = None
-    lstm_pointwise_numba = None
-
-    csr_matvec = csr_matvec_numpy
-
-    def lstm_pointwise(a, c_prev):
-        return lstm_pointwise_numpy(a, c_prev)
-
-
-def backend_name():
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def warm_up():
-    """Trigger JIT compilation of the active kernels on tiny inputs."""
-    offsets = np.array([0, 1], dtype=np.int64)
-    cols = np.array([0], dtype=np.int64)
-    vals = np.array([1.0])
-    csr_matvec(offsets, cols, vals, np.array([2.0]), 1)
-    lstm_pointwise(np.zeros(4), np.zeros(1))
+    hidden = c.shape[0]
+    f = sigmoid_stable(a[0:hidden], out=a[0:hidden])
+    i = sigmoid_stable(a[hidden : 2 * hidden], out=a[hidden : 2 * hidden])
+    z = np.tanh(a[2 * hidden : 3 * hidden], out=a[2 * hidden : 3 * hidden])
+    o = sigmoid_stable(a[3 * hidden :], out=a[3 * hidden :])
+    np.multiply(i, z, out=c)
+    if c_prev is not None:
+        c += f * c_prev
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)

@@ -1,31 +1,98 @@
-"""Dense and compressed-sparse-row linear algebra plus activations.
+"""Products with masked gate matrices, plus dense helpers and activations.
 
-Dense matrices and vectors are plain float64 numpy arrays; the CSR type is
-the storage used by the sparse forward kernel.  Everything here is pure and
-safe to call concurrently on shared read-only arrays.
+``MaskedMatrix`` hides how a matrix whose nonzeros lie on a fixed boolean
+mask is multiplied: through scipy CSR, whose index structure is built once
+from the mask, or through dense BLAS on the masked array itself.  Dense
+operands are feature-major, (features, B) with one column per window, the
+layout scipy's CSR kernels read and write without copies.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse
 
 from . import kernels
 from .errors import ShapeError
 
 
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Compressed sparse row matrix (float64 values, int64 indices)."""
+class MaskedMatrix:
+    """Products with a matrix that is zero wherever ``mask`` is false.
 
-    rows: int
-    cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    ``sparse`` picks the route for the life of the object.  ``load(w)``
+    takes the current values of the dense, masked array ``w``: the dense
+    route keeps a reference to it, the sparse route gathers its nonzeros
+    into the CSR value vector (O(nnz)).
+    """
 
-    @property
-    def nnz(self):
-        return int(self.row_offsets[-1])
+    def __init__(self, mask, sparse):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ShapeError(f"mask must be 2-D, got shape {mask.shape}")
+        self.shape = mask.shape
+        self.sparse = bool(sparse)
+        self.mask = mask
+        self._w = None
+        if self.sparse:
+            rows, cols = np.nonzero(mask)  # row-major: columns sorted within rows
+            self.rows, self.cols = rows, cols
+            indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.shape[0]), out=indptr[1:])
+            self._csr = scipy.sparse.csr_matrix(
+                (np.zeros(rows.size), cols, indptr), shape=self.shape)
+            self._csr_t = self._csr.T  # a CSC view over the same value array
+            # the masked rows of each column, for the masked outer product
+            by_col = rows[np.argsort(cols, kind="stable")]
+            ptr = np.cumsum(np.bincount(cols, minlength=self.shape[1]))
+            self._col_rows = [(col, by_col[ptr[col] - n : ptr[col]])
+                              for col, n in enumerate(np.diff(ptr, prepend=0)) if n]
+
+    def load(self, w):
+        """Use the values of ``w`` (same shape as the mask) from now on."""
+        if w.shape != self.shape:
+            raise ShapeError(f"weights {w.shape} do not match mask {self.shape}")
+        if self.sparse:
+            self._csr.data[:] = w[self.rows, self.cols]
+        else:
+            self._w = w
+        return self
+
+    def dot(self, x):
+        """``M @ x`` for x of shape (cols, B), or (T, cols, B) for one
+        product per leading index; returns a new array."""
+        if x.shape[-2] != self.shape[1]:
+            raise ShapeError(f"product {self.shape} x {x.shape} is undefined")
+        return self._product(self._csr if self.sparse else self._w, x)
+
+    def tdot(self, y):
+        """``M.T @ y`` for y of shape (rows, B) or (T, rows, B)."""
+        if y.shape[-2] != self.shape[0]:
+            raise ShapeError(f"product {self.shape[::-1]} x {y.shape} is undefined")
+        return self._product(self._csr_t if self.sparse else self._w.T, y)
+
+    def _product(self, m, x):
+        if x.ndim == 2 or not self.sparse:
+            return m @ x  # numpy broadcasts over a leading axis
+        out = np.empty((x.shape[0], m.shape[0], x.shape[2]))
+        for t, xt in enumerate(x):
+            out[t] = m @ xt
+        return out
+
+    def masked_outer(self, y, x, out):
+        """Write ``mask * (y @ x.T)`` into ``out`` for y (rows, N), x (cols, N).
+
+        The sparse route computes only the masked entries: per column of
+        the mask, one gathered block of ``y`` rows times that row of ``x``.
+        """
+        if y.shape[0] != self.shape[0] or x.shape[0] != self.shape[1] \
+                or y.shape[1] != x.shape[1] or out.shape != self.shape:
+            raise ShapeError("masked outer product operands do not match the mask")
+        if not self.sparse:
+            np.matmul(y, x.T, out=out)
+            out *= self.mask
+            return out
+        out[...] = 0.0
+        for col, rows in self._col_rows:
+            out[rows, col] = y[rows] @ x[col]
+        return out
 
 
 def matvec(a, x):
@@ -37,40 +104,10 @@ def matvec(a, x):
     return a @ x
 
 
-def csr_from_masked(w, mask):
-    """Build a CsrMatrix holding w's entries wherever ``mask`` is true."""
-    w = np.asarray(w, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if w.shape != mask.shape or w.ndim != 2:
-        raise ShapeError(f"weight/mask shape mismatch: {w.shape} vs {mask.shape}")
-    rows, cols = w.shape
-    row_ids, col_ids = np.nonzero(mask)  # row-major: columns sorted within rows
-    values = np.ascontiguousarray(w[row_ids, col_ids], dtype=np.float64)
-    counts = np.bincount(row_ids, minlength=rows)
-    row_offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    return CsrMatrix(rows, cols, row_offsets, col_ids.astype(np.int64), values)
-
-
-def densify(a):
-    """Expand a CsrMatrix back to a dense array."""
-    out = np.zeros((a.rows, a.cols))
-    row_ids = np.repeat(np.arange(a.rows), np.diff(a.row_offsets))
-    out[row_ids, a.col_indices] = a.values
-    return out
-
-
-def spmv(a, x):
-    """Sparse matrix-vector product; equals ``matvec(densify(a), x)``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or a.cols != x.shape[0]:
-        raise ShapeError(f"spmv shapes incompatible: {a.rows}x{a.cols} x {x.shape}")
-    return kernels.csr_matvec(a.row_offsets, a.col_indices, a.values, x, a.rows)
-
-
 def sigmoid(x):
-    """Elementwise logistic function, output strictly inside (0, 1)."""
-    return kernels.sigmoid_stable(x)
+    """Elementwise logistic function, output strictly inside (0, 1) for
+    |x| below about 37."""
+    return kernels.sigmoid_stable(np.asarray(x, dtype=np.float64))
 
 
 def tanh_act(x):

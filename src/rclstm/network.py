@@ -1,17 +1,27 @@
-"""Stacked sparse-LSTM network with an affine output head, plus losses.
+"""Stacked sparse-LSTM network with an affine output head.
 
-The stack unrolls over an input window and predicts the single next value:
-regression emits a scalar, classification a softmax distribution.  Only the
-top layer's hidden state at the final timestep feeds the head.
+The stack unrolls over a batch of input windows and predicts the single
+next value of each: regression emits a scalar, classification logits for a
+softmax.  Only the top layer's hidden state at the final timestep feeds the
+head.  A single window is a batch of one.
+
+The unroll runs one layer at a time over preallocated (T, features, B)
+buffers: each timestep is a contiguous (features, B) block, one column per
+window, so the per-step element-wise work runs on contiguous memory and
+the CSR kernels need no copies.  Each layer projects its whole input
+sequence before its time loop, which then adds only the recurrent product.
+Backpropagation runs top-down a layer at a time and forms each layer's
+weight gradient as one masked product over all T*B columns.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cell import (LstmLayerParams, cell_backward, cell_forward, init_layer,
-                   zero_state, DEFAULT_KERNEL_THRESHOLD)
-from .errors import ShapeError
+                   DEFAULT_KERNEL_THRESHOLD)
+from .errors import DivergenceError, ShapeError
 
 
 @dataclass
@@ -31,31 +41,30 @@ class StackedRclstm:
     def out_dim(self):
         return self.head_b.shape[0]
 
-    def invalidate(self):
-        for layer in self.layers:
-            layer.invalidate()
-
     def apply_masks(self):
         for layer in self.layers:
             layer.apply_mask()
 
 
 @dataclass
-class Prediction:
-    """Next-step output: scalar value or probability distribution."""
+class LayerCache:
+    """One layer's unroll over a batch; every array is (T, features, B)."""
 
-    value: float | None = None
-    distribution: np.ndarray | None = None
+    x: np.ndarray  # the layer's input
+    gates: np.ndarray  # (T, 4H, B) activations f, i, z, o; dA once backpropagated
+    c: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
 
 
 @dataclass
 class SequenceCache:
-    """Per-timestep, per-layer forward caches retained for backprop."""
+    """The forward unroll retained for one ``backward_sequence`` call."""
 
-    steps: list  # steps[t][k] -> StepCache of layer k at timestep t
-    top_h: np.ndarray
+    layers: list  # LayerCache per layer, bottom first
     head_out: np.ndarray
-    layer_dims: list = field(default_factory=list)
+    layer_dims: list
+    consumed: bool = False
 
 
 def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
@@ -82,106 +91,101 @@ def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
     return StackedRclstm(layers, head_w, head_b, task)
 
 
-def _run_stack(model, window):
-    """Shared unroll; ``window`` is (T, F) or batched (B, T, F)."""
-    batched = window.ndim == 3
-    n_steps = window.shape[1] if batched else window.shape[0]
-    batch = window.shape[0] if batched else None
-    states = [zero_state(layer.hidden_dim, batch) for layer in model.layers]
-    steps = []
+def _layer_forward(k, layer, x):
+    """Unroll layer ``k`` over its (T, D, B) input sequence."""
+    n_steps, _, batch = x.shape
+    ops = layer.products()
+    gates = ops.x.dot(x)
+    gates += layer.b[:, None]
+    c = np.empty((n_steps, layer.hidden_dim, batch))
+    tanh_c = np.empty_like(c)
+    h = np.empty_like(c)
     for t in range(n_steps):
-        inp = window[:, t, :] if batched else window[t]
-        caches = []
-        for k, layer in enumerate(model.layers):
-            states[k], cache = cell_forward(layer, inp, states[k])
-            inp = states[k].h
-            caches.append(cache)
-        steps.append(caches)
-    top_h = states[-1].h
-    head_out = top_h @ model.head_w.T + model.head_b
-    return steps, top_h, head_out
-
-
-def forward_sequence(model, window):
-    """Run one window (T, F) through the stack; returns the prediction and
-    the cache needed by ``backward_sequence``."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[:, None]
-    if window.ndim != 2 or window.shape[0] < 1:
-        raise ShapeError(f"window must be a non-empty (T, F) array, got {window.shape}")
-    if window.shape[1] != model.feature_dim:
-        raise ShapeError(
-            f"feature dim {window.shape[1]} != model feature dim {model.feature_dim}")
-    steps, top_h, head_out = _run_stack(model, window)
-    if model.task == "regression":
-        pred = Prediction(value=float(head_out[0]))
-    else:
-        pred = Prediction(distribution=softmax(head_out))
-    cache = SequenceCache(steps, top_h, head_out,
-                          [(l.input_dim, l.hidden_dim) for l in model.layers])
-    return pred, cache
+        h_prev, c_prev = (h[t - 1], c[t - 1]) if t else (None, None)
+        cell_forward(ops.h, gates[t], h_prev, c_prev, c[t], tanh_c[t], h[t])
+    if not math.isfinite(float(np.sum(h)) + float(np.sum(c))):
+        finite = (np.isfinite(h) & np.isfinite(c)).all(axis=(1, 2))
+        raise DivergenceError("non-finite cell state", layer=k,
+                              timestep=int(np.argmin(finite)))
+    return LayerCache(x, gates, c, tanh_c, h)
 
 
 def forward_batch(model, windows):
-    """Vectorized forward over (B, T, F); returns raw head outputs (B, out)
-    and a batched cache."""
+    """Forward over (B, T, F) windows; returns the raw head outputs
+    (B, out) and the cache ``backward_sequence`` needs."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1] < 1:
         raise ShapeError(f"expected (B, T, F) windows, got {windows.shape}")
     if windows.shape[2] != model.feature_dim:
-        raise ShapeError("feature dim mismatch")
-    steps, top_h, head_out = _run_stack(model, windows)
-    cache = SequenceCache(steps, top_h, head_out,
-                          [(l.input_dim, l.hidden_dim) for l in model.layers])
-    return head_out, cache
+        raise ShapeError(
+            f"feature dim {windows.shape[2]} != model feature dim {model.feature_dim}")
+    x = np.ascontiguousarray(windows.transpose(1, 2, 0))
+    caches = []
+    for k, layer in enumerate(model.layers):
+        caches.append(_layer_forward(k, layer, x))
+        x = caches[-1].h
+    head_out = x[-1].T @ model.head_w.T + model.head_b
+    return head_out, SequenceCache(caches, head_out,
+                                   [(l.input_dim, l.hidden_dim) for l in model.layers])
+
+
+def _feature_major(seq):
+    """A (T, F, B) sequence as one (F, T*B) array, columns in (t, b) order."""
+    return np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(seq.shape[1], -1)
+
+
+def _layer_backward(layer, lc, grad_h, input_grad):
+    """Backpropagate one layer's unroll.
+
+    ``grad_h`` (T, H, B) is the loss gradient wrt the layer's hidden
+    states from above.  Returns (grad_w, grad_b, grad_x), where grad_x is
+    the gradient wrt the layer's input sequence, or None unless
+    ``input_grad``.  Leaves dA in ``lc.gates``.
+    """
+    ops = layer.products()
+    n_steps, d, batch = lc.x.shape
+    grad_c = np.zeros((layer.hidden_dim, batch))
+    grad_h_rec = None
+    for t in range(n_steps - 1, -1, -1):
+        gh = grad_h[t] if grad_h_rec is None else grad_h[t] + grad_h_rec
+        grad_c, grad_h_rec = cell_backward(ops.h, lc.gates[t],
+                                           None if t == 0 else lc.c[t - 1],
+                                           lc.tanh_c[t], gh, grad_c)
+    da = _feature_major(lc.gates)
+    grad_w = np.empty_like(layer.w)
+    ops.x.masked_outer(da, _feature_major(lc.x), grad_w[:, :d])
+    # h_prev is zero at the first step, so the recurrent block sees steps 1..T-1
+    ops.h.masked_outer(da[:, batch:], _feature_major(lc.h[:-1]), grad_w[:, d:])
+    grad_x = ops.x.tdot(lc.gates) if input_grad else None
+    return grad_w, da.sum(axis=1), grad_x
 
 
 def backward_sequence(model, cache, loss_grad):
     """Backpropagation through time over the cached unroll.
 
-    ``loss_grad`` is d(loss)/d(head output): shape (out,) for a single
-    window or (B, out) for a batched cache (batch gradients are summed, so
-    scale ``loss_grad`` by 1/B upstream for a mean loss).  Returns a flat
-    dict: ``layer{k}.w``, ``layer{k}.b``, ``head.w``, ``head.b``.
+    ``loss_grad`` is d(loss)/d(head output), shape (B, out); batch
+    gradients are summed, so scale ``loss_grad`` by 1/B upstream for a mean
+    loss.  Consumes the cache.  Returns a flat dict: ``layer{k}.w``,
+    ``layer{k}.b``, ``head.w``, ``head.b``.
     """
     dims = [(l.input_dim, l.hidden_dim) for l in model.layers]
     if cache.layer_dims != dims:
         raise ShapeError("cache does not match this model (stale cache)")
+    if cache.consumed:
+        raise ValueError("cache was already backpropagated")
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
-    batched = cache.top_h.ndim == 2
-    if batched:
-        grad_head_w = loss_grad.T @ cache.top_h
-        grad_head_b = loss_grad.sum(axis=0)
-    else:
-        grad_head_w = np.outer(loss_grad, cache.top_h)
-        grad_head_b = loss_grad.copy()
-    grads = {"head.w": grad_head_w, "head.b": grad_head_b}
-    for k, layer in enumerate(model.layers):
-        grads[f"layer{k}.w"] = np.zeros_like(layer.w)
-        grads[f"layer{k}.b"] = np.zeros_like(layer.b)
-
-    n_layers = len(model.layers)
-    grad_h = [np.zeros_like(cache.steps[-1][k].h) for k in range(n_layers)]
-    grad_c = [np.zeros_like(g) for g in grad_h]
-    grad_h[-1] = grad_h[-1] + loss_grad @ model.head_w
-    for t in range(len(cache.steps) - 1, -1, -1):
-        carry = None  # gradient wrt the layer-(k+1) input at this timestep
-        for k in range(n_layers - 1, -1, -1):
-            gh = grad_h[k] if carry is None else grad_h[k] + carry
-            cg = cell_backward(model.layers[k], cache.steps[t][k], gh, grad_c[k])
-            grads[f"layer{k}.w"] += cg.grad_w
-            grads[f"layer{k}.b"] += cg.grad_b
-            grad_h[k] = cg.grad_h_prev
-            grad_c[k] = cg.grad_c_prev
-            carry = cg.grad_x
+    if loss_grad.shape != cache.head_out.shape:
+        raise ShapeError(f"loss gradient {loss_grad.shape} != head output "
+                         f"{cache.head_out.shape}")
+    cache.consumed = True
+    top = cache.layers[-1]
+    grads = {"head.w": loss_grad.T @ top.h[-1].T, "head.b": loss_grad.sum(axis=0)}
+    grad_h = np.zeros_like(top.h)
+    grad_h[-1] = (loss_grad @ model.head_w).T
+    for k in range(len(model.layers) - 1, -1, -1):
+        grads[f"layer{k}.w"], grads[f"layer{k}.b"], grad_h = _layer_backward(
+            model.layers[k], cache.layers[k], grad_h, input_grad=k > 0)
     return grads
-
-
-def mse_loss(pred, target):
-    """Squared error and its gradient wrt the prediction."""
-    err = float(pred) - float(target)
-    return err * err, 2.0 * err
 
 
 def softmax(logits):
@@ -190,21 +194,3 @@ def softmax(logits):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy_loss(logits, target_class):
-    """Negative log-likelihood of a 1-based target class.
-
-    Returns (loss, gradient wrt logits); the gradient is
-    ``softmax(logits) - one_hot(target)`` and sums to zero.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    m = logits.shape[0]
-    if not 1 <= target_class <= m:
-        raise IndexError(f"target class {target_class} outside 1..{m}")
-    shifted = logits - logits.max()
-    log_z = np.log(np.exp(shifted).sum())
-    loss = log_z - shifted[target_class - 1]
-    grad = softmax(logits)
-    grad[target_class - 1] -= 1.0
-    return float(loss), grad

@@ -17,6 +17,7 @@ import numpy as np
 from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
                         ffnn_train)
 from .benchmark import benchmark_forward
+from .cell import DEFAULT_KERNEL_THRESHOLD
 from .data import chronological_split
 from .errors import ConfigError, DivergenceError
 from .metrics import accuracy, rmse
@@ -34,7 +35,7 @@ class SweepSpec:
     hidden: tuple = (300, 300, 300)
     density: float = 1.0
     mask_mode: str = "probabilistic"
-    kernel_threshold: float = 0.2
+    kernel_threshold: float = DEFAULT_KERNEL_THRESHOLD
     window: int = 100
     train_fraction: float = 0.9
     training: TrainingConfig = field(default_factory=TrainingConfig)

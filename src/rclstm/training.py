@@ -107,17 +107,24 @@ def optimizer_step(params, grads, state, config, masks=None):
     return params, state
 
 
-def _batch_loss_and_grad(model, outputs, targets):
-    """Mean loss over the batch and d(loss)/d(head outputs), (B, out)."""
+def batch_loss_and_grad(task, outputs, targets):
+    """Mean loss over a batch and d(loss)/d(head outputs), (B, out).
+
+    Regression: squared error of ``outputs[:, 0]``.  Classification:
+    cross-entropy of the softmax of ``outputs`` against 1-based target
+    classes; the gradient rows are ``(softmax - one_hot) / B``.
+    """
     n = outputs.shape[0]
-    if model.task == "regression":
+    if task == "regression":
         err = outputs[:, 0] - targets
         with np.errstate(over="ignore"):  # inf loss is caught as divergence
             loss = float(np.mean(err * err))
         dout = (2.0 * err / n)[:, None]
     else:
+        idx = np.asarray(targets).astype(int) - 1  # targets are 1-based classes
+        if np.any((idx < 0) | (idx >= outputs.shape[1])):
+            raise IndexError(f"target classes outside 1..{outputs.shape[1]}")
         probs = softmax(outputs)
-        idx = targets.astype(int) - 1  # targets are 1-based classes
         picked = np.clip(probs[np.arange(n), idx], 1e-300, None)
         loss = float(np.mean(-np.log(picked)))
         dout = probs
@@ -152,8 +159,9 @@ def predict_batch(model, windows, batch_size=256):
 def fit(model, train_ds, config, val_ds=None):
     """Train ``model`` on a WindowedDataset with full-window BPTT.
 
-    Returns (model, TrainingHistory).  Raises DivergenceError (carrying the
-    epoch) on a non-finite loss or gradient.
+    Returns (model, TrainingHistory).  Raises DivergenceError on a
+    non-finite loss, gradient or state, carrying the epoch and batch (and
+    for a state, the layer and timestep).
     """
     if train_ds.inputs.shape[0] == 0:
         raise ValueError("empty training set")
@@ -167,19 +175,18 @@ def fit(model, train_ds, config, val_ds=None):
         started = time.perf_counter()
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         losses = []
-        for lo in range(0, n, config.batch_size):
+        for batch, lo in enumerate(range(0, n, config.batch_size)):
             idx = order[lo : lo + config.batch_size]
-            outputs, cache = forward_batch(model, train_ds.inputs[idx])
-            loss, dout = _batch_loss_and_grad(model, outputs, train_ds.targets[idx])
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-            grads = backward_sequence(model, cache, dout)
-            clip_gradients(grads, config.grad_clip)
             try:
+                outputs, cache = forward_batch(model, train_ds.inputs[idx])
+                loss, dout = batch_loss_and_grad(model.task, outputs, train_ds.targets[idx])
+                if not math.isfinite(loss):
+                    raise DivergenceError("non-finite loss")
+                grads = backward_sequence(model, cache, dout)
+                clip_gradients(grads, config.grad_clip)
                 optimizer_step(params, grads, state, config, masks)
             except DivergenceError as err:
-                raise DivergenceError(f"{err} at epoch {epoch}", epoch=epoch) from None
-            model.invalidate()
+                raise err.at(epoch=epoch, batch=batch) from None
             losses.append(loss)
         history.train_loss.append(float(np.mean(losses)))
         if val_ds is not None:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rclstm.cell import (CellState, LstmLayerParams, cell_backward,
-                         cell_forward, generate_mask, init_layer, zero_state)
+from rclstm.cell import (LstmLayerParams, cell_backward, cell_forward,
+                         generate_mask, init_layer)
 from rclstm.errors import ShapeError
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
@@ -11,6 +11,32 @@ from reference_lstm import (DenseLstmReference, numeric_gradient,
 
 def make_layer(input_dim, hidden, density, seed, mode="probabilistic"):
     return init_layer(input_dim, hidden, density=density, seed=seed, mode=mode)
+
+
+def run_step(layer, x, h0=None, c0=None):
+    """One timestep through the cell API.  ``x`` is (B, D) and the states
+    (B, H), batch-major; returns (h, c) batch-major plus the feature-major
+    gate activations and tanh(c) that ``cell_backward`` takes."""
+    ops = layer.products()
+    a = ops.x.dot(np.asarray(x, dtype=np.float64).T) + layer.b[:, None]
+    shape = (layer.hidden_dim, a.shape[1])
+    c, tanh_c, h = np.empty(shape), np.empty(shape), np.empty(shape)
+    cell_forward(ops.h, a, None if h0 is None else h0.T, None if c0 is None else c0.T,
+                 c, tanh_c, h)
+    return h.T, c.T, a, tanh_c
+
+
+def step_grads(layer, x, h0, c0, grad_h, grad_c):
+    """Gradients of one timestep wrt (w, b, x, h0, c0), batch-major, given
+    the loss gradients wrt its outputs h and c."""
+    _, _, a, tanh_c = run_step(layer, x, h0, c0)
+    ops = layer.products()
+    grad_c_prev, grad_h_prev = cell_backward(ops.h, a, c0.T, tanh_c, grad_h.T, grad_c.T)
+    grad_w = np.empty_like(layer.w)
+    d = layer.input_dim
+    ops.x.masked_outer(a, x.T, grad_w[:, :d])
+    ops.h.masked_outer(a, h0.T, grad_w[:, d:])
+    return grad_w, a.sum(axis=1), ops.x.tdot(a).T, grad_h_prev.T, grad_c_prev.T
 
 
 class TestGenerateMask:
@@ -52,21 +78,21 @@ class TestCellForward:
         layer = make_layer(3, 4, 1.0, seed=0)
         layer.w[:] = 0.0
         layer.b[:] = 0.0
-        state, cache = cell_forward(layer, np.ones(3), zero_state(4))
-        assert np.allclose(cache.f, 0.5) and np.allclose(cache.i, 0.5)
-        assert np.allclose(cache.o, 0.5) and np.allclose(cache.z, 0.0)
-        assert np.array_equal(state.c, np.zeros(4))
-        assert np.array_equal(state.h, np.zeros(4))
+        h, c, gates, _ = run_step(layer, np.ones((1, 3)))
+        f, i, z, o = gates.reshape(4, 4)
+        assert np.allclose(f, 0.5) and np.allclose(i, 0.5)
+        assert np.allclose(o, 0.5) and np.allclose(z, 0.0)
+        assert np.array_equal(c, np.zeros((1, 4)))
+        assert np.array_equal(h, np.zeros((1, 4)))
 
     def test_zero_weights_carries_half_cell(self):
         layer = make_layer(2, 5, 1.0, seed=1)
         layer.w[:] = 0.0
         layer.b[:] = 0.0
-        c_prev = np.linspace(-1.0, 1.0, 5)
-        prev = CellState(np.zeros(5), c_prev.copy())
-        state, _ = cell_forward(layer, np.zeros(2), prev)
-        assert np.max(np.abs(state.c - 0.5 * c_prev)) < 1e-15
-        assert np.max(np.abs(state.h - 0.5 * np.tanh(0.5 * c_prev))) < 1e-15
+        c_prev = np.linspace(-1.0, 1.0, 5)[None]
+        h, c, _, _ = run_step(layer, np.zeros((1, 2)), np.zeros((1, 5)), c_prev.copy())
+        assert np.max(np.abs(c - 0.5 * c_prev)) < 1e-15
+        assert np.max(np.abs(h - 0.5 * np.tanh(0.5 * c_prev))) < 1e-15
 
     def test_full_density_matches_reference(self):
         rng = np.random.default_rng(17)
@@ -76,24 +102,29 @@ class TestCellForward:
             x = rng.normal(size=d)
             h0 = rng.normal(size=hidden) * 0.5
             c0 = rng.normal(size=hidden)
-            state, _ = cell_forward(layer, x, CellState(h0.copy(), c0.copy()))
+            h, c, _, _ = run_step(layer, x[None], h0[None], c0[None])
             ref = DenseLstmReference.from_stacked(layer.w, layer.b)
             hs, cs, _ = ref.forward([x], h0=h0, c0=c0)
-            assert np.max(np.abs(state.h - hs[0])) < 1e-12
-            assert np.max(np.abs(state.c - cs[0])) < 1e-12
+            assert np.max(np.abs(h[0] - hs[0])) < 1e-12
+            assert np.max(np.abs(c[0] - cs[0])) < 1e-12
 
     def test_sparse_and_dense_paths_agree(self):
         rng = np.random.default_rng(5)
-        layer = make_layer(3, 32, 0.1, seed=9)
+        layer = make_layer(3, 32, 0.03, seed=9)
         assert layer.uses_sparse
-        x = rng.normal(size=3)
-        prev = CellState(rng.normal(size=32) * 0.3, rng.normal(size=32))
-        sparse_state, _ = cell_forward(layer, x, prev)
-        dense = LstmLayerParams(layer.input_dim, layer.hidden_dim, layer.w,
-                                layer.b, layer.mask, kernel_threshold=0.0)
-        dense_state, _ = cell_forward(dense, x, prev)
-        assert np.max(np.abs(sparse_state.h - dense_state.h)) < 1e-12
-        assert np.max(np.abs(sparse_state.c - dense_state.c)) < 1e-12
+        x = rng.normal(size=(4, 3))
+        h0, c0 = rng.normal(size=(4, 32)) * 0.3, rng.normal(size=(4, 32))
+        sparse = run_step(layer, x, h0, c0)
+        dense_layer = LstmLayerParams(layer.input_dim, layer.hidden_dim, layer.w,
+                                      layer.b, layer.mask, kernel_threshold=0.0)
+        assert not dense_layer.uses_sparse
+        dense = run_step(dense_layer, x, h0, c0)
+        for got, want in zip(sparse, dense):
+            assert np.max(np.abs(got - want)) < 1e-12
+        gh, gc = rng.normal(size=(4, 32)), rng.normal(size=(4, 32))
+        for got, want in zip(step_grads(layer, x, h0, c0, gh, gc),
+                             step_grads(dense_layer, x, h0, c0, gh, gc)):
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(31)
@@ -101,45 +132,46 @@ class TestCellForward:
         xs = rng.normal(size=(4, 2))
         h0 = rng.normal(size=(4, 6)) * 0.2
         c0 = rng.normal(size=(4, 6))
-        bstate, _ = cell_forward(layer, xs, CellState(h0.copy(), c0.copy()))
+        bh, bc, _, _ = run_step(layer, xs, h0, c0)
         for j in range(4):
-            s, _ = cell_forward(layer, xs[j], CellState(h0[j].copy(), c0[j].copy()))
-            assert np.max(np.abs(bstate.h[j] - s.h)) < 1e-12
-            assert np.max(np.abs(bstate.c[j] - s.c)) < 1e-12
+            h, c, _, _ = run_step(layer, xs[j : j + 1], h0[j : j + 1], c0[j : j + 1])
+            assert np.max(np.abs(bh[j] - h[0])) < 1e-12
+            assert np.max(np.abs(bc[j] - c[0])) < 1e-12
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(8)
         layer = make_layer(3, 16, 0.6, seed=12)
-        state = zero_state(16)
+        h, c = np.zeros((1, 16)), np.zeros((1, 16))
         for _ in range(10):
-            state, cache = cell_forward(layer, rng.normal(size=3) * 5.0, state)
-            for gate in (cache.f, cache.i, cache.o):
+            h, c, gates, _ = run_step(layer, rng.normal(size=(1, 3)) * 5.0, h, c)
+            f, i, z, o = gates.reshape(4, 16)
+            for gate in (f, i, o):
                 assert np.all((gate > 0.0) & (gate < 1.0))
-            assert np.all(np.abs(cache.z) <= 1.0)
-            assert np.all(np.abs(state.h) < 1.0)
+            assert np.all(np.abs(z) <= 1.0)
+            assert np.all(np.abs(h) < 1.0)
 
     def test_dimension_mismatch(self):
         layer = make_layer(3, 4, 1.0, seed=0)
         with pytest.raises(ShapeError):
-            cell_forward(layer, np.zeros(5), zero_state(4))
+            run_step(layer, np.zeros((1, 5)))
 
 
 class TestCellBackward:
     def test_zero_upstream_grads(self):
         layer = make_layer(2, 4, 1.0, seed=4)
-        _, cache = cell_forward(layer, np.ones(2), zero_state(4))
-        g = cell_backward(layer, cache, np.zeros(4), np.zeros(4))
-        assert not g.grad_w.any() and not g.grad_b.any()
-        assert not g.grad_x.any() and not g.grad_h_prev.any()
-        assert not g.grad_c_prev.any()
+        zeros = np.zeros((1, 4))
+        grads = step_grads(layer, np.ones((1, 2)), zeros, zeros, zeros, zeros)
+        assert not any(g.any() for g in grads)
 
     def test_masked_positions_zero(self):
         rng = np.random.default_rng(13)
-        layer = make_layer(3, 8, 0.3, seed=6)
-        _, cache = cell_forward(layer, rng.normal(size=3),
-                                CellState(rng.normal(size=8) * 0.1, rng.normal(size=8)))
-        g = cell_backward(layer, cache, rng.normal(size=8), rng.normal(size=8))
-        assert np.all(g.grad_w[~layer.mask.bits] == 0.0)
+        for density in (0.3, 0.02):
+            layer = make_layer(3, 40, density, seed=6)
+            grad_w = step_grads(layer, rng.normal(size=(2, 3)),
+                                rng.normal(size=(2, 40)) * 0.1, rng.normal(size=(2, 40)),
+                                rng.normal(size=(2, 40)), rng.normal(size=(2, 40)))[0]
+            assert np.all(grad_w[~layer.mask.bits] == 0.0)
+            assert np.any(grad_w[layer.mask.bits] != 0.0)
 
     def test_matches_reference_backward(self):
         rng = np.random.default_rng(23)
@@ -147,50 +179,44 @@ class TestCellBackward:
         x = rng.normal(size=3)
         h0 = rng.normal(size=5) * 0.4
         c0 = rng.normal(size=5)
-        _, cache = cell_forward(layer, x, CellState(h0.copy(), c0.copy()))
         dh = rng.normal(size=5)
         dc = rng.normal(size=5)
-        got = cell_backward(layer, cache, dh, dc)
+        got = step_grads(layer, x[None], h0[None], c0[None], dh[None], dc[None])
         ref = DenseLstmReference.from_stacked(layer.w, layer.b)
         _, _, trace = ref.forward([x], h0=h0, c0=c0)
         dw, db, dxs, dh0, dc0 = ref.backward([x], trace, dh, dc, h0=h0, c0=c0)
-        assert np.max(np.abs(got.grad_w - dw)) < 1e-12
-        assert np.max(np.abs(got.grad_b - db)) < 1e-12
-        assert np.max(np.abs(got.grad_x - dxs[0])) < 1e-12
-        assert np.max(np.abs(got.grad_h_prev - dh0)) < 1e-12
-        assert np.max(np.abs(got.grad_c_prev - dc0)) < 1e-12
+        for g, want in zip(got, (dw, db, dxs[0], dh0, dc0)):
+            assert np.max(np.abs(g.reshape(want.shape) - want)) < 1e-12
 
     def test_finite_difference_check(self):
         # H=4, D=3 with a partial mask; loss = sum(gh*h) + sum(gc*c)
         rng = np.random.default_rng(77)
         layer = make_layer(3, 4, 0.7, seed=15)
-        x = rng.normal(size=3)
-        h0 = rng.normal(size=4) * 0.3
-        c0 = rng.normal(size=4)
-        gh = rng.normal(size=4)
-        gc = rng.normal(size=4)
+        x = rng.normal(size=(1, 3))
+        h0 = rng.normal(size=(1, 4)) * 0.3
+        c0 = rng.normal(size=(1, 4))
+        gh = rng.normal(size=(1, 4))
+        gc = rng.normal(size=(1, 4))
 
         def loss():
-            state, _ = cell_forward(layer, x, CellState(h0.copy(), c0.copy()))
-            return float(gh @ state.h + gc @ state.c)
+            h, c, _, _ = run_step(layer, x, h0, c0)
+            return float(np.sum(gh * h) + np.sum(gc * c))
 
-        _, cache = cell_forward(layer, x, CellState(h0.copy(), c0.copy()))
-        got = cell_backward(layer, cache, gh, gc)
-
+        grad_w, grad_b, grad_x, grad_h0, grad_c0 = step_grads(layer, x, h0, c0, gh, gc)
         num_w = numeric_gradient(loss, layer.w)
         num_w[~layer.mask.bits] = 0.0  # masked entries are not parameters
-        assert relative_gradient_error(got.grad_w, num_w) < 1e-5
-        assert relative_gradient_error(got.grad_b, numeric_gradient(loss, layer.b)) < 1e-5
-        assert relative_gradient_error(got.grad_x, numeric_gradient(loss, x)) < 1e-5
-        assert relative_gradient_error(got.grad_h_prev, numeric_gradient(loss, h0)) < 1e-5
-        assert relative_gradient_error(got.grad_c_prev, numeric_gradient(loss, c0)) < 1e-5
+        assert relative_gradient_error(grad_w, num_w) < 1e-5
+        assert relative_gradient_error(grad_b, numeric_gradient(loss, layer.b)) < 1e-5
+        assert relative_gradient_error(grad_x, numeric_gradient(loss, x)) < 1e-5
+        assert relative_gradient_error(grad_h0, numeric_gradient(loss, h0)) < 1e-5
+        assert relative_gradient_error(grad_c0, numeric_gradient(loss, c0)) < 1e-5
 
 
 def test_layer_nnz_tracks_density():
-    layer = make_layer(10, 20, 0.05, seed=3)
-    csr = layer.csr()
-    assert csr.nnz == int(layer.mask.bits.sum())
+    layer = make_layer(10, 20, 0.03, seed=3)
     assert layer.uses_sparse
+    ops = layer.products()
+    assert ops.x.rows.size + ops.h.rows.size == int(layer.mask.bits.sum())
 
 
 def test_layer_determinism():

@@ -173,6 +173,23 @@ train_fraction = 0.8
                 f"2015-08-06T{h:02d}:00:00,60.0,24.0,{1 + h % 3}" for h in range(24)) + "\n")
         assert main(["evaluate", "--config", mob, "--checkpoint", ckpt]) == 2
 
+    def test_checkpoint_missing_keys_exit_2(self, tmp_path, capsys):
+        from rclstm.checkpoint import write_container
+
+        cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(write_container("model", {}, {}))
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        assert "lacks" in capsys.readouterr().err
+
+    def test_divergence_exit_1_names_location(self, tmp_path, capsys):
+        text = SINE_CFG.format(out=tmp_path / "out").replace(
+            "[training]", "[training]\nlearning_rate = 1e300\noptimizer = sgd")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "training diverged" in err and "epoch 0, batch" in err
+
     def test_sweep_emits_csv(self, tmp_path, capsys):
         text = SINE_CFG.format(out=tmp_path / "out") + """
 [sweep]
@@ -208,6 +225,11 @@ compare_kernels = true
         payload = json.loads((tmp_path / "out" / "bench_frozen.json").read_text())
         assert "sparse" in payload and "dense" in payload
         assert payload["sparse"]["repetitions"] == 30
+        assert not payload["dense"]["csr"]
+        assert set(payload["kernels"]) == {"0.01", "0.02", "0.05", "0.1", "0.2"}
+        assert set(payload["kernels"]["0.01"]) == {
+            f"{path}_b{b}" for path in ("dense", "csr") for b in (1, 32, 256)}
+        assert "crossover_density" in payload
 
 
 def test_console_entry_point(tmp_path):

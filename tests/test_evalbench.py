@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from rclstm.benchmark import TimingStats, benchmark_forward, benchmark_kernel_paths
+from rclstm.benchmark import (TimingStats, benchmark_forward, benchmark_kernel_paths,
+                              kernel_crossover)
 from rclstm.data import PreparedData
 from rclstm.errors import ConfigError
 from rclstm.metrics import accuracy, rmse
@@ -71,10 +72,24 @@ class TestBenchmarkForward:
 
     def test_kernel_path_comparison_runs(self):
         results = benchmark_kernel_paths(hidden=32, density=0.05, reps=20, warmup=2)
-        assert "dense_blas" in results and "csr_numpy" in results
+        assert set(results) == {f"{path}_b{b}" for path in ("dense", "csr")
+                                for b in (1, 32, 256)}
         for stats in results.values():
             assert isinstance(stats, TimingStats)
             assert stats.median >= 0.0
+
+    def test_kernel_crossover(self):
+        def stats(median):
+            return TimingStats(median, median, 0.0, 1, 0)
+
+        def paths(csr):  # dense takes 1 s at every batch size
+            return {**{f"dense_b{b}": stats(1.0) for b in (1, 32, 256)},
+                    **{f"csr_b{b}": stats(t) for b, t in zip((1, 32, 256), csr)}}
+
+        tables = {0.1: paths((0.5, 2.0, 0.5)), 0.01: paths((0.1, 0.1, 0.1)),
+                  0.2: paths((3.0, 3.0, 3.0))}
+        assert kernel_crossover(tables) == 0.1
+        assert kernel_crossover({0.01: tables[0.01]}) is None
 
 
 def tiny_prepared(n=220):

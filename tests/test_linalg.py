@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from rclstm import kernels
 from rclstm.errors import ShapeError
-from rclstm.linalg import (CsrMatrix, csr_from_masked, densify, matvec,
-                           sigmoid, spmv, tanh_act)
+from rclstm.linalg import MaskedMatrix, matvec, sigmoid, tanh_act
 
 
 def test_matvec_identity():
@@ -27,17 +25,25 @@ def test_matvec_shape_error():
         matvec(np.zeros((2, 3)), np.zeros(4))
 
 
+def masked(w, mask, sparse=True):
+    return MaskedMatrix(mask, sparse).load(np.asarray(w, dtype=np.float64) * mask)
+
+
+def as_dense(m):
+    return m.dot(np.eye(m.shape[1]))
+
+
 def test_csr_all_true_mask():
     w = np.arange(6.0).reshape(2, 3)
-    a = csr_from_masked(w, np.ones((2, 3), dtype=bool))
-    assert a.nnz == 6
-    assert np.array_equal(densify(a), w)
+    a = masked(w, np.ones((2, 3), dtype=bool))
+    assert a.rows.size == 6
+    assert np.array_equal(as_dense(a), w)
 
 
 def test_csr_all_false_mask():
-    a = csr_from_masked(np.ones((3, 2)), np.zeros((3, 2), dtype=bool))
-    assert a.nnz == 0
-    assert np.array_equal(densify(a), np.zeros((3, 2)))
+    a = masked(np.ones((3, 2)), np.zeros((3, 2), dtype=bool))
+    assert a.rows.size == 0
+    assert np.array_equal(as_dense(a), np.zeros((3, 2)))
 
 
 def test_csr_two_entries():
@@ -46,43 +52,61 @@ def test_csr_two_entries():
     m = np.zeros((2, 3), dtype=bool)
     m[1, 0] = True
     m[0, 2] = True
-    a = csr_from_masked(w, m)
-    assert a.nnz == 2
-    assert a.row_offsets.tolist() == [0, 1, 2]
-    assert a.col_indices.tolist() == [2, 0]
-    assert a.values.tolist() == [3.0, 4.0]
+    a = masked(w, m)
+    assert a.rows.tolist() == [0, 1]
+    assert a.cols.tolist() == [2, 0]
+    assert np.array_equal(as_dense(a), [[0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
 
 
 def test_csr_shape_mismatch():
     with pytest.raises(ShapeError):
-        csr_from_masked(np.zeros((2, 2)), np.zeros((2, 3), dtype=bool))
+        MaskedMatrix(np.zeros((2, 3), dtype=bool), True).load(np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        MaskedMatrix(np.zeros(3, dtype=bool), True)
+
+
+def test_csr_densify_round_trip():
+    rng = np.random.default_rng(5)
+    m = rng.random((6, 7)) < 0.4
+    w = rng.normal(size=(6, 7)) * m  # already masked
+    a = masked(w, m)
+    b = masked(as_dense(a), m)
+    assert np.array_equal(as_dense(b), w)
 
 
 def test_spmv_empty_matrix():
-    a = csr_from_masked(np.ones((3, 3)), np.zeros((3, 3), dtype=bool))
-    assert np.array_equal(spmv(a, np.ones(3)), np.zeros(3))
+    a = masked(np.ones((3, 3)), np.zeros((3, 3), dtype=bool))
+    assert np.array_equal(a.dot(np.ones((3, 1))), np.zeros((3, 1)))
 
 
 def test_spmv_identity():
-    a = csr_from_masked(np.eye(4), np.eye(4, dtype=bool))
-    x = np.array([4.0, -1.0, 0.5, 2.0])
-    assert np.array_equal(spmv(a, x), x)
+    a = masked(np.eye(4), np.eye(4, dtype=bool))
+    x = np.array([[4.0], [-1.0], [0.5], [2.0]])
+    assert np.array_equal(a.dot(x), x)
+    assert np.array_equal(a.tdot(x), x)
 
 
 def test_spmv_matches_dense_oracle():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(50, 50))
     m = rng.random((50, 50)) < 0.1
-    x = rng.normal(size=50)
-    got = spmv(csr_from_masked(w, m), x)
-    want = matvec(w * m, x)
-    assert np.max(np.abs(got - want)) < 1e-12
+    x = rng.normal(size=(50, 3))
+    a = masked(w, m)
+    assert np.max(np.abs(a.dot(x) - (w * m) @ x)) < 1e-12
+    assert np.max(np.abs(a.tdot(x) - (w * m).T @ x)) < 1e-12
+    a.load(2.0 * w * m)  # products follow the values of each load
+    assert np.max(np.abs(a.dot(x) - 2.0 * (w * m) @ x)) < 1e-12
+    assert np.max(np.abs(a.tdot(x) - 2.0 * (w * m).T @ x)) < 1e-12
 
 
 def test_spmv_shape_error():
-    a = csr_from_masked(np.eye(3), np.eye(3, dtype=bool))
+    a = masked(np.eye(3), np.eye(3, dtype=bool))
     with pytest.raises(ShapeError):
-        spmv(a, np.zeros(4))
+        a.dot(np.zeros((4, 1)))
+    with pytest.raises(ShapeError):
+        a.tdot(np.zeros((4, 1)))
+    with pytest.raises(ShapeError):
+        a.masked_outer(np.zeros((3, 2)), np.zeros((3, 5)), np.zeros((3, 3)))
 
 
 def test_spmv_matvec_agreement_many():
@@ -94,18 +118,24 @@ def test_spmv_matvec_agreement_many():
         w = rng.normal(size=(rows, cols))
         m = rng.random((rows, cols)) < rng.random()
         x = rng.normal(size=cols)
-        got = spmv(csr_from_masked(w, m), x)
+        got = masked(w, m).dot(x[:, None])[:, 0]
         want = matvec(w * m, x)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_csr_densify_round_trip():
-    rng = np.random.default_rng(5)
-    m = rng.random((6, 7)) < 0.4
-    w = rng.normal(size=(6, 7)) * m  # already masked
-    a = csr_from_masked(w, m)
-    b = csr_from_masked(densify(a), m)
-    assert np.array_equal(densify(b), w)
+def test_kernel_backends_agree():
+    # scipy CSR vs dense BLAS on the same masked matrix, every product
+    rng = np.random.default_rng(21)
+    w = rng.normal(size=(40, 30))
+    m = rng.random((40, 30)) < 0.15
+    sparse, dense = masked(w, m, sparse=True), masked(w, m, sparse=False)
+    x, y = rng.normal(size=(30, 5)), rng.normal(size=(40, 5))
+    assert np.max(np.abs(sparse.dot(x) - dense.dot(x))) < 1e-12
+    assert np.max(np.abs(sparse.tdot(y) - dense.tdot(y))) < 1e-12
+    got = sparse.masked_outer(y, x, np.full((40, 30), np.nan))
+    want = dense.masked_outer(y, x, np.empty((40, 30)))
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.all(got[~m] == 0.0)
 
 
 def test_sigmoid_symmetry_points():
@@ -134,26 +164,3 @@ def test_activation_properties():
     assert np.max(np.abs(s + sigmoid(-x) - 1.0)) < 1e-12
     # tanh(x) = 2*sigma(2x) - 1
     assert np.max(np.abs(t - (2.0 * sigmoid(2.0 * x) - 1.0))) < 1e-12
-
-
-def test_kernel_backends_agree():
-    # numpy fallback vs active backend on the same CSR data
-    rng = np.random.default_rng(21)
-    w = rng.normal(size=(40, 30))
-    m = rng.random((40, 30)) < 0.15
-    a = csr_from_masked(w, m)
-    x = rng.normal(size=30)
-    via_numpy = kernels.csr_matvec_numpy(a.row_offsets, a.col_indices, a.values, x, a.rows)
-    via_active = kernels.csr_matvec(a.row_offsets, a.col_indices, a.values, x, a.rows)
-    assert np.max(np.abs(via_numpy - via_active)) < 1e-12
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba backend not active")
-def test_pointwise_backends_agree():
-    rng = np.random.default_rng(22)
-    a = rng.normal(size=4 * 16) * 3.0
-    c_prev = rng.normal(size=16)
-    got = kernels.lstm_pointwise_numba(a, c_prev)
-    want = kernels.lstm_pointwise_numpy(a, c_prev)
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g - w)) < 1e-12

@@ -1,14 +1,55 @@
 import numpy as np
 import pytest
 
-from rclstm.cell import CellState, cell_forward, zero_state
-from rclstm.errors import ShapeError
-from rclstm.network import (Prediction, backward_sequence, build_model,
-                            cross_entropy_loss, forward_batch,
-                            forward_sequence, mse_loss, softmax)
+from rclstm.cell import cell_forward
+from rclstm.errors import DivergenceError, ShapeError
+from rclstm.network import backward_sequence, build_model, forward_batch, softmax
+from rclstm.training import batch_loss_and_grad
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
+
+#: below the default crossover density, so these models take the CSR path
+SPARSE = 0.03
+
+
+def predict_one(model, window):
+    """Head output of one (T, F) window, run as a batch of one."""
+    out, _ = forward_batch(model, np.asarray(window, dtype=np.float64)[None])
+    return out[0]
+
+
+def reference_predict(model, window):
+    """Head output of one window through the independent dense oracle."""
+    seq = [window[t] for t in range(window.shape[0])]
+    for layer in model.layers:
+        seq, _, _ = DenseLstmReference.from_stacked(layer.w, layer.b).forward(seq)
+    return model.head_w @ seq[-1] + model.head_b
+
+
+def mse_on_window(model, window, target):
+    """Squared error of one window and its gradient dict."""
+    out, cache = forward_batch(model, window[None])
+    loss, dout = batch_loss_and_grad("regression", out, np.array([target]))
+    return loss, cache, dout
+
+
+def check_finite_differences(model, window, target):
+    def loss():
+        return mse_on_window(model, window, target)[0]
+
+    _, cache, dout = mse_on_window(model, window, target)
+    grads = backward_sequence(model, cache, dout)
+    for k, layer in enumerate(model.layers):
+        num_w = numeric_gradient(loss, layer.w)
+        num_w[~layer.mask.bits] = 0.0
+        assert relative_gradient_error(grads[f"layer{k}.w"], num_w) < 1e-5
+        num_b = numeric_gradient(loss, layer.b)
+        assert relative_gradient_error(grads[f"layer{k}.b"], num_b) < 1e-5
+    assert relative_gradient_error(grads["head.w"],
+                                   numeric_gradient(loss, model.head_w)) < 1e-5
+    assert relative_gradient_error(grads["head.b"],
+                                   numeric_gradient(loss, model.head_b)) < 1e-5
 
 
 class TestForwardSequence:
@@ -18,68 +59,69 @@ class TestForwardSequence:
             layer.w[:] = 0.0
         model.head_w[:] = 0.0
         model.head_b[0] = 0.75
-        pred, _ = forward_sequence(model, np.ones((6, 1)))
-        assert pred.value == 0.75
+        assert predict_one(model, np.ones((6, 1)))[0] == 0.75
 
     def test_single_step_equals_manual_cell(self):
         rng = np.random.default_rng(3)
         model = build_model(2, [5], seed=1)
         x = rng.normal(size=(1, 2))
-        pred, _ = forward_sequence(model, x)
-        state, _ = cell_forward(model.layers[0], x[0], zero_state(5))
-        manual = model.head_w @ state.h + model.head_b
-        assert abs(pred.value - manual[0]) < 1e-14
+        layer = model.layers[0]
+        ops = layer.products()
+        a = ops.x.dot(x.T) + layer.b[:, None]
+        c, tanh_c, h = np.empty((5, 1)), np.empty((5, 1)), np.empty((5, 1))
+        cell_forward(ops.h, a, None, None, c, tanh_c, h)
+        manual = model.head_w @ h[:, 0] + model.head_b
+        assert abs(predict_one(model, x)[0] - manual[0]) < 1e-14
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(4)
         model = build_model(2, [4, 3], seed=2)
         window = rng.normal(size=(5, 2))
-        pred, _ = forward_sequence(model, window)
-        states = [zero_state(4), zero_state(3)]
+        states = [(None, None), (None, None)]
         for t in range(5):
-            inp = window[t]
+            inp = window[t][:, None]
             for k, layer in enumerate(model.layers):
-                states[k], _ = cell_forward(layer, inp, states[k])
-                inp = states[k].h
-        manual = model.head_w @ states[-1].h + model.head_b
-        assert abs(pred.value - manual[0]) < 1e-13
+                ops = layer.products()
+                a = ops.x.dot(inp) + layer.b[:, None]
+                hidden = layer.hidden_dim
+                c, tanh_c, h = (np.empty((hidden, 1)) for _ in range(3))
+                cell_forward(ops.h, a, *states[k], c, tanh_c, h)
+                states[k] = (h, c)
+                inp = h
+        manual = model.head_w @ states[-1][0][:, 0] + model.head_b
+        assert abs(predict_one(model, window)[0] - manual[0]) < 1e-13
 
     def test_empty_window_rejected(self):
         model = build_model(1, [4], seed=0)
         with pytest.raises(ShapeError):
-            forward_sequence(model, np.zeros((0, 1)))
+            forward_batch(model, np.zeros((1, 0, 1)))
 
     def test_feature_mismatch_rejected(self):
         model = build_model(2, [4], seed=0)
         with pytest.raises(ShapeError):
-            forward_sequence(model, np.zeros((3, 5)))
+            forward_batch(model, np.zeros((1, 3, 5)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         window = rng.normal(size=(7, 1))
-        a, _ = forward_sequence(build_model(1, [6, 6], seed=5), window)
-        b, _ = forward_sequence(build_model(1, [6, 6], seed=5), window)
-        assert a.value == b.value
+        a = predict_one(build_model(1, [6, 6], seed=5), window)
+        b = predict_one(build_model(1, [6, 6], seed=5), window)
+        assert a[0] == b[0]
 
     def test_stacked_dense_matches_reference(self):
         rng = np.random.default_rng(11)
         model = build_model(2, [4, 6], seed=7, density=1.0)
         window = rng.normal(size=(5, 2))
-        refs = [DenseLstmReference.from_stacked(l.w, l.b) for l in model.layers]
-        seq = [window[t] for t in range(5)]
-        hs0, _, _ = refs[0].forward(seq)
-        hs1, _, _ = refs[1].forward(hs0)
-        manual = model.head_w @ hs1[-1] + model.head_b
-        pred, _ = forward_sequence(model, window)
-        assert abs(pred.value - manual[0]) < 1e-10
+        want = reference_predict(model, window)
+        assert abs(predict_one(model, window)[0] - want[0]) < 1e-10
 
     def test_classification_distribution(self):
         model = build_model(3, [5], task="classification", out_dim=3, seed=1)
         window = np.eye(3)[[0, 1, 2, 1]].astype(float)
-        pred, _ = forward_sequence(model, window)
-        assert pred.distribution.shape == (3,)
-        assert abs(pred.distribution.sum() - 1.0) < 1e-9
-        assert np.all(pred.distribution >= 0.0)
+        dist = softmax(predict_one(model, window))
+        assert dist.shape == (3,)
+        assert abs(dist.sum() - 1.0) < 1e-9
+        assert np.all(dist >= 0.0)
 
     def test_forward_batch_matches_loop(self):
         rng = np.random.default_rng(13)
@@ -87,56 +129,92 @@ class TestForwardSequence:
         windows = rng.normal(size=(6, 5, 1))
         outs, _ = forward_batch(model, windows)
         for j in range(6):
-            pred, _ = forward_sequence(model, windows[j])
-            assert abs(outs[j, 0] - pred.value) < 1e-12
+            assert abs(outs[j, 0] - predict_one(model, windows[j])[0]) < 1e-12
+
+
+class TestSparsePath:
+    """The oracles again, at a density that takes the CSR path."""
+
+    def test_models_take_csr_path(self):
+        model = build_model(2, [24, 24], seed=7, density=SPARSE)
+        assert all(layer.uses_sparse for layer in model.layers)
+        assert all(layer.products().h.sparse for layer in model.layers)
+
+    def test_stacked_sparse_matches_reference(self):
+        rng = np.random.default_rng(12)
+        model = build_model(2, [24, 24], seed=7, density=SPARSE)
+        for layer in model.layers:
+            assert layer.uses_sparse
+        window = rng.normal(size=(6, 2))
+        want = reference_predict(model, window)
+        assert abs(predict_one(model, window)[0] - want[0]) < 1e-10
+
+    def test_finite_differences_sparse(self):
+        rng = np.random.default_rng(16)
+        model = build_model(3, [16, 16], seed=8, density=0.04)
+        for layer in model.layers:
+            assert layer.uses_sparse and layer.mask.bits.any()
+        check_finite_differences(model, rng.normal(size=(4, 3)), 0.3)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "csr"])
+    def test_b1_equals_row_of_b256(self, threshold):
+        rng = np.random.default_rng(21)
+        model = build_model(1, [20, 20], seed=4, density=SPARSE,
+                            kernel_threshold=threshold)
+        assert model.layers[0].uses_sparse == (threshold > SPARSE)
+        windows = rng.normal(size=(256, 7, 1))
+        outs, _ = forward_batch(model, windows)
+        for j in (0, 1, 100, 255):
+            assert abs(predict_one(model, windows[j])[0] - outs[j, 0]) <= 1e-12
+
+    def test_csr_and_dense_gradients_agree(self):
+        rng = np.random.default_rng(22)
+        windows = rng.normal(size=(5, 6, 2))
+        douts = rng.normal(size=(5, 1))
+        grads = []
+        for threshold in (0.0, 1.0):
+            model = build_model(2, [20, 20], seed=6, density=SPARSE,
+                                kernel_threshold=threshold)
+            _, cache = forward_batch(model, windows)
+            grads.append(backward_sequence(model, cache, douts))
+        for key in grads[0]:
+            assert np.max(np.abs(grads[0][key] - grads[1][key])) < 1e-12
 
 
 class TestBackwardSequence:
     def test_zero_loss_grad(self):
         model = build_model(1, [4], seed=0)
-        _, cache = forward_sequence(model, np.ones((3, 1)))
-        grads = backward_sequence(model, cache, np.zeros(1))
+        _, cache = forward_batch(model, np.ones((1, 3, 1)))
+        grads = backward_sequence(model, cache, np.zeros((1, 1)))
         assert all(not g.any() for g in grads.values())
 
     def test_masked_entries_zero(self):
         rng = np.random.default_rng(2)
-        model = build_model(1, [8, 8], seed=4, density=0.25)
-        _, cache = forward_sequence(model, rng.normal(size=(4, 1)))
-        grads = backward_sequence(model, cache, np.ones(1))
-        for k, layer in enumerate(model.layers):
-            assert np.all(grads[f"layer{k}.w"][~layer.mask.bits] == 0.0)
+        for density in (0.25, SPARSE):
+            model = build_model(1, [40, 40], seed=4, density=density)
+            _, cache = forward_batch(model, rng.normal(size=(3, 4, 1)))
+            grads = backward_sequence(model, cache, np.ones((3, 1)))
+            for k, layer in enumerate(model.layers):
+                assert np.all(grads[f"layer{k}.w"][~layer.mask.bits] == 0.0)
 
     def test_stale_cache_rejected(self):
         model = build_model(1, [4], seed=0)
         other = build_model(1, [5], seed=0)
-        _, cache = forward_sequence(model, np.ones((3, 1)))
+        _, cache = forward_batch(model, np.ones((1, 3, 1)))
         with pytest.raises(ShapeError):
-            backward_sequence(other, cache, np.ones(1))
+            backward_sequence(other, cache, np.ones((1, 1)))
+
+    def test_cache_backpropagated_once(self):
+        model = build_model(1, [4], seed=0)
+        _, cache = forward_batch(model, np.ones((1, 3, 1)))
+        backward_sequence(model, cache, np.ones((1, 1)))
+        with pytest.raises(ValueError):
+            backward_sequence(model, cache, np.ones((1, 1)))
 
     def test_finite_differences_two_layer(self):
         rng = np.random.default_rng(6)
         model = build_model(3, [4, 4], seed=8, density=0.6)
-        window = rng.normal(size=(4, 3))
-        target = 0.3
-
-        def loss():
-            pred, _ = forward_sequence(model, window)
-            return mse_loss(pred.value, target)[0]
-
-        pred, cache = forward_sequence(model, window)
-        _, dpred = mse_loss(pred.value, target)
-        grads = backward_sequence(model, cache, np.array([dpred]))
-
-        for k, layer in enumerate(model.layers):
-            num_w = numeric_gradient(loss, layer.w)
-            num_w[~layer.mask.bits] = 0.0
-            assert relative_gradient_error(grads[f"layer{k}.w"], num_w) < 1e-5
-            num_b = numeric_gradient(loss, layer.b)
-            assert relative_gradient_error(grads[f"layer{k}.b"], num_b) < 1e-5
-        assert relative_gradient_error(grads["head.w"],
-                                       numeric_gradient(loss, model.head_w)) < 1e-5
-        assert relative_gradient_error(grads["head.b"],
-                                       numeric_gradient(loss, model.head_b)) < 1e-5
+        check_finite_differences(model, rng.normal(size=(4, 3)), 0.3)
 
     def test_batched_grads_sum_of_singles(self):
         rng = np.random.default_rng(19)
@@ -147,34 +225,54 @@ class TestBackwardSequence:
         got = backward_sequence(model, cache, douts)
         want = None
         for j in range(3):
-            _, c = forward_sequence(model, windows[j])
-            g = backward_sequence(model, c, douts[j])
+            _, c = forward_batch(model, windows[j : j + 1])
+            g = backward_sequence(model, c, douts[j : j + 1])
             want = g if want is None else {k: want[k] + g[k] for k in g}
         for key in want:
             assert np.max(np.abs(got[key] - want[key])) < 1e-10
 
+    def test_non_finite_state_names_layer_and_timestep(self):
+        model = build_model(1, [4, 4], seed=0)
+        windows = np.zeros((2, 6, 1))
+        windows[1, 3, 0] = np.nan
+        with pytest.raises(DivergenceError) as info:
+            forward_batch(model, windows)
+        assert (info.value.layer, info.value.timestep) == (0, 3)
+        assert "layer 0, timestep 3" in str(info.value)
+
+
+def mse(pred, target):
+    return batch_loss_and_grad("regression", np.array([[pred]]), np.array([target]))
+
+
+def cross_entropy(logits, target_class):
+    loss, grad = batch_loss_and_grad("classification", np.asarray(logits)[None],
+                                     np.array([target_class]))
+    return loss, grad[0]
+
 
 class TestLosses:
     def test_mse_zero(self):
-        assert mse_loss(0.4, 0.4) == (0.0, 0.0)
+        loss, grad = mse(0.4, 0.4)
+        assert loss == 0.0 and grad.tolist() == [[0.0]]
 
     def test_mse_unit(self):
-        loss, grad = mse_loss(1.0, 0.0)
-        assert loss == 1.0 and grad == 2.0
+        loss, grad = mse(1.0, 0.0)
+        assert loss == 1.0 and grad.tolist() == [[2.0]]
 
     def test_mse_matches_finite_difference(self):
         step = 1e-6
-        _, grad = mse_loss(0.7, 0.2)
-        num = (mse_loss(0.7 + step, 0.2)[0] - mse_loss(0.7 - step, 0.2)[0]) / (2 * step)
-        assert abs(grad - num) < 1e-8
+        _, grad = mse(0.7, 0.2)
+        num = (mse(0.7 + step, 0.2)[0] - mse(0.7 - step, 0.2)[0]) / (2 * step)
+        assert abs(grad[0, 0] - num) < 1e-8
 
     def test_cross_entropy_uniform(self):
-        loss, _ = cross_entropy_loss(np.zeros(4), 1)
+        loss, _ = cross_entropy(np.zeros(4), 1)
         assert abs(loss - np.log(4.0)) < 1e-12
 
     def test_cross_entropy_known_value(self):
         # softmax([2,1,0])[0] = e^2/(e^2+e+1); -log of that
-        loss, grad = cross_entropy_loss(np.array([2.0, 1.0, 0.0]), 1)
+        loss, grad = cross_entropy(np.array([2.0, 1.0, 0.0]), 1)
         e = np.exp(1.0)
         want = -np.log(e ** 2 / (e ** 2 + e + 1.0))
         assert abs(loss - want) < 1e-12
@@ -185,14 +283,14 @@ class TestLosses:
         rng = np.random.default_rng(10)
         for _ in range(25):
             logits = rng.normal(size=5) * 10.0
-            _, grad = cross_entropy_loss(logits, int(rng.integers(1, 6)))
+            _, grad = cross_entropy(logits, int(rng.integers(1, 6)))
             assert abs(grad.sum()) < 1e-12
 
     def test_cross_entropy_index_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy_loss(np.zeros(3), 4)
+            cross_entropy(np.zeros(3), 4)
         with pytest.raises(IndexError):
-            cross_entropy_loss(np.zeros(3), 0)
+            cross_entropy(np.zeros(3), 0)
 
     def test_softmax_extreme_logits(self):
         logits = np.array([1000.0, -1000.0, 999.5])
@@ -203,12 +301,12 @@ class TestLosses:
     def test_cross_entropy_grad_finite_difference(self):
         rng = np.random.default_rng(14)
         logits = rng.normal(size=4)
-        _, grad = cross_entropy_loss(logits, 2)
+        _, grad = cross_entropy(logits, 2)
         step = 1e-6
         for j in range(4):
             up = logits.copy()
             up[j] += step
             down = logits.copy()
             down[j] -= step
-            num = (cross_entropy_loss(up, 2)[0] - cross_entropy_loss(down, 2)[0]) / (2 * step)
+            num = (cross_entropy(up, 2)[0] - cross_entropy(down, 2)[0]) / (2 * step)
             assert abs(grad[j] - num) < 1e-8

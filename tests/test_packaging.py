@@ -1,0 +1,41 @@
+"""The declared dependencies match what the package imports."""
+
+import ast
+import importlib
+import pathlib
+import re
+import sys
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def declared():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = (re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps)
+    return {name.replace("-", "_") for name in names}
+
+
+def third_party_imports():
+    found = set()
+    for path in (ROOT / "src" / "rclstm").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return {name for name in found
+            if name not in sys.stdlib_module_names and name != "rclstm"}
+
+
+def test_every_declared_dependency_imports():
+    for name in declared():
+        importlib.import_module(name)
+
+
+def test_every_third_party_import_is_declared():
+    assert third_party_imports() <= declared()

@@ -1,11 +1,14 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from rclstm.checkpoint import (load_checkpoint, read_container, save_checkpoint,
-                               write_container)
+from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
+                               save_checkpoint, write_container)
 from rclstm.data import chronological_split, sliding_window
 from rclstm.errors import CheckpointError, DivergenceError
-from rclstm.network import build_model, forward_sequence
+from rclstm.network import build_model, forward_batch, softmax
 from rclstm.synth import sine_series
 from rclstm.training import (OptimizerState, TrainingConfig, clip_gradients,
                              evaluate_model, fit, model_params, optimizer_step)
@@ -123,6 +126,27 @@ class TestFit:
             fit(model, train, TrainingConfig(epochs=2, seed=0))
         assert info.value.epoch == 0
 
+    def test_divergence_names_epoch_batch_layer_timestep(self):
+        train, _ = sine_dataset()
+        train.inputs[40, 5, 0] = np.nan  # window 40 sits in the second batch
+        model = build_model(1, [6, 6], seed=0)
+        cfg = TrainingConfig(epochs=1, batch_size=32, shuffle=False)
+        with pytest.raises(DivergenceError) as info:
+            fit(model, train, cfg)
+        err = info.value
+        assert (err.epoch, err.batch, err.layer, err.timestep) == (0, 1, 0, 5)
+        assert str(err) == "non-finite cell state at epoch 0, batch 1, layer 0, timestep 5"
+
+    def test_sparse_masks_zero_after_adam_steps(self):
+        train, _ = sine_dataset()
+        model = build_model(1, [40, 40], seed=3, density=0.03)
+        assert all(layer.uses_sparse for layer in model.layers)
+        before = [layer.w.copy() for layer in model.layers]
+        fit(model, train, TrainingConfig(epochs=1, batch_size=64, seed=2))
+        for layer, w0 in zip(model.layers, before):
+            assert np.all(layer.w[~layer.mask.bits] == 0.0)
+            assert np.any(layer.w[layer.mask.bits] != w0[layer.mask.bits])
+
 
 class TestContainer:
     def test_round_trip(self):
@@ -149,6 +173,12 @@ class TestContainer:
             read_container(blob + b"xx")
 
 
+def raw_container(header):
+    """Container bytes around an arbitrary JSON header and no arrays."""
+    blob = json.dumps(header).encode()
+    return MAGIC + struct.pack(">I", len(blob)) + blob
+
+
 class TestCheckpoint:
     def test_save_load_save_identical_bytes(self):
         model = build_model(1, [6, 5], seed=9, density=0.4)
@@ -160,10 +190,10 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         model = build_model(2, [7], seed=4, density=0.5, task="classification",
                             out_dim=3)
-        window = rng.normal(size=(5, 2))
-        before, _ = forward_sequence(model, window)
-        after, _ = forward_sequence(load_checkpoint(save_checkpoint(model)), window)
-        assert np.array_equal(before.distribution, after.distribution)
+        window = rng.normal(size=(1, 5, 2))
+        before, _ = forward_batch(model, window)
+        after, _ = forward_batch(load_checkpoint(save_checkpoint(model)), window)
+        assert np.array_equal(softmax(before), softmax(after))
 
     def test_trained_checkpoint_determinism(self):
         train, _ = sine_dataset(n=200)
@@ -171,6 +201,35 @@ class TestCheckpoint:
         m1, _ = fit(build_model(1, [6], seed=1, density=0.5), train, cfg)
         m2, _ = fit(build_model(1, [6], seed=1, density=0.5), train, cfg)
         assert save_checkpoint(m1) == save_checkpoint(m2)
+
+    def test_missing_layers_key_rejected(self):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(write_container("model", {}, {}))
+
+    def test_missing_layer_meta_key_rejected(self):
+        meta, arrays = read_container(save_checkpoint(build_model(1, [3], seed=0)))
+        del meta["layers"][0]["mask_seed"]
+        with pytest.raises(CheckpointError):
+            load_checkpoint(write_container("model", meta, arrays))
+
+    def test_missing_array_rejected(self):
+        meta, arrays = read_container(save_checkpoint(build_model(1, [3], seed=0)))
+        for name in list(arrays):
+            partial = {k: v for k, v in arrays.items() if k != name}
+            with pytest.raises(CheckpointError):
+                load_checkpoint(write_container("model", meta, partial))
+
+    def test_missing_header_keys_rejected(self):
+        for drop in ("meta", "arrays"):
+            header = {"version": 1, "kind": "model", "meta": {}, "arrays": []}
+            del header[drop]
+            with pytest.raises(CheckpointError):
+                load_checkpoint(raw_container(header))
+        header = {"version": 1, "kind": "model", "meta": {}, "arrays": [{"name": "x"}]}
+        with pytest.raises(CheckpointError):
+            read_container(raw_container(header))
+        with pytest.raises(CheckpointError):
+            read_container(raw_container([1, 2]))
 
     def test_wrong_kind_rejected(self):
         blob = write_container("dataset", {}, {"x": np.ones(2)})
