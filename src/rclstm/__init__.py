@@ -5,6 +5,11 @@ random connectivity mask.  Training and inference run one batched unroll,
 a layer at a time, where a single window is a batch of one; below a
 crossover density every product with the gate weights goes through scipy
 CSR, above it through dense BLAS.
+
+The unroll has two modes.  Training (``fit``) keeps every layer's gates
+and states for backpropagation.  Serving (``predict_batch``) keeps no
+cache: it holds one cache-sized span of gate preactivations and two
+layers' hidden states, and gives the same outputs bit for bit.
 """
 
 from .cell import (ConnectivityMask, LstmLayerParams, cell_backward,

@@ -1,4 +1,4 @@
-"""Wall-clock measurement of forward passes and of the gate-product kernels.
+"""Wall-clock measurement of serving passes and of the gate-product kernels.
 
 Timings use a monotonic clock and report the median as the headline number
 (robust to scheduler noise).  Model outputs are accumulated into a checksum
@@ -17,6 +17,10 @@ from .network import forward_batch
 #: batch sizes of the kernel comparison: one window, a training batch and
 #: an inference chunk
 KERNEL_BATCHES = (1, 32, 256)
+
+#: windows per pass of the batched-inference timing: ``predict_batch``'s
+#: default chunk
+SERVE_BATCH = 256
 
 #: mask densities at which ``rclstm bench`` compares the two kernels
 KERNEL_DENSITIES = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -61,8 +65,8 @@ def _time(fn, reps, warmup):
 
 
 def benchmark_forward(model, windows, reps=100, warmup=5):
-    """Time single-window forward passes (``forward_batch`` at B=1) over
-    identical (T, F) windows.
+    """Time single-window serving passes (``forward_batch`` at B=1 without
+    the cache, as ``predict_batch`` runs it) over identical (T, F) windows.
 
     Runs ``warmup`` unmeasured sweeps, then ``reps`` measured sweeps; every
     individual forward is one sample.
@@ -74,16 +78,24 @@ def benchmark_forward(model, windows, reps=100, warmup=5):
     sink = 0.0
     for _ in range(warmup):
         for w in windows:
-            sink += float(forward_batch(model, w)[0][0, 0])
+            sink += float(forward_batch(model, w, keep_cache=False)[0][0, 0])
     for _ in range(reps):
         for w in windows:
             t0 = time.perf_counter()
-            out, _ = forward_batch(model, w)
+            out, _ = forward_batch(model, w, keep_cache=False)
             samples.append(time.perf_counter() - t0)
             sink += float(out[0, 0])
     if not np.isfinite(sink):
         raise RuntimeError("non-finite outputs during benchmark")
     return _stats(samples, warmup, sink)
+
+
+def benchmark_batch(model, windows, reps=30, warmup=2):
+    """Time serving passes (``forward_batch`` without the cache) over one
+    (B, T, F) stack of windows; every pass is one sample."""
+    windows = np.asarray(windows, dtype=np.float64)
+    return _time(lambda: float(forward_batch(model, windows, keep_cache=False)[0][0, 0]),
+                 reps, warmup)
 
 
 def benchmark_kernel_paths(hidden=300, density=0.01, reps=200, warmup=10, seed=0):

@@ -32,9 +32,9 @@ def _canonical(arr):
     if arr.dtype == bool:
         arr = arr.astype("|u1")
     elif np.issubdtype(arr.dtype, np.integer):
-        arr = arr.astype("<i8")
+        arr = arr.astype("<i8", copy=False)
     else:
-        arr = arr.astype("<f8")
+        arr = arr.astype("<f8", copy=False)
     return np.ascontiguousarray(arr)
 
 
@@ -47,7 +47,8 @@ def write_container(kind, meta, arrays):
     header = {"version": VERSION, "kind": kind, "meta": meta, "arrays": entries}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack(">I", len(blob)), blob]
-    parts.extend(canon[e["name"]].tobytes() for e in entries)
+    # the arrays' own buffers, so the join is the only copy of the data
+    parts.extend(canon[e["name"]].reshape(-1).data for e in entries)
     return b"".join(parts)
 
 
@@ -117,22 +118,65 @@ def save_checkpoint(model):
     return write_container("model", meta, arrays)
 
 
+def _check_shape(name, arr, shape):
+    if arr.shape != shape:
+        raise CheckpointError(f"{name} has shape {arr.shape}, expected {shape}")
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def load_checkpoint(data):
-    """Rebuild a model from ``save_checkpoint`` bytes, bit for bit."""
+    """Rebuild a model from ``save_checkpoint`` bytes, bit for bit.
+
+    Raises CheckpointError unless the stream holds a model that can serve:
+    a known task, numeric kernel thresholds, layer dims that chain, arrays
+    of the shapes those dims give, and zero weights wherever a mask is off.
+    """
     meta, arrays = read_container(data, expect_kind="model")
     try:
+        task = meta["task"]
+        if task not in ("regression", "classification"):
+            raise CheckpointError(f"unknown task {task!r}")
+        if not meta["layers"]:
+            raise CheckpointError("checkpoint holds no layers")
         layers = []
         for k, spec in enumerate(meta["layers"]):
+            d, hidden = spec["input_dim"], spec["hidden_dim"]
+            if not (_is_count(d) and _is_count(hidden)):
+                raise CheckpointError(f"layer {k} dims {d!r} x {hidden!r} are not "
+                                      "positive integers")
+            if layers and d != layers[-1].hidden_dim:
+                raise CheckpointError(f"layer {k} input_dim {d} != layer {k - 1} "
+                                      f"hidden_dim {layers[-1].hidden_dim}")
+            threshold = spec["kernel_threshold"]
+            if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+                raise CheckpointError(f"layer {k} kernel_threshold {threshold!r} "
+                                      "is not a number")
+            w, b = arrays[f"layer{k}.w"], arrays[f"layer{k}.b"]
             bits = arrays[f"layer{k}.mask"].astype(bool)
+            _check_shape(f"layer{k}.w", w, (4 * hidden, d + hidden))
+            _check_shape(f"layer{k}.b", b, (4 * hidden,))
+            _check_shape(f"layer{k}.mask", bits, w.shape)
+            if np.logical_and(w, ~bits).any():
+                raise CheckpointError(f"layer{k}.w has non-zero weights where its "
+                                      "mask is off")
             mask = ConnectivityMask(bits.shape[0], bits.shape[1], bits,
                                     spec["mask_density"], spec["mask_seed"],
                                     spec["mask_mode"], spec["mask_target_density"])
-            layers.append(LstmLayerParams(spec["input_dim"], spec["hidden_dim"],
-                                          arrays[f"layer{k}.w"], arrays[f"layer{k}.b"],
-                                          mask, spec["kernel_threshold"]))
-        return StackedRclstm(layers, arrays["head.w"], arrays["head.b"], meta["task"])
+            layers.append(LstmLayerParams(d, hidden, w, b, mask, threshold))
+        out_dim = meta["out_dim"]
+        if not _is_count(out_dim) or (task == "regression" and out_dim != 1):
+            raise CheckpointError(f"{task} model with out_dim {out_dim!r}")
+        head_w, head_b = arrays["head.w"], arrays["head.b"]
+        _check_shape("head.w", head_w, (out_dim, layers[-1].hidden_dim))
+        _check_shape("head.b", head_b, (out_dim,))
+        return StackedRclstm(layers, head_w, head_b, task)
     except KeyError as err:
         raise CheckpointError(f"checkpoint lacks {err}") from None
+    except TypeError as err:  # meta or a layer entry is not a JSON object
+        raise CheckpointError(f"malformed checkpoint metadata: {err}") from None
 
 
 def save_checkpoint_file(model, path):

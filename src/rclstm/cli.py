@@ -16,13 +16,15 @@ from datetime import datetime
 import numpy as np
 
 from . import synth
-from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, benchmark_forward,
-                        benchmark_kernel_paths, kernel_crossover)
+from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, SERVE_BATCH,
+                        benchmark_batch, benchmark_forward, benchmark_kernel_paths,
+                        kernel_crossover)
 from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
 from .data import (PreparedData, chronological_split, denormalize,
                    load_mobility_csv, load_prepared, load_traffic_csv,
-                   prepare_mobility, prepare_traffic, save_prepared)
+                   prepare_mobility, prepare_traffic, save_prepared,
+                   sliding_window)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError)
 from .metrics import MetricsReport, rmse
@@ -212,9 +214,10 @@ def cmd_sweep(cfg, args):
 def cmd_bench(cfg, args):
     if cfg.bench.reps < 30:
         raise ConfigError("[bench] reps must be >= 30 for reported numbers")
-    window = np.clip(
-        synth.sine_series(cfg.bench.window + 1, seed=1).values[:-1], 0.0, 1.0)
-    windows = [window[:, None]]
+    series = np.clip(synth.sine_series(cfg.bench.window + SERVE_BATCH, seed=1).values,
+                     0.0, 1.0)
+    batch = sliding_window(series, cfg.bench.window).inputs  # (SERVE_BATCH, T, 1)
+    windows = [batch[0]]
     results = {"hidden": cfg.bench.hidden, "window": cfg.bench.window,
                "density": cfg.bench.density,
                "kernel_threshold": cfg.model.kernel_threshold}
@@ -224,12 +227,17 @@ def cmd_bench(cfg, args):
                             kernel_threshold=cfg.model.kernel_threshold)
         stats = benchmark_forward(model, windows, reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
+        served = benchmark_batch(model, batch, reps=cfg.bench.reps,
+                                 warmup=cfg.bench.warmup)
         results[label] = {"median_s": stats.median, "mean_s": stats.mean,
                           "std_s": stats.std, "repetitions": stats.repetitions,
-                          "csr": model.layers[0].uses_sparse}
+                          "csr": model.layers[0].uses_sparse,
+                          f"b{SERVE_BATCH}_median_s": served.median,
+                          f"b{SERVE_BATCH}_windows_per_s": SERVE_BATCH / served.median}
         print(f"{label} (density={density:g}, "
               f"{'CSR' if model.layers[0].uses_sparse else 'dense'}): median "
-              f"{stats.median * 1e3:.3f} ms over {stats.repetitions} reps")
+              f"{stats.median * 1e3:.3f} ms over {stats.repetitions} reps; "
+              f"B={SERVE_BATCH} {SERVE_BATCH / served.median:.1f} windows/s")
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")

@@ -106,11 +106,6 @@ def one_hot_decode(vec, book):
     return book.index_to_id[int(np.argmax(vec))]
 
 
-def one_hot_series(ids, book):
-    """Stack one-hot encodings of a whole ID sequence into (n, m)."""
-    return np.stack([one_hot_encode(raw, book) for raw in np.asarray(ids).tolist()])
-
-
 def sliding_window(series, window):
     """All (T-length history, next element) pairs from a sequence.
 
@@ -131,14 +126,6 @@ def sliding_window(series, window):
     inputs = feats[idx]
     targets = series[window:].copy()
     return WindowedDataset(inputs, targets, window)
-
-
-def mobility_windows(ids, book, window):
-    """Classification dataset: one-hot windows plus 1-based class targets."""
-    encoded = one_hot_series(ids, book)
-    ds = sliding_window(encoded, window)
-    classes = np.argmax(ds.targets, axis=1) + 1
-    return WindowedDataset(ds.inputs, classes.astype(np.int64), window, book.size)
 
 
 def chronological_split(ds, train_fraction):

@@ -1,4 +1,4 @@
-"""Products with masked gate matrices, plus dense helpers and activations.
+"""Products with masked gate matrices.
 
 ``MaskedMatrix`` hides how a matrix whose nonzeros lie on a fixed boolean
 mask is multiplied: through scipy CSR, whose index structure is built once
@@ -10,7 +10,6 @@ layout scipy's CSR kernels read and write without copies.
 import numpy as np
 import scipy.sparse
 
-from . import kernels
 from .errors import ShapeError
 
 
@@ -55,23 +54,30 @@ class MaskedMatrix:
             self._w = w
         return self
 
-    def dot(self, x):
+    def dot(self, x, out=None):
         """``M @ x`` for x of shape (cols, B), or (T, cols, B) for one
-        product per leading index; returns a new array."""
+        product per leading index; written into ``out`` when given, else
+        into a new array."""
         if x.shape[-2] != self.shape[1]:
             raise ShapeError(f"product {self.shape} x {x.shape} is undefined")
-        return self._product(self._csr if self.sparse else self._w, x)
+        return self._product(self._csr if self.sparse else self._w, x, out)
 
     def tdot(self, y):
         """``M.T @ y`` for y of shape (rows, B) or (T, rows, B)."""
         if y.shape[-2] != self.shape[0]:
             raise ShapeError(f"product {self.shape[::-1]} x {y.shape} is undefined")
-        return self._product(self._csr_t if self.sparse else self._w.T, y)
+        return self._product(self._csr_t if self.sparse else self._w.T, y, None)
 
-    def _product(self, m, x):
-        if x.ndim == 2 or not self.sparse:
-            return m @ x  # numpy broadcasts over a leading axis
-        out = np.empty((x.shape[0], m.shape[0], x.shape[2]))
+    def _product(self, m, x, out):
+        if not self.sparse:
+            return np.matmul(m, x, out=out)  # numpy broadcasts over a leading axis
+        if x.ndim == 2:
+            if out is None:
+                return m @ x
+            out[...] = m @ x
+            return out
+        if out is None:
+            out = np.empty((x.shape[0], m.shape[0], x.shape[2]))
         for t, xt in enumerate(x):
             out[t] = m @ xt
         return out
@@ -94,23 +100,3 @@ class MaskedMatrix:
             out[rows, col] = y[rows] @ x[col]
         return out
 
-
-def matvec(a, x):
-    """Dense matrix-vector product ``a @ x``."""
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec shapes incompatible: {a.shape} x {x.shape}")
-    return a @ x
-
-
-def sigmoid(x):
-    """Elementwise logistic function, output strictly inside (0, 1) for
-    |x| below about 37."""
-    return kernels.sigmoid_stable(np.asarray(x, dtype=np.float64))
-
-
-def tanh_act(x):
-    """Elementwise hyperbolic tangent; output in (-1, 1) except that hard
-    saturation (|x| beyond ~19) rounds to exactly +/-1 in float64."""
-    return np.tanh(np.asarray(x, dtype=np.float64))

@@ -8,8 +8,20 @@ head.  A single window is a batch of one.
 The unroll runs one layer at a time over preallocated (T, features, B)
 buffers: each timestep is a contiguous (features, B) block, one column per
 window, so the per-step element-wise work runs on contiguous memory and
-the CSR kernels need no copies.  Each layer projects its whole input
-sequence before its time loop, which then adds only the recurrent product.
+the CSR kernels need no copies.  Each layer projects its input a span of
+timesteps at a time, ahead of the time loop over that span, which then
+adds only the recurrent product.
+
+``forward_batch`` has two modes over the same loop:
+
+- with the cache (training): the span is the whole window and every
+  buffer holds all T steps, so ``backward_sequence`` can read them;
+- without it (serving): the gate buffer holds one span of at most
+  ``SPAN_BYTES`` of preactivations, the memory cell a ring of two steps
+  and its tanh one step.  Only the hidden states stay (T, H, B), because
+  the next layer projects them, and a layer's input is dropped once the
+  layer is done.  The outputs are bit-identical to the cached mode.
+
 Backpropagation runs top-down a layer at a time and forms each layer's
 weight gradient as one masked product over all T*B columns.
 """
@@ -22,6 +34,20 @@ import numpy as np
 from .cell import (LstmLayerParams, cell_backward, cell_forward, init_layer,
                    DEFAULT_KERNEL_THRESHOLD)
 from .errors import DivergenceError, ShapeError
+
+#: bytes of gate preactivations one span of the cache-free forward holds.
+#: 1 MiB, half the 2 MiB per-core L2 of the 2-CPU Xeon it was measured
+#: on, keeps the whole window at B=1 on the paper's 3x300/T=100 model
+#: (9.6 kB a step) and on a 3x150/T=12 one, so single-window serving
+#: projects its input in one call as training does; at B=256 one step
+#: (2.4 MB at H=300) exceeds it and the span is one step.  Measured
+#: ``predict_batch`` windows/s on that host (median of 7-15 interleaved
+#: rounds, 1 BLAS thread), budgets 64 KiB / 1 MiB / 4 MiB / whole window:
+#: 3x300 at 1%: B=32 243/248/244/205, B=256 200/219/216/166;
+#: 3x150 at 10%: B=32 1605/1712/1849/1881, B=256 2329/2276/2396/2181.
+#: B=1 was flat.  Budgets from 64 KiB to 4 MiB are within noise of each
+#: other; the whole-window span loses up to a quarter at B=256.
+SPAN_BYTES = 1 << 20
 
 
 @dataclass
@@ -91,28 +117,51 @@ def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
     return StackedRclstm(layers, head_w, head_b, task)
 
 
-def _layer_forward(k, layer, x):
-    """Unroll layer ``k`` over its (T, D, B) input sequence."""
+def _layer_forward(k, layer, x, keep_cache):
+    """Unroll layer ``k`` over its (T, D, B) input sequence.
+
+    Returns the (T, H, B) hidden states and, with ``keep_cache``, the
+    layer's ``LayerCache`` (else None).  Without the cache the gate buffer
+    holds one span of timesteps, ``c`` a ring of two and ``tanh_c`` one.
+    """
     n_steps, _, batch = x.shape
+    hidden = layer.hidden_dim
     ops = layer.products()
-    gates = ops.x.dot(x)
-    gates += layer.b[:, None]
-    c = np.empty((n_steps, layer.hidden_dim, batch))
-    tanh_c = np.empty_like(c)
-    h = np.empty_like(c)
+    if keep_cache:
+        span, n_c, n_tanh = n_steps, n_steps, n_steps
+    else:
+        span = min(n_steps, max(1, SPAN_BYTES // (4 * hidden * batch * 8)))
+        n_c, n_tanh = min(n_steps, 2), 1
+    gates = np.empty((span, 4 * hidden, batch))
+    c = np.empty((n_c, hidden, batch))
+    tanh_c = np.empty((n_tanh, hidden, batch))
+    h = np.empty((n_steps, hidden, batch))
     for t in range(n_steps):
-        h_prev, c_prev = (h[t - 1], c[t - 1]) if t else (None, None)
-        cell_forward(ops.h, gates[t], h_prev, c_prev, c[t], tanh_c[t], h[t])
+        s = t % span
+        if s == 0:
+            proj = gates[: min(span, n_steps - t)]
+            ops.x.dot(x[t : t + len(proj)], out=proj)
+            proj += layer.b[:, None]
+        h_prev, c_prev = (h[t - 1], c[(t - 1) % n_c]) if t else (None, None)
+        cell_forward(ops.h, gates[s], h_prev, c_prev, c[t % n_c], tanh_c[t % n_tanh], h[t])
     if not math.isfinite(float(np.sum(h)) + float(np.sum(c))):
-        finite = (np.isfinite(h) & np.isfinite(c)).all(axis=(1, 2))
+        finite = np.isfinite(h).all(axis=(1, 2))
+        kept = np.arange(n_steps - n_c, n_steps)  # the steps whose c survives
+        finite[kept] &= np.isfinite(c[kept % n_c]).all(axis=(1, 2))
         raise DivergenceError("non-finite cell state", layer=k,
                               timestep=int(np.argmin(finite)))
-    return LayerCache(x, gates, c, tanh_c, h)
+    return h, LayerCache(x, gates, c, tanh_c, h) if keep_cache else None
 
 
-def forward_batch(model, windows):
+def forward_batch(model, windows, keep_cache=True):
     """Forward over (B, T, F) windows; returns the raw head outputs
-    (B, out) and the cache ``backward_sequence`` needs."""
+    (B, out) and the cache ``backward_sequence`` needs, or None when not
+    ``keep_cache``.
+
+    Without the cache the pass holds one span of gate preactivations and
+    two layers' hidden states instead of every layer's full unroll; the
+    outputs are the same bit for bit.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1] < 1:
         raise ShapeError(f"expected (B, T, F) windows, got {windows.shape}")
@@ -122,9 +171,11 @@ def forward_batch(model, windows):
     x = np.ascontiguousarray(windows.transpose(1, 2, 0))
     caches = []
     for k, layer in enumerate(model.layers):
-        caches.append(_layer_forward(k, layer, x))
-        x = caches[-1].h
+        x, cache = _layer_forward(k, layer, x, keep_cache)
+        caches.append(cache)
     head_out = x[-1].T @ model.head_w.T + model.head_b
+    if not keep_cache:
+        return head_out, None
     return head_out, SequenceCache(caches, head_out,
                                    [(l.input_dim, l.hidden_dim) for l in model.layers])
 

@@ -65,5 +65,3 @@ def long_range_series(n, lag=25, growth=3.9, noise=0.01, mix=0.0,
         y = (1.0 - mix) * y + mix * (0.5 + 0.45 * np.sin(2.0 * np.pi * t / mix_period))
     return TimeSeries(_grid(n), np.clip(y, 1e-6, 1.0 - 1e-6))
 
-
-GENERATORS = {"sine": sine_series, "ar": ar_process, "longrange": long_range_series}

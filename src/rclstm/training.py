@@ -91,16 +91,31 @@ def optimizer_step(params, grads, state, config, masks=None):
     else:
         b1, b2, eps = config.beta1, config.beta2, config.epsilon
         t = state.step
+        size = max(p.size for p in params.values())
+        buf1, buf2 = np.empty(size), np.empty(size)
         for name, p in params.items():
             g = grads[name]
             if name not in state.m:
                 state.m[name] = np.zeros_like(p)
                 state.v[name] = np.zeros_like(p)
-            state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-            state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-            m_hat = state.m[name] / (1.0 - b1 ** t)
-            v_hat = state.v[name] / (1.0 - b2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m, v = state.m[name], state.v[name]
+            s1, s2 = buf1[: p.size].reshape(p.shape), buf2[: p.size].reshape(p.shape)
+            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, in place with
+            # the same operations in the same order as the textbook form
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=s1)
+            np.multiply(g, 1.0 - b2, out=s2)
+            s2 *= g
+            v *= b2
+            v += s2
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - b1 ** t, out=s1)
+            s1 *= lr
+            np.divide(v, 1.0 - b2 ** t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            p -= s1
     if masks:
         for name, bits in masks.items():
             params[name][~bits] = 0.0
@@ -148,7 +163,7 @@ def predict_batch(model, windows, batch_size=256):
     out = []
     for lo in range(0, windows.shape[0], batch_size):
         chunk = windows[lo : lo + batch_size]
-        head_out, _ = forward_batch(model, chunk)
+        head_out, _ = forward_batch(model, chunk, keep_cache=False)
         if model.task == "regression":
             out.append(head_out[:, 0])
         else:

@@ -182,6 +182,19 @@ train_fraction = 0.8
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
         assert "lacks" in capsys.readouterr().err
 
+    def test_unservable_checkpoint_exit_2(self, tmp_path, capsys):
+        # a threshold that is not a number fails at load, not at the first forward
+        from rclstm.checkpoint import read_container, save_checkpoint, write_container
+        from rclstm.network import build_model
+
+        cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
+        meta, arrays = read_container(save_checkpoint(build_model(1, [4], seed=0)))
+        meta["layers"][0]["kernel_threshold"] = "x"
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(write_container("model", meta, arrays))
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        assert "kernel_threshold" in capsys.readouterr().err
+
     def test_divergence_exit_1_names_location(self, tmp_path, capsys):
         text = SINE_CFG.format(out=tmp_path / "out").replace(
             "[training]", "[training]\nlearning_rate = 1e300\noptimizer = sgd")
@@ -225,6 +238,9 @@ compare_kernels = true
         payload = json.loads((tmp_path / "out" / "bench_frozen.json").read_text())
         assert "sparse" in payload and "dense" in payload
         assert payload["sparse"]["repetitions"] == 30
+        for label in ("sparse", "dense"):
+            entry = payload[label]
+            assert entry["b256_windows_per_s"] == pytest.approx(256 / entry["b256_median_s"])
         assert not payload["dense"]["csr"]
         assert set(payload["kernels"]) == {"0.01", "0.02", "0.05", "0.1", "0.2"}
         assert set(payload["kernels"]["0.01"]) == {

@@ -4,9 +4,8 @@ import pytest
 from rclstm.data import (LocationCodebook, NormalizationParams, build_codebook,
                          chronological_split, denormalize, load_mobility_csv,
                          load_prepared, load_traffic_csv, log_minmax_normalize,
-                         mobility_windows, one_hot_decode, one_hot_encode,
-                         prepare_mobility, prepare_traffic, save_prepared,
-                         sliding_window)
+                         one_hot_decode, one_hot_encode, prepare_mobility,
+                         prepare_traffic, save_prepared, sliding_window)
 from rclstm.errors import (DataFormatError, EncodingError, InsufficientDataError)
 
 
@@ -221,9 +220,10 @@ class TestPrepared:
             prepare_mobility(TimeSeries(stamps, ids), window=3, train_fraction=0.8)
 
     def test_mobility_windows_shapes(self):
+        from rclstm.data import PreparedData
         ids = np.array([1, 2, 3, 1, 2, 3, 1, 2])
         book = build_codebook(ids)
-        ds = mobility_windows(ids, book, window=3)
+        ds = PreparedData("classification", ids, codebook=book).windows(3)
         assert ds.inputs.shape == (5, 3, 3)
         assert ds.classes == 3
         assert ds.targets.tolist() == [1, 2, 3, 1, 2]

@@ -3,8 +3,9 @@ import pytest
 
 from rclstm.cell import cell_forward
 from rclstm.errors import DivergenceError, ShapeError
+from rclstm import network
 from rclstm.network import backward_sequence, build_model, forward_batch, softmax
-from rclstm.training import batch_loss_and_grad
+from rclstm.training import batch_loss_and_grad, predict_batch
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
@@ -231,14 +232,55 @@ class TestBackwardSequence:
         for key in want:
             assert np.max(np.abs(got[key] - want[key])) < 1e-10
 
-    def test_non_finite_state_names_layer_and_timestep(self):
+    def test_non_finite_state_names_layer_and_timestep(self, monkeypatch):
+        # the serving path keeps two steps of c and spans of one step here,
+        # and names the same place as the cached unroll
+        monkeypatch.setattr(network, "SPAN_BYTES", 1)
         model = build_model(1, [4, 4], seed=0)
         windows = np.zeros((2, 6, 1))
         windows[1, 3, 0] = np.nan
-        with pytest.raises(DivergenceError) as info:
-            forward_batch(model, windows)
-        assert (info.value.layer, info.value.timestep) == (0, 3)
-        assert "layer 0, timestep 3" in str(info.value)
+        for keep_cache in (True, False):
+            with pytest.raises(DivergenceError) as info:
+                forward_batch(model, windows, keep_cache=keep_cache)
+            assert (info.value.layer, info.value.timestep) == (0, 3)
+            assert "layer 0, timestep 3" in str(info.value)
+        model.layers[1].b[4] = np.nan  # an input gate, read from the first step
+        for keep_cache in (True, False):
+            with pytest.raises(DivergenceError) as info:
+                forward_batch(model, np.ones((2, 6, 1)), keep_cache=keep_cache)
+            assert (info.value.layer, info.value.timestep) == (1, 0)
+
+
+class TestServing:
+    @pytest.mark.parametrize("density", [SPARSE, 1.0])
+    @pytest.mark.parametrize("span", [1, 3, 100])
+    def test_cache_free_equals_cached(self, monkeypatch, density, span):
+        # spans of 1 and 3 steps over T=7 (3 + 3 + 1), and one span of T
+        batch, hidden = 5, 6
+        monkeypatch.setattr(network, "SPAN_BYTES", span * 4 * hidden * batch * 8)
+        rng = np.random.default_rng(8)
+        model = build_model(2, [hidden, hidden], density=density, seed=5)
+        assert model.layers[0].uses_sparse == (density == SPARSE)
+        windows = rng.normal(size=(batch, 7, 2))
+        cached, cache = forward_batch(model, windows)
+        served, none = forward_batch(model, windows, keep_cache=False)
+        assert cache is not None and none is None
+        assert np.array_equal(served, cached)
+
+    def test_serving_holds_less_than_one_gate_buffer(self):
+        import tracemalloc
+
+        batch, n_steps, hidden = 256, 50, 32
+        model = build_model(1, [hidden, hidden], seed=0)
+        windows = np.random.default_rng(0).random((batch, n_steps, 1))
+        gate_buffer = n_steps * 4 * hidden * batch * 8  # one layer's (T, 4H, B)
+        tracemalloc.start()
+        try:
+            predict_batch(model, windows, batch_size=batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gate_buffer
 
 
 def mse(pred, target):

@@ -52,6 +52,31 @@ class TestOptimizer:
             optimizer_step(params, {"p": np.array([np.nan])}, OptimizerState(),
                            TrainingConfig())
 
+    def test_adam_in_place_matches_textbook_form(self):
+        # the in-place update keeps the operation order of the formula, so
+        # parameters and moments agree bit for bit after k steps
+        rng = np.random.default_rng(11)
+        cfg = TrainingConfig(learning_rate=0.01)
+        b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.epsilon, cfg.learning_rate
+        params = {"w": rng.normal(size=(6, 5)), "b": rng.normal(size=3)}
+        want = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p))
+                for name, p in params.items()}
+        state = OptimizerState()
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            optimizer_step(params, grads, state, cfg)
+            for name, (p, m, v) in want.items():
+                g = grads[name]
+                m[...] = b1 * m + (1.0 - b1) * g
+                v[...] = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for name, (p, m, v) in want.items():
+            assert np.array_equal(params[name], p)
+            assert np.array_equal(state.m[name], m)
+            assert np.array_equal(state.v[name], v)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
@@ -167,6 +192,19 @@ class TestContainer:
         with pytest.raises(CheckpointError):
             read_container(blob[:-8])
 
+    def test_golden_bytes(self):
+        # pins the documented layout: magic, big-endian header length, the
+        # sorted-key JSON header, then each array's little-endian C-order
+        # bytes in header (name) order
+        blob = write_container("k", {"n": 1}, {"x": np.array([[1.0], [-2.0]]),
+                                               "a": np.array([True, False, True])})
+        header = (b'{"arrays":[{"dtype":"|u1","name":"a","shape":[3]},'
+                  b'{"dtype":"<f8","name":"x","shape":[2,1]}],'
+                  b'"kind":"k","meta":{"n":1},"version":1}')
+        assert blob == (b"RCLSTM01" + len(header).to_bytes(4, "big") + header
+                        + b"\x01\x00\x01"
+                        + bytes.fromhex("000000000000f03f" "00000000000000c0"))
+
     def test_trailing_garbage(self):
         blob = write_container("test", {}, {"x": np.ones(4)})
         with pytest.raises(CheckpointError):
@@ -230,6 +268,39 @@ class TestCheckpoint:
             read_container(raw_container(header))
         with pytest.raises(CheckpointError):
             read_container(raw_container([1, 2]))
+
+    @pytest.mark.parametrize("case", [
+        "masked_weight", "task", "kernel_threshold", "dim_chain", "w_shape",
+        "b_shape", "head_w_shape", "head_b_shape", "out_dim", "layer_entry", "meta"])
+    def test_unservable_model_rejected(self, case):
+        meta, arrays = read_container(save_checkpoint(
+            build_model(2, [4, 3], seed=0, density=0.5)))
+        if case == "masked_weight":
+            row, col = np.argwhere(arrays["layer1.mask"] == 0)[0]
+            arrays["layer1.w"][row, col] = 0.25
+        elif case == "task":
+            meta["task"] = "bogus"
+        elif case == "kernel_threshold":
+            meta["layers"][0]["kernel_threshold"] = "x"
+        elif case == "dim_chain":
+            meta["layers"][1]["input_dim"] = 5
+        elif case == "w_shape":
+            arrays["layer0.w"] = arrays["layer0.w"][:, :-1]
+            arrays["layer0.mask"] = arrays["layer0.mask"][:, :-1]
+        elif case == "b_shape":
+            arrays["layer1.b"] = arrays["layer1.b"][:-1]
+        elif case == "head_w_shape":
+            arrays["head.w"] = np.ones((1, 4))
+        elif case == "head_b_shape":
+            arrays["head.b"] = np.zeros(2)
+        elif case == "out_dim":
+            meta["out_dim"] = 2  # a regression head has one output
+        elif case == "layer_entry":
+            meta["layers"][1] = 5
+        else:
+            meta = [meta]
+        with pytest.raises(CheckpointError):
+            load_checkpoint(write_container("model", meta, arrays))
 
     def test_wrong_kind_rejected(self):
         blob = write_container("dataset", {}, {"x": np.ones(2)})
