@@ -19,7 +19,7 @@ from .checkpoint import (load_checkpoint, load_checkpoint_file,
 from .data import (LocationCodebook, NormalizationParams, PreparedData,
                    TimeSeries, WindowedDataset, chronological_split,
                    denormalize, load_mobility_csv, load_traffic_csv,
-                   log_minmax_normalize, one_hot_encode, sliding_window)
+                   log_minmax_normalize, sliding_window)
 from .metrics import MetricsReport, accuracy, rmse
 from .network import (StackedRclstm, backward_sequence, build_model,
                       forward_batch, softmax)

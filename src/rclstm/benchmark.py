@@ -5,6 +5,7 @@ Timings use a monotonic clock and report the median as the headline number
 so the measured work cannot be skipped.
 """
 
+import itertools
 import statistics
 import time
 from dataclasses import dataclass
@@ -38,19 +39,9 @@ class TimingStats:
     checksum: float = 0.0
 
 
-def _stats(samples, warmup, checksum):
-    return TimingStats(
-        median=statistics.median(samples),
-        mean=statistics.fmean(samples),
-        std=statistics.pstdev(samples) if len(samples) > 1 else 0.0,
-        repetitions=len(samples),
-        warmup=warmup,
-        checksum=checksum,
-    )
-
-
 def _time(fn, reps, warmup):
-    """Median-bearing stats of ``fn()``, whose result is a float."""
+    """Median-bearing stats of ``fn()``, whose result is a float: ``warmup``
+    unmeasured calls, then ``reps`` measured ones."""
     checksum = 0.0
     for _ in range(warmup):
         checksum += fn()
@@ -61,33 +52,29 @@ def _time(fn, reps, warmup):
         samples.append(time.perf_counter() - t0)
     if not np.isfinite(checksum):
         raise RuntimeError("non-finite outputs during benchmark")
-    return _stats(samples, warmup, checksum)
+    return TimingStats(
+        median=statistics.median(samples),
+        mean=statistics.fmean(samples),
+        std=statistics.pstdev(samples) if len(samples) > 1 else 0.0,
+        repetitions=len(samples),
+        warmup=warmup,
+        checksum=checksum,
+    )
 
 
 def benchmark_forward(model, windows, reps=100, warmup=5):
     """Time single-window serving passes (``forward_batch`` at B=1 without
     the cache, as ``predict_batch`` runs it) over identical (T, F) windows.
 
-    Runs ``warmup`` unmeasured sweeps, then ``reps`` measured sweeps; every
-    individual forward is one sample.
+    Runs ``warmup`` unmeasured sweeps over the windows, then ``reps``
+    measured sweeps; every individual forward is one sample.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     windows = [np.asarray(w, dtype=np.float64)[None] for w in windows]
-    samples = []
-    sink = 0.0
-    for _ in range(warmup):
-        for w in windows:
-            sink += float(forward_batch(model, w, keep_cache=False)[0][0, 0])
-    for _ in range(reps):
-        for w in windows:
-            t0 = time.perf_counter()
-            out, _ = forward_batch(model, w, keep_cache=False)
-            samples.append(time.perf_counter() - t0)
-            sink += float(out[0, 0])
-    if not np.isfinite(sink):
-        raise RuntimeError("non-finite outputs during benchmark")
-    return _stats(samples, warmup, sink)
+    turn = itertools.cycle(windows)
+    return _time(lambda: float(forward_batch(model, next(turn), keep_cache=False)[0][0, 0]),
+                 reps * len(windows), warmup * len(windows))
 
 
 def benchmark_batch(model, windows, reps=30, warmup=2):

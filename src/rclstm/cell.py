@@ -4,7 +4,8 @@ A layer owns one fixed boolean connectivity mask over its stacked gate
 weight matrix (shape 4H x (D+H), gate order [forget; input; candidate;
 output]).  The mask is sampled once from per-connection uniform draws and
 never changes; masked weights and their gradients are exactly zero for the
-life of the model.
+life of the model.  A layer keeps only the mask's bits; their density
+alone picks the route of the layer's gate products (``KERNEL_THRESHOLD``).
 
 The cell works on a batch of B windows at a time: one timestep of a
 layer's state is an (H, B) block, one column per window.
@@ -18,53 +19,37 @@ import numpy as np
 from . import kernels
 from .linalg import MaskedMatrix
 
-GATE_ORDER = ("forget", "input", "candidate", "output")
-
 #: below this mask density the gate products go through scipy CSR, at or
 #: above it through dense BLAS.  ``rclstm bench`` measures the crossover
 #: (table in CHANGES.md): at H=300 CSR is faster at B=1, 32 and 256 up to
 #: 10% density; at H=150 it is faster or even at every B up to 5% and
 #: slower at B=1 from 10%.
-DEFAULT_KERNEL_THRESHOLD = 0.05
+KERNEL_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
 class ConnectivityMask:
     """Fixed boolean connection pattern over one gate weight matrix."""
 
-    rows: int
-    cols: int
     bits: np.ndarray
-    density: float  # realized fraction of true bits
-    seed: int
-    mode: str
-    target_density: float
+
+    @property
+    def density(self):
+        """Realized fraction of true bits."""
+        return float(self.bits.mean()) if self.bits.size else 0.0
 
 
-def generate_mask(rows, cols, target_density, seed, mode="probabilistic"):
+def generate_mask(rows, cols, target_density, seed):
     """Sample a connectivity mask.
 
-    ``probabilistic``: each connection is kept independently when its
-    uniform draw lands at or above the threshold ``1 - target_density``, so
-    the expected density equals the target.  ``exact``: exactly
-    ``round(target_density * rows * cols)`` connections, positions chosen
-    uniformly without replacement.  Deterministic given ``seed``.
+    Each connection is kept independently when its uniform draw lands at
+    or above the threshold ``1 - target_density``, so the expected density
+    equals the target.  Deterministic given ``seed``.
     """
     if not 0.0 <= target_density <= 1.0:
         raise ValueError(f"target_density must be in [0, 1], got {target_density}")
-    if mode not in ("probabilistic", "exact"):
-        raise ValueError(f"unknown mask mode: {mode!r}")
     rng = np.random.default_rng(seed)
-    if mode == "probabilistic":
-        bits = rng.random((rows, cols)) >= 1.0 - target_density
-    else:
-        n_true = round(target_density * rows * cols)
-        flat = rng.choice(rows * cols, size=n_true, replace=False)
-        bits = np.zeros(rows * cols, dtype=bool)
-        bits[flat] = True
-        bits = bits.reshape(rows, cols)
-    density = float(bits.mean()) if bits.size else 0.0
-    return ConnectivityMask(rows, cols, bits, density, seed, mode, target_density)
+    return ConnectivityMask(rng.random((rows, cols)) >= 1.0 - target_density)
 
 
 @dataclass
@@ -82,7 +67,9 @@ class LstmLayerParams:
     ``w`` is 4H x (D+H) with masked positions held at exactly zero; biases
     are dense (connectivity applies to neuron pairs, not biases).  ``w`` is
     the master copy of the weights: the products read it afresh on every
-    pass (see ``products``).
+    pass (see ``products``).  The mask's density alone picks the route of
+    the products: scipy CSR below ``KERNEL_THRESHOLD``, dense BLAS at or
+    above it.
     """
 
     input_dim: int
@@ -90,47 +77,43 @@ class LstmLayerParams:
     w: np.ndarray
     b: np.ndarray
     mask: ConnectivityMask
-    kernel_threshold: float = DEFAULT_KERNEL_THRESHOLD
     _products: GateProducts | None = field(default=None, repr=False, compare=False)
 
     @property
     def uses_sparse(self):
-        return self.mask.density < self.kernel_threshold
+        return self.mask.density < KERNEL_THRESHOLD
 
     def products(self):
         """The input and recurrent blocks of ``w`` as ``MaskedMatrix``
         objects holding its current values.
 
-        The CSR index structure comes from the fixed mask bits; it is built
-        on the first call and kept for the layer's life.  Every call
-        gathers the nonzeros from ``w`` again, so in-place edits of ``w``
-        (optimizer steps, finite differences) are always seen.
+        The route and the CSR index structure come from the fixed mask
+        bits; they are set on the first call and kept for the layer's life.
+        Every call gathers the nonzeros from ``w`` again, so in-place edits
+        of ``w`` (optimizer steps, finite differences) are always seen.
         """
-        ops, sparse, d = self._products, self.uses_sparse, self.input_dim
-        if ops is None or ops.x.sparse != sparse:
-            bits = self.mask.bits
-            ops = self._products = GateProducts(MaskedMatrix(bits[:, :d], sparse),
-                                                MaskedMatrix(bits[:, d:], sparse))
+        d = self.input_dim
+        if self._products is None:
+            bits, sparse = self.mask.bits, self.uses_sparse
+            self._products = GateProducts(MaskedMatrix(bits[:, :d], sparse),
+                                          MaskedMatrix(bits[:, d:], sparse))
+        ops = self._products
         ops.x.load(self.w[:, :d])
         ops.h.load(self.w[:, d:])
         return ops
 
-    def apply_mask(self):
-        self.w[~self.mask.bits] = 0.0
 
-
-def init_layer(input_dim, hidden_dim, density=1.0, seed=0, mode="probabilistic",
-               kernel_threshold=DEFAULT_KERNEL_THRESHOLD):
+def init_layer(input_dim, hidden_dim, density=1.0, seed=0):
     """Create a layer with fan-in uniform init, then apply a fresh mask."""
-    mask_seed, w_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    bits_seed, w_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     fan_in = input_dim + hidden_dim
-    mask = generate_mask(4 * hidden_dim, fan_in, density, mask_seed, mode)
+    mask = generate_mask(4 * hidden_dim, fan_in, density, bits_seed)
     scale = 1.0 / math.sqrt(fan_in)
     rng = np.random.default_rng(w_seed)
     w = rng.uniform(-scale, scale, size=(4 * hidden_dim, fan_in))
     w[~mask.bits] = 0.0
     b = np.zeros(4 * hidden_dim)
-    return LstmLayerParams(input_dim, hidden_dim, w, b, mask, kernel_threshold)
+    return LstmLayerParams(input_dim, hidden_dim, w, b, mask)
 
 
 def cell_forward(w_h, a, h_prev, c_prev, c, tanh_c, h):

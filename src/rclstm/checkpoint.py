@@ -93,22 +93,16 @@ def read_container(data, expect_kind=None):
 
 
 def save_checkpoint(model):
-    """Serialize a model (weights, masks, seeds, task metadata) to bytes."""
+    """Serialize a model (weights, masks, dims, task) to bytes.
+
+    A layer's mask density and kernel route are not stored: both follow
+    from its mask bits.
+    """
     meta = {
         "task": model.task,
         "out_dim": int(model.out_dim),
-        "layers": [
-            {
-                "input_dim": layer.input_dim,
-                "hidden_dim": layer.hidden_dim,
-                "kernel_threshold": layer.kernel_threshold,
-                "mask_seed": layer.mask.seed,
-                "mask_mode": layer.mask.mode,
-                "mask_density": layer.mask.density,
-                "mask_target_density": layer.mask.target_density,
-            }
-            for layer in model.layers
-        ],
+        "layers": [{"input_dim": layer.input_dim, "hidden_dim": layer.hidden_dim}
+                   for layer in model.layers],
     }
     arrays = {"head.w": model.head_w, "head.b": model.head_b}
     for k, layer in enumerate(model.layers):
@@ -131,8 +125,10 @@ def load_checkpoint(data):
     """Rebuild a model from ``save_checkpoint`` bytes, bit for bit.
 
     Raises CheckpointError unless the stream holds a model that can serve:
-    a known task, numeric kernel thresholds, layer dims that chain, arrays
-    of the shapes those dims give, and zero weights wherever a mask is off.
+    a known task, layer dims that chain, arrays of the shapes those dims
+    give, and zero weights wherever a mask is off.  Layer keys this
+    version does not read (files from earlier versions stored mask seeds,
+    densities and kernel thresholds) are ignored.
     """
     meta, arrays = read_container(data, expect_kind="model")
     try:
@@ -150,10 +146,6 @@ def load_checkpoint(data):
             if layers and d != layers[-1].hidden_dim:
                 raise CheckpointError(f"layer {k} input_dim {d} != layer {k - 1} "
                                       f"hidden_dim {layers[-1].hidden_dim}")
-            threshold = spec["kernel_threshold"]
-            if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-                raise CheckpointError(f"layer {k} kernel_threshold {threshold!r} "
-                                      "is not a number")
             w, b = arrays[f"layer{k}.w"], arrays[f"layer{k}.b"]
             bits = arrays[f"layer{k}.mask"].astype(bool)
             _check_shape(f"layer{k}.w", w, (4 * hidden, d + hidden))
@@ -162,10 +154,7 @@ def load_checkpoint(data):
             if np.logical_and(w, ~bits).any():
                 raise CheckpointError(f"layer{k}.w has non-zero weights where its "
                                       "mask is off")
-            mask = ConnectivityMask(bits.shape[0], bits.shape[1], bits,
-                                    spec["mask_density"], spec["mask_seed"],
-                                    spec["mask_mode"], spec["mask_target_density"])
-            layers.append(LstmLayerParams(d, hidden, w, b, mask, threshold))
+            layers.append(LstmLayerParams(d, hidden, w, b, ConnectivityMask(bits)))
         out_dim = meta["out_dim"]
         if not _is_count(out_dim) or (task == "regression" and out_dim != 1):
             raise CheckpointError(f"{task} model with out_dim {out_dim!r}")

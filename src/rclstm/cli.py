@@ -15,7 +15,7 @@ from datetime import datetime
 
 import numpy as np
 
-from . import synth
+from . import cell, synth
 from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, SERVE_BATCH,
                         benchmark_batch, benchmark_forward, benchmark_kernel_paths,
                         kernel_crossover)
@@ -85,12 +85,9 @@ def _prepare(cfg):
 
 
 def _build_from_config(cfg, prepared):
-    feature_dim = 1 if prepared.task == "regression" else prepared.codebook.size
-    out_dim = 1 if prepared.task == "regression" else prepared.codebook.size
-    return build_model(feature_dim, list(cfg.model.hidden), task=prepared.task,
-                       out_dim=out_dim, density=cfg.model.density,
-                       mask_mode=cfg.model.mask_mode, seed=cfg.model.seed,
-                       kernel_threshold=cfg.model.kernel_threshold)
+    dim = prepared.feature_dim
+    return build_model(dim, list(cfg.model.hidden), task=prepared.task, out_dim=dim,
+                       density=cfg.model.density, seed=cfg.model.seed)
 
 
 def _outdir(cfg):
@@ -158,6 +155,10 @@ def cmd_evaluate(cfg, args):
         raise CheckpointError(
             f"checkpoint task {model.task!r} does not match dataset task "
             f"{prepared.task!r}")
+    if (model.feature_dim, model.out_dim) != (prepared.feature_dim,) * 2:
+        raise CheckpointError(
+            f"checkpoint takes {model.feature_dim} features and emits "
+            f"{model.out_dim} outputs; the dataset has {prepared.feature_dim}")
     ds = prepared.windows(cfg.data.window)
     _, test = chronological_split(ds, cfg.data.train_fraction)
     metric, preds = evaluate_model(model, test)
@@ -189,8 +190,6 @@ def cmd_sweep(cfg, args):
         seeds=list(cfg.sweep.seeds),
         hidden=tuple(cfg.model.hidden),
         density=cfg.model.density,
-        mask_mode=cfg.model.mask_mode,
-        kernel_threshold=cfg.model.kernel_threshold,
         window=cfg.data.window,
         train_fraction=cfg.data.train_fraction,
         training=cfg.training,
@@ -220,11 +219,10 @@ def cmd_bench(cfg, args):
     windows = [batch[0]]
     results = {"hidden": cfg.bench.hidden, "window": cfg.bench.window,
                "density": cfg.bench.density,
-               "kernel_threshold": cfg.model.kernel_threshold}
+               "kernel_threshold": cell.KERNEL_THRESHOLD}
     for label, density in (("sparse", cfg.bench.density), ("dense", 1.0)):
         model = build_model(1, [cfg.bench.hidden], density=density,
-                            seed=cfg.model.seed,
-                            kernel_threshold=cfg.model.kernel_threshold)
+                            seed=cfg.model.seed)
         stats = benchmark_forward(model, windows, reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
         served = benchmark_batch(model, batch, reps=cfg.bench.reps,
@@ -241,24 +239,23 @@ def cmd_bench(cfg, args):
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")
-    if cfg.bench.compare_kernels:
-        tables = {density: benchmark_kernel_paths(hidden=cfg.bench.hidden,
-                                                  density=density,
-                                                  reps=max(cfg.bench.reps, 100))
-                  for density in KERNEL_DENSITIES}
-        results["kernels"] = {
-            f"{density:g}": {name: {"median_s": s.median, "mean_s": s.mean}
-                             for name, s in paths.items()}
-            for density, paths in tables.items()}
-        for density, paths in tables.items():
-            print(f"kernel density {density:g}: " + "  ".join(
-                f"B={b} dense {paths[f'dense_b{b}'].median * 1e6:.1f} us "
-                f"csr {paths[f'csr_b{b}'].median * 1e6:.1f} us" for b in KERNEL_BATCHES))
-        crossover = kernel_crossover(tables)
-        results["crossover_density"] = crossover
-        print("CSR is slower than dense at some batch size from density "
-              f"{crossover:g}" if crossover is not None
-              else "CSR is faster than dense at every measured density")
+    tables = {density: benchmark_kernel_paths(hidden=cfg.bench.hidden,
+                                              density=density,
+                                              reps=max(cfg.bench.reps, 100))
+              for density in KERNEL_DENSITIES}
+    results["kernels"] = {
+        f"{density:g}": {name: {"median_s": s.median, "mean_s": s.mean}
+                         for name, s in paths.items()}
+        for density, paths in tables.items()}
+    for density, paths in tables.items():
+        print(f"kernel density {density:g}: " + "  ".join(
+            f"B={b} dense {paths[f'dense_b{b}'].median * 1e6:.1f} us "
+            f"csr {paths[f'csr_b{b}'].median * 1e6:.1f} us" for b in KERNEL_BATCHES))
+    crossover = kernel_crossover(tables)
+    results["crossover_density"] = crossover
+    print("CSR is slower than dense at some batch size from density "
+          f"{crossover:g}" if crossover is not None
+          else "CSR is faster than dense at every measured density")
     path = os.path.join(_outdir(cfg), f"bench_{_stamp(args.freeze_timestamps)}.json")
     with open(path, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)

@@ -10,7 +10,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .cell import DEFAULT_KERNEL_THRESHOLD
 from .errors import ConfigError
 from .training import TrainingConfig
 
@@ -62,8 +61,6 @@ class SyntheticSection:
 class ModelSection:
     hidden: tuple = (300, 300, 300)
     density: float = 1.0
-    mask_mode: str = "probabilistic"
-    kernel_threshold: float = DEFAULT_KERNEL_THRESHOLD
     seed: int = 0
 
 
@@ -90,7 +87,6 @@ class BenchSection:
     density: float = 0.01
     reps: int = 100
     warmup: int = 5
-    compare_kernels: bool = True
 
 
 @dataclass
@@ -118,7 +114,6 @@ class RunConfig:
 _CHOICES = {
     ("run", "task"): ("traffic", "mobility", "synthetic"),
     ("synthetic", "kind"): ("sine", "ar", "longrange"),
-    ("model", "mask_mode"): ("probabilistic", "exact"),
     ("data", "normalize_scope"): ("full", "train"),
     ("training", "optimizer"): ("adam", "sgd"),
     ("sweep", "axis"): ("connectivity", "train_fraction", "window_length"),

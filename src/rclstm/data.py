@@ -14,8 +14,8 @@ from datetime import datetime
 import numpy as np
 
 from .checkpoint import read_container, write_container
-from .errors import (DataFormatError, EncodingError, InsufficientDataError,
-                     ShapeError)
+from .errors import (CheckpointError, DataFormatError, EncodingError,
+                     InsufficientDataError)
 
 TRAFFIC_HEADER = ["timestamp", "kbps"]
 MOBILITY_HEADER = ["datetime", "latitude", "longitude", "location_id"]
@@ -90,20 +90,6 @@ def build_codebook(ids):
         if raw not in seen:
             seen[raw] = len(seen) + 1
     return LocationCodebook(seen, list(seen))
-
-
-def one_hot_encode(raw_id, book):
-    """m-vector with a single 1 at the ID's 1-based codebook index."""
-    idx = book.id_to_index.get(raw_id)
-    if idx is None:
-        raise EncodingError(f"location ID {raw_id!r} not in codebook")
-    vec = np.zeros(book.size)
-    vec[idx - 1] = 1.0
-    return vec
-
-
-def one_hot_decode(vec, book):
-    return book.index_to_id[int(np.argmax(vec))]
 
 
 def sliding_window(series, window):
@@ -219,6 +205,12 @@ class PreparedData:
     norm: NormalizationParams | None = None
     codebook: LocationCodebook | None = None
 
+    @property
+    def feature_dim(self):
+        """Features per timestep of the windows, which is also the width of
+        a model's output: 1 for regression, the codebook size for classes."""
+        return 1 if self.task == "regression" else self.codebook.size
+
     def windows(self, window):
         if self.task == "regression":
             return sliding_window(self.features, window)
@@ -286,22 +278,31 @@ def save_prepared(prepared, ds, path):
 
 
 def load_prepared(path):
-    """Inverse of ``save_prepared``; returns (PreparedData, WindowedDataset)."""
+    """Inverse of ``save_prepared``; returns (PreparedData, WindowedDataset).
+
+    Raises CheckpointError when the cache lacks a key or its metadata is
+    not a JSON object.
+    """
     with open(path, "rb") as fh:
         meta, arrays = read_container(fh.read(), expect_kind="dataset")
-    norm = None
-    if meta["norm"] is not None:
-        norm = NormalizationParams(meta["norm"]["min_log"], meta["norm"]["max_log"])
-    book = None
-    if meta["codebook"] is not None:
-        book = LocationCodebook({raw: j + 1 for j, raw in enumerate(meta["codebook"])},
-                                list(meta["codebook"]))
-    features = arrays["features"]
-    if meta["task"] == "classification":
-        features = features.astype(np.int64)
-        targets = arrays["targets"].astype(np.int64)
-    else:
-        targets = arrays["targets"]
-    prepared = PreparedData(meta["task"], features, norm=norm, codebook=book)
-    ds = WindowedDataset(arrays["inputs"], targets, meta["window"], meta["classes"])
+    try:
+        norm = None
+        if meta["norm"] is not None:
+            norm = NormalizationParams(meta["norm"]["min_log"], meta["norm"]["max_log"])
+        book = None
+        if meta["codebook"] is not None:
+            book = LocationCodebook({raw: j + 1 for j, raw in enumerate(meta["codebook"])},
+                                    list(meta["codebook"]))
+        features = arrays["features"]
+        if meta["task"] == "classification":
+            features = features.astype(np.int64)
+            targets = arrays["targets"].astype(np.int64)
+        else:
+            targets = arrays["targets"]
+        prepared = PreparedData(meta["task"], features, norm=norm, codebook=book)
+        ds = WindowedDataset(arrays["inputs"], targets, meta["window"], meta["classes"])
+    except KeyError as err:
+        raise CheckpointError(f"dataset cache lacks {err}") from None
+    except TypeError as err:  # meta or its norm entry is not a JSON object
+        raise CheckpointError(f"malformed dataset cache metadata: {err}") from None
     return prepared, ds

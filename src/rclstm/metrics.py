@@ -35,7 +35,6 @@ class MetricsReport:
     rmse: float | None = None
     rmse_raw: float | None = None
     accuracy: float | None = None
-    residuals: np.ndarray | None = None
 
     def to_dict(self):
         out = {"n": self.n}

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import (LstmLayerParams, cell_backward, cell_forward, init_layer,
-                   DEFAULT_KERNEL_THRESHOLD)
+from .cell import LstmLayerParams, cell_backward, cell_forward, init_layer
 from .errors import DivergenceError, ShapeError
 
 #: bytes of gate preactivations one span of the cache-free forward holds.
@@ -67,10 +66,6 @@ class StackedRclstm:
     def out_dim(self):
         return self.head_b.shape[0]
 
-    def apply_masks(self):
-        for layer in self.layers:
-            layer.apply_mask()
-
 
 @dataclass
 class LayerCache:
@@ -94,8 +89,7 @@ class SequenceCache:
 
 
 def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
-                density=1.0, mask_mode="probabilistic", seed=0,
-                kernel_threshold=DEFAULT_KERNEL_THRESHOLD):
+                density=1.0, seed=0):
     """Construct a stacked model; all randomness derives from ``seed``."""
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task: {task!r}")
@@ -107,8 +101,7 @@ def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
     layers = []
     dim = feature_dim
     for hidden, layer_seed in zip(hidden_dims, seeds[:-1]):
-        layers.append(init_layer(dim, hidden, density=density, seed=int(layer_seed),
-                                 mode=mask_mode, kernel_threshold=kernel_threshold))
+        layers.append(init_layer(dim, hidden, density=density, seed=int(layer_seed)))
         dim = hidden
     rng = np.random.default_rng(int(seeds[-1]))
     scale = 1.0 / np.sqrt(dim)

@@ -17,7 +17,6 @@ import numpy as np
 from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
                         ffnn_train)
 from .benchmark import benchmark_forward
-from .cell import DEFAULT_KERNEL_THRESHOLD
 from .data import chronological_split
 from .errors import ConfigError, DivergenceError
 from .metrics import accuracy, rmse
@@ -34,8 +33,6 @@ class SweepSpec:
     seeds: list = field(default_factory=lambda: [0])
     hidden: tuple = (300, 300, 300)
     density: float = 1.0
-    mask_mode: str = "probabilistic"
-    kernel_threshold: float = DEFAULT_KERNEL_THRESHOLD
     window: int = 100
     train_fraction: float = 0.9
     training: TrainingConfig = field(default_factory=TrainingConfig)
@@ -115,14 +112,12 @@ def _run_point(spec, prepared, point, seed):
     ds = prepared.windows(window)
     train, test = chronological_split(ds, fraction)
     task = prepared.task
-    feature_dim = 1 if task == "regression" else prepared.codebook.size
-    out_dim = 1 if task == "regression" else prepared.codebook.size
+    dim = prepared.feature_dim
     cfg = replace(spec.training, seed=seed)
     rows = []
 
-    model = build_model(feature_dim, list(spec.hidden), task=task, out_dim=out_dim,
-                        density=density, mask_mode=spec.mask_mode, seed=seed,
-                        kernel_threshold=spec.kernel_threshold)
+    model = build_model(dim, list(spec.hidden), task=task, out_dim=dim,
+                        density=density, seed=seed)
     started = time.perf_counter()
     try:
         fit(model, train, cfg)

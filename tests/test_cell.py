@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rclstm import cell
 from rclstm.cell import (LstmLayerParams, cell_backward, cell_forward,
                          generate_mask, init_layer)
 from rclstm.errors import ShapeError
@@ -9,8 +10,8 @@ from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
 
 
-def make_layer(input_dim, hidden, density, seed, mode="probabilistic"):
-    return init_layer(input_dim, hidden, density=density, seed=seed, mode=mode)
+def make_layer(input_dim, hidden, density, seed):
+    return init_layer(input_dim, hidden, density=density, seed=seed)
 
 
 def run_step(layer, x, h0=None, c0=None):
@@ -48,10 +49,6 @@ class TestGenerateMask:
         m = generate_mask(8, 5, 0.0, seed=0)
         assert not m.bits.any() and m.density == 0.0
 
-    def test_exact_mode_count(self):
-        m = generate_mask(10, 10, 0.37, seed=3, mode="exact")
-        assert int(m.bits.sum()) == 37
-
     def test_probabilistic_binomial_bound(self):
         m = generate_mask(200, 200, 0.01, seed=11)
         n = 200 * 200
@@ -67,10 +64,6 @@ class TestGenerateMask:
     def test_density_out_of_range(self):
         with pytest.raises(ValueError):
             generate_mask(4, 4, 1.5, seed=0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            generate_mask(4, 4, 0.5, seed=0, mode="weird")
 
 
 class TestCellForward:
@@ -108,16 +101,18 @@ class TestCellForward:
             assert np.max(np.abs(h[0] - hs[0])) < 1e-12
             assert np.max(np.abs(c[0] - cs[0])) < 1e-12
 
-    def test_sparse_and_dense_paths_agree(self):
+    def test_sparse_and_dense_paths_agree(self, monkeypatch):
         rng = np.random.default_rng(5)
         layer = make_layer(3, 32, 0.03, seed=9)
         assert layer.uses_sparse
         x = rng.normal(size=(4, 3))
         h0, c0 = rng.normal(size=(4, 32)) * 0.3, rng.normal(size=(4, 32))
-        sparse = run_step(layer, x, h0, c0)
+        sparse = run_step(layer, x, h0, c0)  # the route is fixed from here on
+        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", 0.0)
         dense_layer = LstmLayerParams(layer.input_dim, layer.hidden_dim, layer.w,
-                                      layer.b, layer.mask, kernel_threshold=0.0)
+                                      layer.b, layer.mask)
         assert not dense_layer.uses_sparse
+        assert layer.products().h.sparse and not dense_layer.products().h.sparse
         dense = run_step(dense_layer, x, h0, c0)
         for got, want in zip(sparse, dense):
             assert np.max(np.abs(got - want)) < 1e-12

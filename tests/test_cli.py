@@ -38,6 +38,18 @@ seed = 2
 """
 
 
+MOBILITY_CFG = """
+[run]
+task = mobility
+data = {path}
+output_dir = {out}
+
+[data]
+window = 3
+train_fraction = 0.8
+"""
+
+
 def write_cfg(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -158,16 +170,8 @@ class TestCliCommands:
         cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
         assert main(["train", "--config", cfg, "--freeze-timestamps"]) == 0
         ckpt = str(tmp_path / "out" / "checkpoint.bin")
-        mob = write_cfg(tmp_path, """
-[run]
-task = mobility
-data = {path}
-output_dir = {out}
-
-[data]
-window = 3
-train_fraction = 0.8
-""".format(path=tmp_path / "m.csv", out=tmp_path / "out2"), name="mob.ini")
+        mob = write_cfg(tmp_path, MOBILITY_CFG.format(path=tmp_path / "m.csv",
+                                                      out=tmp_path / "out2"), name="mob.ini")
         (tmp_path / "m.csv").write_text(
             "datetime,latitude,longitude,location_id\n" + "\n".join(
                 f"2015-08-06T{h:02d}:00:00,60.0,24.0,{1 + h % 3}" for h in range(24)) + "\n")
@@ -183,17 +187,44 @@ train_fraction = 0.8
         assert "lacks" in capsys.readouterr().err
 
     def test_unservable_checkpoint_exit_2(self, tmp_path, capsys):
-        # a threshold that is not a number fails at load, not at the first forward
+        # an unknown task fails at load, not at the first forward
         from rclstm.checkpoint import read_container, save_checkpoint, write_container
         from rclstm.network import build_model
 
         cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
         meta, arrays = read_container(save_checkpoint(build_model(1, [4], seed=0)))
-        meta["layers"][0]["kernel_threshold"] = "x"
+        meta["task"] = "bogus"
         ckpt = tmp_path / "bad.bin"
         ckpt.write_bytes(write_container("model", meta, arrays))
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
-        assert "kernel_threshold" in capsys.readouterr().err
+        assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [(9, 9), (5, 7)], ids=["features", "outputs"])
+    def test_checkpoint_feature_dim_mismatch_exit_2(self, tmp_path, capsys, dims):
+        # a 5-location dataset needs 5 features in and 5 classes out
+        from rclstm.checkpoint import save_checkpoint_file
+        from rclstm.network import build_model
+
+        ckpt = str(tmp_path / "bad.bin")
+        save_checkpoint_file(build_model(dims[0], [4], task="classification",
+                                         out_dim=dims[1], seed=0), ckpt)
+        (tmp_path / "m.csv").write_text(
+            "datetime,latitude,longitude,location_id\n" + "\n".join(
+                f"2015-08-06T{h:02d}:00:00,60.0,24.0,{1 + h % 5}" for h in range(24)) + "\n")
+        mob = write_cfg(tmp_path, MOBILITY_CFG.format(path=tmp_path / "m.csv",
+                                                      out=tmp_path / "out"))
+        assert main(["evaluate", "--config", mob, "--checkpoint", ckpt]) == 2
+        assert f"takes {dims[0]} features and emits {dims[1]}" in capsys.readouterr().err
+
+    def test_malformed_cache_exit_2(self, tmp_path, capsys):
+        from rclstm.checkpoint import write_container
+
+        cache = tmp_path / "cache.bin"
+        cache.write_bytes(write_container("dataset", {"task": "regression"}, {}))
+        cfg = write_cfg(tmp_path, "[run]\ntask = traffic\ndata = {path}\n"
+                        "output_dir = {out}\n".format(path=cache, out=tmp_path / "out"))
+        assert main(["preprocess", "--config", cfg]) == 2
+        assert "lacks 'norm'" in capsys.readouterr().err
 
     def test_divergence_exit_1_names_location(self, tmp_path, capsys):
         text = SINE_CFG.format(out=tmp_path / "out").replace(
@@ -231,7 +262,6 @@ window = 8
 density = 0.05
 reps = 30
 warmup = 2
-compare_kernels = true
 """
         cfg = write_cfg(tmp_path, text)
         assert main(["bench", "--config", cfg, "--freeze-timestamps"]) == 0

@@ -4,9 +4,10 @@ import pytest
 from rclstm.data import (LocationCodebook, NormalizationParams, build_codebook,
                          chronological_split, denormalize, load_mobility_csv,
                          load_prepared, load_traffic_csv, log_minmax_normalize,
-                         one_hot_decode, one_hot_encode, prepare_mobility,
-                         prepare_traffic, save_prepared, sliding_window)
-from rclstm.errors import (DataFormatError, EncodingError, InsufficientDataError)
+                         prepare_mobility, prepare_traffic, save_prepared,
+                         sliding_window)
+from rclstm.errors import (CheckpointError, DataFormatError, EncodingError,
+                           InsufficientDataError)
 
 
 class TestNormalization:
@@ -50,26 +51,45 @@ class TestNormalization:
         assert abs(denormalize(0.5, p) - 100.0) < 1e-9
 
 
+def mobility_series(ids):
+    """A TimeSeries of location IDs, one per second."""
+    from rclstm.data import TimeSeries
+    ids = np.asarray(ids)
+    return TimeSeries(np.datetime64("2015-08-06T00:00:00", "s") + np.arange(len(ids)), ids)
+
+
 class TestOneHot:
+    """One-hot encoding as ``prepare_mobility`` and ``PreparedData.windows``
+    do it: codebook index k becomes a vector with its single 1 at k - 1."""
+
     def test_single_class(self):
-        book = build_codebook([42])
-        assert np.array_equal(one_hot_encode(42, book), [1.0])
+        prep = prepare_mobility(mobility_series([42, 42, 42]), window=1)
+        ds = prep.windows(1)
+        assert np.array_equal(ds.inputs[:, 0], [[1.0], [1.0]])
+        assert ds.targets.tolist() == [1, 1]
 
     def test_index_two_of_three(self):
-        book = build_codebook([7, 9, 11])
-        assert np.array_equal(one_hot_encode(9, book), [0.0, 1.0, 0.0])
+        prep = prepare_mobility(mobility_series([7, 9, 11, 9]), window=1)
+        ds = prep.windows(1)
+        assert np.array_equal(ds.inputs[1, 0], [0.0, 1.0, 0.0])
+        assert ds.targets[-1] == 2
 
     def test_round_trip_random_codebook(self):
         rng = np.random.default_rng(3)
         ids = rng.permutation(100)[:17]
-        book = build_codebook(ids)
-        for raw in ids:
-            assert one_hot_decode(one_hot_encode(int(raw), book), book) == raw
+        series = np.concatenate([ids, ids])
+        prep = prepare_mobility(mobility_series(series), window=1)
+        ds = prep.windows(1)
+        book = prep.codebook
+        assert book.size == 17
+        decoded = [book.index_to_id[int(np.argmax(v))] for v in ds.inputs[:, 0]]
+        assert decoded == series[:-1].tolist()
+        assert [book.index_to_id[k - 1] for k in ds.targets] == series[1:].tolist()
 
     def test_unknown_id(self):
-        book = build_codebook([1, 2])
         with pytest.raises(EncodingError):
-            one_hot_encode(5, book)
+            prepare_mobility(mobility_series([1, 2, 1, 2, 5]), window=1,
+                             train_fraction=0.5)
 
 
 class TestSlidingWindow:
@@ -240,6 +260,16 @@ class TestPrepared:
         assert np.array_equal(ds.inputs, ds2.inputs)
         assert np.array_equal(ds.targets, ds2.targets)
         assert ds2.window == 8
+
+    @pytest.mark.parametrize("meta", [{"task": "regression"}, ["task"],
+                                      {"task": "regression", "norm": [0, 1]}],
+                             ids=["missing_key", "meta", "norm"])
+    def test_malformed_cache_rejected(self, tmp_path, meta):
+        from rclstm.checkpoint import write_container
+        path = tmp_path / "cache.bin"
+        path.write_bytes(write_container("dataset", meta, {}))
+        with pytest.raises(CheckpointError):
+            load_prepared(str(path))
 
 
 def prepare_traffic_like(series):

@@ -63,6 +63,18 @@ class TestBenchmarkForward:
         assert stats.std == 0.0
         assert stats.median > 0.0
 
+    def test_one_sample_per_window(self):
+        model = build_model(1, [8], seed=0)
+        stats = benchmark_forward(model, [np.ones((5, 1)), np.zeros((5, 1))] * 2,
+                                  reps=3, warmup=1)
+        assert stats.repetitions == 12
+
+    def test_non_finite_outputs_raise(self):
+        model = build_model(1, [8], seed=0)
+        model.head_b[:] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite"):
+            benchmark_forward(model, [np.ones((5, 1))], reps=2, warmup=0)
+
     def test_doubling_window_roughly_doubles_time(self):
         model = build_model(1, [64], seed=1)
         short = benchmark_forward(model, [np.ones((32, 1))], reps=30, warmup=3)

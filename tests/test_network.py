@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rclstm import cell
 from rclstm.cell import cell_forward
 from rclstm.errors import DivergenceError, ShapeError
 from rclstm import network
@@ -158,24 +159,25 @@ class TestSparsePath:
         check_finite_differences(model, rng.normal(size=(4, 3)), 0.3)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "csr"])
-    def test_b1_equals_row_of_b256(self, threshold):
+    def test_b1_equals_row_of_b256(self, threshold, monkeypatch):
+        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
         rng = np.random.default_rng(21)
-        model = build_model(1, [20, 20], seed=4, density=SPARSE,
-                            kernel_threshold=threshold)
+        model = build_model(1, [20, 20], seed=4, density=SPARSE)
         assert model.layers[0].uses_sparse == (threshold > SPARSE)
         windows = rng.normal(size=(256, 7, 1))
         outs, _ = forward_batch(model, windows)
         for j in (0, 1, 100, 255):
             assert abs(predict_one(model, windows[j])[0] - outs[j, 0]) <= 1e-12
 
-    def test_csr_and_dense_gradients_agree(self):
+    def test_csr_and_dense_gradients_agree(self, monkeypatch):
         rng = np.random.default_rng(22)
         windows = rng.normal(size=(5, 6, 2))
         douts = rng.normal(size=(5, 1))
         grads = []
         for threshold in (0.0, 1.0):
-            model = build_model(2, [20, 20], seed=6, density=SPARSE,
-                                kernel_threshold=threshold)
+            monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
+            model = build_model(2, [20, 20], seed=6, density=SPARSE)
+            assert model.layers[0].products().h.sparse == (threshold > SPARSE)
             _, cache = forward_batch(model, windows)
             grads.append(backward_sequence(model, cache, douts))
         for key in grads[0]:

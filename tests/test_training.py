@@ -240,13 +240,31 @@ class TestCheckpoint:
         m2, _ = fit(build_model(1, [6], seed=1, density=0.5), train, cfg)
         assert save_checkpoint(m1) == save_checkpoint(m2)
 
+    def test_legacy_layer_keys_ignored(self):
+        # earlier files stored mask seeds, densities and kernel thresholds per
+        # layer; the bits decide density and route, whatever those keys say
+        rng = np.random.default_rng(8)
+        model = build_model(2, [12, 12], seed=5, density=0.03)
+        meta, arrays = read_container(save_checkpoint(model))
+        for spec in meta["layers"]:
+            spec.update(kernel_threshold=0.0, mask_seed=17, mask_mode="probabilistic",
+                        mask_density=0.9, mask_target_density=0.03)
+        loaded = load_checkpoint(write_container("model", meta, arrays))
+        for k, layer in enumerate(loaded.layers):
+            assert layer.mask.density == model.layers[k].mask.density < 0.05
+            assert layer.uses_sparse and model.layers[k].uses_sparse
+        window = rng.normal(size=(3, 6, 2))
+        assert np.array_equal(forward_batch(loaded, window)[0],
+                              forward_batch(model, window)[0])
+        assert save_checkpoint(loaded) == save_checkpoint(model)
+
     def test_missing_layers_key_rejected(self):
         with pytest.raises(CheckpointError):
             load_checkpoint(write_container("model", {}, {}))
 
     def test_missing_layer_meta_key_rejected(self):
         meta, arrays = read_container(save_checkpoint(build_model(1, [3], seed=0)))
-        del meta["layers"][0]["mask_seed"]
+        del meta["layers"][0]["hidden_dim"]
         with pytest.raises(CheckpointError):
             load_checkpoint(write_container("model", meta, arrays))
 
@@ -270,7 +288,7 @@ class TestCheckpoint:
             read_container(raw_container([1, 2]))
 
     @pytest.mark.parametrize("case", [
-        "masked_weight", "task", "kernel_threshold", "dim_chain", "w_shape",
+        "masked_weight", "task", "dim_chain", "w_shape",
         "b_shape", "head_w_shape", "head_b_shape", "out_dim", "layer_entry", "meta"])
     def test_unservable_model_rejected(self, case):
         meta, arrays = read_container(save_checkpoint(
@@ -280,8 +298,6 @@ class TestCheckpoint:
             arrays["layer1.w"][row, col] = 0.25
         elif case == "task":
             meta["task"] = "bogus"
-        elif case == "kernel_threshold":
-            meta["layers"][0]["kernel_threshold"] = "x"
         elif case == "dim_chain":
             meta["layers"][1]["input_dim"] = 5
         elif case == "w_shape":
