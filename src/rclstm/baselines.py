@@ -175,13 +175,13 @@ def ffnn_train(dataset, config, dims=None, seed=0):
         started = time.perf_counter()
         order = rng.permutation(len(dataset)) if config.shuffle else np.arange(len(dataset))
         losses = []
-        for lo in range(0, len(dataset), config.batch_size):
+        for batch, lo in enumerate(range(0, len(dataset), config.batch_size)):
             idx = order[lo : lo + config.batch_size]
             out, acts = ffnn_forward(model, x[idx])
             err = out - y[idx]
             loss = float(np.mean(err * err))
             if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
+                raise DivergenceError("non-finite loss", epoch=epoch, batch=batch)
             grads = ffnn_backward(model, acts, 2.0 * err / idx.shape[0])
             clip_gradients(grads, config.grad_clip)
             optimizer_step(params, grads, state, config)

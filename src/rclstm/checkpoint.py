@@ -13,6 +13,7 @@ identical bytes and save -> load -> save is the identity.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -52,6 +53,24 @@ def write_container(kind, meta, arrays):
     return b"".join(parts)
 
 
+def _array_entry(entry):
+    """(name, dtype, shape) of one header entry; CheckpointError unless the
+    entry is an object with a string name, a known dtype and a shape of
+    non-negative integers."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"array entry {entry!r} is not an object")
+    name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+    if not isinstance(name, str) or not isinstance(dtype, str):
+        raise CheckpointError(f"array entry {entry!r}: name and dtype must be strings")
+    if dtype not in _DTYPES:
+        raise CheckpointError(f"unknown dtype {dtype!r}")
+    if not (isinstance(shape, list) and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+        raise CheckpointError(f"array {name}: shape {shape!r} is not a list of "
+                              "non-negative integers")
+    return name, _DTYPES[dtype], shape
+
+
 def read_container(data, expect_kind=None):
     """Parse container bytes back into (meta, arrays dict)."""
     if len(data) < 12 or data[:8] != MAGIC:
@@ -74,16 +93,18 @@ def read_container(data, expect_kind=None):
     offset = 12 + hlen
     try:
         meta, entries = header["meta"], header["arrays"]
+        if not isinstance(entries, list):
+            raise CheckpointError("container header 'arrays' is not a list")
         for entry in entries:
-            name, dtype, shape = entry["name"], _DTYPES.get(entry["dtype"]), entry["shape"]
-            if dtype is None:
-                raise CheckpointError(f"unknown dtype {entry['dtype']!r}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            nbytes = count * dtype.itemsize
+            name, dtype, shape = _array_entry(entry)
+            nbytes = math.prod(shape) * dtype.itemsize
             if offset + nbytes > len(data):
                 raise CheckpointError(f"truncated stream: array {name} incomplete")
             arr = np.frombuffer(data[offset : offset + nbytes], dtype=dtype).copy()
-            arrays[name] = arr.reshape(shape)
+            try:
+                arrays[name] = arr.reshape(shape)
+            except ValueError as err:  # more than 64 dims, or a dim past intp
+                raise CheckpointError(f"array {name}: shape {shape!r}: {err}") from None
             offset += nbytes
     except KeyError as err:
         raise CheckpointError(f"container header lacks key {err}") from None

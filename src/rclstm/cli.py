@@ -1,6 +1,9 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, bench.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.  With
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error.  A
+config error includes sweep points the axis cannot take (fewer than two,
+a connectivity outside (0, 1], a train fraction outside (0, 1), a window
+that is not a whole number >= 1); they exit 2 before any model trains.  With
 ``--freeze-timestamps`` output filenames use a fixed stamp and measured
 wall-clock columns are written as zeros, so identical (config, seed) runs
 produce byte-identical files.
@@ -29,7 +32,7 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError)
 from .metrics import MetricsReport, rmse
 from .network import build_model
-from .sweeps import SweepSpec, run_sweep, summarize, write_report_csv
+from .sweeps import build_from_config, run_sweep, summarize, write_report_csv
 from .training import evaluate_model, fit, predict_batch
 
 USAGE_ERRORS = (ConfigError, DataFormatError, InsufficientDataError,
@@ -74,20 +77,13 @@ def _prepare(cfg):
     if not os.path.exists(cfg.run.data):
         raise FileNotFoundError(f"data file not found: {cfg.run.data}")
     if _is_cache(cfg.run.data):
-        prepared, _ = load_prepared(cfg.run.data)
-        return prepared
+        return load_prepared(cfg.run.data)
     if task == "traffic":
         series = load_traffic_csv(cfg.run.data)
         return prepare_traffic(series, cfg.data.normalize_scope,
                                cfg.data.train_fraction)
     series = load_mobility_csv(cfg.run.data)
     return prepare_mobility(series, cfg.data.window, cfg.data.train_fraction)
-
-
-def _build_from_config(cfg, prepared):
-    dim = prepared.feature_dim
-    return build_model(dim, list(cfg.model.hidden), task=prepared.task, out_dim=dim,
-                       density=cfg.model.density, seed=cfg.model.seed)
 
 
 def _outdir(cfg):
@@ -100,7 +96,7 @@ def cmd_preprocess(cfg, args):
     ds = prepared.windows(cfg.data.window)
     train, test = chronological_split(ds, cfg.data.train_fraction)
     path = os.path.join(_outdir(cfg), "dataset_cache.bin")
-    save_prepared(prepared, ds, path)
+    save_prepared(prepared, path)
     print(f"cache written: {path}")
     print(f"samples: {len(ds)} total, {len(train)} train, {len(test)} test "
           f"(window={cfg.data.window})")
@@ -129,7 +125,7 @@ def cmd_train(cfg, args):
     prepared = _prepare(cfg)
     ds = prepared.windows(cfg.data.window)
     train, test = chronological_split(ds, cfg.data.train_fraction)
-    model = _build_from_config(cfg, prepared)
+    model = build_from_config(cfg, prepared)
     try:
         model, history = fit(model, train, cfg.training, val_ds=test)
     except DivergenceError as err:
@@ -184,25 +180,13 @@ def cmd_evaluate(cfg, args):
 
 def cmd_sweep(cfg, args):
     prepared = _prepare(cfg)
-    spec = SweepSpec(
-        axis=cfg.sweep.axis,
-        points=list(cfg.sweep.points),
-        seeds=list(cfg.sweep.seeds),
-        hidden=tuple(cfg.model.hidden),
-        density=cfg.model.density,
-        window=cfg.data.window,
-        train_fraction=cfg.data.train_fraction,
-        training=cfg.training,
-        include_baselines=cfg.sweep.include_baselines,
-        timing_reps=cfg.sweep.timing_reps,
-    )
-    report = run_sweep(spec, prepared, parallel=max(1, args.parallel))
+    report = run_sweep(cfg, prepared, parallel=max(1, args.parallel))
     out = _outdir(cfg)
     stamp = _stamp(args.freeze_timestamps)
-    csv_path = os.path.join(out, f"sweep_{spec.axis}_{stamp}.csv")
+    csv_path = os.path.join(out, f"sweep_{report.axis}_{stamp}.csv")
     write_report_csv(report, csv_path, freeze_timers=args.freeze_timestamps)
     text = summarize(report)
-    txt_path = os.path.join(out, f"sweep_{spec.axis}_{stamp}.txt")
+    txt_path = os.path.join(out, f"sweep_{report.axis}_{stamp}.txt")
     with open(txt_path, "w") as fh:
         fh.write(text + "\n")
     print(f"report written: {csv_path}")

@@ -99,16 +99,20 @@ class RunConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
     bench: BenchSection = field(default_factory=BenchSection)
 
-    def to_dict(self):
-        out = {}
-        for name in ("run", "synthetic", "model", "data", "training", "sweep", "bench"):
-            section = getattr(self, name)
-            out[name] = {f.name: getattr(section, f.name) for f in fields(section)}
-        return out
-
     def digest(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=list).encode()
+        """Hash of what determines a trained model: the task and data, the
+        synthetic series, model, data split and training settings.  The
+        output directory and the [sweep] and [bench] sections are left out."""
+        payload = {"run": {"task": self.run.task, "data": self.run.data}}
+        for name in ("synthetic", "model", "data", "training"):
+            payload[name] = asdict(getattr(self, name))
+        blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+# sweep axis -> the apply_overrides argument each of its points sets
+SWEEP_AXES = {"connectivity": "density", "train_fraction": "train_fraction",
+              "window_length": "window"}
 
 
 _CHOICES = {
@@ -116,7 +120,7 @@ _CHOICES = {
     ("synthetic", "kind"): ("sine", "ar", "longrange"),
     ("data", "normalize_scope"): ("full", "train"),
     ("training", "optimizer"): ("adam", "sgd"),
-    ("sweep", "axis"): ("connectivity", "train_fraction", "window_length"),
+    ("sweep", "axis"): tuple(SWEEP_AXES),
 }
 
 _CONVERTERS = {
@@ -178,7 +182,23 @@ def load_config(path=None):
         raise ConfigError("[data] train_fraction must lie in (0, 1)")
     if cfg.data.window < 1:
         raise ConfigError("[data] window must be >= 1")
+    _check_sweep_points(cfg.sweep)
     return cfg
+
+
+def _check_sweep_points(sweep):
+    """Reject points the sweep could not run; window points become ints."""
+    points = sweep.points
+    if len(points) < 2:
+        raise ConfigError("[sweep] points: a sweep needs at least two points")
+    if sweep.axis == "connectivity" and not all(0.0 < p <= 1.0 for p in points):
+        raise ConfigError("[sweep] connectivity points must lie in (0, 1]")
+    if sweep.axis == "train_fraction" and not all(0.0 < p < 1.0 for p in points):
+        raise ConfigError("[sweep] train_fraction points must lie in (0, 1)")
+    if sweep.axis == "window_length":
+        if not all(float(p).is_integer() and p >= 1 for p in points):
+            raise ConfigError("[sweep] window_length points must be whole numbers >= 1")
+        sweep.points = tuple(int(p) for p in points)
 
 
 def apply_overrides(cfg, seed=None, density=None, window=None, train_fraction=None):

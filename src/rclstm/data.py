@@ -259,29 +259,27 @@ def prepare_mobility(series, window, train_fraction=0.9):
     return PreparedData("classification", indexed, codebook=book)
 
 
-def save_prepared(prepared, ds, path):
-    """Cache container: feature series plus the windows built at one T."""
+def save_prepared(prepared, path):
+    """Cache container: the prepared series, its task, normalization and
+    codebook.  Windows are rebuilt from it at whatever length a run asks."""
     meta = {
         "task": prepared.task,
-        "window": int(ds.window),
         "norm": None if prepared.norm is None else
                 {"min_log": prepared.norm.min_log, "max_log": prepared.norm.max_log},
         "codebook": None if prepared.codebook is None else prepared.codebook.index_to_id,
-        "classes": ds.classes,
     }
-    arrays = {"features": prepared.features, "inputs": ds.inputs,
-              "targets": ds.targets}
-    data = write_container("dataset", meta, arrays)
+    data = write_container("dataset", meta, {"features": prepared.features})
     with open(path, "wb") as fh:
         fh.write(data)
     return path
 
 
 def load_prepared(path):
-    """Inverse of ``save_prepared``; returns (PreparedData, WindowedDataset).
+    """Inverse of ``save_prepared``; returns the PreparedData.
 
     Raises CheckpointError when the cache lacks a key or its metadata is
-    not a JSON object.
+    not a JSON object.  Caches that also hold windows (``inputs``,
+    ``targets``, ``window``, ``classes``) load; those keys are ignored.
     """
     with open(path, "rb") as fh:
         meta, arrays = read_container(fh.read(), expect_kind="dataset")
@@ -296,13 +294,8 @@ def load_prepared(path):
         features = arrays["features"]
         if meta["task"] == "classification":
             features = features.astype(np.int64)
-            targets = arrays["targets"].astype(np.int64)
-        else:
-            targets = arrays["targets"]
-        prepared = PreparedData(meta["task"], features, norm=norm, codebook=book)
-        ds = WindowedDataset(arrays["inputs"], targets, meta["window"], meta["classes"])
+        return PreparedData(meta["task"], features, norm=norm, codebook=book)
     except KeyError as err:
         raise CheckpointError(f"dataset cache lacks {err}") from None
     except TypeError as err:  # meta or its norm entry is not a JSON object
         raise CheckpointError(f"malformed dataset cache metadata: {err}") from None
-    return prepared, ds

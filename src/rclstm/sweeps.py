@@ -6,47 +6,24 @@ plot-ready CSVs plus a text summary, deterministic given the seed list.
 """
 
 import concurrent.futures
+import copy
 import csv
-import hashlib
-import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
                         ffnn_train)
 from .benchmark import benchmark_forward
+from .config import SWEEP_AXES, apply_overrides
 from .data import chronological_split
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .metrics import accuracy, rmse
 from .network import build_model
-from .training import TrainingConfig, evaluate_model, fit
+from .training import evaluate_model, fit
 
-AXES = ("connectivity", "train_fraction", "window_length")
-
-
-@dataclass
-class SweepSpec:
-    axis: str
-    points: list
-    seeds: list = field(default_factory=lambda: [0])
-    hidden: tuple = (300, 300, 300)
-    density: float = 1.0
-    window: int = 100
-    train_fraction: float = 0.9
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    include_baselines: bool = False
-    timing_reps: int = 10
-    timing_windows: int = 3
-
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ConfigError(f"unknown sweep axis: {self.axis!r}")
-        if len(self.points) < 2:
-            raise ConfigError("a sweep needs at least two points")
-        if self.axis == "connectivity" and not all(0.0 < p <= 1.0 for p in self.points):
-            raise ConfigError("connectivity points must lie in (0, 1]")
+TIMING_WINDOWS = 3  # test windows timed per point
 
 
 @dataclass
@@ -80,20 +57,11 @@ class ExperimentReport:
                 for value, vals in sorted(out.items())}
 
 
-def _point_config(spec, point):
-    density, fraction, window = spec.density, spec.train_fraction, spec.window
-    if spec.axis == "connectivity":
-        density = float(point)
-    elif spec.axis == "train_fraction":
-        fraction = float(point)
-    else:
-        window = int(point)
-    return density, fraction, window
-
-
-def _hash_config(payload):
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def build_from_config(cfg, prepared):
+    """The configured model, sized for the prepared data."""
+    dim = prepared.feature_dim
+    return build_model(dim, list(cfg.model.hidden), task=prepared.task, out_dim=dim,
+                       density=cfg.model.density, seed=cfg.model.seed)
 
 
 def _naive_predictions(test, task):
@@ -102,83 +70,86 @@ def _naive_predictions(test, task):
     return np.argmax(test.inputs[:, -1, :], axis=1) + 1
 
 
-def _run_point(spec, prepared, point, seed):
-    """Train and evaluate every requested model at one (point, seed)."""
-    density, fraction, window = _point_config(spec, point)
-    payload = {"axis": spec.axis, "point": point, "seed": seed,
-               "density": density, "fraction": fraction, "window": window,
-               "hidden": list(spec.hidden), "training": vars(spec.training)}
-    tag = _hash_config(payload)
-    ds = prepared.windows(window)
-    train, test = chronological_split(ds, fraction)
+def _run_point(cfg, prepared, point, seed):
+    """Train and evaluate every requested model at one (point, seed).
+
+    The point runs on a copy of ``cfg`` with the axis value applied and the
+    model and training seeds set to ``seed``; rows carry its digest.
+    """
+    cfg = copy.deepcopy(cfg)
+    axis = cfg.sweep.axis
+    apply_overrides(cfg, **{SWEEP_AXES[axis]: point})
+    cfg.model.seed = cfg.training.seed = seed
+    tag = cfg.digest()
+    ds = prepared.windows(cfg.data.window)
+    train, test = chronological_split(ds, cfg.data.train_fraction)
     task = prepared.task
-    dim = prepared.feature_dim
-    cfg = replace(spec.training, seed=seed)
     rows = []
 
-    model = build_model(dim, list(spec.hidden), task=task, out_dim=dim,
-                        density=density, seed=seed)
+    model = build_from_config(cfg, prepared)
     started = time.perf_counter()
     try:
-        fit(model, train, cfg)
+        fit(model, train, cfg.training)
         train_seconds = time.perf_counter() - started
         metric, _ = evaluate_model(model, test)
-        stats = benchmark_forward(model, test.inputs[: spec.timing_windows],
-                                  reps=spec.timing_reps, warmup=2)
-        rows.append(SweepRow(spec.axis, float(point), "rclstm", seed,
+        stats = benchmark_forward(model, test.inputs[:TIMING_WINDOWS],
+                                  reps=cfg.sweep.timing_reps, warmup=2)
+        rows.append(SweepRow(axis, float(point), "rclstm", seed,
                              metric if task == "regression" else None,
                              metric if task == "classification" else None,
                              stats.median, train_seconds, "ok", tag))
     except DivergenceError as err:
-        rows.append(SweepRow(spec.axis, float(point), "rclstm", seed, None, None,
+        rows.append(SweepRow(axis, float(point), "rclstm", seed, None, None,
                              None, None, f"diverged: {err}", tag))
 
-    if spec.include_baselines:
-        rows.extend(_baseline_rows(spec, prepared, point, seed, train, test, cfg, tag))
+    if cfg.sweep.include_baselines:
+        rows.extend(_baseline_rows(cfg, prepared, point, train, test, tag))
     return rows
 
 
-def _baseline_rows(spec, prepared, point, seed, train, test, cfg, tag):
+def _baseline_rows(cfg, prepared, point, train, test, tag):
+    axis, seed = cfg.sweep.axis, cfg.training.seed
     task = prepared.task
     rows = []
     naive_pred = _naive_predictions(test, task)
     if task == "regression":
         naive_metric = rmse(test.targets, naive_pred)
-        rows.append(SweepRow(spec.axis, float(point), "naive", seed, naive_metric,
+        rows.append(SweepRow(axis, float(point), "naive", seed, naive_metric,
                              None, None, None, "ok", tag))
         features = prepared.features
         start = len(features) - len(test)
         model = arima_fit(features[:start], p=5, d=1)
         preds = arima_rolling_forecast(model, features, start)
-        rows.append(SweepRow(spec.axis, float(point), "arima", seed,
+        rows.append(SweepRow(axis, float(point), "arima", seed,
                              rmse(test.targets, preds), None, None, None, "ok", tag))
         started = time.perf_counter()
-        ffnn, _ = ffnn_train(train, cfg, seed=seed)
-        rows.append(SweepRow(spec.axis, float(point), "ffnn", seed,
+        ffnn, _ = ffnn_train(train, cfg.training, seed=seed)
+        rows.append(SweepRow(axis, float(point), "ffnn", seed,
                              rmse(test.targets, ffnn_predict(ffnn, test.inputs)),
                              None, None, time.perf_counter() - started, "ok", tag))
     else:
-        rows.append(SweepRow(spec.axis, float(point), "naive", seed, None,
+        rows.append(SweepRow(axis, float(point), "naive", seed, None,
                              accuracy(test.targets, naive_pred), None, None,
                              "ok", tag))
     return rows
 
 
-def run_sweep(spec, prepared, parallel=1):
-    """Execute the whole sweep; points x seeds run independently and the
-    report row order is deterministic regardless of ``parallel``."""
-    jobs = [(point, seed) for point in spec.points for seed in spec.seeds]
+def run_sweep(cfg, prepared, parallel=1):
+    """Execute the ``[sweep]`` of a RunConfig; points x seeds run
+    independently and the report row order is deterministic regardless of
+    ``parallel``.  The points are taken as ``load_config`` checked them."""
+    jobs = [(point, seed) for point in cfg.sweep.points for seed in cfg.sweep.seeds]
     rows = []
     if parallel <= 1:
         for point, seed in jobs:
-            rows.extend(_run_point(spec, prepared, point, seed))
+            rows.extend(_run_point(cfg, prepared, point, seed))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(_run_point, spec, prepared, point, seed)
+            futures = [pool.submit(_run_point, cfg, prepared, point, seed)
                        for point, seed in jobs]
             for future in futures:
                 rows.extend(future.result())
-    return ExperimentReport(spec.axis, rows)
+    return ExperimentReport(cfg.sweep.axis, rows)
 
 
 CSV_COLUMNS = ["axis", "value", "model", "seed", "rmse", "accuracy",

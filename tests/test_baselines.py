@@ -6,6 +6,7 @@ from rclstm.baselines import (ArimaModel, arima_fit, arima_forecast,
                               ffnn_backward, ffnn_predict, ffnn_train,
                               naive_forecast)
 from rclstm.data import chronological_split, sliding_window
+from rclstm.errors import DivergenceError
 from rclstm.metrics import rmse
 from rclstm.synth import ar_process, sine_series
 from rclstm.training import TrainingConfig
@@ -124,6 +125,15 @@ class TestFfnn:
         naive_rmse = rmse(test.targets, test.inputs[:, -1, 0])
         assert model_rmse < naive_rmse
         assert history.train_loss[-1] < history.train_loss[0]
+
+    def test_non_finite_target_names_epoch_and_batch(self):
+        ds = sliding_window(sine_series(120, seed=2).values, 10)
+        ds.targets[40] = np.nan  # in the second batch of 32
+        with pytest.raises(DivergenceError) as info:
+            ffnn_train(ds, TrainingConfig(epochs=1, batch_size=32, shuffle=False))
+        err = info.value
+        assert str(err) == "non-finite loss at epoch 0, batch 1"
+        assert (err.epoch, err.batch, err.layer, err.timestep) == (0, 1, None, None)
 
 
 def test_white_noise_overfitting_guard():

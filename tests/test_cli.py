@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ class TestConfig:
 
     def test_digest_stable(self):
         assert load_config(None).digest() == load_config(None).digest()
+
+    def test_digest_covers_only_the_model(self):
+        base = load_config(None).digest()
+        cfg = load_config(None)
+        cfg.run.output_dir = "elsewhere"
+        cfg.sweep.points = (0.5, 1.0)
+        cfg.bench.reps = 31
+        assert cfg.digest() == base
+        for section, key, value in [("run", "data", "x.csv"), ("synthetic", "seed", 1),
+                                    ("model", "density", 0.5), ("data", "window", 12),
+                                    ("training", "seed", 1)]:
+            cfg = load_config(None)
+            setattr(getattr(cfg, section), key, value)
+            assert cfg.digest() != base, (section, key)
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).parent.parent / "configs").glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        cfg = load_config(str(path))
+        assert len(cfg.sweep.points) >= 2
 
 
 class TestCliCommands:
@@ -226,6 +247,32 @@ class TestCliCommands:
         assert main(["preprocess", "--config", cfg]) == 2
         assert "lacks 'norm'" in capsys.readouterr().err
 
+    def test_malformed_array_entry_exit_2(self, tmp_path, capsys):
+        from rclstm.checkpoint import save_checkpoint
+        from rclstm.data import PreparedData, save_prepared
+        from rclstm.network import build_model
+
+        def bad_shape(blob):  # the first array's shape becomes [2.5]
+            end = 12 + int.from_bytes(blob[8:12], "big")
+            header = json.loads(blob[12:end])
+            header["arrays"][0]["shape"] = [2.5]
+            text = json.dumps(header).encode()
+            return blob[:8] + len(text).to_bytes(4, "big") + text + blob[end:]
+
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(bad_shape(save_checkpoint(build_model(1, [4], seed=0))))
+        cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+        assert "shape [2.5]" in capsys.readouterr().err
+
+        cache = tmp_path / "cache.bin"
+        save_prepared(PreparedData("regression", np.linspace(0.1, 0.9, 4)), str(cache))
+        cache.write_bytes(bad_shape(cache.read_bytes()))
+        text = SINE_CFG.format(out=tmp_path / "out").replace(
+            "task = synthetic", f"task = traffic\ndata = {cache}")
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "shape [2.5]" in capsys.readouterr().err
+
     def test_divergence_exit_1_names_location(self, tmp_path, capsys):
         text = SINE_CFG.format(out=tmp_path / "out").replace(
             "[training]", "[training]\nlearning_rate = 1e300\noptimizer = sgd")
@@ -248,6 +295,22 @@ timing_reps = 2
         assert path.exists()
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 points x 1 seed
+
+    @pytest.mark.parametrize("axis, points", [
+        ("window_length", "12,0"), ("window_length", "12,12.5"),
+        ("train_fraction", "0.5,1.0"), ("connectivity", "0.5"),
+        ("connectivity", "0,1")])
+    def test_bad_sweep_points_exit_2_before_training(self, tmp_path, capsys,
+                                                     monkeypatch, axis, points):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("rclstm.cli.run_sweep", no_sweep)
+        text = SINE_CFG.format(out=tmp_path / "out") + \
+            f"\n[sweep]\naxis = {axis}\npoints = {points}\n"
+        assert main(["sweep", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "[sweep]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bench_requires_30_reps(self, tmp_path):
         text = SINE_CFG.format(out=tmp_path / "out") + "\n[bench]\nreps = 5\n"

@@ -252,14 +252,43 @@ class TestPrepared:
         from rclstm.synth import sine_series
         series = sine_series(60, seed=2)
         prep = prepare_traffic_like(series)
-        ds = prep.windows(8)
         path = str(tmp_path / "cache.bin")
-        save_prepared(prep, ds, path)
-        prep2, ds2 = load_prepared(path)
+        save_prepared(prep, path)
+        prep2 = load_prepared(path)
         assert np.array_equal(prep.features, prep2.features)
+        ds, ds2 = prep.windows(8), prep2.windows(8)
         assert np.array_equal(ds.inputs, ds2.inputs)
         assert np.array_equal(ds.targets, ds2.targets)
         assert ds2.window == 8
+
+    def test_cache_holds_the_series_only(self, tmp_path):
+        from rclstm.checkpoint import read_container
+        ids = np.array([3, 1, 2, 3, 1, 2, 3, 1, 2, 3])
+        prep = prepare_mobility(mobility_series(ids), window=3)
+        path = tmp_path / "cache.bin"
+        save_prepared(prep, str(path))
+        meta, arrays = read_container(path.read_bytes(), expect_kind="dataset")
+        assert set(meta) == {"task", "norm", "codebook"} and set(arrays) == {"features"}
+        loaded = load_prepared(str(path))
+        assert loaded.features.dtype == np.int64
+        assert loaded.codebook.index_to_id == [3, 1, 2]
+        assert np.array_equal(loaded.windows(3).inputs, prep.windows(3).inputs)
+
+    def test_windowed_cache_loads(self, tmp_path):
+        # caches once also held the windows built at one T; those keys are ignored
+        from rclstm.checkpoint import write_container
+        from rclstm.data import TimeSeries
+        values = np.array([1.0, 10.0, 100.0, 1000.0, 10.0, 1.0])
+        prep = prepare_traffic(TimeSeries(np.arange(6).astype("datetime64[s]"), values))
+        ds = prep.windows(2)
+        meta = {"task": "regression", "window": 2, "classes": None, "codebook": None,
+                "norm": {"min_log": prep.norm.min_log, "max_log": prep.norm.max_log}}
+        path = tmp_path / "cache.bin"
+        path.write_bytes(write_container("dataset", meta, {
+            "features": prep.features, "inputs": ds.inputs, "targets": ds.targets}))
+        loaded = load_prepared(str(path))
+        assert np.array_equal(loaded.features, prep.features)
+        assert loaded.norm == prep.norm and loaded.codebook is None
 
     @pytest.mark.parametrize("meta", [{"task": "regression"}, ["task"],
                                       {"task": "regression", "norm": [0, 1]}],

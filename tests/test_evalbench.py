@@ -1,3 +1,4 @@
+import copy
 import csv
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from rclstm.benchmark import (TimingStats, benchmark_forward, benchmark_kernel_paths,
                               kernel_crossover)
+from rclstm.config import RunConfig, apply_overrides, load_config
 from rclstm.data import PreparedData
 from rclstm.errors import ConfigError
 from rclstm.metrics import accuracy, rmse
 from rclstm.network import build_model
-from rclstm.sweeps import (SweepSpec, run_sweep, summarize, write_report_csv)
+from rclstm.sweeps import run_sweep, summarize, write_report_csv
 from rclstm.synth import sine_series
 from rclstm.training import TrainingConfig
 
@@ -109,50 +111,65 @@ def tiny_prepared(n=220):
     return PreparedData("regression", series.values)
 
 
-def tiny_spec(**kw):
-    defaults = dict(axis="connectivity", points=[0.5, 1.0], seeds=[0],
-                    hidden=(8,), window=10, train_fraction=0.9,
-                    training=TrainingConfig(epochs=2, seed=0),
-                    timing_reps=2, timing_windows=1)
-    defaults.update(kw)
-    return SweepSpec(**defaults)
+def tiny_config(**sweep):
+    """A RunConfig for a two-point connectivity sweep of an 8-cell model."""
+    cfg = RunConfig()
+    cfg.model.hidden = (8,)
+    cfg.data.window = 10
+    cfg.training = TrainingConfig(epochs=2, seed=0)
+    cfg.sweep.points = (0.5, 1.0)
+    cfg.sweep.seeds = (0,)
+    cfg.sweep.timing_reps = 2
+    for key, value in sweep.items():
+        setattr(cfg.sweep, key, value)
+    return cfg
 
 
 class TestSweeps:
     def test_row_count(self):
-        report = run_sweep(tiny_spec(seeds=[0, 1]), tiny_prepared())
+        report = run_sweep(tiny_config(seeds=(0, 1)), tiny_prepared())
         rclstm_rows = [r for r in report.rows if r.model == "rclstm"]
         assert len(rclstm_rows) == 4  # 2 points x 2 seeds
 
-    def test_axis_validation(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(axis="nonsense")
-        with pytest.raises(ConfigError):
-            tiny_spec(points=[1.0])
-        with pytest.raises(ConfigError):
-            tiny_spec(points=[0.0, 1.0])
+    def test_axis_validation(self, tmp_path):
+        path = tmp_path / "sweep.ini"
+        for axis, points in [
+                ("nonsense", "0.5,1.0"), ("connectivity", "1.0"),
+                ("connectivity", "0.0,1.0"), ("connectivity", "0.5,1.5"),
+                ("train_fraction", "0.5,1.0"), ("train_fraction", "0,0.5"),
+                ("window_length", "12,0"), ("window_length", "12,12.5"),
+                ("window_length", "12,inf")]:
+            path.write_text(f"[sweep]\naxis = {axis}\npoints = {points}\n")
+            with pytest.raises(ConfigError):
+                load_config(str(path))
+
+    def test_window_points_load_as_whole_numbers(self, tmp_path):
+        path = tmp_path / "sweep.ini"
+        path.write_text("[sweep]\naxis = window_length\npoints = 6,12.0\n")
+        points = load_config(str(path)).sweep.points
+        assert points == (6, 12) and all(type(p) is int for p in points)
 
     def test_deterministic_given_seeds(self):
-        r1 = run_sweep(tiny_spec(), tiny_prepared())
-        r2 = run_sweep(tiny_spec(), tiny_prepared())
+        r1 = run_sweep(tiny_config(), tiny_prepared())
+        r2 = run_sweep(tiny_config(), tiny_prepared())
         for a, b in zip(r1.rows, r2.rows):
             assert (a.value, a.model, a.seed, a.rmse, a.status) == \
                    (b.value, b.model, b.seed, b.rmse, b.status)
 
     def test_baseline_rows_added(self):
-        report = run_sweep(tiny_spec(include_baselines=True,
-                                     training=TrainingConfig(epochs=1, seed=0)),
-                           tiny_prepared())
+        cfg = tiny_config(include_baselines=True)
+        cfg.training.epochs = 1
+        report = run_sweep(cfg, tiny_prepared())
         models = {r.model for r in report.rows}
         assert models == {"rclstm", "naive", "arima", "ffnn"}
 
     def test_window_axis(self):
-        spec = tiny_spec(axis="window_length", points=[6, 12, 24])
-        report = run_sweep(spec, tiny_prepared())
+        cfg = tiny_config(axis="window_length", points=(6, 12, 24))
+        report = run_sweep(cfg, tiny_prepared())
         assert sorted({r.value for r in report.rows}) == [6.0, 12.0, 24.0]
 
     def test_csv_emission(self, tmp_path):
-        report = run_sweep(tiny_spec(), tiny_prepared())
+        report = run_sweep(tiny_config(), tiny_prepared())
         path = str(tmp_path / "sweep.csv")
         write_report_csv(report, path)
         with open(path, newline="") as fh:
@@ -162,18 +179,36 @@ class TestSweeps:
 
     def test_frozen_timers_byte_identical(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_report_csv(run_sweep(tiny_spec(), tiny_prepared()), p1, freeze_timers=True)
-        write_report_csv(run_sweep(tiny_spec(), tiny_prepared()), p2, freeze_timers=True)
+        write_report_csv(run_sweep(tiny_config(), tiny_prepared()), p1, freeze_timers=True)
+        write_report_csv(run_sweep(tiny_config(), tiny_prepared()), p2, freeze_timers=True)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_parallel_matches_serial(self):
-        spec = tiny_spec()
-        serial = run_sweep(spec, tiny_prepared(), parallel=1)
-        parallel = run_sweep(spec, tiny_prepared(), parallel=2)
+        cfg = tiny_config()
+        serial = run_sweep(cfg, tiny_prepared(), parallel=1)
+        parallel = run_sweep(cfg, tiny_prepared(), parallel=2)
         assert [(r.value, r.model, r.rmse) for r in serial.rows] == \
                [(r.value, r.model, r.rmse) for r in parallel.rows]
 
     def test_summary_text(self):
-        report = run_sweep(tiny_spec(), tiny_prepared())
+        report = run_sweep(tiny_config(), tiny_prepared())
         text = summarize(report)
         assert "connectivity" in text
+
+    def test_config_hash_is_point_digest(self):
+        cfg = tiny_config(seeds=(0, 1))
+        report = run_sweep(cfg, tiny_prepared())
+        for row in report.rows:
+            point = apply_overrides(copy.deepcopy(cfg), density=row.value)
+            point.model.seed = point.training.seed = row.seed
+            assert row.config_hash == point.digest()
+        assert len({row.config_hash for row in report.rows}) == 4
+
+    def test_config_hash_ignores_output_dir_and_other_points(self):
+        base = run_sweep(tiny_config(), tiny_prepared())
+        moved = tiny_config(points=(0.5, 1.0, 0.25))
+        moved.run.output_dir = "elsewhere"
+        moved.bench.reps = 31
+        wider = run_sweep(moved, tiny_prepared())
+        assert [r.config_hash for r in wider.rows[:2]] == \
+               [r.config_hash for r in base.rows]

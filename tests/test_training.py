@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
                                save_checkpoint, write_container)
@@ -215,6 +217,56 @@ def raw_container(header):
     """Container bytes around an arbitrary JSON header and no arrays."""
     blob = json.dumps(header).encode()
     return MAGIC + struct.pack(">I", len(blob)) + blob
+
+
+def entry_header(arrays):
+    return {"version": 1, "kind": "test", "meta": {}, "arrays": arrays}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+class TestArrayEntries:
+    @pytest.mark.parametrize("arrays", [
+        "x", {"x": 1}, ["x"], [None],
+        [{"name": 1, "dtype": "<f8", "shape": [1]}],
+        [{"name": "x", "dtype": ["<f8"], "shape": [1]}],
+        [{"name": "x", "dtype": "<f4", "shape": [1]}],
+        [{"name": "x", "dtype": "<f8", "shape": [2.5]}],
+        [{"name": "x", "dtype": "<f8", "shape": "ab"}],
+        [{"name": "x", "dtype": "<f8", "shape": 1}],
+        [{"name": "x", "dtype": "<f8", "shape": [-1]}],
+        [{"name": "x", "dtype": "<f8", "shape": [True]}],
+        [{"name": "x", "dtype": "<f8", "shape": [1] * 65}],
+        [{"name": "x", "dtype": "<f8", "shape": [0, 2 ** 70]}],
+    ], ids=["arrays_str", "arrays_object", "entry_str", "entry_null", "name_int",
+            "dtype_list", "dtype_unknown", "shape_float", "shape_str", "shape_int",
+            "shape_negative", "shape_bool", "shape_65_dims", "shape_past_intp"])
+    def test_malformed_entry_rejected(self, arrays):
+        with pytest.raises(CheckpointError):
+            read_container(raw_container(entry_header(arrays)) + bytes(8))
+
+    @given(slot=st.sampled_from(["arrays", "entry", "name", "dtype", "shape"]),
+           value=JSON_VALUES, payload=st.binary(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_in_an_entry_slot_raises_only_checkpoint_error(
+            self, slot, value, payload):
+        entry = {"name": "x", "dtype": "<f8", "shape": [2]}
+        if slot == "arrays":
+            arrays = value
+        elif slot == "entry":
+            arrays = [value]
+        else:
+            entry[slot] = value
+            arrays = [entry]
+        try:
+            read_container(raw_container(entry_header(arrays)) + payload)
+        except CheckpointError:
+            pass
 
 
 class TestCheckpoint:
