@@ -1,6 +1,6 @@
-"""Comparison predictors: ARIMA(p, d, 0) by least squares, a small
-feed-forward network sharing the training machinery, and the naive
-last-value floor."""
+"""Comparison predictors: ARIMA(p, d, 0) by least squares and a small
+feed-forward network sharing the training machinery.  The naive last-value
+floor is read off the windows by the sweep."""
 
 import math
 import time
@@ -25,7 +25,6 @@ class ArimaModel:
     d: int
     coefficients: np.ndarray  # lag 1..p weights on the differenced scale
     intercept: float
-    q: int = 0
 
 
 def _difference(series, d):
@@ -85,14 +84,6 @@ def arima_rolling_forecast(model, series, start):
     return np.array([arima_forecast(model, series[:t]) for t in range(start, len(series))])
 
 
-def naive_forecast(history):
-    """Last observed value; the sanity floor for every comparison."""
-    history = np.asarray(history, dtype=np.float64)
-    if history.shape[0] == 0:
-        raise ValueError("empty history")
-    return float(history[-1])
-
-
 @dataclass
 class FfnnModel:
     """Feed-forward regressor with tanh hidden layers and a linear output."""
@@ -100,7 +91,6 @@ class FfnnModel:
     dims: tuple
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
-    activation: str = "tanh"
 
 
 def ffnn_init(dims=FFNN_DEFAULT_DIMS, seed=0):
@@ -169,7 +159,6 @@ def ffnn_train(dataset, config, dims=None, seed=0):
     state = OptimizerState()
     history = TrainingHistory()
     rng = np.random.default_rng(config.seed)
-    x = dataset.inputs.reshape(len(dataset), -1)
     y = np.asarray(dataset.targets, dtype=np.float64)
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -177,7 +166,7 @@ def ffnn_train(dataset, config, dims=None, seed=0):
         losses = []
         for batch, lo in enumerate(range(0, len(dataset), config.batch_size)):
             idx = order[lo : lo + config.batch_size]
-            out, acts = ffnn_forward(model, x[idx])
+            out, acts = ffnn_forward(model, dataset.inputs[idx])
             err = out - y[idx]
             loss = float(np.mean(err * err))
             if not math.isfinite(loss):

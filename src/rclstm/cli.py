@@ -1,8 +1,10 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, bench.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.  A
-config error includes sweep points the axis cannot take (fewer than two,
-a connectivity outside (0, 1], a train fraction outside (0, 1), a window
+config error includes an INI file that does not parse, a non-finite float,
+an empty or non-positive layer size, an empty seed list, ``timing_reps``
+below 1 and sweep points the axis cannot take (fewer than two, a
+connectivity outside (0, 1], a train fraction outside (0, 1), a window
 that is not a whole number >= 1); they exit 2 before any model trains.  With
 ``--freeze-timestamps`` output filenames use a fixed stamp and measured
 wall-clock columns are written as zeros, so identical (config, seed) runs

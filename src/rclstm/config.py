@@ -8,6 +8,7 @@ rejected outright so typos fail fast.
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -147,6 +148,9 @@ def _convert(section_name, key, text, current):
         value = converter(text)
     except ValueError as err:
         raise ConfigError(f"[{section_name}] {key}: {err}") from None
+    values = value if isinstance(value, tuple) else (value,)
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ConfigError(f"[{section_name}] {key} must be finite")
     choices = _CHOICES.get((section_name, key))
     if choices and value not in choices:
         raise ConfigError(f"[{section_name}] {key} must be one of {choices}")
@@ -159,7 +163,10 @@ def load_config(path=None):
     if path is None:
         return cfg
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise ConfigError(str(err)) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section_name in parser.sections():
@@ -182,12 +189,20 @@ def load_config(path=None):
         raise ConfigError("[data] train_fraction must lie in (0, 1)")
     if cfg.data.window < 1:
         raise ConfigError("[data] window must be >= 1")
-    _check_sweep_points(cfg.sweep)
+    if not cfg.model.hidden or min(cfg.model.hidden) < 1:
+        raise ConfigError("[model] hidden must list one or more sizes >= 1")
+    if cfg.bench.hidden < 1:
+        raise ConfigError("[bench] hidden must be >= 1")
+    _check_sweep(cfg.sweep)
     return cfg
 
 
-def _check_sweep_points(sweep):
-    """Reject points the sweep could not run; window points become ints."""
+def _check_sweep(sweep):
+    """Reject a sweep that could not run; window points become ints."""
+    if not sweep.seeds:
+        raise ConfigError("[sweep] seeds: a sweep needs at least one seed")
+    if sweep.timing_reps < 1:
+        raise ConfigError("[sweep] timing_reps must be >= 1")
     points = sweep.points
     if len(points) < 2:
         raise ConfigError("[sweep] points: a sweep needs at least two points")

@@ -3,7 +3,9 @@
 The traffic pipeline takes base-10 logs then min-max scales into [0, 1];
 mobility location IDs are mapped through a codebook to 1..m and one-hot
 encoded.  Windowing turns a series of n observations into exactly n - T
-(window, next value) pairs, and splits are a single chronological cut.
+(window, next value) pairs; the windows are a read-only strided view of
+the series, so no window is copied, and splits are a single chronological
+cut.
 """
 
 import csv
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import read_container, write_container
 from .errors import (CheckpointError, DataFormatError, EncodingError,
@@ -53,7 +56,11 @@ class LocationCodebook:
 
 @dataclass
 class WindowedDataset:
-    """Stacked (window, next value) samples; inputs are (N, T, F)."""
+    """Stacked (window, next value) samples.
+
+    ``inputs`` is (N, T, F), a read-only view of the series it windows,
+    and ``targets`` is an array of its own.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -92,26 +99,28 @@ def build_codebook(ids):
     return LocationCodebook(seen, list(seen))
 
 
+def _window_view(feats, window):
+    """The n - T windows of an (n, F) series as a read-only (n - T, T, F)
+    view; the last window, which has no next element, is left out."""
+    if not window >= 1:
+        raise ValueError("window length must be >= 1")
+    n = feats.shape[0]
+    if n <= window:
+        raise InsufficientDataError(
+            f"need more than {window} observations, got {n}")
+    return sliding_window_view(feats[:-1], window, axis=0).swapaxes(1, 2)
+
+
 def sliding_window(series, window):
     """All (T-length history, next element) pairs from a sequence.
 
     ``series`` is (n,) or (n, F); returns a WindowedDataset with exactly
     n - T samples where sample k covers elements k..k+T-1 and its target is
-    element k+T.
+    element k+T.  The inputs are a read-only view of the series.
     """
     series = np.asarray(series, dtype=np.float64)
-    if not window >= 1:
-        raise ValueError("window length must be >= 1")
-    n = series.shape[0]
-    if n <= window:
-        raise InsufficientDataError(
-            f"need more than {window} observations, got {n}")
     feats = series[:, None] if series.ndim == 1 else series
-    n_samples = n - window
-    idx = np.arange(window)[None, :] + np.arange(n_samples)[:, None]
-    inputs = feats[idx]
-    targets = series[window:].copy()
-    return WindowedDataset(inputs, targets, window)
+    return WindowedDataset(_window_view(feats, window), series[window:].copy(), window)
 
 
 def chronological_split(ds, train_fraction):
@@ -138,9 +147,25 @@ def _parse_timestamp(text, path, line_no):
     return np.datetime64(stamp, "s")
 
 
-def _finish_series(stamps, values, path, value_dtype):
+def _read_series(path, header, parse, label, dtype):
+    """TimeSeries of a CSV's first column as timestamps and its last column
+    read by ``parse``; every error names the file and the line."""
+    stamps, values = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise DataFormatError(f"{path}:1: expected header {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header) or not row[-1].strip():
+                raise DataFormatError(f"{path}:{line_no}: malformed row {row!r}")
+            stamps.append(_parse_timestamp(row[0], path, line_no))
+            try:
+                values.append(parse(row[-1]))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{line_no}: bad {label} {row[-1]!r}") from None
     stamps = np.array(stamps, dtype="datetime64[s]")
-    values = np.array(values, dtype=value_dtype)
+    values = np.array(values, dtype=dtype)
     order = np.argsort(stamps, kind="stable")
     if not np.array_equal(order, np.arange(len(stamps))):
         warnings.warn(f"{path}: timestamps out of order, sorting")
@@ -152,43 +177,13 @@ def _finish_series(stamps, values, path, value_dtype):
 
 def load_traffic_csv(path):
     """Read ``timestamp,kbps`` rows into a traffic TimeSeries."""
-    stamps, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRAFFIC_HEADER:
-            raise DataFormatError(f"{path}:1: expected header {TRAFFIC_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2 or not row[1].strip():
-                raise DataFormatError(f"{path}:{line_no}: malformed row {row!r}")
-            stamps.append(_parse_timestamp(row[0], path, line_no))
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line_no}: bad value {row[1]!r}") from None
-    return _finish_series(stamps, values, path, np.float64)
+    return _read_series(path, TRAFFIC_HEADER, float, "value", np.float64)
 
 
 def load_mobility_csv(path):
     """Read ``datetime,latitude,longitude,location_id`` rows; keeps only the
     datetime and location ID columns."""
-    stamps, ids = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MOBILITY_HEADER:
-            raise DataFormatError(f"{path}:1: expected header {MOBILITY_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4 or not row[3].strip():
-                raise DataFormatError(f"{path}:{line_no}: malformed row {row!r}")
-            stamps.append(_parse_timestamp(row[0], path, line_no))
-            try:
-                ids.append(int(row[3]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line_no}: bad location ID {row[3]!r}") from None
-    return _finish_series(stamps, ids, path, np.int64)
+    return _read_series(path, MOBILITY_HEADER, int, "location ID", np.int64)
 
 
 @dataclass
@@ -214,11 +209,10 @@ class PreparedData:
     def windows(self, window):
         if self.task == "regression":
             return sliding_window(self.features, window)
-        encoded = np.eye(self.codebook.size)[self.features.astype(int) - 1]
-        ds = sliding_window(encoded, window)
-        classes = np.argmax(ds.targets, axis=1) + 1
-        return WindowedDataset(ds.inputs, classes.astype(np.int64), ds.window,
-                               self.codebook.size)
+        classes = self.features.astype(np.int64)
+        encoded = np.eye(self.codebook.size)[classes - 1]
+        return WindowedDataset(_window_view(encoded, window), classes[window:],
+                               window, self.codebook.size)
 
 
 def prepare_traffic(series, normalize_scope="full", train_fraction=0.9):

@@ -3,8 +3,7 @@ import pytest
 
 from rclstm.baselines import (ArimaModel, arima_fit, arima_forecast,
                               arima_rolling_forecast, ffnn_forward, ffnn_init,
-                              ffnn_backward, ffnn_predict, ffnn_train,
-                              naive_forecast)
+                              ffnn_backward, ffnn_predict, ffnn_train)
 from rclstm.data import chronological_split, sliding_window
 from rclstm.errors import DivergenceError
 from rclstm.metrics import rmse
@@ -69,23 +68,6 @@ class TestArima:
         model = arima_fit(series, p=2, d=0)
         preds = arima_rolling_forecast(model, series, start=250)
         assert preds.shape == (50,)
-
-
-class TestNaive:
-    def test_singleton(self):
-        assert naive_forecast([5.0]) == 5.0
-
-    def test_two_values(self):
-        assert naive_forecast([1.0, 2.0]) == 2.0
-
-    def test_constant_series_zero_rmse(self):
-        series = np.full(20, 4.0)
-        preds = [naive_forecast(series[:t]) for t in range(1, 20)]
-        assert rmse(series[1:], preds) == 0.0
-
-    def test_empty_history(self):
-        with pytest.raises(ValueError):
-            naive_forecast([])
 
 
 class TestFfnn:

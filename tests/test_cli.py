@@ -312,6 +312,30 @@ timing_reps = 2
         assert "[sweep]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, old, new", [
+        ("train", "seed = 2", "seed = 2\nseed = 3"),
+        ("train", "[data]", "[model]\nseed = 4\n\n[data]"),
+        ("train", "[run]", "epochs = 1\n[run]"),
+        ("train", "seed = 2", "seed = 2\nshuffle"),
+        ("train", "[training]", "[training]\nlearning_rate = nan"),
+        ("train", "[training]", "[training]\ngrad_clip = inf"),
+        ("train", "[training]", "[training]\ngrad_clip = nan"),
+        ("train", "[synthetic]", "[synthetic]\nar_coeffs = 0.3,nan"),
+        ("sweep", "[training]", "[sweep]\npoints = 0.5,1\nseeds =\n\n[training]"),
+        ("sweep", "[training]", "[sweep]\npoints = 0.5,1\ntiming_reps = 0\n\n[training]"),
+        ("train", "hidden = 8", "hidden ="),
+        ("train", "hidden = 8", "hidden = 0"),
+        ("bench", "[training]", "[bench]\nhidden = 0\n\n[training]"),
+    ], ids=["duplicate_key", "duplicate_section", "no_section_header", "parse_error",
+            "learning_rate_nan", "grad_clip_inf", "grad_clip_nan", "float_list_nan",
+            "no_seeds", "timing_reps_0", "hidden_empty", "hidden_0", "bench_hidden_0"])
+    def test_unusable_config_exit_2(self, tmp_path, capsys, command, old, new):
+        text = SINE_CFG.format(out=tmp_path / "out").replace(old, new)
+        assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bench_requires_30_reps(self, tmp_path):
         text = SINE_CFG.format(out=tmp_path / "out") + "\n[bench]\nreps = 5\n"
         cfg = write_cfg(tmp_path, text)

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rclstm.data import (LocationCodebook, NormalizationParams, build_codebook,
-                         chronological_split, denormalize, load_mobility_csv,
-                         load_prepared, load_traffic_csv, log_minmax_normalize,
-                         prepare_mobility, prepare_traffic, save_prepared,
-                         sliding_window)
+from rclstm.data import (LocationCodebook, NormalizationParams, PreparedData,
+                         build_codebook, chronological_split, denormalize,
+                         load_mobility_csv, load_prepared, load_traffic_csv,
+                         log_minmax_normalize, prepare_mobility, prepare_traffic,
+                         save_prepared, sliding_window)
 from rclstm.errors import (CheckpointError, DataFormatError, EncodingError,
                            InsufficientDataError)
 
@@ -118,6 +120,66 @@ class TestSlidingWindow:
             assert len(ds) == n - window
 
 
+def gathered(series, window):
+    """Windows and targets by an index-array gather, which copies every
+    window: the reference the strided views must match bit for bit."""
+    feats = series[:, None] if series.ndim == 1 else series
+    idx = np.arange(window)[None, :] + np.arange(len(series) - window)[:, None]
+    return feats[idx], series[window:]
+
+
+def prepared_series(task, n=200, classes=7):
+    rng = np.random.default_rng(6)
+    if task == "regression":
+        return PreparedData(task, rng.random(n))
+    ids = rng.integers(1, classes + 1, size=n)
+    return PreparedData(task, ids, codebook=build_codebook(np.arange(1, classes + 1)))
+
+
+class TestWindowViews:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("window", [1, 5, 12, 50])
+    def test_match_the_index_gather(self, task, window):
+        prep = prepared_series(task)
+        ds = prep.windows(window)
+        if task == "regression":
+            inputs, targets = gathered(prep.features, window)
+        else:
+            inputs, onehot = gathered(np.eye(7)[prep.features - 1], window)
+            targets = (np.argmax(onehot, axis=1) + 1).astype(np.int64)
+        for got, want in ((ds.inputs, inputs), (ds.targets, targets)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_read_only_views_of_the_series(self, task):
+        prep = prepared_series(task)
+        ds = prep.windows(5)
+        # consecutive windows overlap in memory: both view one encoded series
+        assert np.shares_memory(ds.inputs[0, 1:], ds.inputs[1, :-1])
+        if task == "regression":
+            assert np.shares_memory(ds.inputs, prep.features)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.inputs[0, 0, 0] = 1.0
+        series = np.arange(10.0)
+        view = sliding_window(series, 3).inputs
+        assert np.shares_memory(view, series)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1.0
+
+    def test_mobility_windows_copy_no_window(self):
+        # mobility-shaped: 5,644 observations over 64 locations, T=12
+        n, m, window = 5644, 64, 12
+        prep = prepared_series("classification", n=n, classes=m)
+        tracemalloc.start()
+        try:
+            prep.windows(window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n - window) * window * m * 8 / 2
+
+
 class TestChronologicalSplit:
     def test_nine_to_one(self):
         ds = sliding_window(np.arange(12.0), 2)  # 10 samples
@@ -204,6 +266,23 @@ class TestLoaders:
                           "2015-08-06T02:00:00,60.3,24.7,3\n")
         series = load_mobility_csv(path)
         assert series.values.tolist() == [3, 7, 3]
+
+    @pytest.mark.parametrize("fmt", ["traffic", "mobility"])
+    @pytest.mark.parametrize("case, match", [
+        ("bad_header", ":1: expected header"), ("malformed_row", ":3: malformed row"),
+        ("bad_value", ":3: bad (value|location ID) 'x'")])
+    def test_bad_file_names_the_line(self, tmp_path, fmt, case, match):
+        load, header, row = {
+            "traffic": (load_traffic_csv, "timestamp,kbps", "2005-01-01T0{}:00:00,120.5"),
+            "mobility": (load_mobility_csv, "datetime,latitude,longitude,location_id",
+                         "2015-08-06T0{}:00:00,60.1,24.9,3")}[fmt]
+        first, cut = row.format(0), row.format(1).rsplit(",", 1)[0]
+        lines = {"bad_header": ["time,value", first],
+                 "malformed_row": [header, first, cut],
+                 "bad_value": [header, first, cut + ",x"]}[case]
+        path = self.write(tmp_path, f"{fmt}.csv", "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=match):
+            load(path)
 
     def test_mobility_malformed(self, tmp_path):
         path = self.write(tmp_path, "mb.csv",

@@ -155,6 +155,7 @@ class TestFit:
 
     def test_divergence_names_epoch_batch_layer_timestep(self):
         train, _ = sine_dataset()
+        train.inputs = train.inputs.copy()  # the windows are a read-only view
         train.inputs[40, 5, 0] = np.nan  # window 40 sits in the second batch
         model = build_model(1, [6, 6], seed=0)
         cfg = TrainingConfig(epochs=1, batch_size=32, shuffle=False)
