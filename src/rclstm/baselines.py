@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
-from .training import (OptimizerState, TrainingHistory, clip_gradients,
-                       optimizer_step)
+from .training import (OptimizerState, TrainingHistory, batch_loss_and_grad,
+                       clip_gradients, optimizer_step)
 
 FFNN_DEFAULT_DIMS = (100, 50, 50, 1)
 
@@ -167,11 +167,10 @@ def ffnn_train(dataset, config, dims=None, seed=0):
         for batch, lo in enumerate(range(0, len(dataset), config.batch_size)):
             idx = order[lo : lo + config.batch_size]
             out, acts = ffnn_forward(model, dataset.inputs[idx])
-            err = out - y[idx]
-            loss = float(np.mean(err * err))
+            loss, dout = batch_loss_and_grad("regression", out[:, None], y[idx])
             if not math.isfinite(loss):
                 raise DivergenceError("non-finite loss", epoch=epoch, batch=batch)
-            grads = ffnn_backward(model, acts, 2.0 * err / idx.shape[0])
+            grads = ffnn_backward(model, acts, dout[:, 0])
             clip_gradients(grads, config.grad_clip)
             optimizer_step(params, grads, state, config)
             losses.append(loss)

@@ -62,27 +62,21 @@ def _time(fn, reps, warmup):
     )
 
 
-def benchmark_forward(model, windows, reps=100, warmup=5):
-    """Time single-window serving passes (``forward_batch`` at B=1 without
-    the cache, as ``predict_batch`` runs it) over identical (T, F) windows.
+def benchmark_serving(model, windows, batch=1, reps=100, warmup=5):
+    """Time serving passes (``forward_batch`` without the cache, as
+    ``predict_batch`` runs it) over consecutive chunks of ``batch`` windows
+    of a (N, T, F) stack.
 
-    Runs ``warmup`` unmeasured sweeps over the windows, then ``reps``
-    measured sweeps; every individual forward is one sample.
+    Runs ``warmup`` unmeasured sweeps over the chunks, then ``reps``
+    measured sweeps; every pass is one sample.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    windows = [np.asarray(w, dtype=np.float64)[None] for w in windows]
-    turn = itertools.cycle(windows)
-    return _time(lambda: float(forward_batch(model, next(turn), keep_cache=False)[0][0, 0]),
-                 reps * len(windows), warmup * len(windows))
-
-
-def benchmark_batch(model, windows, reps=30, warmup=2):
-    """Time serving passes (``forward_batch`` without the cache) over one
-    (B, T, F) stack of windows; every pass is one sample."""
     windows = np.asarray(windows, dtype=np.float64)
-    return _time(lambda: float(forward_batch(model, windows, keep_cache=False)[0][0, 0]),
-                 reps, warmup)
+    chunks = [windows[lo : lo + batch] for lo in range(0, windows.shape[0], batch)]
+    turn = itertools.cycle(chunks)
+    return _time(lambda: float(forward_batch(model, next(turn), keep_cache=False)[0][0, 0]),
+                 reps * len(chunks), warmup * len(chunks))
 
 
 def benchmark_kernel_paths(hidden=300, density=0.01, reps=200, warmup=10, seed=0):

@@ -1,17 +1,22 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, bench.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.  A
-config error includes an INI file that does not parse, a non-finite float,
-an empty or non-positive layer size, an empty seed list, ``timing_reps``
-below 1 and sweep points the axis cannot take (fewer than two, a
-connectivity outside (0, 1], a train fraction outside (0, 1), a window
-that is not a whole number >= 1); they exit 2 before any model trains.  With
-``--freeze-timestamps`` output filenames use a fixed stamp and measured
-wall-clock columns are written as zeros, so identical (config, seed) runs
-produce byte-identical files.
+usage error includes a flag the subcommand does not read.  A config error
+includes an INI file that does not parse, a non-finite float, an empty or
+non-positive layer size, an empty seed list, ``timing_reps`` below 1, a
+negative ``[bench] warmup``, a synthetic ``period`` or ``mix_period`` of 0,
+a ``longrange`` lag outside [1, n), a negative ``noise`` or ``ar_noise``,
+Adam betas outside [0, 1) or an ``epsilon`` <= 0, and sweep points the axis
+cannot take (fewer than two, a connectivity outside (0, 1], a train
+fraction outside (0, 1), a window that is not a whole number >= 1); they
+exit 2 before any model trains, as does ``bench`` on data with fewer than
+256 windows.  With ``--freeze-timestamps`` output filenames use a fixed
+stamp and measured wall-clock columns are written as zeros, so identical
+(config, seed) runs produce byte-identical files.
 """
 
 import argparse
+import copy
 import csv
 import json
 import os
@@ -22,18 +27,15 @@ import numpy as np
 
 from . import cell, synth
 from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, SERVE_BATCH,
-                        benchmark_batch, benchmark_forward, benchmark_kernel_paths,
-                        kernel_crossover)
+                        benchmark_kernel_paths, benchmark_serving, kernel_crossover)
 from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
 from .data import (PreparedData, chronological_split, denormalize,
                    load_mobility_csv, load_prepared, load_traffic_csv,
-                   prepare_mobility, prepare_traffic, save_prepared,
-                   sliding_window)
+                   prepare_mobility, prepare_traffic, save_prepared)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError)
 from .metrics import MetricsReport, rmse
-from .network import build_model
 from .sweeps import build_from_config, run_sweep, summarize, write_report_csv
 from .training import evaluate_model, fit, predict_batch
 
@@ -199,33 +201,34 @@ def cmd_sweep(cfg, args):
 def cmd_bench(cfg, args):
     if cfg.bench.reps < 30:
         raise ConfigError("[bench] reps must be >= 30 for reported numbers")
-    series = np.clip(synth.sine_series(cfg.bench.window + SERVE_BATCH, seed=1).values,
-                     0.0, 1.0)
-    batch = sliding_window(series, cfg.bench.window).inputs  # (SERVE_BATCH, T, 1)
-    windows = [batch[0]]
-    results = {"hidden": cfg.bench.hidden, "window": cfg.bench.window,
-               "density": cfg.bench.density,
+    prepared = _prepare(cfg)
+    batch = prepared.windows(cfg.data.window).inputs[:SERVE_BATCH]
+    if len(batch) < SERVE_BATCH:
+        raise InsufficientDataError(f"bench needs {SERVE_BATCH} windows, got {len(batch)}")
+    results = {"hidden": list(cfg.model.hidden), "window": cfg.data.window,
+               "density": cfg.model.density,
                "kernel_threshold": cell.KERNEL_THRESHOLD}
-    for label, density in (("sparse", cfg.bench.density), ("dense", 1.0)):
-        model = build_model(1, [cfg.bench.hidden], density=density,
-                            seed=cfg.model.seed)
-        stats = benchmark_forward(model, windows, reps=cfg.bench.reps,
+    dense_cfg = apply_overrides(copy.deepcopy(cfg), density=1.0)
+    for label, run_cfg in (("sparse", cfg), ("dense", dense_cfg)):
+        model = build_from_config(run_cfg, prepared)
+        routes = [layer.uses_sparse for layer in model.layers]
+        stats = benchmark_serving(model, batch[:1], reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
-        served = benchmark_batch(model, batch, reps=cfg.bench.reps,
-                                 warmup=cfg.bench.warmup)
+        served = benchmark_serving(model, batch, batch=SERVE_BATCH,
+                                   reps=cfg.bench.reps, warmup=cfg.bench.warmup)
         results[label] = {"median_s": stats.median, "mean_s": stats.mean,
                           "std_s": stats.std, "repetitions": stats.repetitions,
-                          "csr": model.layers[0].uses_sparse,
+                          "csr": routes,
                           f"b{SERVE_BATCH}_median_s": served.median,
                           f"b{SERVE_BATCH}_windows_per_s": SERVE_BATCH / served.median}
-        print(f"{label} (density={density:g}, "
-              f"{'CSR' if model.layers[0].uses_sparse else 'dense'}): median "
+        print(f"{label} (density={run_cfg.model.density:g}, "
+              f"{'/'.join('CSR' if csr else 'dense' for csr in routes)}): median "
               f"{stats.median * 1e3:.3f} ms over {stats.repetitions} reps; "
               f"B={SERVE_BATCH} {SERVE_BATCH / served.median:.1f} windows/s")
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")
-    tables = {density: benchmark_kernel_paths(hidden=cfg.bench.hidden,
+    tables = {density: benchmark_kernel_paths(hidden=max(cfg.model.hidden),
                                               density=density,
                                               reps=max(cfg.bench.reps, 100))
               for density in KERNEL_DENSITIES}
@@ -259,17 +262,20 @@ def build_parser():
                      ("evaluate", cmd_evaluate), ("sweep", cmd_sweep),
                      ("bench", cmd_bench)):
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, density=None)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override every configured seed")
-        p.add_argument("--density", type=float, default=None)
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--train-fraction", type=float, default=None)
-        p.add_argument("--parallel", type=int, default=1,
-                       help="concurrent sweep workers")
-        p.add_argument("--freeze-timestamps", action="store_true",
-                       help="fixed filenames and zeroed wall-clock columns")
+        # each command takes only the flags it reads; any other is a usage error
+        if name in ("train", "sweep", "bench"):
+            p.add_argument("--density", type=float, default=None)
+            p.add_argument("--freeze-timestamps", action="store_true",
+                           help="fixed filenames and zeroed wall-clock columns")
+        if name == "sweep":
+            p.add_argument("--parallel", type=int, default=1,
+                           help="concurrent sweep workers")
         if name == "evaluate":
             p.add_argument("--checkpoint", required=True)
     return parser

@@ -83,9 +83,6 @@ class SweepSection:
 
 @dataclass
 class BenchSection:
-    hidden: int = 300
-    window: int = 100
-    density: float = 0.01
     reps: int = 100
     warmup: int = 5
 
@@ -191,10 +188,21 @@ def load_config(path=None):
         raise ConfigError("[data] window must be >= 1")
     if not cfg.model.hidden or min(cfg.model.hidden) < 1:
         raise ConfigError("[model] hidden must list one or more sizes >= 1")
-    if cfg.bench.hidden < 1:
-        raise ConfigError("[bench] hidden must be >= 1")
+    if cfg.bench.warmup < 0:
+        raise ConfigError("[bench] warmup must be >= 0")
+    _check_synthetic(cfg.synthetic)
     _check_sweep(cfg.sweep)
     return cfg
+
+
+def _check_synthetic(s):
+    """Reject series parameters no generator can use."""
+    if s.period == 0 or s.mix_period == 0:
+        raise ConfigError("[synthetic] period and mix_period must be non-zero")
+    if s.kind == "longrange" and not 1 <= s.lag < s.n:
+        raise ConfigError("[synthetic] lag must lie in [1, n)")
+    if s.noise < 0 or s.ar_noise < 0:
+        raise ConfigError("[synthetic] noise and ar_noise must be >= 0")
 
 
 def _check_sweep(sweep):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
                         ffnn_train)
-from .benchmark import benchmark_forward
+from .benchmark import benchmark_serving
 from .config import SWEEP_AXES, apply_overrides
 from .data import chronological_split
 from .errors import DivergenceError
@@ -92,7 +92,7 @@ def _run_point(cfg, prepared, point, seed):
         fit(model, train, cfg.training)
         train_seconds = time.perf_counter() - started
         metric, _ = evaluate_model(model, test)
-        stats = benchmark_forward(model, test.inputs[:TIMING_WINDOWS],
+        stats = benchmark_serving(model, test.inputs[:TIMING_WINDOWS],
                                   reps=cfg.sweep.timing_reps, warmup=2)
         rows.append(SweepRow(axis, float(point), "rclstm", seed,
                              metric if task == "regression" else None,

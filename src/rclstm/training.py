@@ -37,6 +37,8 @@ class TrainingConfig:
             raise ValueError("learning_rate and grad_clip must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1) or self.epsilon <= 0:
+            raise ValueError("beta1 and beta2 must lie in [0, 1) and epsilon be positive")
 
 
 @dataclass

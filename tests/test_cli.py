@@ -326,14 +326,50 @@ timing_reps = 2
         ("train", "hidden = 8", "hidden ="),
         ("train", "hidden = 8", "hidden = 0"),
         ("bench", "[training]", "[bench]\nhidden = 0\n\n[training]"),
+        ("train", "[training]", "[bench]\nhidden = 4\n\n[training]"),
+        ("train", "[training]", "[bench]\nwindow = 8\n\n[training]"),
+        ("train", "[training]", "[bench]\ndensity = 0.5\n\n[training]"),
+        ("bench", "[training]", "[bench]\nwarmup = -1\n\n[training]"),
+        ("train", "period = 20", "period = 0"),
+        ("train", "kind = sine", "kind = longrange\nmix = 0.5\nmix_period = 0"),
+        ("train", "kind = sine", "kind = longrange\nlag = 0"),
+        ("train", "kind = sine", "kind = longrange\nlag = 500"),
+        ("train", "kind = sine", "kind = sine\nnoise = -0.1"),
+        ("train", "kind = sine", "kind = ar\nar_noise = -0.1"),
+        ("train", "[training]", "[training]\nbeta1 = 1.0"),
+        ("train", "[training]", "[training]\nbeta2 = 1.5"),
+        ("train", "[training]", "[training]\nbeta1 = -0.1"),
+        ("train", "[training]", "[training]\nepsilon = 0"),
     ], ids=["duplicate_key", "duplicate_section", "no_section_header", "parse_error",
             "learning_rate_nan", "grad_clip_inf", "grad_clip_nan", "float_list_nan",
-            "no_seeds", "timing_reps_0", "hidden_empty", "hidden_0", "bench_hidden_0"])
+            "no_seeds", "timing_reps_0", "hidden_empty", "hidden_0", "bench_hidden_0",
+            "bench_hidden", "bench_window", "bench_density", "bench_warmup_negative",
+            "period_0", "mix_period_0", "lag_0", "lag_beyond_n", "noise_negative",
+            "ar_noise_negative", "beta1_1", "beta2_1.5", "beta1_negative", "epsilon_0"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, command, old, new):
         text = SINE_CFG.format(out=tmp_path / "out").replace(old, new)
         assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("preprocess", "--density=0.5"), ("evaluate", "--density=0.1"),
+        ("preprocess", "--freeze-timestamps"), ("evaluate", "--freeze-timestamps"),
+        ("preprocess", "--parallel=2"), ("train", "--parallel=4"),
+        ("evaluate", "--parallel=2"), ("bench", "--parallel=2"),
+        ("preprocess", "--checkpoint=c.bin"), ("train", "--checkpoint=c.bin"),
+        ("sweep", "--checkpoint=c.bin"), ("bench", "--checkpoint=c.bin")])
+    def test_flag_the_command_ignores_is_usage_error(self, tmp_path, capsys,
+                                                      command, flag):
+        cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
+        argv = [command, "--config", cfg, flag]
+        if command == "evaluate":
+            argv += ["--checkpoint", "c.bin"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bench_requires_30_reps(self, tmp_path):
@@ -342,28 +378,77 @@ timing_reps = 2
         assert main(["bench", "--config", cfg]) == 2
 
     def test_bench_small_model(self, tmp_path, capsys):
-        text = SINE_CFG.format(out=tmp_path / "out") + """
-[bench]
-hidden = 16
-window = 8
-density = 0.05
-reps = 30
-warmup = 2
-"""
+        text = SINE_CFG.format(out=tmp_path / "out").replace(
+            "hidden = 8", "hidden = 16").replace("density = 1.0", "density = 0.05").replace(
+            "window = 10", "window = 8") + "\n[bench]\nreps = 30\nwarmup = 2\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["bench", "--config", cfg, "--freeze-timestamps"]) == 0
         payload = json.loads((tmp_path / "out" / "bench_frozen.json").read_text())
+        assert (payload["hidden"], payload["window"], payload["density"]) == ([16], 8, 0.05)
         assert "sparse" in payload and "dense" in payload
         assert payload["sparse"]["repetitions"] == 30
         for label in ("sparse", "dense"):
             entry = payload[label]
             assert entry["b256_windows_per_s"] == pytest.approx(256 / entry["b256_median_s"])
-        assert not payload["dense"]["csr"]
+        assert payload["dense"]["csr"] == [False]
         assert set(payload["kernels"]) == {"0.01", "0.02", "0.05", "0.1", "0.2"}
         assert set(payload["kernels"]["0.01"]) == {
             f"{path}_b{b}" for path in ("dense", "csr") for b in (1, 32, 256)}
         assert "crossover_density" in payload
 
+    @staticmethod
+    def spy_on_bench(monkeypatch):
+        """Record the (model, windows, batch) of every timing ``rclstm bench``
+        runs, and time it as before."""
+        from rclstm import cli
+
+        timed, real = [], cli.benchmark_serving
+
+        def spy(model, windows, batch=1, **kwargs):
+            timed.append((model, np.asarray(windows), batch))
+            return real(model, windows, batch=batch, **kwargs)
+
+        monkeypatch.setattr(cli, "benchmark_serving", spy)
+        return timed
+
+    def test_bench_times_the_configured_model(self, tmp_path, capsys, monkeypatch):
+        timed = self.spy_on_bench(monkeypatch)
+        text = SINE_CFG.format(out=tmp_path / "out").replace(
+            "hidden = 8", "hidden = 8,6") + "\n[bench]\nreps = 30\nwarmup = 0\n"
+        argv = ["bench", "--config", write_cfg(tmp_path, text), "--freeze-timestamps",
+                "--density", "0.2", "--window", "6"]
+        assert main(argv) == 0
+        assert "sparse (density=0.2, dense/dense)" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "out" / "bench_frozen.json").read_text())
+        assert (payload["hidden"], payload["window"], payload["density"]) == ([8, 6], 6, 0.2)
+        assert payload["sparse"]["csr"] == payload["dense"]["csr"] == [False, False]
+        assert [(w.shape, batch) for _, w, batch in timed] == \
+            [((1, 6, 1), 1), ((256, 6, 1), 256)] * 2
+        sparse, dense = timed[0][0], timed[2][0]
+        assert [layer.hidden_dim for layer in sparse.layers] == [8, 6]
+        assert all(0.0 < layer.mask.density < 0.5 for layer in sparse.layers)
+        assert all(layer.mask.density == 1.0 for layer in dense.layers)
+
+    def test_bench_needs_256_windows(self, tmp_path, capsys):
+        text = SINE_CFG.format(out=tmp_path / "out").replace("n = 300", "n = 200") + \
+            "\n[bench]\nreps = 30\nwarmup = 0\n"
+        assert main(["bench", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "256 windows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_on_mobility_data(self, tmp_path, capsys, monkeypatch):
+        timed = self.spy_on_bench(monkeypatch)
+        stamps = np.datetime64("2015-08-06T00:00:00") + np.arange(300) * np.timedelta64(900, "s")
+        (tmp_path / "m.csv").write_text(
+            "datetime,latitude,longitude,location_id\n" + "".join(
+                f"{stamp},60.0,24.0,{1 + k % 5}\n" for k, stamp in enumerate(stamps)))
+        text = MOBILITY_CFG.format(path=tmp_path / "m.csv", out=tmp_path / "out") + \
+            "\n[model]\nhidden = 8\ndensity = 0.3\n\n[bench]\nreps = 30\nwarmup = 0\n"
+        assert main(["bench", "--config", write_cfg(tmp_path, text)]) == 0
+        for model, windows, _ in timed:
+            assert model.task == "classification"
+            assert (model.feature_dim, model.out_dim) == (5, 5)
+            assert windows.shape[1:] == (3, 5)
 
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "c.ini"

@@ -4,7 +4,7 @@ import csv
 import numpy as np
 import pytest
 
-from rclstm.benchmark import (TimingStats, benchmark_forward, benchmark_kernel_paths,
+from rclstm.benchmark import (TimingStats, benchmark_kernel_paths, benchmark_serving,
                               kernel_crossover)
 from rclstm.config import RunConfig, apply_overrides, load_config
 from rclstm.data import PreparedData
@@ -60,27 +60,29 @@ class TestAccuracy:
 class TestBenchmarkForward:
     def test_single_rep_single_window(self):
         model = build_model(1, [8], seed=0)
-        stats = benchmark_forward(model, [np.ones((5, 1))], reps=1, warmup=0)
+        stats = benchmark_serving(model, np.ones((1, 5, 1)), reps=1, warmup=0)
         assert stats.repetitions == 1
         assert stats.std == 0.0
         assert stats.median > 0.0
 
     def test_one_sample_per_window(self):
         model = build_model(1, [8], seed=0)
-        stats = benchmark_forward(model, [np.ones((5, 1)), np.zeros((5, 1))] * 2,
-                                  reps=3, warmup=1)
-        assert stats.repetitions == 12
+        windows = np.stack([np.ones((5, 1)), np.zeros((5, 1))] * 2)
+        assert benchmark_serving(model, windows, reps=3, warmup=1).repetitions == 12
+        # one sample per pass: chunks of 3 and 1 windows
+        assert benchmark_serving(model, windows, batch=3, reps=3,
+                                 warmup=1).repetitions == 6
 
     def test_non_finite_outputs_raise(self):
         model = build_model(1, [8], seed=0)
         model.head_b[:] = np.nan
         with pytest.raises(RuntimeError, match="non-finite"):
-            benchmark_forward(model, [np.ones((5, 1))], reps=2, warmup=0)
+            benchmark_serving(model, np.ones((1, 5, 1)), reps=2, warmup=0)
 
     def test_doubling_window_roughly_doubles_time(self):
         model = build_model(1, [64], seed=1)
-        short = benchmark_forward(model, [np.ones((32, 1))], reps=30, warmup=3)
-        long = benchmark_forward(model, [np.ones((64, 1))], reps=30, warmup=3)
+        short = benchmark_serving(model, np.ones((1, 32, 1)), reps=30, warmup=3)
+        long = benchmark_serving(model, np.ones((1, 64, 1)), reps=30, warmup=3)
         ratio = long.median / short.median
         assert 1.0 <= ratio <= 4.0  # 2x expected, wide band for scheduler noise
 

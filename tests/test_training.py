@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
                                save_checkpoint, write_container)
-from rclstm.data import chronological_split, sliding_window
+from rclstm.data import WindowedDataset, chronological_split, sliding_window
 from rclstm.errors import CheckpointError, DivergenceError
 from rclstm.network import build_model, forward_batch, softmax
 from rclstm.synth import sine_series
 from rclstm.training import (OptimizerState, TrainingConfig, clip_gradients,
-                             evaluate_model, fit, model_params, optimizer_step)
+                             evaluate_model, fit, model_params, optimizer_step,
+                             predict_batch)
 
 
 def sine_dataset(n=400, window=12, fraction=0.9):
@@ -375,6 +376,44 @@ class TestCheckpoint:
         blob = write_container("dataset", {}, {"x": np.ones(2)})
         with pytest.raises(CheckpointError):
             load_checkpoint(blob)
+
+
+@st.composite
+def small_models(draw):
+    """A 1-2 layer model of widths 2-12 at a density in [0.01, 1], so both
+    kernel routes are drawn, plus a dataset of windows it takes."""
+    task = draw(st.sampled_from(["regression", "classification"]))
+    dim = 1 if task == "regression" else draw(st.integers(2, 4))
+    hidden = draw(st.lists(st.integers(2, 12), min_size=1, max_size=2))
+    density = draw(st.floats(0.01, 1.0))
+    model = build_model(dim, hidden, task=task, out_dim=dim, density=density,
+                        seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n, window = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    targets = rng.normal(size=n) if task == "regression" else rng.integers(1, dim + 1, n)
+    data = WindowedDataset(rng.normal(size=(n, window, dim)), targets, window,
+                           None if task == "regression" else dim)
+    return model, data
+
+
+class TestProperties:
+    @given(small_models())
+    @settings(max_examples=40, deadline=None)
+    def test_save_load_save_is_identity(self, case):
+        model, data = case
+        blob = save_checkpoint(model)
+        loaded = load_checkpoint(blob)
+        assert save_checkpoint(loaded) == blob
+        assert np.array_equal(predict_batch(loaded, data.inputs),
+                              predict_batch(model, data.inputs))
+
+    @given(small_models(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_masked_weights_stay_zero_through_adam(self, case, epochs):
+        model, data = case
+        fit(model, data, TrainingConfig(epochs=epochs, batch_size=4, seed=1))
+        for layer in model.layers:
+            assert np.all(layer.w[~layer.mask.bits] == 0.0)
 
 
 def test_evaluate_model_regression():
