@@ -1,10 +1,12 @@
-"""Wall-clock measurement of serving passes and of the gate-product kernels.
+"""Wall-clock measurement of serving passes, training steps and the
+gate-product kernels.
 
 Timings use a monotonic clock and report the median as the headline number
 (robust to scheduler noise).  Model outputs are accumulated into a checksum
 so the measured work cannot be skipped.
 """
 
+import dataclasses
 import itertools
 import statistics
 import time
@@ -14,6 +16,7 @@ import numpy as np
 
 from .linalg import MaskedMatrix
 from .network import forward_batch
+from .training import fit
 
 #: batch sizes of the kernel comparison: one window, a training batch and
 #: an inference chunk
@@ -22,6 +25,10 @@ KERNEL_BATCHES = (1, 32, 256)
 #: windows per pass of the batched-inference timing: ``predict_batch``'s
 #: default chunk
 SERVE_BATCH = 256
+
+#: windows per timed training step: the paper's and ``TrainingConfig``'s
+#: batch size
+TRAIN_BATCH = 32
 
 #: mask densities at which ``rclstm bench`` compares the two kernels
 KERNEL_DENSITIES = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -77,6 +84,18 @@ def benchmark_serving(model, windows, batch=1, reps=100, warmup=5):
     turn = itertools.cycle(chunks)
     return _time(lambda: float(forward_batch(model, next(turn), keep_cache=False)[0][0, 0]),
                  reps * len(chunks), warmup * len(chunks))
+
+
+def benchmark_training_step(model, dataset, config, reps=10, warmup=1):
+    """Time training steps of ``model`` on a WindowedDataset taken as one
+    batch: forward with the cache, backward, clipping and an optimizer
+    step from a fresh state, run as one ``fit`` epoch with ``config``'s
+    optimizer settings.  Every step is one sample; the model trains on.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    one_step = dataclasses.replace(config, epochs=1, batch_size=len(dataset), shuffle=False)
+    return _time(lambda: fit(model, dataset, one_step)[1].train_loss[0], reps, warmup)
 
 
 def benchmark_kernel_paths(hidden=300, density=0.01, reps=200, warmup=10, seed=0):

@@ -3,9 +3,10 @@
 A layer owns one fixed boolean connectivity mask over its stacked gate
 weight matrix (shape 4H x (D+H), gate order [forget; input; candidate;
 output]).  The mask is sampled once from per-connection uniform draws and
-never changes; masked weights and their gradients are exactly zero for the
-life of the model.  A layer keeps only the mask's bits; their density
-alone picks the route of the layer's gate products (``KERNEL_THRESHOLD``).
+never changes; masked weights are exactly zero for the life of the model,
+and training computes gradients for the live weights only.  A layer keeps
+only the mask's bits; their density alone picks the route of the layer's
+gate products (``KERNEL_THRESHOLD``).
 
 The cell works on a batch of B windows at a time: one timestep of a
 layer's state is an (H, B) block, one column per window.
@@ -54,10 +55,14 @@ def generate_mask(rows, cols, target_density, seed):
 
 @dataclass
 class GateProducts:
-    """The two column blocks of a layer's gate matrix, ready for products."""
+    """The two column blocks of a layer's gate matrix, ready for products,
+    and where each block's nonzeros sit among the layer's live weights
+    (``np.flatnonzero(mask.bits)`` order)."""
 
     x: MaskedMatrix  # input block W[:, :D]
     h: MaskedMatrix  # recurrent block W[:, D:]
+    x_at: np.ndarray
+    h_at: np.ndarray
 
 
 @dataclass
@@ -67,9 +72,9 @@ class LstmLayerParams:
     ``w`` is 4H x (D+H) with masked positions held at exactly zero; biases
     are dense (connectivity applies to neuron pairs, not biases).  ``w`` is
     the master copy of the weights: the products read it afresh on every
-    pass (see ``products``).  The mask's density alone picks the route of
-    the products: scipy CSR below ``KERNEL_THRESHOLD``, dense BLAS at or
-    above it.
+    pass (see ``products``), and training writes only its live entries.
+    The mask's density alone picks the route of the products: scipy CSR
+    below ``KERNEL_THRESHOLD``, dense BLAS at or above it.
     """
 
     input_dim: int
@@ -87,16 +92,18 @@ class LstmLayerParams:
         """The input and recurrent blocks of ``w`` as ``MaskedMatrix``
         objects holding its current values.
 
-        The route and the CSR index structure come from the fixed mask
-        bits; they are set on the first call and kept for the layer's life.
-        Every call gathers the nonzeros from ``w`` again, so in-place edits
+        The route, the CSR index structure and the blocks' places among
+        the live weights come from the fixed mask bits; they are set on
+        the first call and kept for the layer's life.  Every call gathers the nonzeros from ``w`` again, so in-place edits
         of ``w`` (optimizer steps, finite differences) are always seen.
         """
         d = self.input_dim
         if self._products is None:
             bits, sparse = self.mask.bits, self.uses_sparse
+            in_x = np.flatnonzero(bits) % bits.shape[1] < d
             self._products = GateProducts(MaskedMatrix(bits[:, :d], sparse),
-                                          MaskedMatrix(bits[:, d:], sparse))
+                                          MaskedMatrix(bits[:, d:], sparse),
+                                          np.flatnonzero(in_x), np.flatnonzero(~in_x))
         ops = self._products
         ops.x.load(self.w[:, :d])
         ops.h.load(self.w[:, d:])

@@ -19,6 +19,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 from datetime import datetime
@@ -26,11 +27,12 @@ from datetime import datetime
 import numpy as np
 
 from . import cell, synth
-from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, SERVE_BATCH,
-                        benchmark_kernel_paths, benchmark_serving, kernel_crossover)
+from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, SERVE_BATCH, TRAIN_BATCH,
+                        benchmark_kernel_paths, benchmark_serving,
+                        benchmark_training_step, kernel_crossover)
 from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
-from .data import (PreparedData, chronological_split, denormalize,
+from .data import (PreparedData, WindowedDataset, chronological_split, denormalize,
                    load_mobility_csv, load_prepared, load_traffic_csv,
                    prepare_mobility, prepare_traffic, save_prepared)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
@@ -202,9 +204,16 @@ def cmd_bench(cfg, args):
     if cfg.bench.reps < 30:
         raise ConfigError("[bench] reps must be >= 30 for reported numbers")
     prepared = _prepare(cfg)
-    batch = prepared.windows(cfg.data.window).inputs[:SERVE_BATCH]
+    ds = prepared.windows(cfg.data.window)
+    batch = ds.inputs[:SERVE_BATCH]
     if len(batch) < SERVE_BATCH:
         raise InsufficientDataError(f"bench needs {SERVE_BATCH} windows, got {len(batch)}")
+    train_batch = WindowedDataset(ds.inputs[:TRAIN_BATCH], ds.targets[:TRAIN_BATCH],
+                                  ds.window, ds.classes)
+    # a B=256 pass or a B=32 training step costs tens of B=1 passes; a
+    # tenth of the B=1 repetitions, after one warm-up pass, keeps the
+    # bench at the paper's 3x300 within minutes
+    batched_reps = math.ceil(cfg.bench.reps / 10)
     results = {"hidden": list(cfg.model.hidden), "window": cfg.data.window,
                "density": cfg.model.density,
                "kernel_threshold": cell.KERNEL_THRESHOLD}
@@ -214,17 +223,24 @@ def cmd_bench(cfg, args):
         routes = [layer.uses_sparse for layer in model.layers]
         stats = benchmark_serving(model, batch[:1], reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
-        served = benchmark_serving(model, batch, batch=SERVE_BATCH,
-                                   reps=cfg.bench.reps, warmup=cfg.bench.warmup)
+        served = benchmark_serving(model, batch, batch=SERVE_BATCH, reps=batched_reps,
+                                   warmup=1)
+        step = benchmark_training_step(model, train_batch, cfg.training,
+                                       reps=batched_reps, warmup=1)
         results[label] = {"median_s": stats.median, "mean_s": stats.mean,
                           "std_s": stats.std, "repetitions": stats.repetitions,
                           "csr": routes,
                           f"b{SERVE_BATCH}_median_s": served.median,
-                          f"b{SERVE_BATCH}_windows_per_s": SERVE_BATCH / served.median}
+                          f"b{SERVE_BATCH}_windows_per_s": SERVE_BATCH / served.median,
+                          f"b{SERVE_BATCH}_repetitions": served.repetitions,
+                          f"train_b{TRAIN_BATCH}_median_s": step.median,
+                          f"train_b{TRAIN_BATCH}_repetitions": step.repetitions}
         print(f"{label} (density={run_cfg.model.density:g}, "
               f"{'/'.join('CSR' if csr else 'dense' for csr in routes)}): median "
               f"{stats.median * 1e3:.3f} ms over {stats.repetitions} reps; "
-              f"B={SERVE_BATCH} {SERVE_BATCH / served.median:.1f} windows/s")
+              f"B={SERVE_BATCH} {SERVE_BATCH / served.median:.1f} windows/s over "
+              f"{served.repetitions} reps; B={TRAIN_BATCH} training step median "
+              f"{step.median * 1e3:.1f} ms over {step.repetitions} reps")
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")

@@ -4,7 +4,10 @@
 mask is multiplied: through scipy CSR, whose index structure is built once
 from the mask, or through dense BLAS on the masked array itself.  Dense
 operands are feature-major, (features, B) with one column per window, the
-layout scipy's CSR kernels read and write without copies.
+layout scipy's CSR kernels read and write without copies.  The masked
+outer product behind the weight gradient (a sampled dense-dense product,
+SDDMM) yields a value vector of the mask's nonzeros only, in row-major
+order.
 """
 
 import numpy as np
@@ -29,6 +32,7 @@ class MaskedMatrix:
         self.shape = mask.shape
         self.sparse = bool(sparse)
         self.mask = mask
+        self.nnz = int(np.count_nonzero(mask))
         self._w = None
         if self.sparse:
             rows, cols = np.nonzero(mask)  # row-major: columns sorted within rows
@@ -38,11 +42,15 @@ class MaskedMatrix:
             self._csr = scipy.sparse.csr_matrix(
                 (np.zeros(rows.size), cols, indptr), shape=self.shape)
             self._csr_t = self._csr.T  # a CSC view over the same value array
-            # the masked rows of each column, for the masked outer product
-            by_col = rows[np.argsort(cols, kind="stable")]
+            # per column of the mask: its masked rows and their places in
+            # the value vector, for the masked outer product
+            by_col = np.argsort(cols, kind="stable")
             ptr = np.cumsum(np.bincount(cols, minlength=self.shape[1]))
-            self._col_rows = [(col, by_col[ptr[col] - n : ptr[col]])
-                              for col, n in enumerate(np.diff(ptr, prepend=0)) if n]
+            self._col_rows = []
+            for col, n in enumerate(np.diff(ptr, prepend=0)):
+                if n:
+                    at = by_col[ptr[col] - n : ptr[col]]
+                    self._col_rows.append((col, rows[at], at))
 
     def load(self, w):
         """Use the values of ``w`` (same shape as the mask) from now on."""
@@ -82,21 +90,22 @@ class MaskedMatrix:
             out[t] = m @ xt
         return out
 
-    def masked_outer(self, y, x, out):
-        """Write ``mask * (y @ x.T)`` into ``out`` for y (rows, N), x (cols, N).
+    def masked_outer(self, y, x):
+        """The value vector of ``(y @ x.T)[mask]`` for y (rows, N) and
+        x (cols, N): the product at the mask's nonzeros only, in row-major
+        order (``np.flatnonzero(mask)``), as a new array.
 
-        The sparse route computes only the masked entries: per column of
-        the mask, one gathered block of ``y`` rows times that row of ``x``.
+        The sparse route computes only those entries: per column of the
+        mask, one gathered block of ``y`` rows times that row of ``x``,
+        written to the entries' places in the vector.  The dense route
+        forms the whole product with one BLAS call and gathers it.
         """
         if y.shape[0] != self.shape[0] or x.shape[0] != self.shape[1] \
-                or y.shape[1] != x.shape[1] or out.shape != self.shape:
+                or y.shape[1] != x.shape[1]:
             raise ShapeError("masked outer product operands do not match the mask")
         if not self.sparse:
-            np.matmul(y, x.T, out=out)
-            out *= self.mask
-            return out
-        out[...] = 0.0
-        for col, rows in self._col_rows:
-            out[rows, col] = y[rows] @ x[col]
+            return (y @ x.T)[self.mask]
+        out = np.empty(self.nnz)
+        for col, rows, at in self._col_rows:
+            out[at] = y[rows] @ x[col]
         return out
-

@@ -23,7 +23,9 @@ adds only the recurrent product.
   layer is done.  The outputs are bit-identical to the cached mode.
 
 Backpropagation runs top-down a layer at a time and forms each layer's
-weight gradient as one masked product over all T*B columns.
+weight gradient as one masked product over all T*B columns, computed at
+the mask's nonzeros only and returned as a value vector of the live
+weights.
 """
 
 import math
@@ -182,12 +184,14 @@ def _layer_backward(layer, lc, grad_h, input_grad):
     """Backpropagate one layer's unroll.
 
     ``grad_h`` (T, H, B) is the loss gradient wrt the layer's hidden
-    states from above.  Returns (grad_w, grad_b, grad_x), where grad_x is
-    the gradient wrt the layer's input sequence, or None unless
-    ``input_grad``.  Leaves dA in ``lc.gates``.
+    states from above.  Returns (grad_w, grad_b, grad_x): grad_w is the
+    gradient wrt the live weights, a value vector in
+    ``np.flatnonzero(mask.bits)`` order; grad_x is the gradient wrt the
+    layer's input sequence, or None unless ``input_grad``.  Leaves dA in
+    ``lc.gates``.
     """
     ops = layer.products()
-    n_steps, d, batch = lc.x.shape
+    n_steps, _, batch = lc.x.shape
     grad_c = np.zeros((layer.hidden_dim, batch))
     grad_h_rec = None
     for t in range(n_steps - 1, -1, -1):
@@ -196,10 +200,10 @@ def _layer_backward(layer, lc, grad_h, input_grad):
                                            None if t == 0 else lc.c[t - 1],
                                            lc.tanh_c[t], gh, grad_c)
     da = _feature_major(lc.gates)
-    grad_w = np.empty_like(layer.w)
-    ops.x.masked_outer(da, _feature_major(lc.x), grad_w[:, :d])
+    grad_w = np.empty(ops.x_at.size + ops.h_at.size)
+    grad_w[ops.x_at] = ops.x.masked_outer(da, _feature_major(lc.x))
     # h_prev is zero at the first step, so the recurrent block sees steps 1..T-1
-    ops.h.masked_outer(da[:, batch:], _feature_major(lc.h[:-1]), grad_w[:, d:])
+    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], _feature_major(lc.h[:-1]))
     grad_x = ops.x.tdot(lc.gates) if input_grad else None
     return grad_w, da.sum(axis=1), grad_x
 
@@ -210,7 +214,10 @@ def backward_sequence(model, cache, loss_grad):
     ``loss_grad`` is d(loss)/d(head output), shape (B, out); batch
     gradients are summed, so scale ``loss_grad`` by 1/B upstream for a mean
     loss.  Consumes the cache.  Returns a flat dict: ``layer{k}.w``,
-    ``layer{k}.b``, ``head.w``, ``head.b``.
+    ``layer{k}.b``, ``head.w``, ``head.b``.  ``layer{k}.w`` holds the
+    gradient wrt layer k's live weights only, a value vector in
+    ``np.flatnonzero(mask.bits)`` order; the others are dense, shaped like
+    their parameters.
     """
     dims = [(l.input_dim, l.hidden_dim) for l in model.layers]
     if cache.layer_dims != dims:

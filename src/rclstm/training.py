@@ -1,9 +1,12 @@
-"""Mini-batch gradient training with mask-respecting updates.
+"""Mini-batch gradient training over the live weights only.
 
-Each optimizer step re-applies every layer's connectivity mask, so masked
-weights stay exactly zero for the whole run.  All randomness (shuffling)
-comes from the config seed; identical (seed, data, config) reproduce the
-trained model bit for bit.
+Each layer's weight gradient, its share of the clipping norm and its Adam
+moments are value vectors over the mask's nonzeros
+(``np.flatnonzero(mask.bits)`` order).  ``fit`` writes every step's
+update back into the dense master copy ``w`` at those positions alone, so
+masked weights are never touched and stay exactly zero for the whole run.
+All randomness (shuffling) comes from the config seed; identical (seed,
+data, config) reproduce the trained model bit for bit.
 """
 
 import math
@@ -56,16 +59,14 @@ class OptimizerState:
 
 
 def model_params(model):
-    """Live references to every trainable array, keyed like the grad dict."""
+    """Every trainable array, keyed like the grad dict: live references to
+    the head and the biases, and for each layer ``w`` a copy of its live
+    weights as a value vector in ``np.flatnonzero(mask.bits)`` order."""
     params = {"head.w": model.head_w, "head.b": model.head_b}
     for k, layer in enumerate(model.layers):
-        params[f"layer{k}.w"] = layer.w
+        params[f"layer{k}.w"] = layer.w[layer.mask.bits]
         params[f"layer{k}.b"] = layer.b
     return params
-
-
-def model_masks(model):
-    return {f"layer{k}.w": layer.mask.bits for k, layer in enumerate(model.layers)}
 
 
 def clip_gradients(grads, max_norm):
@@ -80,8 +81,13 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-def optimizer_step(params, grads, state, config, masks=None):
-    """Apply one SGD or Adam update in place, then re-apply the masks."""
+def optimizer_step(params, grads, state, config):
+    """Apply one SGD or Adam update to every array of ``params`` in place.
+
+    ``grads`` holds an array shaped like each parameter.  Adam's moments
+    are created on the first step, shaped like the parameters: for a
+    layer's weights, value vectors of its live entries.
+    """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient in {name}")
@@ -118,9 +124,6 @@ def optimizer_step(params, grads, state, config, masks=None):
             s2 += eps
             s1 /= s2
             p -= s1
-    if masks:
-        for name, bits in masks.items():
-            params[name][~bits] = 0.0
     return params, state
 
 
@@ -176,15 +179,18 @@ def predict_batch(model, windows, batch_size=256):
 def fit(model, train_ds, config, val_ds=None):
     """Train ``model`` on a WindowedDataset with full-window BPTT.
 
-    Returns (model, TrainingHistory).  Raises DivergenceError on a
-    non-finite loss, gradient or state, carrying the epoch and batch (and
-    for a state, the layer and timestep).
+    Each step's update is written back into every layer's ``w`` at its
+    live positions only (O(nnz)).  Returns (model, TrainingHistory).
+    Raises DivergenceError on a non-finite loss, gradient or state,
+    carrying the epoch and batch (and for a state, the layer and
+    timestep).
     """
     if train_ds.inputs.shape[0] == 0:
         raise ValueError("empty training set")
     rng = np.random.default_rng(config.seed)
     params = model_params(model)
-    masks = model_masks(model)
+    live = {f"layer{k}.w": (layer.w, np.flatnonzero(layer.mask.bits))
+            for k, layer in enumerate(model.layers)}
     state = OptimizerState()
     history = TrainingHistory()
     n = train_ds.inputs.shape[0]
@@ -201,7 +207,9 @@ def fit(model, train_ds, config, val_ds=None):
                     raise DivergenceError("non-finite loss")
                 grads = backward_sequence(model, cache, dout)
                 clip_gradients(grads, config.grad_clip)
-                optimizer_step(params, grads, state, config, masks)
+                optimizer_step(params, grads, state, config)
+                for name, (w, at) in live.items():
+                    np.put(w, at, params[name])
             except DivergenceError as err:
                 raise err.at(epoch=epoch, batch=batch) from None
             losses.append(loss)

@@ -390,6 +390,10 @@ timing_reps = 2
         for label in ("sparse", "dense"):
             entry = payload[label]
             assert entry["b256_windows_per_s"] == pytest.approx(256 / entry["b256_median_s"])
+            # a tenth of the B=1 repetitions for the batched pass and the
+            # B=32 training step
+            assert entry["b256_repetitions"] == entry["train_b32_repetitions"] == 3
+            assert entry["train_b32_median_s"] > 0.0
         assert payload["dense"]["csr"] == [False]
         assert set(payload["kernels"]) == {"0.01", "0.02", "0.05", "0.1", "0.2"}
         assert set(payload["kernels"]["0.01"]) == {

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from rclstm.benchmark import (TimingStats, benchmark_kernel_paths, benchmark_serving,
-                              kernel_crossover)
+                              benchmark_training_step, kernel_crossover)
 from rclstm.config import RunConfig, apply_overrides, load_config
-from rclstm.data import PreparedData
+from rclstm.data import PreparedData, WindowedDataset
 from rclstm.errors import ConfigError
 from rclstm.metrics import accuracy, rmse
 from rclstm.network import build_model
@@ -85,6 +85,16 @@ class TestBenchmarkForward:
         long = benchmark_serving(model, np.ones((1, 64, 1)), reps=30, warmup=3)
         ratio = long.median / short.median
         assert 1.0 <= ratio <= 4.0  # 2x expected, wide band for scheduler noise
+
+    def test_training_step_one_sample_per_step(self):
+        rng = np.random.default_rng(4)
+        model = build_model(1, [8], seed=0, density=0.5)
+        ds = WindowedDataset(rng.normal(size=(4, 5, 1)), rng.normal(size=4), 5)
+        before = model.layers[0].w.copy()
+        stats = benchmark_training_step(model, ds, TrainingConfig(batch_size=2), reps=2)
+        assert (stats.repetitions, stats.warmup) == (2, 1)
+        assert stats.median > 0.0
+        assert not np.array_equal(model.layers[0].w, before)  # the steps trained it
 
     def test_kernel_path_comparison_runs(self):
         results = benchmark_kernel_paths(hidden=32, density=0.05, reps=20, warmup=2)

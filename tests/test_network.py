@@ -43,8 +43,7 @@ def check_finite_differences(model, window, target):
     _, cache, dout = mse_on_window(model, window, target)
     grads = backward_sequence(model, cache, dout)
     for k, layer in enumerate(model.layers):
-        num_w = numeric_gradient(loss, layer.w)
-        num_w[~layer.mask.bits] = 0.0
+        num_w = numeric_gradient(loss, layer.w)[layer.mask.bits]  # the live weights
         assert relative_gradient_error(grads[f"layer{k}.w"], num_w) < 1e-5
         num_b = numeric_gradient(loss, layer.b)
         assert relative_gradient_error(grads[f"layer{k}.b"], num_b) < 1e-5
@@ -198,7 +197,27 @@ class TestBackwardSequence:
             _, cache = forward_batch(model, rng.normal(size=(3, 4, 1)))
             grads = backward_sequence(model, cache, np.ones((3, 1)))
             for k, layer in enumerate(model.layers):
-                assert np.all(grads[f"layer{k}.w"][~layer.mask.bits] == 0.0)
+                # masked entries have no gradient entry at all
+                assert grads[f"layer{k}.w"].shape == (int(layer.mask.bits.sum()),)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "csr"])
+    def test_weight_grads_in_flatnonzero_order(self, threshold, monkeypatch):
+        # the same weights with every connection live give the gradient of
+        # every entry; the value vector holds its live ones, in order
+        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
+        rng = np.random.default_rng(5)
+        model = build_model(2, [20, 20], seed=7, density=SPARSE)
+        assert model.layers[1].uses_sparse == (threshold > SPARSE)
+        full = build_model(2, [20, 20], seed=7, density=1.0)
+        for layer, twin in zip(model.layers, full.layers):
+            twin.w[...] = layer.w
+        full.head_w[...] = model.head_w
+        windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
+        got, want = (backward_sequence(m, forward_batch(m, windows)[1], douts)
+                     for m in (model, full))
+        for k, layer in enumerate(model.layers):
+            live = want[f"layer{k}.w"].ravel()[np.flatnonzero(layer.mask.bits)]
+            assert np.max(np.abs(got[f"layer{k}.w"] - live)) < 1e-12
 
     def test_stale_cache_rejected(self):
         model = build_model(1, [4], seed=0)

@@ -1,16 +1,19 @@
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rclstm import cell, training
 from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
                                save_checkpoint, write_container)
 from rclstm.data import WindowedDataset, chronological_split, sliding_window
 from rclstm.errors import CheckpointError, DivergenceError
-from rclstm.network import build_model, forward_batch, softmax
+from rclstm.network import backward_sequence, build_model, forward_batch, softmax
 from rclstm.synth import sine_series
 from rclstm.training import (OptimizerState, TrainingConfig, clip_gradients,
                              evaluate_model, fit, model_params, optimizer_step,
@@ -40,14 +43,6 @@ class TestOptimizer:
         cfg = TrainingConfig(optimizer="sgd", learning_rate=0.1)
         optimizer_step(params, {"p": np.array([2.0])}, OptimizerState(), cfg)
         assert abs(params["p"][0] - 0.8) < 1e-15
-
-    def test_mask_reapplied(self):
-        params = {"layer0.w": np.array([[1.0, 2.0], [3.0, 4.0]])}
-        masks = {"layer0.w": np.array([[True, False], [True, True]])}
-        grads = {"layer0.w": np.ones((2, 2))}
-        cfg = TrainingConfig(optimizer="sgd", learning_rate=0.5)
-        optimizer_step(params, grads, OptimizerState(), cfg, masks)
-        assert params["layer0.w"][0, 1] == 0.0
 
     def test_non_finite_gradient_aborts(self):
         params = {"p": np.array([1.0])}
@@ -79,6 +74,21 @@ class TestOptimizer:
             assert np.array_equal(params[name], p)
             assert np.array_equal(state.m[name], m)
             assert np.array_equal(state.v[name], v)
+
+    def test_adam_step_memory_scales_with_live_weights(self):
+        # one step from a fresh state at 2% density allocates less than
+        # one dense copy of the layer's 4H x (D+H) gate matrix
+        model = build_model(1, [200], seed=1, density=0.02)
+        _, cache = forward_batch(model, np.ones((2, 5, 1)))
+        grads = backward_sequence(model, cache, np.ones((2, 1)))
+        params = model_params(model)
+        tracemalloc.start()
+        try:
+            optimizer_step(params, grads, OptimizerState(), TrainingConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.layers[0].w.nbytes
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -165,6 +175,67 @@ class TestFit:
         err = info.value
         assert (err.epoch, err.batch, err.layer, err.timestep) == (0, 1, 0, 5)
         assert str(err) == "non-finite cell state at epoch 0, batch 1, layer 0, timestep 5"
+
+    def test_adam_moments_hold_the_live_weights(self, monkeypatch):
+        states = []
+
+        def step(*args):
+            states.append(args[2])
+            return optimizer_step(*args)
+
+        monkeypatch.setattr(training, "optimizer_step", step)
+        train, _ = sine_dataset()
+        model = build_model(1, [40, 40], seed=3, density=0.1)
+        fit(model, train, TrainingConfig(epochs=1, batch_size=64, seed=2))
+        state = states[-1]
+        for k, layer in enumerate(model.layers):
+            nnz = int(layer.mask.bits.sum())
+            assert state.m[f"layer{k}.w"].shape == state.v[f"layer{k}.w"].shape == (nnz,)
+
+    @pytest.mark.parametrize("hidden", [[12], [12, 10]], ids=["1layer", "2layer"])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "csr"])
+    def test_fit_matches_dense_textbook_adam(self, hidden, threshold, monkeypatch):
+        # k steps of fit against Adam over every dense entry, fed the same
+        # gradients scattered to dense form; clipping never fires
+        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
+        grads_seen = []
+
+        def step(params, grads, state, config):
+            grads_seen.append({name: g.copy() for name, g in grads.items()})
+            return optimizer_step(params, grads, state, config)
+
+        monkeypatch.setattr(training, "optimizer_step", step)
+        train, _ = sine_dataset(n=120)
+        model = build_model(1, hidden, seed=4, density=0.3)
+        assert model.layers[0].uses_sparse == (threshold > 0.3)
+        cfg = TrainingConfig(epochs=2, batch_size=32, learning_rate=0.01,
+                             grad_clip=1e300, seed=3)
+        want = {"head.w": model.head_w.copy(), "head.b": model.head_b.copy()}
+        live = {}
+        for k, layer in enumerate(model.layers):
+            want[f"layer{k}.w"], want[f"layer{k}.b"] = layer.w.copy(), layer.b.copy()
+            live[f"layer{k}.w"] = np.flatnonzero(layer.mask.bits)
+        fit(model, train, cfg)
+        b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.epsilon, cfg.learning_rate
+        m = {name: np.zeros_like(p) for name, p in want.items()}
+        v = {name: np.zeros_like(p) for name, p in want.items()}
+        for t, grads in enumerate(grads_seen, start=1):
+            for name, p in want.items():
+                g = grads[name]
+                if name in live:
+                    g = np.zeros_like(p)
+                    g.ravel()[live[name]] = grads[name]
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert len(grads_seen) == 2 * math.ceil(len(train) / 32)
+        assert np.array_equal(model.head_w, want["head.w"])
+        assert np.array_equal(model.head_b, want["head.b"])
+        for k, layer in enumerate(model.layers):
+            assert np.array_equal(layer.w, want[f"layer{k}.w"])
+            assert np.array_equal(layer.b, want[f"layer{k}.b"])
 
     def test_sparse_masks_zero_after_adam_steps(self):
         train, _ = sine_dataset()
