@@ -1,17 +1,15 @@
 """Comparison predictors: ARIMA(p, d, 0) by least squares and a small
-feed-forward network sharing the training machinery.  The naive last-value
-floor is read off the windows by the sweep."""
+feed-forward network trained by the RCLSTM's own training loop.  The naive
+last-value floor is read off the windows by the sweep."""
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError
-from .training import (OptimizerState, TrainingHistory, batch_loss_and_grad,
-                       clip_gradients, optimizer_step)
+from .errors import ShapeError
+from .training import batch_loss_and_grad, train_loop
 
 FFNN_DEFAULT_DIMS = (100, 50, 50, 1)
 
@@ -146,8 +144,8 @@ def ffnn_predict(model, inputs):
 
 
 def ffnn_train(dataset, config, dims=None, seed=0):
-    """Mini-batch training of the feed-forward baseline on a windowed
-    dataset; shares the optimizer and clipping with the recurrent trainer."""
+    """Train the feed-forward baseline on a windowed dataset with the
+    RCLSTM's ``training.train_loop``; returns (model, TrainingHistory)."""
     n_features = dataset.inputs.shape[1] * dataset.inputs.shape[2]
     if dims is None:
         dims = (n_features,) + FFNN_DEFAULT_DIMS[1:]
@@ -156,24 +154,11 @@ def ffnn_train(dataset, config, dims=None, seed=0):
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         params[f"ffnn{k}.w"] = w
         params[f"ffnn{k}.b"] = b
-    state = OptimizerState()
-    history = TrainingHistory()
-    rng = np.random.default_rng(config.seed)
     y = np.asarray(dataset.targets, dtype=np.float64)
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(len(dataset)) if config.shuffle else np.arange(len(dataset))
-        losses = []
-        for batch, lo in enumerate(range(0, len(dataset), config.batch_size)):
-            idx = order[lo : lo + config.batch_size]
-            out, acts = ffnn_forward(model, dataset.inputs[idx])
-            loss, dout = batch_loss_and_grad("regression", out[:, None], y[idx])
-            if not math.isfinite(loss):
-                raise DivergenceError("non-finite loss", epoch=epoch, batch=batch)
-            grads = ffnn_backward(model, acts, dout[:, 0])
-            clip_gradients(grads, config.grad_clip)
-            optimizer_step(params, grads, state, config)
-            losses.append(loss)
-        history.train_loss.append(float(np.mean(losses)))
-        history.epoch_seconds.append(time.perf_counter() - started)
-    return model, history
+
+    def batch_grads(idx):
+        out, acts = ffnn_forward(model, dataset.inputs[idx])
+        loss, dout = batch_loss_and_grad("regression", out[:, None], y[idx])
+        return loss, ffnn_backward(model, acts, dout[:, 0])
+
+    return model, train_loop(len(dataset), config, params, batch_grads)

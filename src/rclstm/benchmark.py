@@ -88,9 +88,9 @@ def benchmark_serving(model, windows, batch=1, reps=100, warmup=5):
 
 def benchmark_training_step(model, dataset, config, reps=10, warmup=1):
     """Time training steps of ``model`` on a WindowedDataset taken as one
-    batch: forward with the cache, backward, clipping and an optimizer
-    step from a fresh state, run as one ``fit`` epoch with ``config``'s
-    optimizer settings.  Every step is one sample; the model trains on.
+    batch: forward with the cache, backward, clipping and an Adam step
+    from a fresh state, run as one ``fit`` epoch with ``config``'s
+    settings.  Every step is one sample; the model trains on.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

@@ -3,16 +3,19 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.  A
 usage error includes a flag the subcommand does not read.  A config error
 includes an INI file that does not parse, a non-finite float, an empty or
-non-positive layer size, an empty seed list, ``timing_reps`` below 1, a
-negative ``[bench] warmup``, a synthetic ``period`` or ``mix_period`` of 0,
-a ``longrange`` lag outside [1, n), a negative ``noise`` or ``ar_noise``,
-Adam betas outside [0, 1) or an ``epsilon`` <= 0, and sweep points the axis
-cannot take (fewer than two, a connectivity outside (0, 1], a train
-fraction outside (0, 1), a window that is not a whole number >= 1); they
-exit 2 before any model trains, as does ``bench`` on data with fewer than
-256 windows.  With ``--freeze-timestamps`` output filenames use a fixed
-stamp and measured wall-clock columns are written as zeros, so identical
-(config, seed) runs produce byte-identical files.
+non-positive layer size, an empty seed list, a negative seed (in the INI
+or by ``--seed``), ``timing_reps`` below 1, a negative ``[bench] warmup``,
+a synthetic ``period`` or ``mix_period`` of 0, a ``longrange`` lag outside
+[1, n), a negative ``noise`` or ``ar_noise``, Adam betas outside [0, 1) or
+an ``epsilon`` <= 0, and sweep points the axis cannot take (fewer than
+two, a connectivity outside (0, 1], a train fraction outside (0, 1), a
+window that is not a whole number >= 1); they exit 2 before any model
+trains, as do ``bench`` on data with fewer than 256 windows and a dataset
+cache with an unknown task, or with classes but no codebook or classes
+outside it.  Every model trains with Adam.  With ``--freeze-timestamps``
+output filenames use a fixed stamp and measured wall-clock columns are
+written as zeros, so identical (config, seed) runs produce byte-identical
+files.
 """
 
 import argparse

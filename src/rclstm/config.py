@@ -117,7 +117,6 @@ _CHOICES = {
     ("run", "task"): ("traffic", "mobility", "synthetic"),
     ("synthetic", "kind"): ("sine", "ar", "longrange"),
     ("data", "normalize_scope"): ("full", "train"),
-    ("training", "optimizer"): ("adam", "sgd"),
     ("sweep", "axis"): tuple(SWEEP_AXES),
 }
 
@@ -190,6 +189,9 @@ def load_config(path=None):
         raise ConfigError("[model] hidden must list one or more sizes >= 1")
     if cfg.bench.warmup < 0:
         raise ConfigError("[bench] warmup must be >= 0")
+    for name in ("model", "training", "synthetic"):
+        if getattr(cfg, name).seed < 0:
+            raise ConfigError(f"[{name}] seed must be >= 0")
     _check_synthetic(cfg.synthetic)
     _check_sweep(cfg.sweep)
     return cfg
@@ -209,6 +211,8 @@ def _check_sweep(sweep):
     """Reject a sweep that could not run; window points become ints."""
     if not sweep.seeds:
         raise ConfigError("[sweep] seeds: a sweep needs at least one seed")
+    if min(sweep.seeds) < 0:
+        raise ConfigError("[sweep] seeds must be >= 0")
     if sweep.timing_reps < 1:
         raise ConfigError("[sweep] timing_reps must be >= 1")
     points = sweep.points
@@ -227,6 +231,8 @@ def _check_sweep(sweep):
 def apply_overrides(cfg, seed=None, density=None, window=None, train_fraction=None):
     """Apply CLI flag overrides; ``seed`` overrides every per-section seed."""
     if seed is not None:
+        if seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg.model.seed = seed
         cfg.training.seed = seed
         cfg.synthetic.seed = seed

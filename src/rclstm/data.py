@@ -271,13 +271,16 @@ def save_prepared(prepared, path):
 def load_prepared(path):
     """Inverse of ``save_prepared``; returns the PreparedData.
 
-    Raises CheckpointError when the cache lacks a key or its metadata is
-    not a JSON object.  Caches that also hold windows (``inputs``,
-    ``targets``, ``window``, ``classes``) load; those keys are ignored.
+    Raises CheckpointError when the cache lacks a key, its metadata is not
+    a JSON object, its task is unknown, or a classification cache has no
+    codebook or classes outside 1..codebook size.  Caches that also hold
+    windows (``inputs``, ``targets``, ``window``, ``classes``) load; those
+    keys are ignored.
     """
     with open(path, "rb") as fh:
         meta, arrays = read_container(fh.read(), expect_kind="dataset")
     try:
+        task = meta["task"]
         norm = None
         if meta["norm"] is not None:
             norm = NormalizationParams(meta["norm"]["min_log"], meta["norm"]["max_log"])
@@ -286,10 +289,17 @@ def load_prepared(path):
             book = LocationCodebook({raw: j + 1 for j, raw in enumerate(meta["codebook"])},
                                     list(meta["codebook"]))
         features = arrays["features"]
-        if meta["task"] == "classification":
-            features = features.astype(np.int64)
-        return PreparedData(meta["task"], features, norm=norm, codebook=book)
     except KeyError as err:
         raise CheckpointError(f"dataset cache lacks {err}") from None
     except TypeError as err:  # meta or its norm entry is not a JSON object
         raise CheckpointError(f"malformed dataset cache metadata: {err}") from None
+    if task not in ("regression", "classification"):
+        raise CheckpointError(f"dataset cache has unknown task {task!r}")
+    if task == "classification":
+        if book is None:
+            raise CheckpointError("classification dataset cache has no codebook")
+        features = features.astype(np.int64)
+        if features.size and not 1 <= features.min() <= features.max() <= book.size:
+            raise CheckpointError(
+                f"dataset cache holds classes outside 1..{book.size}")
+    return PreparedData(task, features, norm=norm, codebook=book)

@@ -71,7 +71,9 @@ class StackedRclstm:
 
 @dataclass
 class LayerCache:
-    """One layer's unroll over a batch; every array is (T, features, B)."""
+    """One layer's unroll over a batch; every array is (T, features, B).
+    ``backward_sequence`` drops ``x`` and ``h`` once it holds them
+    feature-major."""
 
     x: np.ndarray  # the layer's input
     gates: np.ndarray  # (T, 4H, B) activations f, i, z, o; dA once backpropagated
@@ -180,18 +182,19 @@ def _feature_major(seq):
     return np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(seq.shape[1], -1)
 
 
-def _layer_backward(layer, lc, grad_h, input_grad):
+def _layer_backward(layer, lc, grad_h, x_fm, h_fm, input_grad):
     """Backpropagate one layer's unroll.
 
     ``grad_h`` (T, H, B) is the loss gradient wrt the layer's hidden
-    states from above.  Returns (grad_w, grad_b, grad_x): grad_w is the
-    gradient wrt the live weights, a value vector in
-    ``np.flatnonzero(mask.bits)`` order; grad_x is the gradient wrt the
-    layer's input sequence, or None unless ``input_grad``.  Leaves dA in
-    ``lc.gates``.
+    states from above; ``x_fm`` and ``h_fm`` are the layer's input and
+    hidden state sequences as ``_feature_major`` gives them.  Returns
+    (grad_w, grad_b, grad_x): grad_w is the gradient wrt the live weights,
+    a value vector in ``np.flatnonzero(mask.bits)`` order; grad_x is the
+    gradient wrt the layer's input sequence, or None unless
+    ``input_grad``.  Leaves dA in ``lc.gates``.
     """
     ops = layer.products()
-    n_steps, _, batch = lc.x.shape
+    n_steps, _, batch = lc.gates.shape
     grad_c = np.zeros((layer.hidden_dim, batch))
     grad_h_rec = None
     for t in range(n_steps - 1, -1, -1):
@@ -201,9 +204,10 @@ def _layer_backward(layer, lc, grad_h, input_grad):
                                            lc.tanh_c[t], gh, grad_c)
     da = _feature_major(lc.gates)
     grad_w = np.empty(ops.x_at.size + ops.h_at.size)
-    grad_w[ops.x_at] = ops.x.masked_outer(da, _feature_major(lc.x))
-    # h_prev is zero at the first step, so the recurrent block sees steps 1..T-1
-    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], _feature_major(lc.h[:-1]))
+    grad_w[ops.x_at] = ops.x.masked_outer(da, x_fm)
+    # h_prev is zero at the first step, so the recurrent block pairs steps
+    # 1..T-1 of dA with hidden states 0..T-2, the leading columns of h_fm
+    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], h_fm[:, : (n_steps - 1) * batch])
     grad_x = ops.x.tdot(lc.gates) if input_grad else None
     return grad_w, da.sum(axis=1), grad_x
 
@@ -233,9 +237,17 @@ def backward_sequence(model, cache, loss_grad):
     grads = {"head.w": loss_grad.T @ top.h[-1].T, "head.b": loss_grad.sum(axis=0)}
     grad_h = np.zeros_like(top.h)
     grad_h[-1] = (loss_grad @ model.head_w).T
+    # every layer boundary's sequence made feature-major once, replacing
+    # its (T, ., B) form in the cache: seq[k] is layer k's input and
+    # seq[k + 1] its hidden states, which layer k + 1 reads as its input
+    seq = [_feature_major(cache.layers[0].x)]
+    for lc in cache.layers:
+        lc.x = None
+        seq.append(_feature_major(lc.h))
+        lc.h = None
     for k in range(len(model.layers) - 1, -1, -1):
         grads[f"layer{k}.w"], grads[f"layer{k}.b"], grad_h = _layer_backward(
-            model.layers[k], cache.layers[k], grad_h, input_grad=k > 0)
+            model.layers[k], cache.layers[k], grad_h, seq[k], seq[k + 1], input_grad=k > 0)
     return grads
 
 

@@ -8,7 +8,6 @@ plot-ready CSVs plus a text summary, deterministic given the seed list.
 import concurrent.futures
 import copy
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ class SweepRow:
     rmse: float | None
     accuracy: float | None
     median_time_s: float | None
-    train_seconds: float | None
+    train_seconds: float | None  # sum of the training epochs' seconds, for every model
     status: str
     config_hash: str
 
@@ -87,17 +86,15 @@ def _run_point(cfg, prepared, point, seed):
     rows = []
 
     model = build_from_config(cfg, prepared)
-    started = time.perf_counter()
     try:
-        fit(model, train, cfg.training)
-        train_seconds = time.perf_counter() - started
+        _, history = fit(model, train, cfg.training)
         metric, _ = evaluate_model(model, test)
         stats = benchmark_serving(model, test.inputs[:TIMING_WINDOWS],
                                   reps=cfg.sweep.timing_reps, warmup=2)
         rows.append(SweepRow(axis, float(point), "rclstm", seed,
                              metric if task == "regression" else None,
                              metric if task == "classification" else None,
-                             stats.median, train_seconds, "ok", tag))
+                             stats.median, sum(history.epoch_seconds), "ok", tag))
     except DivergenceError as err:
         rows.append(SweepRow(axis, float(point), "rclstm", seed, None, None,
                              None, None, f"diverged: {err}", tag))
@@ -122,11 +119,10 @@ def _baseline_rows(cfg, prepared, point, train, test, tag):
         preds = arima_rolling_forecast(model, features, start)
         rows.append(SweepRow(axis, float(point), "arima", seed,
                              rmse(test.targets, preds), None, None, None, "ok", tag))
-        started = time.perf_counter()
-        ffnn, _ = ffnn_train(train, cfg.training, seed=seed)
+        ffnn, history = ffnn_train(train, cfg.training, seed=seed)
         rows.append(SweepRow(axis, float(point), "ffnn", seed,
                              rmse(test.targets, ffnn_predict(ffnn, test.inputs)),
-                             None, None, time.perf_counter() - started, "ok", tag))
+                             None, None, sum(history.epoch_seconds), "ok", tag))
     else:
         rows.append(SweepRow(axis, float(point), "naive", seed, None,
                              accuracy(test.targets, naive_pred), None, None,

@@ -1,4 +1,7 @@
-"""Mini-batch gradient training over the live weights only.
+"""Mini-batch Adam training over the live weights only.
+
+``train_loop`` is the one training loop; ``fit`` (the RCLSTM) and
+``baselines.ffnn_train`` only say how a batch's gradients are formed.
 
 Each layer's weight gradient, its share of the clipping norm and its Adam
 moments are value vectors over the mask's nonzeros
@@ -25,7 +28,6 @@ class TrainingConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -38,8 +40,6 @@ class TrainingConfig:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.learning_rate <= 0 or self.grad_clip <= 0:
             raise ValueError("learning_rate and grad_clip must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer: {self.optimizer!r}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1) or self.epsilon <= 0:
             raise ValueError("beta1 and beta2 must lie in [0, 1) and epsilon be positive")
 
@@ -82,7 +82,7 @@ def clip_gradients(grads, max_norm):
 
 
 def optimizer_step(params, grads, state, config):
-    """Apply one SGD or Adam update to every array of ``params`` in place.
+    """Apply one Adam update to every array of ``params`` in place.
 
     ``grads`` holds an array shaped like each parameter.  Adam's moments
     are created on the first step, shaped like the parameters: for a
@@ -92,38 +92,33 @@ def optimizer_step(params, grads, state, config):
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient in {name}")
     state.step += 1
-    lr = config.learning_rate
-    if config.optimizer == "sgd":
-        for name, p in params.items():
-            p -= lr * grads[name]
-    else:
-        b1, b2, eps = config.beta1, config.beta2, config.epsilon
-        t = state.step
-        size = max(p.size for p in params.values())
-        buf1, buf2 = np.empty(size), np.empty(size)
-        for name, p in params.items():
-            g = grads[name]
-            if name not in state.m:
-                state.m[name] = np.zeros_like(p)
-                state.v[name] = np.zeros_like(p)
-            m, v = state.m[name], state.v[name]
-            s1, s2 = buf1[: p.size].reshape(p.shape), buf2[: p.size].reshape(p.shape)
-            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, in place with
-            # the same operations in the same order as the textbook form
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=s1)
-            np.multiply(g, 1.0 - b2, out=s2)
-            s2 *= g
-            v *= b2
-            v += s2
-            # p -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, 1.0 - b1 ** t, out=s1)
-            s1 *= lr
-            np.divide(v, 1.0 - b2 ** t, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
-            p -= s1
+    lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.epsilon
+    t = state.step
+    size = max(p.size for p in params.values())
+    buf1, buf2 = np.empty(size), np.empty(size)
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        s1, s2 = buf1[: p.size].reshape(p.shape), buf2[: p.size].reshape(p.shape)
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, in place with
+        # the same operations in the same order as the textbook form
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        np.multiply(g, 1.0 - b2, out=s2)
+        s2 *= g
+        v *= b2
+        v += s2
+        # p -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - b1 ** t, out=s1)
+        s1 *= lr
+        np.divide(v, 1.0 - b2 ** t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        p -= s1
     return params, state
 
 
@@ -132,7 +127,8 @@ def batch_loss_and_grad(task, outputs, targets):
 
     Regression: squared error of ``outputs[:, 0]``.  Classification:
     cross-entropy of the softmax of ``outputs`` against 1-based target
-    classes; the gradient rows are ``(softmax - one_hot) / B``.
+    classes; the gradient rows are ``(softmax - one_hot) / B``.  A
+    non-finite loss raises DivergenceError before any backward pass.
     """
     n = outputs.shape[0]
     if task == "regression":
@@ -150,6 +146,8 @@ def batch_loss_and_grad(task, outputs, targets):
         dout = probs
         dout[np.arange(n), idx] -= 1.0
         dout /= n
+    if not math.isfinite(loss):
+        raise DivergenceError("non-finite loss")
     return loss, dout
 
 
@@ -176,46 +174,60 @@ def predict_batch(model, windows, batch_size=256):
     return np.concatenate(out) if out else np.array([])
 
 
-def fit(model, train_ds, config, val_ds=None):
-    """Train ``model`` on a WindowedDataset with full-window BPTT.
+def train_loop(n, config, params, batch_grads, after_step=None, validate=None):
+    """Adam on ``params`` in place over ``n`` samples; returns the
+    TrainingHistory.
 
-    Each step's update is written back into every layer's ``w`` at its
-    live positions only (O(nnz)).  Returns (model, TrainingHistory).
-    Raises DivergenceError on a non-finite loss, gradient or state,
-    carrying the epoch and batch (and for a state, the layer and
-    timestep).
+    Each epoch takes the samples in a seeded shuffle (or in order),
+    ``config.batch_size`` at a time.  Per batch: ``batch_grads(idx)``
+    gives (mean loss, grads keyed like ``params``), then clipping, the
+    Adam step and ``after_step()``.  ``validate()`` gives the epoch's
+    validation metric.  A DivergenceError gains its epoch and batch.
     """
-    if train_ds.inputs.shape[0] == 0:
+    if n == 0:
         raise ValueError("empty training set")
     rng = np.random.default_rng(config.seed)
-    params = model_params(model)
-    live = {f"layer{k}.w": (layer.w, np.flatnonzero(layer.mask.bits))
-            for k, layer in enumerate(model.layers)}
     state = OptimizerState()
     history = TrainingHistory()
-    n = train_ds.inputs.shape[0]
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         losses = []
         for batch, lo in enumerate(range(0, n, config.batch_size)):
-            idx = order[lo : lo + config.batch_size]
             try:
-                outputs, cache = forward_batch(model, train_ds.inputs[idx])
-                loss, dout = batch_loss_and_grad(model.task, outputs, train_ds.targets[idx])
-                if not math.isfinite(loss):
-                    raise DivergenceError("non-finite loss")
-                grads = backward_sequence(model, cache, dout)
+                loss, grads = batch_grads(order[lo : lo + config.batch_size])
                 clip_gradients(grads, config.grad_clip)
                 optimizer_step(params, grads, state, config)
-                for name, (w, at) in live.items():
-                    np.put(w, at, params[name])
+                if after_step is not None:
+                    after_step()
             except DivergenceError as err:
                 raise err.at(epoch=epoch, batch=batch) from None
             losses.append(loss)
         history.train_loss.append(float(np.mean(losses)))
-        if val_ds is not None:
-            metric, _ = evaluate_model(model, val_ds)
-            history.val_metric.append(metric)
+        if validate is not None:
+            history.val_metric.append(validate())
         history.epoch_seconds.append(time.perf_counter() - started)
-    return model, history
+    return history
+
+
+def fit(model, train_ds, config, val_ds=None):
+    """Train ``model`` on a WindowedDataset with full-window BPTT; returns
+    (model, TrainingHistory).  After each step the live weights are
+    written back into every layer's ``w`` at their positions only.
+    """
+    params = model_params(model)
+    live = [(layer.w, np.flatnonzero(layer.mask.bits), params[f"layer{k}.w"])
+            for k, layer in enumerate(model.layers)]
+
+    def batch_grads(idx):
+        outputs, cache = forward_batch(model, train_ds.inputs[idx])
+        loss, dout = batch_loss_and_grad(model.task, outputs, train_ds.targets[idx])
+        return loss, backward_sequence(model, cache, dout)
+
+    def write_back():
+        for w, at, values in live:
+            np.put(w, at, values)
+
+    validate = None if val_ds is None else (lambda: evaluate_model(model, val_ds)[0])
+    return model, train_loop(len(train_ds), config, params, batch_grads, write_back,
+                             validate)

@@ -117,6 +117,26 @@ class TestFfnn:
         assert str(err) == "non-finite loss at epoch 0, batch 1"
         assert (err.epoch, err.batch, err.layer, err.timestep) == (0, 1, None, None)
 
+    def test_non_finite_gradient_names_epoch_and_batch(self, monkeypatch):
+        from rclstm import baselines
+
+        calls = []
+
+        def nan_on_third_batch(model, acts, dout):
+            grads = ffnn_backward(model, acts, dout)
+            calls.append(None)
+            if len(calls) == 3:
+                grads["ffnn1.w"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(baselines, "ffnn_backward", nan_on_third_batch)
+        ds = sliding_window(sine_series(120, seed=2).values, 10)  # 4 batches of 32
+        with pytest.raises(DivergenceError) as info:
+            ffnn_train(ds, TrainingConfig(epochs=2, batch_size=32))
+        err = info.value
+        assert str(err) == "non-finite gradient in ffnn1.w at epoch 0, batch 2"
+        assert (err.epoch, err.batch) == (0, 2)
+
 
 def test_white_noise_overfitting_guard():
     # no predictor should undercut the noise floor by more than 20 percent

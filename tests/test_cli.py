@@ -82,8 +82,8 @@ class TestConfig:
             load_config(path)
 
     def test_bad_choice_rejected(self, tmp_path):
-        path = write_cfg(tmp_path, "[training]\noptimizer = momentum\n")
-        with pytest.raises(ConfigError):
+        path = write_cfg(tmp_path, "[synthetic]\nkind = cosine\n")
+        with pytest.raises(ConfigError, match="must be one of"):
             load_config(path)
 
     def test_bad_type_rejected(self, tmp_path):
@@ -247,6 +247,28 @@ class TestCliCommands:
         assert main(["preprocess", "--config", cfg]) == 2
         assert "lacks 'norm'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, classes, n_locations, message", [
+        ("classification", [1, 2, 0, 3], 3, "classes outside 1..3"),
+        ("classification", [1, 2, 4, 3], 3, "classes outside 1..3"),
+        ("classification", [1, 2, 3, 1], None, "has no codebook"),
+        ("foo", [1, 2, 3, 1], 3, "unknown task 'foo'"),
+    ], ids=["class_0", "class_above_codebook", "no_codebook", "unknown_task"])
+    def test_malformed_dataset_cache_exit_2(self, tmp_path, capsys, task, classes,
+                                            n_locations, message):
+        from rclstm.data import LocationCodebook, PreparedData, save_prepared
+
+        book = None
+        if n_locations is not None:
+            ids = [100 + j for j in range(n_locations)]
+            book = LocationCodebook({raw: j + 1 for j, raw in enumerate(ids)}, ids)
+        cache = tmp_path / "cache.bin"
+        save_prepared(PreparedData(task, np.array(classes * 10), codebook=book), str(cache))
+        text = MOBILITY_CFG.format(path=cache, out=tmp_path / "out") + "\n[model]\nhidden = 4\n"
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_array_entry_exit_2(self, tmp_path, capsys):
         from rclstm.checkpoint import save_checkpoint
         from rclstm.data import PreparedData, save_prepared
@@ -275,7 +297,7 @@ class TestCliCommands:
 
     def test_divergence_exit_1_names_location(self, tmp_path, capsys):
         text = SINE_CFG.format(out=tmp_path / "out").replace(
-            "[training]", "[training]\nlearning_rate = 1e300\noptimizer = sgd")
+            "[training]", "[training]\nlearning_rate = 1e300")
         cfg = write_cfg(tmp_path, text)
         assert main(["train", "--config", cfg]) == 1
         err = capsys.readouterr().err
@@ -340,17 +362,29 @@ timing_reps = 2
         ("train", "[training]", "[training]\nbeta2 = 1.5"),
         ("train", "[training]", "[training]\nbeta1 = -0.1"),
         ("train", "[training]", "[training]\nepsilon = 0"),
+        ("train", "seed = 1", "seed = -1"),
+        ("train", "seed = 2", "seed = -2"),
+        ("train", "seed = 5", "seed = -5"),
+        ("sweep", "[training]", "[sweep]\npoints = 0.5,1\nseeds = 0,-1\n\n[training]"),
     ], ids=["duplicate_key", "duplicate_section", "no_section_header", "parse_error",
             "learning_rate_nan", "grad_clip_inf", "grad_clip_nan", "float_list_nan",
             "no_seeds", "timing_reps_0", "hidden_empty", "hidden_0", "bench_hidden_0",
             "bench_hidden", "bench_window", "bench_density", "bench_warmup_negative",
             "period_0", "mix_period_0", "lag_0", "lag_beyond_n", "noise_negative",
-            "ar_noise_negative", "beta1_1", "beta2_1.5", "beta1_negative", "epsilon_0"])
+            "ar_noise_negative", "beta1_1", "beta2_1.5", "beta1_negative", "epsilon_0",
+            "model_seed_negative", "training_seed_negative", "synthetic_seed_negative",
+            "sweep_seed_negative"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, command, old, new):
         text = SINE_CFG.format(out=tmp_path / "out").replace(old, new)
         assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
+        assert main(["train", "--config", cfg, "--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [

@@ -27,22 +27,10 @@ def sine_dataset(n=400, window=12, fraction=0.9):
 
 
 class TestOptimizer:
-    def test_sgd_zero_gradient(self):
-        params = {"p": np.array([1.0, -2.0])}
-        grads = {"p": np.zeros(2)}
-        optimizer_step(params, grads, OptimizerState(), TrainingConfig(optimizer="sgd"))
-        assert np.array_equal(params["p"], [1.0, -2.0])
-
     def test_adam_zero_gradient(self):
         params = {"p": np.array([0.5])}
         optimizer_step(params, {"p": np.zeros(1)}, OptimizerState(), TrainingConfig())
         assert params["p"][0] == 0.5
-
-    def test_sgd_update_rule(self):
-        params = {"p": np.array([1.0])}
-        cfg = TrainingConfig(optimizer="sgd", learning_rate=0.1)
-        optimizer_step(params, {"p": np.array([2.0])}, OptimizerState(), cfg)
-        assert abs(params["p"][0] - 0.8) < 1e-15
 
     def test_non_finite_gradient_aborts(self):
         params = {"p": np.array([1.0])}
@@ -93,8 +81,6 @@ class TestOptimizer:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainingConfig(optimizer="momentum")
 
 
 class TestClipGradients:
