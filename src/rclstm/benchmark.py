@@ -108,13 +108,13 @@ def benchmark_kernel_paths(hidden=300, density=0.01, reps=200, warmup=10, seed=0
     """
     rng = np.random.default_rng(seed)
     mask = rng.random((4 * hidden, hidden)) < density
-    w = rng.normal(size=mask.shape) * mask
+    w = rng.normal(size=mask.shape)
     results = {}
     for batch in KERNEL_BATCHES:
         h = rng.normal(size=(hidden, batch))
         da = rng.normal(size=(4 * hidden, batch))
         for name, sparse in (("dense", False), ("csr", True)):
-            m = MaskedMatrix(mask, sparse).load(w)
+            m = MaskedMatrix(mask, sparse).load(w[mask])
 
             def run():
                 return float(m.dot(h)[0, 0] + m.tdot(da)[0, 0])

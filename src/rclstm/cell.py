@@ -3,10 +3,11 @@
 A layer owns one fixed boolean connectivity mask over its stacked gate
 weight matrix (shape 4H x (D+H), gate order [forget; input; candidate;
 output]).  The mask is sampled once from per-connection uniform draws and
-never changes; masked weights are exactly zero for the life of the model,
-and training computes gradients for the live weights only.  A layer keeps
-only the mask's bits; their density alone picks the route of the layer's
-gate products (``KERNEL_THRESHOLD``).
+never changes.  A layer stores its live weights only, as a value vector
+over the mask's nonzeros, so masked weights are zero for the life of the
+model by construction, and training computes gradients for the live
+weights only.  The density of the mask's bits alone picks the route of the
+layer's gate products (``KERNEL_THRESHOLD``).
 
 The cell works on a batch of B windows at a time: one timestep of a
 layer's state is an (H, B) block, one column per window.
@@ -69,17 +70,17 @@ class GateProducts:
 class LstmLayerParams:
     """Weights, biases and mask for one memory-block layer.
 
-    ``w`` is 4H x (D+H) with masked positions held at exactly zero; biases
-    are dense (connectivity applies to neuron pairs, not biases).  ``w`` is
-    the master copy of the weights: the products read it afresh on every
-    pass (see ``products``), and training writes only its live entries.
+    ``values`` holds the live weights of the 4H x (D+H) gate matrix, in
+    ``np.flatnonzero(mask.bits)`` order, and is the only copy of them:
+    masked weights are not stored, so they are zero by construction.
+    Biases are dense (connectivity applies to neuron pairs, not biases).
     The mask's density alone picks the route of the products: scipy CSR
     below ``KERNEL_THRESHOLD``, dense BLAS at or above it.
     """
 
     input_dim: int
     hidden_dim: int
-    w: np.ndarray
+    values: np.ndarray
     b: np.ndarray
     mask: ConnectivityMask
     _products: GateProducts | None = field(default=None, repr=False, compare=False)
@@ -88,39 +89,54 @@ class LstmLayerParams:
     def uses_sparse(self):
         return self.mask.density < KERNEL_THRESHOLD
 
-    def products(self):
-        """The input and recurrent blocks of ``w`` as ``MaskedMatrix``
-        objects holding its current values.
+    @property
+    def w(self):
+        """The gate matrix as a new read-only dense 4H x (D+H) array, zero
+        where masked.  Edit ``values`` to change the weights."""
+        w = np.zeros(self.mask.bits.shape)
+        w[self.mask.bits] = self.values
+        w.flags.writeable = False
+        return w
 
-        The route, the CSR index structure and the blocks' places among
-        the live weights come from the fixed mask bits; they are set on
-        the first call and kept for the layer's life.  Every call gathers the nonzeros from ``w`` again, so in-place edits
-        of ``w`` (optimizer steps, finite differences) are always seen.
+    def products(self):
+        """The input and recurrent blocks of the gate matrix as
+        ``MaskedMatrix`` objects.
+
+        They are built on the first call, from the fixed mask bits (route,
+        CSR index structure, the blocks' places among the live weights)
+        and the current ``values``, and kept for the layer's life.  Later
+        calls return them as they are: after editing ``values`` in place
+        (an optimizer step, a finite difference), call ``sync``.
         """
-        d = self.input_dim
         if self._products is None:
-            bits, sparse = self.mask.bits, self.uses_sparse
+            d, bits, sparse = self.input_dim, self.mask.bits, self.uses_sparse
             in_x = np.flatnonzero(bits) % bits.shape[1] < d
             self._products = GateProducts(MaskedMatrix(bits[:, :d], sparse),
                                           MaskedMatrix(bits[:, d:], sparse),
                                           np.flatnonzero(in_x), np.flatnonzero(~in_x))
+            self.sync()
+        return self._products
+
+    def sync(self):
+        """Load the current ``values`` into the blocks ``products`` built;
+        nothing to do before they are built."""
         ops = self._products
-        ops.x.load(self.w[:, :d])
-        ops.h.load(self.w[:, d:])
-        return ops
+        if ops is not None:
+            ops.x.load(self.values[ops.x_at])
+            ops.h.load(self.values[ops.h_at])
 
 
 def init_layer(input_dim, hidden_dim, density=1.0, seed=0):
-    """Create a layer with fan-in uniform init, then apply a fresh mask."""
+    """Create a layer with fan-in uniform init, then apply a fresh mask;
+    only the draws at the mask's nonzeros are kept."""
     bits_seed, w_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     fan_in = input_dim + hidden_dim
     mask = generate_mask(4 * hidden_dim, fan_in, density, bits_seed)
     scale = 1.0 / math.sqrt(fan_in)
     rng = np.random.default_rng(w_seed)
     w = rng.uniform(-scale, scale, size=(4 * hidden_dim, fan_in))
-    w[~mask.bits] = 0.0
     b = np.zeros(4 * hidden_dim)
-    return LstmLayerParams(input_dim, hidden_dim, w, b, mask)
+    return LstmLayerParams(input_dim, hidden_dim, w[mask.bits], b, mask)
 
 
 def cell_forward(w_h, a, h_prev, c_prev, c, tanh_c, h):

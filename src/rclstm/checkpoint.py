@@ -1,12 +1,30 @@
 """Deterministic binary container and model checkpointing.
 
-Layout (documented for external tools):
+Container layout (documented for external tools):
 
     bytes 0..8   magic ``RCLSTM01``
     bytes 8..12  big-endian uint32 length L of the JSON header
     bytes 12..12+L  header: {"version", "kind", "meta", "arrays": [
                      {"name", "dtype", "shape"} ...]} with sorted keys
     remainder    each array's raw little-endian C-order bytes, in header order
+
+A model checkpoint (kind ``model``) holds, per layer k, the arrays
+
+    layer{k}.values  <f8, the live weights of the 4H x (D+H) gate matrix
+                     in row-major order of the mask's nonzeros
+                     (``np.flatnonzero``), one per set mask bit
+    layer{k}.bits    |u1, ``np.packbits`` of the row-major mask: ceil(4H *
+                     (D+H) / 8) bytes, the first entry in the most
+                     significant bit, the last byte padded with zero bits
+    layer{k}.b       <f8, the 4H biases
+
+plus ``head.w`` and ``head.b``; ``meta`` gives the task, the output width
+and each layer's dims.  Files written before this layout (v1) held a dense
+``layer{k}.w``, zero where masked, and an unpacked ``layer{k}.mask`` of 0/1
+bytes in place of ``values`` and ``bits``; they still load, and are
+re-saved in the layout above (v2).  The container itself is unchanged, so
+its header version stays 1 and the layer arrays' names tell the layouts
+apart.
 
 The format carries no timestamps, so identical content always serializes to
 identical bytes and save -> load -> save is the identity.
@@ -30,8 +48,8 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8"), "|u1": np.dtype("|u1"
 
 def _canonical(arr):
     arr = np.asarray(arr)
-    if arr.dtype == bool:
-        arr = arr.astype("|u1")
+    if arr.dtype == bool or arr.dtype == np.uint8:
+        arr = arr.astype("|u1", copy=False)
     elif np.issubdtype(arr.dtype, np.integer):
         arr = arr.astype("<i8", copy=False)
     else:
@@ -114,7 +132,8 @@ def read_container(data, expect_kind=None):
 
 
 def save_checkpoint(model):
-    """Serialize a model (weights, masks, dims, task) to bytes.
+    """Serialize a model (live weights, packed mask bits, dims, task) to
+    bytes.
 
     A layer's mask density and kernel route are not stored: both follow
     from its mask bits.
@@ -127,9 +146,9 @@ def save_checkpoint(model):
     }
     arrays = {"head.w": model.head_w, "head.b": model.head_b}
     for k, layer in enumerate(model.layers):
-        arrays[f"layer{k}.w"] = layer.w
+        arrays[f"layer{k}.values"] = layer.values
+        arrays[f"layer{k}.bits"] = np.packbits(layer.mask.bits)
         arrays[f"layer{k}.b"] = layer.b
-        arrays[f"layer{k}.mask"] = layer.mask.bits
     return write_container("model", meta, arrays)
 
 
@@ -142,14 +161,42 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _layer_weights(k, arrays, shape):
+    """Layer k's (live weights, mask bits) for a gate matrix of ``shape``,
+    from either layout; CheckpointError unless they agree with ``shape``
+    and each other."""
+    if f"layer{k}.w" in arrays:  # v1: a dense matrix, zero where masked
+        w, bits = arrays[f"layer{k}.w"], arrays[f"layer{k}.mask"].astype(bool)
+        _check_shape(f"layer{k}.w", w, shape)
+        _check_shape(f"layer{k}.mask", bits, shape)
+        if np.logical_and(w, ~bits).any():
+            raise CheckpointError(f"layer{k}.w has non-zero weights where its "
+                                  "mask is off")
+        return w[bits], bits
+    packed, values = arrays[f"layer{k}.bits"], arrays[f"layer{k}.values"]
+    n = math.prod(shape)
+    if packed.dtype != np.uint8:
+        raise CheckpointError(f"layer{k}.bits has dtype {packed.dtype.str}, expected |u1")
+    _check_shape(f"layer{k}.bits", packed, ((n + 7) // 8,))
+    flat = np.unpackbits(packed)
+    if flat[n:].any():
+        raise CheckpointError(f"layer{k}.bits has padding bits set")
+    bits = flat[:n].astype(bool).reshape(shape)
+    if values.dtype != np.float64:
+        raise CheckpointError(f"layer{k}.values has dtype {values.dtype.str}, expected <f8")
+    _check_shape(f"layer{k}.values", values, (int(np.count_nonzero(bits)),))
+    return values, bits
+
+
 def load_checkpoint(data):
     """Rebuild a model from ``save_checkpoint`` bytes, bit for bit.
 
     Raises CheckpointError unless the stream holds a model that can serve:
-    a known task, layer dims that chain, arrays of the shapes those dims
-    give, and zero weights wherever a mask is off.  Layer keys this
-    version does not read (files from earlier versions stored mask seeds,
-    densities and kernel thresholds) are ignored.
+    a known task, layer dims that chain, arrays of the shapes and dtypes
+    those dims give, one live weight per mask bit, and, in a v1 file, zero
+    weights wherever a mask is off.  Layer keys this version does not read
+    (files from earlier versions stored mask seeds, densities and kernel
+    thresholds) are ignored.
     """
     meta, arrays = read_container(data, expect_kind="model")
     try:
@@ -167,15 +214,10 @@ def load_checkpoint(data):
             if layers and d != layers[-1].hidden_dim:
                 raise CheckpointError(f"layer {k} input_dim {d} != layer {k - 1} "
                                       f"hidden_dim {layers[-1].hidden_dim}")
-            w, b = arrays[f"layer{k}.w"], arrays[f"layer{k}.b"]
-            bits = arrays[f"layer{k}.mask"].astype(bool)
-            _check_shape(f"layer{k}.w", w, (4 * hidden, d + hidden))
+            values, bits = _layer_weights(k, arrays, (4 * hidden, d + hidden))
+            b = arrays[f"layer{k}.b"]
             _check_shape(f"layer{k}.b", b, (4 * hidden,))
-            _check_shape(f"layer{k}.mask", bits, w.shape)
-            if np.logical_and(w, ~bits).any():
-                raise CheckpointError(f"layer{k}.w has non-zero weights where its "
-                                      "mask is off")
-            layers.append(LstmLayerParams(d, hidden, w, b, ConnectivityMask(bits)))
+            layers.append(LstmLayerParams(d, hidden, values, b, ConnectivityMask(bits)))
         out_dim = meta["out_dim"]
         if not _is_count(out_dim) or (task == "regression" and out_dim != 1):
             raise CheckpointError(f"{task} model with out_dim {out_dim!r}")

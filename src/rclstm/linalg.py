@@ -2,12 +2,13 @@
 
 ``MaskedMatrix`` hides how a matrix whose nonzeros lie on a fixed boolean
 mask is multiplied: through scipy CSR, whose index structure is built once
-from the mask, or through dense BLAS on the masked array itself.  Dense
-operands are feature-major, (features, B) with one column per window, the
-layout scipy's CSR kernels read and write without copies.  The masked
-outer product behind the weight gradient (a sampled dense-dense product,
-SDDMM) yields a value vector of the mask's nonzeros only, in row-major
-order.
+from the mask, or through dense BLAS on a dense array that is zero off the
+mask.  Either route holds the values it was last loaded with, given as the
+mask's nonzeros in row-major order.  Dense operands are feature-major,
+(features, B) with one column per window, the layout scipy's CSR kernels
+read and write without copies.  The masked outer product behind the weight
+gradient (a sampled dense-dense product, SDDMM) yields a value vector of
+the mask's nonzeros only, in the same row-major order.
 """
 
 import numpy as np
@@ -19,10 +20,11 @@ from .errors import ShapeError
 class MaskedMatrix:
     """Products with a matrix that is zero wherever ``mask`` is false.
 
-    ``sparse`` picks the route for the life of the object.  ``load(w)``
-    takes the current values of the dense, masked array ``w``: the dense
-    route keeps a reference to it, the sparse route gathers its nonzeros
-    into the CSR value vector (O(nnz)).
+    ``sparse`` picks the route for the life of the object.  ``load(values)``
+    takes the matrix's nonzeros in row-major order (``np.flatnonzero(mask)``):
+    the sparse route copies them into the CSR value vector, the dense route
+    scatters them into a dense array it owns, whose masked entries stay zero.
+    Either way a load costs O(nnz).
     """
 
     def __init__(self, mask, sparse):
@@ -33,10 +35,8 @@ class MaskedMatrix:
         self.sparse = bool(sparse)
         self.mask = mask
         self.nnz = int(np.count_nonzero(mask))
-        self._w = None
         if self.sparse:
             rows, cols = np.nonzero(mask)  # row-major: columns sorted within rows
-            self.rows, self.cols = rows, cols
             indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
             np.cumsum(np.bincount(rows, minlength=self.shape[0]), out=indptr[1:])
             self._csr = scipy.sparse.csr_matrix(
@@ -51,15 +51,19 @@ class MaskedMatrix:
                 if n:
                     at = by_col[ptr[col] - n : ptr[col]]
                     self._col_rows.append((col, rows[at], at))
-
-    def load(self, w):
-        """Use the values of ``w`` (same shape as the mask) from now on."""
-        if w.shape != self.shape:
-            raise ShapeError(f"weights {w.shape} do not match mask {self.shape}")
-        if self.sparse:
-            self._csr.data[:] = w[self.rows, self.cols]
         else:
-            self._w = w
+            self._at = np.flatnonzero(mask)
+            self._w = np.zeros(self.shape)
+
+    def load(self, values):
+        """Use ``values``, the nonzeros in row-major order, from now on."""
+        if np.shape(values) != (self.nnz,):
+            raise ShapeError(f"{np.shape(values)} values do not match a mask "
+                             f"with {self.nnz} nonzeros")
+        if self.sparse:
+            self._csr.data[:] = values
+        else:
+            np.put(self._w, self._at, values)
         return self
 
     def dot(self, x, out=None):

@@ -24,8 +24,8 @@ adds only the recurrent product.
 
 Backpropagation runs top-down a layer at a time and forms each layer's
 weight gradient as one masked product over all T*B columns, computed at
-the mask's nonzeros only and returned as a value vector of the live
-weights.
+the mask's nonzeros only and returned as a value vector shaped like the
+layer's ``values``.
 """
 
 import math
@@ -188,8 +188,8 @@ def _layer_backward(layer, lc, grad_h, x_fm, h_fm, input_grad):
     ``grad_h`` (T, H, B) is the loss gradient wrt the layer's hidden
     states from above; ``x_fm`` and ``h_fm`` are the layer's input and
     hidden state sequences as ``_feature_major`` gives them.  Returns
-    (grad_w, grad_b, grad_x): grad_w is the gradient wrt the live weights,
-    a value vector in ``np.flatnonzero(mask.bits)`` order; grad_x is the
+    (grad_w, grad_b, grad_x): grad_w is the gradient wrt ``layer.values``,
+    the live weights in ``np.flatnonzero(mask.bits)`` order; grad_x is the
     gradient wrt the layer's input sequence, or None unless
     ``input_grad``.  Leaves dA in ``lc.gates``.
     """
@@ -219,9 +219,9 @@ def backward_sequence(model, cache, loss_grad):
     gradients are summed, so scale ``loss_grad`` by 1/B upstream for a mean
     loss.  Consumes the cache.  Returns a flat dict: ``layer{k}.w``,
     ``layer{k}.b``, ``head.w``, ``head.b``.  ``layer{k}.w`` holds the
-    gradient wrt layer k's live weights only, a value vector in
-    ``np.flatnonzero(mask.bits)`` order; the others are dense, shaped like
-    their parameters.
+    gradient wrt layer k's ``values``, its live weights in
+    ``np.flatnonzero(mask.bits)`` order; the others are dense.  Each is
+    shaped like its parameter.
     """
     dims = [(l.input_dim, l.hidden_dim) for l in model.layers]
     if cache.layer_dims != dims:

@@ -119,10 +119,15 @@ def _baseline_rows(cfg, prepared, point, train, test, tag):
         preds = arima_rolling_forecast(model, features, start)
         rows.append(SweepRow(axis, float(point), "arima", seed,
                              rmse(test.targets, preds), None, None, None, "ok", tag))
-        ffnn, history = ffnn_train(train, cfg.training, seed=seed)
-        rows.append(SweepRow(axis, float(point), "ffnn", seed,
-                             rmse(test.targets, ffnn_predict(ffnn, test.inputs)),
-                             None, None, sum(history.epoch_seconds), "ok", tag))
+        try:
+            ffnn, history = ffnn_train(train, cfg.training, seed=seed)
+        except DivergenceError as err:
+            rows.append(SweepRow(axis, float(point), "ffnn", seed, None, None,
+                                 None, None, f"diverged: {err}", tag))
+        else:
+            rows.append(SweepRow(axis, float(point), "ffnn", seed,
+                                 rmse(test.targets, ffnn_predict(ffnn, test.inputs)),
+                                 None, None, sum(history.epoch_seconds), "ok", tag))
     else:
         rows.append(SweepRow(axis, float(point), "naive", seed, None,
                              accuracy(test.targets, naive_pred), None, None,

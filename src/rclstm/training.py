@@ -5,9 +5,9 @@
 
 Each layer's weight gradient, its share of the clipping norm and its Adam
 moments are value vectors over the mask's nonzeros
-(``np.flatnonzero(mask.bits)`` order).  ``fit`` writes every step's
-update back into the dense master copy ``w`` at those positions alone, so
-masked weights are never touched and stay exactly zero for the whole run.
+(``np.flatnonzero(mask.bits)`` order), like the weights themselves, which
+Adam updates in place; masked weights are not stored, so no step can make
+them non-zero.
 All randomness (shuffling) comes from the config seed; identical (seed,
 data, config) reproduce the trained model bit for bit.
 """
@@ -60,11 +60,11 @@ class OptimizerState:
 
 def model_params(model):
     """Every trainable array, keyed like the grad dict: live references to
-    the head and the biases, and for each layer ``w`` a copy of its live
-    weights as a value vector in ``np.flatnonzero(mask.bits)`` order."""
+    the head, the biases and each layer's ``values``, the live weights in
+    ``np.flatnonzero(mask.bits)`` order."""
     params = {"head.w": model.head_w, "head.b": model.head_b}
     for k, layer in enumerate(model.layers):
-        params[f"layer{k}.w"] = layer.w[layer.mask.bits]
+        params[f"layer{k}.w"] = layer.values
         params[f"layer{k}.b"] = layer.b
     return params
 
@@ -212,22 +212,18 @@ def train_loop(n, config, params, batch_grads, after_step=None, validate=None):
 
 def fit(model, train_ds, config, val_ds=None):
     """Train ``model`` on a WindowedDataset with full-window BPTT; returns
-    (model, TrainingHistory).  After each step the live weights are
-    written back into every layer's ``w`` at their positions only.
+    (model, TrainingHistory).  Adam updates each layer's ``values`` in
+    place, and every step ends by loading them into the layer's products.
     """
-    params = model_params(model)
-    live = [(layer.w, np.flatnonzero(layer.mask.bits), params[f"layer{k}.w"])
-            for k, layer in enumerate(model.layers)]
-
     def batch_grads(idx):
         outputs, cache = forward_batch(model, train_ds.inputs[idx])
         loss, dout = batch_loss_and_grad(model.task, outputs, train_ds.targets[idx])
         return loss, backward_sequence(model, cache, dout)
 
-    def write_back():
-        for w, at, values in live:
-            np.put(w, at, values)
+    def sync():
+        for layer in model.layers:
+            layer.sync()
 
     validate = None if val_ds is None else (lambda: evaluate_model(model, val_ds)[0])
-    return model, train_loop(len(train_ds), config, params, batch_grads, write_back,
-                             validate)
+    return model, train_loop(len(train_ds), config, model_params(model), batch_grads,
+                             sync, validate)

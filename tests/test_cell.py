@@ -69,7 +69,7 @@ class TestGenerateMask:
 class TestCellForward:
     def test_zero_weights_zero_state(self):
         layer = make_layer(3, 4, 1.0, seed=0)
-        layer.w[:] = 0.0
+        layer.values[:] = 0.0
         layer.b[:] = 0.0
         h, c, gates, _ = run_step(layer, np.ones((1, 3)))
         f, i, z, o = gates.reshape(4, 4)
@@ -80,7 +80,7 @@ class TestCellForward:
 
     def test_zero_weights_carries_half_cell(self):
         layer = make_layer(2, 5, 1.0, seed=1)
-        layer.w[:] = 0.0
+        layer.values[:] = 0.0
         layer.b[:] = 0.0
         c_prev = np.linspace(-1.0, 1.0, 5)[None]
         h, c, _, _ = run_step(layer, np.zeros((1, 2)), np.zeros((1, 5)), c_prev.copy())
@@ -109,7 +109,7 @@ class TestCellForward:
         h0, c0 = rng.normal(size=(4, 32)) * 0.3, rng.normal(size=(4, 32))
         sparse = run_step(layer, x, h0, c0)  # the route is fixed from here on
         monkeypatch.setattr(cell, "KERNEL_THRESHOLD", 0.0)
-        dense_layer = LstmLayerParams(layer.input_dim, layer.hidden_dim, layer.w,
+        dense_layer = LstmLayerParams(layer.input_dim, layer.hidden_dim, layer.values,
                                       layer.b, layer.mask)
         assert not dense_layer.uses_sparse
         assert layer.products().h.sparse and not dense_layer.products().h.sparse
@@ -194,11 +194,12 @@ class TestCellBackward:
         gc = rng.normal(size=(1, 4))
 
         def loss():
+            layer.sync()
             h, c, _, _ = run_step(layer, x, h0, c0)
             return float(np.sum(gh * h) + np.sum(gc * c))
 
         grad_w, grad_b, grad_x, grad_h0, grad_c0 = step_grads(layer, x, h0, c0, gh, gc)
-        num_w = numeric_gradient(loss, layer.w)[layer.mask.bits]  # the live weights
+        num_w = numeric_gradient(loss, layer.values)
         assert relative_gradient_error(grad_w, num_w) < 1e-5
         assert relative_gradient_error(grad_b, numeric_gradient(loss, layer.b)) < 1e-5
         assert relative_gradient_error(grad_x, numeric_gradient(loss, x)) < 1e-5
@@ -210,7 +211,7 @@ def test_layer_nnz_tracks_density():
     layer = make_layer(10, 20, 0.03, seed=3)
     assert layer.uses_sparse
     ops = layer.products()
-    assert ops.x.rows.size + ops.h.rows.size == int(layer.mask.bits.sum())
+    assert ops.x.nnz + ops.h.nnz == int(layer.mask.bits.sum())
 
 
 def test_layer_determinism():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rclstm
 from rclstm.cli import main
 from rclstm.config import apply_overrides, load_config
 from rclstm.errors import ConfigError
@@ -144,6 +146,25 @@ class TestCliCommands:
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
         metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert "rmse" in metrics and metrics["n"] == 29
+
+    def test_evaluate_v1_checkpoint(self, tmp_path):
+        # a checkpoint in the v1 layout evaluates as its v2 re-save does
+        from rclstm.checkpoint import (load_checkpoint_file, save_checkpoint_file,
+                                       write_container)
+        from test_training import v1_layout
+
+        cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
+        assert main(["train", "--config", cfg, "--freeze-timestamps"]) == 0
+        trained = tmp_path / "out" / "checkpoint.bin"
+        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        v1.write_bytes(write_container("model", *v1_layout(load_checkpoint_file(trained))))
+        save_checkpoint_file(load_checkpoint_file(v1), v2)
+        assert v2.read_bytes() == trained.read_bytes()
+        metrics = []
+        for ckpt in (v1, v2):
+            assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
+            metrics.append((tmp_path / "out" / "metrics.json").read_bytes())
+        assert metrics[0] == metrics[1]
 
     def test_train_from_cache(self, tmp_path):
         outdir = tmp_path / "out"
@@ -318,6 +339,29 @@ timing_reps = 2
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 points x 1 seed
 
+    def test_sweep_records_diverged_baseline(self, tmp_path):
+        # a diverging FFNN is a row of its own, as a diverging RCLSTM is
+        text = SINE_CFG.format(out=tmp_path / "out").replace(
+            "[training]", "[training]\nlearning_rate = 1e300") + """
+[sweep]
+axis = connectivity
+points = 0.5,1.0
+seeds = 0
+timing_reps = 2
+include_baselines = true
+"""
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--freeze-timestamps"]) == 0
+        path = tmp_path / "out" / "sweep_connectivity_frozen.csv"
+        with open(path, newline="") as fh:
+            status = {(row["value"], row["model"]): row["status"]
+                      for row in csv.DictReader(fh)}
+        assert len(status) == 8  # 2 points x (rclstm, naive, arima, ffnn)
+        for point in ("0.5", "1"):
+            assert status[point, "ffnn"].startswith("diverged: non-finite")
+            assert status[point, "rclstm"].startswith("diverged: ")
+            assert status[point, "naive"] == status[point, "arima"] == "ok"
+
     @pytest.mark.parametrize("axis, points", [
         ("window_length", "12,0"), ("window_length", "12,12.5"),
         ("train_fraction", "0.5,1.0"), ("connectivity", "0.5"),
@@ -491,8 +535,12 @@ timing_reps = 2
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text(SINE_CFG.format(out=tmp_path / "out"))
+    # the subprocess imports the same rclstm package as this test does
+    package_root = str(Path(rclstm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "rclstm.cli", "preprocess",
                            "--config", str(cfg)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "cache written" in proc.stdout

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclstm import cell, training
+from rclstm.cell import ConnectivityMask, LstmLayerParams
 from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
                                save_checkpoint, write_container)
 from rclstm.data import WindowedDataset, chronological_split, sliding_window
 from rclstm.errors import CheckpointError, DivergenceError
-from rclstm.network import backward_sequence, build_model, forward_batch, softmax
+from rclstm.network import (StackedRclstm, backward_sequence, build_model,
+                            forward_batch, softmax)
 from rclstm.synth import sine_series
 from rclstm.training import (OptimizerState, TrainingConfig, clip_gradients,
                              evaluate_model, fit, model_params, optimizer_step,
@@ -282,6 +284,23 @@ def entry_header(arrays):
     return {"version": 1, "kind": "test", "meta": {}, "arrays": arrays}
 
 
+def v1_layout(model):
+    """(meta, arrays) of ``model`` in the v1 checkpoint layout, which
+    ``write_container`` turns into the bytes such a file held: each layer's
+    dense ``w``, zero where masked, and its mask as 0/1 bytes."""
+    meta, _ = read_container(save_checkpoint(model))
+    arrays = {"head.w": model.head_w, "head.b": model.head_b}
+    for k, layer in enumerate(model.layers):
+        arrays[f"layer{k}.w"] = layer.w.copy()
+        arrays[f"layer{k}.b"] = layer.b
+        arrays[f"layer{k}.mask"] = layer.mask.bits
+    return meta, arrays
+
+
+#: a v2 model file whose last layer's mask bits end in 4 padding bits
+V2_BLOB = save_checkpoint(build_model(2, [4, 3], seed=0, density=0.5))
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
@@ -400,10 +419,12 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("case", [
         "masked_weight", "task", "dim_chain", "w_shape",
-        "b_shape", "head_w_shape", "head_b_shape", "out_dim", "layer_entry", "meta"])
+        "b_shape", "head_w_shape", "head_b_shape", "out_dim", "layer_entry", "meta",
+        "bits_short", "bits_padding", "bits_dtype", "values_count", "values_dtype"])
     def test_unservable_model_rejected(self, case):
-        meta, arrays = read_container(save_checkpoint(
-            build_model(2, [4, 3], seed=0, density=0.5)))
+        meta, arrays = read_container(V2_BLOB)
+        if case in ("masked_weight", "w_shape"):  # v1 files only
+            meta, arrays = v1_layout(load_checkpoint(V2_BLOB))
         if case == "masked_weight":
             row, col = np.argwhere(arrays["layer1.mask"] == 0)[0]
             arrays["layer1.w"][row, col] = 0.25
@@ -424,10 +445,67 @@ class TestCheckpoint:
             meta["out_dim"] = 2  # a regression head has one output
         elif case == "layer_entry":
             meta["layers"][1] = 5
+        elif case == "bits_short":
+            arrays["layer0.bits"] = arrays["layer0.bits"][:-1]
+        elif case == "bits_padding":
+            arrays["layer1.bits"][-1] |= 1  # the last of its 84 bits' 4 padding bits
+        elif case == "bits_dtype":
+            arrays["layer0.bits"] = arrays["layer0.bits"].astype(np.int64)
+        elif case == "values_count":
+            arrays["layer0.values"] = arrays["layer0.values"][:-1]
+        elif case == "values_dtype":
+            arrays["layer0.values"] = arrays["layer0.values"].astype(np.uint8)
         else:
             meta = [meta]
         with pytest.raises(CheckpointError):
             load_checkpoint(write_container("model", meta, arrays))
+
+    @given(pos=st.integers(0, len(V2_BLOB) - 1), flip=st.integers(1, 255),
+           truncate=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_corrupt_v2_file_raises_only_checkpoint_error(self, pos, flip, truncate):
+        blob = bytearray(V2_BLOB)
+        if truncate:
+            del blob[pos:]
+        else:
+            blob[pos] ^= flip
+        try:
+            load_checkpoint(bytes(blob))
+        except CheckpointError:
+            pass
+
+    def test_v2_layer_arrays(self):
+        # pins the documented layer layout: live weights in row-major
+        # order, mask bits packed row-major from the most significant bit,
+        # zero padding
+        bits = np.zeros((4, 3), dtype=bool)
+        bits[0, 0] = bits[1, 2] = bits[3, 1] = True
+        layer = LstmLayerParams(2, 1, np.array([0.5, -1.0, 2.0]), np.zeros(4),
+                                ConnectivityMask(bits))
+        model = StackedRclstm([layer], np.ones((1, 1)), np.zeros(1), "regression")
+        _, arrays = read_container(save_checkpoint(model))
+        assert sorted(arrays) == ["head.b", "head.w", "layer0.b", "layer0.bits",
+                                  "layer0.values"]
+        assert arrays["layer0.bits"].dtype == np.uint8
+        assert arrays["layer0.bits"].tobytes() == bytes([0b10000100, 0b00100000])
+        assert arrays["layer0.values"].tolist() == [0.5, -1.0, 2.0]
+        w = load_checkpoint(save_checkpoint(model)).layers[0].w
+        assert (w[0, 0], w[1, 2], w[3, 1]) == (0.5, -1.0, 2.0)
+        assert np.count_nonzero(w) == 3
+
+    @pytest.mark.parametrize("density", [0.03, 0.5], ids=["csr", "dense"])
+    def test_v1_file_serves_and_resaves_as_v2(self, density):
+        rng = np.random.default_rng(3)
+        model = build_model(2, [12, 10], seed=5, density=density)
+        v1 = write_container("model", *v1_layout(model))
+        loaded = load_checkpoint(v1)
+        windows = rng.normal(size=(6, 5, 2))
+        assert np.array_equal(predict_batch(loaded, windows), predict_batch(model, windows))
+        resaved = save_checkpoint(loaded)
+        assert resaved == save_checkpoint(model)
+        _, arrays = read_container(resaved)
+        assert {"layer0.values", "layer0.bits"} <= set(arrays)
+        assert not {"layer0.w", "layer0.mask"} & set(arrays)
 
     def test_wrong_kind_rejected(self):
         blob = write_container("dataset", {}, {"x": np.ones(2)})
