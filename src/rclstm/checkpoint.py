@@ -193,8 +193,9 @@ def load_checkpoint(data):
 
     Raises CheckpointError unless the stream holds a model that can serve:
     a known task, layer dims that chain, arrays of the shapes and dtypes
-    those dims give, one live weight per mask bit, and, in a v1 file, zero
-    weights wherever a mask is off.  Layer keys this version does not read
+    those dims give, one live weight per mask bit, finite weights, biases
+    and head entries, and, in a v1 file, zero weights wherever a mask is
+    off.  Layer keys this version does not read
     (files from earlier versions stored mask seeds, densities and kernel
     thresholds) are ignored.
     """
@@ -224,6 +225,12 @@ def load_checkpoint(data):
         head_w, head_b = arrays["head.w"], arrays["head.b"]
         _check_shape("head.w", head_w, (out_dim, layers[-1].hidden_dim))
         _check_shape("head.b", head_b, (out_dim,))
+        params = {"head.w": head_w, "head.b": head_b}
+        for k, layer in enumerate(layers):
+            params.update({f"layer{k}.values": layer.values, f"layer{k}.b": layer.b})
+        for name, arr in params.items():
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{name} holds non-finite entries")
         return StackedRclstm(layers, head_w, head_b, task)
     except KeyError as err:
         raise CheckpointError(f"checkpoint lacks {err}") from None

@@ -29,7 +29,7 @@ from datetime import datetime
 
 import numpy as np
 
-from . import cell, synth
+from . import cell, linalg, synth
 from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, SERVE_BATCH, TRAIN_BATCH,
                         benchmark_kernel_paths, benchmark_serving,
                         benchmark_training_step, kernel_crossover)
@@ -219,7 +219,8 @@ def cmd_bench(cfg, args):
     batched_reps = math.ceil(cfg.bench.reps / 10)
     results = {"hidden": list(cfg.model.hidden), "window": cfg.data.window,
                "density": cfg.model.density,
-               "kernel_threshold": cell.KERNEL_THRESHOLD}
+               "kernel_threshold": cell.KERNEL_THRESHOLD,
+               "workers": linalg.WORKERS, "nproc": len(os.sched_getaffinity(0))}
     dense_cfg = apply_overrides(copy.deepcopy(cfg), density=1.0)
     for label, run_cfg in (("sparse", cfg), ("dense", dense_cfg)):
         model = build_from_config(run_cfg, prepared)

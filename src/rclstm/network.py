@@ -26,13 +26,30 @@ Backpropagation runs top-down a layer at a time and forms each layer's
 weight gradient as one masked product over all T*B columns, computed at
 the mask's nonzeros only and returned as a value vector shaped like the
 layer's ``values``.
+
+A batch runs as contiguous shards of windows at the same time
+(``_shard_bounds``): the calling thread runs the first, a pool of threads
+(``linalg.run_tasks``) the others.  Windows do not meet until the head and
+the gradients sum over them, so each shard runs the whole stack forward,
+and backward runs each layer's time loop and input-gradient product per
+shard, writing its dA and its input and hidden states into column slices
+of feature-major (features, T, B) buffers shared by the batch.  Every
+reduction over windows then runs once on the assembled batch: the head,
+the weight gradients (the masked product, whose mask columns are split
+over the pool) and the bias sums.  So outputs and gradients are the same
+bit for bit at any shard count.  The shard count follows the CPUs the
+process may use: ``taskset`` sets how many threads a batch runs on, and
+pinning BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) keeps each shard's
+BLAS calls on its own core.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import linalg
 from .cell import LstmLayerParams, cell_backward, cell_forward, init_layer
 from .errors import DivergenceError, ShapeError
 
@@ -49,6 +66,19 @@ from .errors import DivergenceError, ShapeError
 #: B=1 was flat.  Budgets from 64 KiB to 4 MiB are within noise of each
 #: other; the whole-window span loses up to a quarter at B=256.
 SPAN_BYTES = 1 << 20
+
+#: fewest hidden units x windows a shard of a batch holds in the model's
+#: narrowest layer.  Each shard runs its own Python loop over the
+#: timesteps, and below this the two threads wait on each other for the
+#: GIL more than they compute.  Speed-up of two shards over one on the
+#: 2-CPU Xeon above (1 BLAS thread, median of 10-40 interleaved pairs), by
+#: units x windows per shard, 3000 / 3600 / 4200 / 4800 / 9600:
+#: serving, 3x300/T=100 at 1%:    0.73 / 0.91 / 0.83 / 1.01 / 1.22;
+#: serving, 3x150/T=12 at 3%:     0.71 / 0.89 / 0.88 / 1.15 / 1.41;
+#: forward and backward, 3x300:   0.88 / 0.92 / 0.95 / 1.05 / 1.46;
+#: forward and backward, 3x150:   0.80 / 0.81 / 0.94 / 1.00 / 1.20.
+#: The 3x300 model serves B=256 (38400) about 2x faster.
+MIN_SHARD_CELLS = 4800
 
 
 @dataclass
@@ -71,12 +101,12 @@ class StackedRclstm:
 
 @dataclass
 class LayerCache:
-    """One layer's unroll over a batch; every array is (T, features, B).
-    ``backward_sequence`` drops ``x`` and ``h`` once it holds them
-    feature-major."""
+    """One layer's unroll over a shard of the batch; every array is
+    (T, features, windows of the shard).  ``backward_sequence`` drops
+    each array once it is done with it."""
 
     x: np.ndarray  # the layer's input
-    gates: np.ndarray  # (T, 4H, B) activations f, i, z, o; dA once backpropagated
+    gates: np.ndarray  # (T, 4H, b) activations f, i, z, o; dA once backpropagated
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray
@@ -86,7 +116,9 @@ class LayerCache:
 class SequenceCache:
     """The forward unroll retained for one ``backward_sequence`` call."""
 
-    layers: list  # LayerCache per layer, bottom first
+    bounds: list  # the shards' window bounds, (lo, hi) in batch order
+    shards: list  # per shard, its LayerCache per layer, bottom first
+    top: np.ndarray  # (H, B) top-layer hidden state at the last step
     head_out: np.ndarray
     layer_dims: list
     consumed: bool = False
@@ -150,6 +182,48 @@ def _layer_forward(k, layer, x, keep_cache):
     return h, LayerCache(x, gates, c, tanh_c, h) if keep_cache else None
 
 
+def _shard_bounds(model, batch):
+    """The (lo, hi) window bounds of the shards a batch of ``batch``
+    windows runs as: as many contiguous shards of near-equal size as
+    ``linalg.WORKERS`` and ``MIN_SHARD_CELLS`` allow when every layer takes
+    the CSR route, else one shard, the whole batch.
+
+    scipy's CSR kernels compute each window's column on its own, so a
+    shard's outputs are those of the same windows in the whole batch, bit
+    for bit.  OpenBLAS's gemm is not: a column can round differently at a
+    different batch width (3x150 with 64 real-valued features split 16/17
+    at B=33, 2x20 split 18/18 at B=36, 2x100 split 17/17 at B=34), so the
+    dense route runs every batch whole.
+    """
+    narrowest = min(layer.hidden_dim for layer in model.layers)
+    n = min(linalg.WORKERS, batch, batch * narrowest // MIN_SHARD_CELLS)
+    if n < 2 or not all(layer.products().h.sparse for layer in model.layers):
+        return [(0, batch)]
+    cuts = [i * batch // n for i in range(n + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _stack_forward(model, windows, keep_cache):
+    """One shard's unroll through every layer: its (T, H, b) top-layer
+    hidden states and layer caches, or the DivergenceError it stopped at."""
+    x = np.ascontiguousarray(windows.transpose(1, 2, 0))
+    caches = []
+    try:
+        for k, layer in enumerate(model.layers):
+            x, cache = _layer_forward(k, layer, x, keep_cache)
+            caches.append(cache)
+    except DivergenceError as err:
+        return err
+    return x, caches
+
+
+def _first_divergence(results):
+    """The failure the whole batch, run as one shard, would have raised:
+    the lowest layer, then the earliest timestep, of any shard's."""
+    errors = [r for r in results if isinstance(r, DivergenceError)]
+    return min(errors, key=lambda err: (err.layer, err.timestep)) if errors else None
+
+
 def forward_batch(model, windows, keep_cache=True):
     """Forward over (B, T, F) windows; returns the raw head outputs
     (B, out) and the cache ``backward_sequence`` needs, or None when not
@@ -165,51 +239,88 @@ def forward_batch(model, windows, keep_cache=True):
     if windows.shape[2] != model.feature_dim:
         raise ShapeError(
             f"feature dim {windows.shape[2]} != model feature dim {model.feature_dim}")
-    x = np.ascontiguousarray(windows.transpose(1, 2, 0))
-    caches = []
-    for k, layer in enumerate(model.layers):
-        x, cache = _layer_forward(k, layer, x, keep_cache)
-        caches.append(cache)
-    head_out = x[-1].T @ model.head_w.T + model.head_b
+    bounds = _shard_bounds(model, windows.shape[0])
+    results = linalg.run_tasks(
+        [partial(_stack_forward, model, windows[lo:hi], keep_cache) for lo, hi in bounds])
+    err = _first_divergence(results)
+    if err is not None:
+        raise err
+    top = np.concatenate([h[-1] for h, _ in results], axis=1)
+    head_out = top.T @ model.head_w.T + model.head_b
     if not keep_cache:
         return head_out, None
-    return head_out, SequenceCache(caches, head_out,
+    return head_out, SequenceCache(bounds, [caches for _, caches in results], top, head_out,
                                    [(l.input_dim, l.hidden_dim) for l in model.layers])
 
 
-def _feature_major(seq):
-    """A (T, F, B) sequence as one (F, T*B) array, columns in (t, b) order."""
-    return np.ascontiguousarray(seq.transpose(1, 0, 2)).reshape(seq.shape[1], -1)
+def _shard_backward(layer, caches, k, grad_h, da, x, h):
+    """Backpropagate layer ``k``'s unroll over one shard.
 
-
-def _layer_backward(layer, lc, grad_h, x_fm, h_fm, input_grad):
-    """Backpropagate one layer's unroll.
-
-    ``grad_h`` (T, H, B) is the loss gradient wrt the layer's hidden
-    states from above; ``x_fm`` and ``h_fm`` are the layer's input and
-    hidden state sequences as ``_feature_major`` gives them.  Returns
-    (grad_w, grad_b, grad_x): grad_w is the gradient wrt ``layer.values``,
-    the live weights in ``np.flatnonzero(mask.bits)`` order; grad_x is the
-    gradient wrt the layer's input sequence, or None unless
-    ``input_grad``.  Leaves dA in ``lc.gates``.
+    ``caches`` is the shard's LayerCache per layer and ``grad_h`` (T, H, b)
+    the loss gradient wrt the shard's hidden states from above.  The
+    shard's dA is written into ``da`` and its input sequence into ``x``,
+    and, unless None, its hidden states into ``h``: (features, T, b)
+    column slices of the batch's feature-major buffers.  Each cached array
+    is dropped once copied, and the layer's cache once done, so the batch
+    holds one copy of each at a time.  Returns the gradient wrt the
+    shard's input sequence, or None for the bottom layer.
     """
+    lc = caches[k]
+    caches[k] = None
+    x[...] = lc.x.transpose(1, 0, 2)
+    lc.x = None
+    if k:
+        caches[k - 1].h = None  # the same array as this layer's input
+    if h is not None:
+        h[...] = lc.h.transpose(1, 0, 2)
+    lc.h = None
     ops = layer.products()
-    n_steps, _, batch = lc.gates.shape
-    grad_c = np.zeros((layer.hidden_dim, batch))
+    n_steps = lc.gates.shape[0]
+    grad_c = np.zeros(lc.c.shape[1:])
     grad_h_rec = None
     for t in range(n_steps - 1, -1, -1):
         gh = grad_h[t] if grad_h_rec is None else grad_h[t] + grad_h_rec
         grad_c, grad_h_rec = cell_backward(ops.h, lc.gates[t],
                                            None if t == 0 else lc.c[t - 1],
                                            lc.tanh_c[t], gh, grad_c)
-    da = _feature_major(lc.gates)
+    grad_x = ops.x.tdot(lc.gates) if k else None
+    da[...] = lc.gates.transpose(1, 0, 2)
+    return grad_x
+
+
+def _layer_backward(layer, k, cache, grad_h, h):
+    """Backpropagate layer ``k`` over every shard of the batch.
+
+    ``grad_h`` holds each shard's (T, H, b) loss gradient wrt its hidden
+    states from above, and ``h`` the layer's hidden states as a
+    (H, T, B) array, or None for the top layer, whose shards copy them
+    there.  Returns (grad_w, grad_b, grad_h for the layer below, the
+    layer's input as a (D, T, B) array): grad_w is the gradient wrt
+    ``layer.values``, the live weights in ``np.flatnonzero(mask.bits)``
+    order.
+    """
+    n_steps, batch = grad_h[0].shape[0], cache.head_out.shape[0]
+    # (features, T, B) buffers, so each is one (features, T*B) array with
+    # columns in (t, b) order once reshaped
+    da = np.empty((4 * layer.hidden_dim, n_steps, batch))
+    x = np.empty((layer.input_dim, n_steps, batch))
+    top = h is None
+    if top:
+        h = np.empty((layer.hidden_dim, n_steps, batch))
+    grad_h = linalg.run_tasks([
+        partial(_shard_backward, layer, caches, k, g, da[:, :, lo:hi], x[:, :, lo:hi],
+                h[:, :, lo:hi] if top else None)
+        for (lo, hi), caches, g in zip(cache.bounds, cache.shards, grad_h)])
+    ops = layer.products()
+    da, x_fm, h_fm = (a.reshape(a.shape[0], -1) for a in (da, x, h))
+    parts = len(cache.bounds)
     grad_w = np.empty(ops.x_at.size + ops.h_at.size)
-    grad_w[ops.x_at] = ops.x.masked_outer(da, x_fm)
+    grad_w[ops.x_at] = ops.x.masked_outer(da, x_fm, parts)
     # h_prev is zero at the first step, so the recurrent block pairs steps
     # 1..T-1 of dA with hidden states 0..T-2, the leading columns of h_fm
-    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], h_fm[:, : (n_steps - 1) * batch])
-    grad_x = ops.x.tdot(lc.gates) if input_grad else None
-    return grad_w, da.sum(axis=1), grad_x
+    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], h_fm[:, : (n_steps - 1) * batch],
+                                          parts)
+    return grad_w, da.sum(axis=1), grad_h, x
 
 
 def backward_sequence(model, cache, loss_grad):
@@ -233,21 +344,16 @@ def backward_sequence(model, cache, loss_grad):
         raise ShapeError(f"loss gradient {loss_grad.shape} != head output "
                          f"{cache.head_out.shape}")
     cache.consumed = True
-    top = cache.layers[-1]
-    grads = {"head.w": loss_grad.T @ top.h[-1].T, "head.b": loss_grad.sum(axis=0)}
-    grad_h = np.zeros_like(top.h)
-    grad_h[-1] = (loss_grad @ model.head_w).T
-    # every layer boundary's sequence made feature-major once, replacing
-    # its (T, ., B) form in the cache: seq[k] is layer k's input and
-    # seq[k + 1] its hidden states, which layer k + 1 reads as its input
-    seq = [_feature_major(cache.layers[0].x)]
-    for lc in cache.layers:
-        lc.x = None
-        seq.append(_feature_major(lc.h))
-        lc.h = None
+    grads = {"head.w": loss_grad.T @ cache.top.T, "head.b": loss_grad.sum(axis=0)}
+    top_grad = (loss_grad @ model.head_w).T
+    grad_h = []
+    for (lo, hi), caches in zip(cache.bounds, cache.shards):
+        grad_h.append(np.zeros_like(caches[-1].h))
+        grad_h[-1][-1] = top_grad[:, lo:hi]
+    h = None  # layer k's hidden states, feature-major: layer k + 1's input
     for k in range(len(model.layers) - 1, -1, -1):
-        grads[f"layer{k}.w"], grads[f"layer{k}.b"], grad_h = _layer_backward(
-            model.layers[k], cache.layers[k], grad_h, seq[k], seq[k + 1], input_grad=k > 0)
+        grads[f"layer{k}.w"], grads[f"layer{k}.b"], grad_h, h = _layer_backward(
+            model.layers[k], k, cache, grad_h, h)
     return grads
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
                         ffnn_train)
 from .benchmark import benchmark_serving
@@ -135,6 +136,12 @@ def _baseline_rows(cfg, prepared, point, train, test, tag):
     return rows
 
 
+def _one_worker():
+    """Sweep worker processes already share the CPUs, so each runs its
+    batches as one shard."""
+    linalg.WORKERS = 1
+
+
 def run_sweep(cfg, prepared, parallel=1):
     """Execute the ``[sweep]`` of a RunConfig; points x seeds run
     independently and the report row order is deterministic regardless of
@@ -145,7 +152,8 @@ def run_sweep(cfg, prepared, parallel=1):
         for point, seed in jobs:
             rows.extend(_run_point(cfg, prepared, point, seed))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel,
+                                                    initializer=_one_worker) as pool:
             futures = [pool.submit(_run_point, cfg, prepared, point, seed)
                        for point, seed in jobs]
             for future in futures:

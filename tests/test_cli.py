@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rclstm
+from rclstm import linalg
 from rclstm.cli import main
 from rclstm.config import apply_overrides, load_config
 from rclstm.errors import ConfigError
@@ -241,6 +242,20 @@ class TestCliCommands:
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_exit_2(self, tmp_path, capsys):
+        # saturated gates would keep the states finite, so without the load
+        # check this model serves an RMSE
+        from rclstm.checkpoint import save_checkpoint_file
+        from rclstm.network import build_model
+
+        cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
+        model = build_model(1, [8], seed=0)
+        model.layers[0].values[0] = np.inf
+        ckpt = str(tmp_path / "inf.bin")
+        save_checkpoint_file(model, ckpt)
+        assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 2
+        assert "layer0.values holds non-finite entries" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dims", [(9, 9), (5, 7)], ids=["features", "outputs"])
     def test_checkpoint_feature_dim_mismatch_exit_2(self, tmp_path, capsys, dims):
         # a 5-location dataset needs 5 features in and 5 classes out
@@ -463,6 +478,8 @@ include_baselines = true
         assert main(["bench", "--config", cfg, "--freeze-timestamps"]) == 0
         payload = json.loads((tmp_path / "out" / "bench_frozen.json").read_text())
         assert (payload["hidden"], payload["window"], payload["density"]) == ([16], 8, 0.05)
+        assert payload["workers"] == linalg.WORKERS
+        assert payload["nproc"] == len(os.sched_getaffinity(0))
         assert "sparse" in payload and "dense" in payload
         assert payload["sparse"]["repetitions"] == 30
         for label in ("sparse", "dense"):

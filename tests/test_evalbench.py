@@ -1,9 +1,15 @@
 import copy
 import csv
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rclstm
 from rclstm.benchmark import (TimingStats, benchmark_kernel_paths, benchmark_serving,
                               benchmark_training_step, kernel_crossover)
 from rclstm.config import RunConfig, apply_overrides, load_config
@@ -137,6 +143,42 @@ def tiny_config(**sweep):
     return cfg
 
 
+FORK_SCRIPT = """
+import multiprocessing
+
+import numpy as np
+
+from rclstm import cell, linalg, network
+from rclstm.config import RunConfig
+from rclstm.data import PreparedData
+from rclstm.sweeps import run_sweep
+from rclstm.synth import sine_series
+from rclstm.training import TrainingConfig
+
+
+def serve(windows):
+    return network.forward_batch(MODEL, windows, keep_cache=False)[0]
+
+
+linalg.WORKERS, network.MIN_SHARD_CELLS, cell.KERNEL_THRESHOLD = 2, 1, 1.0
+MODEL = network.build_model(1, [8], density=0.5, seed=0)
+windows = np.random.default_rng(0).normal(size=(4, 5, 1))
+want = serve(windows)
+assert linalg._pool is not None
+print("sharded", flush=True)
+with multiprocessing.get_context("fork").Pool(1) as pool:
+    assert np.array_equal(pool.apply(serve, (windows,)), want)
+print("forked", flush=True)
+cfg = RunConfig()
+cfg.model.hidden, cfg.data.window = (8,), 10
+cfg.training = TrainingConfig(epochs=1, seed=0)
+cfg.sweep.points, cfg.sweep.seeds, cfg.sweep.timing_reps = (0.5, 1.0), (0,), 2
+run_sweep(cfg, PreparedData("regression", sine_series(220, period=20.0, seed=3).values),
+          parallel=2)
+print("swept", flush=True)
+"""
+
+
 class TestSweeps:
     def test_row_count(self):
         report = run_sweep(tiny_config(seeds=(0, 1)), tiny_prepared())
@@ -201,6 +243,25 @@ class TestSweeps:
         parallel = run_sweep(cfg, tiny_prepared(), parallel=2)
         assert [(r.value, r.model, r.rmse) for r in serial.rows] == \
                [(r.value, r.model, r.rmse) for r in parallel.rows]
+
+    def test_parallel_sweep_after_sharded_work(self, tmp_path):
+        # a forked child inherits the parent's thread pool object but none of
+        # its threads; work submitted to it would wait forever
+        script = tmp_path / "fork.py"
+        script.write_text(FORK_SCRIPT)
+        package_root = str(Path(rclstm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the script and any child it forked
+            out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        assert out.split() == ["sharded", "forked", "swept"]
 
     def test_summary_text(self):
         report = run_sweep(tiny_config(), tiny_prepared())

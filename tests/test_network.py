@@ -1,12 +1,19 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rclstm import cell
+from rclstm import cell, linalg
 from rclstm.cell import cell_forward
+from rclstm.checkpoint import save_checkpoint
+from rclstm.data import WindowedDataset
 from rclstm.errors import DivergenceError, ShapeError
 from rclstm import network
 from rclstm.network import backward_sequence, build_model, forward_batch, softmax
-from rclstm.training import batch_loss_and_grad, predict_batch
+from rclstm.training import TrainingConfig, batch_loss_and_grad, fit, predict_batch
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
@@ -304,6 +311,99 @@ class TestServing:
         finally:
             tracemalloc.stop()
         assert peak < gate_buffer
+
+
+@contextlib.contextmanager
+def sharding(workers, route):
+    """``workers`` CPUs, shards and masked-outer splits of any width, and
+    every layer built from here on routed to ``route``."""
+    with mock.patch.object(linalg, "WORKERS", workers), \
+            mock.patch.object(linalg, "SPLIT_COLUMN_WORK", 0), \
+            mock.patch.object(network, "MIN_SHARD_CELLS", 1), \
+            mock.patch.object(cell, "KERNEL_THRESHOLD", 2.0 if route == "csr" else 0.0):
+        yield
+
+
+def forward_and_grads(model, windows, douts):
+    outs, cache = forward_batch(model, windows)
+    served, _ = forward_batch(model, windows, keep_cache=False)
+    assert np.array_equal(served, outs)
+    return outs, backward_sequence(model, cache, douts)
+
+
+class TestShards:
+    @given(hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3),
+           n_steps=st.integers(1, 6), batch=st.integers(1, 40),
+           route=st.sampled_from(["csr", "dense"]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_single_windows_at_any_worker_count(self, hidden, n_steps,
+                                                             batch, route, seed):
+        rng = np.random.default_rng(seed)
+        windows, douts = rng.normal(size=(batch, n_steps, 2)), rng.normal(size=(batch, 1))
+        results = []
+        for workers in (1, 2, 3):
+            with sharding(workers, route):
+                model = build_model(2, hidden, density=0.3, seed=seed)
+                bounds = network._shard_bounds(model, batch)
+                assert len(bounds) == (min(workers, batch) if route == "csr" else 1)
+                assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+                assert bounds[-1][1] == batch and all(lo < hi for lo, hi in bounds)
+                results.append(forward_and_grads(model, windows, douts))
+        (outs, grads), *others = results
+        for other_outs, other_grads in others:
+            assert np.array_equal(other_outs, outs)
+            for key in grads:
+                assert np.array_equal(other_grads[key], grads[key])
+        with sharding(1, route):
+            singles = [forward_batch(model, w[None], keep_cache=False)[0] for w in windows]
+        assert np.max(np.abs(np.concatenate(singles) - outs)) <= 1e-12
+
+    @pytest.mark.parametrize("route", ["csr", "dense"])
+    def test_fit_checkpoint_same_at_any_worker_count(self, route):
+        rng = np.random.default_rng(12)
+        data = WindowedDataset(rng.normal(size=(99, 6, 2)), rng.normal(size=99), 6, None)
+        blobs = []
+        for workers in (1, 2):
+            with sharding(workers, route):
+                model = build_model(2, [24, 16], density=0.2, seed=3)
+                shards = network._shard_bounds(model, 33)
+                assert shards == ([(0, 16), (16, 33)] if workers == 2 and route == "csr"
+                                  else [(0, 33)])
+                fit(model, data, TrainingConfig(epochs=2, batch_size=33, seed=5))
+            blobs.append(save_checkpoint(model))
+        assert blobs[0] == blobs[1]
+
+    def test_shards_need_enough_cells(self, monkeypatch):
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        model = build_model(1, [300, 300], density=0.01, seed=0)
+        assert model.layers[0].uses_sparse
+        # two shards of 300 units need 4800 / 300 = 16 windows each
+        assert network._shard_bounds(model, 31) == [(0, 31)]
+        assert network._shard_bounds(model, 32) == [(0, 16), (16, 32)]
+        assert network._shard_bounds(model, 256) == [(0, 128), (128, 256)]
+        monkeypatch.setattr(linalg, "WORKERS", 1)
+        assert network._shard_bounds(model, 256) == [(0, 256)]
+
+    def test_divergence_in_a_later_shard_names_the_unsharded_place(self):
+        windows = np.zeros((33, 6, 1))
+        windows[5, 4, 0] = np.nan  # first shard, timestep 4
+        windows[30, 2, 0] = np.nan  # last shard, timestep 2
+        for workers in (1, 2, 3):
+            with sharding(workers, "csr"):
+                model = build_model(1, [4, 4], density=0.5, seed=0)
+                assert len(network._shard_bounds(model, 33)) == workers
+                for keep_cache in (True, False):
+                    with pytest.raises(DivergenceError) as info:
+                        forward_batch(model, windows, keep_cache=keep_cache)
+                    assert (info.value.layer, info.value.timestep) == (0, 2)
+
+    def test_lowest_layer_then_earliest_step_wins(self):
+        errors = [DivergenceError("x", layer=1, timestep=0), (np.zeros(1), []),
+                  DivergenceError("x", layer=0, timestep=5),
+                  DivergenceError("x", layer=0, timestep=3)]
+        err = network._first_divergence(errors)
+        assert (err.layer, err.timestep) == (0, 3)
+        assert network._first_divergence([(np.zeros(1), [])]) is None
 
 
 def mse(pred, target):

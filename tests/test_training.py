@@ -420,12 +420,26 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", [
         "masked_weight", "task", "dim_chain", "w_shape",
         "b_shape", "head_w_shape", "head_b_shape", "out_dim", "layer_entry", "meta",
-        "bits_short", "bits_padding", "bits_dtype", "values_count", "values_dtype"])
+        "bits_short", "bits_padding", "bits_dtype", "values_count", "values_dtype",
+        "values_inf", "b_nan", "head_w_inf", "head_b_nan", "v1_w_inf", "v1_b_nan"])
     def test_unservable_model_rejected(self, case):
         meta, arrays = read_container(V2_BLOB)
-        if case in ("masked_weight", "w_shape"):  # v1 files only
+        if case in ("masked_weight", "w_shape", "v1_w_inf", "v1_b_nan"):  # v1 files only
             meta, arrays = v1_layout(load_checkpoint(V2_BLOB))
-        if case == "masked_weight":
+        if case == "values_inf":
+            arrays["layer1.values"][3] = np.inf
+        elif case == "b_nan":
+            arrays["layer0.b"][2] = np.nan
+        elif case == "head_w_inf":
+            arrays["head.w"][0, 1] = -np.inf
+        elif case == "head_b_nan":
+            arrays["head.b"][0] = np.nan
+        elif case == "v1_w_inf":
+            row, col = np.argwhere(arrays["layer0.mask"] == 1)[0]
+            arrays["layer0.w"][row, col] = np.inf
+        elif case == "v1_b_nan":
+            arrays["layer1.b"] = np.where(np.arange(12) == 5, np.nan, arrays["layer1.b"])
+        elif case == "masked_weight":
             row, col = np.argwhere(arrays["layer1.mask"] == 0)[0]
             arrays["layer1.w"][row, col] = 0.25
         elif case == "task":
