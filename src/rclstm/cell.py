@@ -21,11 +21,15 @@ import numpy as np
 from . import kernels
 from .linalg import MaskedMatrix
 
-#: below this mask density the gate products go through scipy CSR, at or
-#: above it through dense BLAS.  ``rclstm bench`` measures the crossover
-#: (table in CHANGES.md): at H=300 CSR is faster at B=1, 32 and 256 up to
-#: 10% density; at H=150 it is faster or even at every B up to 5% and
-#: slower at B=1 from 10%.
+#: below this mask density a layer's masked work goes through scipy CSR,
+#: at or above it through dense BLAS: the gate products and also the
+#: weight-gradient SDDMM (``MaskedMatrix.masked_outer``).  ``rclstm bench``
+#: measures the products' crossover only (table in CHANGES.md): at H=300
+#: CSR is faster at B=1, 32 and 256 up to 10% density; at H=150 it is
+#: faster or even at every B up to 5% and slower at B=1 from 10%.  The
+#: SDDMM's crossover is lower, near 0.04 at N = T*B = 3200 on a 1200x300
+#: block (table in ROADMAP.md), so at 0.04-0.05 the SDDMM runs on the
+#: slower route.
 KERNEL_THRESHOLD = 0.05
 
 

@@ -18,13 +18,10 @@ A model checkpoint (kind ``model``) holds, per layer k, the arrays
                      significant bit, the last byte padded with zero bits
     layer{k}.b       <f8, the 4H biases
 
-plus ``head.w`` and ``head.b``; ``meta`` gives the task, the output width
-and each layer's dims.  Files written before this layout (v1) held a dense
-``layer{k}.w``, zero where masked, and an unpacked ``layer{k}.mask`` of 0/1
-bytes in place of ``values`` and ``bits``; they still load, and are
-re-saved in the layout above (v2).  The container itself is unchanged, so
-its header version stays 1 and the layer arrays' names tell the layouts
-apart.
+plus ``head.w`` (<f8, out x H of the top layer) and ``head.b`` (<f8, out);
+``meta`` gives the task, the output width and each layer's dims.  The
+reader takes each array only with exactly this dtype and shape, and
+floating-point arrays only with finite entries.
 
 The format carries no timestamps, so identical content always serializes to
 identical bytes and save -> load -> save is the identity.
@@ -152,9 +149,20 @@ def save_checkpoint(model):
     return write_container("model", meta, arrays)
 
 
-def _check_shape(name, arr, shape):
-    if arr.shape != shape:
+def checked_array(arrays, name, dtype, shape):
+    """``arrays[name]``; CheckpointError unless it is there, has exactly the
+    dtype ``dtype`` (a string such as ``"<f8"``) and the shape ``shape`` (a
+    None dim matches any length) and, if floating point, finite entries."""
+    if name not in arrays:
+        raise CheckpointError(f"stream lacks array {name!r}")
+    arr = arrays[name]
+    if arr.dtype.str != dtype:
+        raise CheckpointError(f"{name} has dtype {arr.dtype.str}, expected {dtype}")
+    if arr.ndim != len(shape) or any(w not in (None, n) for n, w in zip(arr.shape, shape)):
         raise CheckpointError(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise CheckpointError(f"{name} holds non-finite entries")
+    return arr
 
 
 def _is_count(value):
@@ -162,42 +170,28 @@ def _is_count(value):
 
 
 def _layer_weights(k, arrays, shape):
-    """Layer k's (live weights, mask bits) for a gate matrix of ``shape``,
-    from either layout; CheckpointError unless they agree with ``shape``
-    and each other."""
-    if f"layer{k}.w" in arrays:  # v1: a dense matrix, zero where masked
-        w, bits = arrays[f"layer{k}.w"], arrays[f"layer{k}.mask"].astype(bool)
-        _check_shape(f"layer{k}.w", w, shape)
-        _check_shape(f"layer{k}.mask", bits, shape)
-        if np.logical_and(w, ~bits).any():
-            raise CheckpointError(f"layer{k}.w has non-zero weights where its "
-                                  "mask is off")
-        return w[bits], bits
-    packed, values = arrays[f"layer{k}.bits"], arrays[f"layer{k}.values"]
+    """Layer k's (live weights, mask bits) for a gate matrix of ``shape``;
+    CheckpointError unless they agree with ``shape`` and each other."""
+    if f"layer{k}.w" in arrays:  # v1: a dense w and a byte mask for values and bits
+        raise CheckpointError(f"layer{k} is in the v1 checkpoint layout, no longer read")
     n = math.prod(shape)
-    if packed.dtype != np.uint8:
-        raise CheckpointError(f"layer{k}.bits has dtype {packed.dtype.str}, expected |u1")
-    _check_shape(f"layer{k}.bits", packed, ((n + 7) // 8,))
-    flat = np.unpackbits(packed)
+    flat = np.unpackbits(checked_array(arrays, f"layer{k}.bits", "|u1", ((n + 7) // 8,)))
     if flat[n:].any():
         raise CheckpointError(f"layer{k}.bits has padding bits set")
     bits = flat[:n].astype(bool).reshape(shape)
-    if values.dtype != np.float64:
-        raise CheckpointError(f"layer{k}.values has dtype {values.dtype.str}, expected <f8")
-    _check_shape(f"layer{k}.values", values, (int(np.count_nonzero(bits)),))
-    return values, bits
+    return checked_array(arrays, f"layer{k}.values", "<f8", (np.count_nonzero(bits),)), bits
 
 
 def load_checkpoint(data):
     """Rebuild a model from ``save_checkpoint`` bytes, bit for bit.
 
     Raises CheckpointError unless the stream holds a model that can serve:
-    a known task, layer dims that chain, arrays of the shapes and dtypes
-    those dims give, one live weight per mask bit, finite weights, biases
-    and head entries, and, in a v1 file, zero weights wherever a mask is
-    off.  Layer keys this version does not read
-    (files from earlier versions stored mask seeds, densities and kernel
-    thresholds) are ignored.
+    a known task, layer dims that chain, and every array of the layout
+    above with exactly the dtype and shape those dims give, one live weight
+    per mask bit and finite floating-point entries.  A file in the v1
+    layout (a dense ``layer{k}.w`` and a byte ``layer{k}.mask``) is refused.
+    Layer keys this version does not read (files from earlier versions
+    stored mask seeds, densities and kernel thresholds) are ignored.
     """
     meta, arrays = read_container(data, expect_kind="model")
     try:
@@ -216,21 +210,13 @@ def load_checkpoint(data):
                 raise CheckpointError(f"layer {k} input_dim {d} != layer {k - 1} "
                                       f"hidden_dim {layers[-1].hidden_dim}")
             values, bits = _layer_weights(k, arrays, (4 * hidden, d + hidden))
-            b = arrays[f"layer{k}.b"]
-            _check_shape(f"layer{k}.b", b, (4 * hidden,))
+            b = checked_array(arrays, f"layer{k}.b", "<f8", (4 * hidden,))
             layers.append(LstmLayerParams(d, hidden, values, b, ConnectivityMask(bits)))
         out_dim = meta["out_dim"]
         if not _is_count(out_dim) or (task == "regression" and out_dim != 1):
             raise CheckpointError(f"{task} model with out_dim {out_dim!r}")
-        head_w, head_b = arrays["head.w"], arrays["head.b"]
-        _check_shape("head.w", head_w, (out_dim, layers[-1].hidden_dim))
-        _check_shape("head.b", head_b, (out_dim,))
-        params = {"head.w": head_w, "head.b": head_b}
-        for k, layer in enumerate(layers):
-            params.update({f"layer{k}.values": layer.values, f"layer{k}.b": layer.b})
-        for name, arr in params.items():
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{name} holds non-finite entries")
+        head_w = checked_array(arrays, "head.w", "<f8", (out_dim, layers[-1].hidden_dim))
+        head_b = checked_array(arrays, "head.b", "<f8", (out_dim,))
         return StackedRclstm(layers, head_w, head_b, task)
     except KeyError as err:
         raise CheckpointError(f"checkpoint lacks {err}") from None

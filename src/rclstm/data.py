@@ -9,6 +9,7 @@ cut.
 """
 
 import csv
+import sys
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -16,7 +17,7 @@ from datetime import datetime
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .checkpoint import read_container, write_container
+from .checkpoint import checked_array, read_container, write_container
 from .errors import (CheckpointError, DataFormatError, EncodingError,
                      InsufficientDataError)
 
@@ -268,38 +269,46 @@ def save_prepared(prepared, path):
     return path
 
 
+def _finite_number(value):
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_prepared(path):
     """Inverse of ``save_prepared``; returns the PreparedData.
 
     Raises CheckpointError when the cache lacks a key, its metadata is not
-    a JSON object, its task is unknown, or a classification cache has no
-    codebook or classes outside 1..codebook size.  Caches that also hold
-    windows (``inputs``, ``targets``, ``window``, ``classes``) load; those
-    keys are ignored.
+    a JSON object, its task is unknown, its ``norm`` is not two finite
+    numbers with ``max_log > min_log``, its ``features`` are not a vector
+    of ``<f8`` values (regression, finite) or ``<i8`` classes, or a
+    classification cache has no codebook or classes outside 1..codebook
+    size.  Caches that also hold windows (``inputs``, ``targets``,
+    ``window``, ``classes``) load; those keys are ignored.
     """
     with open(path, "rb") as fh:
         meta, arrays = read_container(fh.read(), expect_kind="dataset")
     try:
-        task = meta["task"]
-        norm = None
-        if meta["norm"] is not None:
-            norm = NormalizationParams(meta["norm"]["min_log"], meta["norm"]["max_log"])
+        task, norm, codebook = meta["task"], meta["norm"], meta["codebook"]
+        if norm is not None:
+            lo, hi = norm["min_log"], norm["max_log"]
+            if not (_finite_number(lo) and _finite_number(hi) and hi > lo):
+                raise CheckpointError(f"dataset cache norm {norm!r} is not two finite "
+                                      "numbers with max_log > min_log")
+            norm = NormalizationParams(lo, hi)
         book = None
-        if meta["codebook"] is not None:
-            book = LocationCodebook({raw: j + 1 for j, raw in enumerate(meta["codebook"])},
-                                    list(meta["codebook"]))
-        features = arrays["features"]
+        if codebook is not None:
+            book = LocationCodebook({raw: j + 1 for j, raw in enumerate(codebook)},
+                                    list(codebook))
     except KeyError as err:
         raise CheckpointError(f"dataset cache lacks {err}") from None
     except TypeError as err:  # meta or its norm entry is not a JSON object
         raise CheckpointError(f"malformed dataset cache metadata: {err}") from None
     if task not in ("regression", "classification"):
         raise CheckpointError(f"dataset cache has unknown task {task!r}")
-    if task == "classification":
-        if book is None:
-            raise CheckpointError("classification dataset cache has no codebook")
-        features = features.astype(np.int64)
-        if features.size and not 1 <= features.min() <= features.max() <= book.size:
-            raise CheckpointError(
-                f"dataset cache holds classes outside 1..{book.size}")
+    if task == "classification" and book is None:
+        raise CheckpointError("classification dataset cache has no codebook")
+    features = checked_array(arrays, "features",
+                             "<f8" if task == "regression" else "<i8", (None,))
+    if task == "classification" and features.size \
+            and not 1 <= features.min() <= features.max() <= book.size:
+        raise CheckpointError(f"dataset cache holds classes outside 1..{book.size}")
     return PreparedData(task, features, norm=norm, codebook=book)

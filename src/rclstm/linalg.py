@@ -127,9 +127,9 @@ class MaskedMatrix:
         return self
 
     def dot(self, x, out=None):
-        """``M @ x`` for x of shape (cols, B), or (T, cols, B) for one
-        product per leading index; written into ``out`` when given, else
-        into a new array."""
+        """``M @ x`` for x of shape (cols, B), as a new array, or
+        (T, cols, B) for one product per leading index, written into
+        ``out`` (T, rows, B) when given, else into a new array."""
         if x.shape[-2] != self.shape[1]:
             raise ShapeError(f"product {self.shape} x {x.shape} is undefined")
         return self._product(self._csr if self.sparse else self._w, x, out)
@@ -144,29 +144,26 @@ class MaskedMatrix:
         if not self.sparse:
             return np.matmul(m, x, out=out)  # numpy broadcasts over a leading axis
         if x.ndim == 2:
-            if out is None:
-                return m @ x
-            out[...] = m @ x
-            return out
+            return m @ x
         if out is None:
             out = np.empty((x.shape[0], m.shape[0], x.shape[2]))
         for t, xt in enumerate(x):
             out[t] = m @ xt
         return out
 
-    def masked_outer(self, y, x, parts=1):
+    def masked_outer(self, y, x):
         """The value vector of ``(y @ x.T)[mask]`` for y (rows, N) and
         x (cols, N): the product at the mask's nonzeros only, in row-major
         order (``np.flatnonzero(mask)``), as a new array.
 
         The sparse route computes only those entries: per column of the
         mask, one gathered block of ``y`` rows times that row of ``x``,
-        written to the entries' places in the vector.  With ``parts`` > 1
-        and at least ``SPLIT_COLUMN_WORK`` per column, it splits the mask's
-        columns into ``parts`` groups of about equal entry counts and runs
-        the groups as ``run_tasks``; each entry is the same product either
-        way.  The dense route forms the whole product with one BLAS call
-        and gathers it.
+        written to the entries' places in the vector.  From
+        ``SPLIT_COLUMN_WORK`` per column it splits the mask's columns into
+        ``WORKERS`` groups of about equal entry counts and runs the groups
+        as ``run_tasks``; each entry is the same product either way.  The
+        dense route forms the whole product with one BLAS call and gathers
+        it.
         """
         if y.shape[0] != self.shape[0] or x.shape[0] != self.shape[1] \
                 or y.shape[1] != x.shape[1]:
@@ -179,8 +176,8 @@ class MaskedMatrix:
             for col, rows, at in cols:
                 out[at] = y[rows] @ x[col]
 
-        if self.nnz * y.shape[1] < SPLIT_COLUMN_WORK * len(self._col_rows):
-            parts = 1
+        small = self.nnz * y.shape[1] < SPLIT_COLUMN_WORK * len(self._col_rows)
+        parts = 1 if small else WORKERS
         cuts = np.searchsorted(self._col_ends, np.arange(1, parts) * self.nnz / parts)
         bounds = [0, *cuts.tolist(), len(self._col_rows)]
         run_tasks([partial(fill, self._col_rows[lo:hi])

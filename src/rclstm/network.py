@@ -35,8 +35,8 @@ and backward runs each layer's time loop and input-gradient product per
 shard, writing its dA and its input and hidden states into column slices
 of feature-major (features, T, B) buffers shared by the batch.  Every
 reduction over windows then runs once on the assembled batch: the head,
-the weight gradients (the masked product, whose mask columns are split
-over the pool) and the bias sums.  So outputs and gradients are the same
+the weight gradients (the masked product, which splits its mask columns
+over the pool by its own rule) and the bias sums.  So outputs and gradients are the same
 bit for bit at any shard count.  The shard count follows the CPUs the
 process may use: ``taskset`` sets how many threads a batch runs on, and
 pinning BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) keeps each shard's
@@ -234,8 +234,8 @@ def forward_batch(model, windows, keep_cache=True):
     outputs are the same bit for bit.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1] < 1:
-        raise ShapeError(f"expected (B, T, F) windows, got {windows.shape}")
+    if windows.ndim != 3 or 0 in windows.shape[:2]:
+        raise ShapeError(f"expected (B, T, F) windows with B, T >= 1, got {windows.shape}")
     if windows.shape[2] != model.feature_dim:
         raise ShapeError(
             f"feature dim {windows.shape[2]} != model feature dim {model.feature_dim}")
@@ -313,13 +313,11 @@ def _layer_backward(layer, k, cache, grad_h, h):
         for (lo, hi), caches, g in zip(cache.bounds, cache.shards, grad_h)])
     ops = layer.products()
     da, x_fm, h_fm = (a.reshape(a.shape[0], -1) for a in (da, x, h))
-    parts = len(cache.bounds)
     grad_w = np.empty(ops.x_at.size + ops.h_at.size)
-    grad_w[ops.x_at] = ops.x.masked_outer(da, x_fm, parts)
+    grad_w[ops.x_at] = ops.x.masked_outer(da, x_fm)
     # h_prev is zero at the first step, so the recurrent block pairs steps
     # 1..T-1 of dA with hidden states 0..T-2, the leading columns of h_fm
-    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], h_fm[:, : (n_steps - 1) * batch],
-                                          parts)
+    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], h_fm[:, : (n_steps - 1) * batch])
     return grad_w, da.sum(axis=1), grad_h, x
 
 

@@ -138,7 +138,7 @@ def _baseline_rows(cfg, prepared, point, train, test, tag):
 
 def _one_worker():
     """Sweep worker processes already share the CPUs, so each runs its
-    batches as one shard."""
+    batches as one shard and its masked outer products on one thread."""
     linalg.WORKERS = 1
 
 

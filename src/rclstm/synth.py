@@ -1,7 +1,10 @@
 """Synthetic series generators so the full suite runs without real data.
 
-All generators emit values inside (0, 1) on a regular 15-minute timestamp
-grid, ready for windowing without further normalization.
+Every generator emits its values on a regular 15-minute timestamp grid,
+ready for windowing without further normalization.  The sine and the
+long-range series lie inside (0, 1).  ``ar_process`` is not bounded: with
+``integrate`` it emits integrated AR levels, which the ARIMA baselines are
+fitted to (at the ``[synthetic]`` defaults, -6.56 to 0.30).
 """
 
 import numpy as np

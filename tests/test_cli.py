@@ -148,24 +148,33 @@ class TestCliCommands:
         metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert "rmse" in metrics and metrics["n"] == 29
 
-    def test_evaluate_v1_checkpoint(self, tmp_path):
-        # a checkpoint in the v1 layout evaluates as its v2 re-save does
-        from rclstm.checkpoint import (load_checkpoint_file, save_checkpoint_file,
-                                       write_container)
+    def test_evaluate_v1_checkpoint(self, tmp_path, capsys):
+        # the v1 layout (dense w, byte mask) is refused with one error line
+        from rclstm.checkpoint import load_checkpoint_file, write_container
         from test_training import v1_layout
 
         cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
         assert main(["train", "--config", cfg, "--freeze-timestamps"]) == 0
-        trained = tmp_path / "out" / "checkpoint.bin"
-        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
-        v1.write_bytes(write_container("model", *v1_layout(load_checkpoint_file(trained))))
-        save_checkpoint_file(load_checkpoint_file(v1), v2)
-        assert v2.read_bytes() == trained.read_bytes()
-        metrics = []
-        for ckpt in (v1, v2):
-            assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
-            metrics.append((tmp_path / "out" / "metrics.json").read_bytes())
-        assert metrics[0] == metrics[1]
+        v1 = tmp_path / "v1.bin"
+        v1.write_bytes(write_container("model", *v1_layout(
+            load_checkpoint_file(tmp_path / "out" / "checkpoint.bin"))))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(v1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer0 is in the v1 checkpoint layout")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["ar", "longrange"])
+    def test_train_other_synthetic_kinds(self, tmp_path, kind):
+        # one epoch on each of the other two generators, twice: same bytes
+        blobs = []
+        for run in ("a", "b"):
+            text = SINE_CFG.format(out=tmp_path / run).replace(
+                "kind = sine", f"kind = {kind}").replace("epochs = 2", "epochs = 1")
+            cfg = write_cfg(tmp_path, text, name=f"{run}.ini")
+            assert main(["train", "--config", cfg, "--freeze-timestamps"]) == 0
+            blobs.append((tmp_path / run / "checkpoint.bin").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_train_from_cache(self, tmp_path):
         outdir = tmp_path / "out"
@@ -288,7 +297,9 @@ class TestCliCommands:
         ("classification", [1, 2, 4, 3], 3, "classes outside 1..3"),
         ("classification", [1, 2, 3, 1], None, "has no codebook"),
         ("foo", [1, 2, 3, 1], 3, "unknown task 'foo'"),
-    ], ids=["class_0", "class_above_codebook", "no_codebook", "unknown_task"])
+        ("classification", [1.5, 2.5, 1.0, 3.0], 3, "features has dtype <f8, expected <i8"),
+    ], ids=["class_0", "class_above_codebook", "no_codebook", "unknown_task",
+            "fractional_classes"])
     def test_malformed_dataset_cache_exit_2(self, tmp_path, capsys, task, classes,
                                             n_locations, message):
         from rclstm.data import LocationCodebook, PreparedData, save_prepared
@@ -304,6 +315,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("norm", [{"min_log": 2.0, "max_log": 1.0},
+                                      {"min_log": "0.5", "max_log": "2.5"}],
+                             ids=["reversed", "non_numeric"])
+    def test_bad_norm_cache_exit_2(self, tmp_path, capsys, norm):
+        from rclstm.checkpoint import write_container
+
+        cache = tmp_path / "cache.bin"
+        cache.write_bytes(write_container("dataset", {
+            "task": "regression", "norm": norm, "codebook": None},
+            {"features": np.linspace(0.1, 0.9, 40)}))
+        text = SINE_CFG.format(out=tmp_path / "out").replace(
+            "task = synthetic", f"task = traffic\ndata = {cache}")
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "not two finite numbers with max_log > min_log" in capsys.readouterr().err
 
     def test_malformed_array_entry_exit_2(self, tmp_path, capsys):
         from rclstm.checkpoint import save_checkpoint

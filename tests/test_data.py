@@ -1,10 +1,14 @@
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rclstm.data import (LocationCodebook, NormalizationParams, PreparedData,
-                         build_codebook, chronological_split, denormalize,
+                         TimeSeries, build_codebook, chronological_split, denormalize,
                          load_mobility_csv, load_prepared, load_traffic_csv,
                          log_minmax_normalize, prepare_mobility, prepare_traffic,
                          save_prepared, sliding_window)
@@ -292,6 +296,30 @@ class TestLoaders:
             load_mobility_csv(path)
 
 
+def cache_blob(prep):
+    """The bytes ``save_prepared`` writes for ``prep``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.bin")
+        save_prepared(prep, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+#: a traffic cache with its normalization and a mobility cache with its
+#: codebook, as the CLI's preprocess step writes them
+CACHE_BLOBS = {
+    "regression": cache_blob(prepare_traffic(TimeSeries(
+        np.arange(12).astype("datetime64[s]"), np.geomspace(1.0, 500.0, 12)))),
+    "classification": cache_blob(prepare_mobility(
+        mobility_series([3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2]), window=3)),
+}
+
+#: the flip that turns the traffic cache's min_log of 0.0 into 9.0, past
+#: its max_log
+MIN_LOG_FLIP = {"task": "regression", "truncate": False, "flip": ord("0") ^ ord("9"),
+                "pos": CACHE_BLOBS["regression"].index(b'"min_log":0.0') + 10}
+
+
 class TestPrepared:
     def test_traffic_prepare_full_scope(self):
         from rclstm.synth import sine_series
@@ -378,6 +406,66 @@ class TestPrepared:
         path.write_bytes(write_container("dataset", meta, {}))
         with pytest.raises(CheckpointError):
             load_prepared(str(path))
+
+    @pytest.mark.parametrize("case, message", [
+        ("norm_reversed", "not two finite numbers"),
+        ("norm_equal", "not two finite numbers"),
+        ("norm_str", "not two finite numbers"),
+        ("norm_bool", "not two finite numbers"),
+        ("norm_nan", "not two finite numbers"),
+        ("classes_fractional", "features has dtype <f8, expected <i8"),
+        ("regression_int", "features has dtype <i8, expected <f8"),
+        ("regression_inf", "features holds non-finite entries"),
+        ("features_2d", "features has shape"),
+    ])
+    def test_malformed_cache_entry_rejected(self, tmp_path, case, message):
+        from rclstm.checkpoint import write_container
+        meta = {"task": "regression", "codebook": None,
+                "norm": {"min_log": 0.5, "max_log": 2.5}}
+        features = np.linspace(0.0, 1.0, 8)
+        if case == "norm_reversed":
+            meta["norm"]["min_log"] = 3.0
+        elif case == "norm_equal":
+            meta["norm"]["max_log"] = 0.5
+        elif case == "norm_str":
+            meta["norm"] = {"min_log": "0.5", "max_log": "2.5"}
+        elif case == "norm_bool":
+            meta["norm"] = {"min_log": False, "max_log": True}
+        elif case == "norm_nan":
+            meta["norm"]["max_log"] = float("nan")
+        elif case == "classes_fractional":
+            meta.update(task="classification", norm=None, codebook=[7, 8, 9])
+            features = np.array([1.5, 2.5, 1.0, 3.0])
+        elif case == "regression_int":
+            features = np.arange(8)
+        elif case == "regression_inf":
+            features[3] = np.inf
+        else:
+            features = features.reshape(4, 2)
+        path = tmp_path / "cache.bin"
+        path.write_bytes(write_container("dataset", meta, {"features": features}))
+        with pytest.raises(CheckpointError, match=message):
+            load_prepared(str(path))
+
+    @given(task=st.sampled_from(["regression", "classification"]),
+           pos=st.integers(0, 1 << 12), flip=st.integers(1, 255), truncate=st.booleans())
+    @example(**MIN_LOG_FLIP)
+    @settings(max_examples=400, deadline=None)
+    def test_corrupt_cache_raises_only_checkpoint_error(self, task, pos, flip, truncate):
+        blob = bytearray(CACHE_BLOBS[task])
+        pos %= len(blob)
+        if truncate:
+            del blob[pos:]
+        else:
+            blob[pos] ^= flip
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.bin")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                load_prepared(path)
+            except CheckpointError:
+                pass
 
 
 def prepare_traffic_like(series):

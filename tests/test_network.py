@@ -106,6 +106,12 @@ class TestForwardSequence:
         with pytest.raises(ShapeError):
             forward_batch(model, np.zeros((1, 0, 1)))
 
+    @pytest.mark.parametrize("keep_cache", [True, False], ids=["cached", "serving"])
+    def test_empty_batch_rejected(self, keep_cache):
+        model = build_model(1, [4], seed=0)
+        with pytest.raises(ShapeError):
+            forward_batch(model, np.zeros((0, 3, 1)), keep_cache=keep_cache)
+
     def test_feature_mismatch_rejected(self):
         model = build_model(2, [4], seed=0)
         with pytest.raises(ShapeError):

@@ -418,15 +418,19 @@ class TestCheckpoint:
             read_container(raw_container([1, 2]))
 
     @pytest.mark.parametrize("case", [
-        "masked_weight", "task", "dim_chain", "w_shape",
-        "b_shape", "head_w_shape", "head_b_shape", "out_dim", "layer_entry", "meta",
-        "bits_short", "bits_padding", "bits_dtype", "values_count", "values_dtype",
-        "values_inf", "b_nan", "head_w_inf", "head_b_nan", "v1_w_inf", "v1_b_nan"])
+        "task", "dim_chain", "b_shape", "head_w_shape", "head_b_shape", "out_dim",
+        "layer_entry", "meta", "bits_short", "bits_padding", "bits_dtype", "values_count",
+        "values_dtype", "values_inf", "b_nan", "head_w_inf", "head_b_nan", "b_dtype",
+        "head_w_dtype", "head_b_dtype"])
     def test_unservable_model_rejected(self, case):
         meta, arrays = read_container(V2_BLOB)
-        if case in ("masked_weight", "w_shape", "v1_w_inf", "v1_b_nan"):  # v1 files only
-            meta, arrays = v1_layout(load_checkpoint(V2_BLOB))
-        if case == "values_inf":
+        if case == "b_dtype":  # an integer bias or head would serve, then fail in fit
+            arrays["layer1.b"] = arrays["layer1.b"].astype(np.int64)
+        elif case == "head_w_dtype":
+            arrays["head.w"] = np.ones_like(arrays["head.w"], dtype=np.uint8)
+        elif case == "head_b_dtype":
+            arrays["head.b"] = arrays["head.b"].astype(np.int64)
+        elif case == "values_inf":
             arrays["layer1.values"][3] = np.inf
         elif case == "b_nan":
             arrays["layer0.b"][2] = np.nan
@@ -434,21 +438,10 @@ class TestCheckpoint:
             arrays["head.w"][0, 1] = -np.inf
         elif case == "head_b_nan":
             arrays["head.b"][0] = np.nan
-        elif case == "v1_w_inf":
-            row, col = np.argwhere(arrays["layer0.mask"] == 1)[0]
-            arrays["layer0.w"][row, col] = np.inf
-        elif case == "v1_b_nan":
-            arrays["layer1.b"] = np.where(np.arange(12) == 5, np.nan, arrays["layer1.b"])
-        elif case == "masked_weight":
-            row, col = np.argwhere(arrays["layer1.mask"] == 0)[0]
-            arrays["layer1.w"][row, col] = 0.25
         elif case == "task":
             meta["task"] = "bogus"
         elif case == "dim_chain":
             meta["layers"][1]["input_dim"] = 5
-        elif case == "w_shape":
-            arrays["layer0.w"] = arrays["layer0.w"][:, :-1]
-            arrays["layer0.mask"] = arrays["layer0.mask"][:, :-1]
         elif case == "b_shape":
             arrays["layer1.b"] = arrays["layer1.b"][:-1]
         elif case == "head_w_shape":
@@ -508,18 +501,11 @@ class TestCheckpoint:
         assert np.count_nonzero(w) == 3
 
     @pytest.mark.parametrize("density", [0.03, 0.5], ids=["csr", "dense"])
-    def test_v1_file_serves_and_resaves_as_v2(self, density):
-        rng = np.random.default_rng(3)
-        model = build_model(2, [12, 10], seed=5, density=density)
-        v1 = write_container("model", *v1_layout(model))
-        loaded = load_checkpoint(v1)
-        windows = rng.normal(size=(6, 5, 2))
-        assert np.array_equal(predict_batch(loaded, windows), predict_batch(model, windows))
-        resaved = save_checkpoint(loaded)
-        assert resaved == save_checkpoint(model)
-        _, arrays = read_container(resaved)
-        assert {"layer0.values", "layer0.bits"} <= set(arrays)
-        assert not {"layer0.w", "layer0.mask"} & set(arrays)
+    def test_v1_file_rejected(self, density):
+        v1 = write_container("model", *v1_layout(build_model(2, [12, 10], seed=5,
+                                                             density=density)))
+        with pytest.raises(CheckpointError, match="layer0 is in the v1 checkpoint layout"):
+            load_checkpoint(v1)
 
     def test_wrong_kind_rejected(self):
         blob = write_container("dataset", {}, {"x": np.ones(2)})
