@@ -12,8 +12,8 @@ cache: it holds one cache-sized span of gate preactivations and two
 layers' hidden states, and gives the same outputs bit for bit.
 """
 
-from .cell import (ConnectivityMask, LstmLayerParams, cell_backward,
-                   cell_forward, generate_mask, init_layer)
+from .cell import (ConnectivityMask, LstmLayerParams, backward_factors,
+                   cell_backward, cell_forward, generate_mask, init_layer)
 from .checkpoint import (load_checkpoint, load_checkpoint_file,
                          save_checkpoint, save_checkpoint_file)
 from .data import (LocationCodebook, NormalizationParams, PreparedData,

@@ -10,7 +10,12 @@ weights only.  The density of the mask's bits alone picks the route of the
 layer's gate products (``KERNEL_THRESHOLD``).
 
 The cell works on a batch of B windows at a time: one timestep of a
-layer's state is an (H, B) block, one column per window.
+layer's state is an (H, B) block, one column per window.  Its backward
+splits in two: ``backward_factors`` makes everything that depends on the
+forward alone in a few calls over the whole sequence, and
+``cell_backward`` is what is left per timestep, a few whole-block calls
+and the recurrent product.  The recurrence is a Python loop, so at small
+batches its cost is the number of calls per step, not the arithmetic.
 """
 
 import math
@@ -24,12 +29,19 @@ from .linalg import MaskedMatrix
 #: below this mask density a layer's masked work goes through scipy CSR,
 #: at or above it through dense BLAS: the gate products and also the
 #: weight-gradient SDDMM (``MaskedMatrix.masked_outer``).  ``rclstm bench``
-#: measures the products' crossover only (table in CHANGES.md): at H=300
-#: CSR is faster at B=1, 32 and 256 up to 10% density; at H=150 it is
-#: faster or even at every B up to 5% and slower at B=1 from 10%.  The
-#: SDDMM's crossover is lower, near 0.04 at N = T*B = 3200 on a 1200x300
-#: block (table in ROADMAP.md), so at 0.04-0.05 the SDDMM runs on the
-#: slower route.
+#: measures the products' crossover only: W_h @ h plus W_h.T @ dA of one
+#: step, in us, dense / CSR (direct kernel calls), at densities 0.1 and 0.2
+#: on the 2-CPU Xeon of ``network.SPAN_BYTES``:
+#: H=300: B=1 295/115, 275/150; B=32 1973/1345, 1967/2532;
+#:        B=256 9990/9506, 11206/18220;
+#: H=150: B=1 41.6/35.0, 37.9/37.7; B=32 480/342, 407/666;
+#:        B=256 2621/2366, 2510/4852.
+#: So the products are faster on CSR at every B up to 10% at both widths
+#: (through scipy's ``@``, CSR lost at H=150, B=1 from 10%: 44.8/45.8)
+#: and slower at B=32 and 256 from 20%.  The SDDMM's crossover is lower,
+#: near 0.04 at N = T*B = 3200 on a 1200x300 block (table in ROADMAP.md),
+#: so one threshold per layer stays at 0.05, where at 0.04-0.05 the SDDMM
+#: runs on the slower route and from 0.05 to 0.1 the products do.
 KERNEL_THRESHOLD = 0.05
 
 
@@ -154,43 +166,74 @@ def cell_forward(w_h, a, h_prev, c_prev, c, tanh_c, h):
     written into ``c``, ``tanh_c`` and ``h``.
     """
     if h_prev is not None:
-        a += w_h.dot(h_prev)
+        w_h.dot(h_prev, out=a, add=True)
     kernels.lstm_pointwise_numpy(a, c_prev, c, tanh_c, h)
 
 
-def cell_backward(w_h, a, c_prev, tanh_c, grad_h, grad_c):
+def backward_factors(gates, c, tanh_c, span):
+    """Turn a layer's cached forward values over T steps, in place, into
+    the factors of its backward that depend on them alone.
+
+    ``gates`` (T, 4H, B) holds the activations f, i, z, o and becomes
+    P_f = f(1-f)c_prev (zero at the first step, whose c_prev is zero),
+    P_i = i(1-i)z, P_z = i(1-z^2) and P_o = o(1-o)tanh(c): the
+    preactivation gradient of each gate is its factor times dc, or times
+    grad_h for o.  ``tanh_c`` becomes P_c = (1-tanh^2(c))o, and ``c``
+    becomes f.  A handful of numpy calls over ``span`` steps at a time, so
+    that ``cell_backward``'s per-step work is a few calls and the scratch
+    holds at most ``span`` (H, B) steps.
+    """
+    n_steps, hidden = c.shape[:2]
+    g = gates.reshape(n_steps, 4, hidden, -1)
+    scratch = np.empty((min(span, n_steps), *c.shape[1:]))
+    # from the last chunk down, so that the c_prev each chunk reads is
+    # still the memory cell and not yet f
+    for hi in range(n_steps, 0, -span):
+        lo = max(0, hi - span)
+        f, i, z, o = (g[lo:hi, k] for k in range(4))
+        tc, s = tanh_c[lo:hi], scratch[: hi - lo]
+        np.subtract(1.0, o, out=s)
+        s *= tc
+        np.multiply(tc, tc, out=tc)
+        np.subtract(1.0, tc, out=tc)
+        tc *= o  # P_c
+        o *= s  # P_o
+        np.multiply(z, z, out=s)
+        np.subtract(1.0, s, out=s)
+        s *= i  # P_z
+        z *= i
+        np.subtract(1.0, i, out=i)
+        i *= z  # P_i
+        z[...] = s
+        np.subtract(1.0, f, out=s)
+        s *= f
+        if lo:
+            s *= c[lo - 1 : hi - 1]
+        else:
+            s[1:] *= c[: hi - 1]
+            s[0] = 0.0
+        c[lo:hi] = f
+        f[...] = s  # P_f
+
+
+def cell_backward(w_h, p, f, p_c, grad_h, grad_c, dc, grad_h_prev):
     """Exact gradients for one timestep of a batch, in place.
 
-    ``a`` holds the step's activations f, i, z, o from ``cell_forward``;
-    it is overwritten with dA, the loss gradient wrt the gate
-    preactivations.  ``grad_h``/``grad_c`` are the loss gradients flowing
-    into this step's outputs.  Returns (grad_c_prev, grad_h_prev), the
-    gradients wrt the previous states; grad_h_prev is ``w_h.T @ dA``.
+    ``p`` (4H, B), ``f`` and ``p_c`` are the step's slices of what
+    ``backward_factors`` made of the cache; ``p`` is overwritten with dA,
+    the loss gradient wrt the gate preactivations.  ``grad_h`` and
+    ``grad_c`` are the loss gradients flowing into this step's outputs;
+    ``grad_c`` is overwritten with the one wrt the previous memory cell.
+    ``dc`` is (H, B) scratch.  ``w_h.T @ dA``, the step's part of the
+    gradient wrt the previous hidden state, is added to ``grad_h_prev``
+    unless it is None (the first step).
     """
-    hidden = tanh_c.shape[0]
-    f, i, z, o = (a[g * hidden : (g + 1) * hidden] for g in range(4))
-    dc = 1.0 - tanh_c * tanh_c
-    dc *= o
-    dc *= grad_h
+    hidden = f.shape[0]
+    np.multiply(p_c, grad_h, out=dc)
     dc += grad_c
-    grad_c_prev = dc * f
-    # Each gate's slot is overwritten only once nothing else reads it.
-    da_o = 1.0 - o
-    da_o *= o
-    da_o *= tanh_c
-    np.multiply(da_o, grad_h, out=o)
-    da_i = 1.0 - i
-    da_i *= z
-    da_i *= dc
-    da_z = 1.0 - z * z
-    da_z *= i
-    np.multiply(da_z, dc, out=z)
-    i *= da_i
-    if c_prev is None:
-        f[...] = 0.0
-    else:
-        da_f = 1.0 - f
-        da_f *= f
-        da_f *= c_prev
-        np.multiply(da_f, dc, out=f)
-    return grad_c_prev, w_h.tdot(a)
+    p[3 * hidden :] *= grad_h
+    fiz = p[: 3 * hidden].reshape(3, hidden, -1)
+    np.multiply(fiz, dc, out=fiz)
+    np.multiply(f, dc, out=grad_c)
+    if grad_h_prev is not None:
+        w_h.tdot(p, out=grad_h_prev, add=True)

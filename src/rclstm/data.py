@@ -281,8 +281,9 @@ def load_prepared(path):
     numbers with ``max_log > min_log``, its ``features`` are not a vector
     of ``<f8`` values (regression, finite) or ``<i8`` classes, or a
     classification cache has no codebook or classes outside 1..codebook
-    size.  Caches that also hold windows (``inputs``, ``targets``,
-    ``window``, ``classes``) load; those keys are ignored.
+    size, or its codebook is not a list of unique integers.  Caches that
+    also hold windows (``inputs``, ``targets``, ``window``, ``classes``)
+    load; those keys are ignored.
     """
     with open(path, "rb") as fh:
         meta, arrays = read_container(fh.read(), expect_kind="dataset")
@@ -296,8 +297,13 @@ def load_prepared(path):
             norm = NormalizationParams(lo, hi)
         book = None
         if codebook is not None:
+            if type(codebook) is not list \
+                    or any(type(raw) is not int for raw in codebook) \
+                    or len(set(codebook)) != len(codebook):
+                raise CheckpointError(f"dataset cache codebook {codebook!r:.80} is not "
+                                      "a list of unique integer location IDs")
             book = LocationCodebook({raw: j + 1 for j, raw in enumerate(codebook)},
-                                    list(codebook))
+                                    codebook)
     except KeyError as err:
         raise CheckpointError(f"dataset cache lacks {err}") from None
     except TypeError as err:  # meta or its norm entry is not a JSON object

@@ -7,6 +7,10 @@ along the first axis.
 
 import numpy as np
 
+# 0-d array operands: a Python float is converted on every ufunc call,
+# which at B=1 costs about as much as the arithmetic on a 300-unit gate
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+
 
 def sigmoid_stable(x, out=None):
     """Logistic function as ``0.5 * (1 + tanh(x / 2))``.
@@ -15,10 +19,10 @@ def sigmoid_stable(x, out=None):
     of the logistic everywhere and reaches exactly 0 or 1 only beyond
     |x| of about 37.  ``out`` may be ``x`` itself.
     """
-    out = np.multiply(x, 0.5, out=out)
+    out = np.multiply(x, _HALF, out=out)
     np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
+    np.add(out, _ONE, out=out)
+    np.multiply(out, _HALF, out=out)
     return out
 
 
@@ -30,12 +34,14 @@ def lstm_pointwise_numpy(a, c_prev, c, tanh_c, h):
     previous memory cell, or None for a zero one.
     """
     hidden = c.shape[0]
-    f = sigmoid_stable(a[0:hidden], out=a[0:hidden])
-    i = sigmoid_stable(a[hidden : 2 * hidden], out=a[hidden : 2 * hidden])
-    z = np.tanh(a[2 * hidden : 3 * hidden], out=a[2 * hidden : 3 * hidden])
-    o = sigmoid_stable(a[3 * hidden :], out=a[3 * hidden :])
+    f, i = a[:hidden], a[hidden : 2 * hidden]
+    z, o = a[2 * hidden : 3 * hidden], a[3 * hidden :]
+    sigmoid_stable(f, out=f)
+    sigmoid_stable(i, out=i)
+    np.tanh(z, out=z)
+    sigmoid_stable(o, out=o)
     np.multiply(i, z, out=c)
     if c_prev is not None:
-        c += f * c_prev
+        c += np.multiply(f, c_prev, out=tanh_c)
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)

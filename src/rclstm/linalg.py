@@ -1,12 +1,23 @@
 """Products with masked gate matrices.
 
 ``MaskedMatrix`` hides how a matrix whose nonzeros lie on a fixed boolean
-mask is multiplied: through scipy CSR, whose index structure is built once
-from the mask, or through dense BLAS on a dense array that is zero off the
-mask.  Either route holds the values it was last loaded with, given as the
-mask's nonzeros in row-major order.  Dense operands are feature-major,
-(features, B) with one column per window, the layout scipy's CSR kernels
-read and write without copies.  The masked outer product behind the weight
+mask is multiplied: through scipy's compiled CSR kernels, over an index
+structure built once from the mask, or through dense BLAS on a dense array
+that is zero off the mask.  Either route holds the values it was last
+loaded with, given as the mask's nonzeros in row-major order.  Dense
+operands are feature-major, (features, B) with one column per window, the
+layout the CSR kernels read and write in place.
+
+The sparse route calls the kernels behind scipy's ``@`` directly
+(``scipy.sparse._sparsetools``): ``csr_matvec`` for one column,
+``csr_matvecs`` for more, and their ``csc_*`` twins on the same three
+arrays for the transpose.  The recurrence makes two small products per
+layer and timestep, and ``@``'s Python dispatch and result allocation cost
+about three times as long as the kernel under it at B=1.  The kernels add
+into their output, so a product can add itself to a gate buffer in place.
+They read and write raw memory, so every operand and output must be
+C-contiguous float64: anything else raises, because a copied output would
+silently lose the product.  The masked outer product behind the weight
 gradient (a sampled dense-dense product, SDDMM) yields a value vector of
 the mask's nonzeros only, in the same row-major order.
 
@@ -20,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
-import scipy.sparse
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 from .errors import ShapeError
 
@@ -95,11 +106,13 @@ class MaskedMatrix:
         self.nnz = int(np.count_nonzero(mask))
         if self.sparse:
             rows, cols = np.nonzero(mask)  # row-major: columns sorted within rows
-            indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.shape[0]), out=indptr[1:])
-            self._csr = scipy.sparse.csr_matrix(
-                (np.zeros(rows.size), cols, indptr), shape=self.shape)
-            self._csr_t = self._csr.T  # a CSC view over the same value array
+            # the kernels take one index type for both arrays; int32, as
+            # scipy picks, unless a count does not fit it
+            index = np.int32 if max(self.nnz, *self.shape) < 2**31 else np.int64
+            self._indptr = np.zeros(self.shape[0] + 1, dtype=index)
+            np.cumsum(np.bincount(rows, minlength=self.shape[0]), out=self._indptr[1:])
+            self._indices = cols.astype(index)
+            self._data = np.zeros(self.nnz)
             # per column of the mask: its masked rows and their places in
             # the value vector, for the masked outer product
             by_col = np.argsort(cols, kind="stable")
@@ -121,34 +134,61 @@ class MaskedMatrix:
             raise ShapeError(f"{np.shape(values)} values do not match a mask "
                              f"with {self.nnz} nonzeros")
         if self.sparse:
-            self._csr.data[:] = values
+            self._data[:] = values
         else:
             np.put(self._w, self._at, values)
         return self
 
-    def dot(self, x, out=None):
-        """``M @ x`` for x of shape (cols, B), as a new array, or
-        (T, cols, B) for one product per leading index, written into
-        ``out`` (T, rows, B) when given, else into a new array."""
-        if x.shape[-2] != self.shape[1]:
-            raise ShapeError(f"product {self.shape} x {x.shape} is undefined")
-        return self._product(self._csr if self.sparse else self._w, x, out)
+    def dot(self, x, out=None, add=False):
+        """``M @ x`` for x of shape (cols, B), or (T, cols, B) for one
+        product per leading index.  Written into ``out`` (rows, B) or
+        (T, rows, B) when given, else into a new array; with ``add`` it
+        is added to what ``out`` holds.  ``out`` must not overlap ``x``."""
+        return self._product(False, x, out, add)
 
-    def tdot(self, y):
-        """``M.T @ y`` for y of shape (rows, B) or (T, rows, B)."""
-        if y.shape[-2] != self.shape[0]:
-            raise ShapeError(f"product {self.shape[::-1]} x {y.shape} is undefined")
-        return self._product(self._csr_t if self.sparse else self._w.T, y, None)
+    def tdot(self, y, out=None, add=False):
+        """``M.T @ y`` for y of shape (rows, B) or (T, rows, B), written or
+        added as ``dot`` does."""
+        return self._product(True, y, out, add)
 
-    def _product(self, m, x, out):
+    def _product(self, transpose, x, out, add):
+        rows, cols = self.shape[::-1] if transpose else self.shape
+        if x.shape[-2] != cols:
+            raise ShapeError(f"product {(rows, cols)} x {x.shape} is undefined")
+        if add and out is None:
+            raise ValueError("add needs an output to add to")
         if not self.sparse:
+            m = self._w.T if transpose else self._w
+            if add:
+                out += m @ x
+                return out
             return np.matmul(m, x, out=out)  # numpy broadcasts over a leading axis
-        if x.ndim == 2:
-            return m @ x
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"sparse product operand must be 2-D or 3-D, got {x.shape}")
+        n_vecs = x.shape[-1]
         if out is None:
-            out = np.empty((x.shape[0], m.shape[0], x.shape[2]))
-        for t, xt in enumerate(x):
-            out[t] = m @ xt
+            out = np.zeros((*x.shape[:-2], rows, n_vecs))
+        else:
+            if out.shape != (*x.shape[:-2], rows, n_vecs):
+                raise ShapeError(f"output {out.shape} does not fit product "
+                                 f"{(rows, cols)} x {x.shape}")
+            _check_raw(out, "output")
+            if not add:
+                out.fill(0.0)
+        _check_raw(x, "operand")
+        # the product's (rows, cols) are the kernel's (n_row, n_col) on
+        # either form: CSR of M, or CSC of M.T over the same three arrays
+        arrays = (self._indptr, self._indices, self._data)
+        if n_vecs == 1:
+            kernel, head = csc_matvec if transpose else csr_matvec, (rows, cols)
+        else:
+            kernel = csc_matvecs if transpose else csr_matvecs
+            head = (rows, cols, n_vecs)
+        if x.ndim == 2:
+            kernel(*head, *arrays, x, out)
+        else:
+            for xt, yt in zip(x, out):
+                kernel(*head, *arrays, xt, yt)
         return out
 
     def masked_outer(self, y, x):
@@ -183,3 +223,10 @@ class MaskedMatrix:
         run_tasks([partial(fill, self._col_rows[lo:hi])
                    for lo, hi in zip(bounds, bounds[1:])])
         return out
+
+
+def _check_raw(a, role):
+    """The CSR kernels read and write ``a`` as raw C-ordered float64."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ShapeError(f"sparse product {role} must be C-contiguous float64, "
+                         f"got {a.dtype} with strides {a.strides}")

@@ -8,9 +8,9 @@ head.  A single window is a batch of one.
 The unroll runs one layer at a time over preallocated (T, features, B)
 buffers: each timestep is a contiguous (features, B) block, one column per
 window, so the per-step element-wise work runs on contiguous memory and
-the CSR kernels need no copies.  Each layer projects its input a span of
-timesteps at a time, ahead of the time loop over that span, which then
-adds only the recurrent product.
+the CSR kernels read and write it in place.  Each layer projects its
+input a span of timesteps at a time, ahead of the time loop over that
+span, which then adds only the recurrent product.
 
 ``forward_batch`` has two modes over the same loop:
 
@@ -22,10 +22,15 @@ adds only the recurrent product.
   the next layer projects them, and a layer's input is dropped once the
   layer is done.  The outputs are bit-identical to the cached mode.
 
-Backpropagation runs top-down a layer at a time and forms each layer's
-weight gradient as one masked product over all T*B columns, computed at
-the mask's nonzeros only and returned as a value vector shaped like the
-layer's ``values``.
+Backpropagation runs top-down a layer at a time.  Before a layer's time
+loop, one pass over the whole sequence (``cell.backward_factors``) turns
+its cached activations and states in place into the per-step factors
+that depend on the forward alone, so each step of the loop multiplies
+them by the incoming gradients in a few whole-block calls and adds its
+recurrent product to the gradient of the step below in place.  Each
+layer's weight gradient is one masked product over all T*B columns,
+computed at the mask's nonzeros only and returned as a value vector
+shaped like the layer's ``values``.
 
 A batch runs as contiguous shards of windows at the same time
 (``_shard_bounds``): the calling thread runs the first, a pool of threads
@@ -50,7 +55,8 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .cell import LstmLayerParams, cell_backward, cell_forward, init_layer
+from .cell import (LstmLayerParams, backward_factors, cell_backward, cell_forward,
+                   init_layer)
 from .errors import DivergenceError, ShapeError
 
 #: bytes of gate preactivations one span of the cache-free forward holds.
@@ -66,6 +72,17 @@ from .errors import DivergenceError, ShapeError
 #: B=1 was flat.  Budgets from 64 KiB to 4 MiB are within noise of each
 #: other; the whole-window span loses up to a quarter at B=256.
 SPAN_BYTES = 1 << 20
+
+#: bytes of scratch the backward's factor pass (``cell.backward_factors``)
+#: holds: it runs over as many timesteps at a time as one (H, windows)
+#: block per step fits.  Milliseconds per layer-shard on the 2-CPU Xeon
+#: above (median of 21), budgets 64 KiB / 128 KiB / 256 KiB / 512 KiB /
+#: 1 MiB, by T x H x windows:
+#: 100x300x16: 8.40 / 7.59 / 7.15 / 7.57 / 9.62;
+#: 100x300x32: 15.2 / 13.3 / 13.0 / 13.8 / 20.1;
+#: 100x300x1:  0.71 / 0.56 / 0.51 / 0.52 / 0.52;
+#: 12x150x32:  0.81 / 0.64 / 0.57 / 0.57 / 0.51.
+FACTOR_BYTES = 1 << 18
 
 #: fewest hidden units x windows a shard of a batch holds in the model's
 #: narrowest layer.  Each shard runs its own Python loop over the
@@ -106,7 +123,9 @@ class LayerCache:
     each array once it is done with it."""
 
     x: np.ndarray  # the layer's input
-    gates: np.ndarray  # (T, 4H, b) activations f, i, z, o; dA once backpropagated
+    # backpropagation turns gates, c and tanh_c into the backward's
+    # factors (``cell.backward_factors``), then gates into dA
+    gates: np.ndarray  # (T, 4H, b) activations f, i, z, o
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray
@@ -257,13 +276,16 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
     """Backpropagate layer ``k``'s unroll over one shard.
 
     ``caches`` is the shard's LayerCache per layer and ``grad_h`` (T, H, b)
-    the loss gradient wrt the shard's hidden states from above.  The
-    shard's dA is written into ``da`` and its input sequence into ``x``,
-    and, unless None, its hidden states into ``h``: (features, T, b)
-    column slices of the batch's feature-major buffers.  Each cached array
-    is dropped once copied, and the layer's cache once done, so the batch
-    holds one copy of each at a time.  Returns the gradient wrt the
-    shard's input sequence, or None for the bottom layer.
+    the loss gradient wrt the shard's hidden states from above; each
+    step's recurrent part is added to it in place.  Before the time loop,
+    ``cell.backward_factors`` turns the cached gates and states into the
+    factors that depend on the forward alone, so each step runs a few
+    whole-block calls.  The shard's dA is written into ``da``, its input
+    sequence into ``x`` and, unless None, its hidden states into ``h``:
+    (features, T, b) column slices of the batch's feature-major buffers.
+    Each cached array is dropped once copied, and the layer's cache once
+    done, so the batch holds one copy of each at a time.  Returns the
+    gradient wrt the shard's input sequence, or None for the bottom layer.
     """
     lc = caches[k]
     caches[k] = None
@@ -275,14 +297,12 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
         h[...] = lc.h.transpose(1, 0, 2)
     lc.h = None
     ops = layer.products()
-    n_steps = lc.gates.shape[0]
-    grad_c = np.zeros(lc.c.shape[1:])
-    grad_h_rec = None
+    n_steps, hidden, width = lc.c.shape
+    backward_factors(lc.gates, lc.c, lc.tanh_c, max(1, FACTOR_BYTES // (hidden * width * 8)))
+    grad_c, dc = np.zeros((hidden, width)), np.empty((hidden, width))
     for t in range(n_steps - 1, -1, -1):
-        gh = grad_h[t] if grad_h_rec is None else grad_h[t] + grad_h_rec
-        grad_c, grad_h_rec = cell_backward(ops.h, lc.gates[t],
-                                           None if t == 0 else lc.c[t - 1],
-                                           lc.tanh_c[t], gh, grad_c)
+        cell_backward(ops.h, lc.gates[t], lc.c[t], lc.tanh_c[t], grad_h[t], grad_c, dc,
+                      grad_h[t - 1] if t else None)
     grad_x = ops.x.tdot(lc.gates) if k else None
     da[...] = lc.gates.transpose(1, 0, 2)
     return grad_x

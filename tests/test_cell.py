@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rclstm import cell
-from rclstm.cell import (LstmLayerParams, cell_backward, cell_forward,
-                         generate_mask, init_layer)
+from rclstm.cell import (LstmLayerParams, backward_factors, cell_backward,
+                         cell_forward, generate_mask, init_layer)
 from rclstm.errors import ShapeError
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
@@ -17,27 +17,36 @@ def make_layer(input_dim, hidden, density, seed):
 def run_step(layer, x, h0=None, c0=None):
     """One timestep through the cell API.  ``x`` is (B, D) and the states
     (B, H), batch-major; returns (h, c) batch-major plus the feature-major
-    gate activations and tanh(c) that ``cell_backward`` takes."""
+    gate activations and tanh(c) that ``backward_factors`` takes."""
     ops = layer.products()
-    a = ops.x.dot(np.asarray(x, dtype=np.float64).T) + layer.b[:, None]
+    a = ops.x.dot(np.asarray(x, dtype=np.float64).T.copy()) + layer.b[:, None]
     shape = (layer.hidden_dim, a.shape[1])
     c, tanh_c, h = np.empty(shape), np.empty(shape), np.empty(shape)
-    cell_forward(ops.h, a, None if h0 is None else h0.T, None if c0 is None else c0.T,
-                 c, tanh_c, h)
+    cell_forward(ops.h, a, None if h0 is None else h0.T.copy(),
+                 None if c0 is None else c0.T.copy(), c, tanh_c, h)
     return h.T, c.T, a, tanh_c
 
 
 def step_grads(layer, x, h0, c0, grad_h, grad_c):
     """Gradients of one timestep wrt (w, b, x, h0, c0), batch-major, given
     the loss gradients wrt its outputs h and c; the one wrt w is a value
-    vector of the live weights in ``np.flatnonzero(mask.bits)`` order."""
-    _, _, a, tanh_c = run_step(layer, x, h0, c0)
+    vector of the live weights in ``np.flatnonzero(mask.bits)`` order.
+
+    The step is the second of a two-step cache whose first step holds
+    only c0, the memory cell the step reads."""
+    _, c, a, tanh_c = run_step(layer, x, h0, c0)
+    gates, cs, tanh_cs = np.stack([a, a]), np.stack([c0.T, c.T]), np.stack([tanh_c, tanh_c])
+    backward_factors(gates, cs, tanh_cs, span=1)
     ops = layer.products()
-    grad_c_prev, grad_h_prev = cell_backward(ops.h, a, c0.T, tanh_c, grad_h.T, grad_c.T)
+    grad_c_prev = grad_c.T.copy()
+    grad_h_prev = np.zeros(h0.T.shape)
+    cell_backward(ops.h, gates[1], cs[1], tanh_cs[1], grad_h.T.copy(), grad_c_prev,
+                  np.empty_like(grad_c_prev), grad_h_prev)
+    da = gates[1]
     grad_w = np.empty(int(layer.mask.bits.sum()))
-    grad_w[ops.x_at] = ops.x.masked_outer(a, x.T)
-    grad_w[ops.h_at] = ops.h.masked_outer(a, h0.T)
-    return grad_w, a.sum(axis=1), ops.x.tdot(a).T, grad_h_prev.T, grad_c_prev.T
+    grad_w[ops.x_at] = ops.x.masked_outer(da, x.T)
+    grad_w[ops.h_at] = ops.h.masked_outer(da, h0.T)
+    return grad_w, da.sum(axis=1), ops.x.tdot(da).T, grad_h_prev.T, grad_c_prev.T
 
 
 class TestGenerateMask:

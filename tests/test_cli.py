@@ -316,6 +316,20 @@ class TestCliCommands:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("codebook", ["abc", [5, 5, 7]], ids=["string", "duplicates"])
+    def test_bad_codebook_cache_exit_2(self, tmp_path, capsys, codebook):
+        from rclstm.checkpoint import write_container
+
+        cache = tmp_path / "cache.bin"
+        cache.write_bytes(write_container("dataset", {
+            "task": "classification", "norm": None, "codebook": codebook},
+            {"features": np.array([1, 2, 3, 1] * 10)}))
+        text = MOBILITY_CFG.format(path=cache, out=tmp_path / "out") + "\n[model]\nhidden = 4\n"
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a list of unique integer" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("norm", [{"min_log": 2.0, "max_log": 1.0},
                                       {"min_log": "0.5", "max_log": "2.5"}],
                              ids=["reversed", "non_numeric"])

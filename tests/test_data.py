@@ -417,6 +417,10 @@ class TestPrepared:
         ("regression_int", "features has dtype <i8, expected <f8"),
         ("regression_inf", "features holds non-finite entries"),
         ("features_2d", "features has shape"),
+        ("codebook_str", "not a list of unique integer location IDs"),
+        ("codebook_duplicate", "not a list of unique integer location IDs"),
+        ("codebook_float", "not a list of unique integer location IDs"),
+        ("codebook_bool", "not a list of unique integer location IDs"),
     ])
     def test_malformed_cache_entry_rejected(self, tmp_path, case, message):
         from rclstm.checkpoint import write_container
@@ -436,6 +440,11 @@ class TestPrepared:
         elif case == "classes_fractional":
             meta.update(task="classification", norm=None, codebook=[7, 8, 9])
             features = np.array([1.5, 2.5, 1.0, 3.0])
+        elif case.startswith("codebook"):
+            codebook = {"codebook_str": "abc", "codebook_duplicate": [5, 5, 7],
+                        "codebook_float": [5, 6.0, 7], "codebook_bool": [True, 2, 3]}[case]
+            meta.update(task="classification", norm=None, codebook=codebook)
+            features = np.array([1, 2, 3, 1])
         elif case == "regression_int":
             features = np.arange(8)
         elif case == "regression_inf":

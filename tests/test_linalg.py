@@ -178,3 +178,68 @@ def test_activation_properties():
     assert np.max(np.abs(s + sigmoid_stable(-x) - 1.0)) < 1e-12
     # tanh(x) = 2*sigma(2x) - 1
     assert np.max(np.abs(np.tanh(x) - (2.0 * sigmoid_stable(2.0 * x) - 1.0))) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 2, 33])
+def test_sparse_route_equals_scipy_bit_for_bit(batch):
+    # the sparse route calls the kernels behind scipy's own ``@``
+    import scipy.sparse
+
+    rng = np.random.default_rng(batch)
+    m = rng.random((60, 45)) < 0.1
+    w = rng.normal(size=m.shape) * m
+    a = masked(w, m)
+    csr = scipy.sparse.csr_matrix(w)
+    x, y = rng.normal(size=(45, batch)), rng.normal(size=(60, batch))
+    assert np.array_equal(a.dot(x), csr @ x)
+    assert np.array_equal(a.tdot(y), csr.T @ y)  # the CSC form
+    for product, operand, want in ((a.dot, x, csr @ x), (a.tdot, y, csr.T @ y)):
+        zeroed = np.zeros(want.shape)
+        assert product(operand, out=zeroed, add=True) is zeroed
+        assert np.array_equal(zeroed, want)
+        stale = np.full(want.shape, np.nan)  # the plain form overwrites its output
+        assert np.array_equal(product(operand, out=stale), want)
+    seq, out = rng.normal(size=(3, 45, batch)), np.zeros((3, 60, batch))
+    a.dot(seq, out=out)
+    assert all(np.array_equal(out[t], csr @ seq[t]) for t in range(3))
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
+@pytest.mark.parametrize("batch", [1, 2, 33])
+def test_add_form_adds_the_product(sparse, batch):
+    rng = np.random.default_rng(40 + batch)
+    m = rng.random((60, 45)) < 0.1
+    w = rng.normal(size=m.shape) * m
+    a = masked(w, m, sparse)
+    x, y = rng.normal(size=(45, batch)), rng.normal(size=(60, batch))
+    out = rng.normal(size=(60, batch))
+    before = out.copy()
+    a.dot(x, out=out, add=True)
+    assert np.max(np.abs(out - (before + w @ x))) < 1e-12
+    out = rng.normal(size=(45, batch))
+    before = out.copy()
+    a.tdot(y, out=out, add=True)
+    assert np.max(np.abs(out - (before + w.T @ y))) < 1e-12
+    with pytest.raises(ValueError):
+        a.dot(x, add=True)
+
+
+def test_sparse_route_rejects_layouts_it_would_copy():
+    rng = np.random.default_rng(3)
+    m = rng.random((6, 5)) < 0.5
+    a = masked(rng.normal(size=m.shape), m)
+    x = rng.normal(size=(5, 4))
+    with pytest.raises(ShapeError, match="operand must be C-contiguous"):
+        a.dot(np.asfortranarray(x))
+    with pytest.raises(ShapeError, match="operand must be C-contiguous"):
+        a.tdot(rng.normal(size=(4, 6)).T)
+    with pytest.raises(ShapeError, match="output must be C-contiguous"):
+        a.dot(x, out=np.zeros((4, 6)).T)
+    with pytest.raises(ShapeError, match="output must be C-contiguous"):
+        a.dot(x, out=np.zeros((6, 4), dtype=np.float32), add=True)
+    with pytest.raises(ShapeError, match="does not fit"):
+        a.dot(x, out=np.zeros((6, 3)))
+    with pytest.raises(ShapeError, match="does not fit"):
+        a.dot(x[None], out=np.zeros((2, 6, 4)))
+    with pytest.raises(ShapeError, match="2-D or 3-D"):
+        a.dot(x[None, None])

@@ -234,6 +234,20 @@ class TestBackwardSequence:
             live = want[f"layer{k}.w"].ravel()[np.flatnonzero(layer.mask.bits)]
             assert np.max(np.abs(got[f"layer{k}.w"] - live)) < 1e-12
 
+    @pytest.mark.parametrize("density", [SPARSE, 1.0], ids=["csr", "dense"])
+    def test_same_gradients_at_any_factor_chunk(self, density, monkeypatch):
+        # the factor pass runs over chunks of timesteps; where they end
+        # changes no bit of the gradients
+        rng = np.random.default_rng(9)
+        windows, douts = rng.normal(size=(3, 7, 2)), rng.normal(size=(3, 1))
+        grads = []
+        for steps in (1, 3, 7):
+            monkeypatch.setattr(network, "FACTOR_BYTES", steps * 20 * 3 * 8)
+            model = build_model(2, [20, 20], seed=3, density=density)
+            grads.append(backward_sequence(model, forward_batch(model, windows)[1], douts))
+        for other in grads[1:]:
+            assert all(np.array_equal(grads[0][key], other[key]) for key in grads[0])
+
     def test_stale_cache_rejected(self):
         model = build_model(1, [4], seed=0)
         other = build_model(1, [5], seed=0)

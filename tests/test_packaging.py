@@ -47,3 +47,31 @@ def test_every_third_party_import_is_declared():
 def test_every_test_import_is_in_the_test_extra():
     # the test extra is installed on top of the package's own dependencies
     assert third_party_imports(ROOT / "tests") <= declared() | declared("test")
+
+
+def private_scipy_imports(path):
+    """(module, name) for each name ``path`` imports from a private scipy
+    module, one with a part that starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "scipy" \
+                and any(part.startswith("_") for part in node.module.split(".")):
+            found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_private_scipy_names_exist():
+    # linalg calls scipy's compiled sparse kernels directly; an upgrade that
+    # moves one must fail here, by name, and not at the first product
+    names = private_scipy_imports(ROOT / "src" / "rclstm" / "linalg.py")
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"the installed scipy lacks {missing}"
+
+
+def test_only_linalg_imports_private_scipy():
+    users = [path.name for path in sorted((ROOT / "src" / "rclstm").glob("*.py"))
+             if private_scipy_imports(path)]
+    assert users == ["linalg.py"]
