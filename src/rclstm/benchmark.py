@@ -1,5 +1,4 @@
-"""Wall-clock measurement of serving passes, training steps and the
-gate-product kernels.
+"""Wall-clock measurement of serving passes and training steps.
 
 Timings use a monotonic clock and report the median as the headline number
 (robust to scheduler noise).  Model outputs are accumulated into a checksum
@@ -14,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MaskedMatrix
 from .network import forward_batch
 from .training import fit
-
-#: batch sizes of the kernel comparison: one window, a training batch and
-#: an inference chunk
-KERNEL_BATCHES = (1, 32, 256)
 
 #: windows per pass of the batched-inference timing: ``predict_batch``'s
 #: default chunk
@@ -29,9 +23,6 @@ SERVE_BATCH = 256
 #: windows per timed training step: the paper's and ``TrainingConfig``'s
 #: batch size
 TRAIN_BATCH = 32
-
-#: mask densities at which ``rclstm bench`` compares the two kernels
-KERNEL_DENSITIES = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 
 @dataclass
@@ -97,39 +88,3 @@ def benchmark_training_step(model, dataset, config, reps=10, warmup=1):
     one_step = dataclasses.replace(config, epochs=1, batch_size=len(dataset), shuffle=False)
     return _time(lambda: fit(model, dataset, one_step)[1].train_loss[0], reps, warmup)
 
-
-def benchmark_kernel_paths(hidden=300, density=0.01, reps=200, warmup=10, seed=0):
-    """Time the recurrent gate products of one timestep, dense BLAS against
-    scipy CSR, at each of ``KERNEL_BATCHES``.
-
-    One sample is the forward product W_h @ h and the backward product
-    W_h.T @ dA of a 4H x H block with a random mask of the given density.
-    Returns {"dense_b<B>": TimingStats, "csr_b<B>": TimingStats, ...}.
-    """
-    rng = np.random.default_rng(seed)
-    mask = rng.random((4 * hidden, hidden)) < density
-    w = rng.normal(size=mask.shape)
-    results = {}
-    for batch in KERNEL_BATCHES:
-        h = rng.normal(size=(hidden, batch))
-        da = rng.normal(size=(4 * hidden, batch))
-        for name, sparse in (("dense", False), ("csr", True)):
-            m = MaskedMatrix(mask, sparse).load(w[mask])
-
-            def run():
-                return float(m.dot(h)[0, 0] + m.tdot(da)[0, 0])
-
-            results[f"{name}_b{batch}"] = _time(run, reps, warmup)
-    return results
-
-
-def kernel_crossover(tables):
-    """The lowest density at which CSR is slower than dense at some batch
-    size, from {density: benchmark_kernel_paths result}; None if CSR wins
-    everywhere."""
-    for density in sorted(tables):
-        paths = tables[density]
-        if any(paths[f"csr_b{b}"].median >= paths[f"dense_b{b}"].median
-               for b in KERNEL_BATCHES):
-            return density
-    return None

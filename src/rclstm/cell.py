@@ -6,8 +6,9 @@ output]).  The mask is sampled once from per-connection uniform draws and
 never changes.  A layer stores its live weights only, as a value vector
 over the mask's nonzeros, so masked weights are zero for the life of the
 model by construction, and training computes gradients for the live
-weights only.  The density of the mask's bits alone picks the route of the
-layer's gate products (``KERNEL_THRESHOLD``).
+weights only.  The layer's input and recurrent blocks are each a
+``linalg.MaskedMatrix``, which picks the routes of its products and of its
+weight-gradient masked outer product from the block's density alone.
 
 The cell works on a batch of B windows at a time: one timestep of a
 layer's state is an (H, B) block, one column per window.  Its backward
@@ -25,24 +26,6 @@ import numpy as np
 
 from . import kernels
 from .linalg import MaskedMatrix
-
-#: below this mask density a layer's masked work goes through scipy CSR,
-#: at or above it through dense BLAS: the gate products and also the
-#: weight-gradient SDDMM (``MaskedMatrix.masked_outer``).  ``rclstm bench``
-#: measures the products' crossover only: W_h @ h plus W_h.T @ dA of one
-#: step, in us, dense / CSR (direct kernel calls), at densities 0.1 and 0.2
-#: on the 2-CPU Xeon of ``network.SPAN_BYTES``:
-#: H=300: B=1 295/115, 275/150; B=32 1973/1345, 1967/2532;
-#:        B=256 9990/9506, 11206/18220;
-#: H=150: B=1 41.6/35.0, 37.9/37.7; B=32 480/342, 407/666;
-#:        B=256 2621/2366, 2510/4852.
-#: So the products are faster on CSR at every B up to 10% at both widths
-#: (through scipy's ``@``, CSR lost at H=150, B=1 from 10%: 44.8/45.8)
-#: and slower at B=32 and 256 from 20%.  The SDDMM's crossover is lower,
-#: near 0.04 at N = T*B = 3200 on a 1200x300 block (table in ROADMAP.md),
-#: so one threshold per layer stays at 0.05, where at 0.04-0.05 the SDDMM
-#: runs on the slower route and from 0.05 to 0.1 the products do.
-KERNEL_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -90,8 +73,8 @@ class LstmLayerParams:
     ``np.flatnonzero(mask.bits)`` order, and is the only copy of them:
     masked weights are not stored, so they are zero by construction.
     Biases are dense (connectivity applies to neuron pairs, not biases).
-    The mask's density alone picks the route of the products: scipy CSR
-    below ``KERNEL_THRESHOLD``, dense BLAS at or above it.
+    Each of the two blocks ``products`` builds picks its own routes from its
+    share of the mask (``linalg.PRODUCT_DENSITY``, ``linalg.SDDMM_DENSITY``).
     """
 
     input_dim: int
@@ -100,10 +83,6 @@ class LstmLayerParams:
     b: np.ndarray
     mask: ConnectivityMask
     _products: GateProducts | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def uses_sparse(self):
-        return self.mask.density < KERNEL_THRESHOLD
 
     @property
     def w(self):
@@ -118,17 +97,16 @@ class LstmLayerParams:
         """The input and recurrent blocks of the gate matrix as
         ``MaskedMatrix`` objects.
 
-        They are built on the first call, from the fixed mask bits (route,
-        CSR index structure, the blocks' places among the live weights)
+        They are built on the first call, from the fixed mask bits (routes,
+        index structures, the blocks' places among the live weights)
         and the current ``values``, and kept for the layer's life.  Later
         calls return them as they are: after editing ``values`` in place
         (an optimizer step, a finite difference), call ``sync``.
         """
         if self._products is None:
-            d, bits, sparse = self.input_dim, self.mask.bits, self.uses_sparse
+            d, bits = self.input_dim, self.mask.bits
             in_x = np.flatnonzero(bits) % bits.shape[1] < d
-            self._products = GateProducts(MaskedMatrix(bits[:, :d], sparse),
-                                          MaskedMatrix(bits[:, d:], sparse),
+            self._products = GateProducts(MaskedMatrix(bits[:, :d]), MaskedMatrix(bits[:, d:]),
                                           np.flatnonzero(in_x), np.flatnonzero(~in_x))
             self.sync()
         return self._products

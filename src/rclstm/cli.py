@@ -29,10 +29,9 @@ from datetime import datetime
 
 import numpy as np
 
-from . import cell, linalg, synth
-from .benchmark import (KERNEL_DENSITIES, KERNEL_BATCHES, SERVE_BATCH, TRAIN_BATCH,
-                        benchmark_kernel_paths, benchmark_serving,
-                        benchmark_training_step, kernel_crossover)
+from . import linalg, synth
+from .benchmark import (SERVE_BATCH, TRAIN_BATCH, benchmark_serving,
+                        benchmark_training_step)
 from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
 from .data import (PreparedData, WindowedDataset, chronological_split, denormalize,
@@ -203,6 +202,15 @@ def cmd_sweep(cfg, args):
     return 0
 
 
+def _layer_routes(layer):
+    """The routes of a layer's input (x) and recurrent (h) blocks: products
+    "csr" or "dense", then the masked outer product "sparse" or "dense"."""
+    ops = layer.products()
+    return {name: ("csr" if m.csr_products else "dense") + "/"
+            + ("sparse" if m.sparse_outer else "dense")
+            for name, m in (("x", ops.x), ("h", ops.h))}
+
+
 def cmd_bench(cfg, args):
     if cfg.bench.reps < 30:
         raise ConfigError("[bench] reps must be >= 30 for reported numbers")
@@ -219,12 +227,13 @@ def cmd_bench(cfg, args):
     batched_reps = math.ceil(cfg.bench.reps / 10)
     results = {"hidden": list(cfg.model.hidden), "window": cfg.data.window,
                "density": cfg.model.density,
-               "kernel_threshold": cell.KERNEL_THRESHOLD,
+               "product_density": linalg.PRODUCT_DENSITY,
+               "sddmm_density": linalg.SDDMM_DENSITY,
                "workers": linalg.WORKERS, "nproc": len(os.sched_getaffinity(0))}
     dense_cfg = apply_overrides(copy.deepcopy(cfg), density=1.0)
     for label, run_cfg in (("sparse", cfg), ("dense", dense_cfg)):
         model = build_from_config(run_cfg, prepared)
-        routes = [layer.uses_sparse for layer in model.layers]
+        routes = [_layer_routes(layer) for layer in model.layers]
         stats = benchmark_serving(model, batch[:1], reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
         served = benchmark_serving(model, batch, batch=SERVE_BATCH, reps=batched_reps,
@@ -233,14 +242,14 @@ def cmd_bench(cfg, args):
                                        reps=batched_reps, warmup=1)
         results[label] = {"median_s": stats.median, "mean_s": stats.mean,
                           "std_s": stats.std, "repetitions": stats.repetitions,
-                          "csr": routes,
+                          "routes": routes,
                           f"b{SERVE_BATCH}_median_s": served.median,
                           f"b{SERVE_BATCH}_windows_per_s": SERVE_BATCH / served.median,
                           f"b{SERVE_BATCH}_repetitions": served.repetitions,
                           f"train_b{TRAIN_BATCH}_median_s": step.median,
                           f"train_b{TRAIN_BATCH}_repetitions": step.repetitions}
-        print(f"{label} (density={run_cfg.model.density:g}, "
-              f"{'/'.join('CSR' if csr else 'dense' for csr in routes)}): median "
+        shown = "; ".join(f"x {r['x']} h {r['h']}" for r in routes)
+        print(f"{label} (density={run_cfg.model.density:g}, routes {shown}): median "
               f"{stats.median * 1e3:.3f} ms over {stats.repetitions} reps; "
               f"B={SERVE_BATCH} {SERVE_BATCH / served.median:.1f} windows/s over "
               f"{served.repetitions} reps; B={TRAIN_BATCH} training step median "
@@ -248,23 +257,6 @@ def cmd_bench(cfg, args):
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")
-    tables = {density: benchmark_kernel_paths(hidden=max(cfg.model.hidden),
-                                              density=density,
-                                              reps=max(cfg.bench.reps, 100))
-              for density in KERNEL_DENSITIES}
-    results["kernels"] = {
-        f"{density:g}": {name: {"median_s": s.median, "mean_s": s.mean}
-                         for name, s in paths.items()}
-        for density, paths in tables.items()}
-    for density, paths in tables.items():
-        print(f"kernel density {density:g}: " + "  ".join(
-            f"B={b} dense {paths[f'dense_b{b}'].median * 1e6:.1f} us "
-            f"csr {paths[f'csr_b{b}'].median * 1e6:.1f} us" for b in KERNEL_BATCHES))
-    crossover = kernel_crossover(tables)
-    results["crossover_density"] = crossover
-    print("CSR is slower than dense at some batch size from density "
-          f"{crossover:g}" if crossover is not None
-          else "CSR is faster than dense at every measured density")
     path = os.path.join(_outdir(cfg), f"bench_{_stamp(args.freeze_timestamps)}.json")
     with open(path, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)

@@ -1,14 +1,26 @@
 """Products with masked gate matrices.
 
 ``MaskedMatrix`` hides how a matrix whose nonzeros lie on a fixed boolean
-mask is multiplied: through scipy's compiled CSR kernels, over an index
-structure built once from the mask, or through dense BLAS on a dense array
-that is zero off the mask.  Either route holds the values it was last
-loaded with, given as the mask's nonzeros in row-major order.  Dense
-operands are feature-major, (features, B) with one column per window, the
-layout the CSR kernels read and write in place.
+mask is multiplied.  It does two kinds of masked work, and each takes its
+own route from the mask's density, because the two cross over from sparse
+to dense at different densities:
 
-The sparse route calls the kernels behind scipy's ``@`` directly
+- the products ``M @ x`` and ``M.T @ y`` run through scipy's compiled CSR
+  kernels, over an index structure built once from the mask, below
+  ``PRODUCT_DENSITY``, and through dense BLAS on a dense array that is
+  zero off the mask from it;
+- the masked outer product behind the weight gradient (a sampled
+  dense-dense product, SDDMM) computes only the mask's entries below
+  ``SDDMM_DENSITY``, and forms the whole product with one BLAS call and
+  gathers them from it.
+
+The routes do not depend on the batch width: a single window takes the
+same routes as a batch of 256.  Either product route holds the
+values it was last loaded with, given as the mask's nonzeros in row-major
+order.  Dense operands are feature-major, (features, B) with one column
+per window, the layout the CSR kernels read and write in place.
+
+The CSR route calls the kernels behind scipy's ``@`` directly
 (``scipy.sparse._sparsetools``): ``csr_matvec`` for one column,
 ``csr_matvecs`` for more, and their ``csc_*`` twins on the same three
 arrays for the transpose.  The recurrence makes two small products per
@@ -17,9 +29,8 @@ about three times as long as the kernel under it at B=1.  The kernels add
 into their output, so a product can add itself to a gate buffer in place.
 They read and write raw memory, so every operand and output must be
 C-contiguous float64: anything else raises, because a copied output would
-silently lose the product.  The masked outer product behind the weight
-gradient (a sampled dense-dense product, SDDMM) yields a value vector of
-the mask's nonzeros only, in the same row-major order.
+silently lose the product.  The masked outer product yields a value vector
+of the mask's nonzeros only, in the same row-major order.
 
 ``run_tasks`` runs independent pieces of work at once, on the calling
 thread and a pool of threads; numpy, scipy's sparse kernels and BLAS
@@ -39,6 +50,39 @@ from .errors import ShapeError
 #: at once; ``taskset`` lowers it.  A process that shares the CPUs with
 #: others by design, such as a sweep worker, sets it to 1.
 WORKERS = len(os.sched_getaffinity(0))
+
+#: mask density below which ``MaskedMatrix`` runs its products (the
+#: forward product, the backward ``tdot`` and the input projection) on CSR.
+#: Fitted off the connectivity sweep grid (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
+#: so that a grid point's route does not hang on its seed's realized density.  Whole
+#: models on the 2-CPU Xeon of ``network.SPAN_BYTES`` (1 BLAS thread,
+#: medians of 5-9 interleaved rounds, masked outer products dense), CSR /
+#: dense products: B=1 serving ms, B=256 serving windows/s, B=32 ``fit``
+#: step ms, by density:
+#: 3x300, T=100, 1 feature:
+#:   0.15: 45.0/86.2, 111/67, 1202/1691;  0.2: 53.2/84.8, 84/70, 1425/1655;
+#:   0.25: 56.4/81.2, 74/75, 1519/1472;
+#: 3x150, T=12, 64 features:
+#:   0.15: 2.6/2.7, 3069/1768, 65/73;  0.2: 2.9/2.7, 2485/1947, 73/66;
+#:   0.25: 3.2/2.5, 2075/1935, 84/66;  0.3: 3.6/2.7, 1649/1854, 97/69.
+#: So CSR wins everywhere at 0.15, at the paper's width still at 0.2 (and
+#: at 0.1: 35.0/83.4 ms at B=1, 156/70 windows/s, 970/1629 ms a step), and
+#: ties or loses at 0.25; the constant sits between the last two.
+PRODUCT_DENSITY = 0.225
+
+#: mask density below which ``MaskedMatrix.masked_outer`` computes the
+#: mask's entries only, and from which it forms the whole product with one
+#: BLAS call.  Its crossover is lower than the products': it runs over all
+#: N = T*B columns at once, where BLAS is at its most efficient.  Per call
+#: on the Xeon above (1 BLAS thread), ms sparse / dense, by density:
+#: 1200x300 block, N=3200: 0.01 10.7/62.5, 0.03 25.5/60.8, 0.04 40.2/73.4,
+#:   0.05 55.5/64.5, 0.1 99.8/62.2;
+#: 600x150, N=3072: 0.03 6.9/17.1, 0.05 11.6/17.5, 0.1 17.9/18.3.
+#: Within a whole B=32 ``fit`` step at 3x300/T=100 (CSR products, medians
+#: of 5), sparse / dense: 0.05 736/762 ms, 0.07 1188/901, 0.1 2075/1300.
+#: So the crossover is near 0.05, and the constant sits below that grid
+#: point, where the two routes tie.
+SDDMM_DENSITY = 0.04
 
 #: multiply-adds per mask column, on average, from which ``masked_outer``
 #: splits its columns over ``run_tasks``; below it each column's Python
@@ -89,23 +133,33 @@ def run_tasks(tasks):
 class MaskedMatrix:
     """Products with a matrix that is zero wherever ``mask`` is false.
 
-    ``sparse`` picks the route for the life of the object.  ``load(values)``
-    takes the matrix's nonzeros in row-major order (``np.flatnonzero(mask)``):
-    the sparse route copies them into the CSR value vector, the dense route
-    scatters them into a dense array it owns, whose masked entries stay zero.
-    Either way a load costs O(nnz).
+    The mask's density alone picks two routes for the life of the object,
+    the same at any batch width: its products (``dot``, ``tdot``) run on
+    scipy's CSR kernels below ``PRODUCT_DENSITY`` and on dense BLAS from
+    it, and its masked outer product (``masked_outer``) runs sparse below
+    ``SDDMM_DENSITY`` and as one BLAS product from it.  Only the structures
+    the two routes use are built: the CSR arrays or the dense array for the
+    products, and the per-column index of the mask for the sparse masked
+    outer product.  ``load(values)`` takes the matrix's nonzeros in
+    row-major order (``np.flatnonzero(mask)``): the CSR route copies them
+    into its value vector, the dense route scatters them into a dense array
+    it owns, whose masked entries stay zero.  Either way a load costs
+    O(nnz).
     """
 
-    def __init__(self, mask, sparse):
+    def __init__(self, mask):
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ShapeError(f"mask must be 2-D, got shape {mask.shape}")
         self.shape = mask.shape
-        self.sparse = bool(sparse)
         self.mask = mask
         self.nnz = int(np.count_nonzero(mask))
-        if self.sparse:
+        density = self.nnz / mask.size if mask.size else 0.0
+        self.csr_products = density < PRODUCT_DENSITY
+        self.sparse_outer = density < SDDMM_DENSITY
+        if self.csr_products or self.sparse_outer:
             rows, cols = np.nonzero(mask)  # row-major: columns sorted within rows
+        if self.csr_products:
             # the kernels take one index type for both arrays; int32, as
             # scipy picks, unless a count does not fit it
             index = np.int32 if max(self.nnz, *self.shape) < 2**31 else np.int64
@@ -113,8 +167,12 @@ class MaskedMatrix:
             np.cumsum(np.bincount(rows, minlength=self.shape[0]), out=self._indptr[1:])
             self._indices = cols.astype(index)
             self._data = np.zeros(self.nnz)
+        else:
+            self._at = np.flatnonzero(mask)
+            self._w = np.zeros(self.shape)
+        if self.sparse_outer:
             # per column of the mask: its masked rows and their places in
-            # the value vector, for the masked outer product
+            # the value vector
             by_col = np.argsort(cols, kind="stable")
             ptr = np.cumsum(np.bincount(cols, minlength=self.shape[1]))
             self._col_rows = []
@@ -124,16 +182,13 @@ class MaskedMatrix:
                     self._col_rows.append((col, rows[at], at))
             # entries of the masked outer product up to each of _col_rows
             self._col_ends = np.cumsum([rows.size for _, rows, _ in self._col_rows])
-        else:
-            self._at = np.flatnonzero(mask)
-            self._w = np.zeros(self.shape)
 
     def load(self, values):
         """Use ``values``, the nonzeros in row-major order, from now on."""
         if np.shape(values) != (self.nnz,):
             raise ShapeError(f"{np.shape(values)} values do not match a mask "
                              f"with {self.nnz} nonzeros")
-        if self.sparse:
+        if self.csr_products:
             self._data[:] = values
         else:
             np.put(self._w, self._at, values)
@@ -157,7 +212,7 @@ class MaskedMatrix:
             raise ShapeError(f"product {(rows, cols)} x {x.shape} is undefined")
         if add and out is None:
             raise ValueError("add needs an output to add to")
-        if not self.sparse:
+        if not self.csr_products:
             m = self._w.T if transpose else self._w
             if add:
                 out += m @ x
@@ -208,7 +263,7 @@ class MaskedMatrix:
         if y.shape[0] != self.shape[0] or x.shape[0] != self.shape[1] \
                 or y.shape[1] != x.shape[1]:
             raise ShapeError("masked outer product operands do not match the mask")
-        if not self.sparse:
+        if not self.sparse_outer:
             return (y @ x.T)[self.mask]
         out = np.empty(self.nnz)
 

@@ -28,24 +28,26 @@ its cached activations and states in place into the per-step factors
 that depend on the forward alone, so each step of the loop multiplies
 them by the incoming gradients in a few whole-block calls and adds its
 recurrent product to the gradient of the step below in place.  Each
-layer's weight gradient is one masked product over all T*B columns,
-computed at the mask's nonzeros only and returned as a value vector
+layer's weight gradient is one masked outer product per block over all
+T*B columns, returned at the mask's nonzeros only, as a value vector
 shaped like the layer's ``values``.
 
-A batch runs as contiguous shards of windows at the same time
-(``_shard_bounds``): the calling thread runs the first, a pool of threads
-(``linalg.run_tasks``) the others.  Windows do not meet until the head and
-the gradients sum over them, so each shard runs the whole stack forward,
-and backward runs each layer's time loop and input-gradient product per
-shard, writing its dA and its input and hidden states into column slices
-of feature-major (features, T, B) buffers shared by the batch.  Every
-reduction over windows then runs once on the assembled batch: the head,
-the weight gradients (the masked product, which splits its mask columns
-over the pool by its own rule) and the bias sums.  So outputs and gradients are the same
-bit for bit at any shard count.  The shard count follows the CPUs the
-process may use: ``taskset`` sets how many threads a batch runs on, and
-pinning BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) keeps each shard's
-BLAS calls on its own core.
+A batch whose layers all run their products on CSR (below
+``linalg.PRODUCT_DENSITY``) runs as contiguous shards of windows at the
+same time (``_shard_bounds``): the calling thread runs the first, a pool
+of threads (``linalg.run_tasks``) the others.  Windows do not meet until
+the head and the gradients sum over them, so each shard runs the whole
+stack forward, and backward runs each layer's time loop and input-gradient
+product per shard, writing its dA and its input and hidden states into
+column slices of feature-major (features, T, B) buffers shared by the
+batch.  Every reduction over windows then runs once on the assembled
+batch: the head, the weight gradients (the masked outer product on either
+of its routes; the sparse one splits its mask columns over the pool by its
+own rule) and the bias sums.  The CSR kernels compute each window's column
+on its own, so outputs and gradients are the same bit for bit at any shard
+count.  The shard count follows the CPUs the process may use: ``taskset``
+sets how many threads a batch runs on, and pinning BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``) keeps each shard's BLAS calls on its own core.
 """
 
 import math
@@ -204,19 +206,22 @@ def _layer_forward(k, layer, x, keep_cache):
 def _shard_bounds(model, batch):
     """The (lo, hi) window bounds of the shards a batch of ``batch``
     windows runs as: as many contiguous shards of near-equal size as
-    ``linalg.WORKERS`` and ``MIN_SHARD_CELLS`` allow when every layer takes
-    the CSR route, else one shard, the whole batch.
+    ``linalg.WORKERS`` and ``MIN_SHARD_CELLS`` allow when every layer's
+    products take the CSR route, else one shard, the whole batch.
 
     scipy's CSR kernels compute each window's column on its own, so a
     shard's outputs are those of the same windows in the whole batch, bit
     for bit.  OpenBLAS's gemm is not: a column can round differently at a
     different batch width (3x150 with 64 real-valued features split 16/17
-    at B=33, 2x20 split 18/18 at B=36, 2x100 split 17/17 at B=34), so the
-    dense route runs every batch whole.
+    at B=33, 2x20 split 18/18 at B=36, 2x100 split 17/17 at B=34), so dense
+    products run every batch whole.  The masked outer products may take
+    either route: they, the head and the bias sums run once on the
+    assembled batch.
     """
     narrowest = min(layer.hidden_dim for layer in model.layers)
     n = min(linalg.WORKERS, batch, batch * narrowest // MIN_SHARD_CELLS)
-    if n < 2 or not all(layer.products().h.sparse for layer in model.layers):
+    if n < 2 or not all(ops.x.csr_products and ops.h.csr_products
+                        for ops in (layer.products() for layer in model.layers)):
         return [(0, batch)]
     cuts = [i * batch // n for i in range(n + 1)]
     return list(zip(cuts, cuts[1:]))

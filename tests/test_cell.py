@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
 
-from rclstm import cell
 from rclstm.cell import (LstmLayerParams, backward_factors, cell_backward,
                          cell_forward, generate_mask, init_layer)
 from rclstm.errors import ShapeError
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
+from route_mixes import MIXES, route_mix
 
 
 def make_layer(input_dim, hidden, density, seed):
     return init_layer(input_dim, hidden, density=density, seed=seed)
+
+
+def on_mix(layer, mix):
+    """A layer sharing ``layer``'s weights and biases whose blocks take the
+    routes of ``mix``."""
+    twin = LstmLayerParams(layer.input_dim, layer.hidden_dim, layer.values, layer.b,
+                           layer.mask)
+    with route_mix(mix):
+        twin.products()
+    return twin
 
 
 def run_step(layer, x, h0=None, c0=None):
@@ -104,31 +114,25 @@ class TestCellForward:
             x = rng.normal(size=d)
             h0 = rng.normal(size=hidden) * 0.5
             c0 = rng.normal(size=hidden)
-            h, c, _, _ = run_step(layer, x[None], h0[None], c0[None])
             ref = DenseLstmReference.from_stacked(layer.w, layer.b)
             hs, cs, _ = ref.forward([x], h0=h0, c0=c0)
-            assert np.max(np.abs(h[0] - hs[0])) < 1e-12
-            assert np.max(np.abs(c[0] - cs[0])) < 1e-12
+            for mix in MIXES:
+                h, c, _, _ = run_step(on_mix(layer, mix), x[None], h0[None], c0[None])
+                assert np.max(np.abs(h[0] - hs[0])) < 1e-12
+                assert np.max(np.abs(c[0] - cs[0])) < 1e-12
 
-    def test_sparse_and_dense_paths_agree(self, monkeypatch):
+    def test_sparse_and_dense_paths_agree(self):
         rng = np.random.default_rng(5)
         layer = make_layer(3, 32, 0.03, seed=9)
-        assert layer.uses_sparse
         x = rng.normal(size=(4, 3))
         h0, c0 = rng.normal(size=(4, 32)) * 0.3, rng.normal(size=(4, 32))
-        sparse = run_step(layer, x, h0, c0)  # the route is fixed from here on
-        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", 0.0)
-        dense_layer = LstmLayerParams(layer.input_dim, layer.hidden_dim, layer.values,
-                                      layer.b, layer.mask)
-        assert not dense_layer.uses_sparse
-        assert layer.products().h.sparse and not dense_layer.products().h.sparse
-        dense = run_step(dense_layer, x, h0, c0)
-        for got, want in zip(sparse, dense):
-            assert np.max(np.abs(got - want)) < 1e-12
         gh, gc = rng.normal(size=(4, 32)), rng.normal(size=(4, 32))
-        for got, want in zip(step_grads(layer, x, h0, c0, gh, gc),
-                             step_grads(dense_layer, x, h0, c0, gh, gc)):
-            assert np.max(np.abs(got - want)) < 1e-12
+        (csr, csr_grads), *others = [
+            (run_step(twin, x, h0, c0), step_grads(twin, x, h0, c0, gh, gc))
+            for twin in (on_mix(layer, mix) for mix in MIXES)]
+        for outs, grads in others:
+            for got, want in zip(outs + grads, csr + csr_grads):
+                assert np.max(np.abs(got - want)) < 1e-12
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(31)
@@ -185,12 +189,14 @@ class TestCellBackward:
         c0 = rng.normal(size=5)
         dh = rng.normal(size=5)
         dc = rng.normal(size=5)
-        got = step_grads(layer, x[None], h0[None], c0[None], dh[None], dc[None])
         ref = DenseLstmReference.from_stacked(layer.w, layer.b)
         _, _, trace = ref.forward([x], h0=h0, c0=c0)
         dw, db, dxs, dh0, dc0 = ref.backward([x], trace, dh, dc, h0=h0, c0=c0)
-        for g, want in zip(got, (dw, db, dxs[0], dh0, dc0)):
-            assert np.max(np.abs(g.reshape(want.shape) - want)) < 1e-12
+        for mix in MIXES:
+            got = step_grads(on_mix(layer, mix), x[None], h0[None], c0[None], dh[None],
+                             dc[None])
+            for g, want in zip(got, (dw, db, dxs[0], dh0, dc0)):
+                assert np.max(np.abs(g.reshape(want.shape) - want)) < 1e-12
 
     def test_finite_difference_check(self):
         # H=4, D=3 with a partial mask; loss = sum(gh*h) + sum(gc*c)
@@ -201,24 +207,25 @@ class TestCellBackward:
         c0 = rng.normal(size=(1, 4))
         gh = rng.normal(size=(1, 4))
         gc = rng.normal(size=(1, 4))
+        for mix in MIXES:
+            twin = on_mix(layer, mix)
 
-        def loss():
-            layer.sync()
-            h, c, _, _ = run_step(layer, x, h0, c0)
-            return float(np.sum(gh * h) + np.sum(gc * c))
+            def loss():
+                twin.sync()
+                h, c, _, _ = run_step(twin, x, h0, c0)
+                return float(np.sum(gh * h) + np.sum(gc * c))
 
-        grad_w, grad_b, grad_x, grad_h0, grad_c0 = step_grads(layer, x, h0, c0, gh, gc)
-        num_w = numeric_gradient(loss, layer.values)
-        assert relative_gradient_error(grad_w, num_w) < 1e-5
-        assert relative_gradient_error(grad_b, numeric_gradient(loss, layer.b)) < 1e-5
-        assert relative_gradient_error(grad_x, numeric_gradient(loss, x)) < 1e-5
-        assert relative_gradient_error(grad_h0, numeric_gradient(loss, h0)) < 1e-5
-        assert relative_gradient_error(grad_c0, numeric_gradient(loss, c0)) < 1e-5
+            grad_w, grad_b, grad_x, grad_h0, grad_c0 = step_grads(twin, x, h0, c0, gh, gc)
+            num_w = numeric_gradient(loss, twin.values)
+            assert relative_gradient_error(grad_w, num_w) < 1e-5
+            assert relative_gradient_error(grad_b, numeric_gradient(loss, twin.b)) < 1e-5
+            assert relative_gradient_error(grad_x, numeric_gradient(loss, x)) < 1e-5
+            assert relative_gradient_error(grad_h0, numeric_gradient(loss, h0)) < 1e-5
+            assert relative_gradient_error(grad_c0, numeric_gradient(loss, c0)) < 1e-5
 
 
 def test_layer_nnz_tracks_density():
     layer = make_layer(10, 20, 0.03, seed=3)
-    assert layer.uses_sparse
     ops = layer.products()
     assert ops.x.nnz + ops.h.nnz == int(layer.mask.bits.sum())
 

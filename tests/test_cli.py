@@ -529,11 +529,9 @@ include_baselines = true
             # B=32 training step
             assert entry["b256_repetitions"] == entry["train_b32_repetitions"] == 3
             assert entry["train_b32_median_s"] > 0.0
-        assert payload["dense"]["csr"] == [False]
-        assert set(payload["kernels"]) == {"0.01", "0.02", "0.05", "0.1", "0.2"}
-        assert set(payload["kernels"]["0.01"]) == {
-            f"{path}_b{b}" for path in ("dense", "csr") for b in (1, 32, 256)}
-        assert "crossover_density" in payload
+        assert payload["dense"]["routes"] == [{"x": "dense/dense", "h": "dense/dense"}]
+        assert (payload["product_density"], payload["sddmm_density"]) == \
+            (linalg.PRODUCT_DENSITY, linalg.SDDMM_DENSITY)
 
     @staticmethod
     def spy_on_bench(monkeypatch):
@@ -557,13 +555,20 @@ include_baselines = true
         argv = ["bench", "--config", write_cfg(tmp_path, text), "--freeze-timestamps",
                 "--density", "0.2", "--window", "6"]
         assert main(argv) == 0
-        assert "sparse (density=0.2, dense/dense)" in capsys.readouterr().out
+        out = capsys.readouterr().out
         payload = json.loads((tmp_path / "out" / "bench_frozen.json").read_text())
         assert (payload["hidden"], payload["window"], payload["density"]) == ([8, 6], 6, 0.2)
-        assert payload["sparse"]["csr"] == payload["dense"]["csr"] == [False, False]
         assert [(w.shape, batch) for _, w, batch in timed] == \
             [((1, 6, 1), 1), ((256, 6, 1), 256)] * 2
         sparse, dense = timed[0][0], timed[2][0]
+        # each block's routes, as the model that was timed took them
+        routes = [{name: ("csr" if m.csr_products else "dense") + "/"
+                   + ("sparse" if m.sparse_outer else "dense")
+                   for name, m in (("x", ops.x), ("h", ops.h))}
+                  for ops in (layer.products() for layer in sparse.layers)]
+        assert payload["sparse"]["routes"] == routes
+        assert "sparse (density=0.2, routes x {x} h {h}; x ".format(**routes[0]) in out
+        assert payload["dense"]["routes"] == [{"x": "dense/dense", "h": "dense/dense"}] * 2
         assert [layer.hidden_dim for layer in sparse.layers] == [8, 6]
         assert all(0.0 < layer.mask.density < 0.5 for layer in sparse.layers)
         assert all(layer.mask.density == 1.0 for layer in dense.layers)

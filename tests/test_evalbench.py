@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import rclstm
-from rclstm.benchmark import (TimingStats, benchmark_kernel_paths, benchmark_serving,
-                              benchmark_training_step, kernel_crossover)
+from rclstm.benchmark import benchmark_serving, benchmark_training_step
 from rclstm.config import RunConfig, apply_overrides, load_config
 from rclstm.data import PreparedData, WindowedDataset
 from rclstm.errors import ConfigError
@@ -102,27 +101,6 @@ class TestBenchmarkForward:
         assert stats.median > 0.0
         assert not np.array_equal(model.layers[0].w, before)  # the steps trained it
 
-    def test_kernel_path_comparison_runs(self):
-        results = benchmark_kernel_paths(hidden=32, density=0.05, reps=20, warmup=2)
-        assert set(results) == {f"{path}_b{b}" for path in ("dense", "csr")
-                                for b in (1, 32, 256)}
-        for stats in results.values():
-            assert isinstance(stats, TimingStats)
-            assert stats.median >= 0.0
-
-    def test_kernel_crossover(self):
-        def stats(median):
-            return TimingStats(median, median, 0.0, 1, 0)
-
-        def paths(csr):  # dense takes 1 s at every batch size
-            return {**{f"dense_b{b}": stats(1.0) for b in (1, 32, 256)},
-                    **{f"csr_b{b}": stats(t) for b, t in zip((1, 32, 256), csr)}}
-
-        tables = {0.1: paths((0.5, 2.0, 0.5)), 0.01: paths((0.1, 0.1, 0.1)),
-                  0.2: paths((3.0, 3.0, 3.0))}
-        assert kernel_crossover(tables) == 0.1
-        assert kernel_crossover({0.01: tables[0.01]}) is None
-
 
 def tiny_prepared(n=220):
     series = sine_series(n, period=20.0, seed=3)
@@ -148,7 +126,7 @@ import multiprocessing
 
 import numpy as np
 
-from rclstm import cell, linalg, network
+from rclstm import linalg, network
 from rclstm.config import RunConfig
 from rclstm.data import PreparedData
 from rclstm.sweeps import run_sweep
@@ -160,7 +138,7 @@ def serve(windows):
     return network.forward_batch(MODEL, windows, keep_cache=False)[0]
 
 
-linalg.WORKERS, network.MIN_SHARD_CELLS, cell.KERNEL_THRESHOLD = 2, 1, 1.0
+linalg.WORKERS, network.MIN_SHARD_CELLS, linalg.PRODUCT_DENSITY = 2, 1, 1.0
 MODEL = network.build_model(1, [8], density=0.5, seed=0)
 windows = np.random.default_rng(0).normal(size=(4, 5, 1))
 want = serve(windows)

@@ -5,12 +5,12 @@ from rclstm.errors import ShapeError
 from rclstm.kernels import lstm_pointwise_numpy, sigmoid_stable
 from rclstm.linalg import MaskedMatrix
 
+from route_mixes import MIXES, route_mix
+
 
 def dense(a):
-    """``a`` behind an all-true mask, on the dense BLAS route."""
-    a = np.asarray(a, dtype=np.float64)
-    mask = np.ones(a.shape, dtype=bool)
-    return MaskedMatrix(mask, False).load(a[mask])
+    """``a`` behind an all-true mask, on the dense BLAS routes."""
+    return masked(a, np.ones(np.shape(a), dtype=bool), "dense")
 
 
 def test_matvec_identity():
@@ -33,8 +33,10 @@ def test_matvec_shape_error():
         dense(np.zeros((2, 3))).dot(np.zeros((4, 1)))
 
 
-def masked(w, mask, sparse=True):
-    return MaskedMatrix(mask, sparse).load(np.asarray(w, dtype=np.float64)[mask])
+def masked(w, mask, mix="csr"):
+    """``w`` behind ``mask``, on the routes of ``mix``."""
+    with route_mix(mix):
+        return MaskedMatrix(mask).load(np.asarray(w, dtype=np.float64)[mask])
 
 
 def as_dense(m):
@@ -63,16 +65,17 @@ def test_csr_two_entries():
     a = masked(w, m)
     assert a.nnz == 2
     assert np.array_equal(as_dense(a), [[0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
-    for sparse in (True, False):  # values arrive in row-major order: (0,2), (1,0)
-        a = MaskedMatrix(m, sparse).load(np.array([3.0, 4.0]))
+    for mix in MIXES:  # values arrive in row-major order: (0,2), (1,0)
+        with route_mix(mix):
+            a = MaskedMatrix(m).load(np.array([3.0, 4.0]))
         assert np.array_equal(as_dense(a), [[0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
 
 
 def test_csr_shape_mismatch():
     with pytest.raises(ShapeError):
-        MaskedMatrix(np.zeros((2, 3), dtype=bool), True).load(np.zeros((2, 2)))
+        MaskedMatrix(np.zeros((2, 3), dtype=bool)).load(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        MaskedMatrix(np.zeros(3, dtype=bool), True)
+        MaskedMatrix(np.zeros(3, dtype=bool))
 
 
 def test_csr_densify_round_trip():
@@ -134,23 +137,35 @@ def test_spmv_matvec_agreement_many():
 
 
 def test_kernel_backends_agree():
-    # scipy CSR vs dense BLAS on the same masked matrix, every product
+    # every mix of routes on the same masked matrix, every product
     rng = np.random.default_rng(21)
     w = rng.normal(size=(40, 30))
     m = rng.random((40, 30)) < 0.15
-    sparse, dense = masked(w, m, sparse=True), masked(w, m, sparse=False)
     x, y = rng.normal(size=(30, 5)), rng.normal(size=(40, 5))
-    assert np.max(np.abs(sparse.dot(x) - dense.dot(x))) < 1e-12
-    assert np.max(np.abs(sparse.tdot(y) - dense.tdot(y))) < 1e-12
     seq = rng.normal(size=(3, 30, 5))  # one product per leading index, into out
-    for route in (sparse, dense):
+    for mix in MIXES:
+        a = masked(w, m, mix)
+        assert np.max(np.abs(a.dot(x) - (w * m) @ x)) < 1e-12
+        assert np.max(np.abs(a.tdot(y) - (w * m).T @ y)) < 1e-12
         out = np.full((3, 40, 5), np.nan)
-        assert route.dot(seq, out=out) is out
+        assert a.dot(seq, out=out) is out
         assert np.max(np.abs(out - (w * m) @ seq)) < 1e-12
-    got, want = sparse.masked_outer(y, x), dense.masked_outer(y, x)
-    assert got.shape == want.shape == (int(m.sum()),)
-    assert np.max(np.abs(got - (y @ x.T)[m])) < 1e-12
-    assert np.max(np.abs(got - want)) < 1e-12
+        got = a.masked_outer(y, x)
+        assert got.shape == (int(m.sum()),)
+        assert np.max(np.abs(got - (y @ x.T)[m])) < 1e-12
+
+
+@pytest.mark.parametrize("density, products, outer", [
+    (0.01, True, True), (0.1, True, False), (0.5, False, False)])
+def test_density_alone_picks_the_routes(density, products, outer):
+    # each route builds only what it uses: the CSR arrays or the dense
+    # array, and the per-column index only for the sparse masked outer
+    rng = np.random.default_rng(4)
+    m = rng.random((400, 300)) < density
+    a = MaskedMatrix(m)
+    assert (a.csr_products, a.sparse_outer) == (products, outer)
+    assert hasattr(a, "_data") == products and hasattr(a, "_w") != products
+    assert hasattr(a, "_col_rows") == outer
 
 
 def test_sigmoid_symmetry_points():
@@ -204,13 +219,13 @@ def test_sparse_route_equals_scipy_bit_for_bit(batch):
     assert all(np.array_equal(out[t], csr @ seq[t]) for t in range(3))
 
 
-@pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
+@pytest.mark.parametrize("mix", ["csr", "dense"])
 @pytest.mark.parametrize("batch", [1, 2, 33])
-def test_add_form_adds_the_product(sparse, batch):
+def test_add_form_adds_the_product(mix, batch):
     rng = np.random.default_rng(40 + batch)
     m = rng.random((60, 45)) < 0.1
     w = rng.normal(size=m.shape) * m
-    a = masked(w, m, sparse)
+    a = masked(w, m, mix)
     x, y = rng.normal(size=(45, batch)), rng.normal(size=(60, batch))
     out = rng.normal(size=(60, batch))
     before = out.copy()

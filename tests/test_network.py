@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclstm import cell, linalg
+from rclstm import linalg
 from rclstm.cell import cell_forward
 from rclstm.checkpoint import save_checkpoint
 from rclstm.data import WindowedDataset
@@ -17,8 +17,10 @@ from rclstm.training import TrainingConfig, batch_loss_and_grad, fit, predict_ba
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
+from route_mixes import MIXES, route_mix
 
-#: below the default crossover density, so these models take the CSR path
+#: below both default crossover densities, so these models run their
+#: products on CSR and their masked outer products sparse
 SPARSE = 0.03
 
 
@@ -126,10 +128,12 @@ class TestForwardSequence:
 
     def test_stacked_dense_matches_reference(self):
         rng = np.random.default_rng(11)
-        model = build_model(2, [4, 6], seed=7, density=1.0)
         window = rng.normal(size=(5, 2))
-        want = reference_predict(model, window)
-        assert abs(predict_one(model, window)[0] - want[0]) < 1e-10
+        for mix in MIXES:
+            with route_mix(mix):
+                model = build_model(2, [4, 6], seed=7, density=1.0)
+                want = reference_predict(model, window)
+                assert abs(predict_one(model, window)[0] - want[0]) < 1e-10
 
     def test_classification_distribution(self):
         model = build_model(3, [5], task="classification", out_dim=3, seed=1)
@@ -153,49 +157,52 @@ class TestSparsePath:
 
     def test_models_take_csr_path(self):
         model = build_model(2, [24, 24], seed=7, density=SPARSE)
-        assert all(layer.uses_sparse for layer in model.layers)
-        assert all(layer.products().h.sparse for layer in model.layers)
+        for layer in model.layers:
+            ops = layer.products()
+            assert ops.x.csr_products and ops.h.csr_products and ops.h.sparse_outer
 
     def test_stacked_sparse_matches_reference(self):
         rng = np.random.default_rng(12)
-        model = build_model(2, [24, 24], seed=7, density=SPARSE)
-        for layer in model.layers:
-            assert layer.uses_sparse
         window = rng.normal(size=(6, 2))
-        want = reference_predict(model, window)
-        assert abs(predict_one(model, window)[0] - want[0]) < 1e-10
+        for mix in MIXES:
+            with route_mix(mix):
+                model = build_model(2, [24, 24], seed=7, density=SPARSE)
+                want = reference_predict(model, window)
+                assert abs(predict_one(model, window)[0] - want[0]) < 1e-10
 
     def test_finite_differences_sparse(self):
         rng = np.random.default_rng(16)
-        model = build_model(3, [16, 16], seed=8, density=0.04)
-        for layer in model.layers:
-            assert layer.uses_sparse and layer.mask.bits.any()
-        check_finite_differences(model, rng.normal(size=(4, 3)), 0.3)
+        window = rng.normal(size=(4, 3))
+        for mix in MIXES:
+            with route_mix(mix):
+                model = build_model(3, [16, 16], seed=8, density=0.04)
+                assert all(layer.mask.bits.any() for layer in model.layers)
+                check_finite_differences(model, window, 0.3)
 
-    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "csr"])
-    def test_b1_equals_row_of_b256(self, threshold, monkeypatch):
-        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
+    @pytest.mark.parametrize("mix", ["dense", "mixed", "csr"])
+    def test_b1_equals_row_of_b256(self, mix):
         rng = np.random.default_rng(21)
-        model = build_model(1, [20, 20], seed=4, density=SPARSE)
-        assert model.layers[0].uses_sparse == (threshold > SPARSE)
         windows = rng.normal(size=(256, 7, 1))
-        outs, _ = forward_batch(model, windows)
-        for j in (0, 1, 100, 255):
-            assert abs(predict_one(model, windows[j])[0] - outs[j, 0]) <= 1e-12
+        with route_mix(mix):
+            model = build_model(1, [20, 20], seed=4, density=SPARSE)
+            assert model.layers[0].products().h.csr_products == (mix != "dense")
+            outs, _ = forward_batch(model, windows)
+            for j in (0, 1, 100, 255):
+                assert abs(predict_one(model, windows[j])[0] - outs[j, 0]) <= 1e-12
 
-    def test_csr_and_dense_gradients_agree(self, monkeypatch):
+    def test_csr_and_dense_gradients_agree(self):
         rng = np.random.default_rng(22)
         windows = rng.normal(size=(5, 6, 2))
         douts = rng.normal(size=(5, 1))
         grads = []
-        for threshold in (0.0, 1.0):
-            monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
-            model = build_model(2, [20, 20], seed=6, density=SPARSE)
-            assert model.layers[0].products().h.sparse == (threshold > SPARSE)
-            _, cache = forward_batch(model, windows)
-            grads.append(backward_sequence(model, cache, douts))
-        for key in grads[0]:
-            assert np.max(np.abs(grads[0][key] - grads[1][key])) < 1e-12
+        for mix in MIXES:
+            with route_mix(mix):
+                model = build_model(2, [20, 20], seed=6, density=SPARSE)
+                _, cache = forward_batch(model, windows)
+                grads.append(backward_sequence(model, cache, douts))
+        for other in grads[1:]:
+            for key in grads[0]:
+                assert np.max(np.abs(other[key] - grads[0][key])) < 1e-12
 
 
 class TestBackwardSequence:
@@ -215,21 +222,22 @@ class TestBackwardSequence:
                 # masked entries have no gradient entry at all
                 assert grads[f"layer{k}.w"].shape == (int(layer.mask.bits.sum()),)
 
-    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "csr"])
-    def test_weight_grads_in_flatnonzero_order(self, threshold, monkeypatch):
+    @pytest.mark.parametrize("mix", ["dense", "mixed", "csr"])
+    def test_weight_grads_in_flatnonzero_order(self, mix):
         # the same weights with every connection live give the gradient of
         # every entry; the value vector holds its live ones, in order
-        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
         rng = np.random.default_rng(5)
         model = build_model(2, [20, 20], seed=7, density=SPARSE)
-        assert model.layers[1].uses_sparse == (threshold > SPARSE)
         full = build_model(2, [20, 20], seed=7, density=1.0)
         for layer, twin in zip(model.layers, full.layers):
             twin.values[...] = layer.w.ravel()
         full.head_w[...] = model.head_w
         windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
-        got, want = (backward_sequence(m, forward_batch(m, windows)[1], douts)
-                     for m in (model, full))
+        with route_mix(mix):
+            got, want = (backward_sequence(m, forward_batch(m, windows)[1], douts)
+                         for m in (model, full))
+            ops = model.layers[1].products()
+            assert (ops.h.csr_products, ops.h.sparse_outer) == (mix != "dense", mix == "csr")
         for k, layer in enumerate(model.layers):
             live = want[f"layer{k}.w"].ravel()[np.flatnonzero(layer.mask.bits)]
             assert np.max(np.abs(got[f"layer{k}.w"] - live)) < 1e-12
@@ -264,8 +272,11 @@ class TestBackwardSequence:
 
     def test_finite_differences_two_layer(self):
         rng = np.random.default_rng(6)
-        model = build_model(3, [4, 4], seed=8, density=0.6)
-        check_finite_differences(model, rng.normal(size=(4, 3)), 0.3)
+        window = rng.normal(size=(4, 3))
+        for mix in MIXES:
+            with route_mix(mix):
+                model = build_model(3, [4, 4], seed=8, density=0.6)
+                check_finite_differences(model, window, 0.3)
 
     def test_batched_grads_sum_of_singles(self):
         rng = np.random.default_rng(19)
@@ -310,7 +321,7 @@ class TestServing:
         monkeypatch.setattr(network, "SPAN_BYTES", span * 4 * hidden * batch * 8)
         rng = np.random.default_rng(8)
         model = build_model(2, [hidden, hidden], density=density, seed=5)
-        assert model.layers[0].uses_sparse == (density == SPARSE)
+        assert model.layers[0].products().h.csr_products == (density == SPARSE)
         windows = rng.normal(size=(batch, 7, 2))
         cached, cache = forward_batch(model, windows)
         served, none = forward_batch(model, windows, keep_cache=False)
@@ -334,13 +345,13 @@ class TestServing:
 
 
 @contextlib.contextmanager
-def sharding(workers, route):
+def sharding(workers, mix):
     """``workers`` CPUs, shards and masked-outer splits of any width, and
-    every layer built from here on routed to ``route``."""
+    every layer whose blocks are built from here on on the routes of
+    ``mix``."""
     with mock.patch.object(linalg, "WORKERS", workers), \
             mock.patch.object(linalg, "SPLIT_COLUMN_WORK", 0), \
-            mock.patch.object(network, "MIN_SHARD_CELLS", 1), \
-            mock.patch.object(cell, "KERNEL_THRESHOLD", 2.0 if route == "csr" else 0.0):
+            mock.patch.object(network, "MIN_SHARD_CELLS", 1), route_mix(mix):
         yield
 
 
@@ -354,7 +365,7 @@ def forward_and_grads(model, windows, douts):
 class TestShards:
     @given(hidden=st.lists(st.integers(1, 24), min_size=1, max_size=3),
            n_steps=st.integers(1, 6), batch=st.integers(1, 40),
-           route=st.sampled_from(["csr", "dense"]), seed=st.integers(0, 2**16))
+           route=st.sampled_from(list(MIXES)), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_single_windows_at_any_worker_count(self, hidden, n_steps,
                                                              batch, route, seed):
@@ -365,7 +376,7 @@ class TestShards:
             with sharding(workers, route):
                 model = build_model(2, hidden, density=0.3, seed=seed)
                 bounds = network._shard_bounds(model, batch)
-                assert len(bounds) == (min(workers, batch) if route == "csr" else 1)
+                assert len(bounds) == (min(workers, batch) if route != "dense" else 1)
                 assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
                 assert bounds[-1][1] == batch and all(lo < hi for lo, hi in bounds)
                 results.append(forward_and_grads(model, windows, douts))
@@ -378,7 +389,7 @@ class TestShards:
             singles = [forward_batch(model, w[None], keep_cache=False)[0] for w in windows]
         assert np.max(np.abs(np.concatenate(singles) - outs)) <= 1e-12
 
-    @pytest.mark.parametrize("route", ["csr", "dense"])
+    @pytest.mark.parametrize("route", list(MIXES))
     def test_fit_checkpoint_same_at_any_worker_count(self, route):
         rng = np.random.default_rng(12)
         data = WindowedDataset(rng.normal(size=(99, 6, 2)), rng.normal(size=99), 6, None)
@@ -387,7 +398,7 @@ class TestShards:
             with sharding(workers, route):
                 model = build_model(2, [24, 16], density=0.2, seed=3)
                 shards = network._shard_bounds(model, 33)
-                assert shards == ([(0, 16), (16, 33)] if workers == 2 and route == "csr"
+                assert shards == ([(0, 16), (16, 33)] if workers == 2 and route != "dense"
                                   else [(0, 33)])
                 fit(model, data, TrainingConfig(epochs=2, batch_size=33, seed=5))
             blobs.append(save_checkpoint(model))
@@ -396,13 +407,36 @@ class TestShards:
     def test_shards_need_enough_cells(self, monkeypatch):
         monkeypatch.setattr(linalg, "WORKERS", 2)
         model = build_model(1, [300, 300], density=0.01, seed=0)
-        assert model.layers[0].uses_sparse
+        assert model.layers[0].products().h.csr_products
         # two shards of 300 units need 4800 / 300 = 16 windows each
         assert network._shard_bounds(model, 31) == [(0, 31)]
         assert network._shard_bounds(model, 32) == [(0, 16), (16, 32)]
         assert network._shard_bounds(model, 256) == [(0, 128), (128, 256)]
         monkeypatch.setattr(linalg, "WORKERS", 1)
         assert network._shard_bounds(model, 256) == [(0, 256)]
+
+    def test_ten_percent_model_shards_on_its_own_routes(self, monkeypatch):
+        # at 10% the products run on CSR and the masked outer products
+        # dense, so the batch still shards
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        model = build_model(64, [150, 150, 150], density=0.1, seed=0)
+        for layer in model.layers:
+            ops = layer.products()
+            assert [(m.csr_products, m.sparse_outer) for m in (ops.x, ops.h)] == \
+                [(True, False)] * 2
+        assert network._shard_bounds(model, 256) == [(0, 128), (128, 256)]
+
+    def test_b1_equals_its_row_of_a_sharded_b256_on_mixed_routes(self, monkeypatch):
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        rng = np.random.default_rng(30)
+        model = build_model(64, [150, 150, 150], task="classification", out_dim=64,
+                            density=0.1, seed=1)
+        assert not model.layers[0].products().h.sparse_outer
+        windows = rng.normal(size=(256, 12, 64))
+        assert len(network._shard_bounds(model, 256)) == 2
+        outs, _ = forward_batch(model, windows, keep_cache=False)
+        for j in (0, 127, 128, 255):
+            assert np.max(np.abs(predict_one(model, windows[j]) - outs[j])) <= 1e-12
 
     def test_divergence_in_a_later_shard_names_the_unsharded_place(self):
         windows = np.zeros((33, 6, 1))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclstm import cell, training
+from rclstm import training
 from rclstm.cell import ConnectivityMask, LstmLayerParams
 from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
                                save_checkpoint, write_container)
@@ -20,6 +20,8 @@ from rclstm.synth import sine_series
 from rclstm.training import (OptimizerState, TrainingConfig, clip_gradients,
                              evaluate_model, fit, model_params, optimizer_step,
                              predict_batch)
+
+from route_mixes import route_mix
 
 
 def sine_dataset(n=400, window=12, fraction=0.9):
@@ -181,11 +183,10 @@ class TestFit:
             assert state.m[f"layer{k}.w"].shape == state.v[f"layer{k}.w"].shape == (nnz,)
 
     @pytest.mark.parametrize("hidden", [[12], [12, 10]], ids=["1layer", "2layer"])
-    @pytest.mark.parametrize("threshold", [0.0, 1.0], ids=["dense", "csr"])
-    def test_fit_matches_dense_textbook_adam(self, hidden, threshold, monkeypatch):
+    @pytest.mark.parametrize("mix", ["dense", "mixed", "csr"])
+    def test_fit_matches_dense_textbook_adam(self, hidden, mix, monkeypatch):
         # k steps of fit against Adam over every dense entry, fed the same
         # gradients scattered to dense form; clipping never fires
-        monkeypatch.setattr(cell, "KERNEL_THRESHOLD", threshold)
         grads_seen = []
 
         def step(params, grads, state, config):
@@ -194,8 +195,10 @@ class TestFit:
 
         monkeypatch.setattr(training, "optimizer_step", step)
         train, _ = sine_dataset(n=120)
-        model = build_model(1, hidden, seed=4, density=0.3)
-        assert model.layers[0].uses_sparse == (threshold > 0.3)
+        with route_mix(mix):  # the blocks keep the routes they are built on
+            model = build_model(1, hidden, seed=4, density=0.3)
+            ops = model.layers[0].products()
+        assert (ops.h.csr_products, ops.h.sparse_outer) == (mix != "dense", mix == "csr")
         cfg = TrainingConfig(epochs=2, batch_size=32, learning_rate=0.01,
                              grad_clip=1e300, seed=3)
         want = {"head.w": model.head_w.copy(), "head.b": model.head_b.copy()}
@@ -228,7 +231,7 @@ class TestFit:
     def test_sparse_masks_zero_after_adam_steps(self):
         train, _ = sine_dataset()
         model = build_model(1, [40, 40], seed=3, density=0.03)
-        assert all(layer.uses_sparse for layer in model.layers)
+        assert all(layer.products().h.csr_products for layer in model.layers)
         before = [layer.w.copy() for layer in model.layers]
         fit(model, train, TrainingConfig(epochs=1, batch_size=64, seed=2))
         for layer, w0 in zip(model.layers, before):
@@ -382,7 +385,10 @@ class TestCheckpoint:
         loaded = load_checkpoint(write_container("model", meta, arrays))
         for k, layer in enumerate(loaded.layers):
             assert layer.mask.density == model.layers[k].mask.density < 0.05
-            assert layer.uses_sparse and model.layers[k].uses_sparse
+            got, want = layer.products(), model.layers[k].products()
+            assert got.h.csr_products and want.h.csr_products
+            assert [(m.csr_products, m.sparse_outer) for m in (got.x, got.h)] == \
+                [(m.csr_products, m.sparse_outer) for m in (want.x, want.h)]
         window = rng.normal(size=(3, 6, 2))
         assert np.array_equal(forward_batch(loaded, window)[0],
                               forward_batch(model, window)[0])
