@@ -8,7 +8,7 @@ over the mask's nonzeros, so masked weights are zero for the life of the
 model by construction, and training computes gradients for the live
 weights only.  The layer's input and recurrent blocks are each a
 ``linalg.MaskedMatrix``, which picks the routes of its products and of its
-weight-gradient masked outer product from the block's density alone.
+weight-gradient masked outer product from the layer's density alone.
 
 The cell works on a batch of B windows at a time: one timestep of a
 layer's state is an (H, B) block, one column per window.  Its backward
@@ -73,8 +73,10 @@ class LstmLayerParams:
     ``np.flatnonzero(mask.bits)`` order, and is the only copy of them:
     masked weights are not stored, so they are zero by construction.
     Biases are dense (connectivity applies to neuron pairs, not biases).
-    Each of the two blocks ``products`` builds picks its own routes from its
-    share of the mask (``linalg.PRODUCT_DENSITY``, ``linalg.SDDMM_DENSITY``).
+    Both blocks ``products`` builds take their routes from the layer's
+    realized density (``linalg.PRODUCT_DENSITY``, ``linalg.SDDMM_DENSITY``):
+    a one-feature model's input block is a single column, whose own density
+    scatters with the seed across the constants.
     """
 
     input_dim: int
@@ -104,9 +106,10 @@ class LstmLayerParams:
         (an optimizer step, a finite difference), call ``sync``.
         """
         if self._products is None:
-            d, bits = self.input_dim, self.mask.bits
+            d, bits, density = self.input_dim, self.mask.bits, self.mask.density
             in_x = np.flatnonzero(bits) % bits.shape[1] < d
-            self._products = GateProducts(MaskedMatrix(bits[:, :d]), MaskedMatrix(bits[:, d:]),
+            self._products = GateProducts(MaskedMatrix(bits[:, :d], density),
+                                          MaskedMatrix(bits[:, d:], density),
                                           np.flatnonzero(in_x), np.flatnonzero(~in_x))
             self.sync()
         return self._products

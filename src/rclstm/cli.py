@@ -40,6 +40,7 @@ from .data import (PreparedData, WindowedDataset, chronological_split, denormali
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError)
 from .metrics import MetricsReport, rmse
+from .network import batch_plan
 from .sweeps import build_from_config, run_sweep, summarize, write_report_csv
 from .training import evaluate_model, fit, predict_batch
 
@@ -234,6 +235,7 @@ def cmd_bench(cfg, args):
     for label, run_cfg in (("sparse", cfg), ("dense", dense_cfg)):
         model = build_from_config(run_cfg, prepared)
         routes = [_layer_routes(layer) for layer in model.layers]
+        shards, weight_grads = batch_plan(model, TRAIN_BATCH)
         stats = benchmark_serving(model, batch[:1], reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
         served = benchmark_serving(model, batch, batch=SERVE_BATCH, reps=batched_reps,
@@ -247,13 +249,16 @@ def cmd_bench(cfg, args):
                           f"b{SERVE_BATCH}_windows_per_s": SERVE_BATCH / served.median,
                           f"b{SERVE_BATCH}_repetitions": served.repetitions,
                           f"train_b{TRAIN_BATCH}_median_s": step.median,
-                          f"train_b{TRAIN_BATCH}_repetitions": step.repetitions}
+                          f"train_b{TRAIN_BATCH}_repetitions": step.repetitions,
+                          f"train_b{TRAIN_BATCH}_shards": shards,
+                          f"train_b{TRAIN_BATCH}_weight_grads": weight_grads}
         shown = "; ".join(f"x {r['x']} h {r['h']}" for r in routes)
         print(f"{label} (density={run_cfg.model.density:g}, routes {shown}): median "
               f"{stats.median * 1e3:.3f} ms over {stats.repetitions} reps; "
               f"B={SERVE_BATCH} {SERVE_BATCH / served.median:.1f} windows/s over "
               f"{served.repetitions} reps; B={TRAIN_BATCH} training step median "
-              f"{step.median * 1e3:.1f} ms over {step.repetitions} reps")
+              f"{step.median * 1e3:.1f} ms over {step.repetitions} reps "
+              f"({shards} shards, weight gradients {weight_grads})")
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")

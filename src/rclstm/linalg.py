@@ -2,8 +2,9 @@
 
 ``MaskedMatrix`` hides how a matrix whose nonzeros lie on a fixed boolean
 mask is multiplied.  It does two kinds of masked work, and each takes its
-own route from the mask's density, because the two cross over from sparse
-to dense at different densities:
+own route from the density its caller gives (a layer's, for both of its
+blocks), because the two cross over from sparse to dense at different
+densities:
 
 - the products ``M @ x`` and ``M.T @ y`` run through scipy's compiled CSR
   kernels, over an index structure built once from the mask, below
@@ -11,8 +12,8 @@ to dense at different densities:
   zero off the mask from it;
 - the masked outer product behind the weight gradient (a sampled
   dense-dense product, SDDMM) computes only the mask's entries below
-  ``SDDMM_DENSITY``, and forms the whole product with one BLAS call and
-  gathers them from it.
+  ``SDDMM_DENSITY``; from it, it forms the whole product with one BLAS
+  call and gathers the entries at flat indices built once from the mask.
 
 The routes do not depend on the batch width: a single window takes the
 same routes as a batch of 256.  Either product route holds the
@@ -32,12 +33,25 @@ C-contiguous float64: anything else raises, because a copied output would
 silently lose the product.  The masked outer product yields a value vector
 of the mask's nonzeros only, in the same row-major order.
 
-``run_tasks`` runs independent pieces of work at once, on the calling
-thread and a pool of threads; numpy, scipy's sparse kernels and BLAS
-release the GIL while they compute, so the pieces run on separate cores.
+Two kinds of thread run work beside the calling one; numpy, scipy's sparse
+kernels and BLAS release the GIL while they compute, so the work runs on
+separate cores:
+
+- ``run_tasks`` runs independent pieces of work at once, on the calling
+  thread and a pool of threads, and returns when all are done;
+- ``in_background`` starts one job on a single background thread and
+  returns at once, with a future of its result; jobs run one at a time,
+  in the order they were started.
+
+A pool task must not call ``run_tasks``: it would wait on the pool it
+occupies.  A background job may, because the background thread is not in
+the pool, and the two share the pool under a lock.  A forked child has
+none of its parent's threads, so it drops both and builds its own on
+first use.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
@@ -95,17 +109,20 @@ SDDMM_DENSITY = 0.04
 #: (256x64, N=12800) 3.63 vs 2.44.
 SPLIT_COLUMN_WORK = 1 << 15
 
+_lock = threading.Lock()  # guards building _pool and _background
 _pool = None  # (threads, ThreadPoolExecutor), built by the first run_tasks
+_background = None  # one-thread ThreadPoolExecutor, built by the first in_background
 
 
-def _drop_pool():
-    """A forked child has none of its parent's threads, so a pool it
-    inherited would queue work that never runs."""
-    global _pool
-    _pool = None
+def _drop_threads():
+    """A forked child has none of its parent's threads, so executors it
+    inherited would queue work that never runs, and a lock another thread
+    held at the fork would never be released."""
+    global _lock, _pool, _background
+    _lock, _pool, _background = threading.Lock(), None, None
 
 
-os.register_at_fork(after_in_child=_drop_pool)
+os.register_at_fork(after_in_child=_drop_threads)
 
 
 def run_tasks(tasks):
@@ -114,15 +131,18 @@ def run_tasks(tasks):
 
     The calling thread runs the first, a pool of threads the others.  Every
     task finishes before anything is raised; then the first exception, in
-    task order, is.  A task must not call ``run_tasks`` itself.
+    task order, is.  A task must not call ``run_tasks`` itself; a job
+    ``in_background`` runs may.
     """
     global _pool
     if len(tasks) == 1:
         return [tasks[0]()]
-    if _pool is None or _pool[0] < len(tasks) - 1:
-        _pool = (len(tasks) - 1, ThreadPoolExecutor(len(tasks) - 1,
-                                                    thread_name_prefix="rclstm"))
-    futures = [_pool[1].submit(task) for task in tasks[1:]]
+    with _lock:
+        if _pool is None or _pool[0] < len(tasks) - 1:
+            _pool = (len(tasks) - 1, ThreadPoolExecutor(len(tasks) - 1,
+                                                        thread_name_prefix="rclstm"))
+        pool = _pool[1]
+    futures = [pool.submit(task) for task in tasks[1:]]
     try:
         first = tasks[0]()
     finally:
@@ -130,31 +150,48 @@ def run_tasks(tasks):
     return [first] + [future.result() for future in futures]
 
 
+def in_background(job):
+    """Start the zero-argument callable ``job`` on the background thread
+    and return a ``concurrent.futures.Future`` of its result.
+
+    Jobs run one at a time, in the order they were started, beside
+    whatever the caller does next.  The caller reads every future's
+    result, which raises the job's exception if it raised, or cancels a
+    job that has not started (``Future.cancel``), which then never runs.
+    """
+    global _background
+    with _lock:
+        if _background is None:
+            _background = ThreadPoolExecutor(1, thread_name_prefix="rclstm-background")
+        return _background.submit(job)
+
+
 class MaskedMatrix:
     """Products with a matrix that is zero wherever ``mask`` is false.
 
-    The mask's density alone picks two routes for the life of the object,
-    the same at any batch width: its products (``dot``, ``tdot``) run on
-    scipy's CSR kernels below ``PRODUCT_DENSITY`` and on dense BLAS from
-    it, and its masked outer product (``masked_outer``) runs sparse below
-    ``SDDMM_DENSITY`` and as one BLAS product from it.  Only the structures
-    the two routes use are built: the CSR arrays or the dense array for the
-    products, and the per-column index of the mask for the sparse masked
-    outer product.  ``load(values)`` takes the matrix's nonzeros in
-    row-major order (``np.flatnonzero(mask)``): the CSR route copies them
-    into its value vector, the dense route scatters them into a dense array
-    it owns, whose masked entries stay zero.  Either way a load costs
-    O(nnz).
+    ``density`` alone picks two routes for the life of the object, the
+    same at any batch width (a layer routes both its blocks on the whole
+    gate matrix's density, not on each block's own).  Its products
+    (``dot``, ``tdot``) run on scipy's CSR kernels below
+    ``PRODUCT_DENSITY`` and on dense BLAS from it, and its masked outer
+    product (``masked_outer``) runs sparse below ``SDDMM_DENSITY`` and as
+    one BLAS product from it.  Only the structures the two routes use are
+    built: the CSR arrays or the dense array for the products, the
+    per-column index of the mask for the sparse masked outer product, and
+    the mask's flat indices for either dense route.  ``load(values)`` takes
+    the matrix's nonzeros in row-major order (``np.flatnonzero(mask)``):
+    the CSR route copies them into its value vector, the dense route
+    scatters them into a dense array it owns, whose masked entries stay
+    zero.  Either way a load costs O(nnz).
     """
 
-    def __init__(self, mask):
+    def __init__(self, mask, density):
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ShapeError(f"mask must be 2-D, got shape {mask.shape}")
         self.shape = mask.shape
         self.mask = mask
         self.nnz = int(np.count_nonzero(mask))
-        density = self.nnz / mask.size if mask.size else 0.0
         self.csr_products = density < PRODUCT_DENSITY
         self.sparse_outer = density < SDDMM_DENSITY
         if self.csr_products or self.sparse_outer:
@@ -168,8 +205,9 @@ class MaskedMatrix:
             self._indices = cols.astype(index)
             self._data = np.zeros(self.nnz)
         else:
-            self._at = np.flatnonzero(mask)
             self._w = np.zeros(self.shape)
+        if not (self.csr_products and self.sparse_outer):
+            self._at = np.flatnonzero(mask)  # where the dense routes scatter and gather
         if self.sparse_outer:
             # per column of the mask: its masked rows and their places in
             # the value vector
@@ -258,13 +296,13 @@ class MaskedMatrix:
         ``WORKERS`` groups of about equal entry counts and runs the groups
         as ``run_tasks``; each entry is the same product either way.  The
         dense route forms the whole product with one BLAS call and gathers
-        it.
+        it at ``np.flatnonzero(mask)``.
         """
         if y.shape[0] != self.shape[0] or x.shape[0] != self.shape[1] \
                 or y.shape[1] != x.shape[1]:
             raise ShapeError("masked outer product operands do not match the mask")
         if not self.sparse_outer:
-            return (y @ x.T)[self.mask]
+            return np.take(y @ x.T, self._at)
         out = np.empty(self.nnz)
 
         def fill(cols):

@@ -30,7 +30,22 @@ them by the incoming gradients in a few whole-block calls and adds its
 recurrent product to the gradient of the step below in place.  Each
 layer's weight gradient is one masked outer product per block over all
 T*B columns, returned at the mask's nonzeros only, as a value vector
-shaped like the layer's ``values``.
+shaped like the layer's ``values``.  It needs the layer's dA, input and
+hidden states, and the layer below needs none of it, only the gradient
+wrt its hidden states.  So a batch whose products run on CSR and that
+leaves a CPU idle (fewer shards than ``linalg.WORKERS``) computes the
+weight gradient of each layer above the bottom one on
+``linalg.in_background``'s thread while the layers below run their time
+loops.  The bottom layer's has nothing left to run behind, so it runs
+inline, beside any job still running.  Then the calling thread takes
+back, newest first, each job the background thread has not started, so
+a background thread held up by a busy CPU costs at most the job it is
+running, and ``backward_sequence`` collects every one before it returns
+or raises.  A batch that fills every CPU, or whose dense gemms may spread
+over them, computes every layer's inline, after the layer's time loop,
+and frees the layer's dA before the layer below starts.  Each masked
+outer product is the same call either way, so the gradients are the same
+bit for bit.
 
 A batch whose layers all run their products on CSR (below
 ``linalg.PRODUCT_DENSITY``) runs as contiguous shards of windows at the
@@ -51,6 +66,7 @@ sets how many threads a batch runs on, and pinning BLAS to one thread
 """
 
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass
 from functools import partial
 
@@ -220,11 +236,37 @@ def _shard_bounds(model, batch):
     """
     narrowest = min(layer.hidden_dim for layer in model.layers)
     n = min(linalg.WORKERS, batch, batch * narrowest // MIN_SHARD_CELLS)
-    if n < 2 or not all(ops.x.csr_products and ops.h.csr_products
-                        for ops in (layer.products() for layer in model.layers)):
+    if n < 2 or not _csr_products(model):
         return [(0, batch)]
     cuts = [i * batch // n for i in range(n + 1)]
     return list(zip(cuts, cuts[1:]))
+
+
+def _csr_products(model):
+    """Whether every layer's products take the CSR route."""
+    return all(ops.x.csr_products and ops.h.csr_products
+               for ops in (layer.products() for layer in model.layers))
+
+
+def _grads_behind(model, shards):
+    """Whether a batch run as ``shards`` window shards computes the weight
+    gradient of each layer above the bottom one on ``linalg.in_background``'s
+    thread, behind the backward of the layers below: when the products run
+    on CSR, the shards leave a CPU idle and there is a layer below.  A CSR
+    kernel call runs on one thread, so an unsharded CSR batch does leave
+    the other CPUs idle; a dense gemm may spread over every CPU itself, so
+    dense products keep every weight gradient inline.  The bottom layer's
+    runs inline, beside the jobs of the layers above, since nothing is left
+    to run behind it."""
+    return len(model.layers) > 1 and shards < linalg.WORKERS and _csr_products(model)
+
+
+def batch_plan(model, batch):
+    """How a training batch of ``batch`` windows runs: its number of window
+    shards, and where its weight gradients run, "background" or
+    "inline"."""
+    shards = len(_shard_bounds(model, batch))
+    return shards, "background" if _grads_behind(model, shards) else "inline"
 
 
 def _stack_forward(model, windows, keep_cache):
@@ -313,16 +355,30 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
     return grad_x
 
 
+def _weight_grad(ops, da, x, h, batch):
+    """The gradient wrt a layer's live weights, in ``np.flatnonzero(mask.bits)``
+    order, from its (4H, T*B) dA and its (D, T*B) input and (H, T*B)
+    hidden states, columns in (t, b) order: one masked outer product per
+    block of ``ops``, the layer's ``GateProducts``."""
+    grad_w = np.empty(ops.x_at.size + ops.h_at.size)
+    grad_w[ops.x_at] = ops.x.masked_outer(da, x)
+    # h_prev is zero at the first step, so the recurrent block pairs steps
+    # 1..T-1 of dA with hidden states 0..T-2, the leading columns of h
+    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], h[:, : h.shape[1] - batch])
+    return grad_w
+
+
 def _layer_backward(layer, k, cache, grad_h, h):
     """Backpropagate layer ``k`` over every shard of the batch.
 
     ``grad_h`` holds each shard's (T, H, b) loss gradient wrt its hidden
     states from above, and ``h`` the layer's hidden states as a
     (H, T, B) array, or None for the top layer, whose shards copy them
-    there.  Returns (grad_w, grad_b, grad_h for the layer below, the
-    layer's input as a (D, T, B) array): grad_w is the gradient wrt
-    ``layer.values``, the live weights in ``np.flatnonzero(mask.bits)``
-    order.
+    there.  Returns (weight_grad, grad_b, grad_h for the layer below, the
+    layer's input as a (D, T, B) array): ``weight_grad()`` computes the
+    gradient wrt ``layer.values``, the live weights in
+    ``np.flatnonzero(mask.bits)`` order, and is the only thing returned
+    that holds the layer's dA.
     """
     n_steps, batch = grad_h[0].shape[0], cache.head_out.shape[0]
     # (features, T, B) buffers, so each is one (features, T*B) array with
@@ -336,14 +392,9 @@ def _layer_backward(layer, k, cache, grad_h, h):
         partial(_shard_backward, layer, caches, k, g, da[:, :, lo:hi], x[:, :, lo:hi],
                 h[:, :, lo:hi] if top else None)
         for (lo, hi), caches, g in zip(cache.bounds, cache.shards, grad_h)])
-    ops = layer.products()
     da, x_fm, h_fm = (a.reshape(a.shape[0], -1) for a in (da, x, h))
-    grad_w = np.empty(ops.x_at.size + ops.h_at.size)
-    grad_w[ops.x_at] = ops.x.masked_outer(da, x_fm)
-    # h_prev is zero at the first step, so the recurrent block pairs steps
-    # 1..T-1 of dA with hidden states 0..T-2, the leading columns of h_fm
-    grad_w[ops.h_at] = ops.h.masked_outer(da[:, batch:], h_fm[:, : (n_steps - 1) * batch])
-    return grad_w, da.sum(axis=1), grad_h, x
+    return (partial(_weight_grad, layer.products(), da, x_fm, h_fm, batch), da.sum(axis=1),
+            grad_h, x)
 
 
 def backward_sequence(model, cache, loss_grad):
@@ -355,7 +406,9 @@ def backward_sequence(model, cache, loss_grad):
     ``layer{k}.b``, ``head.w``, ``head.b``.  ``layer{k}.w`` holds the
     gradient wrt layer k's ``values``, its live weights in
     ``np.flatnonzero(mask.bits)`` order; the others are dense.  Each is
-    shaped like its parameter.
+    shaped like its parameter.  Weight gradients computed in the
+    background are all finished when this returns or raises, and an
+    exception one raised is raised here.
     """
     dims = [(l.input_dim, l.hidden_dim) for l in model.layers]
     if cache.layer_dims != dims:
@@ -373,10 +426,32 @@ def backward_sequence(model, cache, loss_grad):
     for (lo, hi), caches in zip(cache.bounds, cache.shards):
         grad_h.append(np.zeros_like(caches[-1].h))
         grad_h[-1][-1] = top_grad[:, lo:hi]
+    behind = _grads_behind(model, len(cache.bounds))
+    jobs = []  # (key, weight_grad, future) of each one started in the background
     h = None  # layer k's hidden states, feature-major: layer k + 1's input
-    for k in range(len(model.layers) - 1, -1, -1):
-        grads[f"layer{k}.w"], grads[f"layer{k}.b"], grad_h, h = _layer_backward(
-            model.layers[k], k, cache, grad_h, h)
+    try:
+        for k in range(len(model.layers) - 1, -1, -1):
+            key = f"layer{k}.w"
+            grads[key] = None  # holds its place: clipping sums the norm in key order
+            weight_grad, grads[f"layer{k}.b"], grad_h, h = _layer_backward(
+                model.layers[k], k, cache, grad_h, h)
+            if behind and k:
+                jobs.append((key, weight_grad, linalg.in_background(weight_grad)))
+            else:
+                grads[key] = weight_grad()
+            del weight_grad  # inline, the layer's dA is freed before the layer below
+        # newest first, the calling thread takes back each job the
+        # background thread has not started, rather than wait for it idle
+        for key, weight_grad, future in reversed(jobs):
+            if future.cancel():
+                grads[key] = weight_grad()
+    finally:
+        # no job outlives the call, even when a layer below raised: each is
+        # cancelled before it starts, or waited for
+        wait([future for _, _, future in jobs if not future.cancel()])
+    for key, _, future in jobs:
+        if not future.cancelled():
+            grads[key] = future.result()
     return grads
 
 

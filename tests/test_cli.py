@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rclstm
-from rclstm import linalg
+from rclstm import linalg, network
 from rclstm.cli import main
 from rclstm.config import apply_overrides, load_config
 from rclstm.errors import ConfigError
@@ -510,26 +510,34 @@ include_baselines = true
         cfg = write_cfg(tmp_path, text)
         assert main(["bench", "--config", cfg]) == 2
 
-    def test_bench_small_model(self, tmp_path, capsys):
+    def test_bench_small_model(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "WORKERS", 2)
         text = SINE_CFG.format(out=tmp_path / "out").replace(
-            "hidden = 8", "hidden = 16").replace("density = 1.0", "density = 0.05").replace(
+            "hidden = 8", "hidden = 16,16").replace("density = 1.0", "density = 0.05").replace(
             "window = 10", "window = 8") + "\n[bench]\nreps = 30\nwarmup = 2\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["bench", "--config", cfg, "--freeze-timestamps"]) == 0
         payload = json.loads((tmp_path / "out" / "bench_frozen.json").read_text())
-        assert (payload["hidden"], payload["window"], payload["density"]) == ([16], 8, 0.05)
+        assert (payload["hidden"], payload["window"], payload["density"]) == \
+            ([16, 16], 8, 0.05)
         assert payload["workers"] == linalg.WORKERS
         assert payload["nproc"] == len(os.sched_getaffinity(0))
         assert "sparse" in payload and "dense" in payload
         assert payload["sparse"]["repetitions"] == 30
-        for label in ("sparse", "dense"):
+        # 32 windows x 16 units are one shard, which on CSR products leaves
+        # a CPU idle to the top layer's weight gradient; dense products
+        # keep it inline
+        out = capsys.readouterr().out
+        for label, grads in (("sparse", "background"), ("dense", "inline")):
             entry = payload[label]
             assert entry["b256_windows_per_s"] == pytest.approx(256 / entry["b256_median_s"])
             # a tenth of the B=1 repetitions for the batched pass and the
             # B=32 training step
             assert entry["b256_repetitions"] == entry["train_b32_repetitions"] == 3
             assert entry["train_b32_median_s"] > 0.0
-        assert payload["dense"]["routes"] == [{"x": "dense/dense", "h": "dense/dense"}]
+            assert (entry["train_b32_shards"], entry["train_b32_weight_grads"]) == (1, grads)
+            assert out.count(f"(1 shards, weight gradients {grads})") == 1
+        assert payload["dense"]["routes"] == [{"x": "dense/dense", "h": "dense/dense"}] * 2
         assert (payload["product_density"], payload["sddmm_density"]) == \
             (linalg.PRODUCT_DENSITY, linalg.SDDMM_DENSITY)
 
@@ -550,6 +558,8 @@ include_baselines = true
 
     def test_bench_times_the_configured_model(self, tmp_path, capsys, monkeypatch):
         timed = self.spy_on_bench(monkeypatch)
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
         text = SINE_CFG.format(out=tmp_path / "out").replace(
             "hidden = 8", "hidden = 8,6") + "\n[bench]\nreps = 30\nwarmup = 0\n"
         argv = ["bench", "--config", write_cfg(tmp_path, text), "--freeze-timestamps",
@@ -569,6 +579,15 @@ include_baselines = true
         assert payload["sparse"]["routes"] == routes
         assert "sparse (density=0.2, routes x {x} h {h}; x ".format(**routes[0]) in out
         assert payload["dense"]["routes"] == [{"x": "dense/dense", "h": "dense/dense"}] * 2
+        # CSR products shard the B=32 step over both CPUs, so its weight
+        # gradients run inline; dense products run it whole, and keep them
+        # inline too, since a dense gemm may spread over every CPU itself
+        for label, model, plan in (("sparse", sparse, (2, "inline")),
+                                   ("dense", dense, (1, "inline"))):
+            assert network.batch_plan(model, 32) == plan
+            assert (payload[label]["train_b32_shards"],
+                    payload[label]["train_b32_weight_grads"]) == plan
+            assert "({} shards, weight gradients {})".format(*plan) in out
         assert [layer.hidden_dim for layer in sparse.layers] == [8, 6]
         assert all(0.0 < layer.mask.density < 0.5 for layer in sparse.layers)
         assert all(layer.mask.density == 1.0 for layer in dense.layers)

@@ -138,14 +138,25 @@ def serve(windows):
     return network.forward_batch(MODEL, windows, keep_cache=False)[0]
 
 
+def weight_grads(windows):
+    _, cache = network.forward_batch(MODEL, windows)
+    return network.backward_sequence(MODEL, cache, np.ones((len(windows), 1)))["layer1.w"]
+
+
 linalg.WORKERS, network.MIN_SHARD_CELLS, linalg.PRODUCT_DENSITY = 2, 1, 1.0
-MODEL = network.build_model(1, [8], density=0.5, seed=0)
+MODEL = network.build_model(1, [8, 8], density=0.5, seed=0)
 windows = np.random.default_rng(0).normal(size=(4, 5, 1))
 want = serve(windows)
 assert linalg._pool is not None
+# one window is one shard, so the top layer's weight gradient runs in the
+# background
+assert network.batch_plan(MODEL, 1) == (1, "background")
+want_grads = weight_grads(windows[:1])
+assert linalg._background is not None
 print("sharded", flush=True)
 with multiprocessing.get_context("fork").Pool(1) as pool:
     assert np.array_equal(pool.apply(serve, (windows,)), want)
+    assert np.array_equal(pool.apply(weight_grads, (windows[:1],)), want_grads)
 print("forked", flush=True)
 cfg = RunConfig()
 cfg.model.hidden, cfg.data.window = (8,), 10
@@ -223,8 +234,9 @@ class TestSweeps:
                [(r.value, r.model, r.rmse) for r in parallel.rows]
 
     def test_parallel_sweep_after_sharded_work(self, tmp_path):
-        # a forked child inherits the parent's thread pool object but none of
-        # its threads; work submitted to it would wait forever
+        # a forked child inherits the parent's thread pool and background
+        # thread objects but none of their threads; work submitted to them
+        # would wait forever
         script = tmp_path / "fork.py"
         script.write_text(FORK_SCRIPT)
         package_root = str(Path(rclstm.__file__).resolve().parents[1])

@@ -1,6 +1,11 @@
+import sys
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 
+from rclstm import linalg
 from rclstm.errors import ShapeError
 from rclstm.kernels import lstm_pointwise_numpy, sigmoid_stable
 from rclstm.linalg import MaskedMatrix
@@ -33,10 +38,14 @@ def test_matvec_shape_error():
         dense(np.zeros((2, 3))).dot(np.zeros((4, 1)))
 
 
+def mask_density(mask):
+    return np.count_nonzero(mask) / mask.size
+
+
 def masked(w, mask, mix="csr"):
     """``w`` behind ``mask``, on the routes of ``mix``."""
     with route_mix(mix):
-        return MaskedMatrix(mask).load(np.asarray(w, dtype=np.float64)[mask])
+        return MaskedMatrix(mask, mask_density(mask)).load(np.asarray(w, dtype=np.float64)[mask])
 
 
 def as_dense(m):
@@ -67,15 +76,15 @@ def test_csr_two_entries():
     assert np.array_equal(as_dense(a), [[0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
     for mix in MIXES:  # values arrive in row-major order: (0,2), (1,0)
         with route_mix(mix):
-            a = MaskedMatrix(m).load(np.array([3.0, 4.0]))
+            a = MaskedMatrix(m, mask_density(m)).load(np.array([3.0, 4.0]))
         assert np.array_equal(as_dense(a), [[0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
 
 
 def test_csr_shape_mismatch():
     with pytest.raises(ShapeError):
-        MaskedMatrix(np.zeros((2, 3), dtype=bool)).load(np.zeros((2, 2)))
+        MaskedMatrix(np.zeros((2, 3), dtype=bool), 0.0).load(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        MaskedMatrix(np.zeros(3, dtype=bool))
+        MaskedMatrix(np.zeros(3, dtype=bool), 0.0)
 
 
 def test_csr_densify_round_trip():
@@ -155,6 +164,21 @@ def test_kernel_backends_agree():
         assert np.max(np.abs(got - (y @ x.T)[m])) < 1e-12
 
 
+@pytest.mark.parametrize("mix", ["mixed", "dense"])
+def test_dense_masked_outer_gathers_the_masks_entries_bit_for_bit(mix):
+    # the dense route gathers at flat indices: the boolean-mask gather's
+    # elements in its order.  The sparse route ("csr") sums each entry
+    # as its own product, which need not round as one BLAS product does.
+    rng = np.random.default_rng(22)
+    for shape, density in (((600, 150), 0.1), ((600, 64), 0.1), ((1200, 1), 0.01),
+                           ((7, 5), 0.0), ((7, 5), 1.0)):
+        m = rng.random(shape) < density
+        a = masked(np.zeros(shape), m, mix)
+        assert not a.sparse_outer and a.csr_products == (mix == "mixed")
+        y, x = rng.normal(size=(shape[0], 40)), rng.normal(size=(shape[1], 40))
+        assert np.array_equal(a.masked_outer(y, x), (y @ x.T)[m])
+
+
 @pytest.mark.parametrize("density, products, outer", [
     (0.01, True, True), (0.1, True, False), (0.5, False, False)])
 def test_density_alone_picks_the_routes(density, products, outer):
@@ -162,10 +186,37 @@ def test_density_alone_picks_the_routes(density, products, outer):
     # array, and the per-column index only for the sparse masked outer
     rng = np.random.default_rng(4)
     m = rng.random((400, 300)) < density
-    a = MaskedMatrix(m)
+    a = MaskedMatrix(m, mask_density(m))
     assert (a.csr_products, a.sparse_outer) == (products, outer)
     assert hasattr(a, "_data") == products and hasattr(a, "_w") != products
     assert hasattr(a, "_col_rows") == outer
+    # the flat indices the dense routes scatter and gather at
+    assert hasattr(a, "_at") == (not products or not outer)
+
+
+def test_run_tasks_from_many_threads_and_background_jobs():
+    # more callers than CPUs, switching threads as often as the
+    # interpreter allows: every call gets its own results, and background
+    # jobs that call run_tasks finish beside callers that fill the pool
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def call(i):
+            return linalg.run_tasks([partial(lambda j: (i, j), j) for j in range(2 + i % 3)])
+
+        jobs = [linalg.in_background(partial(call, i)) for i in range(8)]
+        results = {}
+        threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, call(i)))
+                   for i in range(8, 16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        results.update((i, job.result(timeout=60)) for i, job in enumerate(jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {i: [(i, j) for j in range(2 + i % 3)] for i in range(16)}
 
 
 def test_sigmoid_symmetry_points():

@@ -1,4 +1,7 @@
 import contextlib
+import threading
+import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -426,6 +429,17 @@ class TestShards:
                 [(True, False)] * 2
         assert network._shard_bounds(model, 256) == [(0, 128), (128, 256)]
 
+    def test_a_layer_routes_both_blocks_on_its_density(self):
+        # a one-feature input block at width 64 is 256 entries, whose own
+        # density scatters with the seed across the route constants
+        for density in (0.01, 0.05, 0.1, 0.2, 0.5, 1.0):
+            want = (density < linalg.PRODUCT_DENSITY, density < linalg.SDDMM_DENSITY)
+            routes = set()
+            for seed in range(20):
+                ops = build_model(1, [64], density=density, seed=seed).layers[0].products()
+                routes.add(tuple((m.csr_products, m.sparse_outer) for m in (ops.x, ops.h)))
+            assert routes == {(want, want)}
+
     def test_b1_equals_its_row_of_a_sharded_b256_on_mixed_routes(self, monkeypatch):
         monkeypatch.setattr(linalg, "WORKERS", 2)
         rng = np.random.default_rng(30)
@@ -458,6 +472,205 @@ class TestShards:
         err = network._first_divergence(errors)
         assert (err.layer, err.timestep) == (0, 3)
         assert network._first_divergence([(np.zeros(1), [])]) is None
+
+
+class TestWeightGradsBehind:
+    """A batch that runs in fewer shards than ``linalg.WORKERS`` computes
+    the weight gradient of each layer above the bottom one on
+    ``linalg.in_background``'s thread while the layers below run their
+    backward."""
+
+    @staticmethod
+    def count_jobs(monkeypatch):
+        """The number of jobs started on the background thread so far."""
+        started, real = [0], linalg.in_background
+
+        def spy(job):
+            started[0] += 1
+            return real(job)
+
+        monkeypatch.setattr(linalg, "in_background", spy)
+        return started
+
+    @staticmethod
+    def csr_model(*args, **kwargs):
+        """``build_model(*args, **kwargs)`` with every block on the CSR
+        routes, which an unsharded batch can run behind."""
+        with route_mix("csr"):
+            model = build_model(*args, **kwargs)
+            for layer in model.layers:
+                layer.products()
+        return model
+
+    def test_plan(self, monkeypatch):
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        model = build_model(1, [300, 300], density=0.01, seed=0)
+        # 16 windows x 300 units are one shard; 32 are two
+        assert network.batch_plan(model, 16) == (1, "background")
+        assert network.batch_plan(model, 32) == (2, "inline")
+        # one layer has no layer below to run behind
+        assert network.batch_plan(build_model(1, [300], density=0.01), 16) == (1, "inline")
+        # a dense gemm may spread over every CPU itself
+        dense = build_model(1, [300, 300], density=1.0, seed=0)
+        assert network.batch_plan(dense, 16) == (1, "inline")
+        monkeypatch.setattr(linalg, "WORKERS", 1)
+        assert network.batch_plan(model, 16) == (1, "inline")
+
+    @pytest.mark.parametrize("route", list(MIXES))
+    def test_same_bits_behind_and_inline(self, route, monkeypatch):
+        started = self.count_jobs(monkeypatch)
+        rng = np.random.default_rng(40)
+        windows, douts = rng.normal(size=(9, 7, 3)), rng.normal(size=(9, 1))
+        data = WindowedDataset(rng.normal(size=(45, 6, 3)), rng.normal(size=45), 6, None)
+        runs = []
+        # dense products keep every weight gradient inline
+        behind = "inline" if route == "dense" else "background"
+        for workers, plan in ((2, (1, behind)), (1, (1, "inline"))):
+            before = started[0]
+            # the sparse masked outer products split over run_tasks' pool
+            # too, from the background thread
+            with mock.patch.object(linalg, "WORKERS", workers), \
+                    mock.patch.object(linalg, "SPLIT_COLUMN_WORK", 0), route_mix(route):
+                model = build_model(3, [20, 12, 8], density=0.3, seed=4)
+                assert network.batch_plan(model, 9) == network.batch_plan(model, 15) == plan
+                _, grads = forward_and_grads(model, windows, douts)
+                fit(model, data, TrainingConfig(epochs=2, batch_size=15, seed=2))
+            assert (started[0] > before) == (plan[1] == "background")
+            runs.append((grads, save_checkpoint(model)))
+        (grads, blob), (inline_grads, inline_blob) = runs
+        assert list(grads) == list(inline_grads)
+        for key in grads:
+            assert np.array_equal(grads[key], inline_grads[key])
+        assert blob == inline_blob
+
+    def test_sparse_split_behind_does_not_deadlock(self, monkeypatch):
+        # one shard of 16 windows x 300 units; the background thread splits
+        # layer 1's sparse masked outer products over run_tasks' pool while
+        # the calling thread runs layer 0, whose own split uses the same pool
+        rng = np.random.default_rng(41)
+        windows, douts = rng.normal(size=(16, 200, 1)), rng.normal(size=(16, 1))
+        model = build_model(1, [300, 300], density=0.01, seed=0)
+        ops = model.layers[1].products().h
+        assert ops.sparse_outer
+        assert ops.nnz * 200 * 16 >= linalg.SPLIT_COLUMN_WORK * len(ops._col_rows)
+        runs = []
+        for workers, plan in ((2, (1, "background")), (1, (1, "inline"))):
+            monkeypatch.setattr(linalg, "WORKERS", workers)
+            assert network.batch_plan(model, 16) == plan
+            _, cache = forward_batch(model, windows)
+            done = []
+            thread = threading.Thread(
+                target=lambda: done.append(backward_sequence(model, cache, douts)),
+                daemon=True)
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive() and done
+            runs.append(done[0])
+        for key in runs[0]:
+            assert np.array_equal(runs[0][key], runs[1][key])
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_a_failing_weight_grad_raises_from_backward(self, workers, monkeypatch):
+        monkeypatch.setattr(linalg, "WORKERS", workers)
+        rng = np.random.default_rng(42)
+        windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
+        model = self.csr_model(2, [6, 5, 4], density=0.5, seed=1)
+        assert network.batch_plan(model, 4) == \
+            (1, "background" if workers == 2 else "inline")
+        failing, real = model.layers[1].products().h, linalg.MaskedMatrix.masked_outer
+
+        def masked_outer(self, y, x):
+            if self is failing:
+                raise FloatingPointError("layer 1's recurrent block")
+            return real(self, y, x)
+
+        monkeypatch.setattr(linalg.MaskedMatrix, "masked_outer", masked_outer)
+        _, cache = forward_batch(model, windows)
+        with pytest.raises(FloatingPointError, match="layer 1's recurrent block"):
+            backward_sequence(model, cache, douts)
+
+    def test_a_failing_layer_below_waits_for_the_jobs_above(self, monkeypatch):
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        rng = np.random.default_rng(43)
+        windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
+        model = self.csr_model(2, [6, 5], density=0.5, seed=1)
+        assert network.batch_plan(model, 4) == (1, "background")
+        running, finished = threading.Event(), []
+        real_outer, real_shard = linalg.MaskedMatrix.masked_outer, network._shard_backward
+
+        def slow_outer(self, y, x):
+            running.set()
+            time.sleep(0.2)
+            out = real_outer(self, y, x)
+            finished.append(self)
+            return out
+
+        def shard_backward(layer, caches, k, *args):
+            if k == 0:
+                assert running.wait(timeout=60)  # layer 1's job has started
+                raise FloatingPointError("layer 0")
+            return real_shard(layer, caches, k, *args)
+
+        monkeypatch.setattr(linalg.MaskedMatrix, "masked_outer", slow_outer)
+        monkeypatch.setattr(network, "_shard_backward", shard_backward)
+        _, cache = forward_batch(model, windows)
+        with pytest.raises(FloatingPointError, match="layer 0"):
+            backward_sequence(model, cache, douts)
+        ops = model.layers[1].products()
+        assert finished == [ops.x, ops.h]
+
+    def test_the_calling_thread_takes_back_jobs_not_started(self, monkeypatch):
+        # with the background thread held up, every weight gradient runs on
+        # the calling thread, rather than wait for it
+        rng = np.random.default_rng(45)
+        windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
+        model = self.csr_model(2, [6, 5, 4], density=0.5, seed=1)
+        monkeypatch.setattr(linalg, "WORKERS", 1)
+        inline = backward_sequence(model, forward_batch(model, windows)[1], douts)
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        assert network.batch_plan(model, 4) == (1, "background")
+        threads, real_outer = [], linalg.MaskedMatrix.masked_outer
+
+        def masked_outer(self, y, x):
+            threads.append(threading.current_thread())
+            return real_outer(self, y, x)
+
+        monkeypatch.setattr(linalg.MaskedMatrix, "masked_outer", masked_outer)
+        release = threading.Event()
+        held = linalg.in_background(release.wait)
+        try:
+            grads = backward_sequence(model, forward_batch(model, windows)[1], douts)
+        finally:
+            release.set()
+            held.result(timeout=60)
+        assert threads == [threading.current_thread()] * 6
+        assert list(grads) == list(inline)
+        for key in grads:
+            assert np.array_equal(grads[key], inline[key])
+
+    def test_inline_frees_each_layers_da_before_the_layer_below(self, monkeypatch):
+        # dA outliving its layer's weight gradient would hold one more
+        # (4H, T, B) array through the layer below
+        monkeypatch.setattr(linalg, "WORKERS", 1)
+        rng = np.random.default_rng(44)
+        windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
+        model = build_model(2, [6, 5, 4], density=0.5, seed=1)
+        das, alive_at = [], []
+        real_outer, real_shard = linalg.MaskedMatrix.masked_outer, network._shard_backward
+
+        def masked_outer(self, y, x):
+            das.append(weakref.ref(y if y.base is None else y.base))
+            return real_outer(self, y, x)
+
+        def shard_backward(layer, caches, k, *args):
+            alive_at.append((k, [ref() is not None for ref in das]))
+            return real_shard(layer, caches, k, *args)
+
+        monkeypatch.setattr(linalg.MaskedMatrix, "masked_outer", masked_outer)
+        monkeypatch.setattr(network, "_shard_backward", shard_backward)
+        _, cache = forward_batch(model, windows)
+        backward_sequence(model, cache, douts)
+        assert alive_at == [(2, []), (1, [False] * 2), (0, [False] * 4)]
 
 
 def mse(pred, target):
