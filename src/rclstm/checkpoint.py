@@ -20,8 +20,8 @@ A model checkpoint (kind ``model``) holds, per layer k, the arrays
 
 plus ``head.w`` (<f8, out x H of the top layer) and ``head.b`` (<f8, out);
 ``meta`` gives the task, the output width and each layer's dims.  The
-reader takes each array only with exactly this dtype and shape, and
-floating-point arrays only with finite entries.
+reader takes each array only with exactly this dtype, and floating-point
+arrays only with finite entries; the model rules are ``StackedRclstm.validate``'s.
 
 The format carries no timestamps, so identical content always serializes to
 identical bytes and save -> load -> save is the identity.
@@ -34,8 +34,8 @@ import struct
 import numpy as np
 
 from .cell import ConnectivityMask, LstmLayerParams
-from .errors import CheckpointError
-from .network import StackedRclstm
+from .errors import CheckpointError, ShapeError
+from .network import StackedRclstm, is_count
 
 MAGIC = b"RCLSTM01"
 VERSION = 1
@@ -165,63 +165,47 @@ def checked_array(arrays, name, dtype, shape):
     return arr
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _layer_weights(k, arrays, shape):
-    """Layer k's (live weights, mask bits) for a gate matrix of ``shape``;
-    CheckpointError unless they agree with ``shape`` and each other."""
-    if f"layer{k}.w" in arrays:  # v1: a dense w and a byte mask for values and bits
-        raise CheckpointError(f"layer{k} is in the v1 checkpoint layout, no longer read")
-    n = math.prod(shape)
-    flat = np.unpackbits(checked_array(arrays, f"layer{k}.bits", "|u1", ((n + 7) // 8,)))
-    if flat[n:].any():
-        raise CheckpointError(f"layer{k}.bits has padding bits set")
-    bits = flat[:n].astype(bool).reshape(shape)
-    return checked_array(arrays, f"layer{k}.values", "<f8", (np.count_nonzero(bits),)), bits
-
-
 def load_checkpoint(data):
     """Rebuild a model from ``save_checkpoint`` bytes, bit for bit.
 
-    Raises CheckpointError unless the stream holds a model that can serve:
-    a known task, layer dims that chain, and every array of the layout
-    above with exactly the dtype and shape those dims give, one live weight
-    per mask bit and finite floating-point entries.  A file in the v1
-    layout (a dense ``layer{k}.w`` and a byte ``layer{k}.mask``) is refused.
-    Layer keys this version does not read (files from earlier versions
-    stored mask seeds, densities and kernel thresholds) are ignored.
+    Raises CheckpointError unless every array of the layout above is there,
+    each mask's bits fill ``meta``'s dims with clear padding, ``head.b``
+    holds ``meta``'s out_dim entries and ``StackedRclstm.validate``, which
+    owns the model rules, takes the model.  A v1 file (a dense
+    ``layer{k}.w`` and a byte ``layer{k}.mask``) is refused.  Layer keys
+    this version does not read (earlier files stored mask seeds, densities
+    and kernel thresholds) are ignored.
     """
     meta, arrays = read_container(data, expect_kind="model")
     try:
-        task = meta["task"]
-        if task not in ("regression", "classification"):
-            raise CheckpointError(f"unknown task {task!r}")
-        if not meta["layers"]:
-            raise CheckpointError("checkpoint holds no layers")
         layers = []
         for k, spec in enumerate(meta["layers"]):
             d, hidden = spec["input_dim"], spec["hidden_dim"]
-            if not (_is_count(d) and _is_count(hidden)):
+            if not (is_count(d) and is_count(hidden)):
                 raise CheckpointError(f"layer {k} dims {d!r} x {hidden!r} are not "
                                       "positive integers")
-            if layers and d != layers[-1].hidden_dim:
-                raise CheckpointError(f"layer {k} input_dim {d} != layer {k - 1} "
-                                      f"hidden_dim {layers[-1].hidden_dim}")
-            values, bits = _layer_weights(k, arrays, (4 * hidden, d + hidden))
-            b = checked_array(arrays, f"layer{k}.b", "<f8", (4 * hidden,))
-            layers.append(LstmLayerParams(d, hidden, values, b, ConnectivityMask(bits)))
-        out_dim = meta["out_dim"]
-        if not _is_count(out_dim) or (task == "regression" and out_dim != 1):
-            raise CheckpointError(f"{task} model with out_dim {out_dim!r}")
-        head_w = checked_array(arrays, "head.w", "<f8", (out_dim, layers[-1].hidden_dim))
-        head_b = checked_array(arrays, "head.b", "<f8", (out_dim,))
-        return StackedRclstm(layers, head_w, head_b, task)
+            if f"layer{k}.w" in arrays:  # v1: a dense w and a byte mask
+                raise CheckpointError(f"layer{k} is in the v1 checkpoint layout, no longer read")
+            n = 4 * hidden * (d + hidden)
+            flat = np.unpackbits(checked_array(arrays, f"layer{k}.bits", "|u1", ((n + 7) // 8,)))
+            if flat[n:].any():
+                raise CheckpointError(f"layer{k}.bits has padding bits set")
+            mask = ConnectivityMask(flat[:n].astype(bool).reshape(4 * hidden, d + hidden))
+            layers.append(LstmLayerParams(
+                d, hidden, checked_array(arrays, f"layer{k}.values", "<f8", (None,)),
+                checked_array(arrays, f"layer{k}.b", "<f8", (None,)), mask))
+        model = StackedRclstm(layers, checked_array(arrays, "head.w", "<f8", (None, None)),
+                              checked_array(arrays, "head.b", "<f8", (meta["out_dim"],)),
+                              meta["task"])
     except KeyError as err:
         raise CheckpointError(f"checkpoint lacks {err}") from None
     except TypeError as err:  # meta or a layer entry is not a JSON object
         raise CheckpointError(f"malformed checkpoint metadata: {err}") from None
+    try:
+        model.validate()
+    except ShapeError as err:
+        raise CheckpointError(f"unservable checkpoint: {err}") from None
+    return model
 
 
 def save_checkpoint_file(model, path):

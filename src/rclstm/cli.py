@@ -1,21 +1,22 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, bench.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.  A
-usage error includes a flag the subcommand does not read.  A config error
-includes an INI file that does not parse, a non-finite float, an empty or
+Exit codes: 0 success, 1 runtime failure, 2 usage, config or input error.
+These exit 2 before any model trains: a flag the subcommand does not read;
+an INI file that does not parse, a non-finite float, an empty or
 non-positive layer size, an empty seed list, a negative seed (in the INI
 or by ``--seed``), ``timing_reps`` below 1, a negative ``[bench] warmup``,
 a synthetic ``period`` or ``mix_period`` of 0, a ``longrange`` lag outside
 [1, n), a negative ``noise`` or ``ar_noise``, Adam betas outside [0, 1) or
-an ``epsilon`` <= 0, and sweep points the axis cannot take (fewer than
-two, a connectivity outside (0, 1], a train fraction outside (0, 1), a
-window that is not a whole number >= 1); they exit 2 before any model
-trains, as do ``bench`` on data with fewer than 256 windows and a dataset
-cache with an unknown task, or with classes but no codebook or classes
-outside it.  Every model trains with Adam.  With ``--freeze-timestamps``
-output filenames use a fixed stamp and measured wall-clock columns are
-written as zeros, so identical (config, seed) runs produce byte-identical
-files.
+an ``epsilon`` <= 0; sweep points the axis cannot take (fewer than two, a
+connectivity outside (0, 1], a train fraction outside (0, 1), a window
+that is not a whole number >= 1); ``bench`` on data with fewer than 256
+windows; a dataset cache with an unknown task, or with classes but no
+codebook or classes outside it; a checkpoint that does not load, or whose
+model fails ``StackedRclstm.validate`` alone or against the evaluated
+windows (task, features, classes).  Every model trains with Adam.  With
+``--freeze-timestamps`` output filenames use a fixed stamp and measured
+wall-clock columns are written as zeros, so identical (config, seed) runs
+produce byte-identical files.
 """
 
 import argparse
@@ -38,7 +39,8 @@ from .data import (PreparedData, WindowedDataset, chronological_split, denormali
                    load_mobility_csv, load_prepared, load_traffic_csv,
                    prepare_mobility, prepare_traffic, save_prepared)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
-                     DivergenceError, EncodingError, InsufficientDataError)
+                     DivergenceError, EncodingError, InsufficientDataError,
+                     ShapeError)
 from .metrics import MetricsReport, rmse
 from .network import batch_plan
 from .sweeps import build_from_config, run_sweep, summarize, write_report_csv
@@ -156,16 +158,12 @@ def cmd_train(cfg, args):
 def cmd_evaluate(cfg, args):
     prepared = _prepare(cfg)
     model = load_checkpoint_file(args.checkpoint)
-    if model.task != prepared.task:
-        raise CheckpointError(
-            f"checkpoint task {model.task!r} does not match dataset task "
-            f"{prepared.task!r}")
-    if (model.feature_dim, model.out_dim) != (prepared.feature_dim,) * 2:
-        raise CheckpointError(
-            f"checkpoint takes {model.feature_dim} features and emits "
-            f"{model.out_dim} outputs; the dataset has {prepared.feature_dim}")
     ds = prepared.windows(cfg.data.window)
     _, test = chronological_split(ds, cfg.data.train_fraction)
+    try:
+        model.validate(test)
+    except ShapeError as err:
+        raise CheckpointError(f"checkpoint does not fit the dataset: {err}") from None
     metric, preds = evaluate_model(model, test)
     if prepared.task == "regression":
         report = MetricsReport(n=len(test), rmse=metric)

@@ -169,20 +169,13 @@ def in_background(job):
 class MaskedMatrix:
     """Products with a matrix that is zero wherever ``mask`` is false.
 
-    ``density`` alone picks two routes for the life of the object, the
-    same at any batch width (a layer routes both its blocks on the whole
-    gate matrix's density, not on each block's own).  Its products
-    (``dot``, ``tdot``) run on scipy's CSR kernels below
-    ``PRODUCT_DENSITY`` and on dense BLAS from it, and its masked outer
-    product (``masked_outer``) runs sparse below ``SDDMM_DENSITY`` and as
-    one BLAS product from it.  Only the structures the two routes use are
-    built: the CSR arrays or the dense array for the products, the
-    per-column index of the mask for the sparse masked outer product, and
-    the mask's flat indices for either dense route.  ``load(values)`` takes
-    the matrix's nonzeros in row-major order (``np.flatnonzero(mask)``):
-    the CSR route copies them into its value vector, the dense route
-    scatters them into a dense array it owns, whose masked entries stay
-    zero.  Either way a load costs O(nnz).
+    ``density`` alone picks the routes of its products (``dot``, ``tdot``)
+    and of its masked outer product (``masked_outer``), as the module
+    docstring says, for the object's life and at any batch width; a layer
+    passes its whole gate matrix's for both blocks.  Only the structures
+    those routes use are built.  ``load(values)`` takes the nonzeros in
+    row-major order (``np.flatnonzero(mask)``) into the CSR value vector,
+    or into a dense array whose masked entries stay zero: O(nnz) either way.
     """
 
     def __init__(self, mask, density):
@@ -190,7 +183,6 @@ class MaskedMatrix:
         if mask.ndim != 2:
             raise ShapeError(f"mask must be 2-D, got shape {mask.shape}")
         self.shape = mask.shape
-        self.mask = mask
         self.nnz = int(np.count_nonzero(mask))
         self.csr_products = density < PRODUCT_DENSITY
         self.sparse_outer = density < SDDMM_DENSITY

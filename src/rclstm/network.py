@@ -23,46 +23,32 @@ span, which then adds only the recurrent product.
   layer is done.  The outputs are bit-identical to the cached mode.
 
 Backpropagation runs top-down a layer at a time.  Before a layer's time
-loop, one pass over the whole sequence (``cell.backward_factors``) turns
-its cached activations and states in place into the per-step factors
-that depend on the forward alone, so each step of the loop multiplies
-them by the incoming gradients in a few whole-block calls and adds its
-recurrent product to the gradient of the step below in place.  Each
+loop, one pass over the sequence (``cell.backward_factors``) turns its
+cached activations and states in place into the factors that depend on
+the forward alone, so each step is a few whole-block calls plus the
+recurrent product, added to the gradient of the step below in place.  A
 layer's weight gradient is one masked outer product per block over all
-T*B columns, returned at the mask's nonzeros only, as a value vector
-shaped like the layer's ``values``.  It needs the layer's dA, input and
-hidden states, and the layer below needs none of it, only the gradient
-wrt its hidden states.  So a batch whose products run on CSR and that
-leaves a CPU idle (fewer shards than ``linalg.WORKERS``) computes the
-weight gradient of each layer above the bottom one on
-``linalg.in_background``'s thread while the layers below run their time
-loops.  The bottom layer's has nothing left to run behind, so it runs
-inline, beside any job still running.  Then the calling thread takes
-back, newest first, each job the background thread has not started, so
-a background thread held up by a busy CPU costs at most the job it is
-running, and ``backward_sequence`` collects every one before it returns
-or raises.  A batch that fills every CPU, or whose dense gemms may spread
-over them, computes every layer's inline, after the layer's time loop,
-and frees the layer's dA before the layer below starts.  Each masked
-outer product is the same call either way, so the gradients are the same
-bit for bit.
+T*B columns, a value vector shaped like its ``values``, and the layer
+below needs none of it.  So when a CSR batch leaves a CPU idle
+(``_grads_behind``), the weight gradient of each layer above the bottom
+one runs on ``linalg.in_background``'s thread behind the layers below;
+``backward_sequence`` takes back the jobs not yet started and collects
+every one before it returns or raises.  Otherwise each runs inline after
+its layer's time loop, and the layer's dA is freed before the layer below
+starts.  It is the same call either way, so the same bits.
 
-A batch whose layers all run their products on CSR (below
-``linalg.PRODUCT_DENSITY``) runs as contiguous shards of windows at the
-same time (``_shard_bounds``): the calling thread runs the first, a pool
-of threads (``linalg.run_tasks``) the others.  Windows do not meet until
-the head and the gradients sum over them, so each shard runs the whole
-stack forward, and backward runs each layer's time loop and input-gradient
-product per shard, writing its dA and its input and hidden states into
-column slices of feature-major (features, T, B) buffers shared by the
-batch.  Every reduction over windows then runs once on the assembled
-batch: the head, the weight gradients (the masked outer product on either
-of its routes; the sparse one splits its mask columns over the pool by its
-own rule) and the bias sums.  The CSR kernels compute each window's column
-on its own, so outputs and gradients are the same bit for bit at any shard
-count.  The shard count follows the CPUs the process may use: ``taskset``
-sets how many threads a batch runs on, and pinning BLAS to one thread
-(``OPENBLAS_NUM_THREADS=1``) keeps each shard's BLAS calls on its own core.
+A batch whose products all run on CSR (below ``linalg.PRODUCT_DENSITY``)
+runs as contiguous shards of windows at once (``_shard_bounds``): the
+calling thread runs the first, ``linalg.run_tasks``'s pool the others.
+Windows meet only where the head and the gradients sum over them, so each
+shard runs the whole stack forward and each layer's time loop backward,
+writing its dA and states into column slices of feature-major (features,
+T, B) buffers shared by the batch; the head, the weight gradients and the
+bias sums then run once on the assembled batch.  The CSR kernels compute
+each window's column on its own, so outputs and gradients are the same
+bit for bit at any shard count.  ``taskset`` sets how many threads a batch
+runs on; pinning BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) keeps
+each shard's BLAS calls on its own core.
 """
 
 import math
@@ -133,6 +119,42 @@ class StackedRclstm:
     def out_dim(self):
         return self.head_b.shape[0]
 
+    def validate(self, dataset=None):
+        """ShapeError unless the model is well formed and, given a
+        ``WindowedDataset``, fits its task, features and classes: the one
+        statement of the model rules.  Reads shapes and mask popcounts only."""
+        if self.task not in ("regression", "classification"):
+            raise ShapeError(f"unknown task {self.task!r}")
+        if not self.layers:
+            raise ShapeError("model holds no layers")
+        dim = self.feature_dim
+        for k, layer in enumerate(self.layers):
+            d, hidden, bits = layer.input_dim, layer.hidden_dim, layer.mask.bits
+            if not (is_count(d) and is_count(hidden)):
+                raise ShapeError(f"layer {k} dims {d!r} x {hidden!r} are not positive integers")
+            if d != dim:
+                raise ShapeError(f"layer {k} input_dim {d} != layer {k - 1} hidden_dim {dim}")
+            got = (bits.shape, layer.values.shape, layer.b.shape)
+            want = ((4 * hidden, d + hidden), (int(np.count_nonzero(bits)),), (4 * hidden,))
+            if got != want:
+                raise ShapeError(f"layer {k} mask, values and biases have shapes {got}, "
+                                 f"expected {want}")
+            dim = hidden
+        out = self.head_b.shape[0] if self.head_b.ndim == 1 else 0
+        if out < 1 or self.head_w.shape != (out, dim):
+            raise ShapeError(f"head {self.head_w.shape} + {self.head_b.shape} is not an "
+                             f"(out, {dim}) head with out >= 1")
+        if self.task == "regression" and out != 1:
+            raise ShapeError(f"regression model with {out} outputs")
+        if dataset is not None:
+            task, targets = (("regression", 1) if dataset.classes is None
+                             else ("classification", dataset.classes))
+            features = dataset.inputs.shape[-1]
+            if (self.task, self.feature_dim, out) != (task, features, targets):
+                raise ShapeError(f"{self.task} model takes {self.feature_dim} features and "
+                                 f"emits {out} outputs; the dataset holds {task} windows of "
+                                 f"{features} features and {targets} targets")
+
 
 @dataclass
 class LayerCache:
@@ -163,24 +185,26 @@ class SequenceCache:
 
 def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
                 density=1.0, seed=0):
-    """Construct a stacked model; all randomness derives from ``seed``."""
-    if task not in ("regression", "classification"):
-        raise ValueError(f"unknown task: {task!r}")
-    if out_dim is None:
-        out_dim = 1
-    if task == "regression" and out_dim != 1:
-        raise ValueError("regression uses a single output")
+    """Construct a stacked model; all randomness derives from ``seed``.
+    ShapeError unless it is well formed (``StackedRclstm.validate``)."""
+    out_dim = 1 if out_dim is None else out_dim
     seeds = np.random.SeedSequence(seed).generate_state(len(hidden_dims) + 1)
     layers = []
     dim = feature_dim
     for hidden, layer_seed in zip(hidden_dims, seeds[:-1]):
         layers.append(init_layer(dim, hidden, density=density, seed=int(layer_seed)))
         dim = hidden
+    model = StackedRclstm(layers, np.zeros((out_dim, dim)), np.zeros(out_dim), task)
+    model.validate()  # before the head's draw, whose scale needs a width >= 1
     rng = np.random.default_rng(int(seeds[-1]))
     scale = 1.0 / np.sqrt(dim)
-    head_w = rng.uniform(-scale, scale, size=(out_dim, dim))
-    head_b = np.zeros(out_dim)
-    return StackedRclstm(layers, head_w, head_b, task)
+    model.head_w[...] = rng.uniform(-scale, scale, size=(out_dim, dim))
+    return model
+
+
+def is_count(value):
+    """Whether ``value`` is a positive Python int, as every model dim is."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _layer_forward(k, layer, x, keep_cache):
@@ -251,13 +275,10 @@ def _csr_products(model):
 def _grads_behind(model, shards):
     """Whether a batch run as ``shards`` window shards computes the weight
     gradient of each layer above the bottom one on ``linalg.in_background``'s
-    thread, behind the backward of the layers below: when the products run
-    on CSR, the shards leave a CPU idle and there is a layer below.  A CSR
-    kernel call runs on one thread, so an unsharded CSR batch does leave
-    the other CPUs idle; a dense gemm may spread over every CPU itself, so
-    dense products keep every weight gradient inline.  The bottom layer's
-    runs inline, beside the jobs of the layers above, since nothing is left
-    to run behind it."""
+    thread, behind the backward of the layers below: when there is a layer
+    below and the products run on CSR, one thread per kernel call, in fewer
+    shards than CPUs.  A dense gemm may spread over every CPU itself, so
+    dense products keep every weight gradient inline."""
     return len(model.layers) > 1 and shards < linalg.WORKERS and _csr_products(model)
 
 

@@ -214,7 +214,12 @@ def fit(model, train_ds, config, val_ds=None):
     """Train ``model`` on a WindowedDataset with full-window BPTT; returns
     (model, TrainingHistory).  Adam updates each layer's ``values`` in
     place, and every step ends by loading them into the layer's products.
+    Raises ShapeError before any step unless ``model.validate`` takes both.
     """
+    for ds in (train_ds, val_ds):
+        if ds is not None:
+            model.validate(ds)
+
     def batch_grads(idx):
         outputs, cache = forward_batch(model, train_ds.inputs[idx])
         loss, dout = batch_loss_and_grad(model.task, outputs, train_ds.targets[idx])

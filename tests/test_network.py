@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclstm import linalg
-from rclstm.cell import cell_forward
+from rclstm.cell import ConnectivityMask, LstmLayerParams, cell_forward
 from rclstm.checkpoint import save_checkpoint
 from rclstm.data import WindowedDataset
 from rclstm.errors import DivergenceError, ShapeError
@@ -742,3 +742,71 @@ class TestLosses:
             down[j] -= step
             num = (cross_entropy(up, 2)[0] - cross_entropy(down, 2)[0]) / (2 * step)
             assert abs(grad[j] - num) < 1e-8
+
+
+class TestValidate:
+    """``StackedRclstm.validate``: the one statement of the model rules."""
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, []), {}),
+        ((1, [0]), {}),
+        ((1, [4, 0]), {}),
+        ((0, [3]), {}),
+        ((1, [3]), {"out_dim": 2}),
+        ((1, [3]), {"task": "bogus"}),
+        ((2, [3]), {"task": "classification", "out_dim": 0}),
+    ], ids=["no_layers", "zero_width", "zero_top_width", "zero_features",
+            "regression_out_dim", "task", "no_outputs"])
+    def test_build_model_rejects_malformed(self, args, kwargs):
+        with pytest.raises(ShapeError):
+            build_model(*args, **kwargs)
+
+    @pytest.mark.parametrize("part", ["task", "no_layers", "dims", "chain", "mask",
+                                      "values", "b", "head_w", "head_b"])
+    def test_malformed_parts_rejected(self, part):
+        model = build_model(2, [5, 4], seed=3, density=0.4)
+        first, top = model.layers
+        if part == "task":
+            model.task = "bogus"
+        elif part == "no_layers":
+            model.layers = []
+        elif part == "dims":
+            top.hidden_dim = True  # a bool is not a width
+        elif part == "chain":
+            top.input_dim = 4
+        elif part == "mask":
+            first.mask = ConnectivityMask(first.mask.bits[:, :-1])
+        elif part == "values":
+            top.values = top.values[:-1]
+        elif part == "b":
+            first.b = np.zeros(4 * 5 + 1)
+        elif part == "head_w":
+            model.head_w = np.zeros((1, 5))
+        else:
+            model.head_b = np.zeros((1, 1))
+        with pytest.raises(ShapeError):
+            model.validate()
+
+    def test_reads_no_dense_weights(self):
+        model = build_model(3, [6, 6], task="classification", out_dim=3, seed=2, density=0.1)
+        data = WindowedDataset(np.zeros((2, 4, 3)), np.array([1, 3]), 4, 3)
+        with mock.patch.object(LstmLayerParams, "w", property(
+                lambda layer: pytest.fail("validate built a dense w"))):
+            model.validate()
+            model.validate(data)
+
+    @pytest.mark.parametrize("features, classes, message", [
+        (3, None, "classification model takes 3 features and emits 3 outputs; the "
+                  "dataset holds regression windows of 3 features and 1 targets"),
+        (4, 4, "takes 3 features and emits 3 outputs; the dataset holds classification "
+               "windows of 4 features and 4 targets"),
+        (3, 5, "emits 3 outputs; the dataset holds classification windows of 3 features "
+               "and 5 targets"),
+    ], ids=["task", "features", "classes"])
+    def test_dataset_must_fit(self, features, classes, message):
+        model = build_model(3, [4], task="classification", out_dim=3, seed=0)
+        targets = np.ones(2) if classes is None else np.array([1, 2])
+        data = WindowedDataset(np.zeros((2, 5, features)), targets, 5, classes)
+        with pytest.raises(ShapeError, match=message):
+            model.validate(data)
+        model.validate(WindowedDataset(np.zeros((2, 5, 3)), np.array([1, 2]), 5, 3))

@@ -1,5 +1,6 @@
-"""Every public top-level function and class of the package has a user
-besides the tests: a helper only tests call is dead code to drop."""
+"""Every public top-level function and class of the package, and every
+public method and property of its classes, has a user besides the tests:
+a helper only tests call is dead code to drop."""
 
 import ast
 import pathlib
@@ -7,12 +8,24 @@ from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "rclstm").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def names_used(tree):
     """The names that the ``Name`` and ``Attribute`` nodes under ``tree`` use."""
     return [node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def definitions(module):
+    """The module's top-level functions and classes, then the methods and
+    properties of each class, as (qualified name, node)."""
+    for node in module.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item)
+                        for item in node.body if isinstance(item, FUNCTIONS))
 
 
 def test_every_public_definition_is_referenced():
@@ -22,9 +35,8 @@ def test_every_public_definition_is_referenced():
                    for name in names_used(ast.parse(path.read_text())))
     unused = []
     for path in PACKAGE:
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_") \
+        for qualname, node in definitions(ast.parse(path.read_text())):
+            if not node.name.startswith("_") \
                     and used[node.name] <= names_used(node).count(node.name):  # own calls
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+                unused.append(f"{path.name}:{node.lineno} {qualname}")
     assert not unused, f"defined but used only by tests: {unused}"

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from rclstm.cell import ConnectivityMask, LstmLayerParams
 from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
                                save_checkpoint, write_container)
 from rclstm.data import WindowedDataset, chronological_split, sliding_window
-from rclstm.errors import CheckpointError, DivergenceError
+from rclstm.errors import CheckpointError, DivergenceError, ShapeError
 from rclstm.network import (StackedRclstm, backward_sequence, build_model,
                             forward_batch, softmax)
 from rclstm.synth import sine_series
@@ -115,6 +116,29 @@ class TestFit:
         fit(model, train, TrainingConfig(epochs=0))
         after = model_params(model)
         assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    @pytest.mark.parametrize("case", ["classes", "regression_windows", "val_classes"])
+    def test_model_that_does_not_fit_the_data_rejected_before_any_step(self, case):
+        # a 5-output classifier on 3-class windows would train silently, and
+        # one fed regression windows would fail mid-epoch
+        rng = np.random.default_rng(2)
+        three = WindowedDataset(np.eye(3)[rng.integers(0, 3, (6, 4))], rng.integers(1, 4, 6),
+                                4, 3)
+        train, val = three, None
+        if case == "regression_windows":
+            train, _ = sine_dataset()
+        elif case == "val_classes":
+            train = WindowedDataset(np.eye(5)[rng.integers(0, 5, (6, 4))],
+                                    rng.integers(1, 6, 6), 4, 5)
+            val = three
+        model = build_model(5 if case == "val_classes" else train.inputs.shape[2], [4],
+                            task="classification", out_dim=5, seed=0)
+        blob = save_checkpoint(model)
+        with mock.patch.object(training, "forward_batch",
+                               side_effect=AssertionError("a step ran")):
+            with pytest.raises(ShapeError):
+                fit(model, train, TrainingConfig(epochs=1), val_ds=val)
+        assert save_checkpoint(model) == blob
 
     def test_loss_descends_on_sine(self):
         train, _ = sine_dataset()
@@ -545,6 +569,9 @@ class TestProperties:
         blob = save_checkpoint(model)
         loaded = load_checkpoint(blob)
         assert save_checkpoint(loaded) == blob
+        for m in (model, loaded):
+            m.validate()
+            m.validate(data)
         assert np.array_equal(predict_batch(loaded, data.inputs),
                               predict_batch(model, data.inputs))
 
