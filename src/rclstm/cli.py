@@ -1,22 +1,18 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, bench.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage, config or input error.
-These exit 2 before any model trains: a flag the subcommand does not read;
-an INI file that does not parse, a non-finite float, an empty or
-non-positive layer size, an empty seed list, a negative seed (in the INI
-or by ``--seed``), ``timing_reps`` below 1, a negative ``[bench] warmup``,
-a synthetic ``period`` or ``mix_period`` of 0, a ``longrange`` lag outside
-[1, n), a negative ``noise`` or ``ar_noise``, Adam betas outside [0, 1) or
-an ``epsilon`` <= 0; sweep points the axis cannot take (fewer than two, a
-connectivity outside (0, 1], a train fraction outside (0, 1), a window
-that is not a whole number >= 1); ``bench`` on data with fewer than 256
-windows; a dataset cache with an unknown task, or with classes but no
-codebook or classes outside it; a checkpoint that does not load, or whose
-model fails ``StackedRclstm.validate`` alone or against the evaluated
-windows (task, features, classes).  Every model trains with Adam.  With
+Exit codes: 0 success, 1 runtime failure, 2 usage, config or input
+error.  These exit 2 before any model trains: a flag the subcommand does
+not read; an INI file that does not parse or holds a non-finite float; a
+config, with its flags applied, that fails ``RunConfig.validate`` (a
+flag or a sweep point is held to the rule of the key it sets); ``bench``
+on data with fewer than 256 windows; a dataset cache with an unknown
+task, or with classes but no codebook or classes outside it; a
+checkpoint that does not load, or whose model fails
+``StackedRclstm.validate`` alone or against the evaluated windows (task,
+features, classes).  Every model trains with Adam.  With
 ``--freeze-timestamps`` output filenames use a fixed stamp and measured
-wall-clock columns are written as zeros, so identical (config, seed) runs
-produce byte-identical files.
+wall-clock columns are written as zeros, so identical (config, seed)
+runs produce byte-identical files.
 """
 
 import argparse
@@ -83,8 +79,6 @@ def _prepare(cfg):
     task = cfg.run.task
     if task == "synthetic":
         return _generate_synthetic(cfg)
-    if not cfg.run.data:
-        raise ConfigError(f"[run] data path is required for task {task!r}")
     if not os.path.exists(cfg.run.data):
         raise FileNotFoundError(f"data file not found: {cfg.run.data}")
     if _is_cache(cfg.run.data):
@@ -211,8 +205,6 @@ def _layer_routes(layer):
 
 
 def cmd_bench(cfg, args):
-    if cfg.bench.reps < 30:
-        raise ConfigError("[bench] reps must be >= 30 for reported numbers")
     prepared = _prepare(cfg)
     ds = prepared.windows(cfg.data.window)
     batch = ds.inputs[:SERVE_BATCH]

@@ -2,7 +2,8 @@
 
 Every hyperparameter has a named key with its conventional default (cell
 size 300, window 100, 9:1 split, and so on); unknown sections or keys are
-rejected outright so typos fail fast.
+rejected outright so typos fail fast.  ``RunConfig.validate`` states each
+value rule once, for INI keys, CLI flags and sweep points alike.
 """
 
 import configparser
@@ -12,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .network import is_count
 from .training import TrainingConfig
 
 
@@ -107,18 +109,79 @@ class RunConfig:
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
+    def validate(self):
+        """ConfigError naming the ``[section] key`` at fault unless the
+        config can run: the one statement of the run-config rules, for a
+        value from an INI key, a CLI flag or a sweep point alike."""
+        try:
+            TrainingConfig(**asdict(self.training))  # re-run its own checks
+        except ValueError as err:
+            raise ConfigError(f"[training] {err}") from None
+        for section, key in _RULES:
+            _check_field(section, key, getattr(getattr(self, section), key))
+        s = self.synthetic
+        if s.kind == "longrange" and not 1 <= s.lag < s.n:
+            raise ConfigError("[synthetic] lag must lie in [1, n)")
+        if self.run.task != "synthetic" and not self.run.data:
+            raise ConfigError(f"[run] data path is required for task {self.run.task!r}")
+        sweep = self.sweep
+        if not sweep.seeds:
+            raise ConfigError("[sweep] seeds: a sweep needs at least one seed")
+        if len(sweep.points) < 2:
+            raise ConfigError("[sweep] points: a sweep needs at least two points")
+        # a sweep seed sets the model seed, a point the key of its axis
+        for name, (section, key), values in (
+                ("seeds", ("model", "seed"), sweep.seeds),
+                ("points", SWEEP_AXES[sweep.axis], sweep.points)):
+            try:
+                for value in values:
+                    _check_field(section, key, value)
+            except ConfigError as err:
+                raise ConfigError(f"[sweep] {name}: {err}") from None
 
-# sweep axis -> the apply_overrides argument each of its points sets
-SWEEP_AXES = {"connectivity": "density", "train_fraction": "train_fraction",
-              "window_length": "window"}
+
+# sweep axis -> the [section] key each of its points sets
+SWEEP_AXES = {"connectivity": ("model", "density"),
+              "train_fraction": ("data", "train_fraction"),
+              "window_length": ("data", "window")}
 
 
-_CHOICES = {
-    ("run", "task"): ("traffic", "mobility", "synthetic"),
-    ("synthetic", "kind"): ("sine", "ar", "longrange"),
-    ("data", "normalize_scope"): ("full", "train"),
-    ("sweep", "axis"): tuple(SWEEP_AXES),
+def _one_of(*options):
+    return lambda v: v in options, f"must be one of {options}"
+
+
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_NON_ZERO = (lambda v: v != 0, "must be non-zero")
+
+# [section] key -> (test, rule) for each key whose type alone does not make
+# it runnable; no range test holds for NaN
+_RULES = {
+    ("run", "task"): _one_of("traffic", "mobility", "synthetic"),
+    ("synthetic", "kind"): _one_of("sine", "ar", "longrange"),
+    ("synthetic", "period"): _NON_ZERO,
+    ("synthetic", "mix_period"): _NON_ZERO,
+    ("synthetic", "noise"): _NON_NEGATIVE,
+    ("synthetic", "ar_noise"): _NON_NEGATIVE,
+    **{(name, "seed"): _NON_NEGATIVE for name in ("model", "training", "synthetic")},
+    ("model", "hidden"): (lambda v: len(v) > 0 and all(map(is_count, v)),
+                          "must list one or more sizes >= 1"),
+    ("model", "density"): (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    ("data", "window"): (is_count, "must be a whole number >= 1"),
+    ("data", "train_fraction"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ("data", "normalize_scope"): _one_of("full", "train"),
+    ("sweep", "axis"): _one_of(*SWEEP_AXES),
+    ("sweep", "timing_reps"): (lambda v: v >= 1, "must be >= 1"),
+    ("bench", "reps"): (lambda v: v >= 30, "must be >= 30 for reported numbers"),
+    ("bench", "warmup"): _NON_NEGATIVE,
 }
+
+
+def _check_field(section, key, value):
+    """ConfigError unless ``value`` keeps the rule of ``[section] key``."""
+    test, rule = _RULES[section, key]
+    if not test(value):
+        raise ConfigError(f"[{section}] {key} {rule}, got {value!r}")
+
 
 _CONVERTERS = {
     ("synthetic", "ar_coeffs"): _float_list,
@@ -129,17 +192,8 @@ _CONVERTERS = {
 
 
 def _convert(section_name, key, text, current):
-    converter = _CONVERTERS.get((section_name, key))
-    if converter is None:
-        kind = type(current)
-        if kind is bool:
-            converter = _bool
-        elif kind is int:
-            converter = int
-        elif kind is float:
-            converter = float
-        else:
-            converter = str
+    converter = _CONVERTERS.get((section_name, key)) \
+        or {bool: _bool, int: int, float: float}.get(type(current), str)
     try:
         value = converter(text)
     except ValueError as err:
@@ -147,14 +201,12 @@ def _convert(section_name, key, text, current):
     values = value if isinstance(value, tuple) else (value,)
     if not all(math.isfinite(v) for v in values if isinstance(v, float)):
         raise ConfigError(f"[{section_name}] {key} must be finite")
-    choices = _CHOICES.get((section_name, key))
-    if choices and value not in choices:
-        raise ConfigError(f"[{section_name}] {key} must be one of {choices}")
     return value
 
 
 def load_config(path=None):
-    """Parse an INI file into a RunConfig; ``None`` gives pure defaults."""
+    """Parse an INI file into a RunConfig and ``validate`` it; ``None``
+    gives pure defaults.  Whole-number window points become ints."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -174,78 +226,22 @@ def load_config(path=None):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
             setattr(section, key, _convert(section_name, key, text, getattr(section, key)))
-    try:
-        # re-run the invariant checks with the parsed values
-        cfg.training = TrainingConfig(**asdict(cfg.training))
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    if not 0.0 <= cfg.model.density <= 1.0:
-        raise ConfigError("[model] density must lie in [0, 1]")
-    if not 0.0 < cfg.data.train_fraction < 1.0:
-        raise ConfigError("[data] train_fraction must lie in (0, 1)")
-    if cfg.data.window < 1:
-        raise ConfigError("[data] window must be >= 1")
-    if not cfg.model.hidden or min(cfg.model.hidden) < 1:
-        raise ConfigError("[model] hidden must list one or more sizes >= 1")
-    if cfg.bench.warmup < 0:
-        raise ConfigError("[bench] warmup must be >= 0")
-    for name in ("model", "training", "synthetic"):
-        if getattr(cfg, name).seed < 0:
-            raise ConfigError(f"[{name}] seed must be >= 0")
-    _check_synthetic(cfg.synthetic)
-    _check_sweep(cfg.sweep)
+    if cfg.sweep.axis == "window_length":
+        cfg.sweep.points = tuple(int(p) if p.is_integer() else p for p in cfg.sweep.points)
+    cfg.validate()
     return cfg
 
 
-def _check_synthetic(s):
-    """Reject series parameters no generator can use."""
-    if s.period == 0 or s.mix_period == 0:
-        raise ConfigError("[synthetic] period and mix_period must be non-zero")
-    if s.kind == "longrange" and not 1 <= s.lag < s.n:
-        raise ConfigError("[synthetic] lag must lie in [1, n)")
-    if s.noise < 0 or s.ar_noise < 0:
-        raise ConfigError("[synthetic] noise and ar_noise must be >= 0")
-
-
-def _check_sweep(sweep):
-    """Reject a sweep that could not run; window points become ints."""
-    if not sweep.seeds:
-        raise ConfigError("[sweep] seeds: a sweep needs at least one seed")
-    if min(sweep.seeds) < 0:
-        raise ConfigError("[sweep] seeds must be >= 0")
-    if sweep.timing_reps < 1:
-        raise ConfigError("[sweep] timing_reps must be >= 1")
-    points = sweep.points
-    if len(points) < 2:
-        raise ConfigError("[sweep] points: a sweep needs at least two points")
-    if sweep.axis == "connectivity" and not all(0.0 < p <= 1.0 for p in points):
-        raise ConfigError("[sweep] connectivity points must lie in (0, 1]")
-    if sweep.axis == "train_fraction" and not all(0.0 < p < 1.0 for p in points):
-        raise ConfigError("[sweep] train_fraction points must lie in (0, 1)")
-    if sweep.axis == "window_length":
-        if not all(float(p).is_integer() and p >= 1 for p in points):
-            raise ConfigError("[sweep] window_length points must be whole numbers >= 1")
-        sweep.points = tuple(int(p) for p in points)
-
-
 def apply_overrides(cfg, seed=None, density=None, window=None, train_fraction=None):
-    """Apply CLI flag overrides; ``seed`` overrides every per-section seed."""
+    """Set the fields of the CLI flags given, ``seed`` every per-section
+    seed, then ``cfg.validate()``, so a flag keeps its INI key's rule."""
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        cfg.model.seed = seed
-        cfg.training.seed = seed
-        cfg.synthetic.seed = seed
+        cfg.model.seed = cfg.training.seed = cfg.synthetic.seed = seed
     if density is not None:
-        if not 0.0 <= density <= 1.0:
-            raise ConfigError("--density must lie in [0, 1]")
         cfg.model.density = density
     if window is not None:
-        if window < 1:
-            raise ConfigError("--window must be >= 1")
         cfg.data.window = window
     if train_fraction is not None:
-        if not 0.0 < train_fraction < 1.0:
-            raise ConfigError("--train-fraction must lie in (0, 1)")
         cfg.data.train_fraction = train_fraction
+    cfg.validate()
     return cfg

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .checkpoint import checked_array, read_container, write_container
 from .errors import (CheckpointError, DataFormatError, EncodingError,
                      InsufficientDataError)
+from .network import TASKS
 
 TRAFFIC_HEADER = ["timestamp", "kbps"]
 MOBILITY_HEADER = ["datetime", "latitude", "longitude", "location_id"]
@@ -308,7 +309,7 @@ def load_prepared(path):
         raise CheckpointError(f"dataset cache lacks {err}") from None
     except TypeError as err:  # meta or its norm entry is not a JSON object
         raise CheckpointError(f"malformed dataset cache metadata: {err}") from None
-    if task not in ("regression", "classification"):
+    if task not in TASKS:
         raise CheckpointError(f"dataset cache has unknown task {task!r}")
     if task == "classification" and book is None:
         raise CheckpointError("classification dataset cache has no codebook")

@@ -101,6 +101,9 @@ FACTOR_BYTES = 1 << 18
 #: The 3x300 model serves B=256 (38400) about 2x faster.
 MIN_SHARD_CELLS = 4800
 
+#: what a model or a prepared dataset predicts
+TASKS = ("regression", "classification")
+
 
 @dataclass
 class StackedRclstm:
@@ -123,7 +126,7 @@ class StackedRclstm:
         """ShapeError unless the model is well formed and, given a
         ``WindowedDataset``, fits its task, features and classes: the one
         statement of the model rules.  Reads shapes and mask popcounts only."""
-        if self.task not in ("regression", "classification"):
+        if self.task not in TASKS:
             raise ShapeError(f"unknown task {self.task!r}")
         if not self.layers:
             raise ShapeError("model holds no layers")
@@ -186,8 +189,12 @@ class SequenceCache:
 def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
                 density=1.0, seed=0):
     """Construct a stacked model; all randomness derives from ``seed``.
-    ShapeError unless it is well formed (``StackedRclstm.validate``)."""
+    ShapeError unless it is well formed (``StackedRclstm.validate``), and
+    before anything is drawn unless every dim is a positive int."""
     out_dim = 1 if out_dim is None else out_dim
+    if not all(map(is_count, (feature_dim, *hidden_dims, out_dim))):
+        raise ShapeError(f"dims {feature_dim!r} -> {hidden_dims!r} -> {out_dim!r} "
+                         "are not positive integers")
     seeds = np.random.SeedSequence(seed).generate_state(len(hidden_dims) + 1)
     layers = []
     dim = feature_dim
@@ -195,7 +202,7 @@ def build_model(feature_dim, hidden_dims, task="regression", out_dim=None,
         layers.append(init_layer(dim, hidden, density=density, seed=int(layer_seed)))
         dim = hidden
     model = StackedRclstm(layers, np.zeros((out_dim, dim)), np.zeros(out_dim), task)
-    model.validate()  # before the head's draw, whose scale needs a width >= 1
+    model.validate()
     rng = np.random.default_rng(int(seeds[-1]))
     scale = 1.0 / np.sqrt(dim)
     model.head_w[...] = rng.uniform(-scale, scale, size=(out_dim, dim))

@@ -16,7 +16,7 @@ from . import linalg
 from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
                         ffnn_train)
 from .benchmark import benchmark_serving
-from .config import SWEEP_AXES, apply_overrides
+from .config import SWEEP_AXES
 from .data import chronological_split
 from .errors import DivergenceError
 from .metrics import accuracy, rmse
@@ -78,7 +78,8 @@ def _run_point(cfg, prepared, point, seed):
     """
     cfg = copy.deepcopy(cfg)
     axis = cfg.sweep.axis
-    apply_overrides(cfg, **{SWEEP_AXES[axis]: point})
+    section, key = SWEEP_AXES[axis]
+    setattr(getattr(cfg, section), key, point)
     cfg.model.seed = cfg.training.seed = seed
     tag = cfg.digest()
     ds = prepared.windows(cfg.data.window)
@@ -145,7 +146,8 @@ def _one_worker():
 def run_sweep(cfg, prepared, parallel=1):
     """Execute the ``[sweep]`` of a RunConfig; points x seeds run
     independently and the report row order is deterministic regardless of
-    ``parallel``.  The points are taken as ``load_config`` checked them."""
+    ``parallel``.  The points are taken as ``RunConfig.validate`` checked
+    them: each by the rule of the key its axis sets."""
     jobs = [(point, seed) for point in cfg.sweep.points for seed in cfg.sweep.seeds]
     rows = []
     if parallel <= 1:

@@ -483,8 +483,42 @@ include_baselines = true
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "out"))
         assert main(["train", "--config", cfg, "--seed", "-1"]) == 2
-        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert "[model] seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, line, value, flag, sweep", [
+        ("[model] density", "density = 1.0", "0", "--density",
+         "axis = connectivity\npoints = 0.5,0"),
+        ("[model] density", "density = 1.0", "1.5", "--density",
+         "axis = connectivity\npoints = 0.5,1.5"),
+        ("[data] train_fraction", "train_fraction = 0.9", "0", "--train-fraction",
+         "axis = train_fraction\npoints = 0.5,0"),
+        ("[data] train_fraction", "train_fraction = 0.9", "1", "--train-fraction",
+         "axis = train_fraction\npoints = 0.5,1"),
+        ("[data] window", "window = 10", "0", "--window",
+         "axis = window_length\npoints = 10,0"),
+        ("[model] seed", "seed = 1", "-1", "--seed", "points = 0.5,1\nseeds = 0,-1"),
+    ], ids=["density_0", "density_1.5", "train_fraction_0", "train_fraction_1",
+            "window_0", "seed_negative"])
+    def test_key_flag_and_sweep_point_share_one_rule(self, tmp_path, capsys, key, line,
+                                                     value, flag, sweep):
+        # the INI key, the flag and the sweep point (or seed) that set a
+        # field each exit 2 on the one message of the field's rule
+        base = SINE_CFG.format(out=tmp_path / "out")
+        bad_key = base.replace(line, line.split(" = ")[0] + f" = {value}")
+        runs = [["train", "--config", write_cfg(tmp_path, bad_key, "key.ini")],
+                ["train", "--config", write_cfg(tmp_path, base), flag, value],
+                ["sweep", "--config",
+                 write_cfg(tmp_path, f"{base}\n[sweep]\n{sweep}\n", "sweep.ini")]]
+        errors = []
+        for argv in runs:
+            assert main(argv) == 2, argv
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
+        rule = errors[0].removeprefix("error: ")
+        assert rule.startswith(f"{key} ")
+        sweep_key = "seeds" if flag == "--seed" else "points"
+        assert errors[1:] == [f"error: {rule}", f"error: [sweep] {sweep_key}: {rule}"]
 
     @pytest.mark.parametrize("command, flag", [
         ("preprocess", "--density=0.5"), ("evaluate", "--density=0.1"),

@@ -755,8 +755,12 @@ class TestValidate:
         ((1, [3]), {"out_dim": 2}),
         ((1, [3]), {"task": "bogus"}),
         ((2, [3]), {"task": "classification", "out_dim": 0}),
+        ((0, [0]), {}),
+        ((1, [3, 2.0]), {}),
+        ((1, [3]), {"out_dim": -1}),
     ], ids=["no_layers", "zero_width", "zero_top_width", "zero_features",
-            "regression_out_dim", "task", "no_outputs"])
+            "regression_out_dim", "task", "no_outputs", "zero_fan_in", "float_width",
+            "negative_outputs"])
     def test_build_model_rejects_malformed(self, args, kwargs):
         with pytest.raises(ShapeError):
             build_model(*args, **kwargs)
