@@ -20,7 +20,7 @@ from .data import (LocationCodebook, NormalizationParams, PreparedData,
                    TimeSeries, WindowedDataset, chronological_split,
                    denormalize, load_mobility_csv, load_traffic_csv,
                    log_minmax_normalize, sliding_window)
-from .metrics import MetricsReport, accuracy, rmse
+from .metrics import accuracy, rmse
 from .network import (StackedRclstm, backward_sequence, build_model,
                       forward_batch, softmax)
 from .training import (TrainingConfig, TrainingHistory, batch_loss_and_grad,

@@ -4,15 +4,17 @@ Exit codes: 0 success, 1 runtime failure, 2 usage, config or input
 error.  These exit 2 before any model trains: a flag the subcommand does
 not read; an INI file that does not parse or holds a non-finite float; a
 config, with its flags applied, that fails ``RunConfig.validate`` (a
-flag or a sweep point is held to the rule of the key it sets); ``bench``
-on data with fewer than 256 windows; a dataset cache with an unknown
-task, or with classes but no codebook or classes outside it; a
-checkpoint that does not load, or whose model fails
-``StackedRclstm.validate`` alone or against the evaluated windows (task,
-features, classes).  Every model trains with Adam.  With
-``--freeze-timestamps`` output filenames use a fixed stamp and measured
-wall-clock columns are written as zeros, so identical (config, seed)
-runs produce byte-identical files.
+flag or a sweep point is held to the rule of the key it sets); a data
+file that does not parse, such as a traffic value that is not a positive
+finite number; a series, from a CSV, a dataset cache or the synthetic
+generator, that breaks the rules of ``PreparedData``; a dataset cache
+that does not load, or whose task is not the one ``[run] task`` implies;
+``bench`` on data with fewer than 256 windows; a checkpoint that does not
+load, or whose model fails ``StackedRclstm.validate`` alone or against
+the evaluated windows (task, features, classes).  Every model trains
+with Adam.  With ``--freeze-timestamps`` output filenames use a fixed
+stamp and measured wall-clock columns are written as zeros, so identical
+(config, seed) runs produce byte-identical files.
 """
 
 import argparse
@@ -37,7 +39,7 @@ from .data import (PreparedData, WindowedDataset, chronological_split, denormali
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError,
                      ShapeError)
-from .metrics import MetricsReport, rmse
+from .metrics import rmse
 from .network import batch_plan
 from .sweeps import build_from_config, run_sweep, summarize, write_report_csv
 from .training import evaluate_model, fit, predict_batch
@@ -82,7 +84,12 @@ def _prepare(cfg):
     if not os.path.exists(cfg.run.data):
         raise FileNotFoundError(f"data file not found: {cfg.run.data}")
     if _is_cache(cfg.run.data):
-        return load_prepared(cfg.run.data)
+        prepared = load_prepared(cfg.run.data)
+        wanted = "regression" if task == "traffic" else "classification"
+        if prepared.task != wanted:
+            raise DataFormatError(f"{cfg.run.data} caches a {prepared.task} series, "
+                                  f"but [run] task = {task} needs {wanted}")
+        return prepared
     if task == "traffic":
         series = load_traffic_csv(cfg.run.data)
         return prepare_traffic(series, cfg.data.normalize_scope,
@@ -159,15 +166,14 @@ def cmd_evaluate(cfg, args):
     except ShapeError as err:
         raise CheckpointError(f"checkpoint does not fit the dataset: {err}") from None
     metric, preds = evaluate_model(model, test)
+    payload = {"n": len(test)}
     if prepared.task == "regression":
-        report = MetricsReport(n=len(test), rmse=metric)
+        payload["rmse"] = metric
         if prepared.norm is not None:
-            raw_pred = denormalize(preds, prepared.norm)
-            raw_true = denormalize(test.targets, prepared.norm)
-            report.rmse_raw = rmse(raw_true, raw_pred)
+            payload["rmse_raw"] = rmse(denormalize(test.targets, prepared.norm),
+                                       denormalize(preds, prepared.norm))
     else:
-        report = MetricsReport(n=len(test), accuracy=metric)
-    payload = report.to_dict()
+        payload["accuracy"] = metric
     payload["config_digest"] = cfg.digest()
     path = os.path.join(_outdir(cfg), "metrics.json")
     with open(path, "w") as fh:

@@ -162,6 +162,7 @@ _RULES = {
     ("synthetic", "mix_period"): _NON_ZERO,
     ("synthetic", "noise"): _NON_NEGATIVE,
     ("synthetic", "ar_noise"): _NON_NEGATIVE,
+    ("synthetic", "ar_integrate"): _NON_NEGATIVE,
     **{(name, "seed"): _NON_NEGATIVE for name in ("model", "training", "synthetic")},
     ("model", "hidden"): (lambda v: len(v) > 0 and all(map(is_count, v)),
                           "must list one or more sizes >= 1"),

@@ -6,9 +6,15 @@ encoded.  Windowing turns a series of n observations into exactly n - T
 (window, next value) pairs; the windows are a read-only strided view of
 the series, so no window is copied, and splits are a single chronological
 cut.
+
+``PreparedData`` states what a usable prepared series is, once: every
+source of one (``prepare_traffic``, ``prepare_mobility``, a synthetic
+generator's output, ``load_prepared``) constructs it, so each is held to
+the same rules, and breaking one raises ``DataFormatError``.
 """
 
 import csv
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -34,14 +40,24 @@ class TimeSeries:
     values: np.ndarray
 
 
+def _finite_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class NormalizationParams:
+    """The log10 range a series is min-max scaled by; DataFormatError
+    unless both ends are finite numbers and ``max_log > min_log``."""
+
     min_log: float
     max_log: float
 
     def __post_init__(self):
-        if not self.max_log > self.min_log:
-            raise ValueError("max_log must exceed min_log")
+        lo, hi = self.min_log, self.max_log
+        if not (_finite_number(lo) and _finite_number(hi) and hi > lo):
+            raise DataFormatError(f"norm ({lo!r}, {hi!r}) is not two finite numbers "
+                                  "with max_log > min_log")
 
 
 @dataclass
@@ -73,17 +89,19 @@ class WindowedDataset:
         return self.inputs.shape[0]
 
 
-def log_minmax_normalize(values):
-    """log10 then min-max scale to [0, 1]; returns (scaled, params)."""
+def log_minmax_normalize(values, fit_count=None):
+    """log10 then min-max scale; returns (scaled, params).
+
+    The min and max are those of the first ``fit_count`` logs (all of them
+    by default), so values past that prefix may land outside [0, 1].
+    """
     values = np.asarray(values, dtype=np.float64)
     if np.any(values <= 0.0):
         raise ValueError("all values must be positive for the log transform")
     logs = np.log10(values)
-    lo, hi = float(logs.min()), float(logs.max())
-    if hi == lo:
-        raise ValueError("degenerate range: series is constant")
-    params = NormalizationParams(lo, hi)
-    return (logs - lo) / (hi - lo), params
+    fitted = logs[:fit_count]
+    params = NormalizationParams(float(fitted.min()), float(fitted.max()))
+    return (logs - params.min_log) / (params.max_log - params.min_log), params
 
 
 def denormalize(v, params):
@@ -149,9 +167,10 @@ def _parse_timestamp(text, path, line_no):
     return np.datetime64(stamp, "s")
 
 
-def _read_series(path, header, parse, label, dtype):
+def _read_series(path, header, parse, label, expected, dtype):
     """TimeSeries of a CSV's first column as timestamps and its last column
-    read by ``parse``; every error names the file and the line."""
+    read by ``parse``, which raises ValueError on a value that is not
+    ``expected``; every error names the file and the line."""
     stamps, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -164,8 +183,8 @@ def _read_series(path, header, parse, label, dtype):
             try:
                 values.append(parse(row[-1]))
             except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line_no}: bad {label} {row[-1]!r}") from None
+                raise DataFormatError(f"{path}:{line_no}: bad {label} {row[-1]!r}, "
+                                      f"expected {expected}") from None
     stamps = np.array(stamps, dtype="datetime64[s]")
     values = np.array(values, dtype=dtype)
     order = np.argsort(stamps, kind="stable")
@@ -177,30 +196,62 @@ def _read_series(path, header, parse, label, dtype):
     return TimeSeries(stamps, values)
 
 
+def _kbps(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:  # the log transform's domain
+        raise ValueError(text)
+    return value
+
+
 def load_traffic_csv(path):
-    """Read ``timestamp,kbps`` rows into a traffic TimeSeries."""
-    return _read_series(path, TRAFFIC_HEADER, float, "value", np.float64)
+    """Read ``timestamp,kbps`` rows into a traffic TimeSeries; a value that
+    is not a positive finite number is a DataFormatError naming its line."""
+    return _read_series(path, TRAFFIC_HEADER, _kbps, "value",
+                        "a positive finite number", np.float64)
 
 
 def load_mobility_csv(path):
     """Read ``datetime,latitude,longitude,location_id`` rows; keeps only the
     datetime and location ID columns."""
-    return _read_series(path, MOBILITY_HEADER, int, "location ID", np.int64)
+    return _read_series(path, MOBILITY_HEADER, int, "location ID", "an integer", np.int64)
 
 
 @dataclass
 class PreparedData:
-    """Preprocessing output cached between commands.
+    """A usable prepared series, cached between commands.
 
     ``features`` is the normalized value series (regression) or the 1-based
     class-index series (classification); windows are rebuilt from it for
-    any requested length.
+    any requested length.  Construction is the one check of what a usable
+    series is, whatever its source: DataFormatError unless the task is one
+    of ``network.TASKS`` and ``features`` is a 1-D array, of finite floats
+    for regression, or for classification of integers in 1..codebook size,
+    with a codebook.  ``norm`` is optional (a synthetic series has none).
     """
 
     task: str  # "regression" | "classification"
     features: np.ndarray
     norm: NormalizationParams | None = None
     codebook: LocationCodebook | None = None
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise DataFormatError(f"unknown task {self.task!r}")
+        regression = self.task == "regression"
+        if not regression and self.codebook is None:
+            raise DataFormatError("classification series has no codebook")
+        f = self.features
+        if not (isinstance(f, np.ndarray) and f.ndim == 1
+                and f.dtype.kind in ("f" if regression else "iu")):
+            got = f"{f.dtype} of shape {f.shape}" if isinstance(f, np.ndarray) \
+                else type(f).__name__
+            raise DataFormatError(f"{self.task} series must be a 1-D array of "
+                                  f"{'floats' if regression else 'integers'}, got {got}")
+        if regression and not np.isfinite(f).all():
+            raise DataFormatError("regression series holds non-finite values")
+        if not regression and f.size and not 1 <= f.min() <= f.max() <= self.codebook.size:
+            raise DataFormatError("classification series holds classes outside "
+                                  f"1..{self.codebook.size}")
 
     @property
     def feature_dim(self):
@@ -220,16 +271,11 @@ class PreparedData:
 def prepare_traffic(series, normalize_scope="full", train_fraction=0.9):
     """Normalize a traffic series; ``train`` scope fits the min/max on the
     chronological training prefix only (leakage-free mode)."""
-    values = np.asarray(series.values, dtype=np.float64)
-    if normalize_scope == "train":
-        cut = int(np.floor(train_fraction * len(values)))
-        _, params = log_minmax_normalize(values[: max(cut, 2)])
-        logs = np.log10(values)
-        scaled = (logs - params.min_log) / (params.max_log - params.min_log)
-    elif normalize_scope == "full":
-        scaled, params = log_minmax_normalize(values)
-    else:
+    if normalize_scope not in ("full", "train"):
         raise ValueError(f"unknown normalize_scope: {normalize_scope!r}")
+    fit_count = None if normalize_scope == "full" else \
+        max(int(np.floor(train_fraction * len(series.values))), 2)
+    scaled, params = log_minmax_normalize(series.values, fit_count)
     return PreparedData("regression", scaled, norm=params)
 
 
@@ -264,38 +310,30 @@ def save_prepared(prepared, path):
                 {"min_log": prepared.norm.min_log, "max_log": prepared.norm.max_log},
         "codebook": None if prepared.codebook is None else prepared.codebook.index_to_id,
     }
-    data = write_container("dataset", meta, {"features": prepared.features})
+    features = np.asarray(prepared.features,
+                          dtype="<f8" if prepared.task == "regression" else "<i8")
+    data = write_container("dataset", meta, {"features": features})
     with open(path, "wb") as fh:
         fh.write(data)
     return path
 
 
-def _finite_number(value):
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def load_prepared(path):
     """Inverse of ``save_prepared``; returns the PreparedData.
 
-    Raises CheckpointError when the cache lacks a key, its metadata is not
-    a JSON object, its task is unknown, its ``norm`` is not two finite
-    numbers with ``max_log > min_log``, its ``features`` are not a vector
-    of ``<f8`` values (regression, finite) or ``<i8`` classes, or a
-    classification cache has no codebook or classes outside 1..codebook
-    size, or its codebook is not a list of unique integers.  Caches that
-    also hold windows (``inputs``, ``targets``, ``window``, ``classes``)
-    load; those keys are ignored.
+    Only parses: raises CheckpointError when the container does not read,
+    the cache lacks a key, its metadata is not a JSON object, its codebook
+    is not a list of unique integers or its ``features`` are not a vector
+    of ``<f8`` values (regression) or ``<i8`` classes (any other task).  A
+    ``norm`` or series that ``NormalizationParams`` or ``PreparedData``
+    refuses comes out as a CheckpointError too.  Caches that also hold
+    windows (``inputs``, ``targets``, ``window``, ``classes``) load; those
+    keys are ignored.
     """
     with open(path, "rb") as fh:
         meta, arrays = read_container(fh.read(), expect_kind="dataset")
     try:
         task, norm, codebook = meta["task"], meta["norm"], meta["codebook"]
-        if norm is not None:
-            lo, hi = norm["min_log"], norm["max_log"]
-            if not (_finite_number(lo) and _finite_number(hi) and hi > lo):
-                raise CheckpointError(f"dataset cache norm {norm!r} is not two finite "
-                                      "numbers with max_log > min_log")
-            norm = NormalizationParams(lo, hi)
         book = None
         if codebook is not None:
             if type(codebook) is not list \
@@ -305,17 +343,13 @@ def load_prepared(path):
                                       "a list of unique integer location IDs")
             book = LocationCodebook({raw: j + 1 for j, raw in enumerate(codebook)},
                                     codebook)
+        features = checked_array(arrays, "features",
+                                 "<f8" if task == "regression" else "<i8", (None,))
+        return PreparedData(task, features, codebook=book, norm=None if norm is None
+                            else NormalizationParams(norm["min_log"], norm["max_log"]))
     except KeyError as err:
         raise CheckpointError(f"dataset cache lacks {err}") from None
     except TypeError as err:  # meta or its norm entry is not a JSON object
         raise CheckpointError(f"malformed dataset cache metadata: {err}") from None
-    if task not in TASKS:
-        raise CheckpointError(f"dataset cache has unknown task {task!r}")
-    if task == "classification" and book is None:
-        raise CheckpointError("classification dataset cache has no codebook")
-    features = checked_array(arrays, "features",
-                             "<f8" if task == "regression" else "<i8", (None,))
-    if task == "classification" and features.size \
-            and not 1 <= features.min() <= features.max() <= book.size:
-        raise CheckpointError(f"dataset cache holds classes outside 1..{book.size}")
-    return PreparedData(task, features, norm=norm, codebook=book)
+    except DataFormatError as err:
+        raise CheckpointError(f"dataset cache: {err}") from None

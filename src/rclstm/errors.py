@@ -6,7 +6,9 @@ class ShapeError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """A data file could not be parsed; the message names the offending row."""
+    """A data file could not be parsed, or a series breaks the rules of a
+    usable one (``PreparedData``, ``NormalizationParams``); a file's message
+    names the offending line."""
 
 
 class InsufficientDataError(ValueError):

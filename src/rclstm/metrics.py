@@ -1,7 +1,5 @@
 """Prediction-quality metrics."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -25,23 +23,3 @@ def accuracy(actual, predicted):
     if actual.size == 0:
         raise ValueError("empty inputs")
     return float(np.mean(actual == predicted))
-
-
-@dataclass
-class MetricsReport:
-    """One evaluation outcome; rmse for regression, accuracy for classes."""
-
-    n: int
-    rmse: float | None = None
-    rmse_raw: float | None = None
-    accuracy: float | None = None
-
-    def to_dict(self):
-        out = {"n": self.n}
-        if self.rmse is not None:
-            out["rmse"] = self.rmse
-        if self.rmse_raw is not None:
-            out["rmse_raw"] = self.rmse_raw
-        if self.accuracy is not None:
-            out["accuracy"] = self.accuracy
-        return out

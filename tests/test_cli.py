@@ -302,18 +302,57 @@ class TestCliCommands:
             "fractional_classes"])
     def test_malformed_dataset_cache_exit_2(self, tmp_path, capsys, task, classes,
                                             n_locations, message):
-        from rclstm.data import LocationCodebook, PreparedData, save_prepared
+        # PreparedData refuses each of these series, so the bytes are
+        # written directly
+        from rclstm.checkpoint import write_container
 
-        book = None
-        if n_locations is not None:
-            ids = [100 + j for j in range(n_locations)]
-            book = LocationCodebook({raw: j + 1 for j, raw in enumerate(ids)}, ids)
+        codebook = None if n_locations is None else [100 + j for j in range(n_locations)]
         cache = tmp_path / "cache.bin"
-        save_prepared(PreparedData(task, np.array(classes * 10), codebook=book), str(cache))
+        cache.write_bytes(write_container(
+            "dataset", {"task": task, "norm": None, "codebook": codebook},
+            {"features": np.array(classes * 10)}))
         text = MOBILITY_CFG.format(path=cache, out=tmp_path / "out") + "\n[model]\nhidden = 4\n"
         assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task, cache_config", [
+        ("traffic", MOBILITY_CFG), ("mobility", SINE_CFG)], ids=["traffic", "mobility"])
+    def test_cache_of_the_other_task_exit_2(self, tmp_path, capsys, task, cache_config):
+        # a mobility cache under [run] task = traffic would train a classifier
+        (tmp_path / "m.csv").write_text(
+            "datetime,latitude,longitude,location_id\n" + "\n".join(
+                f"2015-08-06T{h:02d}:00:00,60.0,24.0,{1 + h % 3}" for h in range(24)) + "\n")
+        made = write_cfg(tmp_path, cache_config.format(path=tmp_path / "m.csv",
+                                                       out=tmp_path / "made"), "made.ini")
+        assert main(["preprocess", "--config", made]) == 0
+        cache = tmp_path / "made" / "dataset_cache.bin"
+        text = (f"[run]\ntask = {task}\ndata = {cache}\noutput_dir = {tmp_path / 'out'}\n"
+                "[model]\nhidden = 4\n[data]\nwindow = 3\n")
+        capsys.readouterr()
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        wanted = "regression" if task == "traffic" else "classification"
+        assert f"but [run] task = {task} needs {wanted}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5", "constant"])
+    def test_traffic_value_outside_log_domain_exit_2(self, tmp_path, capsys, value):
+        # a value the log transform cannot take names its line; a constant
+        # series has no min-max range
+        rows = [f"2005-01-01T{h:02d}:00:00,{7 if value == 'constant' else 10 + h}"
+                for h in range(24)]
+        if value != "constant":
+            rows[5] = rows[5].split(",")[0] + f",{value}"
+        (tmp_path / "t.csv").write_text("timestamp,kbps\n" + "\n".join(rows) + "\n")
+        text = SINE_CFG.format(out=tmp_path / "out").replace(
+            "task = synthetic", f"task = traffic\ndata = {tmp_path / 't.csv'}").replace(
+            "window = 10", "window = 3")
+        assert main(["train", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("not two finite numbers with max_log > min_log" if value == "constant" else
+                f"t.csv:7: bad value '{value}', expected a positive finite number") in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("codebook", ["abc", [5, 5, 7]], ids=["string", "duplicates"])
@@ -465,6 +504,9 @@ include_baselines = true
         ("train", "seed = 2", "seed = -2"),
         ("train", "seed = 5", "seed = -5"),
         ("sweep", "[training]", "[sweep]\npoints = 0.5,1\nseeds = 0,-1\n\n[training]"),
+        ("train", "kind = sine", "kind = ar\nar_integrate = -1"),
+        ("preprocess", "kind = sine\nn = 300", "kind = ar\nar_coeffs = 3.0\nn = 800"),
+        ("train", "kind = sine\nn = 300", "kind = ar\nar_coeffs = 3.0\nn = 800"),
     ], ids=["duplicate_key", "duplicate_section", "no_section_header", "parse_error",
             "learning_rate_nan", "grad_clip_inf", "grad_clip_nan", "float_list_nan",
             "no_seeds", "timing_reps_0", "hidden_empty", "hidden_0", "bench_hidden_0",
@@ -472,7 +514,8 @@ include_baselines = true
             "period_0", "mix_period_0", "lag_0", "lag_beyond_n", "noise_negative",
             "ar_noise_negative", "beta1_1", "beta2_1.5", "beta1_negative", "epsilon_0",
             "model_seed_negative", "training_seed_negative", "synthetic_seed_negative",
-            "sweep_seed_negative"])
+            "sweep_seed_negative", "ar_integrate_negative", "ar_explodes_preprocess",
+            "ar_explodes_train"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, command, old, new):
         text = SINE_CFG.format(out=tmp_path / "out").replace(old, new)
         assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
@@ -646,6 +689,107 @@ include_baselines = true
             assert model.task == "classification"
             assert (model.feature_dim, model.out_dim) == (5, 5)
             assert windows.shape[1:] == (3, 5)
+
+
+class TestPaperTasksFromCsv:
+    """The paper's two tasks from a CSV through the CLI: preprocess, train
+    and evaluate, and a classification sweep with baselines."""
+
+    @staticmethod
+    def traffic_csv(tmp_path):
+        # a daily cycle in kbps, one row per 15 minutes
+        kbps = 10.0 ** (2.0 + np.sin(np.arange(120) * 2.0 * np.pi / 24.0))
+        stamps = np.datetime64("2005-01-01T00:00:00") + np.arange(120) * np.timedelta64(900, "s")
+        path = tmp_path / "traffic.csv"
+        path.write_text("timestamp,kbps\n" + "".join(
+            f"{stamp},{value:.6f}\n" for stamp, value in zip(stamps, kbps)))
+        return path, kbps
+
+    @staticmethod
+    def mobility_csv(tmp_path):
+        # a round of four raw location IDs, every one in the training prefix
+        ids = [310, 47, 47, 2205, 47, 310, 999, 310] * 18
+        stamps = np.datetime64("2015-08-06T00:00:00") + np.arange(len(ids)) * np.timedelta64(1800, "s")
+        path = tmp_path / "mobility.csv"
+        path.write_text("datetime,latitude,longitude,location_id\n" + "".join(
+            f"{stamp},60.1,24.9,{raw}\n" for stamp, raw in zip(stamps, ids)))
+        return path, ids
+
+    @staticmethod
+    def config(tmp_path, task, path):
+        return write_cfg(tmp_path, f"""
+[run]
+task = {task}
+data = {path}
+output_dir = {tmp_path / "out"}
+
+[model]
+hidden = 4
+seed = 1
+
+[data]
+window = 6
+
+[training]
+epochs = 1
+seed = 2
+
+[sweep]
+points = 0.5,1.0
+seeds = 0
+include_baselines = true
+timing_reps = 2
+""")
+
+    @staticmethod
+    def run_through(cfg, capsys):
+        """stdout of preprocess, then metrics.json after train and evaluate."""
+        assert main(["preprocess", "--config", cfg]) == 0
+        printed = capsys.readouterr().out
+        assert main(["train", "--config", cfg, "--freeze-timestamps"]) == 0
+        out = Path(load_config(cfg).run.output_dir)
+        assert main(["evaluate", "--config", cfg, "--checkpoint",
+                     str(out / "checkpoint.bin")]) == 0
+        text = (out / "metrics.json").read_text()
+        metrics = json.loads(text)
+        assert text == json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+        return printed, metrics
+
+    def test_traffic(self, tmp_path, capsys):
+        path, kbps = self.traffic_csv(tmp_path)
+        printed, metrics = self.run_through(self.config(tmp_path, "traffic", path), capsys)
+        lo, hi = np.log10(kbps.min()), np.log10(kbps.max())
+        assert "samples: 114 total, 102 train, 12 test (window=6)" in printed
+        assert f"normalization: min_log={lo:.6f} max_log={hi:.6f}" in printed
+        assert "codebook" not in printed
+        assert set(metrics) == {"n", "rmse", "rmse_raw", "config_digest"}
+        assert metrics["n"] == 12 and 0.0 < metrics["rmse"] < 1.0
+        # rmse_raw is in kbps, rmse on the scaled series
+        assert metrics["rmse"] < metrics["rmse_raw"] < kbps.max()
+
+    def test_mobility(self, tmp_path, capsys):
+        path, _ = self.mobility_csv(tmp_path)
+        printed, metrics = self.run_through(self.config(tmp_path, "mobility", path), capsys)
+        assert "normalization: none" in printed and "codebook: 4 locations" in printed
+        assert set(metrics) == {"n", "accuracy", "config_digest"}
+        assert metrics["n"] == 14 and 0.0 <= metrics["accuracy"] <= 1.0
+
+    def test_mobility_sweep_writes_a_naive_accuracy_row(self, tmp_path):
+        path, ids = self.mobility_csv(tmp_path)
+        cfg = self.config(tmp_path, "mobility", path)
+        assert main(["sweep", "--config", cfg, "--freeze-timestamps"]) == 0
+        with open(tmp_path / "out" / "sweep_connectivity_frozen.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["value"], row["model"]) for row in rows] == \
+            [("0.5", "rclstm"), ("0.5", "naive"), ("1", "rclstm"), ("1", "naive")]
+        # naive predicts the last location of the window, over the 14 test targets
+        targets = np.array(ids[-14:])
+        naive = np.mean(targets == np.array(ids[-15:-1]))
+        for row in rows:
+            assert row["status"] == "ok" and row["rmse"] == ""
+            if row["model"] == "naive":
+                assert float(row["accuracy"]) == pytest.approx(naive, abs=1e-9)
+
 
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "c.ini"

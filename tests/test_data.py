@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rclstm.data import (LocationCodebook, NormalizationParams, PreparedData,
                          TimeSeries, build_codebook, chronological_split, denormalize,
@@ -288,6 +289,15 @@ class TestLoaders:
         with pytest.raises(DataFormatError, match=match):
             load(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "0", "-0", "-5"])
+    def test_traffic_value_outside_log_domain_names_the_line(self, tmp_path, value):
+        # the log transform takes positive finite values only
+        path = self.write(tmp_path, "t.csv", "timestamp,kbps\n2005-01-01T00:00:00,10\n"
+                          f"2005-01-01T00:15:00,{value}\n2005-01-01T00:30:00,20\n")
+        with pytest.raises(DataFormatError, match=f":3: bad value '{value}', "
+                           "expected a positive finite number"):
+            load_traffic_csv(path)
+
     def test_mobility_malformed(self, tmp_path):
         path = self.write(tmp_path, "mb.csv",
                           "datetime,latitude,longitude,location_id\n"
@@ -475,6 +485,99 @@ class TestPrepared:
                 load_prepared(path)
             except CheckpointError:
                 pass
+
+
+BOOK = build_codebook([7, 8, 9])
+
+
+class TestPreparedContract:
+    """``PreparedData`` is the one statement of what a usable series is;
+    each of its rules broken alone raises DataFormatError."""
+
+    @pytest.mark.parametrize("task, features, codebook, message", [
+        ("forecast", np.linspace(0.1, 0.9, 8), None, "unknown task 'forecast'"),
+        ("classification", np.array([1, 2, 3]), None, "classification series has no codebook"),
+        ("regression", np.linspace(0.1, 0.9, 8).reshape(4, 2), None,
+         r"1-D array of floats, got float64 of shape \(4, 2\)"),
+        ("regression", np.arange(8), None, "1-D array of floats, got int64"),
+        ("regression", [0.1, 0.2], None, "1-D array of floats, got list"),
+        ("regression", np.array([0.1, np.nan, 0.3]), None, "holds non-finite values"),
+        ("regression", np.array([np.inf, 0.2, -np.inf]), None, "holds non-finite values"),
+        ("classification", np.array([1.0, 2.0]), BOOK, "1-D array of integers, got float64"),
+        ("classification", np.array([True, False]), BOOK, "1-D array of integers, got bool"),
+        ("classification", np.array([[1, 2]]), BOOK, "1-D array of integers"),
+        ("classification", np.array([1, 0, 2]), BOOK, r"classes outside 1\.\.3"),
+        ("classification", np.array([1, 4, 2]), BOOK, r"classes outside 1\.\.3"),
+    ], ids=["unknown_task", "no_codebook", "regression_2d", "regression_ints",
+            "regression_list", "regression_nan", "regression_inf", "classes_float",
+            "classes_bool", "classes_2d", "class_0", "class_above_codebook"])
+    def test_each_rule_raises(self, task, features, codebook, message):
+        with pytest.raises(DataFormatError, match=message):
+            PreparedData(task, features, codebook=codebook)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (3.0, 1.0), (2, 2), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0),
+        (0, 10**400), ("0.5", "2.5"), (False, True)],
+        ids=["reversed", "equal", "nan_min", "nan_max", "inf_max", "inf_min", "huge_int",
+             "strings", "bools"])
+    def test_norm_needs_two_finite_numbers_in_order(self, lo, hi):
+        with pytest.raises(DataFormatError, match="is not two finite numbers with "
+                           "max_log > min_log"):
+            NormalizationParams(lo, hi)
+
+    @pytest.mark.parametrize("values", [[5.0] * 6, [5.0, 7.0, np.inf, 6.0]],
+                             ids=["constant", "infinite"])
+    def test_prepare_traffic_keeps_the_rules(self, values):
+        stamps = np.arange(len(values)).astype("datetime64[s]")
+        with pytest.raises(DataFormatError, match="not two finite numbers"):
+            prepare_traffic(TimeSeries(stamps, np.array(values)))
+
+    def test_cache_breaking_a_rule_is_a_checkpoint_error(self, tmp_path):
+        from rclstm.checkpoint import write_container
+        path = tmp_path / "cache.bin"
+        path.write_bytes(write_container("dataset", {
+            "task": "classification", "norm": None, "codebook": [7, 8]},
+            {"features": np.array([1, 2, 3])}))
+        with pytest.raises(CheckpointError, match=r"dataset cache: classification "
+                           r"series holds classes outside 1\.\.2"):
+            load_prepared(str(path))
+
+
+@st.composite
+def prepared_parts(draw):
+    """(task, features, norm bounds, codebook) as a source could hand them
+    to PreparedData: any floats, integers or location IDs, valid or not."""
+    task = draw(st.sampled_from(["regression", "classification"]))
+    dtype = draw(st.sampled_from(["<f8", "<f4"] if task == "regression"
+                                 else ["<i8", "<i4", "|u1"]))
+    elements = st.floats(width=32 if dtype == "<f4" else 64) if task == "regression" \
+        else st.integers(0, 6)
+    features = draw(hnp.arrays(dtype, st.integers(0, 12), elements=elements))
+    bound = st.floats() | st.integers(-2**1100, 2**1100)
+    norm = draw(st.none() | st.tuples(bound, bound).map(sorted))
+    ids = draw(st.none() | st.lists(st.integers(-2**63, 2**63 - 1), unique=True,
+                                    min_size=1, max_size=6))
+    return task, features, norm, None if ids is None else build_codebook(ids)
+
+
+@given(parts=prepared_parts())
+@settings(max_examples=300, deadline=None)
+def test_every_constructed_series_round_trips(parts):
+    # whatever PreparedData takes, the cache gives back: the same task,
+    # norm and codebook, and the same values at the cache's 64-bit dtype
+    task, features, norm, book = parts
+    try:
+        prep = PreparedData(task, features, codebook=book,
+                            norm=None if norm is None else NormalizationParams(*norm))
+    except DataFormatError:
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.bin")
+        save_prepared(prep, path)
+        loaded = load_prepared(path)
+    assert (loaded.task, loaded.norm, loaded.codebook) == (prep.task, prep.norm, prep.codebook)
+    assert np.array_equal(loaded.features, prep.features)
+    assert loaded.features.dtype.str == ("<f8" if task == "regression" else "<i8")
 
 
 def prepare_traffic_like(series):
