@@ -16,7 +16,10 @@ splits in two: ``backward_factors`` makes everything that depends on the
 forward alone in a few calls over the whole sequence, and
 ``cell_backward`` is what is left per timestep, a few whole-block calls
 and the recurrent product.  The recurrence is a Python loop, so at small
-batches its cost is the number of calls per step, not the arithmetic.
+batches its cost is the number of calls per step, not the arithmetic:
+each step's recurrent product is a step of the recurrent block bound once
+per layer call to the layer's whole buffers (``MaskedMatrix.bind``), one
+kernel call with nothing left to check.
 """
 
 import math
@@ -136,18 +139,20 @@ def init_layer(input_dim, hidden_dim, density=1.0, seed=0):
     return LstmLayerParams(input_dim, hidden_dim, w[mask.bits], b, mask)
 
 
-def cell_forward(w_h, a, h_prev, c_prev, c, tanh_c, h):
+def cell_forward(w_h, steps, a, c_prev, c, tanh_c, h):
     """One timestep of the memory block for a batch, in place.
 
-    ``a`` (4H, B) holds this step's input projection plus bias.  The
-    recurrent product ``w_h @ h_prev`` is added to it, then it is
-    overwritten with the gate activations f, i, z, o.  ``h_prev`` and
-    ``c_prev`` are the previous (H, B) states, or None at the first step
-    (zero state).  The new memory cell, its tanh and the hidden state are
-    written into ``c``, ``tanh_c`` and ``h``.
+    ``a`` (4H, B) holds this step's input projection plus bias.  ``w_h``
+    is the recurrent block bound to the layer's hidden states and gate
+    buffer (``MaskedMatrix.bind``), and ``steps`` the places of ``h_prev``
+    and of ``a`` in them: ``w_h(*steps)`` adds ``w_h @ h_prev`` to ``a``.
+    Then ``a`` is overwritten with the gate activations f, i, z, o.
+    ``steps`` and ``c_prev``, the previous (H, B) memory cell, are None at
+    the first step (zero state).  The new memory cell, its tanh and the
+    hidden state are written into ``c``, ``tanh_c`` and ``h``.
     """
-    if h_prev is not None:
-        w_h.dot(h_prev, out=a, add=True)
+    if steps is not None:
+        w_h(*steps)
     kernels.lstm_pointwise_numpy(a, c_prev, c, tanh_c, h)
 
 
@@ -197,7 +202,7 @@ def backward_factors(gates, c, tanh_c, span):
         f[...] = s  # P_f
 
 
-def cell_backward(w_h, p, f, p_c, grad_h, grad_c, dc, grad_h_prev):
+def cell_backward(w_h, steps, p, f, p_c, grad_h, grad_c, dc):
     """Exact gradients for one timestep of a batch, in place.
 
     ``p`` (4H, B), ``f`` and ``p_c`` are the step's slices of what
@@ -205,9 +210,12 @@ def cell_backward(w_h, p, f, p_c, grad_h, grad_c, dc, grad_h_prev):
     the loss gradient wrt the gate preactivations.  ``grad_h`` and
     ``grad_c`` are the loss gradients flowing into this step's outputs;
     ``grad_c`` is overwritten with the one wrt the previous memory cell.
-    ``dc`` is (H, B) scratch.  ``w_h.T @ dA``, the step's part of the
-    gradient wrt the previous hidden state, is added to ``grad_h_prev``
-    unless it is None (the first step).
+    ``dc`` is (H, B) scratch.  ``w_h`` is the transposed recurrent block
+    bound to the layer's dA and hidden-state gradient buffers
+    (``MaskedMatrix.bind``), and ``steps`` the places of ``p`` and of the
+    previous step's hidden-state gradient in them: ``w_h(*steps)`` adds
+    ``w_h.T @ dA``, the step's part of that gradient, to it.  ``steps`` is
+    None at the first step, which has no previous one.
     """
     hidden = f.shape[0]
     np.multiply(p_c, grad_h, out=dc)
@@ -216,5 +224,5 @@ def cell_backward(w_h, p, f, p_c, grad_h, grad_c, dc, grad_h_prev):
     fiz = p[: 3 * hidden].reshape(3, hidden, -1)
     np.multiply(fiz, dc, out=fiz)
     np.multiply(f, dc, out=grad_c)
-    if grad_h_prev is not None:
-        w_h.tdot(p, out=grad_h_prev, add=True)
+    if steps is not None:
+        w_h(*steps)

@@ -17,7 +17,7 @@ import csv
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
@@ -62,10 +62,22 @@ class NormalizationParams:
 
 @dataclass
 class LocationCodebook:
-    """Bijection between raw location IDs and the contiguous range 1..m."""
+    """Bijection between raw location IDs and the contiguous range 1..m.
 
-    id_to_index: dict
+    Built from ``index_to_id``, the IDs in index order; ``id_to_index`` is
+    its inverse.  DataFormatError unless the IDs are a list of unique
+    integers, the rule a codebook must keep to be saved and loaded."""
+
     index_to_id: list
+    id_to_index: dict = field(init=False)
+
+    def __post_init__(self):
+        ids = self.index_to_id
+        if type(ids) is not list or any(type(raw) is not int for raw in ids) \
+                or len(set(ids)) != len(ids):
+            raise DataFormatError(f"codebook {ids!r:.80} is not a list of unique "
+                                  "integer location IDs")
+        self.id_to_index = {raw: j + 1 for j, raw in enumerate(ids)}
 
     @property
     def size(self):
@@ -112,11 +124,7 @@ def denormalize(v, params):
 
 def build_codebook(ids):
     """Codebook over IDs in first-appearance order (training data only)."""
-    seen = {}
-    for raw in np.asarray(ids).tolist():
-        if raw not in seen:
-            seen[raw] = len(seen) + 1
-    return LocationCodebook(seen, list(seen))
+    return LocationCodebook(list(dict.fromkeys(np.asarray(ids).tolist())))
 
 
 def _window_view(feats, window):
@@ -322,10 +330,10 @@ def load_prepared(path):
     """Inverse of ``save_prepared``; returns the PreparedData.
 
     Only parses: raises CheckpointError when the container does not read,
-    the cache lacks a key, its metadata is not a JSON object, its codebook
-    is not a list of unique integers or its ``features`` are not a vector
-    of ``<f8`` values (regression) or ``<i8`` classes (any other task).  A
-    ``norm`` or series that ``NormalizationParams`` or ``PreparedData``
+    the cache lacks a key, its metadata is not a JSON object or its
+    ``features`` are not a vector of ``<f8`` values (regression) or ``<i8``
+    classes (any other task).  A ``norm``, codebook or series that
+    ``NormalizationParams``, ``LocationCodebook`` or ``PreparedData``
     refuses comes out as a CheckpointError too.  Caches that also hold
     windows (``inputs``, ``targets``, ``window``, ``classes``) load; those
     keys are ignored.
@@ -334,15 +342,7 @@ def load_prepared(path):
         meta, arrays = read_container(fh.read(), expect_kind="dataset")
     try:
         task, norm, codebook = meta["task"], meta["norm"], meta["codebook"]
-        book = None
-        if codebook is not None:
-            if type(codebook) is not list \
-                    or any(type(raw) is not int for raw in codebook) \
-                    or len(set(codebook)) != len(codebook):
-                raise CheckpointError(f"dataset cache codebook {codebook!r:.80} is not "
-                                      "a list of unique integer location IDs")
-            book = LocationCodebook({raw: j + 1 for j, raw in enumerate(codebook)},
-                                    codebook)
+        book = None if codebook is None else LocationCodebook(codebook)
         features = checked_array(arrays, "features",
                                  "<f8" if task == "regression" else "<i8", (None,))
         return PreparedData(task, features, codebook=book, norm=None if norm is None

@@ -24,14 +24,27 @@ per window, the layout the CSR kernels read and write in place.
 The CSR route calls the kernels behind scipy's ``@`` directly
 (``scipy.sparse._sparsetools``): ``csr_matvec`` for one column,
 ``csr_matvecs`` for more, and their ``csc_*`` twins on the same three
-arrays for the transpose.  The recurrence makes two small products per
-layer and timestep, and ``@``'s Python dispatch and result allocation cost
-about three times as long as the kernel under it at B=1.  The kernels add
-into their output, so a product can add itself to a gate buffer in place.
-They read and write raw memory, so every operand and output must be
-C-contiguous float64: anything else raises, because a copied output would
-silently lose the product.  The masked outer product yields a value vector
-of the mask's nonzeros only, in the same row-major order.
+arrays for the transpose.  The kernels add into their output, so a product
+can add itself to a gate buffer in place.  They read and write raw memory
+and check neither lengths nor layout, so every operand and output must be
+C-contiguous float64 of the product's shape: anything else raises, because
+a kernel writing into a copied output would silently lose the product.
+The masked outer product yields a value vector of the mask's nonzeros
+only, in the same row-major order.
+
+At B=1 a product's arithmetic is so small that the Python around each
+kernel call sets its cost, so the recurrence and the input projection each
+make as few calls as they can:
+
+- the recurrence adds one small product per layer and timestep, forward
+  and backward.  ``bind`` checks a layer's whole (T, features, B) operand
+  and output buffers once and returns a step that makes one kernel call on
+  a timestep of each, with nothing left to check or pick;
+- ``dot`` and ``tdot`` writing (not adding) a product of a (T, cols, 1)
+  operand make one ``csr_matvecs`` call over its (cols, T) transpose, not
+  T single-column ones.  Each column still sums from zero over its row's
+  nonzeros in the same order, so the bits are those of T single products.
+  With ``add`` they make one call per timestep.
 
 Two kinds of thread run work beside the calling one; numpy, scipy's sparse
 kernels and BLAS release the GIL while they compute, so the work runs on
@@ -236,6 +249,49 @@ class MaskedMatrix:
         added as ``dot`` does."""
         return self._product(True, y, out, add)
 
+    def bind(self, transpose, x, out):
+        """A step ``step(i, j)`` that adds ``M @ x[i]``, or ``M.T @ x[i]``
+        with ``transpose``, to ``out[j]``, for x (T, cols, B) and out
+        (S, rows, B).
+
+        The whole buffers are checked here, once, as ``dot`` checks a
+        call's: ShapeError unless both are 3-D with the product's cols and
+        rows and the same B and, on the CSR route, C-contiguous float64.
+        The step only indexes them (an index out of range raises), so each
+        of its kernel calls gets a checked (features, B) block.  ``out``
+        must not overlap ``x``.
+        """
+        rows, cols = self.shape[::-1] if transpose else self.shape
+        if x.ndim != 3 or out.ndim != 3 or x.shape[1] != cols \
+                or out.shape[1:] != (rows, x.shape[2]):
+            raise ShapeError(f"product {(rows, cols)} x {x.shape} does not fit "
+                             f"output {out.shape}")
+        if not self.csr_products:
+            m = self._w.T if transpose else self._w
+
+            def step(i, j):
+                o = out[j]
+                o += m @ x[i]
+            return step
+        _check_raw(x, "operand")
+        _check_raw(out, "output")
+        kernel, args = self._kernel(transpose, x.shape[2])
+
+        def step(i, j):
+            kernel(*args, x[i], out[j])
+        return step
+
+    def _kernel(self, transpose, n_vecs):
+        """The CSR kernel for ``n_vecs`` columns and its leading arguments.
+
+        The product's (rows, cols) are the kernel's (n_row, n_col) on either
+        form: CSR of M, or CSC of M.T over the same three arrays."""
+        rows, cols = self.shape[::-1] if transpose else self.shape
+        arrays = (self._indptr, self._indices, self._data)
+        if n_vecs == 1:
+            return csc_matvec if transpose else csr_matvec, (rows, cols, *arrays)
+        return csc_matvecs if transpose else csr_matvecs, (rows, cols, n_vecs, *arrays)
+
     def _product(self, transpose, x, out, add):
         rows, cols = self.shape[::-1] if transpose else self.shape
         if x.shape[-2] != cols:
@@ -261,19 +317,19 @@ class MaskedMatrix:
             if not add:
                 out.fill(0.0)
         _check_raw(x, "operand")
-        # the product's (rows, cols) are the kernel's (n_row, n_col) on
-        # either form: CSR of M, or CSC of M.T over the same three arrays
-        arrays = (self._indptr, self._indices, self._data)
-        if n_vecs == 1:
-            kernel, head = csc_matvec if transpose else csr_matvec, (rows, cols)
-        else:
-            kernel = csc_matvecs if transpose else csr_matvecs
-            head = (rows, cols, n_vecs)
+        if x.ndim == 3 and n_vecs == 1 and not add:
+            # one product over the (cols, T) transpose, summed from zero
+            kernel, args = self._kernel(transpose, len(x))
+            y = np.zeros((rows, len(x)))
+            kernel(*args, np.ascontiguousarray(x[:, :, 0].T), y)
+            out[:, :, 0] = y.T
+            return out
+        kernel, args = self._kernel(transpose, n_vecs)
         if x.ndim == 2:
-            kernel(*head, *arrays, x, out)
+            kernel(*args, x, out)
         else:
             for xt, yt in zip(x, out):
-                kernel(*head, *arrays, xt, yt)
+                kernel(*args, xt, yt)
         return out
 
     def masked_outer(self, y, x):

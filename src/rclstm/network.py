@@ -10,7 +10,11 @@ buffers: each timestep is a contiguous (features, B) block, one column per
 window, so the per-step element-wise work runs on contiguous memory and
 the CSR kernels read and write it in place.  Each layer projects its
 input a span of timesteps at a time, ahead of the time loop over that
-span, which then adds only the recurrent product.
+span, which then adds only the recurrent product.  Per layer call, the
+recurrent block is bound once to the layer's hidden-state and gate
+buffers (``linalg.MaskedMatrix.bind``), so each step's product is one
+kernel call on checked blocks; a single window's projection of a span is
+one kernel call too.
 
 ``forward_batch`` has two modes over the same loop:
 
@@ -26,16 +30,18 @@ Backpropagation runs top-down a layer at a time.  Before a layer's time
 loop, one pass over the sequence (``cell.backward_factors``) turns its
 cached activations and states in place into the factors that depend on
 the forward alone, so each step is a few whole-block calls plus the
-recurrent product, added to the gradient of the step below in place.  A
-layer's weight gradient is one masked outer product per block over all
-T*B columns, a value vector shaped like its ``values``, and the layer
-below needs none of it.  So when a CSR batch leaves a CPU idle
-(``_grads_behind``), the weight gradient of each layer above the bottom
-one runs on ``linalg.in_background``'s thread behind the layers below;
-``backward_sequence`` takes back the jobs not yet started and collects
-every one before it returns or raises.  Otherwise each runs inline after
-its layer's time loop, and the layer's dA is freed before the layer below
-starts.  It is the same call either way, so the same bits.
+recurrent product, added to the gradient of the step below in place by
+the transposed recurrent block, bound once to the layer's dA and
+hidden-state gradient buffers.  A layer's weight gradient is one masked
+outer product per block over all T*B columns, a value vector shaped like
+its ``values``, and the layer below needs none of it.  So when a CSR
+batch leaves a CPU idle (``_grads_behind``), the weight gradient of each
+layer above the bottom one runs on ``linalg.in_background``'s thread
+behind the layers below; ``backward_sequence`` takes back the jobs not
+yet started and collects every one before it returns or raises.
+Otherwise each runs inline after its layer's time loop, and the layer's
+dA is freed before the layer below starts.  It is the same call either
+way, so the same bits.
 
 A batch whose products all run on CSR (below ``linalg.PRODUCT_DENSITY``)
 runs as contiguous shards of windows at once (``_shard_bounds``): the
@@ -233,14 +239,15 @@ def _layer_forward(k, layer, x, keep_cache):
     c = np.empty((n_c, hidden, batch))
     tanh_c = np.empty((n_tanh, hidden, batch))
     h = np.empty((n_steps, hidden, batch))
+    recurrent = ops.h.bind(False, h, gates)
     for t in range(n_steps):
         s = t % span
         if s == 0:
             proj = gates[: min(span, n_steps - t)]
             ops.x.dot(x[t : t + len(proj)], out=proj)
             proj += layer.b[:, None]
-        h_prev, c_prev = (h[t - 1], c[(t - 1) % n_c]) if t else (None, None)
-        cell_forward(ops.h, gates[s], h_prev, c_prev, c[t % n_c], tanh_c[t % n_tanh], h[t])
+        steps, c_prev = ((t - 1, s), c[(t - 1) % n_c]) if t else (None, None)
+        cell_forward(recurrent, steps, gates[s], c_prev, c[t % n_c], tanh_c[t % n_tanh], h[t])
     if not math.isfinite(float(np.sum(h)) + float(np.sum(c))):
         finite = np.isfinite(h).all(axis=(1, 2))
         kept = np.arange(n_steps - n_c, n_steps)  # the steps whose c survives
@@ -375,9 +382,10 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
     n_steps, hidden, width = lc.c.shape
     backward_factors(lc.gates, lc.c, lc.tanh_c, max(1, FACTOR_BYTES // (hidden * width * 8)))
     grad_c, dc = np.zeros((hidden, width)), np.empty((hidden, width))
+    recurrent = ops.h.bind(True, lc.gates, grad_h)
     for t in range(n_steps - 1, -1, -1):
-        cell_backward(ops.h, lc.gates[t], lc.c[t], lc.tanh_c[t], grad_h[t], grad_c, dc,
-                      grad_h[t - 1] if t else None)
+        cell_backward(recurrent, (t, t - 1) if t else None, lc.gates[t], lc.c[t],
+                      lc.tanh_c[t], grad_h[t], grad_c, dc)
     grad_x = ops.x.tdot(lc.gates) if k else None
     da[...] = lc.gates.transpose(1, 0, 2)
     return grad_x

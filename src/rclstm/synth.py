@@ -40,11 +40,14 @@ def ar_process(n, coeffs, intercept=0.0, noise=0.1, seed=0, integrate=0):
     burn = 200
     w = np.zeros(n + burn)
     eps = rng.normal(0.0, noise, size=n + burn)
-    for t in range(p, n + burn):
-        w[t] = intercept + coeffs @ w[t - p : t][::-1] + eps[t]
-    w = w[burn:]
-    for _ in range(integrate):
-        w = np.cumsum(w)
+    # an explosive recurrence overflows to inf and nan, which PreparedData
+    # refuses with one error of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(p, n + burn):
+            w[t] = intercept + coeffs @ w[t - p : t][::-1] + eps[t]
+        w = w[burn:]
+        for _ in range(integrate):
+            w = np.cumsum(w)
     return TimeSeries(_grid(n), w)
 
 

@@ -32,8 +32,12 @@ def run_step(layer, x, h0=None, c0=None):
     a = ops.x.dot(np.asarray(x, dtype=np.float64).T.copy()) + layer.b[:, None]
     shape = (layer.hidden_dim, a.shape[1])
     c, tanh_c, h = np.empty(shape), np.empty(shape), np.empty(shape)
-    cell_forward(ops.h, a, None if h0 is None else h0.T.copy(),
-                 None if c0 is None else c0.T.copy(), c, tanh_c, h)
+    if h0 is None:
+        cell_forward(None, None, a, None, c, tanh_c, h)
+    else:
+        # one-step buffers for the recurrent product: h0 in, a (as a view) out
+        cell_forward(ops.h.bind(False, h0.T.copy()[None], a[None]), (0, 0), a,
+                     c0.T.copy(), c, tanh_c, h)
     return h.T, c.T, a, tanh_c
 
 
@@ -49,9 +53,10 @@ def step_grads(layer, x, h0, c0, grad_h, grad_c):
     backward_factors(gates, cs, tanh_cs, span=1)
     ops = layer.products()
     grad_c_prev = grad_c.T.copy()
-    grad_h_prev = np.zeros(h0.T.shape)
-    cell_backward(ops.h, gates[1], cs[1], tanh_cs[1], grad_h.T.copy(), grad_c_prev,
-                  np.empty_like(grad_c_prev), grad_h_prev)
+    grad_hs = np.stack([np.zeros(h0.T.shape), grad_h.T])  # the two steps' grad_h
+    cell_backward(ops.h.bind(True, gates, grad_hs), (1, 0), gates[1], cs[1], tanh_cs[1],
+                  grad_hs[1], grad_c_prev, np.empty_like(grad_c_prev))
+    grad_h_prev = grad_hs[0]
     da = gates[1]
     grad_w = np.empty(int(layer.mask.bits.sum()))
     grad_w[ops.x_at] = ops.x.masked_outer(da, x.T)

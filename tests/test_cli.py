@@ -791,15 +791,30 @@ timing_reps = 2
                 assert float(row["accuracy"]) == pytest.approx(naive, abs=1e-9)
 
 
-def test_console_entry_point(tmp_path):
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(SINE_CFG.format(out=tmp_path / "out"))
-    # the subprocess imports the same rclstm package as this test does
+def run_cli(*args):
+    """``python -m rclstm.cli`` with ``args`` in a subprocess that imports
+    the same rclstm package as this test does."""
     package_root = str(Path(rclstm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rclstm.cli", "preprocess",
-                           "--config", str(cfg)],
+    return subprocess.run([sys.executable, "-m", "rclstm.cli", *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(SINE_CFG.format(out=tmp_path / "out"))
+    proc = run_cli("preprocess", "--config", str(cfg))
     assert proc.returncode == 0
     assert "cache written" in proc.stdout
+
+
+def test_exploding_ar_series_prints_one_error_line(tmp_path):
+    # the recurrence overflows; numpy's warnings about it stay off stderr
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(SINE_CFG.format(out=tmp_path / "out").replace(
+        "kind = sine\nn = 300", "kind = ar\nar_coeffs = 3.0\nn = 800"))
+    proc = run_cli("preprocess", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: regression series holds non-finite values\n"
+    assert not (tmp_path / "out").exists()

@@ -515,6 +515,19 @@ class TestPreparedContract:
         with pytest.raises(DataFormatError, match=message):
             PreparedData(task, features, codebook=codebook)
 
+    def test_codebook_of_string_ids_is_refused(self):
+        # a codebook of IDs the cache cannot hold is refused where it is
+        # built, not when its cache is read back
+        with pytest.raises(DataFormatError, match="not a list of unique integer location IDs"):
+            PreparedData("classification", np.array([1, 2, 1]),
+                         codebook=build_codebook(["a", "b"]))
+
+    @pytest.mark.parametrize("ids", [[7, 8, 7], [7, True], [7, 8.0], (7, 8)],
+                             ids=["duplicate", "bool", "float", "tuple"])
+    def test_codebook_needs_a_list_of_unique_integers(self, ids):
+        with pytest.raises(DataFormatError, match="not a list of unique integer location IDs"):
+            LocationCodebook(ids)
+
     @pytest.mark.parametrize("lo, hi", [
         (3.0, 1.0), (2, 2), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0),
         (0, 10**400), ("0.5", "2.5"), (False, True)],

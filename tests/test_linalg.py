@@ -309,3 +309,67 @@ def test_sparse_route_rejects_layouts_it_would_copy():
         a.dot(x[None], out=np.zeros((2, 6, 4)))
     with pytest.raises(ShapeError, match="2-D or 3-D"):
         a.dot(x[None, None])
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+@pytest.mark.parametrize("given_out, add", [(False, False), (True, False), (True, True)],
+                         ids=["new", "out", "add"])
+def test_one_column_sequence_equals_its_steps(steps, given_out, add):
+    # a (T, cols, 1) product written in one kernel call over the (cols, T)
+    # transpose has the bits of T single-column products
+    rng = np.random.default_rng(50 + steps)
+    m = rng.random((60, 45)) < 0.1
+    a = masked(rng.normal(size=m.shape), m)
+    for product, cols, rows in ((a.dot, 45, 60), (a.tdot, 60, 45)):
+        seq = rng.normal(size=(steps, cols, 1))
+        start = rng.normal(size=(steps, rows, 1)) if add else np.full((steps, rows, 1), np.nan)
+        want = start.copy() if add else np.zeros((steps, rows, 1))
+        for t in range(steps):
+            product(seq[t], out=want[t], add=True)
+        out = start.copy() if given_out else None
+        got = product(seq, out=out, add=add)
+        assert got is out if given_out else got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mix", ["csr", "dense"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_bound_step_adds_one_product(mix, batch):
+    rng = np.random.default_rng(60 + batch)
+    m = rng.random((60, 45)) < 0.1
+    a = masked(rng.normal(size=m.shape), m, mix)
+    for transpose, product, cols, rows in ((False, a.dot, 45, 60), (True, a.tdot, 60, 45)):
+        x, out = rng.normal(size=(4, cols, batch)), rng.normal(size=(2, rows, batch))
+        want = out.copy()
+        product(x[3], out=want[1], add=True)
+        step = a.bind(transpose, x, out)
+        step(3, 1)
+        assert np.array_equal(out, want)
+        with pytest.raises(IndexError):
+            step(4, 0)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_bind_refuses_buffers_a_product_would_refuse(monkeypatch, transpose):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    for name in ("csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs"):
+        monkeypatch.setattr(linalg, name, no_kernel)
+    rng = np.random.default_rng(4)
+    m = rng.random((6, 5)) < 0.5
+    a = masked(rng.normal(size=m.shape), m)
+    rows, cols = (5, 6) if transpose else (6, 5)
+    x, out = np.zeros((3, cols, 2)), np.zeros((3, rows, 2))
+    for bad_x, bad_out, message in [
+            (np.zeros((3, 2, cols)).transpose(0, 2, 1), out, "operand must be C-contiguous"),
+            (x.astype(np.float32), out, "operand must be C-contiguous float64"),
+            (x, np.zeros((3, 2, rows)).transpose(0, 2, 1), "output must be C-contiguous"),
+            (x, out.astype(np.float32), "output must be C-contiguous float64"),
+            (np.zeros((3, cols + 1, 2)), out, "does not fit"),
+            (x, np.zeros((3, rows + 1, 2)), "does not fit"),
+            (x, np.zeros((3, rows, 3)), "does not fit"),
+            (x[0], out, "does not fit"),
+            (x, out[0], "does not fit")]:
+        with pytest.raises(ShapeError, match=message):
+            a.bind(transpose, bad_x, bad_out)

@@ -84,7 +84,7 @@ class TestForwardSequence:
         ops = layer.products()
         a = ops.x.dot(x.T) + layer.b[:, None]
         c, tanh_c, h = np.empty((5, 1)), np.empty((5, 1)), np.empty((5, 1))
-        cell_forward(ops.h, a, None, None, c, tanh_c, h)
+        cell_forward(None, None, a, None, c, tanh_c, h)
         manual = model.head_w @ h[:, 0] + model.head_b
         assert abs(predict_one(model, x)[0] - manual[0]) < 1e-14
 
@@ -100,7 +100,10 @@ class TestForwardSequence:
                 a = ops.x.dot(inp) + layer.b[:, None]
                 hidden = layer.hidden_dim
                 c, tanh_c, h = (np.empty((hidden, 1)) for _ in range(3))
-                cell_forward(ops.h, a, *states[k], c, tanh_c, h)
+                h_prev, c_prev = states[k]
+                recurrent = None if h_prev is None else ops.h.bind(False, h_prev[None], a[None])
+                cell_forward(recurrent, None if h_prev is None else (0, 0), a, c_prev,
+                             c, tanh_c, h)
                 states[k] = (h, c)
                 inp = h
         manual = model.head_w @ states[-1][0][:, 0] + model.head_b
@@ -320,7 +323,17 @@ class TestServing:
     @pytest.mark.parametrize("span", [1, 3, 100])
     def test_cache_free_equals_cached(self, monkeypatch, density, span):
         # spans of 1 and 3 steps over T=7 (3 + 3 + 1), and one span of T
-        batch, hidden = 5, 6
+        self.served_equals_cached(monkeypatch, 5, density, span)
+
+    @pytest.mark.parametrize("density", [SPARSE, 1.0])
+    @pytest.mark.parametrize("span", [1, 3])
+    def test_single_window_cache_free_equals_cached(self, monkeypatch, density, span):
+        # a single window projects each span in one kernel call
+        self.served_equals_cached(monkeypatch, 1, density, span)
+
+    @staticmethod
+    def served_equals_cached(monkeypatch, batch, density, span):
+        hidden = 6
         monkeypatch.setattr(network, "SPAN_BYTES", span * 4 * hidden * batch * 8)
         rng = np.random.default_rng(8)
         model = build_model(2, [hidden, hidden], density=density, seed=5)
@@ -330,6 +343,23 @@ class TestServing:
         served, none = forward_batch(model, windows, keep_cache=False)
         assert cache is not None and none is None
         assert np.array_equal(served, cached)
+
+    def test_single_window_makes_one_product_call_per_layer(self, monkeypatch):
+        # the recurrence runs on bound steps and the projection of a whole
+        # window is one call, so no product is dispatched per timestep
+        with route_mix("csr"):
+            model = build_model(3, [8, 8], seed=2)
+            assert all(layer.products().h.csr_products for layer in model.layers)
+        calls = []
+        product = linalg.MaskedMatrix._product
+
+        def counted(self, *args):
+            calls.append(args[1].shape)
+            return product(self, *args)
+
+        monkeypatch.setattr(linalg.MaskedMatrix, "_product", counted)
+        predict_batch(model, np.ones((1, 20, 3)), batch_size=1)
+        assert calls == [(20, 3, 1), (20, 8, 1)]
 
     def test_serving_holds_less_than_one_gate_buffer(self):
         import tracemalloc
