@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import statistics
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,24 @@ def benchmark_training_step(model, dataset, config, reps=10, warmup=1):
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    one_step = dataclasses.replace(config, epochs=1, batch_size=len(dataset), shuffle=False)
+    one_step = _one_step(dataset, config)
     return _time(lambda: fit(model, dataset, one_step)[1].train_loss[0], reps, warmup)
+
+
+def training_step_peak_bytes(model, dataset, config):
+    """Peak bytes traced by ``tracemalloc`` (numpy's arrays included) over
+    one untimed training step, run as ``benchmark_training_step`` runs
+    each: at the paper's shape most of it is the forward's cache."""
+    one_step = _one_step(dataset, config)
+    tracemalloc.start()
+    try:
+        fit(model, dataset, one_step)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_step(dataset, config):
+    """``config`` as one ``fit`` epoch over ``dataset`` taken as one batch."""
+    return dataclasses.replace(config, epochs=1, batch_size=len(dataset), shuffle=False)
 

@@ -13,7 +13,8 @@ weight-gradient masked outer product from the layer's density alone.
 The cell works on a batch of B windows at a time: one timestep of a
 layer's state is an (H, B) block, one column per window.  Its backward
 splits in two: ``backward_factors`` makes everything that depends on the
-forward alone in a few calls over the whole sequence, and
+forward alone in a few calls over a chunk of timesteps, recomputing the
+tanh of the memory cell that the forward does not keep, and
 ``cell_backward`` is what is left per timestep, a few whole-block calls
 and the recurrent product.  The recurrence is a Python loop, so at small
 batches its cost is the number of calls per step, not the arithmetic:
@@ -148,74 +149,76 @@ def cell_forward(w_h, steps, a, c_prev, c, tanh_c, h):
     and of ``a`` in them: ``w_h(*steps)`` adds ``w_h @ h_prev`` to ``a``.
     Then ``a`` is overwritten with the gate activations f, i, z, o.
     ``steps`` and ``c_prev``, the previous (H, B) memory cell, are None at
-    the first step (zero state).  The new memory cell, its tanh and the
-    hidden state are written into ``c``, ``tanh_c`` and ``h``.
+    the first step (zero state).  The new memory cell and the hidden state
+    are written into ``c`` and ``h``; ``tanh_c`` is (H, B) scratch, left
+    holding tanh(c), which no cache keeps: ``backward_factors`` recomputes
+    it from ``c``.
     """
     if steps is not None:
         w_h(*steps)
     kernels.lstm_pointwise_numpy(a, c_prev, c, tanh_c, h)
 
 
-def backward_factors(gates, c, tanh_c, span):
-    """Turn a layer's cached forward values over T steps, in place, into
-    the factors of its backward that depend on them alone.
+def backward_factors(gates, c, lo, p_c):
+    """Turn steps ``lo`` .. ``lo + len(p_c) - 1`` of a layer's cached
+    forward values, in place, into the factors of its backward that depend
+    on them alone.
 
-    ``gates`` (T, 4H, B) holds the activations f, i, z, o and becomes
-    P_f = f(1-f)c_prev (zero at the first step, whose c_prev is zero),
-    P_i = i(1-i)z, P_z = i(1-z^2) and P_o = o(1-o)tanh(c): the
+    ``gates`` (T, 4H, B) holds the activations f, i, z, o and, over those
+    steps, becomes P_f = f(1-f)c_prev (zero at the first step, whose c_prev
+    is zero), P_i = i(1-i)z, P_z = i(1-z^2) and P_o = o(1-o)tanh(c): the
     preactivation gradient of each gate is its factor times dc, or times
-    grad_h for o.  ``tanh_c`` becomes P_c = (1-tanh^2(c))o, and ``c``
-    becomes f.  A handful of numpy calls over ``span`` steps at a time, so
-    that ``cell_backward``'s per-step work is a few calls and the scratch
-    holds at most ``span`` (H, B) steps.
+    grad_h for o.  ``c`` (T, H, B) holds the memory cells and becomes f over
+    those steps; the step below ``lo`` must still hold its memory cell,
+    which is the first step's c_prev, so a sequence is turned from its last
+    steps down.  tanh(c) is not cached: it is recomputed from ``c``, bit for
+    bit as the forward made it, into ``p_c`` (steps, H, B), which becomes
+    P_c = (1-tanh^2(c))o.  A handful of numpy calls over the steps, so that
+    ``cell_backward``'s per-step work is a few calls.
     """
-    n_steps, hidden = c.shape[:2]
-    g = gates.reshape(n_steps, 4, hidden, -1)
-    scratch = np.empty((min(span, n_steps), *c.shape[1:]))
-    # from the last chunk down, so that the c_prev each chunk reads is
-    # still the memory cell and not yet f
-    for hi in range(n_steps, 0, -span):
-        lo = max(0, hi - span)
-        f, i, z, o = (g[lo:hi, k] for k in range(4))
-        tc, s = tanh_c[lo:hi], scratch[: hi - lo]
-        np.subtract(1.0, o, out=s)
-        s *= tc
-        np.multiply(tc, tc, out=tc)
-        np.subtract(1.0, tc, out=tc)
-        tc *= o  # P_c
-        o *= s  # P_o
-        np.multiply(z, z, out=s)
-        np.subtract(1.0, s, out=s)
-        s *= i  # P_z
-        z *= i
-        np.subtract(1.0, i, out=i)
-        i *= z  # P_i
-        z[...] = s
-        np.subtract(1.0, f, out=s)
-        s *= f
-        if lo:
-            s *= c[lo - 1 : hi - 1]
-        else:
-            s[1:] *= c[: hi - 1]
-            s[0] = 0.0
-        c[lo:hi] = f
-        f[...] = s  # P_f
+    hi = lo + len(p_c)
+    g = gates[lo:hi].reshape(hi - lo, 4, c.shape[1], -1)
+    f, i, z, o = (g[:, k] for k in range(4))
+    s = np.empty_like(p_c)
+    np.tanh(c[lo:hi], out=p_c)
+    np.subtract(1.0, o, out=s)
+    s *= p_c
+    np.multiply(p_c, p_c, out=p_c)
+    np.subtract(1.0, p_c, out=p_c)
+    p_c *= o  # P_c
+    o *= s  # P_o
+    np.multiply(z, z, out=s)
+    np.subtract(1.0, s, out=s)
+    s *= i  # P_z
+    z *= i
+    np.subtract(1.0, i, out=i)
+    i *= z  # P_i
+    z[...] = s
+    np.subtract(1.0, f, out=s)
+    s *= f
+    if lo:
+        s *= c[lo - 1 : hi - 1]
+    else:
+        s[1:] *= c[: hi - 1]
+        s[0] = 0.0
+    c[lo:hi] = f
+    f[...] = s  # P_f
 
 
 def cell_backward(w_h, steps, p, f, p_c, grad_h, grad_c, dc):
     """Exact gradients for one timestep of a batch, in place.
 
     ``p`` (4H, B), ``f`` and ``p_c`` are the step's slices of what
-    ``backward_factors`` made of the cache; ``p`` is overwritten with dA,
-    the loss gradient wrt the gate preactivations.  ``grad_h`` and
-    ``grad_c`` are the loss gradients flowing into this step's outputs;
-    ``grad_c`` is overwritten with the one wrt the previous memory cell.
-    ``dc`` is (H, B) scratch.  ``w_h`` is the transposed recurrent block
-    bound to the layer's dA and hidden-state gradient buffers
-    (``MaskedMatrix.bind``), and ``steps`` the places of ``p`` and of the
-    previous step's hidden-state gradient in them: ``w_h(*steps)`` adds
-    ``w_h.T @ dA``, the step's part of that gradient, to it.  ``steps`` is
-    None at the first step, which has no previous one.
+    ``backward_factors`` made of the cache and of its P_c; ``p`` is
+    overwritten with dA, the loss gradient wrt the gate preactivations.
+    ``grad_h`` and ``grad_c`` are the loss gradients flowing into this
+    step's outputs; ``grad_c`` is overwritten with the one wrt the previous
+    memory cell.  ``dc`` is (H, B) scratch.  ``w_h`` is the transposed
+    recurrent block bound to the layer's dA and hidden-state gradient
+    buffers (``MaskedMatrix.bind``), and ``steps`` the places of ``p`` and
+    of the previous step's hidden-state gradient in them: ``w_h(*steps)``
+    adds ``w_h.T @ dA``, the step's part of that gradient, to it.
+    ``steps`` is None at the first step, which has no previous one.
     """
     hidden = f.shape[0]
     np.multiply(p_c, grad_h, out=dc)

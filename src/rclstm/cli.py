@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg, synth
 from .benchmark import (SERVE_BATCH, TRAIN_BATCH, benchmark_serving,
-                        benchmark_training_step)
+                        benchmark_training_step, training_step_peak_bytes)
 from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
 from .data import (PreparedData, WindowedDataset, chronological_split, denormalize,
@@ -238,6 +238,7 @@ def cmd_bench(cfg, args):
                                    warmup=1)
         step = benchmark_training_step(model, train_batch, cfg.training,
                                        reps=batched_reps, warmup=1)
+        peak = training_step_peak_bytes(model, train_batch, cfg.training)
         results[label] = {"median_s": stats.median, "mean_s": stats.mean,
                           "std_s": stats.std, "repetitions": stats.repetitions,
                           "routes": routes,
@@ -246,6 +247,7 @@ def cmd_bench(cfg, args):
                           f"b{SERVE_BATCH}_repetitions": served.repetitions,
                           f"train_b{TRAIN_BATCH}_median_s": step.median,
                           f"train_b{TRAIN_BATCH}_repetitions": step.repetitions,
+                          f"train_b{TRAIN_BATCH}_peak_bytes": peak,
                           f"train_b{TRAIN_BATCH}_shards": shards,
                           f"train_b{TRAIN_BATCH}_weight_grads": weight_grads}
         shown = "; ".join(f"x {r['x']} h {r['h']}" for r in routes)
@@ -254,7 +256,8 @@ def cmd_bench(cfg, args):
               f"B={SERVE_BATCH} {SERVE_BATCH / served.median:.1f} windows/s over "
               f"{served.repetitions} reps; B={TRAIN_BATCH} training step median "
               f"{step.median * 1e3:.1f} ms over {step.repetitions} reps "
-              f"({shards} shards, weight gradients {weight_grads})")
+              f"({shards} shards, weight gradients {weight_grads}), peak "
+              f"{peak / 2**20:.1f} MiB traced")
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")

@@ -24,11 +24,12 @@ per window, the layout the CSR kernels read and write in place.
 The CSR route calls the kernels behind scipy's ``@`` directly
 (``scipy.sparse._sparsetools``): ``csr_matvec`` for one column,
 ``csr_matvecs`` for more, and their ``csc_*`` twins on the same three
-arrays for the transpose.  The kernels add into their output, so a product
-can add itself to a gate buffer in place.  They read and write raw memory
-and check neither lengths nor layout, so every operand and output must be
-C-contiguous float64 of the product's shape: anything else raises, because
-a kernel writing into a copied output would silently lose the product.
+arrays for the transpose.  The kernels add into their output, so a bound
+step (``bind``) adds its product to a gate buffer in place.  They read and
+write raw memory and check neither lengths nor layout, so every operand
+and output must be C-contiguous float64 of the product's shape: anything
+else raises, because a kernel writing into a copied output would silently
+lose the product.
 The masked outer product yields a value vector of the mask's nonzeros
 only, in the same row-major order.
 
@@ -40,11 +41,10 @@ make as few calls as they can:
   and backward.  ``bind`` checks a layer's whole (T, features, B) operand
   and output buffers once and returns a step that makes one kernel call on
   a timestep of each, with nothing left to check or pick;
-- ``dot`` and ``tdot`` writing (not adding) a product of a (T, cols, 1)
-  operand make one ``csr_matvecs`` call over its (cols, T) transpose, not
-  T single-column ones.  Each column still sums from zero over its row's
-  nonzeros in the same order, so the bits are those of T single products.
-  With ``add`` they make one call per timestep.
+- ``dot`` and ``tdot`` of a (T, cols, 1) operand make one ``csr_matvecs``
+  call over its (cols, T) transpose, not T single-column ones.  Each
+  column still sums from zero over its row's nonzeros in the same order,
+  so the bits are those of T single products.
 
 Two kinds of thread run work beside the calling one; numpy, scipy's sparse
 kernels and BLAS release the GIL while they compute, so the work runs on
@@ -237,17 +237,17 @@ class MaskedMatrix:
             np.put(self._w, self._at, values)
         return self
 
-    def dot(self, x, out=None, add=False):
+    def dot(self, x, out=None):
         """``M @ x`` for x of shape (cols, B), or (T, cols, B) for one
         product per leading index.  Written into ``out`` (rows, B) or
-        (T, rows, B) when given, else into a new array; with ``add`` it
-        is added to what ``out`` holds.  ``out`` must not overlap ``x``."""
-        return self._product(False, x, out, add)
+        (T, rows, B) when given, else into a new array.  ``out`` must not
+        overlap ``x``."""
+        return self._product(False, x, out)
 
-    def tdot(self, y, out=None, add=False):
-        """``M.T @ y`` for y of shape (rows, B) or (T, rows, B), written or
-        added as ``dot`` does."""
-        return self._product(True, y, out, add)
+    def tdot(self, y, out=None):
+        """``M.T @ y`` for y of shape (rows, B) or (T, rows, B), written as
+        ``dot`` does."""
+        return self._product(True, y, out)
 
     def bind(self, transpose, x, out):
         """A step ``step(i, j)`` that adds ``M @ x[i]``, or ``M.T @ x[i]``
@@ -292,17 +292,12 @@ class MaskedMatrix:
             return csc_matvec if transpose else csr_matvec, (rows, cols, *arrays)
         return csc_matvecs if transpose else csr_matvecs, (rows, cols, n_vecs, *arrays)
 
-    def _product(self, transpose, x, out, add):
+    def _product(self, transpose, x, out):
         rows, cols = self.shape[::-1] if transpose else self.shape
         if x.shape[-2] != cols:
             raise ShapeError(f"product {(rows, cols)} x {x.shape} is undefined")
-        if add and out is None:
-            raise ValueError("add needs an output to add to")
         if not self.csr_products:
             m = self._w.T if transpose else self._w
-            if add:
-                out += m @ x
-                return out
             return np.matmul(m, x, out=out)  # numpy broadcasts over a leading axis
         if x.ndim not in (2, 3):
             raise ShapeError(f"sparse product operand must be 2-D or 3-D, got {x.shape}")
@@ -314,10 +309,9 @@ class MaskedMatrix:
                 raise ShapeError(f"output {out.shape} does not fit product "
                                  f"{(rows, cols)} x {x.shape}")
             _check_raw(out, "output")
-            if not add:
-                out.fill(0.0)
+            out.fill(0.0)
         _check_raw(x, "operand")
-        if x.ndim == 3 and n_vecs == 1 and not add:
+        if x.ndim == 3 and n_vecs == 1:
             # one product over the (cols, T) transpose, summed from zero
             kernel, args = self._kernel(transpose, len(x))
             y = np.zeros((rows, len(x)))

@@ -18,30 +18,39 @@ one kernel call too.
 
 ``forward_batch`` has two modes over the same loop:
 
-- with the cache (training): the span is the whole window and every
-  buffer holds all T steps, so ``backward_sequence`` can read them;
+- with the cache (training): the span is the whole window, and the gate
+  activations, the memory cell and the hidden states hold all T steps, so
+  ``backward_sequence`` can read them; the layer's input is the layer
+  below's hidden states, not a copy;
 - without it (serving): the gate buffer holds one span of at most
-  ``SPAN_BYTES`` of preactivations, the memory cell a ring of two steps
-  and its tanh one step.  Only the hidden states stay (T, H, B), because
-  the next layer projects them, and a layer's input is dropped once the
-  layer is done.  The outputs are bit-identical to the cached mode.
+  ``SPAN_BYTES`` of preactivations and the memory cell a ring of two
+  steps.  Only the hidden states stay (T, H, B), because the next layer
+  projects them, and a layer's input is dropped once the layer is done.
+  The outputs are bit-identical to the cached mode.
 
-Backpropagation runs top-down a layer at a time.  Before a layer's time
-loop, one pass over the sequence (``cell.backward_factors``) turns its
-cached activations and states in place into the factors that depend on
-the forward alone, so each step is a few whole-block calls plus the
-recurrent product, added to the gradient of the step below in place by
-the transposed recurrent block, bound once to the layer's dA and
-hidden-state gradient buffers.  A layer's weight gradient is one masked
-outer product per block over all T*B columns, a value vector shaped like
-its ``values``, and the layer below needs none of it.  So when a CSR
-batch leaves a CPU idle (``_grads_behind``), the weight gradient of each
-layer above the bottom one runs on ``linalg.in_background``'s thread
-behind the layers below; ``backward_sequence`` takes back the jobs not
-yet started and collects every one before it returns or raises.
-Otherwise each runs inline after its layer's time loop, and the layer's
-dA is freed before the layer below starts.  It is the same call either
-way, so the same bits.
+In both modes tanh of the memory cell holds one step: the backward
+recomputes it from the cached cell, which numpy's ``tanh`` does bit for
+bit, rather than keep a (T, H, B) copy of it.
+
+Backpropagation runs top-down a layer at a time.  A layer's time loop
+runs over chunks of timesteps that fit ``FACTOR_BYTES``, from the last
+down, and finishes each chunk while it is in cache: one pass over the
+chunk (``cell.backward_factors``) turns its cached activations and states
+in place into the factors that depend on the forward alone and recomputes
+tanh(c) into a chunk-sized scratch; then each step is a few whole-block
+calls plus the recurrent product, added to the gradient of the step below
+in place by the transposed recurrent block, bound once to the layer's dA
+and hidden-state gradient buffers; then the chunk's rows of the gradient
+wrt the layer's input and its columns of the feature-major dA are
+written.  A layer's weight gradient is one masked outer product per block
+over all T*B columns, a value vector shaped like its ``values``, and the
+layer below needs none of it.  So when a CSR batch leaves a CPU idle
+(``_grads_behind``), the weight gradient of each layer above the bottom
+one runs on ``linalg.in_background``'s thread behind the layers below;
+``backward_sequence`` takes back the jobs not yet started and collects
+every one before it returns or raises.  Otherwise each runs inline after
+its layer's time loop, and the layer's dA is freed before the layer below
+starts.  It is the same call either way, so the same bits.
 
 A batch whose products all run on CSR (below ``linalg.PRODUCT_DENSITY``)
 runs as contiguous shards of windows at once (``_shard_bounds``): the
@@ -83,15 +92,20 @@ from .errors import DivergenceError, ShapeError
 #: other; the whole-window span loses up to a quarter at B=256.
 SPAN_BYTES = 1 << 20
 
-#: bytes of scratch the backward's factor pass (``cell.backward_factors``)
-#: holds: it runs over as many timesteps at a time as one (H, windows)
-#: block per step fits.  Milliseconds per layer-shard on the 2-CPU Xeon
-#: above (median of 21), budgets 64 KiB / 128 KiB / 256 KiB / 512 KiB /
-#: 1 MiB, by T x H x windows:
-#: 100x300x16: 8.40 / 7.59 / 7.15 / 7.57 / 9.62;
-#: 100x300x32: 15.2 / 13.3 / 13.0 / 13.8 / 20.1;
-#: 100x300x1:  0.71 / 0.56 / 0.51 / 0.52 / 0.52;
-#: 12x150x32:  0.81 / 0.64 / 0.57 / 0.57 / 0.51.
+#: bytes of one (H, windows) block per timestep a chunk of the backward
+#: holds: a layer's time loop runs over chunks of as many timesteps as fit,
+#: and finishes each (its factor pass, ``cell.backward_factors``, with its
+#: P_c scratch; its steps; its rows of the input gradient and columns of
+#: dA) before the next.  Milliseconds per layer-shard of that loop, on a
+#: middle layer, on the 2-CPU Xeon above (median of 61 interleaved rounds,
+#: 1 BLAS thread), budgets 64 KiB / 128 KiB / 256 KiB / 512 KiB / 1 MiB, by
+#: T x H x windows:
+#: 100x300x16: 34.60 / 34.50 / 30.73 / 27.55 / 27.81;
+#: 100x300x32: 51.56 / 51.28 / 51.99 / 49.19 / 52.63;
+#: 100x300x1:  2.29 / 2.01 / 2.17 / 2.09 / 3.12;
+#: 12x150x32:  3.76 / 3.17 / 3.11 / 3.07 / 4.22.
+#: Paired over 81 rounds, 512 KiB took 0.967 / 0.986 / 0.999 / 1.000 of
+#: 256 KiB's time and won 52 / 51 / 42 / 41 of them: no clear win.
 FACTOR_BYTES = 1 << 18
 
 #: fewest hidden units x windows a shard of a batch holds in the model's
@@ -172,11 +186,11 @@ class LayerCache:
     each array once it is done with it."""
 
     x: np.ndarray  # the layer's input
-    # backpropagation turns gates, c and tanh_c into the backward's
-    # factors (``cell.backward_factors``), then gates into dA
+    # backpropagation turns gates and c into the backward's factors
+    # (``cell.backward_factors``), then gates into dA; tanh(c) is not kept,
+    # the factor pass recomputes it
     gates: np.ndarray  # (T, 4H, b) activations f, i, z, o
     c: np.ndarray
-    tanh_c: np.ndarray
     h: np.ndarray
 
 
@@ -225,19 +239,20 @@ def _layer_forward(k, layer, x, keep_cache):
 
     Returns the (T, H, B) hidden states and, with ``keep_cache``, the
     layer's ``LayerCache`` (else None).  Without the cache the gate buffer
-    holds one span of timesteps, ``c`` a ring of two and ``tanh_c`` one.
+    holds one span of timesteps and ``c`` a ring of two.  ``tanh_c`` holds
+    one step in both modes: the backward recomputes it from ``c``.
     """
     n_steps, _, batch = x.shape
     hidden = layer.hidden_dim
     ops = layer.products()
     if keep_cache:
-        span, n_c, n_tanh = n_steps, n_steps, n_steps
+        span, n_c = n_steps, n_steps
     else:
         span = min(n_steps, max(1, SPAN_BYTES // (4 * hidden * batch * 8)))
-        n_c, n_tanh = min(n_steps, 2), 1
+        n_c = min(n_steps, 2)
     gates = np.empty((span, 4 * hidden, batch))
     c = np.empty((n_c, hidden, batch))
-    tanh_c = np.empty((n_tanh, hidden, batch))
+    tanh_c = np.empty((hidden, batch))
     h = np.empty((n_steps, hidden, batch))
     recurrent = ops.h.bind(False, h, gates)
     for t in range(n_steps):
@@ -247,14 +262,14 @@ def _layer_forward(k, layer, x, keep_cache):
             ops.x.dot(x[t : t + len(proj)], out=proj)
             proj += layer.b[:, None]
         steps, c_prev = ((t - 1, s), c[(t - 1) % n_c]) if t else (None, None)
-        cell_forward(recurrent, steps, gates[s], c_prev, c[t % n_c], tanh_c[t % n_tanh], h[t])
+        cell_forward(recurrent, steps, gates[s], c_prev, c[t % n_c], tanh_c, h[t])
     if not math.isfinite(float(np.sum(h)) + float(np.sum(c))):
         finite = np.isfinite(h).all(axis=(1, 2))
         kept = np.arange(n_steps - n_c, n_steps)  # the steps whose c survives
         finite[kept] &= np.isfinite(c[kept % n_c]).all(axis=(1, 2))
         raise DivergenceError("non-finite cell state", layer=k,
                               timestep=int(np.argmin(finite)))
-    return h, LayerCache(x, gates, c, tanh_c, h) if keep_cache else None
+    return h, LayerCache(x, gates, c, h) if keep_cache else None
 
 
 def _shard_bounds(model, batch):
@@ -359,15 +374,19 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
 
     ``caches`` is the shard's LayerCache per layer and ``grad_h`` (T, H, b)
     the loss gradient wrt the shard's hidden states from above; each
-    step's recurrent part is added to it in place.  Before the time loop,
-    ``cell.backward_factors`` turns the cached gates and states into the
-    factors that depend on the forward alone, so each step runs a few
-    whole-block calls.  The shard's dA is written into ``da``, its input
-    sequence into ``x`` and, unless None, its hidden states into ``h``:
-    (features, T, b) column slices of the batch's feature-major buffers.
-    Each cached array is dropped once copied, and the layer's cache once
-    done, so the batch holds one copy of each at a time.  Returns the
-    gradient wrt the shard's input sequence, or None for the bottom layer.
+    step's recurrent part is added to it in place.  The time loop runs over
+    chunks of as many timesteps as one (H, b) block per step fits in
+    ``FACTOR_BYTES``, from the last chunk down, and each chunk is done
+    before the next: ``cell.backward_factors`` turns its cached gates and
+    states into the factors that depend on the forward alone, so each step
+    runs a few whole-block calls; then its steps, its rows of the gradient
+    wrt the input and its columns of dA, while they are still in cache.
+    The shard's dA is written into ``da``, its input sequence into ``x``
+    and, unless None, its hidden states into ``h``: (features, T, b) column
+    slices of the batch's feature-major buffers.  Each cached array is
+    dropped once copied, and the layer's cache once done, so the batch
+    holds one copy of each at a time.  Returns the gradient wrt the
+    shard's input sequence, or None for the bottom layer.
     """
     lc = caches[k]
     caches[k] = None
@@ -380,14 +399,20 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
     lc.h = None
     ops = layer.products()
     n_steps, hidden, width = lc.c.shape
-    backward_factors(lc.gates, lc.c, lc.tanh_c, max(1, FACTOR_BYTES // (hidden * width * 8)))
+    span = min(n_steps, max(1, FACTOR_BYTES // (hidden * width * 8)))
+    p_c = np.empty((span, hidden, width))
     grad_c, dc = np.zeros((hidden, width)), np.empty((hidden, width))
+    grad_x = np.empty((n_steps, layer.input_dim, width)) if k else None
     recurrent = ops.h.bind(True, lc.gates, grad_h)
-    for t in range(n_steps - 1, -1, -1):
-        cell_backward(recurrent, (t, t - 1) if t else None, lc.gates[t], lc.c[t],
-                      lc.tanh_c[t], grad_h[t], grad_c, dc)
-    grad_x = ops.x.tdot(lc.gates) if k else None
-    da[...] = lc.gates.transpose(1, 0, 2)
+    for hi in range(n_steps, 0, -span):
+        lo = max(0, hi - span)
+        backward_factors(lc.gates, lc.c, lo, p_c[: hi - lo])
+        for t in range(hi - 1, lo - 1, -1):
+            cell_backward(recurrent, (t, t - 1) if t else None, lc.gates[t], lc.c[t],
+                          p_c[t - lo], grad_h[t], grad_c, dc)
+        if k:
+            ops.x.tdot(lc.gates[lo:hi], out=grad_x[lo:hi])
+        da[:, lo:hi] = lc.gates[lo:hi].transpose(1, 0, 2)
     return grad_x
 
 

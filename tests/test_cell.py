@@ -27,7 +27,7 @@ def on_mix(layer, mix):
 def run_step(layer, x, h0=None, c0=None):
     """One timestep through the cell API.  ``x`` is (B, D) and the states
     (B, H), batch-major; returns (h, c) batch-major plus the feature-major
-    gate activations and tanh(c) that ``backward_factors`` takes."""
+    gate activations that ``backward_factors`` takes."""
     ops = layer.products()
     a = ops.x.dot(np.asarray(x, dtype=np.float64).T.copy()) + layer.b[:, None]
     shape = (layer.hidden_dim, a.shape[1])
@@ -38,7 +38,7 @@ def run_step(layer, x, h0=None, c0=None):
         # one-step buffers for the recurrent product: h0 in, a (as a view) out
         cell_forward(ops.h.bind(False, h0.T.copy()[None], a[None]), (0, 0), a,
                      c0.T.copy(), c, tanh_c, h)
-    return h.T, c.T, a, tanh_c
+    return h.T, c.T, a
 
 
 def step_grads(layer, x, h0, c0, grad_h, grad_c):
@@ -48,13 +48,13 @@ def step_grads(layer, x, h0, c0, grad_h, grad_c):
 
     The step is the second of a two-step cache whose first step holds
     only c0, the memory cell the step reads."""
-    _, c, a, tanh_c = run_step(layer, x, h0, c0)
-    gates, cs, tanh_cs = np.stack([a, a]), np.stack([c0.T, c.T]), np.stack([tanh_c, tanh_c])
-    backward_factors(gates, cs, tanh_cs, span=1)
+    _, c, a = run_step(layer, x, h0, c0)
+    gates, cs, p_c = np.stack([a, a]), np.stack([c0.T, c.T]), np.empty((1, *c.T.shape))
+    backward_factors(gates, cs, 1, p_c)
     ops = layer.products()
     grad_c_prev = grad_c.T.copy()
     grad_hs = np.stack([np.zeros(h0.T.shape), grad_h.T])  # the two steps' grad_h
-    cell_backward(ops.h.bind(True, gates, grad_hs), (1, 0), gates[1], cs[1], tanh_cs[1],
+    cell_backward(ops.h.bind(True, gates, grad_hs), (1, 0), gates[1], cs[1], p_c[0],
                   grad_hs[1], grad_c_prev, np.empty_like(grad_c_prev))
     grad_h_prev = grad_hs[0]
     da = gates[1]
@@ -95,7 +95,7 @@ class TestCellForward:
         layer = make_layer(3, 4, 1.0, seed=0)
         layer.values[:] = 0.0
         layer.b[:] = 0.0
-        h, c, gates, _ = run_step(layer, np.ones((1, 3)))
+        h, c, gates = run_step(layer, np.ones((1, 3)))
         f, i, z, o = gates.reshape(4, 4)
         assert np.allclose(f, 0.5) and np.allclose(i, 0.5)
         assert np.allclose(o, 0.5) and np.allclose(z, 0.0)
@@ -107,7 +107,7 @@ class TestCellForward:
         layer.values[:] = 0.0
         layer.b[:] = 0.0
         c_prev = np.linspace(-1.0, 1.0, 5)[None]
-        h, c, _, _ = run_step(layer, np.zeros((1, 2)), np.zeros((1, 5)), c_prev.copy())
+        h, c, _ = run_step(layer, np.zeros((1, 2)), np.zeros((1, 5)), c_prev.copy())
         assert np.max(np.abs(c - 0.5 * c_prev)) < 1e-15
         assert np.max(np.abs(h - 0.5 * np.tanh(0.5 * c_prev))) < 1e-15
 
@@ -122,7 +122,7 @@ class TestCellForward:
             ref = DenseLstmReference.from_stacked(layer.w, layer.b)
             hs, cs, _ = ref.forward([x], h0=h0, c0=c0)
             for mix in MIXES:
-                h, c, _, _ = run_step(on_mix(layer, mix), x[None], h0[None], c0[None])
+                h, c, _ = run_step(on_mix(layer, mix), x[None], h0[None], c0[None])
                 assert np.max(np.abs(h[0] - hs[0])) < 1e-12
                 assert np.max(np.abs(c[0] - cs[0])) < 1e-12
 
@@ -145,9 +145,9 @@ class TestCellForward:
         xs = rng.normal(size=(4, 2))
         h0 = rng.normal(size=(4, 6)) * 0.2
         c0 = rng.normal(size=(4, 6))
-        bh, bc, _, _ = run_step(layer, xs, h0, c0)
+        bh, bc, _ = run_step(layer, xs, h0, c0)
         for j in range(4):
-            h, c, _, _ = run_step(layer, xs[j : j + 1], h0[j : j + 1], c0[j : j + 1])
+            h, c, _ = run_step(layer, xs[j : j + 1], h0[j : j + 1], c0[j : j + 1])
             assert np.max(np.abs(bh[j] - h[0])) < 1e-12
             assert np.max(np.abs(bc[j] - c[0])) < 1e-12
 
@@ -156,7 +156,7 @@ class TestCellForward:
         layer = make_layer(3, 16, 0.6, seed=12)
         h, c = np.zeros((1, 16)), np.zeros((1, 16))
         for _ in range(10):
-            h, c, gates, _ = run_step(layer, rng.normal(size=(1, 3)) * 5.0, h, c)
+            h, c, gates = run_step(layer, rng.normal(size=(1, 3)) * 5.0, h, c)
             f, i, z, o = gates.reshape(4, 16)
             for gate in (f, i, o):
                 assert np.all((gate > 0.0) & (gate < 1.0))
@@ -217,7 +217,7 @@ class TestCellBackward:
 
             def loss():
                 twin.sync()
-                h, c, _, _ = run_step(twin, x, h0, c0)
+                h, c, _ = run_step(twin, x, h0, c0)
                 return float(np.sum(gh * h) + np.sum(gc * c))
 
             grad_w, grad_b, grad_x, grad_h0, grad_c0 = step_grads(twin, x, h0, c0, gh, gc)

@@ -612,6 +612,11 @@ include_baselines = true
             # B=32 training step
             assert entry["b256_repetitions"] == entry["train_b32_repetitions"] == 3
             assert entry["train_b32_median_s"] > 0.0
+            # one untimed step under tracemalloc holds at least both layers'
+            # (T, 4H, B) gate caches
+            assert isinstance(entry["train_b32_peak_bytes"], int)
+            assert entry["train_b32_peak_bytes"] > 2 * 8 * 64 * 32 * 8
+            assert f"peak {entry['train_b32_peak_bytes'] / 2**20:.1f} MiB traced" in out
             assert (entry["train_b32_shards"], entry["train_b32_weight_grads"]) == (1, grads)
             assert out.count(f"(1 shards, weight gradients {grads})") == 1
         assert payload["dense"]["routes"] == [{"x": "dense/dense", "h": "dense/dense"}] * 2

@@ -259,9 +259,10 @@ def test_sparse_route_equals_scipy_bit_for_bit(batch):
     x, y = rng.normal(size=(45, batch)), rng.normal(size=(60, batch))
     assert np.array_equal(a.dot(x), csr @ x)
     assert np.array_equal(a.tdot(y), csr.T @ y)  # the CSC form
-    for product, operand, want in ((a.dot, x, csr @ x), (a.tdot, y, csr.T @ y)):
+    for transpose, product, operand, want in ((False, a.dot, x, csr @ x),
+                                              (True, a.tdot, y, csr.T @ y)):
         zeroed = np.zeros(want.shape)
-        assert product(operand, out=zeroed, add=True) is zeroed
+        a.bind(transpose, operand[None], zeroed[None])(0, 0)  # adds onto zeros
         assert np.array_equal(zeroed, want)
         stale = np.full(want.shape, np.nan)  # the plain form overwrites its output
         assert np.array_equal(product(operand, out=stale), want)
@@ -273,6 +274,7 @@ def test_sparse_route_equals_scipy_bit_for_bit(batch):
 @pytest.mark.parametrize("mix", ["csr", "dense"])
 @pytest.mark.parametrize("batch", [1, 2, 33])
 def test_add_form_adds_the_product(mix, batch):
+    # a bound step is the one form of product that adds to its output
     rng = np.random.default_rng(40 + batch)
     m = rng.random((60, 45)) < 0.1
     w = rng.normal(size=m.shape) * m
@@ -280,14 +282,12 @@ def test_add_form_adds_the_product(mix, batch):
     x, y = rng.normal(size=(45, batch)), rng.normal(size=(60, batch))
     out = rng.normal(size=(60, batch))
     before = out.copy()
-    a.dot(x, out=out, add=True)
+    a.bind(False, x[None], out[None])(0, 0)
     assert np.max(np.abs(out - (before + w @ x))) < 1e-12
     out = rng.normal(size=(45, batch))
     before = out.copy()
-    a.tdot(y, out=out, add=True)
+    a.bind(True, y[None], out[None])(0, 0)
     assert np.max(np.abs(out - (before + w.T @ y))) < 1e-12
-    with pytest.raises(ValueError):
-        a.dot(x, add=True)
 
 
 def test_sparse_route_rejects_layouts_it_would_copy():
@@ -302,7 +302,7 @@ def test_sparse_route_rejects_layouts_it_would_copy():
     with pytest.raises(ShapeError, match="output must be C-contiguous"):
         a.dot(x, out=np.zeros((4, 6)).T)
     with pytest.raises(ShapeError, match="output must be C-contiguous"):
-        a.dot(x, out=np.zeros((6, 4), dtype=np.float32), add=True)
+        a.dot(x, out=np.zeros((6, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="does not fit"):
         a.dot(x, out=np.zeros((6, 3)))
     with pytest.raises(ShapeError, match="does not fit"):
@@ -312,23 +312,31 @@ def test_sparse_route_rejects_layouts_it_would_copy():
 
 
 @pytest.mark.parametrize("steps", [1, 5])
-@pytest.mark.parametrize("given_out, add", [(False, False), (True, False), (True, True)],
-                         ids=["new", "out", "add"])
-def test_one_column_sequence_equals_its_steps(steps, given_out, add):
+@pytest.mark.parametrize("form", ["new", "out", "chunks"])
+def test_one_column_sequence_equals_its_steps(steps, form):
     # a (T, cols, 1) product written in one kernel call over the (cols, T)
-    # transpose has the bits of T single-column products
+    # transpose has the bits of T single-column products, each added onto
+    # zeros by a bound step; so does one written a chunk of steps at a time
+    # into slices of one output, as the backward writes a layer's input
+    # gradient
     rng = np.random.default_rng(50 + steps)
     m = rng.random((60, 45)) < 0.1
     a = masked(rng.normal(size=m.shape), m)
-    for product, cols, rows in ((a.dot, 45, 60), (a.tdot, 60, 45)):
+    for transpose, product, cols, rows in ((False, a.dot, 45, 60), (True, a.tdot, 60, 45)):
         seq = rng.normal(size=(steps, cols, 1))
-        start = rng.normal(size=(steps, rows, 1)) if add else np.full((steps, rows, 1), np.nan)
-        want = start.copy() if add else np.zeros((steps, rows, 1))
+        want = np.zeros((steps, rows, 1))
+        step = a.bind(transpose, seq, want)
         for t in range(steps):
-            product(seq[t], out=want[t], add=True)
-        out = start.copy() if given_out else None
-        got = product(seq, out=out, add=add)
-        assert got is out if given_out else got.flags.c_contiguous
+            step(t, t)
+        got = np.full((steps, rows, 1), np.nan)  # stale: every entry is written
+        if form == "new":
+            got = product(seq)
+            assert got.flags.c_contiguous
+        elif form == "out":
+            assert product(seq, out=got) is got
+        else:
+            for lo in range(0, steps, 2):  # chunks of two steps, the last of one
+                product(seq[lo : lo + 2], out=got[lo : lo + 2])
         assert np.array_equal(got, want)
 
 
@@ -340,8 +348,9 @@ def test_bound_step_adds_one_product(mix, batch):
     a = masked(rng.normal(size=m.shape), m, mix)
     for transpose, product, cols, rows in ((False, a.dot, 45, 60), (True, a.tdot, 60, 45)):
         x, out = rng.normal(size=(4, cols, batch)), rng.normal(size=(2, rows, batch))
+        out[1] = 0.0  # the step adds onto zeros the bits a written product has
         want = out.copy()
-        product(x[3], out=want[1], add=True)
+        product(x[3], out=want[1])
         step = a.bind(transpose, x, out)
         step(3, 1)
         assert np.array_equal(out, want)

@@ -248,19 +248,53 @@ class TestBackwardSequence:
             live = want[f"layer{k}.w"].ravel()[np.flatnonzero(layer.mask.bits)]
             assert np.max(np.abs(got[f"layer{k}.w"] - live)) < 1e-12
 
-    @pytest.mark.parametrize("density", [SPARSE, 1.0], ids=["csr", "dense"])
-    def test_same_gradients_at_any_factor_chunk(self, density, monkeypatch):
-        # the factor pass runs over chunks of timesteps; where they end
-        # changes no bit of the gradients
+    @pytest.mark.parametrize("density, hidden, batch, shards", [
+        pytest.param(SPARSE, [20, 20], 3, 1, id="csr"),
+        pytest.param(1.0, [20, 20], 3, 1, id="dense"),
+        # a (S, cols, 1) input gradient is one transposed product per chunk
+        pytest.param(SPARSE, [20, 20], 1, 1, id="one-window"),
+        # two layers write their input gradient a chunk at a time
+        pytest.param(SPARSE, [20, 20, 20], 3, 1, id="three-layer"),
+        pytest.param(SPARSE, [20, 20], 4, 2, id="two-shards"),
+    ])
+    def test_same_gradients_at_any_factor_chunk(self, density, hidden, batch, shards,
+                                                monkeypatch):
+        # the backward runs over chunks of timesteps, each done before the
+        # next; where they end changes no bit of the gradients
+        monkeypatch.setattr(linalg, "WORKERS", 2)
+        if shards > 1:
+            monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
         rng = np.random.default_rng(9)
-        windows, douts = rng.normal(size=(3, 7, 2)), rng.normal(size=(3, 1))
+        windows, douts = rng.normal(size=(batch, 7, 2)), rng.normal(size=(batch, 1))
         grads = []
         for steps in (1, 3, 7):
-            monkeypatch.setattr(network, "FACTOR_BYTES", steps * 20 * 3 * 8)
-            model = build_model(2, [20, 20], seed=3, density=density)
-            grads.append(backward_sequence(model, forward_batch(model, windows)[1], douts))
+            # one (20, windows of a shard) block per step
+            monkeypatch.setattr(network, "FACTOR_BYTES", steps * 20 * (batch // shards) * 8)
+            model = build_model(2, hidden, seed=3, density=density)
+            _, cache = forward_batch(model, windows)
+            assert len(cache.bounds) == shards
+            grads.append(backward_sequence(model, cache, douts))
         for other in grads[1:]:
             assert all(np.array_equal(grads[0][key], other[key]) for key in grads[0])
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_cache_holds_input_gates_c_and_h_only(self, shards, monkeypatch):
+        # the backward recomputes tanh(c), so a layer's training cache holds
+        # its input (the layer below's h, not a copy), its gates, c and h
+        monkeypatch.setattr(linalg, "WORKERS", shards)
+        monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
+        model = build_model(2, [6, 5], seed=1, density=SPARSE)
+        _, cache = forward_batch(model, np.random.default_rng(0).normal(size=(4, 7, 2)))
+        assert len(cache.bounds) == shards
+        for (lo, hi), caches in zip(cache.bounds, cache.shards):
+            dim = model.feature_dim
+            for k, (layer, lc) in enumerate(zip(model.layers, caches)):
+                hidden = layer.hidden_dim
+                assert {name: a.shape for name, a in vars(lc).items()} == {
+                    "x": (7, dim, hi - lo), "gates": (7, 4 * hidden, hi - lo),
+                    "c": (7, hidden, hi - lo), "h": (7, hidden, hi - lo)}
+                assert k == 0 or lc.x is caches[k - 1].h
+                dim = hidden
 
     def test_stale_cache_rejected(self):
         model = build_model(1, [4], seed=0)
