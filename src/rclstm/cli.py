@@ -2,19 +2,23 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage, config or input
 error.  These exit 2 before any model trains: a flag the subcommand does
-not read; an INI file that does not parse or holds a non-finite float; a
-config, with its flags applied, that fails ``RunConfig.validate`` (a
-flag or a sweep point is held to the rule of the key it sets); a data
-file that does not parse, such as a traffic value that is not a positive
-finite number; a series, from a CSV, a dataset cache or the synthetic
-generator, that breaks the rules of ``PreparedData``; a dataset cache
-that does not load, or whose task is not the one ``[run] task`` implies;
-``bench`` on data with fewer than 256 windows; a checkpoint that does not
-load, or whose model fails ``StackedRclstm.validate`` alone or against
-the evaluated windows (task, features, classes).  Every model trains
-with Adam.  With ``--freeze-timestamps`` output filenames use a fixed
-stamp and measured wall-clock columns are written as zeros, so identical
-(config, seed) runs produce byte-identical files.
+not read; a data file or checkpoint that cannot be opened, such as a
+missing path or a directory (any ``OSError``); an INI file that does not
+parse or holds a non-finite float; a config, with its flags applied, that
+fails ``RunConfig.validate`` (a flag or a sweep point is held to the rule
+of the key it sets); a data file that does not parse, such as a traffic
+value that is not a positive finite number; a series, from a CSV, a
+dataset cache or the synthetic generator, that breaks the rules of
+``PreparedData``; a dataset cache that does not load, or whose task is not
+the one ``[run] task`` implies; ``bench`` on data with fewer than 256
+windows; a checkpoint that does not load, or whose model fails
+``StackedRclstm.validate`` alone or against the evaluated windows (task,
+features, classes).  An ``output_dir`` that cannot be made, such as a
+file, exits 2 too, but only once the run is done.  Every model trains with
+Adam.  With ``--freeze-timestamps`` output filenames use a fixed stamp and
+measured wall-clock columns are written as zeros, so identical (config,
+seed) runs produce byte-identical files; ``bench`` is the exception: only
+its file name is fixed, and its report holds what it measured.
 """
 
 import argparse
@@ -45,7 +49,7 @@ from .sweeps import build_from_config, run_sweep, summarize, write_report_csv
 from .training import evaluate_model, fit, predict_batch
 
 USAGE_ERRORS = (ConfigError, DataFormatError, InsufficientDataError,
-                EncodingError, CheckpointError, FileNotFoundError)
+                EncodingError, CheckpointError, OSError)
 
 
 def _stamp(frozen):
@@ -288,7 +292,8 @@ def build_parser():
         if name in ("train", "sweep", "bench"):
             p.add_argument("--density", type=float, default=None)
             p.add_argument("--freeze-timestamps", action="store_true",
-                           help="fixed filenames and zeroed wall-clock columns")
+                           help="fixed filenames and zeroed wall-clock columns "
+                                "(bench: the file name only)")
         if name == "sweep":
             p.add_argument("--parallel", type=int, default=1,
                            help="concurrent sweep workers")

@@ -21,30 +21,29 @@ values it was last loaded with, given as the mask's nonzeros in row-major
 order.  Dense operands are feature-major, (features, B) with one column
 per window, the layout the CSR kernels read and write in place.
 
-The CSR route calls the kernels behind scipy's ``@`` directly
-(``scipy.sparse._sparsetools``): ``csr_matvec`` for one column,
-``csr_matvecs`` for more, and their ``csc_*`` twins on the same three
-arrays for the transpose.  The kernels add into their output, so a bound
-step (``bind``) adds its product to a gate buffer in place.  They read and
-write raw memory and check neither lengths nor layout, so every operand
-and output must be C-contiguous float64 of the product's shape: anything
-else raises, because a kernel writing into a copied output would silently
-lose the product.
-The masked outer product yields a value vector of the mask's nonzeros
-only, in the same row-major order.
+Every product goes through ``bind``, which checks a (T, cols, B) operand
+and an (S, rows, B) output once and returns two operations on them:
+``add`` adds one step's product to one output step, and ``write`` writes
+a span of steps' products.  The CSR route calls the kernels behind scipy's
+``@`` directly (``scipy.sparse._sparsetools``, which no other module
+imports): ``csr_matvec`` for one column, ``csr_matvecs`` for more, and
+their ``csc_*`` twins on the same three arrays for the transpose.  The
+kernels add into their output and check neither lengths, layout nor
+overlap, so ``bind`` refuses buffers that are not C-contiguous float64 of
+the product's shape (a kernel writing into a copy would silently lose the
+product) and an output that may overlap its operand (a kernel would read
+back what it had written, with no error).  The masked outer product
+yields a value vector of the mask's nonzeros only, in the same row-major
+order.
 
 At B=1 a product's arithmetic is so small that the Python around each
-kernel call sets its cost, so the recurrence and the input projection each
-make as few calls as they can:
-
-- the recurrence adds one small product per layer and timestep, forward
-  and backward.  ``bind`` checks a layer's whole (T, features, B) operand
-  and output buffers once and returns a step that makes one kernel call on
-  a timestep of each, with nothing left to check or pick;
-- ``dot`` and ``tdot`` of a (T, cols, 1) operand make one ``csr_matvecs``
-  call over its (cols, T) transpose, not T single-column ones.  Each
-  column still sums from zero over its row's nonzeros in the same order,
-  so the bits are those of T single products.
+kernel call sets its cost, so each product makes as few calls as it can.
+The recurrence binds a layer's buffers once per layer call, and ``add``
+then makes one kernel call per step, with nothing left to check or pick.
+``write`` at B=1 makes one ``csr_matvecs`` call over the span's (cols, n)
+transpose, not n single-column ones.  Each column still sums from zero
+over its row's nonzeros in the same order, so the bits are those of n
+single products.
 
 Two kinds of thread run work beside the calling one; numpy, scipy's sparse
 kernels and BLAS release the GIL while they compute, so the work runs on
@@ -78,8 +77,8 @@ from .errors import ShapeError
 #: others by design, such as a sweep worker, sets it to 1.
 WORKERS = len(os.sched_getaffinity(0))
 
-#: mask density below which ``MaskedMatrix`` runs its products (the
-#: forward product, the backward ``tdot`` and the input projection) on CSR.
+#: mask density below which ``MaskedMatrix`` runs its products (``bind``:
+#: the recurrence and the input projection, forward and backward) on CSR.
 #: Fitted off the connectivity sweep grid (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 #: so that a grid point's route does not hang on its seed's realized density.  Whole
 #: models on the 2-CPU Xeon of ``network.SPAN_BYTES`` (1 BLAS thread,
@@ -182,13 +181,13 @@ def in_background(job):
 class MaskedMatrix:
     """Products with a matrix that is zero wherever ``mask`` is false.
 
-    ``density`` alone picks the routes of its products (``dot``, ``tdot``)
-    and of its masked outer product (``masked_outer``), as the module
-    docstring says, for the object's life and at any batch width; a layer
-    passes its whole gate matrix's for both blocks.  Only the structures
-    those routes use are built.  ``load(values)`` takes the nonzeros in
-    row-major order (``np.flatnonzero(mask)``) into the CSR value vector,
-    or into a dense array whose masked entries stay zero: O(nnz) either way.
+    ``density`` alone picks the routes of its products (``bind``) and of
+    its masked outer product (``masked_outer``), as the module docstring
+    says, for the object's life and at any batch width; a layer passes its
+    whole gate matrix's for both blocks.  Only the structures those routes
+    use are built.  ``load(values)`` takes the nonzeros in row-major order
+    (``np.flatnonzero(mask)``) into the CSR value vector, or into a dense
+    array whose masked entries stay zero: O(nnz) either way.
     """
 
     def __init__(self, mask, density):
@@ -237,49 +236,62 @@ class MaskedMatrix:
             np.put(self._w, self._at, values)
         return self
 
-    def dot(self, x, out=None):
-        """``M @ x`` for x of shape (cols, B), or (T, cols, B) for one
-        product per leading index.  Written into ``out`` (rows, B) or
-        (T, rows, B) when given, else into a new array.  ``out`` must not
-        overlap ``x``."""
-        return self._product(False, x, out)
-
-    def tdot(self, y, out=None):
-        """``M.T @ y`` for y of shape (rows, B) or (T, rows, B), written as
-        ``dot`` does."""
-        return self._product(True, y, out)
-
     def bind(self, transpose, x, out):
-        """A step ``step(i, j)`` that adds ``M @ x[i]``, or ``M.T @ x[i]``
-        with ``transpose``, to ``out[j]``, for x (T, cols, B) and out
-        (S, rows, B).
+        """The products of ``M``, or of ``M.T`` with ``transpose``, with the
+        (T, cols, B) operand ``x`` into the (S, rows, B) output ``out``:
+        ``add(i, j)`` adds ``M @ x[i]`` to ``out[j]``, and ``write(i, j, n)``
+        writes ``M @ x[i + s]`` into ``out[j + s]`` for s < n.
 
-        The whole buffers are checked here, once, as ``dot`` checks a
-        call's: ShapeError unless both are 3-D with the product's cols and
-        rows and the same B and, on the CSR route, C-contiguous float64.
-        The step only indexes them (an index out of range raises), so each
-        of its kernel calls gets a checked (features, B) block.  ``out``
-        must not overlap ``x``.
+        The whole buffers are checked here, once: ShapeError unless both are
+        3-D with the product's cols and rows and the same B, ``out`` cannot
+        overlap ``x`` and, on the CSR route, both are C-contiguous float64.
+        ``add`` and ``write`` only index them (a step or span out of range
+        raises IndexError), so each kernel call gets checked blocks.
         """
         rows, cols = self.shape[::-1] if transpose else self.shape
         if x.ndim != 3 or out.ndim != 3 or x.shape[1] != cols \
                 or out.shape[1:] != (rows, x.shape[2]):
             raise ShapeError(f"product {(rows, cols)} x {x.shape} does not fit "
                              f"output {out.shape}")
+        if np.may_share_memory(x, out):
+            raise ShapeError("product output may overlap its operand")
+
+        def span(i, j, n):
+            xs, ys = x[i : i + n], out[j : j + n]
+            if len(xs) != n or len(ys) != n:
+                raise IndexError(f"{n} steps from {i} to {j} overrun {x.shape} or {out.shape}")
+            return xs, ys
+
         if not self.csr_products:
             m = self._w.T if transpose else self._w
 
-            def step(i, j):
+            def add(i, j):
                 o = out[j]
                 o += m @ x[i]
-            return step
+
+            def write(i, j, n):
+                xs, ys = span(i, j, n)
+                np.matmul(m, xs, out=ys)  # numpy broadcasts over the steps
+            return add, write
         _check_raw(x, "operand")
         _check_raw(out, "output")
         kernel, args = self._kernel(transpose, x.shape[2])
 
-        def step(i, j):
+        def add(i, j):
             kernel(*args, x[i], out[j])
-        return step
+
+        def write(i, j, n):
+            xs, ys = span(i, j, n)
+            if x.shape[2] > 1:
+                ys.fill(0.0)
+                for xt, yt in zip(xs, ys):
+                    kernel(*args, xt, yt)
+            else:  # one call over the (cols, n) transpose: the bits of n steps
+                n_kernel, n_args = self._kernel(transpose, n)
+                y = np.zeros((rows, n))
+                n_kernel(*n_args, np.ascontiguousarray(xs[:, :, 0].T), y)
+                ys[:, :, 0] = y.T
+        return add, write
 
     def _kernel(self, transpose, n_vecs):
         """The CSR kernel for ``n_vecs`` columns and its leading arguments.
@@ -291,40 +303,6 @@ class MaskedMatrix:
         if n_vecs == 1:
             return csc_matvec if transpose else csr_matvec, (rows, cols, *arrays)
         return csc_matvecs if transpose else csr_matvecs, (rows, cols, n_vecs, *arrays)
-
-    def _product(self, transpose, x, out):
-        rows, cols = self.shape[::-1] if transpose else self.shape
-        if x.shape[-2] != cols:
-            raise ShapeError(f"product {(rows, cols)} x {x.shape} is undefined")
-        if not self.csr_products:
-            m = self._w.T if transpose else self._w
-            return np.matmul(m, x, out=out)  # numpy broadcasts over a leading axis
-        if x.ndim not in (2, 3):
-            raise ShapeError(f"sparse product operand must be 2-D or 3-D, got {x.shape}")
-        n_vecs = x.shape[-1]
-        if out is None:
-            out = np.zeros((*x.shape[:-2], rows, n_vecs))
-        else:
-            if out.shape != (*x.shape[:-2], rows, n_vecs):
-                raise ShapeError(f"output {out.shape} does not fit product "
-                                 f"{(rows, cols)} x {x.shape}")
-            _check_raw(out, "output")
-            out.fill(0.0)
-        _check_raw(x, "operand")
-        if x.ndim == 3 and n_vecs == 1:
-            # one product over the (cols, T) transpose, summed from zero
-            kernel, args = self._kernel(transpose, len(x))
-            y = np.zeros((rows, len(x)))
-            kernel(*args, np.ascontiguousarray(x[:, :, 0].T), y)
-            out[:, :, 0] = y.T
-            return out
-        kernel, args = self._kernel(transpose, n_vecs)
-        if x.ndim == 2:
-            kernel(*args, x, out)
-        else:
-            for xt, yt in zip(x, out):
-                kernel(*args, xt, yt)
-        return out
 
     def masked_outer(self, y, x):
         """The value vector of ``(y @ x.T)[mask]`` for y (rows, N) and

@@ -10,11 +10,13 @@ buffers: each timestep is a contiguous (features, B) block, one column per
 window, so the per-step element-wise work runs on contiguous memory and
 the CSR kernels read and write it in place.  Each layer projects its
 input a span of timesteps at a time, ahead of the time loop over that
-span, which then adds only the recurrent product.  Per layer call, the
-recurrent block is bound once to the layer's hidden-state and gate
-buffers (``linalg.MaskedMatrix.bind``), so each step's product is one
-kernel call on checked blocks; a single window's projection of a span is
-one kernel call too.
+span, which then adds only the recurrent product.  Per layer call, each
+block is bound once to the layer's buffers (``linalg.MaskedMatrix.bind``),
+which checks them: the recurrent block to the hidden-state and gate
+buffers, so each step's product is one kernel call on checked blocks, and
+the input block to the input and gate buffers, so a span's projection is
+one ``write``: one kernel call per step, or one in all for a single
+window.
 
 ``forward_batch`` has two modes over the same loop:
 
@@ -41,7 +43,8 @@ tanh(c) into a chunk-sized scratch; then each step is a few whole-block
 calls plus the recurrent product, added to the gradient of the step below
 in place by the transposed recurrent block, bound once to the layer's dA
 and hidden-state gradient buffers; then the chunk's rows of the gradient
-wrt the layer's input and its columns of the feature-major dA are
+wrt the layer's input (one ``write`` of the transposed input block, bound
+once per layer and shard) and its columns of the feature-major dA are
 written.  A layer's weight gradient is one masked outer product per block
 over all T*B columns, a value vector shaped like its ``values``, and the
 layer below needs none of it.  So when a CSR batch leaves a CPU idle
@@ -254,13 +257,14 @@ def _layer_forward(k, layer, x, keep_cache):
     c = np.empty((n_c, hidden, batch))
     tanh_c = np.empty((hidden, batch))
     h = np.empty((n_steps, hidden, batch))
-    recurrent = ops.h.bind(False, h, gates)
+    recurrent, _ = ops.h.bind(False, h, gates)
+    _, project = ops.x.bind(False, x, gates)
     for t in range(n_steps):
         s = t % span
         if s == 0:
-            proj = gates[: min(span, n_steps - t)]
-            ops.x.dot(x[t : t + len(proj)], out=proj)
-            proj += layer.b[:, None]
+            n = min(span, n_steps - t)
+            project(t, 0, n)
+            gates[:n] += layer.b[:, None]
         steps, c_prev = ((t - 1, s), c[(t - 1) % n_c]) if t else (None, None)
         cell_forward(recurrent, steps, gates[s], c_prev, c[t % n_c], tanh_c, h[t])
     if not math.isfinite(float(np.sum(h)) + float(np.sum(c))):
@@ -403,7 +407,8 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
     p_c = np.empty((span, hidden, width))
     grad_c, dc = np.zeros((hidden, width)), np.empty((hidden, width))
     grad_x = np.empty((n_steps, layer.input_dim, width)) if k else None
-    recurrent = ops.h.bind(True, lc.gates, grad_h)
+    recurrent, _ = ops.h.bind(True, lc.gates, grad_h)
+    _, project = ops.x.bind(True, lc.gates, grad_x) if k else (None, None)
     for hi in range(n_steps, 0, -span):
         lo = max(0, hi - span)
         backward_factors(lc.gates, lc.c, lo, p_c[: hi - lo])
@@ -411,7 +416,7 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
             cell_backward(recurrent, (t, t - 1) if t else None, lc.gates[t], lc.c[t],
                           p_c[t - lo], grad_h[t], grad_c, dc)
         if k:
-            ops.x.tdot(lc.gates[lo:hi], out=grad_x[lo:hi])
+            project(lo, lo, hi - lo)
         da[:, lo:hi] = lc.gates[lo:hi].transpose(1, 0, 2)
     return grad_x
 

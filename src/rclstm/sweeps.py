@@ -146,15 +146,16 @@ def _one_worker():
 def run_sweep(cfg, prepared, parallel=1):
     """Execute the ``[sweep]`` of a RunConfig; points x seeds run
     independently and the report row order is deterministic regardless of
-    ``parallel``.  The points are taken as ``RunConfig.validate`` checked
-    them: each by the rule of the key its axis sets."""
+    ``parallel``, which starts no more worker processes than there are
+    jobs.  The points are taken as ``RunConfig.validate`` checked them:
+    each by the rule of the key its axis sets."""
     jobs = [(point, seed) for point in cfg.sweep.points for seed in cfg.sweep.seeds]
     rows = []
     if parallel <= 1:
         for point, seed in jobs:
             rows.extend(_run_point(cfg, prepared, point, seed))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel,
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(parallel, len(jobs)),
                                                     initializer=_one_worker) as pool:
             futures = [pool.submit(_run_point, cfg, prepared, point, seed)
                        for point, seed in jobs]

@@ -1,6 +1,9 @@
-"""The mixes of ``MaskedMatrix`` routes the oracle tests run on."""
+"""The mixes of ``MaskedMatrix`` routes the oracle tests run on, and one
+product through them."""
 
 from unittest import mock
+
+import numpy as np
 
 from rclstm import linalg
 
@@ -17,3 +20,11 @@ def route_mix(mix):
     ``mix``; a layer builds its blocks on its first ``products()`` call."""
     products, outer = MIXES[mix]
     return mock.patch.multiple(linalg, PRODUCT_DENSITY=products, SDDMM_DENSITY=outer)
+
+
+def product(m, transpose, x):
+    """``M @ x``, or ``M.T @ x`` with ``transpose``, for x (cols, B), as a
+    new array: one span ``write`` of ``m.bind``."""
+    out = np.empty((1, m.shape[1] if transpose else m.shape[0], x.shape[1]))
+    m.bind(transpose, x[None], out)[1](0, 0, 1)
+    return out[0]

@@ -7,7 +7,7 @@ from rclstm.errors import ShapeError
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
-from route_mixes import MIXES, route_mix
+from route_mixes import MIXES, product, route_mix
 
 
 def make_layer(input_dim, hidden, density, seed):
@@ -29,14 +29,14 @@ def run_step(layer, x, h0=None, c0=None):
     (B, H), batch-major; returns (h, c) batch-major plus the feature-major
     gate activations that ``backward_factors`` takes."""
     ops = layer.products()
-    a = ops.x.dot(np.asarray(x, dtype=np.float64).T.copy()) + layer.b[:, None]
+    a = product(ops.x, False, np.asarray(x, dtype=np.float64).T.copy()) + layer.b[:, None]
     shape = (layer.hidden_dim, a.shape[1])
     c, tanh_c, h = np.empty(shape), np.empty(shape), np.empty(shape)
     if h0 is None:
         cell_forward(None, None, a, None, c, tanh_c, h)
     else:
         # one-step buffers for the recurrent product: h0 in, a (as a view) out
-        cell_forward(ops.h.bind(False, h0.T.copy()[None], a[None]), (0, 0), a,
+        cell_forward(ops.h.bind(False, h0.T.copy()[None], a[None])[0], (0, 0), a,
                      c0.T.copy(), c, tanh_c, h)
     return h.T, c.T, a
 
@@ -54,14 +54,14 @@ def step_grads(layer, x, h0, c0, grad_h, grad_c):
     ops = layer.products()
     grad_c_prev = grad_c.T.copy()
     grad_hs = np.stack([np.zeros(h0.T.shape), grad_h.T])  # the two steps' grad_h
-    cell_backward(ops.h.bind(True, gates, grad_hs), (1, 0), gates[1], cs[1], p_c[0],
+    cell_backward(ops.h.bind(True, gates, grad_hs)[0], (1, 0), gates[1], cs[1], p_c[0],
                   grad_hs[1], grad_c_prev, np.empty_like(grad_c_prev))
     grad_h_prev = grad_hs[0]
     da = gates[1]
     grad_w = np.empty(int(layer.mask.bits.sum()))
     grad_w[ops.x_at] = ops.x.masked_outer(da, x.T)
     grad_w[ops.h_at] = ops.h.masked_outer(da, h0.T)
-    return grad_w, da.sum(axis=1), ops.x.tdot(da).T, grad_h_prev.T, grad_c_prev.T
+    return grad_w, da.sum(axis=1), product(ops.x, True, da).T, grad_h_prev.T, grad_c_prev.T
 
 
 class TestGenerateMask:

@@ -209,6 +209,24 @@ class TestCliCommands:
         cfg = write_cfg(tmp_path, text)
         assert main(["preprocess", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("case", ["data_dir", "checkpoint_dir", "output_dir_file"])
+    def test_path_it_cannot_open_exit_2(self, tmp_path, capsys, case):
+        # a directory where a file is read, or a file where the output
+        # directory is made, is a usage error: one line, no traceback
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("")
+        out = tmp_path / ("a_file" if case == "output_dir_file" else "out")
+        text = SINE_CFG.format(out=out)
+        if case == "data_dir":
+            text = text.replace("task = synthetic", f"task = traffic\ndata = {tmp_path / 'a_dir'}")
+        argv = ["preprocess", "--config", write_cfg(tmp_path, text)]
+        if case == "checkpoint_dir":
+            argv = ["evaluate", *argv[1:], "--checkpoint", str(tmp_path / "a_dir")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_bad_config_key_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "[model]\nnonsense = 1\n")
         assert main(["train", "--config", cfg]) == 2

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import os
@@ -232,6 +233,35 @@ class TestSweeps:
         parallel = run_sweep(cfg, tiny_prepared(), parallel=2)
         assert [(r.value, r.model, r.rmse) for r in serial.rows] == \
                [(r.value, r.model, r.rmse) for r in parallel.rows]
+
+    def test_parallel_starts_no_more_workers_than_jobs(self, monkeypatch):
+        # a fork pool forks every worker on its first submit, so a large
+        # ``parallel`` is capped at the job count; the stand-in pool runs
+        # each job inline and starts no process
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = tiny_config(seeds=(0, 1))
+        report = run_sweep(cfg, tiny_prepared(), parallel=64)
+        assert asked == [4]  # 2 points x 2 seeds
+        serial = run_sweep(cfg, tiny_prepared())
+        assert [(r.value, r.model, r.seed, r.rmse) for r in report.rows] == \
+               [(r.value, r.model, r.seed, r.rmse) for r in serial.rows]
 
     def test_parallel_sweep_after_sharded_work(self, tmp_path):
         # a forked child inherits the parent's thread pool and background

@@ -10,7 +10,7 @@ from rclstm.errors import ShapeError
 from rclstm.kernels import lstm_pointwise_numpy, sigmoid_stable
 from rclstm.linalg import MaskedMatrix
 
-from route_mixes import MIXES, route_mix
+from route_mixes import MIXES, product, route_mix
 
 
 def dense(a):
@@ -20,22 +20,23 @@ def dense(a):
 
 def test_matvec_identity():
     x = np.array([[1.0], [2.0], [3.0]])
-    assert np.array_equal(dense(np.eye(3)).dot(x), x)
+    assert np.array_equal(product(dense(np.eye(3)), False, x), x)
 
 
 def test_matvec_zero_matrix():
-    assert np.array_equal(dense(np.zeros((2, 4))).dot(np.ones((4, 1))), np.zeros((2, 1)))
+    assert np.array_equal(product(dense(np.zeros((2, 4))), False, np.ones((4, 1))),
+                          np.zeros((2, 1)))
 
 
 def test_matvec_small_case():
     # oracle: [1*1+2*1, 3*1+4*1] = [3, 7]
     a = dense([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(a.dot(np.ones((2, 1))), [[3.0], [7.0]])
+    assert np.array_equal(product(a, False, np.ones((2, 1))), [[3.0], [7.0]])
 
 
 def test_matvec_shape_error():
     with pytest.raises(ShapeError):
-        dense(np.zeros((2, 3))).dot(np.zeros((4, 1)))
+        dense(np.zeros((2, 3))).bind(False, np.zeros((1, 4, 1)), np.zeros((1, 2, 1)))
 
 
 def mask_density(mask):
@@ -49,7 +50,7 @@ def masked(w, mask, mix="csr"):
 
 
 def as_dense(m):
-    return m.dot(np.eye(m.shape[1]))
+    return product(m, False, np.eye(m.shape[1]))
 
 
 def test_csr_all_true_mask():
@@ -98,14 +99,14 @@ def test_csr_densify_round_trip():
 
 def test_spmv_empty_matrix():
     a = masked(np.ones((3, 3)), np.zeros((3, 3), dtype=bool))
-    assert np.array_equal(a.dot(np.ones((3, 1))), np.zeros((3, 1)))
+    assert np.array_equal(product(a, False, np.ones((3, 1))), np.zeros((3, 1)))
 
 
 def test_spmv_identity():
     a = masked(np.eye(4), np.eye(4, dtype=bool))
     x = np.array([[4.0], [-1.0], [0.5], [2.0]])
-    assert np.array_equal(a.dot(x), x)
-    assert np.array_equal(a.tdot(x), x)
+    assert np.array_equal(product(a, False, x), x)
+    assert np.array_equal(product(a, True, x), x)
 
 
 def test_spmv_matches_dense_oracle():
@@ -114,19 +115,18 @@ def test_spmv_matches_dense_oracle():
     m = rng.random((50, 50)) < 0.1
     x = rng.normal(size=(50, 3))
     a = masked(w, m)
-    assert np.max(np.abs(a.dot(x) - (w * m) @ x)) < 1e-12
-    assert np.max(np.abs(a.tdot(x) - (w * m).T @ x)) < 1e-12
+    assert np.max(np.abs(product(a, False, x) - (w * m) @ x)) < 1e-12
+    assert np.max(np.abs(product(a, True, x) - (w * m).T @ x)) < 1e-12
     a.load(2.0 * w[m])  # products follow the values of each load
-    assert np.max(np.abs(a.dot(x) - 2.0 * (w * m) @ x)) < 1e-12
-    assert np.max(np.abs(a.tdot(x) - 2.0 * (w * m).T @ x)) < 1e-12
+    assert np.max(np.abs(product(a, False, x) - 2.0 * (w * m) @ x)) < 1e-12
+    assert np.max(np.abs(product(a, True, x) - 2.0 * (w * m).T @ x)) < 1e-12
 
 
 def test_spmv_shape_error():
     a = masked(np.eye(3), np.eye(3, dtype=bool))
-    with pytest.raises(ShapeError):
-        a.dot(np.zeros((4, 1)))
-    with pytest.raises(ShapeError):
-        a.tdot(np.zeros((4, 1)))
+    for transpose in (False, True):
+        with pytest.raises(ShapeError):
+            a.bind(transpose, np.zeros((1, 4, 1)), np.zeros((1, 3, 1)))
     with pytest.raises(ShapeError):
         a.masked_outer(np.zeros((3, 2)), np.zeros((3, 5)))
 
@@ -140,7 +140,7 @@ def test_spmv_matvec_agreement_many():
         w = rng.normal(size=(rows, cols))
         m = rng.random((rows, cols)) < rng.random()
         x = rng.normal(size=cols)
-        got = masked(w, m).dot(x[:, None])[:, 0]
+        got = product(masked(w, m), False, x[:, None])[:, 0]
         want = (w * m) @ x
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -154,10 +154,10 @@ def test_kernel_backends_agree():
     seq = rng.normal(size=(3, 30, 5))  # one product per leading index, into out
     for mix in MIXES:
         a = masked(w, m, mix)
-        assert np.max(np.abs(a.dot(x) - (w * m) @ x)) < 1e-12
-        assert np.max(np.abs(a.tdot(y) - (w * m).T @ y)) < 1e-12
+        assert np.max(np.abs(product(a, False, x) - (w * m) @ x)) < 1e-12
+        assert np.max(np.abs(product(a, True, y) - (w * m).T @ y)) < 1e-12
         out = np.full((3, 40, 5), np.nan)
-        assert a.dot(seq, out=out) is out
+        a.bind(False, seq, out)[1](0, 0, 3)
         assert np.max(np.abs(out - (w * m) @ seq)) < 1e-12
         got = a.masked_outer(y, x)
         assert got.shape == (int(m.sum()),)
@@ -257,17 +257,17 @@ def test_sparse_route_equals_scipy_bit_for_bit(batch):
     a = masked(w, m)
     csr = scipy.sparse.csr_matrix(w)
     x, y = rng.normal(size=(45, batch)), rng.normal(size=(60, batch))
-    assert np.array_equal(a.dot(x), csr @ x)
-    assert np.array_equal(a.tdot(y), csr.T @ y)  # the CSC form
-    for transpose, product, operand, want in ((False, a.dot, x, csr @ x),
-                                              (True, a.tdot, y, csr.T @ y)):
+    assert np.array_equal(product(a, False, x), csr @ x)
+    assert np.array_equal(product(a, True, y), csr.T @ y)  # the CSC form
+    for transpose, operand, want in ((False, x, csr @ x), (True, y, csr.T @ y)):
         zeroed = np.zeros(want.shape)
-        a.bind(transpose, operand[None], zeroed[None])(0, 0)  # adds onto zeros
+        a.bind(transpose, operand[None], zeroed[None])[0](0, 0)  # adds onto zeros
         assert np.array_equal(zeroed, want)
-        stale = np.full(want.shape, np.nan)  # the plain form overwrites its output
-        assert np.array_equal(product(operand, out=stale), want)
-    seq, out = rng.normal(size=(3, 45, batch)), np.zeros((3, 60, batch))
-    a.dot(seq, out=out)
+        stale = np.full(want.shape, np.nan)  # write overwrites its output
+        a.bind(transpose, operand[None], stale[None])[1](0, 0, 1)
+        assert np.array_equal(stale, want)
+    seq, out = rng.normal(size=(3, 45, batch)), np.full((3, 60, batch), np.nan)
+    a.bind(False, seq, out)[1](0, 0, 3)
     assert all(np.array_equal(out[t], csr @ seq[t]) for t in range(3))
 
 
@@ -282,61 +282,60 @@ def test_add_form_adds_the_product(mix, batch):
     x, y = rng.normal(size=(45, batch)), rng.normal(size=(60, batch))
     out = rng.normal(size=(60, batch))
     before = out.copy()
-    a.bind(False, x[None], out[None])(0, 0)
+    a.bind(False, x[None], out[None])[0](0, 0)
     assert np.max(np.abs(out - (before + w @ x))) < 1e-12
     out = rng.normal(size=(45, batch))
     before = out.copy()
-    a.bind(True, y[None], out[None])(0, 0)
+    a.bind(True, y[None], out[None])[0](0, 0)
     assert np.max(np.abs(out - (before + w.T @ y))) < 1e-12
 
 
 def test_sparse_route_rejects_layouts_it_would_copy():
+    # the one-column span writes through a transposed copy of its operand,
+    # and still refuses the layouts the per-step kernel call would copy
     rng = np.random.default_rng(3)
     m = rng.random((6, 5)) < 0.5
     a = masked(rng.normal(size=m.shape), m)
-    x = rng.normal(size=(5, 4))
-    with pytest.raises(ShapeError, match="operand must be C-contiguous"):
-        a.dot(np.asfortranarray(x))
-    with pytest.raises(ShapeError, match="operand must be C-contiguous"):
-        a.tdot(rng.normal(size=(4, 6)).T)
-    with pytest.raises(ShapeError, match="output must be C-contiguous"):
-        a.dot(x, out=np.zeros((4, 6)).T)
-    with pytest.raises(ShapeError, match="output must be C-contiguous"):
-        a.dot(x, out=np.zeros((6, 4), dtype=np.float32))
-    with pytest.raises(ShapeError, match="does not fit"):
-        a.dot(x, out=np.zeros((6, 3)))
-    with pytest.raises(ShapeError, match="does not fit"):
-        a.dot(x[None], out=np.zeros((2, 6, 4)))
-    with pytest.raises(ShapeError, match="2-D or 3-D"):
-        a.dot(x[None, None])
+    for batch in (1, 4):
+        x, out = rng.normal(size=(2, 5, batch)), np.zeros((2, 6, batch))
+        with pytest.raises(ShapeError, match="operand must be C-contiguous"):
+            a.bind(False, np.asfortranarray(x), out)
+        with pytest.raises(ShapeError, match="operand must be C-contiguous"):
+            a.bind(True, rng.normal(size=(2, 6, batch + 1))[:, :, :batch], x)
+        with pytest.raises(ShapeError, match="output must be C-contiguous"):
+            a.bind(False, x, np.zeros((2, 6, batch + 1))[:, :, :batch])
+        with pytest.raises(ShapeError, match="output must be C-contiguous float64"):
+            a.bind(False, x, out.astype(np.float32))
+        with pytest.raises(ShapeError, match="does not fit"):
+            a.bind(False, x, np.zeros((2, 6, batch + 1)))
+        with pytest.raises(ShapeError, match="does not fit"):
+            a.bind(False, x[None], out)
 
 
 @pytest.mark.parametrize("steps", [1, 5])
 @pytest.mark.parametrize("form", ["new", "out", "chunks"])
 def test_one_column_sequence_equals_its_steps(steps, form):
-    # a (T, cols, 1) product written in one kernel call over the (cols, T)
+    # a (T, cols, 1) span written in one kernel call over the (cols, T)
     # transpose has the bits of T single-column products, each added onto
-    # zeros by a bound step; so does one written a chunk of steps at a time
-    # into slices of one output, as the backward writes a layer's input
-    # gradient
+    # zeros by ``add``: written whole into a new or a stale output, or a
+    # chunk of steps at a time into slices of one, as the backward writes
+    # a layer's input gradient
     rng = np.random.default_rng(50 + steps)
     m = rng.random((60, 45)) < 0.1
     a = masked(rng.normal(size=m.shape), m)
-    for transpose, product, cols, rows in ((False, a.dot, 45, 60), (True, a.tdot, 60, 45)):
+    for transpose, cols, rows in ((False, 45, 60), (True, 60, 45)):
         seq = rng.normal(size=(steps, cols, 1))
         want = np.zeros((steps, rows, 1))
-        step = a.bind(transpose, seq, want)
+        add, _ = a.bind(transpose, seq, want)
         for t in range(steps):
-            step(t, t)
-        got = np.full((steps, rows, 1), np.nan)  # stale: every entry is written
-        if form == "new":
-            got = product(seq)
-            assert got.flags.c_contiguous
-        elif form == "out":
-            assert product(seq, out=got) is got
-        else:
+            add(t, t)
+        got = np.empty((steps, rows, 1)) if form == "new" else np.full((steps, rows, 1), np.nan)
+        _, write = a.bind(transpose, seq, got)
+        if form == "chunks":
             for lo in range(0, steps, 2):  # chunks of two steps, the last of one
-                product(seq[lo : lo + 2], out=got[lo : lo + 2])
+                write(lo, lo, min(2, steps - lo))
+        else:
+            write(0, 0, steps)
         assert np.array_equal(got, want)
 
 
@@ -346,16 +345,37 @@ def test_bound_step_adds_one_product(mix, batch):
     rng = np.random.default_rng(60 + batch)
     m = rng.random((60, 45)) < 0.1
     a = masked(rng.normal(size=m.shape), m, mix)
-    for transpose, product, cols, rows in ((False, a.dot, 45, 60), (True, a.tdot, 60, 45)):
+    for transpose, cols, rows in ((False, 45, 60), (True, 60, 45)):
         x, out = rng.normal(size=(4, cols, batch)), rng.normal(size=(2, rows, batch))
-        out[1] = 0.0  # the step adds onto zeros the bits a written product has
+        out[1] = 0.0  # add adds onto zeros the bits write writes
         want = out.copy()
-        product(x[3], out=want[1])
-        step = a.bind(transpose, x, out)
-        step(3, 1)
+        a.bind(transpose, x, want)[1](3, 1, 1)
+        add, _ = a.bind(transpose, x, out)
+        add(3, 1)
         assert np.array_equal(out, want)
         with pytest.raises(IndexError):
-            step(4, 0)
+            add(4, 0)
+
+
+@pytest.mark.parametrize("mix", ["csr", "dense"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_write_puts_each_step_of_a_span_at_its_offset(mix, batch):
+    # write(i, j, n) sets out[j + s] to M @ x[i + s] for s < n, leaves the
+    # other output steps alone, and raises on a span that overruns either
+    rng = np.random.default_rng(70 + batch)
+    m = rng.random((60, 45)) < 0.1
+    w = rng.normal(size=m.shape) * m
+    a = masked(w, m, mix)
+    x, out = rng.normal(size=(5, 45, batch)), rng.normal(size=(4, 60, batch))
+    before = out.copy()
+    _, write = a.bind(False, x, out)
+    write(2, 1, 3)
+    assert np.array_equal(out[0], before[0])
+    for s in range(3):
+        assert np.max(np.abs(out[1 + s] - w @ x[2 + s])) < 1e-12
+    for i, j, n in ((3, 0, 3), (0, 2, 3), (-1, 0, 2)):
+        with pytest.raises(IndexError):
+            write(i, j, n)
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -382,3 +402,23 @@ def test_bind_refuses_buffers_a_product_would_refuse(monkeypatch, transpose):
             (x, out[0], "does not fit")]:
         with pytest.raises(ShapeError, match=message):
             a.bind(transpose, bad_x, bad_out)
+
+
+@pytest.mark.parametrize("mix", ["csr", "dense"])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_bind_refuses_an_output_that_overlaps_its_operand(monkeypatch, mix, transpose):
+    # a kernel writing over its own operand would read its results back
+    # without any error, so no buffers that may share memory are bound
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    for name in ("csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs"):
+        monkeypatch.setattr(linalg, name, no_kernel)
+    rng = np.random.default_rng(6)
+    m = rng.random((6, 6)) < 0.5
+    a = masked(rng.normal(size=m.shape), m, mix)
+    buf = np.zeros((4, 6, 2))
+    for x, out in ((buf, buf), (buf[:3], buf[1:]), (buf[::2], buf[1::2]), (buf[:2], buf[1:3])):
+        with pytest.raises(ShapeError, match="overlap"):
+            a.bind(transpose, x, out)
+    a.bind(transpose, buf[:2], buf[2:])  # disjoint steps of one buffer may be bound

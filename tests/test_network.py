@@ -20,7 +20,7 @@ from rclstm.training import TrainingConfig, batch_loss_and_grad, fit, predict_ba
 
 from reference_lstm import (DenseLstmReference, numeric_gradient,
                             relative_gradient_error)
-from route_mixes import MIXES, route_mix
+from route_mixes import MIXES, product, route_mix
 
 #: below both default crossover densities, so these models run their
 #: products on CSR and their masked outer products sparse
@@ -82,7 +82,7 @@ class TestForwardSequence:
         x = rng.normal(size=(1, 2))
         layer = model.layers[0]
         ops = layer.products()
-        a = ops.x.dot(x.T) + layer.b[:, None]
+        a = product(ops.x, False, x.T) + layer.b[:, None]
         c, tanh_c, h = np.empty((5, 1)), np.empty((5, 1)), np.empty((5, 1))
         cell_forward(None, None, a, None, c, tanh_c, h)
         manual = model.head_w @ h[:, 0] + model.head_b
@@ -97,11 +97,11 @@ class TestForwardSequence:
             inp = window[t][:, None]
             for k, layer in enumerate(model.layers):
                 ops = layer.products()
-                a = ops.x.dot(inp) + layer.b[:, None]
+                a = product(ops.x, False, inp) + layer.b[:, None]
                 hidden = layer.hidden_dim
                 c, tanh_c, h = (np.empty((hidden, 1)) for _ in range(3))
                 h_prev, c_prev = states[k]
-                recurrent = None if h_prev is None else ops.h.bind(False, h_prev[None], a[None])
+                recurrent = None if h_prev is None else ops.h.bind(False, h_prev[None], a[None])[0]
                 cell_forward(recurrent, None if h_prev is None else (0, 0), a, c_prev,
                              c, tanh_c, h)
                 states[k] = (h, c)
@@ -379,21 +379,26 @@ class TestServing:
         assert np.array_equal(served, cached)
 
     def test_single_window_makes_one_product_call_per_layer(self, monkeypatch):
-        # the recurrence runs on bound steps and the projection of a whole
-        # window is one call, so no product is dispatched per timestep
+        # per layer, the projection of the whole window is one kernel call
+        # over its 20 steps, and each later step's recurrent product one
+        # single-column call
         with route_mix("csr"):
             model = build_model(3, [8, 8], seed=2)
             assert all(layer.products().h.csr_products for layer in model.layers)
         calls = []
-        product = linalg.MaskedMatrix._product
 
-        def counted(self, *args):
-            calls.append(args[1].shape)
-            return product(self, *args)
+        def counted(name):
+            kernel = getattr(linalg, name)
 
-        monkeypatch.setattr(linalg.MaskedMatrix, "_product", counted)
+            def call(*args):
+                calls.append((name, args[2]) if name == "csr_matvecs" else name)
+                return kernel(*args)
+            return call
+
+        for name in ("csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs"):
+            monkeypatch.setattr(linalg, name, counted(name))
         predict_batch(model, np.ones((1, 20, 3)), batch_size=1)
-        assert calls == [(20, 3, 1), (20, 8, 1)]
+        assert calls == 2 * ([("csr_matvecs", 20)] + 19 * ["csr_matvec"])
 
     def test_serving_holds_less_than_one_gate_buffer(self):
         import tracemalloc

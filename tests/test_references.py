@@ -40,3 +40,19 @@ def test_every_public_definition_is_referenced():
                     and used[node.name] <= names_used(node).count(node.name):  # own calls
                 unused.append(f"{path.name}:{node.lineno} {qualname}")
     assert not unused, f"defined but used only by tests: {unused}"
+
+
+def test_only_linalg_reaches_the_raw_kernels():
+    # scipy's ``_sparsetools`` kernels check neither shapes, layout nor
+    # overlap, so they stay behind ``MaskedMatrix.bind``'s one check
+    reaching = []
+    for path in PACKAGE + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+        if any("_sparsetools" in name for name in names):
+            reaching.append(path.name)
+    assert reaching == ["linalg.py"]
