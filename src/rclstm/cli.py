@@ -6,19 +6,23 @@ not read; a data file or checkpoint that cannot be opened, such as a
 missing path or a directory (any ``OSError``); an INI file that does not
 parse or holds a non-finite float; a config, with its flags applied, that
 fails ``RunConfig.validate`` (a flag or a sweep point is held to the rule
-of the key it sets); a data file that does not parse, such as a traffic
-value that is not a positive finite number; a series, from a CSV, a
+of the key it sets); a data file that does not parse, such as bytes that
+are not UTF-8, a field longer than the ``csv`` module's limit, a traffic
+value that is not a positive finite number or a location ID outside
+int64, each named with its ``path:line``; a series, from a CSV, a
 dataset cache or the synthetic generator, that breaks the rules of
 ``PreparedData``; a dataset cache that does not load, or whose task is not
 the one ``[run] task`` implies; ``bench`` on data with fewer than 256
 windows; a checkpoint that does not load, or whose model fails
 ``StackedRclstm.validate`` alone or against the evaluated windows (task,
-features, classes).  An ``output_dir`` that cannot be made, such as a
-file, exits 2 too, but only once the run is done.  Every model trains with
-Adam.  With ``--freeze-timestamps`` output filenames use a fixed stamp and
-measured wall-clock columns are written as zeros, so identical (config,
-seed) runs produce byte-identical files; ``bench`` is the exception: only
-its file name is fixed, and its report holds what it measured.
+features, classes); an ``output_dir`` that cannot be made, such as a file.
+The output directory is made once the inputs have passed these checks and
+before the work, so a failed check leaves no directory behind and an
+unusable one costs no training.  Every model trains with Adam.  With
+``--freeze-timestamps`` output filenames use a fixed stamp and measured
+wall-clock columns are written as zeros, so identical (config, seed) runs
+produce byte-identical files; ``bench`` is the exception: only its file
+name is fixed, and its report holds what it measured.
 """
 
 import argparse
@@ -142,12 +146,12 @@ def cmd_train(cfg, args):
     ds = prepared.windows(cfg.data.window)
     train, test = chronological_split(ds, cfg.data.train_fraction)
     model = build_from_config(cfg, prepared)
+    out = _outdir(cfg)
     try:
         model, history = fit(model, train, cfg.training, val_ds=test)
     except DivergenceError as err:
         print(f"training diverged: {err}", file=sys.stderr)
         return 1
-    out = _outdir(cfg)
     ckpt = os.path.join(out, "checkpoint.bin")
     save_checkpoint_file(model, ckpt)
     _write_history(history, os.path.join(out, "history.csv"), args.freeze_timestamps)
@@ -169,6 +173,7 @@ def cmd_evaluate(cfg, args):
         model.validate(test)
     except ShapeError as err:
         raise CheckpointError(f"checkpoint does not fit the dataset: {err}") from None
+    out = _outdir(cfg)
     metric, preds = evaluate_model(model, test)
     payload = {"n": len(test)}
     if prepared.task == "regression":
@@ -179,7 +184,7 @@ def cmd_evaluate(cfg, args):
     else:
         payload["accuracy"] = metric
     payload["config_digest"] = cfg.digest()
-    path = os.path.join(_outdir(cfg), "metrics.json")
+    path = os.path.join(out, "metrics.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -191,8 +196,8 @@ def cmd_evaluate(cfg, args):
 
 def cmd_sweep(cfg, args):
     prepared = _prepare(cfg)
-    report = run_sweep(cfg, prepared, parallel=max(1, args.parallel))
     out = _outdir(cfg)
+    report = run_sweep(cfg, prepared, parallel=max(1, args.parallel))
     stamp = _stamp(args.freeze_timestamps)
     csv_path = os.path.join(out, f"sweep_{report.axis}_{stamp}.csv")
     write_report_csv(report, csv_path, freeze_timers=args.freeze_timestamps)
@@ -220,6 +225,7 @@ def cmd_bench(cfg, args):
     batch = ds.inputs[:SERVE_BATCH]
     if len(batch) < SERVE_BATCH:
         raise InsufficientDataError(f"bench needs {SERVE_BATCH} windows, got {len(batch)}")
+    out = _outdir(cfg)
     train_batch = WindowedDataset(ds.inputs[:TRAIN_BATCH], ds.targets[:TRAIN_BATCH],
                                   ds.window, ds.classes)
     # a B=256 pass or a B=32 training step costs tens of B=1 passes; a
@@ -265,7 +271,7 @@ def cmd_bench(cfg, args):
     speedup = results["dense"]["median_s"] / results["sparse"]["median_s"]
     results["sparse_speedup"] = speedup
     print(f"sparse speedup over dense: {speedup:.2f}x")
-    path = os.path.join(_outdir(cfg), f"bench_{_stamp(args.freeze_timestamps)}.json")
+    path = os.path.join(out, f"bench_{_stamp(args.freeze_timestamps)}.json")
     with open(path, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,6 +7,12 @@ encoded.  Windowing turns a series of n observations into exactly n - T
 the series, so no window is copied, and splits are a single chronological
 cut.
 
+The CSV loaders read UTF-8 (a leading byte-order mark is skipped) and
+keep each timestamp as wall-clock seconds since 1970: a UTC offset is
+dropped, not applied, and sub-seconds are truncated.  Every byte, field
+or value they cannot read is a ``DataFormatError`` naming its
+``path:line``.
+
 ``PreparedData`` states what a usable prepared series is, once: every
 source of one (``prepare_traffic``, ``prepare_mobility``, a synthetic
 generator's output, ``load_prepared``) constructs it, so each is held to
@@ -18,7 +24,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -165,14 +171,30 @@ def chronological_split(ds, train_fraction):
     return train, test
 
 
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
+
+
 def _parse_timestamp(text, path, line_no):
+    """Wall-clock seconds since 1970 as an int: the UTC offset is dropped,
+    not applied, and sub-seconds are truncated, which is how
+    ``np.datetime64(stamp.replace(tzinfo=None), "s")`` counts them."""
     try:
         stamp = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     except ValueError:
         raise DataFormatError(f"{path}:{line_no}: bad timestamp {text!r}") from None
-    if stamp.tzinfo is not None:
-        stamp = stamp.replace(tzinfo=None)
-    return np.datetime64(stamp, "s")
+    return (stamp.toordinal() - _EPOCH_DAY) * 86400 + stamp.hour * 3600 \
+        + stamp.minute * 60 + stamp.second
+
+
+def _undecodable_line(path):
+    """The line of a file's first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return raw.count(b"\n", 0, err.start) + 1
+    return 1
 
 
 def _read_series(path, header, parse, label, expected, dtype):
@@ -180,20 +202,26 @@ def _read_series(path, header, parse, label, expected, dtype):
     read by ``parse``, which raises ValueError on a value that is not
     ``expected``; every error names the file and the line."""
     stamps, values = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise DataFormatError(f"{path}:1: expected header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header) or not row[-1].strip():
-                raise DataFormatError(f"{path}:{line_no}: malformed row {row!r}")
-            stamps.append(_parse_timestamp(row[0], path, line_no))
-            try:
-                values.append(parse(row[-1]))
-            except ValueError:
-                raise DataFormatError(f"{path}:{line_no}: bad {label} {row[-1]!r}, "
-                                      f"expected {expected}") from None
-    stamps = np.array(stamps, dtype="datetime64[s]")
+        try:
+            if next(reader, None) != header:
+                raise DataFormatError(f"{path}:1: expected header {header}")
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header) or not row[-1].strip():
+                    raise DataFormatError(f"{path}:{line_no}: malformed row {row!r}")
+                stamps.append(_parse_timestamp(row[0], path, line_no))
+                try:
+                    values.append(parse(row[-1]))
+                except ValueError:
+                    raise DataFormatError(f"{path}:{line_no}: bad {label} {row[-1]!r}, "
+                                          f"expected {expected}") from None
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}:{_undecodable_line(path)}: "
+                                  "bytes that are not UTF-8") from None
+        except csv.Error as err:
+            raise DataFormatError(f"{path}:{reader.line_num}: {err}") from None
+    stamps = np.array(stamps, dtype=np.int64).view("datetime64[s]")
     values = np.array(values, dtype=dtype)
     order = np.argsort(stamps, kind="stable")
     if not np.array_equal(order, np.arange(len(stamps))):
@@ -218,10 +246,19 @@ def load_traffic_csv(path):
                         "a positive finite number", np.float64)
 
 
+def _location_id(text):
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(text)
+    return value
+
+
 def load_mobility_csv(path):
     """Read ``datetime,latitude,longitude,location_id`` rows; keeps only the
-    datetime and location ID columns."""
-    return _read_series(path, MOBILITY_HEADER, int, "location ID", "an integer", np.int64)
+    datetime and location ID columns.  An ID that is not an int64 integer
+    is a DataFormatError naming its line."""
+    return _read_series(path, MOBILITY_HEADER, _location_id, "location ID",
+                        "an integer in int64 range", np.int64)
 
 
 @dataclass
@@ -291,7 +328,8 @@ def prepare_mobility(series, window, train_fraction=0.9):
     """Build the codebook on the training prefix, then index the series.
 
     The prefix covers every observation a training window or target can
-    touch; an unseen ID later in the series raises EncodingError.
+    touch; an unseen ID later in the series raises EncodingError naming
+    the first one.
     """
     ids = np.asarray(series.values)
     n = len(ids)
@@ -299,13 +337,15 @@ def prepare_mobility(series, window, train_fraction=0.9):
         raise InsufficientDataError(f"need more than {window} observations, got {n}")
     n_train = int(np.floor(train_fraction * (n - window)))
     book = build_codebook(ids[: n_train + window])
-    indexed = np.empty(n, dtype=np.int64)
-    for j, raw in enumerate(ids.tolist()):
-        idx = book.id_to_index.get(raw)
-        if idx is None:
-            raise EncodingError(
-                f"location ID {raw!r} appears only in the test range")
-        indexed[j] = idx
+    known = np.asarray(book.index_to_id, dtype=ids.dtype)
+    order = np.argsort(known)  # ranked[k] has the code order[k] + 1
+    ranked = known[order]
+    at = np.searchsorted(ranked, ids).clip(max=len(ranked) - 1)
+    unseen = ranked[at] != ids
+    if unseen.any():
+        raw = ids[unseen.argmax()].item()
+        raise EncodingError(f"location ID {raw!r} appears only in the test range")
+    indexed = order[at].astype(np.int64) + 1
     return PreparedData("classification", indexed, codebook=book)
 
 

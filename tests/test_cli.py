@@ -227,6 +227,50 @@ class TestCliCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, work", [
+        ("train", "fit"), ("evaluate", "evaluate_model"), ("sweep", "run_sweep"),
+        ("bench", "benchmark_serving")])
+    def test_output_dir_that_is_a_file_exits_2_before_the_work(self, tmp_path, capsys,
+                                                             monkeypatch, command, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        (tmp_path / "a_file").write_text("")
+        argv = [command, "--config",
+                write_cfg(tmp_path, SINE_CFG.format(out=tmp_path / "a_file"))]
+        if command == "evaluate":
+            trained = write_cfg(tmp_path, SINE_CFG.format(out=tmp_path), name="ckpt.ini")
+            assert main(["train", "--config", trained]) == 0
+            argv += ["--checkpoint", str(tmp_path / "checkpoint.bin")]
+        monkeypatch.setattr(f"rclstm.cli.{work}", no_work)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "a_file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case, line, message", [
+        ("not_utf8", 5, "bytes that are not UTF-8"),
+        ("field_over_limit", 4, "field larger than field limit"),
+        ("id_outside_int64", 6,
+         f"bad location ID '{2**63}', expected an integer in int64 range"),
+    ], ids=["not_utf8", "field_over_limit", "id_outside_int64"])
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys, case, line, message):
+        rows = [f"2015-08-06T{h:02d}:00:00,60.1,24.9,{h % 3}".encode() for h in range(20)]
+        bad = rows[line - 2]
+        rows[line - 2] = {
+            "not_utf8": bad.replace(b"60.1", b"60\xff1"),
+            "field_over_limit": bad.replace(b"60.1", b'"' + b"6" * 131_073 + b'"'),
+            "id_outside_int64": bad.rsplit(b",", 1)[0] + b",%d" % 2**63}[case]
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"datetime,latitude,longitude,location_id\n" + b"\n".join(rows))
+        cfg = write_cfg(tmp_path, MOBILITY_CFG.format(path=path, out=tmp_path / "out"))
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_key_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "[model]\nnonsense = 1\n")
         assert main(["train", "--config", cfg]) == 2

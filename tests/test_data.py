@@ -1,6 +1,9 @@
+import math
 import os
 import tempfile
 import tracemalloc
+import warnings
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -305,6 +308,84 @@ class TestLoaders:
         with pytest.raises(DataFormatError, match=":2"):
             load_mobility_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbftimestamp,kbps\n2005-01-01T00:00:00,120.5\n")
+        assert load_traffic_csv(str(path)).values.tolist() == [120.5]
+
+    @pytest.mark.parametrize("bad_line", [2, 3000])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, bad_line):
+        # the second case puts the byte past the first block the reader decodes
+        rows = [f"2005-01-01T00:00:00,{k + 1}".encode() for k in range(bad_line + 5)]
+        rows[bad_line - 2] = b"2005-01-01T00:00:00,1\xff0"
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"timestamp,kbps\n" + b"\n".join(rows) + b"\n")
+        with pytest.raises(DataFormatError, match=f"latin.csv:{bad_line}: bytes that "
+                           "are not UTF-8"):
+            load_traffic_csv(str(path))
+
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
+        long_field = '"' + "1" * 131_073 + '"'
+        path = self.write(tmp_path, "long.csv", "datetime,latitude,longitude,location_id\n"
+                          "2015-08-06T00:00:00,60.1,24.9,3\n"
+                          f"2015-08-06T01:00:00,{long_field},24.9,3\n")
+        with pytest.raises(DataFormatError, match="long.csv:3: field larger than field "
+                           "limit"):
+            load_mobility_csv(path)
+
+    @pytest.mark.parametrize("raw, ok", [
+        (str(2**63 - 1), True), (str(-2**63), True), (str(2**63), False),
+        (str(-2**63 - 1), False), ("1" * 40, False)])
+    def test_location_id_must_fit_int64(self, tmp_path, raw, ok):
+        path = self.write(tmp_path, "ids.csv", "datetime,latitude,longitude,location_id\n"
+                          "2015-08-06T00:00:00,60.1,24.9,3\n"
+                          f"2015-08-06T01:00:00,60.1,24.9,{raw}\n")
+        if ok:
+            assert load_mobility_csv(path).values.tolist() == [3, int(raw)]
+        else:
+            with pytest.raises(DataFormatError, match=f"ids.csv:3: bad location ID "
+                               f"'{raw}', expected an integer in int64 range"):
+                load_mobility_csv(path)
+
+
+@st.composite
+def iso_stamp_text(draw):
+    """An ISO 8601 stamp from year 1 to 9999: naive or with a UTC offset,
+    UTC written as ``Z`` or ``+00:00``, with a ``T`` or a space and with or
+    without sub-seconds."""
+    stamp = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59,
+                                                          999_999)))
+    minutes = draw(st.none() | st.integers(-1439, 1439))
+    if minutes is not None:
+        stamp = stamp.replace(tzinfo=timezone(timedelta(minutes=minutes)))
+    text = stamp.isoformat(draw(st.sampled_from("T ")), draw(st.sampled_from(
+        ["auto", "seconds", "milliseconds", "microseconds"])))
+    return text.replace("+00:00", "Z") if draw(st.booleans()) else text
+
+
+@given(texts=st.lists(iso_stamp_text(), min_size=1, max_size=40))
+@example(texts=["1969-12-31T23:59:59.999999", "1969-12-31T23:59:58.000001+05:00",
+                "0001-01-01T00:00:00+23:59", "9999-12-31T23:59:59.999999-23:59",
+                "2024-01-01T00:00:00Z", "1970-01-01 00:00:00.5"])
+@settings(max_examples=200, deadline=None)
+def test_loader_stamps_are_wall_clock_seconds(tmp_path_factory, texts):
+    # the offset is dropped, not applied, and sub-seconds are truncated,
+    # as numpy counts a naive datetime in seconds
+    wanted = np.array([np.datetime64(datetime.fromisoformat(t).replace(tzinfo=None), "s")
+                       for t in texts])
+    if len(np.unique(wanted)) < len(wanted):
+        reject()
+    path = tmp_path_factory.mktemp("stamps") / "t.csv"
+    path.write_text("timestamp,kbps\n" + "".join(f"{t},{k + 1}\n"
+                                                 for k, t in enumerate(texts)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # out of order: the loader sorts
+        series = load_traffic_csv(str(path))
+    order = np.argsort(wanted, kind="stable")
+    assert series.timestamps.dtype == np.dtype("datetime64[s]")
+    assert np.array_equal(series.timestamps, wanted[order])
+    assert series.values.tolist() == (order + 1.0).tolist()
+
 
 def cache_blob(prep):
     """The bytes ``save_prepared`` writes for ``prep``."""
@@ -355,6 +436,12 @@ class TestPrepared:
         stamps = np.datetime64("2015-08-06T00:00:00", "s") + np.arange(n)
         with pytest.raises(EncodingError):
             prepare_mobility(TimeSeries(stamps, ids), window=3, train_fraction=0.8)
+
+    def test_mobility_unseen_error_names_the_first_unseen_id(self):
+        # 9 comes before 5 in the series, though after it in ID order
+        with pytest.raises(EncodingError, match="location ID 9 appears only"):
+            prepare_mobility(mobility_series([1, 2, 1, 2, 1, 2, 9, 5, 9]), window=2,
+                             train_fraction=0.5)
 
     def test_mobility_windows_shapes(self):
         from rclstm.data import PreparedData
@@ -591,6 +678,36 @@ def test_every_constructed_series_round_trips(parts):
     assert (loaded.task, loaded.norm, loaded.codebook) == (prep.task, prep.norm, prep.codebook)
     assert np.array_equal(loaded.features, prep.features)
     assert loaded.features.dtype.str == ("<f8" if task == "regression" else "<i8")
+
+
+@st.composite
+def id_series(draw):
+    """(IDs, window, train fraction): IDs drawn from a few int64 values,
+    so the series repeats some and may meet others only after its
+    training prefix."""
+    pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), unique=True, min_size=1,
+                         max_size=8))
+    ids = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=60))
+    window = draw(st.integers(1, len(ids) - 1))
+    return ids, window, draw(st.floats(0.05, 0.95))
+
+
+@given(case=id_series())
+@settings(max_examples=300, deadline=None)
+def test_prepare_mobility_follows_the_codebook(case):
+    # one ID at a time through the codebook's own dict is the reference
+    ids, window, fraction = case
+    n_train = math.floor(fraction * (len(ids) - window))
+    book = build_codebook(ids[: n_train + window])
+    unseen = [raw for raw in ids if raw not in book.id_to_index]
+    if unseen:
+        with pytest.raises(EncodingError, match=f"location ID {unseen[0]} appears only"):
+            prepare_mobility(mobility_series(ids), window, fraction)
+        return
+    prep = prepare_mobility(mobility_series(ids), window, fraction)
+    assert prep.codebook == book
+    assert prep.features.dtype == np.int64
+    assert prep.features.tolist() == [book.id_to_index[raw] for raw in ids]
 
 
 def prepare_traffic_like(series):
