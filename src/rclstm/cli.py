@@ -9,20 +9,24 @@ fails ``RunConfig.validate`` (a flag or a sweep point is held to the rule
 of the key it sets); a data file that does not parse, such as bytes that
 are not UTF-8, a field longer than the ``csv`` module's limit, a traffic
 value that is not a positive finite number or a location ID outside
-int64, each named with its ``path:line``; a series, from a CSV, a
-dataset cache or the synthetic generator, that breaks the rules of
-``PreparedData``; a dataset cache that does not load, or whose task is not
-the one ``[run] task`` implies; ``bench`` on data with fewer than 256
-windows; a checkpoint that does not load, or whose model fails
-``StackedRclstm.validate`` alone or against the evaluated windows (task,
-features, classes); an ``output_dir`` that cannot be made, such as a file.
-The output directory is made once the inputs have passed these checks and
-before the work, so a failed check leaves no directory behind and an
-unusable one costs no training.  Every model trains with Adam.  With
+int64, each named with its ``path:line``; a data file with a header and
+no data rows; a series, from a CSV, a dataset cache or the synthetic
+generator, that breaks the rules of ``PreparedData``; a sweep point
+whose windows or split the series cannot fill, such as a window no
+shorter than the series or a ``train_fraction`` that leaves a side empty
+(every point is checked before the first one trains); a dataset cache
+that does not load, or whose task is not the one ``[run] task`` implies;
+``bench`` on data with fewer than 256 windows; a checkpoint that does
+not load, or whose model fails ``StackedRclstm.validate`` alone or
+against the evaluated windows (task, features, classes); an
+``output_dir`` that cannot be made, such as a file.  The output
+directory is made once the inputs have passed these checks and before
+the work, so a failed check leaves no directory behind and an unusable
+one costs no training.  Every model trains with Adam.  With
 ``--freeze-timestamps`` output filenames use a fixed stamp and measured
-wall-clock columns are written as zeros, so identical (config, seed) runs
-produce byte-identical files; ``bench`` is the exception: only its file
-name is fixed, and its report holds what it measured.
+wall-clock columns are written as zeros, so identical (config, seed)
+runs produce byte-identical files; ``bench`` is the exception: only its
+file name is fixed, and its report holds what it measured.
 """
 
 import argparse
@@ -34,23 +38,22 @@ import os
 import sys
 from datetime import datetime
 
-import numpy as np
-
 from . import linalg, synth
 from .benchmark import (SERVE_BATCH, TRAIN_BATCH, benchmark_serving,
                         benchmark_training_step, training_step_peak_bytes)
 from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
-from .data import (PreparedData, WindowedDataset, chronological_split, denormalize,
-                   load_mobility_csv, load_prepared, load_traffic_csv,
-                   prepare_mobility, prepare_traffic, save_prepared)
+from .data import (PreparedData, WindowedDataset, denormalize, load_mobility_csv,
+                   load_prepared, load_traffic_csv, prepare_mobility, prepare_traffic,
+                   save_prepared)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError,
                      ShapeError)
 from .metrics import rmse
 from .network import batch_plan
-from .sweeps import build_from_config, run_sweep, summarize, write_report_csv
-from .training import evaluate_model, fit, predict_batch
+from .sweeps import (at_point, build_from_config, run_sweep, split, summarize,
+                     write_report_csv)
+from .training import METRIC, evaluate_model, fit
 
 USAGE_ERRORS = (ConfigError, DataFormatError, InsufficientDataError,
                 EncodingError, CheckpointError, OSError)
@@ -71,17 +74,17 @@ def _is_cache(path):
 def _generate_synthetic(cfg):
     s = cfg.synthetic
     if s.kind == "sine":
-        series = synth.sine_series(s.n, period=s.period, amplitude=s.amplitude,
+        values = synth.sine_series(s.n, period=s.period, amplitude=s.amplitude,
                                    offset=s.offset, noise=s.noise, seed=s.seed)
     elif s.kind == "longrange":
-        series = synth.long_range_series(s.n, lag=s.lag, growth=s.growth,
+        values = synth.long_range_series(s.n, lag=s.lag, growth=s.growth,
                                          noise=s.noise, mix=s.mix,
                                          mix_period=s.mix_period, seed=s.seed)
     else:
-        series = synth.ar_process(s.n, s.ar_coeffs, intercept=s.ar_intercept,
+        values = synth.ar_process(s.n, s.ar_coeffs, intercept=s.ar_intercept,
                                   noise=s.ar_noise, seed=s.seed,
                                   integrate=s.ar_integrate)
-    return PreparedData("regression", np.asarray(series.values, dtype=np.float64))
+    return PreparedData("regression", values)
 
 
 def _prepare(cfg):
@@ -113,12 +116,11 @@ def _outdir(cfg):
 
 def cmd_preprocess(cfg, args):
     prepared = _prepare(cfg)
-    ds = prepared.windows(cfg.data.window)
-    train, test = chronological_split(ds, cfg.data.train_fraction)
+    train, test = split(cfg, prepared)
     path = os.path.join(_outdir(cfg), "dataset_cache.bin")
     save_prepared(prepared, path)
     print(f"cache written: {path}")
-    print(f"samples: {len(ds)} total, {len(train)} train, {len(test)} test "
+    print(f"samples: {len(train) + len(test)} total, {len(train)} train, {len(test)} test "
           f"(window={cfg.data.window})")
     if prepared.norm is not None:
         print(f"normalization: min_log={prepared.norm.min_log:.6f} "
@@ -143,8 +145,7 @@ def _write_history(history, path, frozen):
 
 def cmd_train(cfg, args):
     prepared = _prepare(cfg)
-    ds = prepared.windows(cfg.data.window)
-    train, test = chronological_split(ds, cfg.data.train_fraction)
+    train, test = split(cfg, prepared)
     model = build_from_config(cfg, prepared)
     out = _outdir(cfg)
     try:
@@ -155,11 +156,10 @@ def cmd_train(cfg, args):
     ckpt = os.path.join(out, "checkpoint.bin")
     save_checkpoint_file(model, ckpt)
     _write_history(history, os.path.join(out, "history.csv"), args.freeze_timestamps)
-    metric_name = "val_rmse" if prepared.task == "regression" else "val_accuracy"
     last = history.val_metric[-1] if history.val_metric else float("nan")
     print(f"checkpoint written: {ckpt}")
     print(f"epochs: {len(history.train_loss)}, final train loss: "
-          f"{history.train_loss[-1]:.6g}, {metric_name}: {last:.6g}"
+          f"{history.train_loss[-1]:.6g}, val_{METRIC[prepared.task]}: {last:.6g}"
           if history.train_loss else "no epochs run")
     return 0
 
@@ -167,22 +167,17 @@ def cmd_train(cfg, args):
 def cmd_evaluate(cfg, args):
     prepared = _prepare(cfg)
     model = load_checkpoint_file(args.checkpoint)
-    ds = prepared.windows(cfg.data.window)
-    _, test = chronological_split(ds, cfg.data.train_fraction)
+    _, test = split(cfg, prepared)
     try:
         model.validate(test)
     except ShapeError as err:
         raise CheckpointError(f"checkpoint does not fit the dataset: {err}") from None
     out = _outdir(cfg)
     metric, preds = evaluate_model(model, test)
-    payload = {"n": len(test)}
-    if prepared.task == "regression":
-        payload["rmse"] = metric
-        if prepared.norm is not None:
-            payload["rmse_raw"] = rmse(denormalize(test.targets, prepared.norm),
-                                       denormalize(preds, prepared.norm))
-    else:
-        payload["accuracy"] = metric
+    payload = {"n": len(test), METRIC[prepared.task]: metric}
+    if prepared.norm is not None:  # a traffic series: its RMSE in kbps too
+        payload["rmse_raw"] = rmse(denormalize(test.targets, prepared.norm),
+                                   denormalize(preds, prepared.norm))
     payload["config_digest"] = cfg.digest()
     path = os.path.join(out, "metrics.json")
     with open(path, "w") as fh:
@@ -196,6 +191,8 @@ def cmd_evaluate(cfg, args):
 
 def cmd_sweep(cfg, args):
     prepared = _prepare(cfg)
+    for point in cfg.sweep.points:  # a point the series cannot fill fails before any trains
+        split(at_point(cfg, point), prepared)
     out = _outdir(cfg)
     report = run_sweep(cfg, prepared, parallel=max(1, args.parallel))
     stamp = _stamp(args.freeze_timestamps)

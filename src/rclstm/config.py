@@ -158,6 +158,7 @@ _NON_ZERO = (lambda v: v != 0, "must be non-zero")
 _RULES = {
     ("run", "task"): _one_of("traffic", "mobility", "synthetic"),
     ("synthetic", "kind"): _one_of("sine", "ar", "longrange"),
+    ("synthetic", "n"): (is_count, "must be a whole number >= 1"),
     ("synthetic", "period"): _NON_ZERO,
     ("synthetic", "mix_period"): _NON_ZERO,
     ("synthetic", "noise"): _NON_NEGATIVE,

@@ -221,14 +221,19 @@ def _read_series(path, header, parse, label, expected, dtype):
                                   "bytes that are not UTF-8") from None
         except csv.Error as err:
             raise DataFormatError(f"{path}:{reader.line_num}: {err}") from None
+    if not stamps:
+        raise DataFormatError(f"{path}: no data rows after the header")
     stamps = np.array(stamps, dtype=np.int64).view("datetime64[s]")
     values = np.array(values, dtype=dtype)
     order = np.argsort(stamps, kind="stable")
     if not np.array_equal(order, np.arange(len(stamps))):
         warnings.warn(f"{path}: timestamps out of order, sorting")
         stamps, values = stamps[order], values[order]
-    if len(stamps) > 1 and np.any(stamps[1:] == stamps[:-1]):
-        raise DataFormatError(f"{path}: duplicate timestamps")
+    repeated = stamps[1:] == stamps[:-1]
+    if repeated.any():  # the stable sort keeps the earlier row of a pair first
+        k = int(repeated.argmax())
+        first, second = order[k : k + 2] + 2  # row index -> line number
+        raise DataFormatError(f"{path}:{second}: duplicate timestamp, also on line {first}")
     return TimeSeries(stamps, values)
 
 
@@ -271,7 +276,8 @@ class PreparedData:
     series is, whatever its source: DataFormatError unless the task is one
     of ``network.TASKS`` and ``features`` is a 1-D array, of finite floats
     for regression, or for classification of integers in 1..codebook size,
-    with a codebook.  ``norm`` is optional (a synthetic series has none).
+    with a codebook.  ``norm`` is optional (a synthetic series has none),
+    and only a regression series has one.
     """
 
     task: str  # "regression" | "classification"
@@ -285,6 +291,8 @@ class PreparedData:
         regression = self.task == "regression"
         if not regression and self.codebook is None:
             raise DataFormatError("classification series has no codebook")
+        if not regression and self.norm is not None:
+            raise DataFormatError("classification series has a normalization")
         f = self.features
         if not (isinstance(f, np.ndarray) and f.ndim == 1
                 and f.dtype.kind in ("f" if regression else "iu")):

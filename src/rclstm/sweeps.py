@@ -3,12 +3,17 @@
 One model is trained and evaluated per (axis point x seed); masks are
 re-sampled per seed so mask variance shows up in the spread.  Reports are
 plot-ready CSVs plus a text summary, deterministic given the seed list.
+
+Every row, the RCLSTM's and each baseline's, is made by one ``row(name,
+run)``: ``training.score`` puts the metric of ``run()``'s test predictions
+in the task's column, and a DivergenceError is a ``diverged: ...`` row.
+The naive floor is ``training.decode`` of each window's last input step.
 """
 
 import concurrent.futures
 import copy
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,9 +24,8 @@ from .benchmark import benchmark_serving
 from .config import SWEEP_AXES
 from .data import chronological_split
 from .errors import DivergenceError
-from .metrics import accuracy, rmse
 from .network import build_model
-from .training import evaluate_model, fit
+from .training import METRIC, decode, fit, predict_batch, score
 
 TIMING_WINDOWS = 3  # test windows timed per point
 
@@ -32,7 +36,7 @@ class SweepRow:
     value: float
     model: str
     seed: int
-    rmse: float | None
+    rmse: float | None  # the metric columns, one per task, as training.METRIC names them
     accuracy: float | None
     median_time_s: float | None
     train_seconds: float | None  # sum of the training epochs' seconds, for every model
@@ -64,76 +68,68 @@ def build_from_config(cfg, prepared):
                        density=cfg.model.density, seed=cfg.model.seed)
 
 
-def _naive_predictions(test, task):
-    if task == "regression":
-        return test.inputs[:, -1, 0]
-    return np.argmax(test.inputs[:, -1, :], axis=1) + 1
+def at_point(cfg, point):
+    """A copy of ``cfg`` with its sweep axis's key set to ``point``."""
+    cfg = copy.deepcopy(cfg)
+    section, key = SWEEP_AXES[cfg.sweep.axis]
+    setattr(getattr(cfg, section), key, point)
+    return cfg
+
+
+def split(cfg, prepared):
+    """The (train, test) windows of ``prepared`` as ``cfg``'s ``[data]`` cuts
+    them; InsufficientDataError when the series is too short for them."""
+    return chronological_split(prepared.windows(cfg.data.window), cfg.data.train_fraction)
 
 
 def _run_point(cfg, prepared, point, seed):
     """Train and evaluate every requested model at one (point, seed).
 
-    The point runs on a copy of ``cfg`` with the axis value applied and the
-    model and training seeds set to ``seed``; rows carry its digest.
+    The point runs on ``at_point(cfg, point)`` with the model and training
+    seeds set to ``seed``; rows carry its digest.
     """
-    cfg = copy.deepcopy(cfg)
-    axis = cfg.sweep.axis
-    section, key = SWEEP_AXES[axis]
-    setattr(getattr(cfg, section), key, point)
+    cfg = at_point(cfg, point)
     cfg.model.seed = cfg.training.seed = seed
     tag = cfg.digest()
-    ds = prepared.windows(cfg.data.window)
-    train, test = chronological_split(ds, cfg.data.train_fraction)
+    train, test = split(cfg, prepared)
     task = prepared.task
-    rows = []
 
-    model = build_from_config(cfg, prepared)
-    try:
+    def row(name, run):
+        """Model ``name``'s row; ``run()`` gives its test predictions, serving
+        seconds and training seconds (None where not measured)."""
+        metrics, serve_s, train_s = dict.fromkeys(METRIC.values()), None, None
+        try:
+            preds, serve_s, train_s = run()
+        except DivergenceError as err:
+            status = f"diverged: {err}"
+        else:
+            metrics[METRIC[task]], status = score(task, test.targets, preds), "ok"
+        return SweepRow(axis=cfg.sweep.axis, value=float(point), model=name, seed=seed,
+                        **metrics, median_time_s=serve_s, train_seconds=train_s,
+                        status=status, config_hash=tag)
+
+    def rclstm():
+        model = build_from_config(cfg, prepared)
         _, history = fit(model, train, cfg.training)
-        metric, _ = evaluate_model(model, test)
+        preds = predict_batch(model, test.inputs)
         stats = benchmark_serving(model, test.inputs[:TIMING_WINDOWS],
                                   reps=cfg.sweep.timing_reps, warmup=2)
-        rows.append(SweepRow(axis, float(point), "rclstm", seed,
-                             metric if task == "regression" else None,
-                             metric if task == "classification" else None,
-                             stats.median, sum(history.epoch_seconds), "ok", tag))
-    except DivergenceError as err:
-        rows.append(SweepRow(axis, float(point), "rclstm", seed, None, None,
-                             None, None, f"diverged: {err}", tag))
+        return preds, stats.median, sum(history.epoch_seconds)
 
+    def arima():
+        start = len(prepared.features) - len(test)
+        model = arima_fit(prepared.features[:start], p=5, d=1)
+        return arima_rolling_forecast(model, prepared.features, start), None, None
+
+    def ffnn():
+        model, history = ffnn_train(train, cfg.training, seed=seed)
+        return ffnn_predict(model, test.inputs), None, sum(history.epoch_seconds)
+
+    rows = [row("rclstm", rclstm)]
     if cfg.sweep.include_baselines:
-        rows.extend(_baseline_rows(cfg, prepared, point, train, test, tag))
-    return rows
-
-
-def _baseline_rows(cfg, prepared, point, train, test, tag):
-    axis, seed = cfg.sweep.axis, cfg.training.seed
-    task = prepared.task
-    rows = []
-    naive_pred = _naive_predictions(test, task)
-    if task == "regression":
-        naive_metric = rmse(test.targets, naive_pred)
-        rows.append(SweepRow(axis, float(point), "naive", seed, naive_metric,
-                             None, None, None, "ok", tag))
-        features = prepared.features
-        start = len(features) - len(test)
-        model = arima_fit(features[:start], p=5, d=1)
-        preds = arima_rolling_forecast(model, features, start)
-        rows.append(SweepRow(axis, float(point), "arima", seed,
-                             rmse(test.targets, preds), None, None, None, "ok", tag))
-        try:
-            ffnn, history = ffnn_train(train, cfg.training, seed=seed)
-        except DivergenceError as err:
-            rows.append(SweepRow(axis, float(point), "ffnn", seed, None, None,
-                                 None, None, f"diverged: {err}", tag))
-        else:
-            rows.append(SweepRow(axis, float(point), "ffnn", seed,
-                                 rmse(test.targets, ffnn_predict(ffnn, test.inputs)),
-                                 None, None, sum(history.epoch_seconds), "ok", tag))
-    else:
-        rows.append(SweepRow(axis, float(point), "naive", seed, None,
-                             accuracy(test.targets, naive_pred), None, None,
-                             "ok", tag))
+        rows.append(row("naive", lambda: (decode(task, test.inputs[:, -1, :]), None, None)))
+        if task == "regression":
+            rows += [row("arima", arima), row("ffnn", ffnn)]
     return rows
 
 
@@ -164,8 +160,7 @@ def run_sweep(cfg, prepared, parallel=1):
     return ExperimentReport(cfg.sweep.axis, rows)
 
 
-CSV_COLUMNS = ["axis", "value", "model", "seed", "rmse", "accuracy",
-               "median_time_s", "train_seconds", "status", "config_hash"]
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def write_report_csv(report, path, freeze_timers=False):

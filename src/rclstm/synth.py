@@ -1,20 +1,13 @@
 """Synthetic series generators so the full suite runs without real data.
 
-Every generator emits its values on a regular 15-minute timestamp grid,
-ready for windowing without further normalization.  The sine and the
-long-range series lie inside (0, 1).  ``ar_process`` is not bounded: with
+Every generator returns its values as a float64 array, ready for
+windowing without further normalization.  The sine and the long-range
+series lie inside (0, 1).  ``ar_process`` is not bounded: with
 ``integrate`` it emits integrated AR levels, which the ARIMA baselines are
 fitted to (at the ``[synthetic]`` defaults, -6.56 to 0.30).
 """
 
 import numpy as np
-
-from .data import TimeSeries
-
-
-def _grid(n):
-    start = np.datetime64("2005-01-01T00:00:00", "s")
-    return start + np.arange(n) * np.timedelta64(900, "s")
 
 
 def sine_series(n, period=25.0, amplitude=0.4, offset=0.5, noise=0.0, seed=0):
@@ -24,7 +17,7 @@ def sine_series(n, period=25.0, amplitude=0.4, offset=0.5, noise=0.0, seed=0):
     values = offset + amplitude * np.sin(2.0 * np.pi * t / period)
     if noise > 0.0:
         values = values + rng.normal(0.0, noise, size=n)
-    return TimeSeries(_grid(n), np.clip(values, 1e-6, 1.0 - 1e-6))
+    return np.clip(values, 1e-6, 1.0 - 1e-6)
 
 
 def ar_process(n, coeffs, intercept=0.0, noise=0.1, seed=0, integrate=0):
@@ -48,7 +41,7 @@ def ar_process(n, coeffs, intercept=0.0, noise=0.1, seed=0, integrate=0):
         w = w[burn:]
         for _ in range(integrate):
             w = np.cumsum(w)
-    return TimeSeries(_grid(n), w)
+    return w
 
 
 def long_range_series(n, lag=25, growth=3.9, noise=0.01, mix=0.0,
@@ -69,5 +62,5 @@ def long_range_series(n, lag=25, growth=3.9, noise=0.01, mix=0.0,
     if mix > 0.0:
         t = np.arange(n, dtype=np.float64)
         y = (1.0 - mix) * y + mix * (0.5 + 0.45 * np.sin(2.0 * np.pi * t / mix_period))
-    return TimeSeries(_grid(n), np.clip(y, 1e-6, 1.0 - 1e-6))
+    return np.clip(y, 1e-6, 1.0 - 1e-6)
 

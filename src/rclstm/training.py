@@ -151,26 +151,33 @@ def batch_loss_and_grad(task, outputs, targets):
     return loss, dout
 
 
+#: each task's test metric, as ``score`` computes it
+METRIC = {"regression": "rmse", "classification": "accuracy"}
+
+
+def decode(task, outputs):
+    """Predictions from head outputs (B, out): values or 1-based argmax classes."""
+    return outputs[:, 0] if task == "regression" else np.argmax(outputs, axis=1) + 1
+
+
+def score(task, actual, predicted):
+    """The task's ``METRIC`` of predictions against targets."""
+    return (rmse if task == "regression" else accuracy)(actual, predicted)
+
+
 def evaluate_model(model, dataset, batch_size=256):
-    """Test-set metric on the dataset's own scale: RMSE for regression,
-    classification accuracy otherwise.  Returns (metric, predictions)."""
+    """Test-set ``score`` on the dataset's own scale; returns (metric,
+    predictions)."""
     preds = predict_batch(model, dataset.inputs, batch_size=batch_size)
-    if model.task == "regression":
-        return rmse(dataset.targets, preds), preds
-    return accuracy(dataset.targets, preds), preds
+    return score(model.task, dataset.targets, preds), preds
 
 
 def predict_batch(model, windows, batch_size=256):
-    """Model predictions for stacked windows: values (regression) or
-    1-based argmax classes (classification)."""
+    """Model predictions for stacked windows, as ``decode`` reads them."""
     out = []
     for lo in range(0, windows.shape[0], batch_size):
-        chunk = windows[lo : lo + batch_size]
-        head_out, _ = forward_batch(model, chunk, keep_cache=False)
-        if model.task == "regression":
-            out.append(head_out[:, 0])
-        else:
-            out.append(np.argmax(head_out, axis=1) + 1)
+        head_out, _ = forward_batch(model, windows[lo : lo + batch_size], keep_cache=False)
+        out.append(decode(model.task, head_out))
     return np.concatenate(out) if out else np.array([])
 
 

@@ -18,7 +18,7 @@ class TestArima:
         coeffs = np.array([0.30, -0.20, 0.15, -0.10, 0.05])
         series = ar_process(5000, coeffs, intercept=0.02, noise=0.1, seed=8,
                             integrate=1)
-        model = arima_fit(series.values, p=5, d=1)
+        model = arima_fit(series, p=5, d=1)
         assert np.max(np.abs(model.coefficients - coeffs)) < 0.05
 
     def test_linear_trend_forecast_exact(self):
@@ -43,8 +43,8 @@ class TestArima:
     def test_normal_equations_residual(self):
         coeffs = np.array([0.4, -0.1, 0.2, 0.05, -0.15])
         series = ar_process(2000, coeffs, noise=0.2, seed=3, integrate=1)
-        model = arima_fit(series.values, p=5, d=1)
-        w = np.diff(series.values)
+        model = arima_fit(series, p=5, d=1)
+        w = np.diff(series)
         n = w.shape[0]
         design = np.ones((n - 5, 6))
         for lag in range(1, 6):
@@ -64,7 +64,7 @@ class TestArima:
             arima_forecast(model, np.arange(4.0))
 
     def test_rolling_forecast_shape(self):
-        series = ar_process(300, [0.5, 0.1], noise=0.1, seed=1).values
+        series = ar_process(300, [0.5, 0.1], noise=0.1, seed=1)
         model = arima_fit(series, p=2, d=0)
         preds = arima_rolling_forecast(model, series, start=250)
         assert preds.shape == (50,)
@@ -98,7 +98,7 @@ class TestFfnn:
 
     def test_beats_naive_on_sine(self):
         series = sine_series(500, period=25.0, seed=4)
-        ds = sliding_window(series.values, 20)
+        ds = sliding_window(series, 20)
         train, test = chronological_split(ds, 0.9)
         cfg = TrainingConfig(epochs=60, seed=0, learning_rate=3e-3)
         model, history = ffnn_train(train, cfg, seed=1)
@@ -109,7 +109,7 @@ class TestFfnn:
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_non_finite_target_names_epoch_and_batch(self):
-        ds = sliding_window(sine_series(120, seed=2).values, 10)
+        ds = sliding_window(sine_series(120, seed=2), 10)
         ds.targets[40] = np.nan  # in the second batch of 32
         with pytest.raises(DivergenceError) as info:
             ffnn_train(ds, TrainingConfig(epochs=1, batch_size=32, shuffle=False))
@@ -130,7 +130,7 @@ class TestFfnn:
             return grads
 
         monkeypatch.setattr(baselines, "ffnn_backward", nan_on_third_batch)
-        ds = sliding_window(sine_series(120, seed=2).values, 10)  # 4 batches of 32
+        ds = sliding_window(sine_series(120, seed=2), 10)  # 4 batches of 32
         with pytest.raises(DivergenceError) as info:
             ffnn_train(ds, TrainingConfig(epochs=2, batch_size=32))
         err = info.value

@@ -271,6 +271,18 @@ class TestCliCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("task, header", [
+        ("traffic", "timestamp,kbps"), ("mobility", "datetime,latitude,longitude,location_id")],
+        ids=["traffic", "mobility"])
+    def test_header_only_csv_exit_2(self, tmp_path, capsys, task, header):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n")
+        text = MOBILITY_CFG.format(path=path, out=tmp_path / "out").replace(
+            "task = mobility", f"task = {task}")
+        assert main(["preprocess", "--config", write_cfg(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no data rows after the header\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_key_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "[model]\nnonsense = 1\n")
         assert main(["train", "--config", cfg]) == 2
@@ -534,6 +546,25 @@ include_baselines = true
         assert "[sweep]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axis, points, message", [
+        ("window_length", "6,5000", "need more than 5000 observations, got 300"),
+        ("train_fraction", "0.5,0.001", "split at fraction 0.001 leaves an empty side")],
+        ids=["window_length", "train_fraction"])
+    def test_sweep_point_the_series_cannot_fill_exit_2_before_training(
+            self, tmp_path, capsys, monkeypatch, axis, points, message):
+        # every point's windows and split are built before the first point
+        # trains or the output directory is made
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model trained")
+
+        monkeypatch.setattr("rclstm.sweeps.fit", no_fit)
+        text = SINE_CFG.format(out=tmp_path / "out") + \
+            f"\n[sweep]\naxis = {axis}\npoints = {points}\n"
+        assert main(["sweep", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, old, new", [
         ("train", "seed = 2", "seed = 2\nseed = 3"),
         ("train", "[data]", "[model]\nseed = 4\n\n[data]"),
@@ -569,6 +600,7 @@ include_baselines = true
         ("train", "kind = sine", "kind = ar\nar_integrate = -1"),
         ("preprocess", "kind = sine\nn = 300", "kind = ar\nar_coeffs = 3.0\nn = 800"),
         ("train", "kind = sine\nn = 300", "kind = ar\nar_coeffs = 3.0\nn = 800"),
+        ("train", "n = 300", "n = -5\nnoise = 0.1"),
     ], ids=["duplicate_key", "duplicate_section", "no_section_header", "parse_error",
             "learning_rate_nan", "grad_clip_inf", "grad_clip_nan", "float_list_nan",
             "no_seeds", "timing_reps_0", "hidden_empty", "hidden_0", "bench_hidden_0",
@@ -577,7 +609,7 @@ include_baselines = true
             "ar_noise_negative", "beta1_1", "beta2_1.5", "beta1_negative", "epsilon_0",
             "model_seed_negative", "training_seed_negative", "synthetic_seed_negative",
             "sweep_seed_negative", "ar_integrate_negative", "ar_explodes_preprocess",
-            "ar_explodes_train"])
+            "ar_explodes_train", "synthetic_n_negative"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, command, old, new):
         text = SINE_CFG.format(out=tmp_path / "out").replace(old, new)
         assert main([command, "--config", write_cfg(tmp_path, text)]) == 2

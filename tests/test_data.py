@@ -240,11 +240,24 @@ class TestLoaders:
             load_traffic_csv(path)
 
     def test_traffic_duplicate_timestamps(self, tmp_path):
+        # both lines of the pair are named, whether or not the rows had to
+        # be sorted first
         path = self.write(tmp_path, "dup.csv",
                           "timestamp,kbps\n"
                           "2005-01-01T00:00:00,1\n"
-                          "2005-01-01T00:00:00,2\n")
-        with pytest.raises(DataFormatError, match="duplicate"):
+                          "2005-01-01T00:15:00,2\n"
+                          "2005-01-01T00:15:00,3\n")
+        with pytest.raises(DataFormatError,
+                           match=r"dup\.csv:4: duplicate timestamp, also on line 3$"):
+            load_traffic_csv(path)
+        path = self.write(tmp_path, "shuffled.csv",
+                          "timestamp,kbps\n"
+                          "2005-01-01T00:30:00,1\n"
+                          "2005-01-01T00:15:00,2\n"
+                          "2005-01-01T00:00:00,3\n"
+                          "2005-01-01T00:15:00,4\n")
+        with pytest.warns(UserWarning), pytest.raises(
+                DataFormatError, match=r"shuffled\.csv:5: duplicate timestamp, also on line 3$"):
             load_traffic_csv(path)
 
     def test_traffic_unsorted_sorts_with_warning(self, tmp_path):
@@ -413,11 +426,11 @@ MIN_LOG_FLIP = {"task": "regression", "truncate": False, "flip": ord("0") ^ ord(
 
 class TestPrepared:
     def test_traffic_prepare_full_scope(self):
-        from rclstm.synth import sine_series
-        series = sine_series(100, seed=0)
-        raw = 10.0 ** (series.values * 3.0 + 1.0)
         from rclstm.data import TimeSeries
-        ts = TimeSeries(series.timestamps, raw)
+        from rclstm.synth import sine_series
+        raw = 10.0 ** (sine_series(100, seed=0) * 3.0 + 1.0)
+        stamps = np.datetime64("2005-01-01T00:00:00", "s") + np.arange(100) * 900
+        ts = TimeSeries(stamps, raw)
         prep = prepare_traffic(ts, normalize_scope="full")
         assert prep.features.min() == 0.0 and prep.features.max() == 1.0
 
@@ -602,6 +615,11 @@ class TestPreparedContract:
         with pytest.raises(DataFormatError, match=message):
             PreparedData(task, features, codebook=codebook)
 
+    def test_classification_series_has_no_norm(self):
+        with pytest.raises(DataFormatError, match="classification series has a normalization"):
+            PreparedData("classification", np.array([1, 2, 1]), codebook=BOOK,
+                         norm=NormalizationParams(0.0, 1.0))
+
     def test_codebook_of_string_ids_is_refused(self):
         # a codebook of IDs the cache cannot hold is refused where it is
         # built, not when its cache is read back
@@ -713,7 +731,7 @@ def test_prepare_mobility_follows_the_codebook(case):
 def prepare_traffic_like(series):
     """Synthetic series are already in (0, 1); wrap without normalization."""
     from rclstm.data import PreparedData
-    return PreparedData("regression", np.asarray(series.values, dtype=np.float64))
+    return PreparedData("regression", np.asarray(series, dtype=np.float64))
 
 
 def test_codebook_first_appearance_order():

@@ -104,8 +104,7 @@ class TestBenchmarkForward:
 
 
 def tiny_prepared(n=220):
-    series = sine_series(n, period=20.0, seed=3)
-    return PreparedData("regression", series.values)
+    return PreparedData("regression", sine_series(n, period=20.0, seed=3))
 
 
 def tiny_config(**sweep):
@@ -163,7 +162,7 @@ cfg = RunConfig()
 cfg.model.hidden, cfg.data.window = (8,), 10
 cfg.training = TrainingConfig(epochs=1, seed=0)
 cfg.sweep.points, cfg.sweep.seeds, cfg.sweep.timing_reps = (0.5, 1.0), (0,), 2
-run_sweep(cfg, PreparedData("regression", sine_series(220, period=20.0, seed=3).values),
+run_sweep(cfg, PreparedData("regression", sine_series(220, period=20.0, seed=3)),
           parallel=2)
 print("swept", flush=True)
 """

@@ -26,8 +26,7 @@ from route_mixes import route_mix
 
 
 def sine_dataset(n=400, window=12, fraction=0.9):
-    series = sine_series(n, period=25.0, seed=1)
-    ds = sliding_window(series.values, window)
+    ds = sliding_window(sine_series(n, period=25.0, seed=1), window)
     return chronological_split(ds, fraction)
 
 
