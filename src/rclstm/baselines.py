@@ -60,11 +60,13 @@ def arima_fit(series, p=5, d=1):
 
 def arima_forecast(model, history):
     """One-step-ahead forecast: extrapolate the differenced series, then
-    integrate back to level scale."""
+    integrate back to level scale.  Only the last p + d values of
+    ``history`` enter it, so only those are read."""
     history = np.asarray(history, dtype=np.float64)
-    if history.shape[0] < model.p + model.d:
+    n = model.p + model.d
+    if history.shape[0] < n:
         raise ValueError("history shorter than p + d")
-    levels = [history]
+    levels = [history[-n:]]
     for _ in range(model.d):
         levels.append(np.diff(levels[-1]))
     w = levels[-1]
@@ -77,7 +79,7 @@ def arima_forecast(model, history):
 
 def arima_rolling_forecast(model, series, start):
     """One-step forecasts for positions start..n-1, each conditioned on the
-    full observed history before it."""
+    observed history before it; O(n), as each reads p + d values."""
     series = np.asarray(series, dtype=np.float64)
     return np.array([arima_forecast(model, series[:t]) for t in range(start, len(series))])
 

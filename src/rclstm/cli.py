@@ -12,10 +12,14 @@ value that is not a positive finite number or a location ID outside
 int64, each named with its ``path:line``; a data file with a header and
 no data rows; a series, from a CSV, a dataset cache or the synthetic
 generator, that breaks the rules of ``PreparedData``; a sweep point
-whose windows or split the series cannot fill, such as a window no
-shorter than the series or a ``train_fraction`` that leaves a side empty
-(every point is checked before the first one trains); a dataset cache
-that does not load, or whose task is not the one ``[run] task`` implies;
+whose data its own config cannot make, such as a window no shorter than
+the series, a ``train_fraction`` that leaves a side empty or a mobility
+location ID first seen after the point's training prefix (every point is
+prepared and split before the first one trains, and the error names the
+point: ``[sweep] point 0.5: ...``); a dataset cache that does not load,
+or whose task is not the one ``[run] task`` implies (a cache keeps the
+preparation ``preprocess`` gave it: the normalization and codebook of the
+``[data]`` keys it was made with, whatever keys or sweep points read it);
 ``bench`` on data with fewer than 256 windows; a checkpoint that does
 not load, or whose model fails ``StackedRclstm.validate`` alone or
 against the evaluated windows (task, features, classes); an
@@ -38,21 +42,19 @@ import os
 import sys
 from datetime import datetime
 
-from . import linalg, synth
+from . import linalg
 from .benchmark import (SERVE_BATCH, TRAIN_BATCH, benchmark_serving,
                         benchmark_training_step, training_step_peak_bytes)
-from .checkpoint import MAGIC, load_checkpoint_file, save_checkpoint_file
+from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
-from .data import (PreparedData, WindowedDataset, denormalize, load_mobility_csv,
-                   load_prepared, load_traffic_csv, prepare_mobility, prepare_traffic,
-                   save_prepared)
+from .data import WindowedDataset, denormalize, save_prepared
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError,
                      ShapeError)
 from .metrics import rmse
 from .network import batch_plan
-from .sweeps import (at_point, build_from_config, run_sweep, split, summarize,
-                     write_report_csv)
+from .sweeps import (at_point, build_from_config, prepare, run_sweep, split,
+                     summarize, write_report_csv)
 from .training import METRIC, evaluate_model, fit
 
 USAGE_ERRORS = (ConfigError, DataFormatError, InsufficientDataError,
@@ -63,59 +65,13 @@ def _stamp(frozen):
     return "frozen" if frozen else datetime.now().strftime("%Y%m%d-%H%M%S")
 
 
-def _is_cache(path):
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(8) == MAGIC
-    except OSError:
-        return False
-
-
-def _generate_synthetic(cfg):
-    s = cfg.synthetic
-    if s.kind == "sine":
-        values = synth.sine_series(s.n, period=s.period, amplitude=s.amplitude,
-                                   offset=s.offset, noise=s.noise, seed=s.seed)
-    elif s.kind == "longrange":
-        values = synth.long_range_series(s.n, lag=s.lag, growth=s.growth,
-                                         noise=s.noise, mix=s.mix,
-                                         mix_period=s.mix_period, seed=s.seed)
-    else:
-        values = synth.ar_process(s.n, s.ar_coeffs, intercept=s.ar_intercept,
-                                  noise=s.ar_noise, seed=s.seed,
-                                  integrate=s.ar_integrate)
-    return PreparedData("regression", values)
-
-
-def _prepare(cfg):
-    """PreparedData for the configured task; raw CSV, cache file or synthetic."""
-    task = cfg.run.task
-    if task == "synthetic":
-        return _generate_synthetic(cfg)
-    if not os.path.exists(cfg.run.data):
-        raise FileNotFoundError(f"data file not found: {cfg.run.data}")
-    if _is_cache(cfg.run.data):
-        prepared = load_prepared(cfg.run.data)
-        wanted = "regression" if task == "traffic" else "classification"
-        if prepared.task != wanted:
-            raise DataFormatError(f"{cfg.run.data} caches a {prepared.task} series, "
-                                  f"but [run] task = {task} needs {wanted}")
-        return prepared
-    if task == "traffic":
-        series = load_traffic_csv(cfg.run.data)
-        return prepare_traffic(series, cfg.data.normalize_scope,
-                               cfg.data.train_fraction)
-    series = load_mobility_csv(cfg.run.data)
-    return prepare_mobility(series, cfg.data.window, cfg.data.train_fraction)
-
-
 def _outdir(cfg):
     os.makedirs(cfg.run.output_dir, exist_ok=True)
     return cfg.run.output_dir
 
 
 def cmd_preprocess(cfg, args):
-    prepared = _prepare(cfg)
+    prepared = prepare(cfg)
     train, test = split(cfg, prepared)
     path = os.path.join(_outdir(cfg), "dataset_cache.bin")
     save_prepared(prepared, path)
@@ -144,7 +100,7 @@ def _write_history(history, path, frozen):
 
 
 def cmd_train(cfg, args):
-    prepared = _prepare(cfg)
+    prepared = prepare(cfg)
     train, test = split(cfg, prepared)
     model = build_from_config(cfg, prepared)
     out = _outdir(cfg)
@@ -165,7 +121,7 @@ def cmd_train(cfg, args):
 
 
 def cmd_evaluate(cfg, args):
-    prepared = _prepare(cfg)
+    prepared = prepare(cfg)
     model = load_checkpoint_file(args.checkpoint)
     _, test = split(cfg, prepared)
     try:
@@ -190,11 +146,14 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_sweep(cfg, args):
-    prepared = _prepare(cfg)
-    for point in cfg.sweep.points:  # a point the series cannot fill fails before any trains
-        split(at_point(cfg, point), prepared)
+    for point in cfg.sweep.points:  # each point is prepared and split before any trains
+        point_cfg = at_point(cfg, point)
+        try:
+            split(point_cfg, prepare(point_cfg))
+        except ValueError as err:  # the point's own data cannot be made
+            raise type(err)(f"[sweep] point {point:g}: {err}") from None
     out = _outdir(cfg)
-    report = run_sweep(cfg, prepared, parallel=max(1, args.parallel))
+    report = run_sweep(cfg, parallel=max(1, args.parallel))
     stamp = _stamp(args.freeze_timestamps)
     csv_path = os.path.join(out, f"sweep_{report.axis}_{stamp}.csv")
     write_report_csv(report, csv_path, freeze_timers=args.freeze_timestamps)
@@ -217,7 +176,7 @@ def _layer_routes(layer):
 
 
 def cmd_bench(cfg, args):
-    prepared = _prepare(cfg)
+    prepared = prepare(cfg)
     ds = prepared.windows(cfg.data.window)
     batch = ds.inputs[:SERVE_BATCH]
     if len(batch) < SERVE_BATCH:

@@ -161,6 +161,9 @@ _RULES = {
     ("synthetic", "n"): (is_count, "must be a whole number >= 1"),
     ("synthetic", "period"): _NON_ZERO,
     ("synthetic", "mix_period"): _NON_ZERO,
+    ("synthetic", "mix"): (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    # the logistic map leaves (0, 1) for growth above 4
+    ("synthetic", "growth"): (lambda v: 0.0 < v <= 4.0, "must lie in (0, 4]"),
     ("synthetic", "noise"): _NON_NEGATIVE,
     ("synthetic", "ar_noise"): _NON_NEGATIVE,
     ("synthetic", "ar_integrate"): _NON_NEGATIVE,

@@ -23,7 +23,7 @@ import csv
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 
 import numpy as np
@@ -70,12 +70,11 @@ class NormalizationParams:
 class LocationCodebook:
     """Bijection between raw location IDs and the contiguous range 1..m.
 
-    Built from ``index_to_id``, the IDs in index order; ``id_to_index`` is
-    its inverse.  DataFormatError unless the IDs are a list of unique
+    ``index_to_id`` holds the IDs in index order: ID ``index_to_id[j]`` has
+    the index j + 1.  DataFormatError unless the IDs are a list of unique
     integers, the rule a codebook must keep to be saved and loaded."""
 
     index_to_id: list
-    id_to_index: dict = field(init=False)
 
     def __post_init__(self):
         ids = self.index_to_id
@@ -83,7 +82,6 @@ class LocationCodebook:
                 or len(set(ids)) != len(ids):
             raise DataFormatError(f"codebook {ids!r:.80} is not a list of unique "
                                   "integer location IDs")
-        self.id_to_index = {raw: j + 1 for j, raw in enumerate(ids)}
 
     @property
     def size(self):

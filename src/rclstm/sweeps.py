@@ -4,6 +4,13 @@ One model is trained and evaluated per (axis point x seed); masks are
 re-sampled per seed so mask variance shows up in the spread.  Reports are
 plot-ready CSVs plus a text summary, deterministic given the seed list.
 
+``prepare`` is the only code that turns a RunConfig into its data.  A
+row's data comes from its point's config alone: each (point, seed) job
+prepares ``at_point(cfg, point)`` itself, so a ``train_fraction`` or
+``window_length`` point fits its normalization and codebook on its own
+training prefix, whatever the base config holds, and a row's
+``config_hash`` names everything its data came from.
+
 Every row, the RCLSTM's and each baseline's, is made by one ``row(name,
 run)``: ``training.score`` puts the metric of ``run()``'s test predictions
 in the task's column, and a DivergenceError is a ``diverged: ...`` row.
@@ -13,17 +20,21 @@ The naive floor is ``training.decode`` of each window's last input step.
 import concurrent.futures
 import copy
 import csv
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import linalg
+from . import linalg, synth
 from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
                         ffnn_train)
 from .benchmark import benchmark_serving
+from .checkpoint import MAGIC
 from .config import SWEEP_AXES
-from .data import chronological_split
-from .errors import DivergenceError
+from .data import (PreparedData, chronological_split, load_mobility_csv,
+                   load_prepared, load_traffic_csv, prepare_mobility,
+                   prepare_traffic)
+from .errors import DataFormatError, DivergenceError
 from .network import build_model
 from .training import METRIC, decode, fit, predict_batch, score
 
@@ -61,6 +72,44 @@ class ExperimentReport:
                 for value, vals in sorted(out.items())}
 
 
+def prepare(cfg):
+    """The PreparedData that ``cfg`` names: its ``[synthetic]`` series, a
+    dataset cache, or a traffic or mobility CSV prepared by its ``[data]``
+    keys.  A cache keeps the preparation ``preprocess`` gave it; its task
+    must be the one ``[run] task`` implies (DataFormatError otherwise)."""
+    task, path = cfg.run.task, cfg.run.data
+    if task == "synthetic":
+        s = cfg.synthetic
+        if s.kind == "sine":
+            values = synth.sine_series(s.n, period=s.period, amplitude=s.amplitude,
+                                       offset=s.offset, noise=s.noise, seed=s.seed)
+        elif s.kind == "longrange":
+            values = synth.long_range_series(s.n, lag=s.lag, growth=s.growth,
+                                             noise=s.noise, mix=s.mix,
+                                             mix_period=s.mix_period, seed=s.seed)
+        else:
+            values = synth.ar_process(s.n, s.ar_coeffs, intercept=s.ar_intercept,
+                                      noise=s.ar_noise, seed=s.seed,
+                                      integrate=s.ar_integrate)
+        return PreparedData("regression", values)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"data file not found: {path}")
+    with open(path, "rb") as fh:  # a directory is an OSError here
+        cached = fh.read(len(MAGIC)) == MAGIC
+    if cached:
+        prepared = load_prepared(path)
+        wanted = "regression" if task == "traffic" else "classification"
+        if prepared.task != wanted:
+            raise DataFormatError(f"{path} caches a {prepared.task} series, "
+                                  f"but [run] task = {task} needs {wanted}")
+        return prepared
+    if task == "traffic":
+        return prepare_traffic(load_traffic_csv(path), cfg.data.normalize_scope,
+                               cfg.data.train_fraction)
+    return prepare_mobility(load_mobility_csv(path), cfg.data.window,
+                            cfg.data.train_fraction)
+
+
 def build_from_config(cfg, prepared):
     """The configured model, sized for the prepared data."""
     dim = prepared.feature_dim
@@ -82,15 +131,17 @@ def split(cfg, prepared):
     return chronological_split(prepared.windows(cfg.data.window), cfg.data.train_fraction)
 
 
-def _run_point(cfg, prepared, point, seed):
+def _run_point(cfg, point, seed):
     """Train and evaluate every requested model at one (point, seed).
 
     The point runs on ``at_point(cfg, point)`` with the model and training
-    seeds set to ``seed``; rows carry its digest.
+    seeds set to ``seed``, and on the series ``prepare`` makes of that
+    config; rows carry its digest.
     """
     cfg = at_point(cfg, point)
     cfg.model.seed = cfg.training.seed = seed
     tag = cfg.digest()
+    prepared = prepare(cfg)
     train, test = split(cfg, prepared)
     task = prepared.task
 
@@ -139,7 +190,7 @@ def _one_worker():
     linalg.WORKERS = 1
 
 
-def run_sweep(cfg, prepared, parallel=1):
+def run_sweep(cfg, parallel=1):
     """Execute the ``[sweep]`` of a RunConfig; points x seeds run
     independently and the report row order is deterministic regardless of
     ``parallel``, which starts no more worker processes than there are
@@ -149,12 +200,11 @@ def run_sweep(cfg, prepared, parallel=1):
     rows = []
     if parallel <= 1:
         for point, seed in jobs:
-            rows.extend(_run_point(cfg, prepared, point, seed))
+            rows.extend(_run_point(cfg, point, seed))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(parallel, len(jobs)),
                                                     initializer=_one_worker) as pool:
-            futures = [pool.submit(_run_point, cfg, prepared, point, seed)
-                       for point, seed in jobs]
+            futures = [pool.submit(_run_point, cfg, point, seed) for point, seed in jobs]
             for future in futures:
                 rows.extend(future.result())
     return ExperimentReport(cfg.sweep.axis, rows)

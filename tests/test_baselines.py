@@ -69,6 +69,23 @@ class TestArima:
         preds = arima_rolling_forecast(model, series, start=250)
         assert preds.shape == (50,)
 
+    @pytest.mark.parametrize("p, d", [(5, 1), (2, 0), (3, 2)])
+    def test_rolling_forecast_equals_the_full_history_forecast(self, p, d):
+        # the reference differences the whole history before each forecast
+        def full_history_forecast(model, history):
+            levels = [history]
+            for _ in range(model.d):
+                levels.append(np.diff(levels[-1]))
+            pred = model.intercept + float(model.coefficients @ levels[-1][::-1][:model.p])
+            for level in range(model.d - 1, -1, -1):
+                pred += levels[level][-1]
+            return pred
+
+        walk = np.cumsum(np.random.default_rng(3).normal(size=600)) * 1e3
+        model = arima_fit(walk[:400], p=p, d=d)
+        want = [full_history_forecast(model, walk[:t]) for t in range(400, 600)]
+        assert np.array_equal(arima_rolling_forecast(model, walk, 400), want)
+
 
 class TestFfnn:
     def test_zero_weights_emit_bias(self):

@@ -601,6 +601,8 @@ include_baselines = true
         ("preprocess", "kind = sine\nn = 300", "kind = ar\nar_coeffs = 3.0\nn = 800"),
         ("train", "kind = sine\nn = 300", "kind = ar\nar_coeffs = 3.0\nn = 800"),
         ("train", "n = 300", "n = -5\nnoise = 0.1"),
+        ("train", "kind = sine", "kind = longrange\nmix = -1"),
+        ("train", "kind = sine", "kind = longrange\ngrowth = 4.5"),
     ], ids=["duplicate_key", "duplicate_section", "no_section_header", "parse_error",
             "learning_rate_nan", "grad_clip_inf", "grad_clip_nan", "float_list_nan",
             "no_seeds", "timing_reps_0", "hidden_empty", "hidden_0", "bench_hidden_0",
@@ -609,7 +611,7 @@ include_baselines = true
             "ar_noise_negative", "beta1_1", "beta2_1.5", "beta1_negative", "epsilon_0",
             "model_seed_negative", "training_seed_negative", "synthetic_seed_negative",
             "sweep_seed_negative", "ar_integrate_negative", "ar_explodes_preprocess",
-            "ar_explodes_train", "synthetic_n_negative"])
+            "ar_explodes_train", "synthetic_n_negative", "mix_negative", "growth_4.5"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, command, old, new):
         text = SINE_CFG.format(out=tmp_path / "out").replace(old, new)
         assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
@@ -888,6 +890,72 @@ timing_reps = 2
             assert row["status"] == "ok" and row["rmse"] == ""
             if row["model"] == "naive":
                 assert float(row["accuracy"]) == pytest.approx(naive, abs=1e-9)
+
+    @staticmethod
+    def train_fraction_sweep(tmp_path, task, path, base, out):
+        return write_cfg(tmp_path, f"""
+[run]
+task = {task}
+data = {path}
+output_dir = {out}
+
+[model]
+hidden = 4
+
+[data]
+window = 3
+train_fraction = {base}
+normalize_scope = train
+
+[training]
+epochs = 1
+
+[sweep]
+axis = train_fraction
+points = 0.5,0.9
+seeds = 0
+include_baselines = true
+timing_reps = 2
+""", name=f"base_{base}.ini")
+
+    @pytest.mark.parametrize("base", ["0.5", "0.9"])
+    def test_sweep_point_builds_its_codebook_on_its_own_prefix(self, tmp_path, capsys,
+                                                              monkeypatch, base):
+        # location 9 first appears at 60% of the rows, so point 0.5's
+        # training prefix never holds it, whatever the base fraction is
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model trained")
+
+        monkeypatch.setattr("rclstm.sweeps.fit", no_fit)
+        ids = [1 + k % 3 for k in range(240)] + [(1, 2, 3, 9)[k % 4] for k in range(160)]
+        stamps = np.datetime64("2015-08-06T00:00:00") + np.arange(400) * np.timedelta64(1800, "s")
+        path = tmp_path / "mobility.csv"
+        path.write_text("datetime,latitude,longitude,location_id\n" + "".join(
+            f"{stamp},60.1,24.9,{raw}\n" for stamp, raw in zip(stamps, ids)))
+        cfg = self.train_fraction_sweep(tmp_path, "mobility", path, base, tmp_path / "out")
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == \
+            "error: [sweep] point 0.5: location ID 9 appears only in the test range\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_point_normalizes_on_its_own_prefix(self, tmp_path):
+        # with normalize_scope = train each point fits its min and max on
+        # its own training prefix of a rising series, so the base fraction
+        # the points override leaves no trace in the report
+        k = np.arange(400)
+        kbps = 10.0 ** (2.0 + k / 200.0 + 0.3 * np.sin(k * 2.0 * np.pi / 24.0))
+        stamps = np.datetime64("2005-01-01T00:00:00") + k * np.timedelta64(900, "s")
+        path = tmp_path / "traffic.csv"
+        path.write_text("timestamp,kbps\n" + "".join(
+            f"{stamp},{value:.6f}\n" for stamp, value in zip(stamps, kbps)))
+        reports = []
+        for base in ("0.5", "0.9"):
+            out = tmp_path / f"out_{base}"
+            cfg = self.train_fraction_sweep(tmp_path, "traffic", path, base, out)
+            assert main(["sweep", "--config", cfg, "--freeze-timestamps"]) == 0
+            reports.append([(out / f"sweep_train_fraction_frozen.{ext}").read_bytes()
+                            for ext in ("csv", "txt")])
+        assert reports[0] == reports[1]
 
 
 def run_cli(*args):

@@ -713,11 +713,13 @@ def id_series(draw):
 @given(case=id_series())
 @settings(max_examples=300, deadline=None)
 def test_prepare_mobility_follows_the_codebook(case):
-    # one ID at a time through the codebook's own dict is the reference
+    # one ID at a time through a dict built from the codebook's IDs is the
+    # reference
     ids, window, fraction = case
     n_train = math.floor(fraction * (len(ids) - window))
     book = build_codebook(ids[: n_train + window])
-    unseen = [raw for raw in ids if raw not in book.id_to_index]
+    index = {raw: j + 1 for j, raw in enumerate(book.index_to_id)}
+    unseen = [raw for raw in ids if raw not in index]
     if unseen:
         with pytest.raises(EncodingError, match=f"location ID {unseen[0]} appears only"):
             prepare_mobility(mobility_series(ids), window, fraction)
@@ -725,7 +727,7 @@ def test_prepare_mobility_follows_the_codebook(case):
     prep = prepare_mobility(mobility_series(ids), window, fraction)
     assert prep.codebook == book
     assert prep.features.dtype == np.int64
-    assert prep.features.tolist() == [book.id_to_index[raw] for raw in ids]
+    assert prep.features.tolist() == [index[raw] for raw in ids]
 
 
 def prepare_traffic_like(series):
@@ -736,5 +738,4 @@ def prepare_traffic_like(series):
 
 def test_codebook_first_appearance_order():
     book = build_codebook([9, 4, 9, 2, 4])
-    assert book.id_to_index == {9: 1, 4: 2, 2: 3}
     assert book.index_to_id == [9, 4, 2]

@@ -13,12 +13,11 @@ import pytest
 import rclstm
 from rclstm.benchmark import benchmark_serving, benchmark_training_step
 from rclstm.config import RunConfig, apply_overrides, load_config
-from rclstm.data import PreparedData, WindowedDataset
+from rclstm.data import WindowedDataset
 from rclstm.errors import ConfigError
 from rclstm.metrics import accuracy, rmse
 from rclstm.network import build_model
 from rclstm.sweeps import run_sweep, summarize, write_report_csv
-from rclstm.synth import sine_series
 from rclstm.training import TrainingConfig
 
 
@@ -103,13 +102,11 @@ class TestBenchmarkForward:
         assert not np.array_equal(model.layers[0].w, before)  # the steps trained it
 
 
-def tiny_prepared(n=220):
-    return PreparedData("regression", sine_series(n, period=20.0, seed=3))
-
-
 def tiny_config(**sweep):
-    """A RunConfig for a two-point connectivity sweep of an 8-cell model."""
+    """A RunConfig for a two-point connectivity sweep of an 8-cell model on
+    a 220-step sine."""
     cfg = RunConfig()
+    cfg.synthetic.n, cfg.synthetic.period, cfg.synthetic.seed = 220, 20.0, 3
     cfg.model.hidden = (8,)
     cfg.data.window = 10
     cfg.training = TrainingConfig(epochs=2, seed=0)
@@ -128,9 +125,7 @@ import numpy as np
 
 from rclstm import linalg, network
 from rclstm.config import RunConfig
-from rclstm.data import PreparedData
 from rclstm.sweeps import run_sweep
-from rclstm.synth import sine_series
 from rclstm.training import TrainingConfig
 
 
@@ -159,18 +154,18 @@ with multiprocessing.get_context("fork").Pool(1) as pool:
     assert np.array_equal(pool.apply(weight_grads, (windows[:1],)), want_grads)
 print("forked", flush=True)
 cfg = RunConfig()
+cfg.synthetic.n, cfg.synthetic.period, cfg.synthetic.seed = 220, 20.0, 3
 cfg.model.hidden, cfg.data.window = (8,), 10
 cfg.training = TrainingConfig(epochs=1, seed=0)
 cfg.sweep.points, cfg.sweep.seeds, cfg.sweep.timing_reps = (0.5, 1.0), (0,), 2
-run_sweep(cfg, PreparedData("regression", sine_series(220, period=20.0, seed=3)),
-          parallel=2)
+run_sweep(cfg, parallel=2)
 print("swept", flush=True)
 """
 
 
 class TestSweeps:
     def test_row_count(self):
-        report = run_sweep(tiny_config(seeds=(0, 1)), tiny_prepared())
+        report = run_sweep(tiny_config(seeds=(0, 1)))
         rclstm_rows = [r for r in report.rows if r.model == "rclstm"]
         assert len(rclstm_rows) == 4  # 2 points x 2 seeds
 
@@ -193,8 +188,8 @@ class TestSweeps:
         assert points == (6, 12) and all(type(p) is int for p in points)
 
     def test_deterministic_given_seeds(self):
-        r1 = run_sweep(tiny_config(), tiny_prepared())
-        r2 = run_sweep(tiny_config(), tiny_prepared())
+        r1 = run_sweep(tiny_config())
+        r2 = run_sweep(tiny_config())
         for a, b in zip(r1.rows, r2.rows):
             assert (a.value, a.model, a.seed, a.rmse, a.status) == \
                    (b.value, b.model, b.seed, b.rmse, b.status)
@@ -202,17 +197,17 @@ class TestSweeps:
     def test_baseline_rows_added(self):
         cfg = tiny_config(include_baselines=True)
         cfg.training.epochs = 1
-        report = run_sweep(cfg, tiny_prepared())
+        report = run_sweep(cfg)
         models = {r.model for r in report.rows}
         assert models == {"rclstm", "naive", "arima", "ffnn"}
 
     def test_window_axis(self):
         cfg = tiny_config(axis="window_length", points=(6, 12, 24))
-        report = run_sweep(cfg, tiny_prepared())
+        report = run_sweep(cfg)
         assert sorted({r.value for r in report.rows}) == [6.0, 12.0, 24.0]
 
     def test_csv_emission(self, tmp_path):
-        report = run_sweep(tiny_config(), tiny_prepared())
+        report = run_sweep(tiny_config())
         path = str(tmp_path / "sweep.csv")
         write_report_csv(report, path)
         with open(path, newline="") as fh:
@@ -222,14 +217,14 @@ class TestSweeps:
 
     def test_frozen_timers_byte_identical(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_report_csv(run_sweep(tiny_config(), tiny_prepared()), p1, freeze_timers=True)
-        write_report_csv(run_sweep(tiny_config(), tiny_prepared()), p2, freeze_timers=True)
+        write_report_csv(run_sweep(tiny_config()), p1, freeze_timers=True)
+        write_report_csv(run_sweep(tiny_config()), p2, freeze_timers=True)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config()
-        serial = run_sweep(cfg, tiny_prepared(), parallel=1)
-        parallel = run_sweep(cfg, tiny_prepared(), parallel=2)
+        serial = run_sweep(cfg, parallel=1)
+        parallel = run_sweep(cfg, parallel=2)
         assert [(r.value, r.model, r.rmse) for r in serial.rows] == \
                [(r.value, r.model, r.rmse) for r in parallel.rows]
 
@@ -256,9 +251,9 @@ class TestSweeps:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = tiny_config(seeds=(0, 1))
-        report = run_sweep(cfg, tiny_prepared(), parallel=64)
+        report = run_sweep(cfg, parallel=64)
         assert asked == [4]  # 2 points x 2 seeds
-        serial = run_sweep(cfg, tiny_prepared())
+        serial = run_sweep(cfg)
         assert [(r.value, r.model, r.seed, r.rmse) for r in report.rows] == \
                [(r.value, r.model, r.seed, r.rmse) for r in serial.rows]
 
@@ -283,13 +278,13 @@ class TestSweeps:
         assert out.split() == ["sharded", "forked", "swept"]
 
     def test_summary_text(self):
-        report = run_sweep(tiny_config(), tiny_prepared())
+        report = run_sweep(tiny_config())
         text = summarize(report)
         assert "connectivity" in text
 
     def test_config_hash_is_point_digest(self):
         cfg = tiny_config(seeds=(0, 1))
-        report = run_sweep(cfg, tiny_prepared())
+        report = run_sweep(cfg)
         for row in report.rows:
             point = apply_overrides(copy.deepcopy(cfg), density=row.value)
             point.model.seed = point.training.seed = row.seed
@@ -297,10 +292,10 @@ class TestSweeps:
         assert len({row.config_hash for row in report.rows}) == 4
 
     def test_config_hash_ignores_output_dir_and_other_points(self):
-        base = run_sweep(tiny_config(), tiny_prepared())
+        base = run_sweep(tiny_config())
         moved = tiny_config(points=(0.5, 1.0, 0.25))
         moved.run.output_dir = "elsewhere"
         moved.bench.reps = 31
-        wider = run_sweep(moved, tiny_prepared())
+        wider = run_sweep(moved)
         assert [r.config_hash for r in wider.rows[:2]] == \
                [r.config_hash for r in base.rows]

@@ -17,6 +17,12 @@ def names_used(tree):
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
 
 
+def called(call):
+    """The name a ``Call`` node calls: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def definitions(module):
     """The module's top-level functions and classes, then the methods and
     properties of each class, as (qualified name, node)."""
@@ -56,3 +62,19 @@ def test_only_linalg_reaches_the_raw_kernels():
         if any("_sparsetools" in name for name in names):
             reaching.append(path.name)
     assert reaching == ["linalg.py"]
+
+
+def test_only_sweeps_prepare_turns_a_config_into_data():
+    # one path from a RunConfig to its data: every command and every sweep
+    # point reads, prepares or generates its series through ``prepare``
+    synth = ast.parse((ROOT / "src" / "rclstm" / "synth.py").read_text())
+    sources = {"load_traffic_csv", "load_mobility_csv", "load_prepared", "prepare_traffic",
+               "prepare_mobility", *(name for name, _ in definitions(synth)
+                                     if not name.startswith("_"))}
+    callers = set()
+    for path in PACKAGE:
+        for statement in ast.parse(path.read_text()).body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call) and called(node) in sources:
+                    callers.add(f"{path.stem}.{getattr(statement, 'name', '<module>')}")
+    assert callers == {"sweeps.prepare"}
