@@ -6,10 +6,14 @@ a layer at a time, where a single window is a batch of one; below a
 crossover density every product with the gate weights goes through scipy
 CSR, above it through dense BLAS.
 
-The unroll has two modes.  Training (``fit``) keeps every layer's gates
-and states for backpropagation.  Serving (``predict_batch``) keeps no
-cache: it holds one cache-sized span of gate preactivations and two
-layers' hidden states, and gives the same outputs bit for bit.
+The unroll has two modes.  By default ``forward_batch`` keeps no cache:
+it holds one cache-sized span of gate preactivations and two layers'
+hidden states, as serving (``predict_batch``) runs it.  Training (``fit``)
+asks for the cache, every layer's gates and states, which
+``backward_sequence`` reads; the outputs are the same bit for bit.
+
+Of scipy the package loads only the compiled CSR kernels it calls, not
+``scipy.sparse`` (see ``linalg``).
 """
 
 from .cell import (ConnectivityMask, LstmLayerParams, backward_factors,

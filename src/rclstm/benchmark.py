@@ -62,9 +62,9 @@ def _time(fn, reps, warmup):
 
 
 def benchmark_serving(model, windows, batch=1, reps=100, warmup=5):
-    """Time serving passes (``forward_batch`` without the cache, as
-    ``predict_batch`` runs it) over consecutive chunks of ``batch`` windows
-    of a (N, T, F) stack.
+    """Time serving passes (``forward_batch``'s default pass, which keeps
+    no cache, as ``predict_batch`` runs it) over consecutive chunks of
+    ``batch`` windows of a (N, T, F) stack.
 
     Runs ``warmup`` unmeasured sweeps over the chunks, then ``reps``
     measured sweeps; every pass is one sample.
@@ -74,7 +74,7 @@ def benchmark_serving(model, windows, batch=1, reps=100, warmup=5):
     windows = np.asarray(windows, dtype=np.float64)
     chunks = [windows[lo : lo + batch] for lo in range(0, windows.shape[0], batch)]
     turn = itertools.cycle(chunks)
-    return _time(lambda: float(forward_batch(model, next(turn), keep_cache=False)[0][0, 0]),
+    return _time(lambda: float(forward_batch(model, next(turn))[0][0, 0]),
                  reps * len(chunks), warmup * len(chunks))
 
 

@@ -314,7 +314,8 @@ class PreparedData:
         if self.task == "regression":
             return sliding_window(self.features, window)
         classes = self.features.astype(np.int64)
-        encoded = np.eye(self.codebook.size)[classes - 1]
+        encoded = np.zeros((classes.size, self.codebook.size))
+        encoded[np.arange(classes.size), classes - 1] = 1.0
         return WindowedDataset(_window_view(encoded, window), classes[window:],
                                window, self.codebook.size)
 

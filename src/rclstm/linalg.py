@@ -36,6 +36,17 @@ back what it had written, with no error).  The masked outer product
 yields a value vector of the mask's nonzeros only, in the same row-major
 order.
 
+Those four kernels are all this package uses of ``scipy.sparse``, and
+importing them through the package would run ``scipy/sparse/__init__.py``:
+about 300 more modules and 20 MiB resident in every process, for code it
+never calls.  So on import this module loads the compiled extension that
+holds them from its file (``kernel_file``) and registers it in
+``sys.modules`` under its own name; the import of the kernels then finds
+it there and runs nothing else.  A later ``import scipy.sparse`` finds it
+too and uses the same module object, as its own modules bind it by
+import.  Where the file is not found, the import runs through the package
+as before.
+
 At B=1 a product's arithmetic is so small that the Python around each
 kernel call sets its cost, so each product makes as few calls as it can.
 The recurrence binds a layer's buffers once per layer call, and ``add``
@@ -62,12 +73,53 @@ none of its parent's threads, so it drops both and builds its own on
 first use.
 """
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
+
+#: the module that holds scipy's compiled sparse kernels
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+def kernel_file():
+    """The path of scipy's compiled ``_sparsetools`` extension, or None if
+    the installed scipy has none where this version of it keeps one.
+    Finding the ``scipy`` package does not import it."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_kernels():
+    """Load ``_KERNELS`` from its file into ``sys.modules``, unless it is
+    already there or has no file, so that importing it does not run
+    ``scipy/sparse/__init__.py``.  It is registered before it runs, as the
+    import system does, and dropped again if loading fails; then the import
+    below loads it through the package."""
+    path = None if _KERNELS in sys.modules else kernel_file()
+    if path is None:
+        return
+    spec = importlib.util.spec_from_file_location(_KERNELS, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_KERNELS] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(_KERNELS, None)
+
+
+_load_kernels()
 from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 from .errors import ShapeError

@@ -20,11 +20,12 @@ window.
 
 ``forward_batch`` has two modes over the same loop:
 
-- with the cache (training): the span is the whole window, and the gate
-  activations, the memory cell and the hidden states hold all T steps, so
-  ``backward_sequence`` can read them; the layer's input is the layer
-  below's hidden states, not a copy;
-- without it (serving): the gate buffer holds one span of at most
+- with the cache (training, ``keep_cache=True``): the span is the whole
+  window, and the gate activations, the memory cell and the hidden states
+  hold all T steps, so ``backward_sequence`` can read them; the layer's
+  input is the layer below's hidden states, not a copy;
+- without it (the default; serving and any other pass that does not
+  backpropagate): the gate buffer holds one span of at most
   ``SPAN_BYTES`` of preactivations and the memory cell a ring of two
   steps.  Only the hidden states stay (T, H, B), because the next layer
   projects them, and a layer's input is dropped once the layer is done.
@@ -344,14 +345,16 @@ def _first_divergence(results):
     return min(errors, key=lambda err: (err.layer, err.timestep)) if errors else None
 
 
-def forward_batch(model, windows, keep_cache=True):
+def forward_batch(model, windows, keep_cache=False):
     """Forward over (B, T, F) windows; returns the raw head outputs
-    (B, out) and the cache ``backward_sequence`` needs, or None when not
-    ``keep_cache``.
+    (B, out) and, with ``keep_cache``, the cache ``backward_sequence``
+    needs, else None.
 
-    Without the cache the pass holds one span of gate preactivations and
-    two layers' hidden states instead of every layer's full unroll; the
-    outputs are the same bit for bit.
+    By default the pass keeps no cache: it holds one span of gate
+    preactivations and two layers' hidden states instead of every layer's
+    full unroll, a fraction of the memory.  Only a caller that
+    backpropagates, as ``fit`` does, asks for the cache; the outputs are
+    the same bit for bit either way.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or 0 in windows.shape[:2]:
@@ -464,18 +467,23 @@ def _layer_backward(layer, k, cache, grad_h, h):
 
 
 def backward_sequence(model, cache, loss_grad):
-    """Backpropagation through time over the cached unroll.
+    """Backpropagation through time over the unroll that
+    ``forward_batch(..., keep_cache=True)`` cached.
 
     ``loss_grad`` is d(loss)/d(head output), shape (B, out); batch
     gradients are summed, so scale ``loss_grad`` by 1/B upstream for a mean
-    loss.  Consumes the cache.  Returns a flat dict: ``layer{k}.w``,
-    ``layer{k}.b``, ``head.w``, ``head.b``.  ``layer{k}.w`` holds the
+    loss.  Consumes the cache: ValueError if ``cache`` is None, as a
+    forward without the cache returns, or was already backpropagated.
+    Returns a flat dict: ``layer{k}.w``, ``layer{k}.b``, ``head.w``,
+    ``head.b``.  ``layer{k}.w`` holds the
     gradient wrt layer k's ``values``, its live weights in
     ``np.flatnonzero(mask.bits)`` order; the others are dense.  Each is
     shaped like its parameter.  Weight gradients computed in the
     background are all finished when this returns or raises, and an
     exception one raised is raised here.
     """
+    if cache is None:
+        raise ValueError("no cache to backpropagate: run forward_batch(..., keep_cache=True)")
     dims = [(l.input_dim, l.hidden_dim) for l in model.layers]
     if cache.layer_dims != dims:
         raise ShapeError("cache does not match this model (stale cache)")

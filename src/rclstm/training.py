@@ -176,7 +176,7 @@ def predict_batch(model, windows, batch_size=256):
     """Model predictions for stacked windows, as ``decode`` reads them."""
     out = []
     for lo in range(0, windows.shape[0], batch_size):
-        head_out, _ = forward_batch(model, windows[lo : lo + batch_size], keep_cache=False)
+        head_out, _ = forward_batch(model, windows[lo : lo + batch_size])
         out.append(decode(model.task, head_out))
     return np.concatenate(out) if out else np.array([])
 
@@ -228,7 +228,7 @@ def fit(model, train_ds, config, val_ds=None):
             model.validate(ds)
 
     def batch_grads(idx):
-        outputs, cache = forward_batch(model, train_ds.inputs[idx])
+        outputs, cache = forward_batch(model, train_ds.inputs[idx], keep_cache=True)
         loss, dout = batch_loss_and_grad(model.task, outputs, train_ds.targets[idx])
         return loss, backward_sequence(model, cache, dout)
 

@@ -101,6 +101,25 @@ class TestOneHot:
             prepare_mobility(mobility_series([1, 2, 1, 2, 5]), window=1,
                              train_fraction=0.5)
 
+    def test_rows_of_the_identity(self):
+        # the same bits as rows of np.eye, in one C-contiguous (n, C) array
+        prep = prepared_series("classification", n=50, classes=7)
+        ds = prep.windows(1)
+        assert ds.inputs[:, 0].tobytes() == np.eye(7)[prep.features[:-1] - 1].tobytes()
+        assert ds.inputs.strides == (7 * 8, 7 * 8, 8)
+
+    def test_large_codebook_holds_the_one_hot_alone(self):
+        # no (C, C) identity beside the (n, C) one-hot
+        n, classes = 2000, 1500
+        prep = prepared_series("classification", n=n, classes=classes)
+        tracemalloc.start()
+        try:
+            prep.windows(12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * n * classes * 8
+
 
 class TestSlidingWindow:
     def test_enumerated_case(self):

@@ -134,7 +134,7 @@ def serve(windows):
 
 
 def weight_grads(windows):
-    _, cache = network.forward_batch(MODEL, windows)
+    _, cache = network.forward_batch(MODEL, windows, keep_cache=True)
     return network.backward_sequence(MODEL, cache, np.ones((len(windows), 1)))["layer1.w"]
 
 

@@ -43,7 +43,7 @@ def reference_predict(model, window):
 
 def mse_on_window(model, window, target):
     """Squared error of one window and its gradient dict."""
-    out, cache = forward_batch(model, window[None])
+    out, cache = forward_batch(model, window[None], keep_cache=True)
     loss, dout = batch_loss_and_grad("regression", out, np.array([target]))
     return loss, cache, dout
 
@@ -204,7 +204,7 @@ class TestSparsePath:
         for mix in MIXES:
             with route_mix(mix):
                 model = build_model(2, [20, 20], seed=6, density=SPARSE)
-                _, cache = forward_batch(model, windows)
+                _, cache = forward_batch(model, windows, keep_cache=True)
                 grads.append(backward_sequence(model, cache, douts))
         for other in grads[1:]:
             for key in grads[0]:
@@ -214,7 +214,7 @@ class TestSparsePath:
 class TestBackwardSequence:
     def test_zero_loss_grad(self):
         model = build_model(1, [4], seed=0)
-        _, cache = forward_batch(model, np.ones((1, 3, 1)))
+        _, cache = forward_batch(model, np.ones((1, 3, 1)), keep_cache=True)
         grads = backward_sequence(model, cache, np.zeros((1, 1)))
         assert all(not g.any() for g in grads.values())
 
@@ -222,7 +222,7 @@ class TestBackwardSequence:
         rng = np.random.default_rng(2)
         for density in (0.25, SPARSE):
             model = build_model(1, [40, 40], seed=4, density=density)
-            _, cache = forward_batch(model, rng.normal(size=(3, 4, 1)))
+            _, cache = forward_batch(model, rng.normal(size=(3, 4, 1)), keep_cache=True)
             grads = backward_sequence(model, cache, np.ones((3, 1)))
             for k, layer in enumerate(model.layers):
                 # masked entries have no gradient entry at all
@@ -240,7 +240,7 @@ class TestBackwardSequence:
         full.head_w[...] = model.head_w
         windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
         with route_mix(mix):
-            got, want = (backward_sequence(m, forward_batch(m, windows)[1], douts)
+            got, want = (backward_sequence(m, forward_batch(m, windows, keep_cache=True)[1], douts)
                          for m in (model, full))
             ops = model.layers[1].products()
             assert (ops.h.csr_products, ops.h.sparse_outer) == (mix != "dense", mix == "csr")
@@ -271,7 +271,7 @@ class TestBackwardSequence:
             # one (20, windows of a shard) block per step
             monkeypatch.setattr(network, "FACTOR_BYTES", steps * 20 * (batch // shards) * 8)
             model = build_model(2, hidden, seed=3, density=density)
-            _, cache = forward_batch(model, windows)
+            _, cache = forward_batch(model, windows, keep_cache=True)
             assert len(cache.bounds) == shards
             grads.append(backward_sequence(model, cache, douts))
         for other in grads[1:]:
@@ -284,7 +284,8 @@ class TestBackwardSequence:
         monkeypatch.setattr(linalg, "WORKERS", shards)
         monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
         model = build_model(2, [6, 5], seed=1, density=SPARSE)
-        _, cache = forward_batch(model, np.random.default_rng(0).normal(size=(4, 7, 2)))
+        _, cache = forward_batch(model, np.random.default_rng(0).normal(size=(4, 7, 2)),
+                                 keep_cache=True)
         assert len(cache.bounds) == shards
         for (lo, hi), caches in zip(cache.bounds, cache.shards):
             dim = model.feature_dim
@@ -299,16 +300,22 @@ class TestBackwardSequence:
     def test_stale_cache_rejected(self):
         model = build_model(1, [4], seed=0)
         other = build_model(1, [5], seed=0)
-        _, cache = forward_batch(model, np.ones((1, 3, 1)))
+        _, cache = forward_batch(model, np.ones((1, 3, 1)), keep_cache=True)
         with pytest.raises(ShapeError):
             backward_sequence(other, cache, np.ones((1, 1)))
 
     def test_cache_backpropagated_once(self):
         model = build_model(1, [4], seed=0)
-        _, cache = forward_batch(model, np.ones((1, 3, 1)))
+        _, cache = forward_batch(model, np.ones((1, 3, 1)), keep_cache=True)
         backward_sequence(model, cache, np.ones((1, 1)))
         with pytest.raises(ValueError):
             backward_sequence(model, cache, np.ones((1, 1)))
+
+    def test_no_cache_names_the_cached_forward(self):
+        model = build_model(1, [4], seed=0)
+        out, cache = forward_batch(model, np.ones((1, 3, 1)))
+        with pytest.raises(ValueError, match=r"forward_batch\(\.\.\., keep_cache=True\)"):
+            backward_sequence(model, cache, np.ones_like(out))
 
     def test_finite_differences_two_layer(self):
         rng = np.random.default_rng(6)
@@ -323,11 +330,11 @@ class TestBackwardSequence:
         model = build_model(1, [5], seed=9)
         windows = rng.normal(size=(3, 4, 1))
         douts = rng.normal(size=(3, 1))
-        outs, cache = forward_batch(model, windows)
+        outs, cache = forward_batch(model, windows, keep_cache=True)
         got = backward_sequence(model, cache, douts)
         want = None
         for j in range(3):
-            _, c = forward_batch(model, windows[j : j + 1])
+            _, c = forward_batch(model, windows[j : j + 1], keep_cache=True)
             g = backward_sequence(model, c, douts[j : j + 1])
             want = g if want is None else {k: want[k] + g[k] for k in g}
         for key in want:
@@ -373,10 +380,34 @@ class TestServing:
         model = build_model(2, [hidden, hidden], density=density, seed=5)
         assert model.layers[0].products().h.csr_products == (density == SPARSE)
         windows = rng.normal(size=(batch, 7, 2))
-        cached, cache = forward_batch(model, windows)
+        cached, cache = forward_batch(model, windows, keep_cache=True)
         served, none = forward_batch(model, windows, keep_cache=False)
         assert cache is not None and none is None
         assert np.array_equal(served, cached)
+
+    @pytest.mark.parametrize("density", [SPARSE, 1.0])
+    def test_default_keeps_no_cache(self, density):
+        model = build_model(2, [6, 6], density=density, seed=5)
+        windows = np.random.default_rng(8).normal(size=(5, 7, 2))
+        served, none = forward_batch(model, windows)
+        cached, cache = forward_batch(model, windows, keep_cache=True)
+        assert none is None and cache is not None
+        assert np.array_equal(served, cached)
+
+    def test_default_holds_under_a_third_of_the_cached(self):
+        import tracemalloc
+
+        model = build_model(1, [40, 40], seed=0)
+        windows = np.random.default_rng(0).random((64, 50, 1))
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                forward_batch(model, windows, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak() < peak(keep_cache=True) / 3
 
     def test_single_window_makes_one_product_call_per_layer(self, monkeypatch):
         # per layer, the projection of the whole window is one kernel call
@@ -428,7 +459,7 @@ def sharding(workers, mix):
 
 
 def forward_and_grads(model, windows, douts):
-    outs, cache = forward_batch(model, windows)
+    outs, cache = forward_batch(model, windows, keep_cache=True)
     served, _ = forward_batch(model, windows, keep_cache=False)
     assert np.array_equal(served, outs)
     return outs, backward_sequence(model, cache, douts)
@@ -626,7 +657,7 @@ class TestWeightGradsBehind:
         for workers, plan in ((2, (1, "background")), (1, (1, "inline"))):
             monkeypatch.setattr(linalg, "WORKERS", workers)
             assert network.batch_plan(model, 16) == plan
-            _, cache = forward_batch(model, windows)
+            _, cache = forward_batch(model, windows, keep_cache=True)
             done = []
             thread = threading.Thread(
                 target=lambda: done.append(backward_sequence(model, cache, douts)),
@@ -654,7 +685,7 @@ class TestWeightGradsBehind:
             return real(self, y, x)
 
         monkeypatch.setattr(linalg.MaskedMatrix, "masked_outer", masked_outer)
-        _, cache = forward_batch(model, windows)
+        _, cache = forward_batch(model, windows, keep_cache=True)
         with pytest.raises(FloatingPointError, match="layer 1's recurrent block"):
             backward_sequence(model, cache, douts)
 
@@ -682,7 +713,7 @@ class TestWeightGradsBehind:
 
         monkeypatch.setattr(linalg.MaskedMatrix, "masked_outer", slow_outer)
         monkeypatch.setattr(network, "_shard_backward", shard_backward)
-        _, cache = forward_batch(model, windows)
+        _, cache = forward_batch(model, windows, keep_cache=True)
         with pytest.raises(FloatingPointError, match="layer 0"):
             backward_sequence(model, cache, douts)
         ops = model.layers[1].products()
@@ -695,7 +726,7 @@ class TestWeightGradsBehind:
         windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
         model = self.csr_model(2, [6, 5, 4], density=0.5, seed=1)
         monkeypatch.setattr(linalg, "WORKERS", 1)
-        inline = backward_sequence(model, forward_batch(model, windows)[1], douts)
+        inline = backward_sequence(model, forward_batch(model, windows, keep_cache=True)[1], douts)
         monkeypatch.setattr(linalg, "WORKERS", 2)
         assert network.batch_plan(model, 4) == (1, "background")
         threads, real_outer = [], linalg.MaskedMatrix.masked_outer
@@ -708,7 +739,8 @@ class TestWeightGradsBehind:
         release = threading.Event()
         held = linalg.in_background(release.wait)
         try:
-            grads = backward_sequence(model, forward_batch(model, windows)[1], douts)
+            grads = backward_sequence(model, forward_batch(model, windows, keep_cache=True)[1],
+                                      douts)
         finally:
             release.set()
             held.result(timeout=60)
@@ -737,7 +769,7 @@ class TestWeightGradsBehind:
 
         monkeypatch.setattr(linalg.MaskedMatrix, "masked_outer", masked_outer)
         monkeypatch.setattr(network, "_shard_backward", shard_backward)
-        _, cache = forward_batch(model, windows)
+        _, cache = forward_batch(model, windows, keep_cache=True)
         backward_sequence(model, cache, douts)
         assert alive_at == [(2, []), (1, [False] * 2), (0, [False] * 4)]
 

@@ -1,9 +1,13 @@
-"""The declared dependencies match what the package imports."""
+"""The declared dependencies match what the package imports, and of scipy
+it loads only the compiled kernels it calls."""
 
 import ast
 import importlib
+import importlib.machinery
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -75,3 +79,60 @@ def test_only_linalg_imports_private_scipy():
     users = [path.name for path in sorted((ROOT / "src" / "rclstm").glob("*.py"))
              if private_scipy_imports(path)]
     assert users == ["linalg.py"]
+
+
+#: CSR products, a conversion and a sparse-sparse product, printed as bytes
+SCIPY_SPARSE_WORK = """
+import numpy as np
+import scipy.sparse
+a = scipy.sparse.random(30, 20, density=0.2, format="csr", random_state=0)
+a.data = np.ceil(a.data * 8)  # small integers: every sum below is exact
+x = np.arange(40.0).reshape(20, 2)
+assert np.array_equal(a @ x, a.toarray() @ x)
+for product in (a @ x[:, 0], a @ x, a.tocsc().toarray(), (a.T @ a).toarray()):
+    print(product.tobytes().hex())
+"""
+
+#: an rclstm session that trains and serves on CSR, then the work above
+RCLSTM_THEN_SCIPY = """
+import sys
+import numpy as np
+import rclstm, rclstm.cli
+from rclstm import TrainingConfig, WindowedDataset, build_model, fit
+from rclstm.training import predict_batch
+rng = np.random.default_rng(0)
+data = WindowedDataset(rng.normal(size=(8, 4, 2)), rng.normal(size=8), 4, None)
+model = build_model(2, [6, 6], density=0.1, seed=0)
+assert all(layer.products().h.csr_products for layer in model.layers)
+fit(model, data, TrainingConfig(epochs=1, batch_size=4))
+predict_batch(model, data.inputs)
+assert "scipy.sparse" not in sys.modules, "rclstm imported scipy.sparse"
+kernels = sys.modules["scipy.sparse._sparsetools"]
+import scipy.sparse._compressed
+assert scipy.sparse._compressed._sparsetools is kernels
+""" + SCIPY_SPARSE_WORK
+
+
+def run_python(code):
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports the same rclstm package as this test does."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_rclstm_loads_the_sparse_kernels_alone():
+    # linalg loads scipy's compiled sparse kernels from their file, not
+    # through scipy.sparse; an upgrade that moves the file must fail here,
+    # by name, and not as a silent return of the package import
+    from rclstm import linalg
+
+    assert linalg.kernel_file() is not None, \
+        f"the installed scipy has no sparse/_sparsetools file with a suffix in " \
+        f"{importlib.machinery.EXTENSION_SUFFIXES}"
+    # a later import of scipy.sparse reuses the kernels and computes as in
+    # a process without rclstm
+    assert run_python(RCLSTM_THEN_SCIPY) == run_python(SCIPY_SPARSE_WORK)

@@ -71,7 +71,7 @@ class TestOptimizer:
         # one step from a fresh state at 2% density allocates less than
         # one dense copy of the layer's 4H x (D+H) gate matrix
         model = build_model(1, [200], seed=1, density=0.02)
-        _, cache = forward_batch(model, np.ones((2, 5, 1)))
+        _, cache = forward_batch(model, np.ones((2, 5, 1)), keep_cache=True)
         grads = backward_sequence(model, cache, np.ones((2, 1)))
         params = model_params(model)
         tracemalloc.start()
