@@ -17,16 +17,15 @@ the series, a ``train_fraction`` that leaves a side empty or a mobility
 location ID first seen after the point's training prefix (every point is
 prepared and split before the first one trains, and the error names the
 point: ``[sweep] point 0.5: ...``); a dataset cache that does not load,
-or whose task is not the one ``[run] task`` implies (a cache keeps the
-preparation ``preprocess`` gave it: the normalization and codebook of the
-``[data]`` keys it was made with, whatever keys or sweep points read it);
-``bench`` on data with fewer than 256 windows; a checkpoint that does
-not load, or whose model fails ``StackedRclstm.validate`` alone or
-against the evaluated windows (task, features, classes); an
-``output_dir`` that cannot be made, such as a file.  The output
-directory is made once the inputs have passed these checks and before
-the work, so a failed check leaves no directory behind and an unusable
-one costs no training.  Every model trains with Adam.  With
+or whose task is not the one ``[run] task`` implies; a ``train_fraction``
+or ``window_length`` sweep over a dataset cache, whose normalization and
+codebook were fixed when ``preprocess`` made it; ``bench`` on data with
+fewer than 256 windows; a checkpoint that does not load, or whose model
+fails ``StackedRclstm.validate`` alone or against the evaluated windows
+(task, features, classes); an ``output_dir`` that cannot be made, such as
+a file.  The output directory is made once the inputs have passed these
+checks and before the work, so a failed check leaves no directory behind
+and an unusable one costs no training.  Every model trains with Adam.  With
 ``--freeze-timestamps`` output filenames use a fixed stamp and measured
 wall-clock columns are written as zeros, so identical (config, seed)
 runs produce byte-identical files; ``bench`` is the exception: only its
@@ -53,8 +52,8 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      ShapeError)
 from .metrics import rmse
 from .network import batch_plan
-from .sweeps import (at_point, build_from_config, prepare, run_sweep, split,
-                     summarize, write_report_csv)
+from .sweeps import (build_from_config, prepare, prepare_points, run_sweep,
+                     split, summarize, write_report_csv)
 from .training import METRIC, evaluate_model, fit
 
 USAGE_ERRORS = (ConfigError, DataFormatError, InsufficientDataError,
@@ -146,14 +145,9 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_sweep(cfg, args):
-    for point in cfg.sweep.points:  # each point is prepared and split before any trains
-        point_cfg = at_point(cfg, point)
-        try:
-            split(point_cfg, prepare(point_cfg))
-        except ValueError as err:  # the point's own data cannot be made
-            raise type(err)(f"[sweep] point {point:g}: {err}") from None
+    points = prepare_points(cfg)
     out = _outdir(cfg)
-    report = run_sweep(cfg, parallel=max(1, args.parallel))
+    report = run_sweep(cfg, points, parallel=max(1, args.parallel))
     stamp = _stamp(args.freeze_timestamps)
     csv_path = os.path.join(out, f"sweep_{report.axis}_{stamp}.csv")
     write_report_csv(report, csv_path, freeze_timers=args.freeze_timestamps)

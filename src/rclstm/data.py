@@ -7,6 +7,11 @@ encoded.  Windowing turns a series of n observations into exactly n - T
 the series, so no window is copied, and splits are a single chronological
 cut.
 
+A fit that may see only the training data, the min/max of ``train``
+normalize scope and every codebook, sees one training prefix: the first
+floor(f * (n - T)) + T observations, which are every one that a training
+window or target touches when a fraction f of the n - T windows trains.
+
 The CSV loaders read UTF-8 (a leading byte-order mark is skipped) and
 keep each timestamp as wall-clock seconds since 1970: a UTC offset is
 dropped, not applied, and sub-seconds are truncated.  Every byte, field
@@ -320,13 +325,27 @@ class PreparedData:
                                window, self.codebook.size)
 
 
-def prepare_traffic(series, normalize_scope="full", train_fraction=0.9):
-    """Normalize a traffic series; ``train`` scope fits the min/max on the
-    chronological training prefix only (leakage-free mode)."""
+def _training_prefix(n, window, train_fraction):
+    """How many leading observations of an n-long series the training
+    windows and their targets touch: ``chronological_split`` trains on the
+    first floor(f * (n - T)) of its n - T windows, and they reach T
+    observations further.  InsufficientDataError unless n > T."""
+    if n <= window:
+        raise InsufficientDataError(f"need more than {window} observations, got {n}")
+    return int(np.floor(train_fraction * (n - window))) + window
+
+
+def prepare_traffic(series, normalize_scope="full", train_fraction=0.9, window=None):
+    """Normalize a traffic series.  ``train`` scope (leakage-free mode)
+    fits the min/max only on the observations that the training windows of
+    length ``window`` and their targets touch, so each of them scales into
+    [0, 1]; ``full`` scope reads no ``window``."""
     if normalize_scope not in ("full", "train"):
         raise ValueError(f"unknown normalize_scope: {normalize_scope!r}")
+    # two values at least, so that no training window is the split's error,
+    # not a fit over a single value
     fit_count = None if normalize_scope == "full" else \
-        max(int(np.floor(train_fraction * len(series.values))), 2)
+        max(_training_prefix(len(series.values), window, train_fraction), 2)
     scaled, params = log_minmax_normalize(series.values, fit_count)
     return PreparedData("regression", scaled, norm=params)
 
@@ -339,11 +358,7 @@ def prepare_mobility(series, window, train_fraction=0.9):
     the first one.
     """
     ids = np.asarray(series.values)
-    n = len(ids)
-    if n <= window:
-        raise InsufficientDataError(f"need more than {window} observations, got {n}")
-    n_train = int(np.floor(train_fraction * (n - window)))
-    book = build_codebook(ids[: n_train + window])
+    book = build_codebook(ids[: _training_prefix(len(ids), window, train_fraction)])
     known = np.asarray(book.index_to_id, dtype=ids.dtype)
     order = np.argsort(known)  # ranked[k] has the code order[k] + 1
     ranked = known[order]

@@ -40,12 +40,11 @@ Those four kernels are all this package uses of ``scipy.sparse``, and
 importing them through the package would run ``scipy/sparse/__init__.py``:
 about 300 more modules and 20 MiB resident in every process, for code it
 never calls.  So on import this module loads the compiled extension that
-holds them from its file (``kernel_file``) and registers it in
-``sys.modules`` under its own name; the import of the kernels then finds
-it there and runs nothing else.  A later ``import scipy.sparse`` finds it
-too and uses the same module object, as its own modules bind it by
-import.  Where the file is not found, the import runs through the package
-as before.
+holds them from its file (``kernel_file``) as a private module of this
+package, ``rclstm._sparsetools``, which no ``sys.modules`` entry holds.
+A later ``import scipy.sparse`` loads its own ``_sparsetools`` as it
+would in a process without rclstm.  Where the file is not found, the
+kernels are imported through the package.
 
 At B=1 a product's arithmetic is so small that the Python around each
 kernel call sets its cost, so each product makes as few calls as it can.
@@ -76,15 +75,11 @@ first use.
 import importlib.machinery
 import importlib.util
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
-
-#: the module that holds scipy's compiled sparse kernels
-_KERNELS = "scipy.sparse._sparsetools"
 
 
 def kernel_file():
@@ -101,26 +96,23 @@ def kernel_file():
     return None
 
 
-def _load_kernels():
-    """Load ``_KERNELS`` from its file into ``sys.modules``, unless it is
-    already there or has no file, so that importing it does not run
-    ``scipy/sparse/__init__.py``.  It is registered before it runs, as the
-    import system does, and dropped again if loading fails; then the import
-    below loads it through the package."""
-    path = None if _KERNELS in sys.modules else kernel_file()
-    if path is None:
-        return
-    spec = importlib.util.spec_from_file_location(_KERNELS, path)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_KERNELS] = module
-        spec.loader.exec_module(module)
-    except ImportError:
-        sys.modules.pop(_KERNELS, None)
+def _load_kernels(path):
+    """The extension at ``path`` as the module ``rclstm._sparsetools``,
+    left out of ``sys.modules``.  The name keeps the extension's own last
+    part, by which its init function is found."""
+    spec = importlib.util.spec_from_file_location(f"{__package__}._sparsetools", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-_load_kernels()
-from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
+_path = kernel_file()
+if _path is None:
+    from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
+else:
+    _kernels = _load_kernels(_path)
+    csc_matvec, csc_matvecs = _kernels.csc_matvec, _kernels.csc_matvecs
+    csr_matvec, csr_matvecs = _kernels.csr_matvec, _kernels.csr_matvecs
 
 from .errors import ShapeError
 

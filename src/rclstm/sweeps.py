@@ -4,12 +4,17 @@ One model is trained and evaluated per (axis point x seed); masks are
 re-sampled per seed so mask variance shows up in the spread.  Reports are
 plot-ready CSVs plus a text summary, deterministic given the seed list.
 
-``prepare`` is the only code that turns a RunConfig into its data.  A
-row's data comes from its point's config alone: each (point, seed) job
-prepares ``at_point(cfg, point)`` itself, so a ``train_fraction`` or
-``window_length`` point fits its normalization and codebook on its own
-training prefix, whatever the base config holds, and a row's
-``config_hash`` names everything its data came from.
+``prepare`` is the only code that turns a RunConfig into its data.
+``prepare_points`` makes each point's data once, from ``at_point(cfg,
+point)`` alone, and checks it before any point trains; every seed's job
+at that point then only splits the series it is handed.  So a
+``train_fraction`` or ``window_length`` point fits its normalization and
+codebook on its own training prefix, whatever the base config holds, and
+a row's ``config_hash`` names everything its data came from.
+Connectivity points set a ``[model]`` key, which ``prepare`` never
+reads, so they share one preparation: the data file is read once.  A
+dataset cache has fixed its normalization and codebook already, so a
+``[data]``-axis sweep over one is refused.
 
 Every row, the RCLSTM's and each baseline's, is made by one ``row(name,
 run)``: ``training.score`` puts the metric of ``run()``'s test predictions
@@ -34,7 +39,7 @@ from .config import SWEEP_AXES
 from .data import (PreparedData, chronological_split, load_mobility_csv,
                    load_prepared, load_traffic_csv, prepare_mobility,
                    prepare_traffic)
-from .errors import DataFormatError, DivergenceError
+from .errors import ConfigError, DataFormatError, DivergenceError
 from .network import build_model
 from .training import METRIC, decode, fit, predict_batch, score
 
@@ -72,6 +77,14 @@ class ExperimentReport:
                 for value, vals in sorted(out.items())}
 
 
+def _is_cache(path):
+    """Whether the data file at ``path`` is a dataset cache, not a CSV."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"data file not found: {path}")
+    with open(path, "rb") as fh:  # a directory is an OSError here
+        return fh.read(len(MAGIC)) == MAGIC
+
+
 def prepare(cfg):
     """The PreparedData that ``cfg`` names: its ``[synthetic]`` series, a
     dataset cache, or a traffic or mobility CSV prepared by its ``[data]``
@@ -92,11 +105,7 @@ def prepare(cfg):
                                       noise=s.ar_noise, seed=s.seed,
                                       integrate=s.ar_integrate)
         return PreparedData("regression", values)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"data file not found: {path}")
-    with open(path, "rb") as fh:  # a directory is an OSError here
-        cached = fh.read(len(MAGIC)) == MAGIC
-    if cached:
+    if _is_cache(path):
         prepared = load_prepared(path)
         wanted = "regression" if task == "traffic" else "classification"
         if prepared.task != wanted:
@@ -105,7 +114,7 @@ def prepare(cfg):
         return prepared
     if task == "traffic":
         return prepare_traffic(load_traffic_csv(path), cfg.data.normalize_scope,
-                               cfg.data.train_fraction)
+                               cfg.data.train_fraction, cfg.data.window)
     return prepare_mobility(load_mobility_csv(path), cfg.data.window,
                             cfg.data.train_fraction)
 
@@ -131,17 +140,46 @@ def split(cfg, prepared):
     return chronological_split(prepared.windows(cfg.data.window), cfg.data.train_fraction)
 
 
-def _run_point(cfg, point, seed):
+def prepare_points(cfg):
+    """``(point, prepared)`` for each point of ``cfg``'s sweep, in order:
+    the PreparedData that every seed's job at the point shares.
+
+    Each preparation is made and split here, before any point trains, and
+    an error names its point: ``[sweep] point 0.5: ...``.  Connectivity
+    points share the first point's preparation.  A ``train_fraction`` or
+    ``window_length`` sweep over a dataset cache is a ConfigError.
+    """
+    axis = cfg.sweep.axis
+    section, _ = SWEEP_AXES[axis]
+    if section == "data" and cfg.run.task != "synthetic" and _is_cache(cfg.run.data):
+        raise ConfigError(f"[sweep] axis {axis}: {cfg.run.data} is a dataset cache, "
+                          "whose normalization and codebook are fixed; sweep the CSV")
+
+    def made(point):
+        point_cfg = at_point(cfg, point)
+        try:
+            prepared = prepare(point_cfg)
+            split(point_cfg, prepared)
+        except ValueError as err:  # the point's own data cannot be made
+            raise type(err)(f"[sweep] point {point:g}: {err}") from None
+        return prepared
+
+    if section == "model":  # a key prepare never reads: one preparation serves all
+        prepared = made(cfg.sweep.points[0])
+        return [(point, prepared) for point in cfg.sweep.points]
+    return [(point, made(point)) for point in cfg.sweep.points]
+
+
+def _run_point(cfg, point, prepared, seed):
     """Train and evaluate every requested model at one (point, seed).
 
     The point runs on ``at_point(cfg, point)`` with the model and training
-    seeds set to ``seed``, and on the series ``prepare`` makes of that
-    config; rows carry its digest.
+    seeds set to ``seed``, and on the point's ``prepared`` series, which it
+    only splits; rows carry its digest.
     """
     cfg = at_point(cfg, point)
     cfg.model.seed = cfg.training.seed = seed
     tag = cfg.digest()
-    prepared = prepare(cfg)
     train, test = split(cfg, prepared)
     task = prepared.task
 
@@ -190,21 +228,24 @@ def _one_worker():
     linalg.WORKERS = 1
 
 
-def run_sweep(cfg, parallel=1):
-    """Execute the ``[sweep]`` of a RunConfig; points x seeds run
+def run_sweep(cfg, points, parallel=1):
+    """Execute the ``[sweep]`` of a RunConfig over the ``(point,
+    prepared)`` pairs ``prepare_points(cfg)`` gave; points x seeds run
     independently and the report row order is deterministic regardless of
     ``parallel``, which starts no more worker processes than there are
-    jobs.  The points are taken as ``RunConfig.validate`` checked them:
-    each by the rule of the key its axis sets."""
-    jobs = [(point, seed) for point in cfg.sweep.points for seed in cfg.sweep.seeds]
+    jobs.  A worker is handed its point's series, never its windows.  The
+    points are taken as ``RunConfig.validate`` checked them: each by the
+    rule of the key its axis sets."""
+    jobs = [(point, prepared, seed) for point, prepared in points
+            for seed in cfg.sweep.seeds]
     rows = []
     if parallel <= 1:
-        for point, seed in jobs:
-            rows.extend(_run_point(cfg, point, seed))
+        for job in jobs:
+            rows.extend(_run_point(cfg, *job))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(parallel, len(jobs)),
                                                     initializer=_one_worker) as pool:
-            futures = [pool.submit(_run_point, cfg, point, seed) for point, seed in jobs]
+            futures = [pool.submit(_run_point, cfg, *job) for job in jobs]
             for future in futures:
                 rows.extend(future.result())
     return ExperimentReport(cfg.sweep.axis, rows)

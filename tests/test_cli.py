@@ -957,6 +957,85 @@ timing_reps = 2
                             for ext in ("csv", "txt")])
         assert reports[0] == reports[1]
 
+    @staticmethod
+    def sweep_config(tmp_path, task, path, axis, points, seeds="0"):
+        return write_cfg(tmp_path, f"""
+[run]
+task = {task}
+data = {path}
+output_dir = {tmp_path / "out"}
+
+[model]
+hidden = 4
+
+[data]
+window = 6
+
+[training]
+epochs = 1
+
+[sweep]
+axis = {axis}
+points = {points}
+seeds = {seeds}
+timing_reps = 2
+""", name="sweep.ini")
+
+    @pytest.mark.parametrize("axis, points, parallel, reads", [
+        ("connectivity", "0.01,0.05,0.1,0.2,0.5,1.0", "1", 1),
+        ("connectivity", "0.01,0.05,0.1,0.2,0.5,1.0", "2", 1),
+        ("train_fraction", "0.5,0.6,0.7,0.8,0.9", "1", 5),
+        ("train_fraction", "0.5,0.6,0.7,0.8,0.9", "2", 5)])
+    def test_sweep_reads_its_csv_once_a_preparation(self, tmp_path, monkeypatch, axis,
+                                                    points, parallel, reads):
+        # connectivity points share one preparation and a train_fraction
+        # point has its own; the file is removed after the last read those
+        # need, so any later read, in this process or a worker, fails the sweep
+        from rclstm.data import load_traffic_csv
+
+        path, _ = self.traffic_csv(tmp_path)
+        done = []
+
+        def load_then_remove(name):
+            done.append(name)
+            series = load_traffic_csv(name)
+            if len(done) == reads:
+                os.remove(name)
+            return series
+
+        monkeypatch.setattr("rclstm.sweeps.load_traffic_csv", load_then_remove)
+        cfg = self.sweep_config(tmp_path, "traffic", path, axis, points, seeds="0,1,2")
+        assert main(["sweep", "--config", cfg, "--parallel", parallel,
+                     "--freeze-timestamps"]) == 0
+        assert len(done) == reads and not path.exists()
+        with open(tmp_path / "out" / f"sweep_{axis}_frozen.csv", newline="") as fh:
+            status = [row["status"] for row in csv.DictReader(fh)]
+        assert status == ["ok"] * (3 * len(points.split(",")))
+
+    @pytest.mark.parametrize("task, axis, points", [
+        ("traffic", "train_fraction", "0.5,0.9"), ("traffic", "window_length", "4,6"),
+        ("mobility", "train_fraction", "0.5,0.9")])
+    def test_data_axis_sweep_over_a_cache_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  task, axis, points):
+        # the cache fixed the normalization and codebook these keys choose
+        from rclstm.data import LocationCodebook, PreparedData, save_prepared
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model trained")
+
+        monkeypatch.setattr("rclstm.sweeps.fit", no_fit)
+        cache = tmp_path / "cache.bin"
+        save_prepared(PreparedData("regression", np.linspace(0.1, 0.9, 40))
+                      if task == "traffic" else
+                      PreparedData("classification", np.arange(40) % 3 + 1,
+                                   codebook=LocationCodebook([7, 8, 9])), str(cache))
+        cfg = self.sweep_config(tmp_path, task, cache, axis, points)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == \
+            f"error: [sweep] axis {axis}: {cache} is a dataset cache, whose " \
+            "normalization and codebook are fixed; sweep the CSV\n"
+        assert not (tmp_path / "out").exists()
+
 
 def run_cli(*args):
     """``python -m rclstm.cli`` with ``args`` in a subprocess that imports

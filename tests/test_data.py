@@ -454,12 +454,14 @@ class TestPrepared:
         assert prep.features.min() == 0.0 and prep.features.max() == 1.0
 
     def test_traffic_prepare_train_scope_uses_prefix(self):
+        # 7 of the 8 two-step windows train; they and their targets touch
+        # the first 9 values, so the fit leaves out the last one only
         from rclstm.data import TimeSeries
         stamps = np.datetime64("2005-01-01T00:00:00", "s") + np.arange(10)
-        values = np.array([10.0] * 9 + [100000.0])
-        ts = TimeSeries(stamps, np.array([10, 20, 40, 80, 20, 10, 30, 50, 60, 100000.0]))
-        prep = prepare_traffic(ts, normalize_scope="train", train_fraction=0.9)
-        assert prep.features[-1] > 1.0  # max outside the training prefix
+        ts = TimeSeries(stamps, np.array([10, 20, 40, 80, 20, 10, 30, 50, 100000.0, 1e6]))
+        prep = prepare_traffic(ts, normalize_scope="train", train_fraction=0.9, window=2)
+        assert prep.features[8] == 1.0  # the last training target sets the max
+        assert prep.features[-1] > 1.0  # the max outside the training prefix
 
     def test_mobility_unseen_test_id_is_error(self):
         from rclstm.data import TimeSeries
@@ -747,6 +749,30 @@ def test_prepare_mobility_follows_the_codebook(case):
     assert prep.codebook == book
     assert prep.features.dtype == np.int64
     assert prep.features.tolist() == [index[raw] for raw in ids]
+
+
+@given(n=st.integers(3, 120), window=st.integers(1, 30),
+       fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
+       rising=st.booleans())
+@example(n=400, window=100, fraction=0.5, seed=0, rising=True)
+@settings(max_examples=200, deadline=None)
+def test_train_scope_scales_every_training_value_into_the_unit_range(
+        n, window, fraction, seed, rising):
+    # the fit sees every value a training window or target touches; on a
+    # rising 400-row series at f = 0.5 and T = 100 a fit on the first
+    # floor(f * n) values left a third of the training targets above 1
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** (np.cumsum(rng.uniform(0.01, 0.1, n)) if rising
+                      else rng.uniform(1.0, 5.0, n))
+    stamps = np.arange(n).astype("datetime64[s]")
+    try:
+        prep = prepare_traffic(TimeSeries(stamps, values), normalize_scope="train",
+                               train_fraction=fraction, window=window)
+        train, _ = chronological_split(prep.windows(window), fraction)
+    except InsufficientDataError:
+        reject()
+    for part in (train.inputs, train.targets):
+        assert 0.0 <= part.min() and part.max() <= 1.0
 
 
 def prepare_traffic_like(series):

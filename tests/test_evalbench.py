@@ -17,7 +17,7 @@ from rclstm.data import WindowedDataset
 from rclstm.errors import ConfigError
 from rclstm.metrics import accuracy, rmse
 from rclstm.network import build_model
-from rclstm.sweeps import run_sweep, summarize, write_report_csv
+from rclstm.sweeps import prepare_points, run_sweep, summarize, write_report_csv
 from rclstm.training import TrainingConfig
 
 
@@ -118,6 +118,11 @@ def tiny_config(**sweep):
     return cfg
 
 
+def sweep(cfg, parallel=1):
+    """The report of ``cfg``'s sweep, its points prepared as the CLI does."""
+    return run_sweep(cfg, prepare_points(cfg), parallel=parallel)
+
+
 FORK_SCRIPT = """
 import multiprocessing
 
@@ -125,7 +130,7 @@ import numpy as np
 
 from rclstm import linalg, network
 from rclstm.config import RunConfig
-from rclstm.sweeps import run_sweep
+from rclstm.sweeps import prepare_points, run_sweep
 from rclstm.training import TrainingConfig
 
 
@@ -158,14 +163,14 @@ cfg.synthetic.n, cfg.synthetic.period, cfg.synthetic.seed = 220, 20.0, 3
 cfg.model.hidden, cfg.data.window = (8,), 10
 cfg.training = TrainingConfig(epochs=1, seed=0)
 cfg.sweep.points, cfg.sweep.seeds, cfg.sweep.timing_reps = (0.5, 1.0), (0,), 2
-run_sweep(cfg, parallel=2)
+run_sweep(cfg, prepare_points(cfg), parallel=2)
 print("swept", flush=True)
 """
 
 
 class TestSweeps:
     def test_row_count(self):
-        report = run_sweep(tiny_config(seeds=(0, 1)))
+        report = sweep(tiny_config(seeds=(0, 1)))
         rclstm_rows = [r for r in report.rows if r.model == "rclstm"]
         assert len(rclstm_rows) == 4  # 2 points x 2 seeds
 
@@ -188,8 +193,8 @@ class TestSweeps:
         assert points == (6, 12) and all(type(p) is int for p in points)
 
     def test_deterministic_given_seeds(self):
-        r1 = run_sweep(tiny_config())
-        r2 = run_sweep(tiny_config())
+        r1 = sweep(tiny_config())
+        r2 = sweep(tiny_config())
         for a, b in zip(r1.rows, r2.rows):
             assert (a.value, a.model, a.seed, a.rmse, a.status) == \
                    (b.value, b.model, b.seed, b.rmse, b.status)
@@ -197,17 +202,17 @@ class TestSweeps:
     def test_baseline_rows_added(self):
         cfg = tiny_config(include_baselines=True)
         cfg.training.epochs = 1
-        report = run_sweep(cfg)
+        report = sweep(cfg)
         models = {r.model for r in report.rows}
         assert models == {"rclstm", "naive", "arima", "ffnn"}
 
     def test_window_axis(self):
         cfg = tiny_config(axis="window_length", points=(6, 12, 24))
-        report = run_sweep(cfg)
+        report = sweep(cfg)
         assert sorted({r.value for r in report.rows}) == [6.0, 12.0, 24.0]
 
     def test_csv_emission(self, tmp_path):
-        report = run_sweep(tiny_config())
+        report = sweep(tiny_config())
         path = str(tmp_path / "sweep.csv")
         write_report_csv(report, path)
         with open(path, newline="") as fh:
@@ -217,14 +222,14 @@ class TestSweeps:
 
     def test_frozen_timers_byte_identical(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        write_report_csv(run_sweep(tiny_config()), p1, freeze_timers=True)
-        write_report_csv(run_sweep(tiny_config()), p2, freeze_timers=True)
+        write_report_csv(sweep(tiny_config()), p1, freeze_timers=True)
+        write_report_csv(sweep(tiny_config()), p2, freeze_timers=True)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config()
-        serial = run_sweep(cfg, parallel=1)
-        parallel = run_sweep(cfg, parallel=2)
+        serial = sweep(cfg, parallel=1)
+        parallel = sweep(cfg, parallel=2)
         assert [(r.value, r.model, r.rmse) for r in serial.rows] == \
                [(r.value, r.model, r.rmse) for r in parallel.rows]
 
@@ -251,9 +256,9 @@ class TestSweeps:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = tiny_config(seeds=(0, 1))
-        report = run_sweep(cfg, parallel=64)
+        report = sweep(cfg, parallel=64)
         assert asked == [4]  # 2 points x 2 seeds
-        serial = run_sweep(cfg)
+        serial = sweep(cfg)
         assert [(r.value, r.model, r.seed, r.rmse) for r in report.rows] == \
                [(r.value, r.model, r.seed, r.rmse) for r in serial.rows]
 
@@ -278,13 +283,13 @@ class TestSweeps:
         assert out.split() == ["sharded", "forked", "swept"]
 
     def test_summary_text(self):
-        report = run_sweep(tiny_config())
+        report = sweep(tiny_config())
         text = summarize(report)
         assert "connectivity" in text
 
     def test_config_hash_is_point_digest(self):
         cfg = tiny_config(seeds=(0, 1))
-        report = run_sweep(cfg)
+        report = sweep(cfg)
         for row in report.rows:
             point = apply_overrides(copy.deepcopy(cfg), density=row.value)
             point.model.seed = point.training.seed = row.seed
@@ -292,10 +297,10 @@ class TestSweeps:
         assert len({row.config_hash for row in report.rows}) == 4
 
     def test_config_hash_ignores_output_dir_and_other_points(self):
-        base = run_sweep(tiny_config())
+        base = sweep(tiny_config())
         moved = tiny_config(points=(0.5, 1.0, 0.25))
         moved.run.output_dir = "elsewhere"
         moved.bench.reps = 31
-        wider = run_sweep(moved)
+        wider = sweep(moved)
         assert [r.config_hash for r in wider.rows[:2]] == \
                [r.config_hash for r in base.rows]

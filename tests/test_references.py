@@ -71,10 +71,17 @@ def test_only_sweeps_prepare_turns_a_config_into_data():
     sources = {"load_traffic_csv", "load_mobility_csv", "load_prepared", "prepare_traffic",
                "prepare_mobility", *(name for name, _ in definitions(synth)
                                      if not name.startswith("_"))}
-    callers = set()
+    callers, preparers = set(), set()
     for path in PACKAGE:
         for statement in ast.parse(path.read_text()).body:
             for node in ast.walk(statement):
+                caller = f"{path.stem}.{getattr(statement, 'name', '<module>')}"
                 if isinstance(node, ast.Call) and called(node) in sources:
-                    callers.add(f"{path.stem}.{getattr(statement, 'name', '<module>')}")
+                    callers.add(caller)
+                if isinstance(node, ast.Call) and called(node) == "prepare":
+                    preparers.add(caller)
     assert callers == {"sweeps.prepare"}
+    # each command prepares its data once, and a sweep only in the check of
+    # its points: no (point, seed) job prepares, it splits what it is handed
+    assert preparers == {"cli.cmd_preprocess", "cli.cmd_train", "cli.cmd_evaluate",
+                         "cli.cmd_bench", "sweeps.prepare_points"}
