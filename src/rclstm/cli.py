@@ -15,21 +15,23 @@ generator, that breaks the rules of ``PreparedData``; a sweep point
 whose data its own config cannot make, such as a window no shorter than
 the series, a ``train_fraction`` that leaves a side empty or a mobility
 location ID first seen after the point's training prefix (every point is
-prepared and split before the first one trains, and the error names the
-point: ``[sweep] point 0.5: ...``); a dataset cache that does not load,
-or whose task is not the one ``[run] task`` implies; a ``train_fraction``
-or ``window_length`` sweep over a dataset cache, whose normalization and
-codebook were fixed when ``preprocess`` made it; ``bench`` on data with
-fewer than 256 windows; a checkpoint that does not load, or whose model
-fails ``StackedRclstm.validate`` alone or against the evaluated windows
-(task, features, classes); an ``output_dir`` that cannot be made, such as
-a file.  The output directory is made once the inputs have passed these
-checks and before the work, so a failed check leaves no directory behind
-and an unusable one costs no training.  Every model trains with Adam.  With
-``--freeze-timestamps`` output filenames use a fixed stamp and measured
-wall-clock columns are written as zeros, so identical (config, seed)
-runs produce byte-identical files; ``bench`` is the exception: only its
-file name is fixed, and its report holds what it measured.
+prepared and its cut counted, with no window built, before the first
+one trains, and the error names the point: ``[sweep] point 0.5: ...``);
+a dataset cache that does not load, or whose task is not the one ``[run]
+task`` implies; a ``train_fraction`` or ``window_length`` sweep over a
+dataset cache, whose normalization and codebook were fixed when
+``preprocess`` made it; ``bench`` on data with fewer than 256 windows
+(it windows only the observations it times); a checkpoint that does not
+load, or whose model fails ``StackedRclstm.validate`` alone or against
+the evaluated windows (task, features, classes); an ``output_dir`` that
+cannot be made, such as a file.  The output directory is made once the
+inputs have passed these checks and before the work, so a failed check
+leaves no directory behind and an unusable one costs no training.  Every
+model trains with Adam.  With ``--freeze-timestamps`` output filenames
+use a fixed stamp and measured wall-clock columns are written as zeros,
+so identical (config, seed) runs produce byte-identical files; ``bench``
+is the exception: only its file name is fixed, and its report holds what
+it measured.
 """
 
 import argparse
@@ -39,6 +41,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime
 
 from . import linalg
@@ -46,7 +49,7 @@ from .benchmark import (SERVE_BATCH, TRAIN_BATCH, benchmark_serving,
                         benchmark_training_step, training_step_peak_bytes)
 from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .config import apply_overrides, load_config
-from .data import WindowedDataset, denormalize, save_prepared
+from .data import cut, denormalize, save_prepared
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DivergenceError, EncodingError, InsufficientDataError,
                      ShapeError)
@@ -71,11 +74,11 @@ def _outdir(cfg):
 
 def cmd_preprocess(cfg, args):
     prepared = prepare(cfg)
-    train, test = split(cfg, prepared)
+    n_train, n_test = cut(len(prepared.features), cfg.data.window, cfg.data.train_fraction)
     path = os.path.join(_outdir(cfg), "dataset_cache.bin")
     save_prepared(prepared, path)
     print(f"cache written: {path}")
-    print(f"samples: {len(train) + len(test)} total, {len(train)} train, {len(test)} test "
+    print(f"samples: {n_train + n_test} total, {n_train} train, {n_test} test "
           f"(window={cfg.data.window})")
     if prepared.norm is not None:
         print(f"normalization: min_log={prepared.norm.min_log:.6f} "
@@ -171,13 +174,13 @@ def _layer_routes(layer):
 
 def cmd_bench(cfg, args):
     prepared = prepare(cfg)
-    ds = prepared.windows(cfg.data.window)
-    batch = ds.inputs[:SERVE_BATCH]
-    if len(batch) < SERVE_BATCH:
-        raise InsufficientDataError(f"bench needs {SERVE_BATCH} windows, got {len(batch)}")
+    # only the windows it times: those of the first SERVE_BATCH + T values
+    head = replace(prepared, features=prepared.features[: SERVE_BATCH + cfg.data.window])
+    ds = head.windows(cfg.data.window)
+    if len(ds) < SERVE_BATCH:
+        raise InsufficientDataError(f"bench needs {SERVE_BATCH} windows, got {len(ds)}")
     out = _outdir(cfg)
-    train_batch = WindowedDataset(ds.inputs[:TRAIN_BATCH], ds.targets[:TRAIN_BATCH],
-                                  ds.window, ds.classes)
+    train_batch = replace(ds, inputs=ds.inputs[:TRAIN_BATCH], targets=ds.targets[:TRAIN_BATCH])
     # a B=256 pass or a B=32 training step costs tens of B=1 passes; a
     # tenth of the B=1 repetitions, after one warm-up pass, keeps the
     # bench at the paper's 3x300 within minutes
@@ -192,9 +195,9 @@ def cmd_bench(cfg, args):
         model = build_from_config(run_cfg, prepared)
         routes = [_layer_routes(layer) for layer in model.layers]
         shards, weight_grads = batch_plan(model, TRAIN_BATCH)
-        stats = benchmark_serving(model, batch[:1], reps=cfg.bench.reps,
+        stats = benchmark_serving(model, ds.inputs[:1], reps=cfg.bench.reps,
                                   warmup=cfg.bench.warmup)
-        served = benchmark_serving(model, batch, batch=SERVE_BATCH, reps=batched_reps,
+        served = benchmark_serving(model, ds.inputs, batch=SERVE_BATCH, reps=batched_reps,
                                    warmup=1)
         step = benchmark_training_step(model, train_batch, cfg.training,
                                        reps=batched_reps, warmup=1)

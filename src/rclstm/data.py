@@ -4,13 +4,16 @@ The traffic pipeline takes base-10 logs then min-max scales into [0, 1];
 mobility location IDs are mapped through a codebook to 1..m and one-hot
 encoded.  Windowing turns a series of n observations into exactly n - T
 (window, next value) pairs; the windows are a read-only strided view of
-the series, so no window is copied, and splits are a single chronological
-cut.
+the series, so no window is copied.
 
-A fit that may see only the training data, the min/max of ``train``
-normalize scope and every codebook, sees one training prefix: the first
-floor(f * (n - T)) + T observations, which are every one that a training
-window or target touches when a fraction f of the n - T windows trains.
+One rule, ``cut``, cuts a series: of its n - T windows of length T, the
+first floor(f * (n - T)) train and the rest test.  It refuses n <= T,
+as the windows do, and a cut that leaves either side empty.
+``chronological_split`` cuts by it, and so do the fits that may see only
+the training data (the min/max of ``train`` normalize scope and every
+codebook): they see the first floor(f * (n - T)) + T observations, every
+one that a training window or target touches.  Counting a cut builds no
+window.
 
 The CSV loaders read UTF-8 (a leading byte-order mark is skipped) and
 keep each timestamp as wall-clock seconds since 1970: a UTC offset is
@@ -136,15 +139,36 @@ def build_codebook(ids):
     return LocationCodebook(list(dict.fromkeys(np.asarray(ids).tolist())))
 
 
+def _window_count(n, window):
+    """How many windows of length T an n-long series holds, each with a
+    next observation as its target: n - T.  ValueError unless T >= 1,
+    InsufficientDataError unless n > T."""
+    if window is None or not window >= 1:
+        raise ValueError("window length must be >= 1")
+    if n <= window:
+        raise InsufficientDataError(f"need more than {window} observations, got {n}")
+    return n - window
+
+
+def cut(n, window, train_fraction):
+    """The cut rule: how many of the n - T windows of length T of an
+    n-long series train and how many test, as (train, test).  The first
+    floor(f * (n - T)) train.  ValueError unless T >= 1 and 0 < f < 1;
+    InsufficientDataError when n <= T or a side would be empty."""
+    count = _window_count(n, window)
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be in (0, 1)")
+    train = int(np.floor(train_fraction * count))
+    if train == 0 or train == count:
+        raise InsufficientDataError(
+            f"split at fraction {train_fraction} leaves an empty side (N={count})")
+    return train, count - train
+
+
 def _window_view(feats, window):
     """The n - T windows of an (n, F) series as a read-only (n - T, T, F)
     view; the last window, which has no next element, is left out."""
-    if not window >= 1:
-        raise ValueError("window length must be >= 1")
-    n = feats.shape[0]
-    if n <= window:
-        raise InsufficientDataError(
-            f"need more than {window} observations, got {n}")
+    _window_count(feats.shape[0], window)
     return sliding_window_view(feats[:-1], window, axis=0).swapaxes(1, 2)
 
 
@@ -161,17 +185,12 @@ def sliding_window(series, window):
 
 
 def chronological_split(ds, train_fraction):
-    """Single cut: first floor(f*N) samples train, the rest test."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    n = len(ds)
-    cut = int(np.floor(train_fraction * n))
-    if cut == 0 or cut == n:
-        raise InsufficientDataError(
-            f"split at fraction {train_fraction} leaves an empty side (N={n})")
-    train = WindowedDataset(ds.inputs[:cut], ds.targets[:cut], ds.window, ds.classes)
-    test = WindowedDataset(ds.inputs[cut:], ds.targets[cut:], ds.window, ds.classes)
-    return train, test
+    """Single cut of N windows, as ``cut`` counts it for the N + T
+    observations they were made from: the first floor(f*N) train, the
+    rest test."""
+    at, _ = cut(len(ds) + ds.window, ds.window, train_fraction)
+    return (WindowedDataset(ds.inputs[:at], ds.targets[:at], ds.window, ds.classes),
+            WindowedDataset(ds.inputs[at:], ds.targets[at:], ds.window, ds.classes))
 
 
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
@@ -325,27 +344,16 @@ class PreparedData:
                                window, self.codebook.size)
 
 
-def _training_prefix(n, window, train_fraction):
-    """How many leading observations of an n-long series the training
-    windows and their targets touch: ``chronological_split`` trains on the
-    first floor(f * (n - T)) of its n - T windows, and they reach T
-    observations further.  InsufficientDataError unless n > T."""
-    if n <= window:
-        raise InsufficientDataError(f"need more than {window} observations, got {n}")
-    return int(np.floor(train_fraction * (n - window))) + window
-
-
 def prepare_traffic(series, normalize_scope="full", train_fraction=0.9, window=None):
     """Normalize a traffic series.  ``train`` scope (leakage-free mode)
     fits the min/max only on the observations that the training windows of
     length ``window`` and their targets touch, so each of them scales into
-    [0, 1]; ``full`` scope reads no ``window``."""
+    [0, 1], and raises ``cut``'s errors; ``full`` scope reads no
+    ``window``."""
     if normalize_scope not in ("full", "train"):
         raise ValueError(f"unknown normalize_scope: {normalize_scope!r}")
-    # two values at least, so that no training window is the split's error,
-    # not a fit over a single value
     fit_count = None if normalize_scope == "full" else \
-        max(_training_prefix(len(series.values), window, train_fraction), 2)
+        cut(len(series.values), window, train_fraction)[0] + window
     scaled, params = log_minmax_normalize(series.values, fit_count)
     return PreparedData("regression", scaled, norm=params)
 
@@ -354,11 +362,11 @@ def prepare_mobility(series, window, train_fraction=0.9):
     """Build the codebook on the training prefix, then index the series.
 
     The prefix covers every observation a training window or target can
-    touch; an unseen ID later in the series raises EncodingError naming
-    the first one.
+    touch, and a series ``cut`` refuses raises its error; an unseen ID
+    later in the series raises EncodingError naming the first one.
     """
     ids = np.asarray(series.values)
-    book = build_codebook(ids[: _training_prefix(len(ids), window, train_fraction)])
+    book = build_codebook(ids[: cut(len(ids), window, train_fraction)[0] + window])
     known = np.asarray(book.index_to_id, dtype=ids.dtype)
     order = np.argsort(known)  # ranked[k] has the code order[k] + 1
     ranked = known[order]

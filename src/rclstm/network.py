@@ -16,7 +16,8 @@ which checks them: the recurrent block to the hidden-state and gate
 buffers, so each step's product is one kernel call on checked blocks, and
 the input block to the input and gate buffers, so a span's projection is
 one ``write``: one kernel call per step, or one in all for a single
-window.
+window.  One budget, ``SPAN_BYTES`` of gate rows per span (``_span``),
+sizes both the cache-free forward's spans and the backward's chunks.
 
 ``forward_batch`` has two modes over the same loop:
 
@@ -25,20 +26,20 @@ window.
   hold all T steps, so ``backward_sequence`` can read them; the layer's
   input is the layer below's hidden states, not a copy;
 - without it (the default; serving and any other pass that does not
-  backpropagate): the gate buffer holds one span of at most
-  ``SPAN_BYTES`` of preactivations and the memory cell a ring of two
-  steps.  Only the hidden states stay (T, H, B), because the next layer
-  projects them, and a layer's input is dropped once the layer is done.
-  The outputs are bit-identical to the cached mode.
+  backpropagate): the gate buffer holds one span of preactivations and
+  the memory cell a ring of two steps.  Only the hidden states stay
+  (T, H, B), because the next layer projects them, and a layer's input
+  is dropped once the layer is done.  The outputs are bit-identical to
+  the cached mode.
 
 In both modes tanh of the memory cell holds one step: the backward
 recomputes it from the cached cell, which numpy's ``tanh`` does bit for
 bit, rather than keep a (T, H, B) copy of it.
 
 Backpropagation runs top-down a layer at a time.  A layer's time loop
-runs over chunks of timesteps that fit ``FACTOR_BYTES``, from the last
-down, and finishes each chunk while it is in cache: one pass over the
-chunk (``cell.backward_factors``) turns its cached activations and states
+runs over chunks of a span of timesteps, from the last down, and
+finishes each chunk while it is in cache: one pass over the chunk
+(``cell.backward_factors``) turns its cached activations and states
 in place into the factors that depend on the forward alone and recomputes
 tanh(c) into a chunk-sized scratch; then each step is a few whole-block
 calls plus the recurrent product, added to the gradient of the step below
@@ -82,35 +83,37 @@ from .cell import (LstmLayerParams, backward_factors, cell_backward, cell_forwar
                    init_layer)
 from .errors import DivergenceError, ShapeError
 
-#: bytes of gate preactivations one span of the cache-free forward holds.
-#: 1 MiB, half the 2 MiB per-core L2 of the 2-CPU Xeon it was measured
-#: on, keeps the whole window at B=1 on the paper's 3x300/T=100 model
-#: (9.6 kB a step) and on a 3x150/T=12 one, so single-window serving
+#: the one unroll budget: bytes of the (4H, windows) gate rows per
+#: timestep that one span of timesteps holds (``_span``).  The cache-free
+#: forward projects its input and keeps its gate preactivations a span at
+#: a time; the backward runs each layer's time loop over chunks of a span
+#: of timesteps, and finishes each (its factor pass,
+#: ``cell.backward_factors``, with its (H, windows) P_c scratch per step;
+#: its steps; its rows of the input gradient and columns of dA) before the
+#: next.  1 MiB, half the 2 MiB per-core L2 of the 2-CPU Xeon it was
+#: measured on, keeps the whole window at B=1 on the paper's 3x300/T=100
+#: model (9.6 kB a step) and on a 3x150/T=12 one, so single-window serving
 #: projects its input in one call as training does; at B=256 one step
-#: (2.4 MB at H=300) exceeds it and the span is one step.  Measured
-#: ``predict_batch`` windows/s on that host (median of 7-15 interleaved
-#: rounds, 1 BLAS thread), budgets 64 KiB / 1 MiB / 4 MiB / whole window:
+#: (2.4 MB at H=300) exceeds it and the span is one step.
+#: Forward: ``predict_batch`` windows/s on that host (median of 7-15
+#: interleaved rounds, 1 BLAS thread), budgets 64 KiB / 1 MiB / 4 MiB /
+#: whole window:
 #: 3x300 at 1%: B=32 243/248/244/205, B=256 200/219/216/166;
 #: 3x150 at 10%: B=32 1605/1712/1849/1881, B=256 2329/2276/2396/2181.
 #: B=1 was flat.  Budgets from 64 KiB to 4 MiB are within noise of each
 #: other; the whole-window span loses up to a quarter at B=256.
-SPAN_BYTES = 1 << 20
-
-#: bytes of one (H, windows) block per timestep a chunk of the backward
-#: holds: a layer's time loop runs over chunks of as many timesteps as fit,
-#: and finishes each (its factor pass, ``cell.backward_factors``, with its
-#: P_c scratch; its steps; its rows of the input gradient and columns of
-#: dA) before the next.  Milliseconds per layer-shard of that loop, on a
-#: middle layer, on the 2-CPU Xeon above (median of 61 interleaved rounds,
-#: 1 BLAS thread), budgets 64 KiB / 128 KiB / 256 KiB / 512 KiB / 1 MiB, by
-#: T x H x windows:
+#: Backward: milliseconds per layer-shard of the time loop, on a middle
+#: layer, on the same host (median of 61 interleaved rounds, 1 BLAS
+#: thread), budgets over H rows 64 KiB / 128 KiB / 256 KiB / 512 KiB /
+#: 1 MiB (over 4H rows, 4x each: 256 KiB ... 4 MiB), by T x H x windows:
 #: 100x300x16: 34.60 / 34.50 / 30.73 / 27.55 / 27.81;
 #: 100x300x32: 51.56 / 51.28 / 51.99 / 49.19 / 52.63;
 #: 100x300x1:  2.29 / 2.01 / 2.17 / 2.09 / 3.12;
 #: 12x150x32:  3.76 / 3.17 / 3.11 / 3.07 / 4.22.
 #: Paired over 81 rounds, 512 KiB took 0.967 / 0.986 / 0.999 / 1.000 of
-#: 256 KiB's time and won 52 / 51 / 42 / 41 of them: no clear win.
-FACTOR_BYTES = 1 << 18
+#: 256 KiB's time (1 MiB over 4H rows, this budget) and won 52 / 51 / 42 /
+#: 41 of them: no clear win.
+SPAN_BYTES = 1 << 20
 
 #: fewest hidden units x windows a shard of a batch holds in the model's
 #: narrowest layer.  Each shard runs its own Python loop over the
@@ -238,6 +241,13 @@ def is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _span(n_steps, hidden, windows):
+    """How many of ``n_steps`` timesteps of a layer of ``hidden`` units
+    over ``windows`` columns one span holds: as many (4H, windows) float64
+    gate blocks as fit ``SPAN_BYTES``, one at least."""
+    return min(n_steps, max(1, SPAN_BYTES // (4 * hidden * windows * 8)))
+
+
 def _layer_forward(k, layer, x, keep_cache):
     """Unroll layer ``k`` over its (T, D, B) input sequence.
 
@@ -252,7 +262,7 @@ def _layer_forward(k, layer, x, keep_cache):
     if keep_cache:
         span, n_c = n_steps, n_steps
     else:
-        span = min(n_steps, max(1, SPAN_BYTES // (4 * hidden * batch * 8)))
+        span = _span(n_steps, hidden, batch)
         n_c = min(n_steps, 2)
     gates = np.empty((span, 4 * hidden, batch))
     c = np.empty((n_c, hidden, batch))
@@ -382,11 +392,11 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
     ``caches`` is the shard's LayerCache per layer and ``grad_h`` (T, H, b)
     the loss gradient wrt the shard's hidden states from above; each
     step's recurrent part is added to it in place.  The time loop runs over
-    chunks of as many timesteps as one (H, b) block per step fits in
-    ``FACTOR_BYTES``, from the last chunk down, and each chunk is done
-    before the next: ``cell.backward_factors`` turns its cached gates and
-    states into the factors that depend on the forward alone, so each step
-    runs a few whole-block calls; then its steps, its rows of the gradient
+    chunks of ``_span`` timesteps, the forward's budget, from the last
+    chunk down, and each chunk is done before the next:
+    ``cell.backward_factors`` turns its cached gates and states into the
+    factors that depend on the forward alone, so each step runs a few
+    whole-block calls; then its steps, its rows of the gradient
     wrt the input and its columns of dA, while they are still in cache.
     The shard's dA is written into ``da``, its input sequence into ``x``
     and, unless None, its hidden states into ``h``: (features, T, b) column
@@ -406,7 +416,7 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
     lc.h = None
     ops = layer.products()
     n_steps, hidden, width = lc.c.shape
-    span = min(n_steps, max(1, FACTOR_BYTES // (hidden * width * 8)))
+    span = _span(n_steps, hidden, width)
     p_c = np.empty((span, hidden, width))
     grad_c, dc = np.zeros((hidden, width)), np.empty((hidden, width))
     grad_x = np.empty((n_steps, layer.input_dim, width)) if k else None

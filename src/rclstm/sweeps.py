@@ -6,15 +6,16 @@ plot-ready CSVs plus a text summary, deterministic given the seed list.
 
 ``prepare`` is the only code that turns a RunConfig into its data.
 ``prepare_points`` makes each point's data once, from ``at_point(cfg,
-point)`` alone, and checks it before any point trains; every seed's job
-at that point then only splits the series it is handed.  So a
-``train_fraction`` or ``window_length`` point fits its normalization and
-codebook on its own training prefix, whatever the base config holds, and
-a row's ``config_hash`` names everything its data came from.
-Connectivity points set a ``[model]`` key, which ``prepare`` never
-reads, so they share one preparation: the data file is read once.  A
-dataset cache has fixed its normalization and codebook already, so a
-``[data]``-axis sweep over one is refused.
+point)`` alone, and counts its cut (``data.cut``, which builds no
+window) before any point trains; every seed's job at that point then
+only splits the series it is handed.  So a ``train_fraction`` or
+``window_length`` point fits its normalization and codebook on its own
+training prefix, whatever the base config holds, and a row's
+``config_hash`` names everything its data came from.  Connectivity
+points set a ``[model]`` key, which ``prepare`` never reads, so they
+share one preparation: the data file is read once.  A dataset cache has
+fixed its normalization and codebook already, so a ``[data]``-axis sweep
+over one is refused.
 
 Every row, the RCLSTM's and each baseline's, is made by one ``row(name,
 run)``: ``training.score`` puts the metric of ``run()``'s test predictions
@@ -36,7 +37,7 @@ from .baselines import (arima_fit, arima_rolling_forecast, ffnn_predict,
 from .benchmark import benchmark_serving
 from .checkpoint import MAGIC
 from .config import SWEEP_AXES
-from .data import (PreparedData, chronological_split, load_mobility_csv,
+from .data import (PreparedData, chronological_split, cut, load_mobility_csv,
                    load_prepared, load_traffic_csv, prepare_mobility,
                    prepare_traffic)
 from .errors import ConfigError, DataFormatError, DivergenceError
@@ -144,9 +145,10 @@ def prepare_points(cfg):
     """``(point, prepared)`` for each point of ``cfg``'s sweep, in order:
     the PreparedData that every seed's job at the point shares.
 
-    Each preparation is made and split here, before any point trains, and
-    an error names its point: ``[sweep] point 0.5: ...``.  Connectivity
-    points share the first point's preparation.  A ``train_fraction`` or
+    Each preparation is made and its cut counted here, with no window
+    built, before any point trains, and an error names its point:
+    ``[sweep] point 0.5: ...``.  Connectivity points share the first
+    point's preparation.  A ``train_fraction`` or
     ``window_length`` sweep over a dataset cache is a ConfigError.
     """
     axis = cfg.sweep.axis
@@ -159,7 +161,7 @@ def prepare_points(cfg):
         point_cfg = at_point(cfg, point)
         try:
             prepared = prepare(point_cfg)
-            split(point_cfg, prepared)
+            cut(len(prepared.features), point_cfg.data.window, point_cfg.data.train_fraction)
         except ValueError as err:  # the point's own data cannot be made
             raise type(err)(f"[sweep] point {point:g}: {err}") from None
         return prepared
@@ -278,10 +280,13 @@ def write_report_csv(report, path, freeze_timers=False):
 
 
 def summarize(report):
+    """The text report: the RCLSTM's mean +/- std over the ok seeds of each
+    point, then how many rows failed: (model, seed, point) rows of any
+    model, baselines included, whose status is not ``ok``."""
     lines = [f"sweep axis: {report.axis}"]
     for value, (mean, std) in report.aggregates().items():
         lines.append(f"  {value:g}: {mean:.6f} +/- {std:.6f}")
     failed = [r for r in report.rows if r.status != "ok"]
     if failed:
-        lines.append(f"  failed points: {len(failed)}")
+        lines.append(f"  failed rows: {len(failed)}")
     return "\n".join(lines)

@@ -529,6 +529,9 @@ include_baselines = true
             assert status[point, "ffnn"].startswith("diverged: non-finite")
             assert status[point, "rclstm"].startswith("diverged: ")
             assert status[point, "naive"] == status[point, "arima"] == "ok"
+        # the summary counts the four failed (model, seed, point) rows
+        txt = (tmp_path / "out" / "sweep_connectivity_frozen.txt").read_text()
+        assert txt == "sweep axis: connectivity\n  failed rows: 4\n"
 
     @pytest.mark.parametrize("axis, points", [
         ("window_length", "12,0"), ("window_length", "12,12.5"),
@@ -774,7 +777,7 @@ include_baselines = true
         text = SINE_CFG.format(out=tmp_path / "out").replace("n = 300", "n = 200") + \
             "\n[bench]\nreps = 30\nwarmup = 0\n"
         assert main(["bench", "--config", write_cfg(tmp_path, text)]) == 2
-        assert "256 windows" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: bench needs 256 windows, got 190\n"
         assert not (tmp_path / "out").exists()
 
     def test_bench_on_mobility_data(self, tmp_path, capsys, monkeypatch):
@@ -785,11 +788,27 @@ include_baselines = true
                 f"{stamp},60.0,24.0,{1 + k % 5}\n" for k, stamp in enumerate(stamps)))
         text = MOBILITY_CFG.format(path=tmp_path / "m.csv", out=tmp_path / "out") + \
             "\n[model]\nhidden = 8\ndensity = 0.3\n\n[bench]\nreps = 30\nwarmup = 0\n"
-        assert main(["bench", "--config", write_cfg(tmp_path, text)]) == 0
+        # bench windows the first 256 + T observations only, and times the
+        # series' first 256 windows
+        from rclstm.data import PreparedData
+        from rclstm.sweeps import prepare
+
+        built, windows_of = [], PreparedData.windows
+
+        def spy(self, window):
+            built.append(len(self.features))
+            return windows_of(self, window)
+
+        monkeypatch.setattr(PreparedData, "windows", spy)
+        cfg = write_cfg(tmp_path, text)
+        assert main(["bench", "--config", cfg]) == 0
+        assert built == [256 + 3]
+        first = windows_of(prepare(load_config(cfg)), 3).inputs[:256]
         for model, windows, _ in timed:
             assert model.task == "classification"
             assert (model.feature_dim, model.out_dim) == (5, 5)
             assert windows.shape[1:] == (3, 5)
+            assert np.array_equal(windows, first[: len(windows)])
 
 
 class TestPaperTasksFromCsv:
@@ -1011,6 +1030,27 @@ timing_reps = 2
         with open(tmp_path / "out" / f"sweep_{axis}_frozen.csv", newline="") as fh:
             status = [row["status"] for row in csv.DictReader(fh)]
         assert status == ["ok"] * (3 * len(points.split(",")))
+
+    @pytest.mark.parametrize("axis, points", [
+        ("connectivity", "0.5,1.0"), ("train_fraction", "0.5,0.9"),
+        ("window_length", "4,6")])
+    def test_point_checks_and_preprocess_build_no_windows(self, tmp_path, capsys,
+                                                          monkeypatch, axis, points):
+        # the sweep's check of each point and preprocess's "samples:" line
+        # count the cut; neither builds the one-hot windows of a mobility CSV
+        from rclstm.data import PreparedData
+        from rclstm.sweeps import prepare_points
+
+        def no_windows(self, window):
+            raise AssertionError("windows built")
+
+        monkeypatch.setattr(PreparedData, "windows", no_windows)
+        path, _ = self.mobility_csv(tmp_path)
+        cfg = self.sweep_config(tmp_path, "mobility", path, axis, points)
+        assert [point for point, _ in prepare_points(load_config(cfg))] == \
+            [float(point) for point in points.split(",")]
+        assert main(["preprocess", "--config", cfg]) == 0
+        assert "samples: 138 total, 124 train, 14 test (window=6)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("task, axis, points", [
         ("traffic", "train_fraction", "0.5,0.9"), ("traffic", "window_length", "4,6"),

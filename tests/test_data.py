@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from rclstm.data import (LocationCodebook, NormalizationParams, PreparedData,
                          TimeSeries, build_codebook, chronological_split, denormalize,
                          load_mobility_csv, load_prepared, load_traffic_csv,
-                         log_minmax_normalize, prepare_mobility, prepare_traffic,
+                         cut, log_minmax_normalize, prepare_mobility, prepare_traffic,
                          save_prepared, sliding_window)
 from rclstm.errors import (CheckpointError, DataFormatError, EncodingError,
                            InsufficientDataError)
@@ -228,6 +228,29 @@ class TestChronologicalSplit:
         ds = sliding_window(np.arange(4.0), 2)
         with pytest.raises(InsufficientDataError):
             chronological_split(ds, 0.1)
+
+
+def outcome(make):
+    """What ``make()`` gives: ("ok", its value) or (its error's type, message)."""
+    try:
+        return "ok", make()
+    except (ValueError, InsufficientDataError) as err:
+        return type(err), str(err)
+
+
+@given(task=st.sampled_from(["regression", "classification"]), n=st.integers(0, 60),
+       window=st.integers(0, 20), fraction=st.floats(-0.25, 1.25))
+@example(task="regression", n=12, window=2, fraction=0.9)  # 9 train, 1 test
+@example(task="regression", n=4, window=2, fraction=0.1)  # an empty side
+@example(task="classification", n=5, window=5, fraction=0.5)  # n <= T
+@settings(max_examples=300, deadline=None)
+def test_cut_counts_what_the_split_gives(task, n, window, fraction):
+    # one rule, two paths: counting the cut and splitting the windows
+    prep = prepared_series(task, n=n)
+    counted = outcome(lambda: cut(n, window, fraction))
+    split = outcome(lambda: tuple(
+        len(side) for side in chronological_split(prep.windows(window), fraction)))
+    assert counted == split
 
 
 class TestLoaders:
@@ -462,6 +485,23 @@ class TestPrepared:
         prep = prepare_traffic(ts, normalize_scope="train", train_fraction=0.9, window=2)
         assert prep.features[8] == 1.0  # the last training target sets the max
         assert prep.features[-1] > 1.0  # the max outside the training prefix
+
+    def test_traffic_train_scope_needs_a_window(self):
+        stamps = np.arange(10).astype("datetime64[s]")
+        with pytest.raises(ValueError, match="window length must be >= 1"):
+            prepare_traffic(TimeSeries(stamps, np.geomspace(1.0, 9.0, 10)), "train", 0.9)
+
+    @pytest.mark.parametrize("scope", ["train", "mobility"])
+    def test_training_prefix_with_no_window_is_the_cut_s_error(self, scope):
+        # f * (n - T) < 1: no window trains, so neither fit has a prefix
+        ids = [1, 2, 3, 1, 2, 9]
+        with pytest.raises(InsufficientDataError,
+                           match=r"split at fraction 0.1 leaves an empty side \(N=4\)"):
+            if scope == "mobility":
+                prepare_mobility(mobility_series(ids), window=2, train_fraction=0.1)
+            else:
+                prepare_traffic(TimeSeries(np.arange(6).astype("datetime64[s]"),
+                                           np.array(ids, dtype=float)), "train", 0.1, 2)
 
     def test_mobility_unseen_test_id_is_error(self):
         from rclstm.data import TimeSeries
@@ -738,6 +778,10 @@ def test_prepare_mobility_follows_the_codebook(case):
     # reference
     ids, window, fraction = case
     n_train = math.floor(fraction * (len(ids) - window))
+    if n_train == 0:  # no training window: the cut's own error, before any ID
+        with pytest.raises(InsufficientDataError, match="leaves an empty side"):
+            prepare_mobility(mobility_series(ids), window, fraction)
+        return
     book = build_codebook(ids[: n_train + window])
     index = {raw: j + 1 for j, raw in enumerate(book.index_to_id)}
     unseen = [raw for raw in ids if raw not in index]

@@ -268,8 +268,8 @@ class TestBackwardSequence:
         windows, douts = rng.normal(size=(batch, 7, 2)), rng.normal(size=(batch, 1))
         grads = []
         for steps in (1, 3, 7):
-            # one (20, windows of a shard) block per step
-            monkeypatch.setattr(network, "FACTOR_BYTES", steps * 20 * (batch // shards) * 8)
+            # one (4 * 20, windows of a shard) block of gate rows per step
+            monkeypatch.setattr(network, "SPAN_BYTES", steps * 4 * 20 * (batch // shards) * 8)
             model = build_model(2, hidden, seed=3, density=density)
             _, cache = forward_batch(model, windows, keep_cache=True)
             assert len(cache.bounds) == shards

@@ -85,3 +85,45 @@ def test_only_sweeps_prepare_turns_a_config_into_data():
     # its points: no (point, seed) job prepares, it splits what it is handed
     assert preparers == {"cli.cmd_preprocess", "cli.cmd_train", "cli.cmd_evaluate",
                          "cli.cmd_bench", "sweeps.prepare_points"}
+
+
+def holders(tree, wanted):
+    """The qualified name of the innermost function holding each node under
+    ``tree`` that ``wanted`` accepts, once a node."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            elif wanted(child):
+                found.append(owner)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def floors(node):
+    """Whether a node calls ``floor``: ``np.floor``, ``math.floor`` or a bare one."""
+    return isinstance(node, ast.Call) and called(node) == "floor"
+
+
+def raises(text):
+    """Whether a node raises an error whose message holds ``text``."""
+    return lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and text in str(part.value)
+        for part in ast.walk(node))
+
+
+def test_one_function_cuts_a_series():
+    # the cut floor(f * N) and its two refusals each appear once,
+    # so the split, the windows and the fits on the training prefix cannot
+    # cut a series two ways
+    for wanted, one in ((floors, "data.cut"),
+                        (raises("leaves an empty side"), "data.cut"),
+                        (raises("need more than"), "data._window_count")):
+        found = [f"{path.stem}.{owner}" for path in PACKAGE
+                 for owner in holders(ast.parse(path.read_text()), wanted)]
+        assert found == [one]
