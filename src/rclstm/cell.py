@@ -129,15 +129,18 @@ class LstmLayerParams:
 
 def init_layer(input_dim, hidden_dim, density=1.0, seed=0):
     """Create a layer with fan-in uniform init, then apply a fresh mask;
-    only the draws at the mask's nonzeros are kept."""
+    only the draws at the mask's nonzeros are kept.
+
+    The values are ``rng.uniform(-scale, scale, size)[mask]`` bit for bit:
+    every draw of the stream is made, but only the kept ones are scaled,
+    by ``Generator.uniform``'s own formula, low + (high - low) * draw."""
     bits_seed, w_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     fan_in = input_dim + hidden_dim
     mask = generate_mask(4 * hidden_dim, fan_in, density, bits_seed)
-    scale = 1.0 / math.sqrt(fan_in)
-    rng = np.random.default_rng(w_seed)
-    w = rng.uniform(-scale, scale, size=(4 * hidden_dim, fan_in))
+    low, high = -1.0 / math.sqrt(fan_in), 1.0 / math.sqrt(fan_in)
+    draws = np.random.default_rng(w_seed).random((4 * hidden_dim, fan_in))[mask.bits]
     b = np.zeros(4 * hidden_dim)
-    return LstmLayerParams(input_dim, hidden_dim, w[mask.bits], b, mask)
+    return LstmLayerParams(input_dim, hidden_dim, low + (high - low) * draws, b, mask)
 
 
 def cell_forward(w_h, steps, a, c_prev, c, tanh_c, h):

@@ -125,7 +125,11 @@ def cmd_train(cfg, args):
 def cmd_evaluate(cfg, args):
     prepared = prepare(cfg)
     model = load_checkpoint_file(args.checkpoint)
-    _, test = split(cfg, prepared)
+    # only the test windows: those of the last n_test + T values
+    window = cfg.data.window
+    _, n_test = cut(len(prepared.features), window, cfg.data.train_fraction)
+    tail = replace(prepared, features=prepared.features[-(n_test + window):])
+    test = tail.windows(window)
     try:
         model.validate(test)
     except ShapeError as err:

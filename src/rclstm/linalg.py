@@ -55,28 +55,30 @@ transpose, not n single-column ones.  Each column still sums from zero
 over its row's nonzeros in the same order, so the bits are those of n
 single products.
 
-Two kinds of thread run work beside the calling one; numpy, scipy's sparse
-kernels and BLAS release the GIL while they compute, so the work runs on
-separate cores:
+One pool of ``WORKERS - 1`` threads runs work beside the calling one;
+numpy, scipy's sparse kernels and BLAS release the GIL while they compute,
+so the work runs on separate cores.  Two calls submit to it:
 
 - ``run_tasks`` runs independent pieces of work at once, on the calling
-  thread and a pool of threads, and returns when all are done;
-- ``in_background`` starts one job on a single background thread and
-  returns at once, with a future of its result; jobs run one at a time,
-  in the order they were started.
+  thread and the pool, and returns when all are done;
+- ``in_background`` starts one job on the pool and returns at once, with
+  a future of its result.
 
-A pool task must not call ``run_tasks``: it would wait on the pool it
-occupies.  A background job may, because the background thread is not in
-the pool, and the two share the pool under a lock.  A forked child has
-none of its parent's threads, so it drops both and builds its own on
-first use.
+The pool may be busy with a background job, or with the very task that
+calls ``run_tasks``, so the calling thread does not wait for a task the
+pool has not started: once its own is done, it takes back every task
+still queued and runs it itself, and waits only for those already
+running.  So any thread, a pool thread too, may call ``run_tasks``, and
+no caller queues behind a background job.  A forked child has none of
+its parent's threads, so it drops the pool and builds its own on first
+use.
 """
 
 import importlib.machinery
 import importlib.util
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
@@ -165,61 +167,77 @@ SDDMM_DENSITY = 0.04
 #: (256x64, N=12800) 3.63 vs 2.44.
 SPLIT_COLUMN_WORK = 1 << 15
 
-_lock = threading.Lock()  # guards building _pool and _background
-_pool = None  # (threads, ThreadPoolExecutor), built by the first run_tasks
-_background = None  # one-thread ThreadPoolExecutor, built by the first in_background
+_lock = threading.Lock()  # guards building _pool
+_pool = None  # the ThreadPoolExecutor of WORKERS - 1 threads, built on first use
 
 
 def _drop_threads():
-    """A forked child has none of its parent's threads, so executors it
+    """A forked child has none of its parent's threads, so a pool it
     inherited would queue work that never runs, and a lock another thread
     held at the fork would never be released."""
-    global _lock, _pool, _background
-    _lock, _pool, _background = threading.Lock(), None, None
+    global _lock, _pool
+    _lock, _pool = threading.Lock(), None
 
 
 os.register_at_fork(after_in_child=_drop_threads)
+
+
+def _submit(task):
+    """Queue ``task`` on the pool, built with ``WORKERS - 1`` threads (one
+    at least) on first use, and return its future."""
+    global _pool
+    with _lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="rclstm")
+        return _pool.submit(task)
+
+
+def _run(task):
+    """Run ``task`` on the calling thread; a done future of its result or
+    of the exception it raised."""
+    future = Future()
+    try:
+        future.set_result(task())
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def run_tasks(tasks):
     """Run the zero-argument callables ``tasks`` at once and return their
     results in order.
 
-    The calling thread runs the first, a pool of threads the others.  Every
-    task finishes before anything is raised; then the first exception, in
-    task order, is.  A task must not call ``run_tasks`` itself; a job
-    ``in_background`` runs may.
+    The calling thread runs the first and queues the others on the pool.
+    Then, last first, it runs itself each one the pool has not started,
+    and waits for the rest.  Every task finishes before anything is
+    raised; then the first exception, in task order, is.
     """
-    global _pool
     if len(tasks) == 1:
         return [tasks[0]()]
-    with _lock:
-        if _pool is None or _pool[0] < len(tasks) - 1:
-            _pool = (len(tasks) - 1, ThreadPoolExecutor(len(tasks) - 1,
-                                                        thread_name_prefix="rclstm"))
-        pool = _pool[1]
-    futures = [pool.submit(task) for task in tasks[1:]]
+    futures = [_submit(task) for task in tasks[1:]]
     try:
-        first = tasks[0]()
+        futures.insert(0, _run(tasks[0]))
+        for i in range(len(tasks) - 1, 0, -1):
+            if futures[i].cancel():
+                futures[i] = _run(tasks[i])
     finally:
-        wait(futures)
-    return [first] + [future.result() for future in futures]
+        # on an interrupt, no task the pool has not started runs after the
+        # call: each is cancelled, or waited for
+        wait([future for future in futures if not future.cancel()])
+    return [future.result() for future in futures]
 
 
 def in_background(job):
-    """Start the zero-argument callable ``job`` on the background thread
-    and return a ``concurrent.futures.Future`` of its result.
+    """Start the zero-argument callable ``job`` on the pool and return a
+    ``concurrent.futures.Future`` of its result.
 
-    Jobs run one at a time, in the order they were started, beside
-    whatever the caller does next.  The caller reads every future's
-    result, which raises the job's exception if it raised, or cancels a
-    job that has not started (``Future.cancel``), which then never runs.
+    Jobs and tasks start in the order they were queued, each on the first
+    free pool thread, beside whatever the caller does next.  The caller
+    reads every future's result, which raises the job's exception if it
+    raised, or cancels a job that has not started (``Future.cancel``),
+    which then never runs.
     """
-    global _background
-    with _lock:
-        if _background is None:
-            _background = ThreadPoolExecutor(1, thread_name_prefix="rclstm-background")
-        return _background.submit(job)
+    return _submit(job)
 
 
 class MaskedMatrix:

@@ -51,20 +51,20 @@ written.  A layer's weight gradient is one masked outer product per block
 over all T*B columns, a value vector shaped like its ``values``, and the
 layer below needs none of it.  So when a CSR batch leaves a CPU idle
 (``_grads_behind``), the weight gradient of each layer above the bottom
-one runs on ``linalg.in_background``'s thread behind the layers below;
-``backward_sequence`` takes back the jobs not yet started and collects
-every one before it returns or raises.  Otherwise each runs inline after
-its layer's time loop, and the layer's dA is freed before the layer below
-starts.  It is the same call either way, so the same bits.
+one runs on ``linalg``'s pool (``in_background``) behind the layers
+below; ``backward_sequence`` takes back the jobs not yet started and
+collects every one before it returns or raises.  Otherwise each runs
+inline after its layer's time loop, and the layer's dA is freed before the
+layer below starts.  It is the same call either way, so the same bits.
 
 A batch whose products all run on CSR (below ``linalg.PRODUCT_DENSITY``)
 runs as contiguous shards of windows at once (``_shard_bounds``): the
-calling thread runs the first, ``linalg.run_tasks``'s pool the others.
-Windows meet only where the head and the gradients sum over them, so each
-shard runs the whole stack forward and each layer's time loop backward,
-writing its dA and states into column slices of feature-major (features,
-T, B) buffers shared by the batch; the head, the weight gradients and the
-bias sums then run once on the assembled batch.  The CSR kernels compute
+calling thread runs the first, ``linalg``'s pool the others
+(``run_tasks``).  Windows meet only where the head and the gradients sum
+over them, so each shard runs the whole stack forward and each layer's
+time loop backward, writing its dA and states into column slices of
+feature-major (features, T, B) buffers shared by the batch; the head, the
+weight gradients and the bias sums then run once on the assembled batch.  The CSR kernels compute
 each window's column on its own, so outputs and gradients are the same
 bit for bit at any shard count.  ``taskset`` sets how many threads a batch
 runs on; pinning BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) keeps
@@ -318,10 +318,10 @@ def _csr_products(model):
 
 def _grads_behind(model, shards):
     """Whether a batch run as ``shards`` window shards computes the weight
-    gradient of each layer above the bottom one on ``linalg.in_background``'s
-    thread, behind the backward of the layers below: when there is a layer
-    below and the products run on CSR, one thread per kernel call, in fewer
-    shards than CPUs.  A dense gemm may spread over every CPU itself, so
+    gradient of each layer above the bottom one on ``linalg``'s pool
+    (``in_background``), behind the backward of the layers below: when
+    there is a layer below and the products run on CSR, one thread per
+    kernel call, in fewer shards than CPUs.  A dense gemm may spread over every CPU itself, so
     dense products keep every weight gradient inline."""
     return len(model.layers) > 1 and shards < linalg.WORKERS and _csr_products(model)
 
@@ -524,8 +524,8 @@ def backward_sequence(model, cache, loss_grad):
             else:
                 grads[key] = weight_grad()
             del weight_grad  # inline, the layer's dA is freed before the layer below
-        # newest first, the calling thread takes back each job the
-        # background thread has not started, rather than wait for it idle
+        # newest first, the calling thread takes back each job the pool
+        # has not started, rather than wait for it idle
         for key, weight_grad, future in reversed(jobs):
             if future.cancel():
                 grads[key] = weight_grad()

@@ -240,3 +240,17 @@ def test_layer_determinism():
     b = init_layer(4, 8, density=0.4, seed=123)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.mask.bits, b.mask.bits)
+
+
+@pytest.mark.parametrize("input_dim, hidden", [(1, 1), (4, 8), (64, 150), (300, 300)])
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.3, 1.0])
+def test_layer_values_are_the_uniform_draws_at_the_mask(input_dim, hidden, density):
+    # the layer's values are those of the full uniform draw gathered at
+    # the mask, bit for bit
+    for seed in (0, 7, 2**40 + 3):
+        layer = init_layer(input_dim, hidden, density=density, seed=seed)
+        _, w_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+        scale = 1.0 / np.sqrt(input_dim + hidden)
+        draws = np.random.default_rng(w_seed).uniform(
+            -scale, scale, size=(4 * hidden, input_dim + hidden))
+        assert np.array_equal(layer.values, draws[layer.mask.bits])

@@ -894,6 +894,36 @@ timing_reps = 2
         assert set(metrics) == {"n", "accuracy", "config_digest"}
         assert metrics["n"] == 14 and 0.0 <= metrics["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("task", ["traffic", "mobility"])
+    def test_evaluate_windows_only_the_test_side(self, tmp_path, monkeypatch, task):
+        # evaluate windows the last n_test + T observations only, and scores
+        # the test windows of the whole series' split
+        from rclstm.checkpoint import load_checkpoint_file
+        from rclstm.data import PreparedData, chronological_split
+        from rclstm.sweeps import prepare
+        from rclstm.training import METRIC, evaluate_model
+
+        path, _ = (self.traffic_csv if task == "traffic" else self.mobility_csv)(tmp_path)
+        cfg = self.config(tmp_path, task, path)
+        assert main(["train", "--config", cfg, "--freeze-timestamps"]) == 0
+        built, windows_of = [], PreparedData.windows
+
+        def spy(self, window):
+            built.append(self.features)
+            return windows_of(self, window)
+
+        monkeypatch.setattr(PreparedData, "windows", spy)
+        checkpoint = tmp_path / "out" / "checkpoint.bin"
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(checkpoint)]) == 0
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        prepared = prepare(load_config(cfg))
+        assert metrics["n"] == {"traffic": 12, "mobility": 14}[task]
+        assert len(built) == 1
+        assert np.array_equal(built[0], prepared.features[-(metrics["n"] + 6):])
+        _, test = chronological_split(windows_of(prepared, 6), 0.9)
+        metric, _ = evaluate_model(load_checkpoint_file(checkpoint), test)
+        assert metrics[METRIC[prepared.task]] == metric
+
     def test_mobility_sweep_writes_a_naive_accuracy_row(self, tmp_path):
         path, ids = self.mobility_csv(tmp_path)
         cfg = self.config(tmp_path, "mobility", path)

@@ -125,6 +125,7 @@ def sweep(cfg, parallel=1):
 
 FORK_SCRIPT = """
 import multiprocessing
+import threading
 
 import numpy as np
 
@@ -152,7 +153,9 @@ assert linalg._pool is not None
 # background
 assert network.batch_plan(MODEL, 1) == (1, "background")
 want_grads = weight_grads(windows[:1])
-assert linalg._background is not None
+# the background job ran on the pool built before the fork, which holds
+# one thread
+assert [t.name for t in threading.enumerate() if t.name.startswith("rclstm")] == ["rclstm_0"]
 print("sharded", flush=True)
 with multiprocessing.get_context("fork").Pool(1) as pool:
     assert np.array_equal(pool.apply(serve, (windows,)), want)
@@ -263,9 +266,8 @@ class TestSweeps:
                [(r.value, r.model, r.seed, r.rmse) for r in serial.rows]
 
     def test_parallel_sweep_after_sharded_work(self, tmp_path):
-        # a forked child inherits the parent's thread pool and background
-        # thread objects but none of their threads; work submitted to them
-        # would wait forever
+        # a forked child inherits the parent's thread pool object but none
+        # of its threads; work submitted to it would wait forever
         script = tmp_path / "fork.py"
         script.write_text(FORK_SCRIPT)
         package_root = str(Path(rclstm.__file__).resolve().parents[1])

@@ -219,6 +219,78 @@ def test_run_tasks_from_many_threads_and_background_jobs():
     assert results == {i: [(i, j) for j in range(2 + i % 3)] for i in range(16)}
 
 
+def hold_the_pool():
+    """Occupy the pool's one thread until the returned event is set; the
+    job has started when this returns."""
+    started, release = threading.Event(), threading.Event()
+
+    def job():
+        started.set()
+        release.wait(timeout=60)
+
+    held = linalg.in_background(job)
+    assert started.wait(timeout=60)
+    return release, held
+
+
+def test_the_caller_runs_the_tasks_the_pool_has_not_started(one_thread_pool):
+    # a caller never queues behind a background job
+    release, held = hold_the_pool()
+    try:
+        ran_on = linalg.run_tasks([threading.current_thread] * 3)
+    finally:
+        release.set()
+        held.result(timeout=60)
+    assert ran_on == [threading.current_thread()] * 3
+
+
+def test_pool_tasks_and_background_jobs_may_call_run_tasks(one_thread_pool):
+    started = threading.Event()
+
+    def nested(i):
+        started.set()
+        return linalg.run_tasks([partial(pow, i, 1), partial(pow, i, 2)])
+
+    def first():
+        assert started.wait(timeout=60)  # the pool's thread runs nested(3)
+        return "first"
+
+    done = []
+    thread = threading.Thread(
+        target=lambda: done.append(linalg.run_tasks([first, partial(nested, 3)])), daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and done == [["first", [3, 9]]]
+    assert linalg.in_background(partial(nested, 4)).result(timeout=60) == [4, 16]
+
+
+def test_a_taken_back_tasks_error_waits_for_every_task(one_thread_pool):
+    # the pool runs the second task; the caller takes back the third and
+    # fourth, last first, and both fail; the first in task order is raised
+    # once the pool's task is done too
+    started, third_ran, finished = threading.Event(), threading.Event(), []
+
+    def first():
+        assert started.wait(timeout=60)
+
+    def slow():
+        started.set()
+        assert third_ran.wait(timeout=60)
+        finished.append(("slow", threading.current_thread()))
+
+    def fail(name):
+        finished.append((name, threading.current_thread()))
+        if name == "third":
+            third_ran.set()
+        raise ValueError(name)
+
+    with pytest.raises(ValueError, match="third"):
+        linalg.run_tasks([first, slow, partial(fail, "third"), partial(fail, "fourth")])
+    me = threading.current_thread()
+    assert finished[:2] == [("fourth", me), ("third", me)]
+    assert [name for name, thread in finished[2:]] == ["slow"] and finished[2][1] is not me
+
+
 def test_sigmoid_symmetry_points():
     assert sigmoid_stable(np.array([0.0]))[0] == 0.5
 

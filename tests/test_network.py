@@ -1,7 +1,11 @@
 import contextlib
+import os
+import subprocess
+import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -576,13 +580,12 @@ class TestShards:
 
 class TestWeightGradsBehind:
     """A batch that runs in fewer shards than ``linalg.WORKERS`` computes
-    the weight gradient of each layer above the bottom one on
-    ``linalg.in_background``'s thread while the layers below run their
-    backward."""
+    the weight gradient of each layer above the bottom one on ``linalg``'s
+    pool (``in_background``) while the layers below run their backward."""
 
     @staticmethod
     def count_jobs(monkeypatch):
-        """The number of jobs started on the background thread so far."""
+        """The number of jobs started in the background so far."""
         started, real = [0], linalg.in_background
 
         def spy(job):
@@ -627,8 +630,8 @@ class TestWeightGradsBehind:
         behind = "inline" if route == "dense" else "background"
         for workers, plan in ((2, (1, behind)), (1, (1, "inline"))):
             before = started[0]
-            # the sparse masked outer products split over run_tasks' pool
-            # too, from the background thread
+            # the sparse masked outer products split over run_tasks too,
+            # from a background job
             with mock.patch.object(linalg, "WORKERS", workers), \
                     mock.patch.object(linalg, "SPLIT_COLUMN_WORK", 0), route_mix(route):
                 model = build_model(3, [20, 12, 8], density=0.3, seed=4)
@@ -644,9 +647,9 @@ class TestWeightGradsBehind:
         assert blob == inline_blob
 
     def test_sparse_split_behind_does_not_deadlock(self, monkeypatch):
-        # one shard of 16 windows x 300 units; the background thread splits
-        # layer 1's sparse masked outer products over run_tasks' pool while
-        # the calling thread runs layer 0, whose own split uses the same pool
+        # one shard of 16 windows x 300 units; a background job splits
+        # layer 1's sparse masked outer products over run_tasks while the
+        # calling thread runs layer 0, whose own split uses the same pool
         rng = np.random.default_rng(41)
         windows, douts = rng.normal(size=(16, 200, 1)), rng.normal(size=(16, 1))
         model = build_model(1, [300, 300], density=0.01, seed=0)
@@ -719,8 +722,9 @@ class TestWeightGradsBehind:
         ops = model.layers[1].products()
         assert finished == [ops.x, ops.h]
 
-    def test_the_calling_thread_takes_back_jobs_not_started(self, monkeypatch):
-        # with the background thread held up, every weight gradient runs on
+    def test_the_calling_thread_takes_back_jobs_not_started(self, monkeypatch,
+                                                            one_thread_pool):
+        # with the pool's one thread held up, every weight gradient runs on
         # the calling thread, rather than wait for it
         rng = np.random.default_rng(45)
         windows, douts = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 1))
@@ -748,6 +752,40 @@ class TestWeightGradsBehind:
         assert list(grads) == list(inline)
         for key in grads:
             assert np.array_equal(grads[key], inline[key])
+
+    def test_one_pool_runs_the_jobs_and_the_shards(self):
+        # a fresh process, so the pool is built at WORKERS = 2: training
+        # with weight gradients behind, then serving in two shards, leaves
+        # WORKERS - 1 threads beside the main one
+        script = """
+import threading
+
+import numpy as np
+
+from rclstm import linalg, network
+from rclstm.data import WindowedDataset
+from rclstm.training import TrainingConfig, fit, predict_batch
+
+linalg.WORKERS = 2
+started, in_background = [], linalg.in_background
+linalg.in_background = lambda job: started.append(job) or in_background(job)
+model = network.build_model(1, [300, 300], density=0.01, seed=0)
+assert network.batch_plan(model, 16) == (1, "background")
+assert len(network._shard_bounds(model, 64)) == 2
+rng = np.random.default_rng(0)
+fit(model, WindowedDataset(rng.normal(size=(16, 5, 1)), rng.normal(size=16), 5),
+    TrainingConfig(epochs=1, batch_size=16, seed=0))
+assert started
+predict_batch(model, rng.normal(size=(64, 5, 1)))
+print(*sorted(t.name for t in threading.enumerate() if t.name.startswith("rclstm")))
+"""
+        package_root = str(Path(network.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["rclstm_0"]
 
     def test_inline_frees_each_layers_da_before_the_layer_below(self, monkeypatch):
         # dA outliving its layer's weight gradient would hold one more
