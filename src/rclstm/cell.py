@@ -11,16 +11,17 @@ weights only.  The layer's input and recurrent blocks are each a
 weight-gradient masked outer product from the layer's density alone.
 
 The cell works on a batch of B windows at a time: one timestep of a
-layer's state is an (H, B) block, one column per window.  Its backward
-splits in two: ``backward_factors`` makes everything that depends on the
-forward alone in a few calls over a chunk of timesteps, recomputing the
-tanh of the memory cell that the forward does not keep, and
-``cell_backward`` is what is left per timestep, a few whole-block calls
-and the recurrent product.  The recurrence is a Python loop, so at small
-batches its cost is the number of calls per step, not the arithmetic:
-each step's recurrent product is a step of the recurrent block bound once
-per layer call to the layer's whole buffers (``MaskedMatrix.bind``), one
-kernel call with nothing left to check.
+layer's state is an (H, B) block, one column per window.  No cache keeps
+the memory cell: ``memory_cells`` rebuilds a layer's from its cached gate
+activations, bit for bit.  The backward then splits in two:
+``backward_factors`` makes everything that depends on the forward alone in
+a few calls over a chunk of timesteps, recomputing tanh of the memory
+cell, and ``cell_backward`` is what is left per timestep, a few
+whole-block calls and the recurrent product.  The recurrence is a Python
+loop, so at small batches its cost is the number of calls per step, not
+the arithmetic: each step's recurrent product is a step of the recurrent
+block bound once per layer call to the layer's whole buffers
+(``MaskedMatrix.bind``), one kernel call with nothing left to check.
 """
 
 import math
@@ -154,12 +155,24 @@ def cell_forward(w_h, steps, a, c_prev, c, tanh_c, h):
     ``steps`` and ``c_prev``, the previous (H, B) memory cell, are None at
     the first step (zero state).  The new memory cell and the hidden state
     are written into ``c`` and ``h``; ``tanh_c`` is (H, B) scratch, left
-    holding tanh(c), which no cache keeps: ``backward_factors`` recomputes
-    it from ``c``.
+    holding tanh(c).  No cache keeps either: ``memory_cells`` rebuilds c
+    from the gates, and ``backward_factors`` recomputes tanh(c) from it.
     """
     if steps is not None:
         w_h(*steps)
     kernels.lstm_pointwise_numpy(a, c_prev, c, tanh_c, h)
+
+
+def memory_cells(gates, c, scratch):
+    """Rebuild a layer's memory cells into ``c`` (T, H, B) from its gate
+    activations ``gates`` (T, 4H, B), bit for bit as ``cell_forward`` made
+    them, by the forward's own operations in its order: i*z over every
+    step, then f*c_prev added step by step through the (H, B)
+    ``scratch``."""
+    g = gates.reshape(len(gates), 4, c.shape[1], -1)
+    np.multiply(g[:, 1], g[:, 2], out=c)
+    for t in range(1, len(c)):
+        c[t] += np.multiply(g[t, 0], c[t - 1], out=scratch)
 
 
 def backward_factors(gates, c, lo, p_c):
@@ -171,13 +184,15 @@ def backward_factors(gates, c, lo, p_c):
     steps, becomes P_f = f(1-f)c_prev (zero at the first step, whose c_prev
     is zero), P_i = i(1-i)z, P_z = i(1-z^2) and P_o = o(1-o)tanh(c): the
     preactivation gradient of each gate is its factor times dc, or times
-    grad_h for o.  ``c`` (T, H, B) holds the memory cells and becomes f over
-    those steps; the step below ``lo`` must still hold its memory cell,
-    which is the first step's c_prev, so a sequence is turned from its last
-    steps down.  tanh(c) is not cached: it is recomputed from ``c``, bit for
-    bit as the forward made it, into ``p_c`` (steps, H, B), which becomes
-    P_c = (1-tanh^2(c))o.  A handful of numpy calls over the steps, so that
-    ``cell_backward``'s per-step work is a few calls.
+    grad_h for o.  ``c`` (T, H, B) holds the memory cells, which
+    ``memory_cells`` rebuilt from ``gates`` before any step was turned,
+    and becomes f over those steps; the step below ``lo`` must still hold
+    its memory cell, which is the first step's c_prev, so a sequence is
+    turned from its last steps down.  tanh(c) is not cached: it is
+    recomputed from ``c``, bit for bit as the forward made it, into
+    ``p_c`` (steps, H, B), which becomes P_c = (1-tanh^2(c))o.  A handful
+    of numpy calls over the steps, so that ``cell_backward``'s per-step
+    work is a few calls.
     """
     hi = lo + len(p_c)
     g = gates[lo:hi].reshape(hi - lo, 4, c.shape[1], -1)
@@ -190,13 +205,12 @@ def backward_factors(gates, c, lo, p_c):
     np.subtract(1.0, p_c, out=p_c)
     p_c *= o  # P_c
     o *= s  # P_o
-    np.multiply(z, z, out=s)
-    np.subtract(1.0, s, out=s)
-    s *= i  # P_z
-    z *= i
+    np.multiply(z, i, out=s)
+    np.multiply(z, z, out=z)
+    np.subtract(1.0, z, out=z)
+    z *= i  # P_z
     np.subtract(1.0, i, out=i)
-    i *= z  # P_i
-    z[...] = s
+    i *= s  # P_i
     np.subtract(1.0, f, out=s)
     s *= f
     if lo:

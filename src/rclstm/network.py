@@ -17,45 +17,54 @@ buffers, so each step's product is one kernel call on checked blocks, and
 the input block to the input and gate buffers, so a span's projection is
 one ``write``: one kernel call per step, or one in all for a single
 window.  One budget, ``SPAN_BYTES`` of gate rows per span (``_span``),
-sizes both the cache-free forward's spans and the backward's chunks.
+sizes both the forward's spans and the backward's chunks.
 
-``forward_batch`` has two modes over the same loop:
+``forward_batch`` runs one loop in two modes, which differ only in how
+many steps of their buffers they keep:
 
-- with the cache (training, ``keep_cache=True``): the span is the whole
-  window, and the gate activations, the memory cell and the hidden states
-  hold all T steps, so ``backward_sequence`` can read them; the layer's
-  input is the layer below's hidden states, not a copy;
+- with the cache (training, ``keep_cache=True``): the gate buffer keeps
+  all T steps, each span projected straight into its own rows, and so do
+  the hidden states.  A layer's cache holds its input (the layer below's
+  hidden states, not a copy), its gate activations and its hidden states,
+  and nothing else;
 - without it (the default; serving and any other pass that does not
-  backpropagate): the gate buffer holds one span of preactivations and
-  the memory cell a ring of two steps.  Only the hidden states stay
-  (T, H, B), because the next layer projects them, and a layer's input
-  is dropped once the layer is done.  The outputs are bit-identical to
-  the cached mode.
+  backpropagate): the gate buffer holds one span of preactivations.  The
+  hidden states stay (T, H, B) below the top layer, because the next
+  layer projects them, and a layer's input is dropped once the layer is
+  done; the top layer keeps one span of them, because only its last step
+  feeds the head.  The outputs are bit-identical to the cached mode.
 
-In both modes tanh of the memory cell holds one step: the backward
-recomputes it from the cached cell, which numpy's ``tanh`` does bit for
-bit, rather than keep a (T, H, B) copy of it.
+In both modes the memory cell is a ring of two steps and tanh of it one
+step.  Each span is checked for a non-finite state before the next, so
+a failure names its layer and timestep in either mode.
 
-Backpropagation runs top-down a layer at a time.  A layer's time loop
-runs over chunks of a span of timesteps, from the last down, and
-finishes each chunk while it is in cache: one pass over the chunk
-(``cell.backward_factors``) turns its cached activations and states
-in place into the factors that depend on the forward alone and recomputes
-tanh(c) into a chunk-sized scratch; then each step is a few whole-block
-calls plus the recurrent product, added to the gradient of the step below
-in place by the transposed recurrent block, bound once to the layer's dA
-and hidden-state gradient buffers; then the chunk's rows of the gradient
-wrt the layer's input (one ``write`` of the transposed input block, bound
-once per layer and shard) and its columns of the feature-major dA are
-written.  A layer's weight gradient is one masked outer product per block
-over all T*B columns, a value vector shaped like its ``values``, and the
-layer below needs none of it.  So when a CSR batch leaves a CPU idle
-(``_grads_behind``), the weight gradient of each layer above the bottom
-one runs on ``linalg``'s pool (``in_background``) behind the layers
-below; ``backward_sequence`` takes back the jobs not yet started and
-collects every one before it returns or raises.  Otherwise each runs
-inline after its layer's time loop, and the layer's dA is freed before the
-layer below starts.  It is the same call either way, so the same bits.
+Backpropagation runs top-down a layer at a time.  Each shard first
+rebuilds the layer's (T, H, b) memory cells from its cached gates with
+the forward's own operations in the forward's order
+(``cell.memory_cells``), so bit for bit, into one cell buffer per shard
+that the layers below reuse.  A layer's time loop then runs over chunks
+of a span of timesteps, from the last down, and finishes each chunk
+while it is in cache: one pass over the chunk (``cell.backward_factors``)
+turns its cached activations and rebuilt cells in place into the
+factors that depend on the forward alone and recomputes tanh(c) into a
+chunk-sized scratch; then each step is a few whole-block calls plus the
+recurrent product, added to the gradient of the step below in place by
+the transposed recurrent block, bound once to the layer's dA and
+hidden-state gradient buffers.  The top layer's gradient from above has
+a term at the last step only, so its hidden-state gradient is a ring of
+two steps, each zeroed before the recurrent product adds to it.  Then
+the chunk's rows of the gradient wrt the layer's input (one ``write`` of
+the transposed input block, bound once per layer and shard) and its
+columns of the feature-major dA are written.  A layer's weight gradient
+is one masked outer product per block over all T*B columns, a value
+vector shaped like its ``values``, and the layer below needs none of it.
+So when a CSR batch leaves a CPU idle (``_grads_behind``), the weight
+gradient of each layer above the bottom one runs on ``linalg``'s pool
+(``in_background``) behind the layers below; ``backward_sequence`` takes
+back the jobs not yet started and collects every one before it returns
+or raises.  Otherwise each runs inline after its layer's time loop, and
+the layer's dA is freed before the layer below starts.  It is the same
+call either way, so the same bits.
 
 A batch whose products all run on CSR (below ``linalg.PRODUCT_DENSITY``)
 runs as contiguous shards of windows at once (``_shard_bounds``): the
@@ -63,12 +72,13 @@ calling thread runs the first, ``linalg``'s pool the others
 (``run_tasks``).  Windows meet only where the head and the gradients sum
 over them, so each shard runs the whole stack forward and each layer's
 time loop backward, writing its dA and states into column slices of
-feature-major (features, T, B) buffers shared by the batch; the head, the
-weight gradients and the bias sums then run once on the assembled batch.  The CSR kernels compute
-each window's column on its own, so outputs and gradients are the same
-bit for bit at any shard count.  ``taskset`` sets how many threads a batch
-runs on; pinning BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) keeps
-each shard's BLAS calls on its own core.
+feature-major (features, T, B) buffers shared by the batch; the head,
+the weight gradients and the bias sums then run once on the assembled
+batch.  The CSR kernels compute each window's column on its own, so
+outputs and gradients are the same bit for bit at any shard count.
+``taskset`` sets how many threads a batch runs on; pinning BLAS to one
+thread (``OPENBLAS_NUM_THREADS=1``) keeps each shard's BLAS calls on its
+own core.
 """
 
 import math
@@ -80,17 +90,17 @@ import numpy as np
 
 from . import linalg
 from .cell import (LstmLayerParams, backward_factors, cell_backward, cell_forward,
-                   init_layer)
+                   init_layer, memory_cells)
 from .errors import DivergenceError, ShapeError
 
 #: the one unroll budget: bytes of the (4H, windows) gate rows per
-#: timestep that one span of timesteps holds (``_span``).  The cache-free
-#: forward projects its input and keeps its gate preactivations a span at
-#: a time; the backward runs each layer's time loop over chunks of a span
-#: of timesteps, and finishes each (its factor pass,
-#: ``cell.backward_factors``, with its (H, windows) P_c scratch per step;
-#: its steps; its rows of the input gradient and columns of dA) before the
-#: next.  1 MiB, half the 2 MiB per-core L2 of the 2-CPU Xeon it was
+#: timestep that one span of timesteps holds (``_span``).  The forward
+#: projects its input a span at a time, and without the cache keeps its
+#: gate preactivations a span at a time; the backward runs each layer's
+#: time loop over chunks of a span of timesteps, and finishes each (its
+#: factor pass, ``cell.backward_factors``, with its (H, windows) P_c
+#: scratch per step; its steps; its rows of the input gradient and columns
+#: of dA) before the next.  1 MiB, half the 2 MiB per-core L2 of the 2-CPU Xeon it was
 #: measured on, keeps the whole window at B=1 on the paper's 3x300/T=100
 #: model (9.6 kB a step) and on a 3x150/T=12 one, so single-window serving
 #: projects its input in one call as training does; at B=256 one step
@@ -193,11 +203,11 @@ class LayerCache:
     each array once it is done with it."""
 
     x: np.ndarray  # the layer's input
-    # backpropagation turns gates and c into the backward's factors
-    # (``cell.backward_factors``), then gates into dA; tanh(c) is not kept,
-    # the factor pass recomputes it
+    # backpropagation turns gates into the backward's factors
+    # (``cell.backward_factors``), then into dA.  The memory cell is not
+    # kept: ``cell.memory_cells`` rebuilds it from the gates into the
+    # shard's cell buffer, and the factor pass recomputes tanh(c) from that
     gates: np.ndarray  # (T, 4H, b) activations f, i, z, o
-    c: np.ndarray
     h: np.ndarray
 
 
@@ -248,43 +258,46 @@ def _span(n_steps, hidden, windows):
     return min(n_steps, max(1, SPAN_BYTES // (4 * hidden * windows * 8)))
 
 
-def _layer_forward(k, layer, x, keep_cache):
+def _layer_forward(k, layer, x, keep_cache, top):
     """Unroll layer ``k`` over its (T, D, B) input sequence.
 
-    Returns the (T, H, B) hidden states and, with ``keep_cache``, the
-    layer's ``LayerCache`` (else None).  Without the cache the gate buffer
-    holds one span of timesteps and ``c`` a ring of two.  ``tanh_c`` holds
-    one step in both modes: the backward recomputes it from ``c``.
+    Returns its hidden states and, with ``keep_cache``, the layer's
+    ``LayerCache`` (else None).  One loop serves both modes: the input is
+    projected a ``_span`` of timesteps at a time, straight into the gate
+    buffer, which keeps every step with the cache and one span without.
+    ``c`` is a ring of two steps and ``tanh_c`` one step in both modes:
+    the backward rebuilds them from the gates.  The hidden states keep
+    every step, but for the ``top`` layer without the cache, only a span:
+    its last step alone feeds the head.  Each span is checked for a
+    non-finite state before the next, so a ring names the step it held.
     """
     n_steps, _, batch = x.shape
     hidden = layer.hidden_dim
     ops = layer.products()
-    if keep_cache:
-        span, n_c = n_steps, n_steps
-    else:
-        span = _span(n_steps, hidden, batch)
-        n_c = min(n_steps, 2)
-    gates = np.empty((span, 4 * hidden, batch))
-    c = np.empty((n_c, hidden, batch))
+    span = _span(n_steps, hidden, batch)
+    n_g = n_steps if keep_cache else span
+    n_h = span if top and not keep_cache else n_steps
+    gates = np.empty((n_g, 4 * hidden, batch))
+    c = np.empty((min(n_steps, 2), hidden, batch))
     tanh_c = np.empty((hidden, batch))
-    h = np.empty((n_steps, hidden, batch))
+    h = np.empty((n_h, hidden, batch))
     recurrent, _ = ops.h.bind(False, h, gates)
     _, project = ops.x.bind(False, x, gates)
-    for t in range(n_steps):
-        s = t % span
-        if s == 0:
-            n = min(span, n_steps - t)
-            project(t, 0, n)
-            gates[:n] += layer.b[:, None]
-        steps, c_prev = ((t - 1, s), c[(t - 1) % n_c]) if t else (None, None)
-        cell_forward(recurrent, steps, gates[s], c_prev, c[t % n_c], tanh_c, h[t])
-    if not math.isfinite(float(np.sum(h)) + float(np.sum(c))):
-        finite = np.isfinite(h).all(axis=(1, 2))
-        kept = np.arange(n_steps - n_c, n_steps)  # the steps whose c survives
-        finite[kept] &= np.isfinite(c[kept % n_c]).all(axis=(1, 2))
-        raise DivergenceError("non-finite cell state", layer=k,
-                              timestep=int(np.argmin(finite)))
-    return h, LayerCache(x, gates, c, h) if keep_cache else None
+    for lo in range(0, n_steps, span):
+        n, g = min(span, n_steps - lo), lo % n_g
+        project(lo, g, n)
+        gates[g : g + n] += layer.b[:, None]
+        for t in range(lo, lo + n):
+            steps, c_prev = (((t - 1) % n_h, t % n_g), c[(t - 1) % 2]) if t else (None, None)
+            cell_forward(recurrent, steps, gates[t % n_g], c_prev, c[t % 2], tanh_c, h[t % n_h])
+        # each |c| stays below t + 1 unless it is NaN, which makes h NaN at
+        # the same step: a non-finite state shows in h first
+        held = h[lo % n_h : lo % n_h + n]
+        if not math.isfinite(float(np.sum(held))):
+            finite = np.isfinite(held).all(axis=(1, 2))
+            raise DivergenceError("non-finite cell state", layer=k,
+                                  timestep=lo + int(np.argmin(finite)))
+    return h, LayerCache(x, gates, h) if keep_cache else None
 
 
 def _shard_bounds(model, batch):
@@ -335,17 +348,19 @@ def batch_plan(model, batch):
 
 
 def _stack_forward(model, windows, keep_cache):
-    """One shard's unroll through every layer: its (T, H, b) top-layer
-    hidden states and layer caches, or the DivergenceError it stopped at."""
+    """One shard's unroll through every layer: its (H, b) top-layer hidden
+    state at the last step and its layer caches, or the DivergenceError it
+    stopped at."""
     x = np.ascontiguousarray(windows.transpose(1, 2, 0))
     caches = []
+    top = len(model.layers) - 1
     try:
         for k, layer in enumerate(model.layers):
-            x, cache = _layer_forward(k, layer, x, keep_cache)
+            x, cache = _layer_forward(k, layer, x, keep_cache, k == top)
             caches.append(cache)
     except DivergenceError as err:
         return err
-    return x, caches
+    return x[(windows.shape[1] - 1) % len(x)], caches
 
 
 def _first_divergence(results):
@@ -361,8 +376,8 @@ def forward_batch(model, windows, keep_cache=False):
     needs, else None.
 
     By default the pass keeps no cache: it holds one span of gate
-    preactivations and two layers' hidden states instead of every layer's
-    full unroll, a fraction of the memory.  Only a caller that
+    preactivations and at most two layers' hidden states instead of every
+    layer's full unroll, a fraction of the memory.  Only a caller that
     backpropagates, as ``fit`` does, asks for the cache; the outputs are
     the same bit for bit either way.
     """
@@ -378,7 +393,7 @@ def forward_batch(model, windows, keep_cache=False):
     err = _first_divergence(results)
     if err is not None:
         raise err
-    top = np.concatenate([h[-1] for h, _ in results], axis=1)
+    top = np.concatenate([last for last, _ in results], axis=1)
     head_out = top.T @ model.head_w.T + model.head_b
     if not keep_cache:
         return head_out, None
@@ -386,20 +401,26 @@ def forward_batch(model, windows, keep_cache=False):
                                    [(l.input_dim, l.hidden_dim) for l in model.layers])
 
 
-def _shard_backward(layer, caches, k, grad_h, da, x, h):
+def _shard_backward(layer, caches, k, grad_h, da, x, h, cells, i):
     """Backpropagate layer ``k``'s unroll over one shard.
 
-    ``caches`` is the shard's LayerCache per layer and ``grad_h`` (T, H, b)
-    the loss gradient wrt the shard's hidden states from above; each
-    step's recurrent part is added to it in place.  The time loop runs over
-    chunks of ``_span`` timesteps, the forward's budget, from the last
-    chunk down, and each chunk is done before the next:
-    ``cell.backward_factors`` turns its cached gates and states into the
+    ``caches`` is the shard's LayerCache per layer and ``grad_h`` the loss
+    gradient wrt the shard's hidden states from above: (T, H, b), or for
+    the top layer, whose only term from above is at the last step, a ring
+    of two steps; each step's recurrent part is added to it in place, into
+    a ring step zeroed just before.  First ``cell.memory_cells`` rebuilds
+    the layer's memory cells into the leading (T, H, b) of ``cells[i]``,
+    the shard's flat cell buffer, made here (after the cached input and
+    hidden states are dropped) on the first layer that does not fit the
+    one it holds, and reused by the layers below.  Then the time loop
+    runs over chunks of ``_span`` timesteps, the forward's budget, from
+    the last chunk down, and each chunk is done before the next:
+    ``cell.backward_factors`` turns its cached gates and cells into the
     factors that depend on the forward alone, so each step runs a few
-    whole-block calls; then its steps, its rows of the gradient
-    wrt the input and its columns of dA, while they are still in cache.
-    The shard's dA is written into ``da``, its input sequence into ``x``
-    and, unless None, its hidden states into ``h``: (features, T, b) column
+    whole-block calls; then its steps, its rows of the gradient wrt the
+    input and its columns of dA, while they are still in cache.  The
+    shard's dA is written into ``da``, its input sequence into ``x`` and,
+    unless None, its hidden states into ``h``: (features, T, b) column
     slices of the batch's feature-major buffers.  Each cached array is
     dropped once copied, and the layer's cache once done, so the batch
     holds one copy of each at a time.  Returns the gradient wrt the
@@ -415,19 +436,28 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h):
         h[...] = lc.h.transpose(1, 0, 2)
     lc.h = None
     ops = layer.products()
-    n_steps, hidden, width = lc.c.shape
+    n_steps, _, width = lc.gates.shape
+    hidden, n_g = layer.hidden_dim, len(grad_h)
     span = _span(n_steps, hidden, width)
     p_c = np.empty((span, hidden, width))
     grad_c, dc = np.zeros((hidden, width)), np.empty((hidden, width))
+    size = n_steps * hidden * width
+    if cells[i].size < size:
+        cells[i] = None
+        cells[i] = np.empty(size)
+    c = cells[i][:size].reshape(n_steps, hidden, width)
+    memory_cells(lc.gates, c, dc)
     grad_x = np.empty((n_steps, layer.input_dim, width)) if k else None
     recurrent, _ = ops.h.bind(True, lc.gates, grad_h)
     _, project = ops.x.bind(True, lc.gates, grad_x) if k else (None, None)
     for hi in range(n_steps, 0, -span):
         lo = max(0, hi - span)
-        backward_factors(lc.gates, lc.c, lo, p_c[: hi - lo])
+        backward_factors(lc.gates, c, lo, p_c[: hi - lo])
         for t in range(hi - 1, lo - 1, -1):
-            cell_backward(recurrent, (t, t - 1) if t else None, lc.gates[t], lc.c[t],
-                          p_c[t - lo], grad_h[t], grad_c, dc)
+            if t and n_g < n_steps:
+                grad_h[(t - 1) % n_g] = 0.0
+            cell_backward(recurrent, (t, (t - 1) % n_g) if t else None, lc.gates[t], c[t],
+                          p_c[t - lo], grad_h[t % n_g], grad_c, dc)
         if k:
             project(lo, lo, hi - lo)
         da[:, lo:hi] = lc.gates[lo:hi].transpose(1, 0, 2)
@@ -447,19 +477,19 @@ def _weight_grad(ops, da, x, h, batch):
     return grad_w
 
 
-def _layer_backward(layer, k, cache, grad_h, h):
+def _layer_backward(layer, k, cache, grad_h, h, cells):
     """Backpropagate layer ``k`` over every shard of the batch.
 
-    ``grad_h`` holds each shard's (T, H, b) loss gradient wrt its hidden
-    states from above, and ``h`` the layer's hidden states as a
-    (H, T, B) array, or None for the top layer, whose shards copy them
-    there.  Returns (weight_grad, grad_b, grad_h for the layer below, the
-    layer's input as a (D, T, B) array): ``weight_grad()`` computes the
-    gradient wrt ``layer.values``, the live weights in
+    ``grad_h`` holds each shard's loss gradient wrt its hidden states from
+    above, ``cells`` each shard's cell buffer, and ``h`` the layer's
+    hidden states as a (H, T, B) array, or None for the top layer, whose
+    shards copy them there.  Returns (weight_grad, grad_b, grad_h for the
+    layer below, the layer's input as a (D, T, B) array): ``weight_grad()``
+    computes the gradient wrt ``layer.values``, the live weights in
     ``np.flatnonzero(mask.bits)`` order, and is the only thing returned
     that holds the layer's dA.
     """
-    n_steps, batch = grad_h[0].shape[0], cache.head_out.shape[0]
+    n_steps, batch = cache.shards[0][k].gates.shape[0], cache.head_out.shape[0]
     # (features, T, B) buffers, so each is one (features, T*B) array with
     # columns in (t, b) order once reshaped
     da = np.empty((4 * layer.hidden_dim, n_steps, batch))
@@ -469,8 +499,8 @@ def _layer_backward(layer, k, cache, grad_h, h):
         h = np.empty((layer.hidden_dim, n_steps, batch))
     grad_h = linalg.run_tasks([
         partial(_shard_backward, layer, caches, k, g, da[:, :, lo:hi], x[:, :, lo:hi],
-                h[:, :, lo:hi] if top else None)
-        for (lo, hi), caches, g in zip(cache.bounds, cache.shards, grad_h)])
+                h[:, :, lo:hi] if top else None, cells, i)
+        for i, ((lo, hi), caches, g) in enumerate(zip(cache.bounds, cache.shards, grad_h))])
     da, x_fm, h_fm = (a.reshape(a.shape[0], -1) for a in (da, x, h))
     return (partial(_weight_grad, layer.products(), da, x_fm, h_fm, batch), da.sum(axis=1),
             grad_h, x)
@@ -506,10 +536,13 @@ def backward_sequence(model, cache, loss_grad):
     cache.consumed = True
     grads = {"head.w": loss_grad.T @ cache.top.T, "head.b": loss_grad.sum(axis=0)}
     top_grad = (loss_grad @ model.head_w).T
-    grad_h = []
-    for (lo, hi), caches in zip(cache.bounds, cache.shards):
-        grad_h.append(np.zeros_like(caches[-1].h))
-        grad_h[-1][-1] = top_grad[:, lo:hi]
+    n_steps = cache.shards[0][-1].h.shape[0]
+    n_ring = min(n_steps, 2)
+    grad_h = []  # per shard, the top layer's gradient ring
+    for lo, hi in cache.bounds:
+        grad_h.append(np.zeros((n_ring, dims[-1][1], hi - lo)))
+        grad_h[-1][(n_steps - 1) % n_ring] = top_grad[:, lo:hi]
+    cells = [np.empty(0)] * len(cache.bounds)  # per shard, its cell buffer
     behind = _grads_behind(model, len(cache.bounds))
     jobs = []  # (key, weight_grad, future) of each one started in the background
     h = None  # layer k's hidden states, feature-major: layer k + 1's input
@@ -518,7 +551,7 @@ def backward_sequence(model, cache, loss_grad):
             key = f"layer{k}.w"
             grads[key] = None  # holds its place: clipping sums the norm in key order
             weight_grad, grads[f"layer{k}.b"], grad_h, h = _layer_backward(
-                model.layers[k], k, cache, grad_h, h)
+                model.layers[k], k, cache, grad_h, h, cells)
             if behind and k:
                 jobs.append((key, weight_grad, linalg.in_background(weight_grad)))
             else:

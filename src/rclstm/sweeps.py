@@ -6,16 +6,17 @@ plot-ready CSVs plus a text summary, deterministic given the seed list.
 
 ``prepare`` is the only code that turns a RunConfig into its data.
 ``prepare_points`` makes each point's data once, from ``at_point(cfg,
-point)`` alone, and counts its cut (``data.cut``, which builds no
-window) before any point trains; every seed's job at that point then
-only splits the series it is handed.  So a ``train_fraction`` or
+point)`` alone, and counts its cut (``data.cut``, which builds no window)
+before any point trains; every seed's job at that point then only splits
+the series it is handed, and a serial sweep's consecutive jobs that share
+a preparation and a cut share one split.  So a ``train_fraction`` or
 ``window_length`` point fits its normalization and codebook on its own
 training prefix, whatever the base config holds, and a row's
-``config_hash`` names everything its data came from.  Connectivity
-points set a ``[model]`` key, which ``prepare`` never reads, so they
-share one preparation: the data file is read once.  A dataset cache has
-fixed its normalization and codebook already, so a ``[data]``-axis sweep
-over one is refused.
+``config_hash`` names everything its data came from.  Connectivity points
+set a ``[model]`` key, which ``prepare`` never reads, so they share one
+preparation: the data file is read once.  A dataset cache has fixed its
+normalization and codebook already, so a ``[data]``-axis sweep over one is
+refused.
 
 Every row, the RCLSTM's and each baseline's, is made by one ``row(name,
 run)``: ``training.score`` puts the metric of ``run()``'s test predictions
@@ -172,12 +173,29 @@ def prepare_points(cfg):
     return [(point, made(point)) for point in cfg.sweep.points]
 
 
-def _run_point(cfg, point, prepared, seed):
+def _split_once():
+    """``split`` for a serial sweep's jobs, in their order: consecutive
+    jobs that share a preparation and a cut (``window``,
+    ``train_fraction``) share one split, whose windows are read-only views
+    of the series.  Only the last split is held."""
+    held = [None, None]  # the key of the split held, and the split
+
+    def shared(cfg, prepared):
+        # the sweep's jobs keep every preparation alive, so its id is its own
+        key = (id(prepared), cfg.data.window, cfg.data.train_fraction)
+        if held[0] != key:
+            held[:] = None, None
+            held[:] = key, split(cfg, prepared)
+        return held[1]
+    return shared
+
+
+def _run_point(cfg, point, prepared, seed, split=split):
     """Train and evaluate every requested model at one (point, seed).
 
     The point runs on ``at_point(cfg, point)`` with the model and training
     seeds set to ``seed``, and on the point's ``prepared`` series, which it
-    only splits; rows carry its digest.
+    only cuts, by ``split``; rows carry its digest.
     """
     cfg = at_point(cfg, point)
     cfg.model.seed = cfg.training.seed = seed
@@ -235,15 +253,17 @@ def run_sweep(cfg, points, parallel=1):
     prepared)`` pairs ``prepare_points(cfg)`` gave; points x seeds run
     independently and the report row order is deterministic regardless of
     ``parallel``, which starts no more worker processes than there are
-    jobs.  A worker is handed its point's series, never its windows.  The
-    points are taken as ``RunConfig.validate`` checked them: each by the
-    rule of the key its axis sets."""
+    jobs.  Run serially, the jobs that share a split share its windows
+    (``_split_once``); a worker is handed its point's series, never its
+    windows.  The points are taken as ``RunConfig.validate`` checked them:
+    each by the rule of the key its axis sets."""
     jobs = [(point, prepared, seed) for point, prepared in points
             for seed in cfg.sweep.seeds]
     rows = []
     if parallel <= 1:
+        shared = _split_once()
         for job in jobs:
-            rows.extend(_run_point(cfg, *job))
+            rows.extend(_run_point(cfg, *job, split=shared))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(parallel, len(jobs)),
                                                     initializer=_one_worker) as pool:

@@ -519,7 +519,8 @@ timing_reps = 2
 include_baselines = true
 """
         cfg = write_cfg(tmp_path, text)
-        assert main(["sweep", "--config", cfg, "--freeze-timestamps"]) == 0
+        with pytest.warns(UserWarning, match="singular ARIMA"):
+            assert main(["sweep", "--config", cfg, "--freeze-timestamps"]) == 0
         path = tmp_path / "out" / "sweep_connectivity_frozen.csv"
         with open(path, newline="") as fh:
             status = {(row["value"], row["model"]): row["status"]
@@ -1060,6 +1061,40 @@ timing_reps = 2
         with open(tmp_path / "out" / f"sweep_{axis}_frozen.csv", newline="") as fh:
             status = [row["status"] for row in csv.DictReader(fh)]
         assert status == ["ok"] * (3 * len(points.split(",")))
+
+    @pytest.mark.parametrize("axis, points, windows, built", [
+        ("connectivity", "0.5,1.0", [6, 6], [6]),
+        ("train_fraction", "0.5,0.9", [6, 6], [6, 6]),
+        ("window_length", "4,6", [4, 6], [4, 6])])
+    def test_serial_sweep_windows_each_shared_split_once(self, tmp_path, monkeypatch, axis,
+                                                        points, windows, built):
+        # a serial sweep's consecutive jobs that share a preparation and a
+        # cut share one split: a connectivity sweep builds the one-hot
+        # windows once for all its points and seeds, a [data] axis once a
+        # point; the report is the one of a split per job, byte for byte
+        from rclstm import sweeps
+        from rclstm.data import PreparedData
+
+        path, _ = self.mobility_csv(tmp_path)
+        cfg = self.sweep_config(tmp_path, "mobility", path, axis, points, seeds="0,1,2")
+        windows_of = PreparedData.windows
+        reports = []
+        for shared in (True, False):
+            calls = []
+
+            def spy(self, window):
+                calls.append(window)
+                return windows_of(self, window)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(PreparedData, "windows", spy)
+                if not shared:
+                    patch.setattr(sweeps, "_split_once", lambda: sweeps.split)
+                assert main(["sweep", "--config", cfg, "--freeze-timestamps"]) == 0
+            assert calls == (built if shared else [w for w in windows for _ in range(3)])
+            reports.append([(tmp_path / "out" / f"sweep_{axis}_frozen.{ext}").read_bytes()
+                            for ext in ("csv", "txt")])
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("axis, points", [
         ("connectivity", "0.5,1.0"), ("train_fraction", "0.5,0.9"),

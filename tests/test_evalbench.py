@@ -205,7 +205,8 @@ class TestSweeps:
     def test_baseline_rows_added(self):
         cfg = tiny_config(include_baselines=True)
         cfg.training.epochs = 1
-        report = sweep(cfg)
+        with pytest.warns(UserWarning, match="singular ARIMA"):
+            report = sweep(cfg)
         models = {r.model for r in report.rows}
         assert models == {"rclstm", "naive", "arima", "ffnn"}
 

@@ -282,9 +282,10 @@ class TestBackwardSequence:
             assert all(np.array_equal(grads[0][key], other[key]) for key in grads[0])
 
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_cache_holds_input_gates_c_and_h_only(self, shards, monkeypatch):
-        # the backward recomputes tanh(c), so a layer's training cache holds
-        # its input (the layer below's h, not a copy), its gates, c and h
+    def test_cache_holds_input_gates_and_h_only(self, shards, monkeypatch):
+        # the backward rebuilds c from the gates and tanh(c) from c, so a
+        # layer's training cache holds its input (the layer below's h, not
+        # a copy), its gates and h
         monkeypatch.setattr(linalg, "WORKERS", shards)
         monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
         model = build_model(2, [6, 5], seed=1, density=SPARSE)
@@ -297,9 +298,52 @@ class TestBackwardSequence:
                 hidden = layer.hidden_dim
                 assert {name: a.shape for name, a in vars(lc).items()} == {
                     "x": (7, dim, hi - lo), "gates": (7, 4 * hidden, hi - lo),
-                    "c": (7, hidden, hi - lo), "h": (7, hidden, hi - lo)}
+                    "h": (7, hidden, hi - lo)}
                 assert k == 0 or lc.x is caches[k - 1].h
                 dim = hidden
+
+    @pytest.mark.parametrize("mix", list(MIXES))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_step_spans_change_no_bit(self, mix, workers):
+        # the cached forward projects its input a span at a time; spans of
+        # one step give the outputs and gradients of the default's one span
+        rng = np.random.default_rng(4)
+        windows, douts = rng.normal(size=(4, 7, 2)), rng.normal(size=(4, 1))
+        got = []
+        for span_bytes in (network.SPAN_BYTES, 1):
+            with sharding(workers, mix), mock.patch.object(network, "SPAN_BYTES", span_bytes):
+                model = build_model(2, [6, 5, 4], seed=3, density=SPARSE)
+                assert network._span(7, 6, 4) == (7 if span_bytes > 1 else 1)
+                outs, cache = forward_batch(model, windows, keep_cache=True)
+                assert len(cache.bounds) == (1 if mix == "dense" else workers)
+                got.append((outs, backward_sequence(model, cache, douts)))
+        (outs, grads), (one_outs, one_grads) = got
+        assert np.array_equal(outs, one_outs)
+        assert grads.keys() == one_grads.keys()
+        assert all(np.array_equal(grads[key], one_grads[key]) for key in grads)
+
+    def test_step_holds_no_memory_cells(self):
+        # one fit step of a 3-layer model holds, in units of one layer's
+        # (T, H, B) states: the cache's gates and hidden states (15), the
+        # top layer's backward buffers (dA, input, hidden states, rebuilt
+        # cells and input gradient: 8) and the step's other arrays (under
+        # 2).  Caching each layer's c and the top layer's whole gradient
+        # from above would add 4
+        import tracemalloc
+
+        n_steps, hidden, batch = 40, 32, 32
+        model = build_model(1, [hidden] * 3, seed=0)
+        rng = np.random.default_rng(0)
+        train = WindowedDataset(rng.random((batch, n_steps, 1)), rng.random(batch), n_steps)
+        config = TrainingConfig(epochs=1, batch_size=batch, seed=0)
+        fit(model, train, config)  # builds the products
+        tracemalloc.start()
+        try:
+            fit(model, train, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * n_steps * hidden * batch * 8
 
     def test_stale_cache_rejected(self):
         model = build_model(1, [4], seed=0)
@@ -361,6 +405,24 @@ class TestBackwardSequence:
             with pytest.raises(DivergenceError) as info:
                 forward_batch(model, np.ones((2, 6, 1)), keep_cache=keep_cache)
             assert (info.value.layer, info.value.timestep) == (1, 0)
+        # without the cache the top layer keeps one span of hidden states,
+        # here one step, and still names the step that went non-finite
+        real, calls = network.cell_forward, []
+
+        def poisoned(*args):
+            real(*args)
+            calls.append(args)
+            if len(calls) == 6 + 5:  # layer 1's fifth step, timestep 4
+                args[-1][0, 1] = np.nan
+
+        monkeypatch.setattr(network, "cell_forward", poisoned)
+        model = build_model(1, [4, 4], seed=0)
+        for keep_cache in (True, False):
+            calls.clear()
+            with pytest.raises(DivergenceError) as info:
+                forward_batch(model, np.ones((2, 6, 1)), keep_cache=keep_cache)
+            assert (info.value.layer, info.value.timestep) == (1, 4)
+            assert len(calls) == 6 + 5
 
 
 class TestServing:
