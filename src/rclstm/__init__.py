@@ -9,8 +9,10 @@ CSR, above it through dense BLAS.
 The unroll has two modes.  By default ``forward_batch`` keeps no cache:
 it holds one cache-sized span of gate preactivations and two layers'
 hidden states, as serving (``predict_batch``) runs it.  Training (``fit``)
-asks for the cache, every layer's gates and states, which
-``backward_sequence`` reads; the outputs are the same bit for bit.
+asks for the cache: every layer's gates, and the windows and every
+layer's hidden states, which the unroll writes feature-major as it goes,
+so ``backward_sequence`` reads them in place and copies none.  The
+outputs are the same bit for bit.
 
 Of scipy the package loads only the compiled CSR kernels it calls, not
 ``scipy.sparse`` (see ``linalg``).

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import checked_array, read_container, write_container
 from .errors import (CheckpointError, DataFormatError, EncodingError,
-                     InsufficientDataError)
+                     InsufficientDataError, ShapeError)
 from .network import TASKS
 
 TRAFFIC_HEADER = ["timestamp", "kbps"]
@@ -101,13 +101,21 @@ class WindowedDataset:
     """Stacked (window, next value) samples.
 
     ``inputs`` is (N, T, F), a read-only view of the series it windows,
-    and ``targets`` is an array of its own.
+    and ``targets`` is an array of its own, (N,): one value or class per
+    window.  Any other shapes raise ShapeError, so ``fit``,
+    ``baselines.ffnn_train`` and ``evaluate_model`` all take only those.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     window: int
     classes: int | None = None  # m for classification datasets
+
+    def __post_init__(self):
+        inputs, targets = np.shape(self.inputs), np.shape(self.targets)
+        if len(inputs) != 3 or targets != inputs[:1]:
+            raise ShapeError(f"expected (N, T, F) inputs and (N,) targets, got {inputs} "
+                             f"and {targets}")
 
     def __len__(self):
         return self.inputs.shape[0]

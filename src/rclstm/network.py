@@ -20,13 +20,17 @@ window.  One budget, ``SPAN_BYTES`` of gate rows per span (``_span``),
 sizes both the forward's spans and the backward's chunks.
 
 ``forward_batch`` runs one loop in two modes, which differ only in how
-many steps of their buffers they keep:
+many steps of their buffers they keep and in what they leave for the
+backward:
 
 - with the cache (training, ``keep_cache=True``): the gate buffer keeps
-  all T steps, each span projected straight into its own rows, and so do
-  the hidden states.  A layer's cache holds its input (the layer below's
-  hidden states, not a copy), its gate activations and its hidden states,
-  and nothing else;
+  all T steps, each span projected straight into its own rows.  Each
+  shard also writes its windows, and each layer's hidden states once the
+  layer is unrolled, into its column slices of the batch's feature-major
+  (features, T, B) states, as the masked outer products read them; a
+  layer's time-major hidden states are only the unroll's working buffer,
+  dropped once the layer above has projected them.  The cache holds each
+  shard's gates per layer and the batch's states, and nothing else;
 - without it (the default; serving and any other pass that does not
   backpropagate): the gate buffer holds one span of preactivations.  The
   hidden states stay (T, H, B) below the top layer, because the next
@@ -56,8 +60,10 @@ two steps, each zeroed before the recurrent product adds to it.  Then
 the chunk's rows of the gradient wrt the layer's input (one ``write`` of
 the transposed input block, bound once per layer and shard) and its
 columns of the feature-major dA are written.  A layer's weight gradient
-is one masked outer product per block over all T*B columns, a value
-vector shaped like its ``values``, and the layer below needs none of it.
+is one masked outer product per block over all T*B columns of dA and of
+the cached states, read in place: nothing in the backward copies a state.
+It is a value vector shaped like its ``values``, and the layer below
+needs none of it.
 So when a CSR batch leaves a CPU idle (``_grads_behind``), the weight
 gradient of each layer above the bottom one runs on ``linalg``'s pool
 (``in_background``) behind the layers below; ``backward_sequence`` takes
@@ -71,7 +77,7 @@ runs as contiguous shards of windows at once (``_shard_bounds``): the
 calling thread runs the first, ``linalg``'s pool the others
 (``run_tasks``).  Windows meet only where the head and the gradients sum
 over them, so each shard runs the whole stack forward and each layer's
-time loop backward, writing its dA and states into column slices of
+time loop backward, writing its states and dA into column slices of
 feature-major (features, T, B) buffers shared by the batch; the head,
 the weight gradients and the bias sums then run once on the assembled
 batch.  The CSR kernels compute each window's column on its own, so
@@ -197,29 +203,23 @@ class StackedRclstm:
 
 
 @dataclass
-class LayerCache:
-    """One layer's unroll over a shard of the batch; every array is
-    (T, features, windows of the shard).  ``backward_sequence`` drops
-    each array once it is done with it."""
-
-    x: np.ndarray  # the layer's input
-    # backpropagation turns gates into the backward's factors
-    # (``cell.backward_factors``), then into dA.  The memory cell is not
-    # kept: ``cell.memory_cells`` rebuilds it from the gates into the
-    # shard's cell buffer, and the factor pass recomputes tanh(c) from that
-    gates: np.ndarray  # (T, 4H, b) activations f, i, z, o
-    h: np.ndarray
-
-
-@dataclass
 class SequenceCache:
-    """The forward unroll retained for one ``backward_sequence`` call."""
+    """The forward unroll retained for one ``backward_sequence`` call,
+    which drops each array once it is done with it."""
 
     bounds: list  # the shards' window bounds, (lo, hi) in batch order
-    shards: list  # per shard, its LayerCache per layer, bottom first
+    # per shard, each layer's (T, 4H, b) gate activations f, i, z, o,
+    # bottom first.  Backpropagation turns them into the backward's
+    # factors (``cell.backward_factors``), then into dA.  The memory cell
+    # is not kept: ``cell.memory_cells`` rebuilds it from the gates into
+    # the shard's cell buffer, and the factor pass recomputes tanh(c)
+    shards: list
+    # the batch's inputs, feature-major: the windows as (F, T, B), then
+    # each layer's hidden states as (H, T, B), as the masked outer
+    # products read them.  Their leading dims name the model the cache fits
+    states: list
     top: np.ndarray  # (H, B) top-layer hidden state at the last step
     head_out: np.ndarray
-    layer_dims: list
     consumed: bool = False
 
 
@@ -261,8 +261,8 @@ def _span(n_steps, hidden, windows):
 def _layer_forward(k, layer, x, keep_cache, top):
     """Unroll layer ``k`` over its (T, D, B) input sequence.
 
-    Returns its hidden states and, with ``keep_cache``, the layer's
-    ``LayerCache`` (else None).  One loop serves both modes: the input is
+    Returns its hidden states and, with ``keep_cache``, its (T, 4H, B)
+    gate activations (else None).  One loop serves both modes: the input is
     projected a ``_span`` of timesteps at a time, straight into the gate
     buffer, which keeps every step with the cache and one span without.
     ``c`` is a ring of two steps and ``tanh_c`` one step in both modes:
@@ -297,7 +297,7 @@ def _layer_forward(k, layer, x, keep_cache, top):
             finite = np.isfinite(held).all(axis=(1, 2))
             raise DivergenceError("non-finite cell state", layer=k,
                                   timestep=lo + int(np.argmin(finite)))
-    return h, LayerCache(x, gates, h) if keep_cache else None
+    return h, gates if keep_cache else None
 
 
 def _shard_bounds(model, batch):
@@ -347,20 +347,28 @@ def batch_plan(model, batch):
     return shards, "background" if _grads_behind(model, shards) else "inline"
 
 
-def _stack_forward(model, windows, keep_cache):
+def _stack_forward(model, windows, states):
     """One shard's unroll through every layer: its (H, b) top-layer hidden
-    state at the last step and its layer caches, or the DivergenceError it
-    stopped at."""
+    state at the last step and, given ``states``, its gates per layer, or
+    the DivergenceError it stopped at.  ``states`` is None, or the shard's
+    column slices of the batch's feature-major states
+    (``SequenceCache.states``), which it writes: its windows, then each
+    layer's hidden states once the layer is unrolled."""
+    keep_cache = states is not None
     x = np.ascontiguousarray(windows.transpose(1, 2, 0))
-    caches = []
+    if keep_cache:
+        states[0][...] = windows.transpose(2, 1, 0)
+    gates = []
     top = len(model.layers) - 1
     try:
         for k, layer in enumerate(model.layers):
-            x, cache = _layer_forward(k, layer, x, keep_cache, k == top)
-            caches.append(cache)
+            x, g = _layer_forward(k, layer, x, keep_cache, k == top)
+            if keep_cache:
+                states[k + 1][...] = x.transpose(1, 0, 2)
+            gates.append(g)
     except DivergenceError as err:
         return err
-    return x[(windows.shape[1] - 1) % len(x)], caches
+    return x[(windows.shape[1] - 1) % len(x)], gates
 
 
 def _first_divergence(results):
@@ -378,8 +386,10 @@ def forward_batch(model, windows, keep_cache=False):
     By default the pass keeps no cache: it holds one span of gate
     preactivations and at most two layers' hidden states instead of every
     layer's full unroll, a fraction of the memory.  Only a caller that
-    backpropagates, as ``fit`` does, asks for the cache; the outputs are
-    the same bit for bit either way.
+    backpropagates, as ``fit`` does, asks for the cache: every layer's
+    gates per shard and the batch's feature-major windows and hidden
+    states (``SequenceCache``).  The outputs are the same bit for bit
+    either way.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or 0 in windows.shape[:2]:
@@ -387,9 +397,14 @@ def forward_batch(model, windows, keep_cache=False):
     if windows.shape[2] != model.feature_dim:
         raise ShapeError(
             f"feature dim {windows.shape[2]} != model feature dim {model.feature_dim}")
-    bounds = _shard_bounds(model, windows.shape[0])
-    results = linalg.run_tasks(
-        [partial(_stack_forward, model, windows[lo:hi], keep_cache) for lo, hi in bounds])
+    batch, n_steps, _ = windows.shape
+    bounds = _shard_bounds(model, batch)
+    dims = [model.feature_dim] + [layer.hidden_dim for layer in model.layers]
+    states = [np.empty((dim, n_steps, batch)) for dim in dims] if keep_cache else None
+    results = linalg.run_tasks([
+        partial(_stack_forward, model, windows[lo:hi],
+                None if states is None else [s[:, :, lo:hi] for s in states])
+        for lo, hi in bounds])
     err = _first_divergence(results)
     if err is not None:
         raise err
@@ -397,46 +412,35 @@ def forward_batch(model, windows, keep_cache=False):
     head_out = top.T @ model.head_w.T + model.head_b
     if not keep_cache:
         return head_out, None
-    return head_out, SequenceCache(bounds, [caches for _, caches in results], top, head_out,
-                                   [(l.input_dim, l.hidden_dim) for l in model.layers])
+    return head_out, SequenceCache(bounds, [gates for _, gates in results], states, top,
+                                   head_out)
 
 
-def _shard_backward(layer, caches, k, grad_h, da, x, h, cells, i):
+def _shard_backward(layer, caches, k, grad_h, da, cells, i):
     """Backpropagate layer ``k``'s unroll over one shard.
 
-    ``caches`` is the shard's LayerCache per layer and ``grad_h`` the loss
+    ``caches`` is the shard's gates per layer, of which layer ``k``'s is
+    the last, taken out here and dropped once done.  ``grad_h`` is the loss
     gradient wrt the shard's hidden states from above: (T, H, b), or for
     the top layer, whose only term from above is at the last step, a ring
     of two steps; each step's recurrent part is added to it in place, into
     a ring step zeroed just before.  First ``cell.memory_cells`` rebuilds
     the layer's memory cells into the leading (T, H, b) of ``cells[i]``,
-    the shard's flat cell buffer, made here (after the cached input and
-    hidden states are dropped) on the first layer that does not fit the
-    one it holds, and reused by the layers below.  Then the time loop
-    runs over chunks of ``_span`` timesteps, the forward's budget, from
-    the last chunk down, and each chunk is done before the next:
-    ``cell.backward_factors`` turns its cached gates and cells into the
-    factors that depend on the forward alone, so each step runs a few
+    the shard's flat cell buffer, made here on the first layer that does
+    not fit the one it holds, and reused by the layers below.  Then the
+    time loop runs over chunks of ``_span`` timesteps, the forward's
+    budget, from the last chunk down, and each chunk is done before the
+    next: ``cell.backward_factors`` turns its cached gates and cells into
+    the factors that depend on the forward alone, so each step runs a few
     whole-block calls; then its steps, its rows of the gradient wrt the
     input and its columns of dA, while they are still in cache.  The
-    shard's dA is written into ``da``, its input sequence into ``x`` and,
-    unless None, its hidden states into ``h``: (features, T, b) column
-    slices of the batch's feature-major buffers.  Each cached array is
-    dropped once copied, and the layer's cache once done, so the batch
-    holds one copy of each at a time.  Returns the gradient wrt the
-    shard's input sequence, or None for the bottom layer.
+    shard's dA is written into ``da``, its (4H, T, b) column slice of the
+    batch's.  Returns the gradient wrt the shard's input sequence, or None
+    for the bottom layer.
     """
-    lc = caches[k]
-    caches[k] = None
-    x[...] = lc.x.transpose(1, 0, 2)
-    lc.x = None
-    if k:
-        caches[k - 1].h = None  # the same array as this layer's input
-    if h is not None:
-        h[...] = lc.h.transpose(1, 0, 2)
-    lc.h = None
+    gates = caches.pop()  # layer k's, the top of what the shard holds
     ops = layer.products()
-    n_steps, _, width = lc.gates.shape
+    n_steps, _, width = gates.shape
     hidden, n_g = layer.hidden_dim, len(grad_h)
     span = _span(n_steps, hidden, width)
     p_c = np.empty((span, hidden, width))
@@ -446,21 +450,21 @@ def _shard_backward(layer, caches, k, grad_h, da, x, h, cells, i):
         cells[i] = None
         cells[i] = np.empty(size)
     c = cells[i][:size].reshape(n_steps, hidden, width)
-    memory_cells(lc.gates, c, dc)
+    memory_cells(gates, c, dc)
     grad_x = np.empty((n_steps, layer.input_dim, width)) if k else None
-    recurrent, _ = ops.h.bind(True, lc.gates, grad_h)
-    _, project = ops.x.bind(True, lc.gates, grad_x) if k else (None, None)
+    recurrent, _ = ops.h.bind(True, gates, grad_h)
+    _, project = ops.x.bind(True, gates, grad_x) if k else (None, None)
     for hi in range(n_steps, 0, -span):
         lo = max(0, hi - span)
-        backward_factors(lc.gates, c, lo, p_c[: hi - lo])
+        backward_factors(gates, c, lo, p_c[: hi - lo])
         for t in range(hi - 1, lo - 1, -1):
             if t and n_g < n_steps:
                 grad_h[(t - 1) % n_g] = 0.0
-            cell_backward(recurrent, (t, (t - 1) % n_g) if t else None, lc.gates[t], c[t],
+            cell_backward(recurrent, (t, (t - 1) % n_g) if t else None, gates[t], c[t],
                           p_c[t - lo], grad_h[t % n_g], grad_c, dc)
         if k:
             project(lo, lo, hi - lo)
-        da[:, lo:hi] = lc.gates[lo:hi].transpose(1, 0, 2)
+        da[:, lo:hi] = gates[lo:hi].transpose(1, 0, 2)
     return grad_x
 
 
@@ -477,33 +481,31 @@ def _weight_grad(ops, da, x, h, batch):
     return grad_w
 
 
-def _layer_backward(layer, k, cache, grad_h, h, cells):
+def _layer_backward(layer, k, cache, grad_h, cells):
     """Backpropagate layer ``k`` over every shard of the batch.
 
     ``grad_h`` holds each shard's loss gradient wrt its hidden states from
-    above, ``cells`` each shard's cell buffer, and ``h`` the layer's
-    hidden states as a (H, T, B) array, or None for the top layer, whose
-    shards copy them there.  Returns (weight_grad, grad_b, grad_h for the
-    layer below, the layer's input as a (D, T, B) array): ``weight_grad()``
+    above and ``cells`` each shard's cell buffer.  The weight gradient
+    reads the layer's input and hidden states as the forward left them,
+    ``cache.states[k]`` and ``cache.states[k + 1]``; the latter leaves the
+    cache here, and so, for the bottom layer, does the former.  Returns
+    (weight_grad, grad_b, grad_h for the layer below): ``weight_grad()``
     computes the gradient wrt ``layer.values``, the live weights in
     ``np.flatnonzero(mask.bits)`` order, and is the only thing returned
     that holds the layer's dA.
     """
-    n_steps, batch = cache.shards[0][k].gates.shape[0], cache.head_out.shape[0]
-    # (features, T, B) buffers, so each is one (features, T*B) array with
-    # columns in (t, b) order once reshaped
+    _, n_steps, batch = cache.states[k].shape
+    # (features, T, B), as the states, so each is one (features, T*B)
+    # array with columns in (t, b) order once reshaped
     da = np.empty((4 * layer.hidden_dim, n_steps, batch))
-    x = np.empty((layer.input_dim, n_steps, batch))
-    top = h is None
-    if top:
-        h = np.empty((layer.hidden_dim, n_steps, batch))
     grad_h = linalg.run_tasks([
-        partial(_shard_backward, layer, caches, k, g, da[:, :, lo:hi], x[:, :, lo:hi],
-                h[:, :, lo:hi] if top else None, cells, i)
+        partial(_shard_backward, layer, caches, k, g, da[:, :, lo:hi], cells, i)
         for i, ((lo, hi), caches, g) in enumerate(zip(cache.bounds, cache.shards, grad_h))])
-    da, x_fm, h_fm = (a.reshape(a.shape[0], -1) for a in (da, x, h))
-    return (partial(_weight_grad, layer.products(), da, x_fm, h_fm, batch), da.sum(axis=1),
-            grad_h, x)
+    h = cache.states.pop()
+    # the layer below reads this layer's input as its hidden states
+    x = cache.states[k] if k else cache.states.pop()
+    da, x, h = (a.reshape(a.shape[0], -1) for a in (da, x, h))
+    return partial(_weight_grad, layer.products(), da, x, h, batch), da.sum(axis=1), grad_h
 
 
 def backward_sequence(model, cache, loss_grad):
@@ -524,11 +526,11 @@ def backward_sequence(model, cache, loss_grad):
     """
     if cache is None:
         raise ValueError("no cache to backpropagate: run forward_batch(..., keep_cache=True)")
-    dims = [(l.input_dim, l.hidden_dim) for l in model.layers]
-    if cache.layer_dims != dims:
-        raise ShapeError("cache does not match this model (stale cache)")
     if cache.consumed:
         raise ValueError("cache was already backpropagated")
+    dims = [model.feature_dim] + [layer.hidden_dim for layer in model.layers]
+    if [len(s) for s in cache.states] != dims:
+        raise ShapeError("cache does not match this model (stale cache)")
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
     if loss_grad.shape != cache.head_out.shape:
         raise ShapeError(f"loss gradient {loss_grad.shape} != head output "
@@ -536,22 +538,21 @@ def backward_sequence(model, cache, loss_grad):
     cache.consumed = True
     grads = {"head.w": loss_grad.T @ cache.top.T, "head.b": loss_grad.sum(axis=0)}
     top_grad = (loss_grad @ model.head_w).T
-    n_steps = cache.shards[0][-1].h.shape[0]
+    n_steps = cache.states[0].shape[1]
     n_ring = min(n_steps, 2)
     grad_h = []  # per shard, the top layer's gradient ring
     for lo, hi in cache.bounds:
-        grad_h.append(np.zeros((n_ring, dims[-1][1], hi - lo)))
+        grad_h.append(np.zeros((n_ring, dims[-1], hi - lo)))
         grad_h[-1][(n_steps - 1) % n_ring] = top_grad[:, lo:hi]
     cells = [np.empty(0)] * len(cache.bounds)  # per shard, its cell buffer
     behind = _grads_behind(model, len(cache.bounds))
     jobs = []  # (key, weight_grad, future) of each one started in the background
-    h = None  # layer k's hidden states, feature-major: layer k + 1's input
     try:
         for k in range(len(model.layers) - 1, -1, -1):
             key = f"layer{k}.w"
             grads[key] = None  # holds its place: clipping sums the norm in key order
-            weight_grad, grads[f"layer{k}.b"], grad_h, h = _layer_backward(
-                model.layers[k], k, cache, grad_h, h, cells)
+            weight_grad, grads[f"layer{k}.b"], grad_h = _layer_backward(
+                model.layers[k], k, cache, grad_h, cells)
             if behind and k:
                 jobs.append((key, weight_grad, linalg.in_background(weight_grad)))
             else:

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rclstm.data import (LocationCodebook, NormalizationParams, PreparedData,
-                         TimeSeries, build_codebook, chronological_split, denormalize,
-                         load_mobility_csv, load_prepared, load_traffic_csv,
+                         TimeSeries, WindowedDataset, build_codebook, chronological_split,
+                         denormalize, load_mobility_csv, load_prepared, load_traffic_csv,
                          cut, log_minmax_normalize, prepare_mobility, prepare_traffic,
                          save_prepared, sliding_window)
 from rclstm.errors import (CheckpointError, DataFormatError, EncodingError,
-                           InsufficientDataError)
+                           InsufficientDataError, ShapeError)
 
 
 class TestNormalization:
@@ -205,6 +205,13 @@ class TestWindowViews:
         finally:
             tracemalloc.stop()
         assert peak < (n - window) * window * m * 8 / 2
+
+    @pytest.mark.parametrize("inputs, targets", [
+        ((6, 4), (6,)), ((6, 4, 1, 1), (6,)), ((6, 4, 1), (6, 1)), ((6, 4, 1), (5,)),
+        ((6, 4, 1), ())])
+    def test_dataset_of_other_shapes_rejected(self, inputs, targets):
+        with pytest.raises(ShapeError, match=r"\(N, T, F\) inputs"):
+            WindowedDataset(np.zeros(inputs), np.zeros(targets), 4)
 
 
 class TestChronologicalSplit:

@@ -282,25 +282,34 @@ class TestBackwardSequence:
             assert all(np.array_equal(grads[0][key], other[key]) for key in grads[0])
 
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_cache_holds_input_gates_and_h_only(self, shards, monkeypatch):
-        # the backward rebuilds c from the gates and tanh(c) from c, so a
-        # layer's training cache holds its input (the layer below's h, not
-        # a copy), its gates and h
+    def test_cache_holds_gates_and_feature_major_states(self, shards, monkeypatch):
+        # the backward rebuilds c from the gates and tanh(c) from c, and its
+        # masked outer products read the states feature-major, so the
+        # training cache holds each shard's gates per layer and the batch's
+        # (features, T, B) windows and hidden states, which the unroll wrote
         monkeypatch.setattr(linalg, "WORKERS", shards)
         monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
+        made, real = {}, network._layer_forward
+
+        def layer_forward(k, layer, x, keep_cache, top):
+            h, gates = real(k, layer, x, keep_cache, top)
+            made[k, x.shape[2]] = h  # shards of 2 and 3 windows
+            return h, gates
+
+        monkeypatch.setattr(network, "_layer_forward", layer_forward)
         model = build_model(2, [6, 5], seed=1, density=SPARSE)
-        _, cache = forward_batch(model, np.random.default_rng(0).normal(size=(4, 7, 2)),
-                                 keep_cache=True)
+        windows = np.random.default_rng(0).normal(size=(5, 7, 2))
+        _, cache = forward_batch(model, windows, keep_cache=True)
         assert len(cache.bounds) == shards
-        for (lo, hi), caches in zip(cache.bounds, cache.shards):
-            dim = model.feature_dim
-            for k, (layer, lc) in enumerate(zip(model.layers, caches)):
-                hidden = layer.hidden_dim
-                assert {name: a.shape for name, a in vars(lc).items()} == {
-                    "x": (7, dim, hi - lo), "gates": (7, 4 * hidden, hi - lo),
-                    "h": (7, hidden, hi - lo)}
-                assert k == 0 or lc.x is caches[k - 1].h
-                dim = hidden
+        for (lo, hi), gates in zip(cache.bounds, cache.shards):
+            assert [g.shape for g in gates] == [(7, 4 * 6, hi - lo), (7, 4 * 5, hi - lo)]
+        assert [s.shape for s in cache.states] == [(2, 7, 5), (6, 7, 5), (5, 7, 5)]
+        assert np.array_equal(cache.states[0], windows.transpose(2, 1, 0))
+        for k in range(2):
+            for lo, hi in cache.bounds:
+                assert np.array_equal(cache.states[k + 1][:, :, lo:hi],
+                                      made[k, hi - lo].transpose(1, 0, 2))
+        assert np.array_equal(cache.states[-1][:, -1, :], cache.top)
 
     @pytest.mark.parametrize("mix", list(MIXES))
     @pytest.mark.parametrize("workers", [1, 2])
@@ -324,11 +333,12 @@ class TestBackwardSequence:
 
     def test_step_holds_no_memory_cells(self):
         # one fit step of a 3-layer model holds, in units of one layer's
-        # (T, H, B) states: the cache's gates and hidden states (15), the
-        # top layer's backward buffers (dA, input, hidden states, rebuilt
-        # cells and input gradient: 8) and the step's other arrays (under
-        # 2).  Caching each layer's c and the top layer's whole gradient
-        # from above would add 4
+        # (T, H, B) states: the cache's gates and feature-major input and
+        # hidden states (15), the top layer's backward buffers (dA, rebuilt
+        # cells and input gradient: 6) and the step's other arrays, chunk
+        # scratch and temporaries (under 3; it measures 23.4 in all).
+        # Caching each layer's c and the top layer's whole gradient from
+        # above would add 4
         import tracemalloc
 
         n_steps, hidden, batch = 40, 32, 32
@@ -848,6 +858,21 @@ print(*sorted(t.name for t in threading.enumerate() if t.name.startswith("rclstm
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["rclstm_0"]
+
+    @pytest.mark.parametrize("workers, batch, plan", [
+        (1, 4, (1, "inline")), (2, 4, (1, "background")),
+        (2, 4, (2, "inline")), (3, 2, (2, "background"))])
+    def test_a_consumed_cache_holds_no_array(self, workers, batch, plan, monkeypatch):
+        monkeypatch.setattr(linalg, "WORKERS", workers)
+        if plan[0] > 1:
+            monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
+        rng = np.random.default_rng(46)
+        windows, douts = rng.normal(size=(batch, 5, 2)), rng.normal(size=(batch, 1))
+        model = self.csr_model(2, [6, 5, 4], density=0.5, seed=1)
+        assert network.batch_plan(model, batch) == plan
+        _, cache = forward_batch(model, windows, keep_cache=True)
+        backward_sequence(model, cache, douts)
+        assert cache.shards == [[]] * plan[0] and cache.states == []
 
     def test_inline_frees_each_layers_da_before_the_layer_below(self, monkeypatch):
         # dA outliving its layer's weight gradient would hold one more

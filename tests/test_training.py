@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclstm import training
+from rclstm.baselines import ffnn_train
 from rclstm.cell import ConnectivityMask, LstmLayerParams
 from rclstm.checkpoint import (MAGIC, load_checkpoint, read_container,
                                save_checkpoint, write_container)
@@ -138,6 +139,31 @@ class TestFit:
             with pytest.raises(ShapeError):
                 fit(model, train, TrainingConfig(epochs=1), val_ds=val)
         assert save_checkpoint(model) == blob
+
+    @pytest.mark.parametrize("trainer, targets", [
+        # a classifier trained on a (B, B)-broadcast cross-entropy
+        pytest.param("classification", (8, 1), id="classes-column"),
+        # a regression step failed after the forward, naming the loss gradient
+        pytest.param("regression", (8, 1), id="values-column"),
+        # the feed-forward baseline raised an untyped error in its backward
+        pytest.param("ffnn", (8, 1), id="ffnn-column"),
+        # an epoch ran out of targets mid-way
+        pytest.param("regression", (7,), id="one-short"),
+    ])
+    def test_targets_not_one_per_window_rejected_before_any_step(self, trainer, targets):
+        rng = np.random.default_rng(3)
+        inputs, y = rng.random((8, 4, 1)), rng.integers(1, 4, size=targets).astype(float)
+        classes = 3 if trainer == "classification" else None
+        config = TrainingConfig(epochs=1, batch_size=4)
+        with mock.patch.object(training, "forward_batch",
+                               side_effect=AssertionError("a step ran")):
+            with pytest.raises(ShapeError, match=r"\(N,\) targets"):
+                ds = WindowedDataset(inputs, y, 4, classes)
+                if trainer == "ffnn":
+                    ffnn_train(ds, config)
+                else:
+                    model = build_model(1, [4], task=trainer, out_dim=classes, seed=0)
+                    fit(model, ds, config)
 
     def test_loss_descends_on_sine(self):
         train, _ = sine_dataset()
