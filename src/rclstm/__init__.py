@@ -2,17 +2,18 @@
 
 The memory-block gate weights are sparsified once at construction by a
 random connectivity mask.  Training and inference run one batched unroll,
-a layer at a time, where a single window is a batch of one; below a
-crossover density every product with the gate weights goes through scipy
-CSR, above it through dense BLAS.
+the whole stack a span of timesteps at a time, where a single window is a
+batch of one; below a crossover density every product with the gate
+weights goes through scipy CSR, above it through dense BLAS.
 
-The unroll has two modes.  By default ``forward_batch`` keeps no cache:
-it holds one cache-sized span of gate preactivations and two layers'
-hidden states, as serving (``predict_batch``) runs it.  Training (``fit``)
-asks for the cache: every layer's gates, and the windows and every
-layer's hidden states, which the unroll writes feature-major as it goes,
-so ``backward_sequence`` reads them in place and copies none.  The
-outputs are the same bit for bit.
+Every layer keeps one span of hidden states.  The unroll has two modes.
+By default ``forward_batch`` keeps no cache: the layers take turns with
+one cache-sized span of gate preactivations, as serving
+(``predict_batch``) runs it, so its memory does not grow with the window
+length beyond the windows.  Training (``fit``) asks for the cache: every
+layer's gates, and the windows and every layer's hidden states, which the
+unroll writes feature-major as it goes, so ``backward_sequence`` reads
+them in place and copies none.  The outputs are the same bit for bit.
 
 Of scipy the package loads only the compiled CSR kernels it calls, not
 ``scipy.sparse`` (see ``linalg``).

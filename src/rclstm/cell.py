@@ -20,7 +20,7 @@ cell, and ``cell_backward`` is what is left per timestep, a few
 whole-block calls and the recurrent product.  The recurrence is a Python
 loop, so at small batches its cost is the number of calls per step, not
 the arithmetic: each step's recurrent product is a step of the recurrent
-block bound once per layer call to the layer's whole buffers
+block bound once per pass to the layer's buffers
 (``MaskedMatrix.bind``), one kernel call with nothing left to check.
 """
 

@@ -48,7 +48,7 @@ kernels are imported through the package.
 
 At B=1 a product's arithmetic is so small that the Python around each
 kernel call sets its cost, so each product makes as few calls as it can.
-The recurrence binds a layer's buffers once per layer call, and ``add``
+The recurrence binds a layer's buffers once per pass, and ``add``
 then makes one kernel call per step, with nothing left to check or pick.
 ``write`` at B=1 makes one ``csr_matvecs`` call over the span's (cols, n)
 transpose, not n single-column ones.  Each column still sums from zero

@@ -5,42 +5,44 @@ next value of each: regression emits a scalar, classification logits for a
 softmax.  Only the top layer's hidden state at the final timestep feeds the
 head.  A single window is a batch of one.
 
-The unroll runs one layer at a time over preallocated (T, features, B)
-buffers: each timestep is a contiguous (features, B) block, one column per
-window, so the per-step element-wise work runs on contiguous memory and
-the CSR kernels read and write it in place.  Each layer projects its
-input a span of timesteps at a time, ahead of the time loop over that
-span, which then adds only the recurrent product.  Per layer call, each
-block is bound once to the layer's buffers (``linalg.MaskedMatrix.bind``),
-which checks them: the recurrent block to the hidden-state and gate
-buffers, so each step's product is one kernel call on checked blocks, and
-the input block to the input and gate buffers, so a span's projection is
-one ``write``: one kernel call per step, or one in all for a single
-window.  One budget, ``SPAN_BYTES`` of gate rows per span (``_span``),
-sizes both the forward's spans and the backward's chunks.
+The unroll advances the whole stack a span of timesteps at a time: for
+each span, every layer in turn, bottom first, projects its input span,
+adds the recurrent product step by step over it, and checks it for a
+non-finite state, and the layer above projects that span before the next
+span overwrites it.  Buffers are (steps, features, B): each timestep is a
+contiguous (features, B) block, one column per window, so the per-step
+element-wise work runs on contiguous memory and the CSR kernels read and
+write it in place.  Each block of a layer is bound once per forward to
+the layer's buffers (``linalg.MaskedMatrix.bind``), which checks them: the
+recurrent block to the hidden-state and gate buffers, so each step's
+product is one kernel call on checked blocks, and the input block to the
+input and gate buffers, so a span's projection is one ``write``: one
+kernel call per step, or one in all for a single window.  One budget,
+``SPAN_BYTES`` of gate rows per span (``_span``), sizes both the
+forward's spans, the smallest of the stack's layers, and the backward's
+chunks.
 
-``forward_batch`` runs one loop in two modes, which differ only in how
-many steps of their buffers they keep and in what they leave for the
+Every layer keeps one span of hidden states, a ring that holds its state
+from one span to the next, its memory cell as a ring of two steps and tanh
+of it one step.  ``forward_batch`` runs this one loop in two modes, which
+differ only in where the gate rows go and in what they leave for the
 backward:
 
-- with the cache (training, ``keep_cache=True``): the gate buffer keeps
-  all T steps, each span projected straight into its own rows.  Each
-  shard also writes its windows, and each layer's hidden states once the
-  layer is unrolled, into its column slices of the batch's feature-major
-  (features, T, B) states, as the masked outer products read them; a
-  layer's time-major hidden states are only the unroll's working buffer,
-  dropped once the layer above has projected them.  The cache holds each
-  shard's gates per layer and the batch's states, and nothing else;
+- with the cache (training, ``keep_cache=True``): each layer's gate rows
+  keep all T steps, each span projected straight into its own rows.  Each
+  shard also writes its windows, and each layer's span of hidden states
+  once it is checked, into its column slices of the batch's feature-major
+  (features, T, B) states, as the masked outer products read them.  The
+  cache holds each shard's gates per layer and the batch's states, and
+  nothing else;
 - without it (the default; serving and any other pass that does not
-  backpropagate): the gate buffer holds one span of preactivations.  The
-  hidden states stay (T, H, B) below the top layer, because the next
-  layer projects them, and a layer's input is dropped once the layer is
-  done; the top layer keeps one span of them, because only its last step
-  feeds the head.  The outputs are bit-identical to the cached mode.
+  backpropagate): the layers take turns with one span of gate rows per
+  shard, so the memory held does not grow with T beyond the windows.  The
+  outputs are bit-identical to the cached mode.
 
-In both modes the memory cell is a ring of two steps and tanh of it one
-step.  Each span is checked for a non-finite state before the next, so
-a failure names its layer and timestep in either mode.
+Once a layer's span goes non-finite only the layers below it run on, so
+a failure names the lowest layer that diverges, at its first non-finite
+timestep, in either mode and at any shard count.
 
 Backpropagation runs top-down a layer at a time.  Each shard first
 rebuilds the layer's (T, H, b) memory cells from its cached gates with
@@ -101,16 +103,19 @@ from .errors import DivergenceError, ShapeError
 
 #: the one unroll budget: bytes of the (4H, windows) gate rows per
 #: timestep that one span of timesteps holds (``_span``).  The forward
-#: projects its input a span at a time, and without the cache keeps its
-#: gate preactivations a span at a time; the backward runs each layer's
-#: time loop over chunks of a span of timesteps, and finishes each (its
-#: factor pass, ``cell.backward_factors``, with its (H, windows) P_c
+#: advances the stack a span at a time, the smallest of its layers', and
+#: every layer keeps one span of hidden states; without the cache, one
+#: span of gate rows serves every layer in turn.  The backward runs each
+#: layer's time loop over chunks of a span of timesteps, and finishes each
+#: (its factor pass, ``cell.backward_factors``, with its (H, windows) P_c
 #: scratch per step; its steps; its rows of the input gradient and columns
-#: of dA) before the next.  1 MiB, half the 2 MiB per-core L2 of the 2-CPU Xeon it was
-#: measured on, keeps the whole window at B=1 on the paper's 3x300/T=100
-#: model (9.6 kB a step) and on a 3x150/T=12 one, so single-window serving
-#: projects its input in one call as training does; at B=256 one step
-#: (2.4 MB at H=300) exceeds it and the span is one step.
+#: of dA) before the next.  1 MiB, half the 2 MiB per-core L2 of the 2-CPU
+#: Xeon it was measured on, keeps the whole window at B=1 on the paper's
+#: 3x300/T=100 model (9.6 kB a step) and on a 3x150/T=12 one, so
+#: single-window serving projects its input in one call as training does;
+#: at B=256 one step (2.4 MB at H=300) exceeds it and the span is one step.
+#: The measurements below were taken when the forward unrolled one layer
+#: at a time, with the same spans.
 #: Forward: ``predict_batch`` windows/s on that host (median of 7-15
 #: interleaved rounds, 1 BLAS thread), budgets 64 KiB / 1 MiB / 4 MiB /
 #: whole window:
@@ -205,7 +210,8 @@ class StackedRclstm:
 @dataclass
 class SequenceCache:
     """The forward unroll retained for one ``backward_sequence`` call,
-    which drops each array once it is done with it."""
+    which drops each array once it is done with it.  The top layer's last
+    hidden states, which fed the head, are ``states[-1][:, -1, :]``."""
 
     bounds: list  # the shards' window bounds, (lo, hi) in batch order
     # per shard, each layer's (T, 4H, b) gate activations f, i, z, o,
@@ -218,8 +224,6 @@ class SequenceCache:
     # each layer's hidden states as (H, T, B), as the masked outer
     # products read them.  Their leading dims name the model the cache fits
     states: list
-    top: np.ndarray  # (H, B) top-layer hidden state at the last step
-    head_out: np.ndarray
     consumed: bool = False
 
 
@@ -258,46 +262,43 @@ def _span(n_steps, hidden, windows):
     return min(n_steps, max(1, SPAN_BYTES // (4 * hidden * windows * 8)))
 
 
-def _layer_forward(k, layer, x, keep_cache, top):
-    """Unroll layer ``k`` over its (T, D, B) input sequence.
+def _layer_forward(k, layer, x, h, gates, states):
+    """Bind layer ``k`` to its buffers; returns ``run(lo, n)``, which
+    unrolls timesteps ``lo`` .. ``lo + n - 1``, one span.
 
-    Returns its hidden states and, with ``keep_cache``, its (T, 4H, B)
-    gate activations (else None).  One loop serves both modes: the input is
-    projected a ``_span`` of timesteps at a time, straight into the gate
-    buffer, which keeps every step with the cache and one span without.
-    ``c`` is a ring of two steps and ``tanh_c`` one step in both modes:
-    the backward rebuilds them from the gates.  The hidden states keep
-    every step, but for the ``top`` layer without the cache, only a span:
-    its last step alone feeds the head.  Each span is checked for a
-    non-finite state before the next, so a ring names the step it held.
+    ``x`` is the layer's input: the (T, D, B) windows for the bottom layer,
+    else the layer below's span of hidden states.  ``h`` is the layer's
+    ring of one span of hidden states, ``gates`` its gate rows: all T steps
+    with the cache, else one span.  The caller runs the spans in order, and
+    each after the layer below has run it: ``run`` projects its input span
+    straight into the gate rows, unrolls it, checks it for a non-finite
+    state, so a ring names the step it held, and, given ``states`` (the
+    layer's feature-major (H, T, B) states), writes it there.  ``c`` is a
+    ring of two steps and ``tanh_c`` one step: the backward rebuilds them
+    from the gates.
     """
-    n_steps, _, batch = x.shape
-    hidden = layer.hidden_dim
+    span, n_g = len(h), len(gates)
+    c, tanh_c = np.empty((2, *h.shape[1:])), np.empty_like(h[0])
     ops = layer.products()
-    span = _span(n_steps, hidden, batch)
-    n_g = n_steps if keep_cache else span
-    n_h = span if top and not keep_cache else n_steps
-    gates = np.empty((n_g, 4 * hidden, batch))
-    c = np.empty((min(n_steps, 2), hidden, batch))
-    tanh_c = np.empty((hidden, batch))
-    h = np.empty((n_h, hidden, batch))
     recurrent, _ = ops.h.bind(False, h, gates)
     _, project = ops.x.bind(False, x, gates)
-    for lo in range(0, n_steps, span):
-        n, g = min(span, n_steps - lo), lo % n_g
-        project(lo, g, n)
+
+    def run(lo, n):
+        g = lo % n_g
+        project(lo % len(x), g, n)  # the windows' step lo, or the span below
         gates[g : g + n] += layer.b[:, None]
         for t in range(lo, lo + n):
-            steps, c_prev = (((t - 1) % n_h, t % n_g), c[(t - 1) % 2]) if t else (None, None)
-            cell_forward(recurrent, steps, gates[t % n_g], c_prev, c[t % 2], tanh_c, h[t % n_h])
+            steps, c_prev = (((t - 1) % span, t % n_g), c[(t - 1) % 2]) if t else (None, None)
+            cell_forward(recurrent, steps, gates[t % n_g], c_prev, c[t % 2], tanh_c, h[t % span])
         # each |c| stays below t + 1 unless it is NaN, which makes h NaN at
         # the same step: a non-finite state shows in h first
-        held = h[lo % n_h : lo % n_h + n]
-        if not math.isfinite(float(np.sum(held))):
-            finite = np.isfinite(held).all(axis=(1, 2))
+        if not math.isfinite(float(np.sum(h[:n]))):
+            finite = np.isfinite(h[:n]).all(axis=(1, 2))
             raise DivergenceError("non-finite cell state", layer=k,
                                   timestep=lo + int(np.argmin(finite)))
-    return h, gates if keep_cache else None
+        if states is not None:
+            states[:, lo : lo + n] = h[:n].transpose(1, 0, 2)
+    return run
 
 
 def _shard_bounds(model, batch):
@@ -353,22 +354,42 @@ def _stack_forward(model, windows, states):
     the DivergenceError it stopped at.  ``states`` is None, or the shard's
     column slices of the batch's feature-major states
     (``SequenceCache.states``), which it writes: its windows, then each
-    layer's hidden states once the layer is unrolled."""
-    keep_cache = states is not None
+    layer's hidden states a span at a time.
+
+    The stack advances a span at a time, the smallest ``_span`` of its
+    layers: every layer in turn, bottom first, runs the span, which the
+    layer above projects before the next span overwrites it.  Each layer
+    keeps one span of hidden states; without the cache, the layers take
+    turns with one span of gate rows.  Once a layer's span goes
+    non-finite, only the layers below it run on, so the error names the
+    lowest layer that diverges, at its first non-finite step, as a
+    layer-by-layer unroll would.
+    """
     x = np.ascontiguousarray(windows.transpose(1, 2, 0))
-    if keep_cache:
+    n_steps, _, width = x.shape
+    if states is not None:
         states[0][...] = windows.transpose(2, 1, 0)
-    gates = []
-    top = len(model.layers) - 1
-    try:
-        for k, layer in enumerate(model.layers):
-            x, g = _layer_forward(k, layer, x, keep_cache, k == top)
-            if keep_cache:
-                states[k + 1][...] = x.transpose(1, 0, 2)
-            gates.append(g)
-    except DivergenceError as err:
-        return err
-    return x[(windows.shape[1] - 1) % len(x)], gates
+    hidden = [layer.hidden_dim for layer in model.layers]
+    span = min(_span(n_steps, dim, width) for dim in hidden)
+    n_g = n_steps if states is not None else span
+    scratch = None if states is not None else np.empty(span * 4 * max(hidden) * width)
+    gates, runs = [], []
+    for k, layer in enumerate(model.layers):
+        shape = (n_g, 4 * hidden[k], width)
+        gates.append(np.empty(shape) if scratch is None
+                     else scratch[: math.prod(shape)].reshape(shape))
+        h = np.empty((span, hidden[k], width))
+        runs.append(_layer_forward(k, layer, x, h, gates[k],
+                                   None if states is None else states[k + 1]))
+        x = h
+    err = None
+    for lo in range(0, n_steps, span):
+        try:
+            for run in runs:
+                run(lo, min(span, n_steps - lo))
+        except DivergenceError as diverged:
+            err, runs = diverged, runs[: diverged.layer]
+    return err or (x[(n_steps - 1) % span], gates)
 
 
 def _first_divergence(results):
@@ -383,13 +404,13 @@ def forward_batch(model, windows, keep_cache=False):
     (B, out) and, with ``keep_cache``, the cache ``backward_sequence``
     needs, else None.
 
-    By default the pass keeps no cache: it holds one span of gate
-    preactivations and at most two layers' hidden states instead of every
-    layer's full unroll, a fraction of the memory.  Only a caller that
-    backpropagates, as ``fit`` does, asks for the cache: every layer's
-    gates per shard and the batch's feature-major windows and hidden
-    states (``SequenceCache``).  The outputs are the same bit for bit
-    either way.
+    By default the pass keeps no cache: per shard it holds one span of
+    gate preactivations, which the layers take turns with, and one span of
+    each layer's hidden states, so its memory does not grow with T beyond
+    the windows.  Only a caller that backpropagates, as ``fit`` does, asks
+    for the cache: every layer's gates per shard and the batch's
+    feature-major windows and hidden states (``SequenceCache``).  The
+    outputs are the same bit for bit either way.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or 0 in windows.shape[:2]:
@@ -410,10 +431,7 @@ def forward_batch(model, windows, keep_cache=False):
         raise err
     top = np.concatenate([last for last, _ in results], axis=1)
     head_out = top.T @ model.head_w.T + model.head_b
-    if not keep_cache:
-        return head_out, None
-    return head_out, SequenceCache(bounds, [gates for _, gates in results], states, top,
-                                   head_out)
+    return head_out, SequenceCache(bounds, [g for _, g in results], states) if keep_cache else None
 
 
 def _shard_backward(layer, caches, k, grad_h, da, cells, i):
@@ -532,13 +550,14 @@ def backward_sequence(model, cache, loss_grad):
     if [len(s) for s in cache.states] != dims:
         raise ShapeError("cache does not match this model (stale cache)")
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
-    if loss_grad.shape != cache.head_out.shape:
+    _, n_steps, batch = cache.states[0].shape
+    if loss_grad.shape != (batch, model.out_dim):
         raise ShapeError(f"loss gradient {loss_grad.shape} != head output "
-                         f"{cache.head_out.shape}")
+                         f"{(batch, model.out_dim)}")
     cache.consumed = True
-    grads = {"head.w": loss_grad.T @ cache.top.T, "head.b": loss_grad.sum(axis=0)}
+    top = cache.states[-1][:, -1, :]  # the top layer's last hidden state, (H, B)
+    grads = {"head.w": loss_grad.T @ top.T, "head.b": loss_grad.sum(axis=0)}
     top_grad = (loss_grad @ model.head_w).T
-    n_steps = cache.states[0].shape[1]
     n_ring = min(n_steps, 2)
     grad_h = []  # per shard, the top layer's gradient ring
     for lo, hi in cache.bounds:

@@ -70,11 +70,20 @@ def model_params(model):
 
 
 def clip_gradients(grads, max_norm):
-    """Scale all gradients in place so the global L2 norm is <= max_norm."""
+    """Scale all gradients in place so the global L2 norm is <= max_norm.
+
+    DivergenceError, naming the parameter with the largest sum of squares,
+    if finite gradients have a norm past the float range, which no scale
+    could clip.  Gradients with a NaN or inf entry are left as they are,
+    for ``optimizer_step`` to name."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
+    with np.errstate(over="ignore"):
+        squares = {name: float(np.sum(g * g)) for name, g in grads.items()}
+    total = math.sqrt(sum(squares.values()))
+    if math.isinf(total) and all(np.isfinite(g).all() for g in grads.values()):
+        raise DivergenceError(f"gradient norm overflows in {max(squares, key=squares.get)}")
+    if max_norm < total < math.inf:
         scale = max_norm / total
         for g in grads.values():
             g *= scale

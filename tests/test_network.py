@@ -287,16 +287,11 @@ class TestBackwardSequence:
         # masked outer products read the states feature-major, so the
         # training cache holds each shard's gates per layer and the batch's
         # (features, T, B) windows and hidden states, which the unroll wrote
+        # a span at a time: here spans of 2 steps over the whole batch, 5
+        # and 3 over shards of 2 and 3 windows
         monkeypatch.setattr(linalg, "WORKERS", shards)
         monkeypatch.setattr(network, "MIN_SHARD_CELLS", 1)
-        made, real = {}, network._layer_forward
-
-        def layer_forward(k, layer, x, keep_cache, top):
-            h, gates = real(k, layer, x, keep_cache, top)
-            made[k, x.shape[2]] = h  # shards of 2 and 3 windows
-            return h, gates
-
-        monkeypatch.setattr(network, "_layer_forward", layer_forward)
+        monkeypatch.setattr(network, "SPAN_BYTES", 2 * 4 * 6 * 5 * 8)
         model = build_model(2, [6, 5], seed=1, density=SPARSE)
         windows = np.random.default_rng(0).normal(size=(5, 7, 2))
         _, cache = forward_batch(model, windows, keep_cache=True)
@@ -305,11 +300,10 @@ class TestBackwardSequence:
             assert [g.shape for g in gates] == [(7, 4 * 6, hi - lo), (7, 4 * 5, hi - lo)]
         assert [s.shape for s in cache.states] == [(2, 7, 5), (6, 7, 5), (5, 7, 5)]
         assert np.array_equal(cache.states[0], windows.transpose(2, 1, 0))
-        for k in range(2):
-            for lo, hi in cache.bounds:
-                assert np.array_equal(cache.states[k + 1][:, :, lo:hi],
-                                      made[k, hi - lo].transpose(1, 0, 2))
-        assert np.array_equal(cache.states[-1][:, -1, :], cache.top)
+        xs = np.ascontiguousarray(windows.transpose(1, 2, 0))
+        for k, layer in enumerate(model.layers):
+            xs = unrolled(layer, xs)
+            assert np.array_equal(cache.states[k + 1], xs.transpose(1, 0, 2))
 
     @pytest.mark.parametrize("mix", list(MIXES))
     @pytest.mark.parametrize("workers", [1, 2])
@@ -415,24 +409,31 @@ class TestBackwardSequence:
             with pytest.raises(DivergenceError) as info:
                 forward_batch(model, np.ones((2, 6, 1)), keep_cache=keep_cache)
             assert (info.value.layer, info.value.timestep) == (1, 0)
-        # without the cache the top layer keeps one span of hidden states,
-        # here one step, and still names the step that went non-finite
-        real, calls = network.cell_forward, []
-
-        def poisoned(*args):
-            real(*args)
-            calls.append(args)
-            if len(calls) == 6 + 5:  # layer 1's fifth step, timestep 4
-                args[-1][0, 1] = np.nan
-
-        monkeypatch.setattr(network, "cell_forward", poisoned)
-        model = build_model(1, [4, 4], seed=0)
+        # each layer keeps one span of hidden states, here one step, and
+        # still names the step that went non-finite; the layer below runs on
+        model = build_model(1, [4, 5], seed=0)
         for keep_cache in (True, False):
-            calls.clear()
+            steps = poison_states(monkeypatch, [4, 5], {(1, 4)})
             with pytest.raises(DivergenceError) as info:
                 forward_batch(model, np.ones((2, 6, 1)), keep_cache=keep_cache)
             assert (info.value.layer, info.value.timestep) == (1, 4)
-            assert len(calls) == 6 + 5
+            assert steps == {(0, 2): 6, (1, 2): 5}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lower_layer_diverging_later_is_named(self, monkeypatch, workers):
+        # layer 2 goes non-finite in the first span, layer 0 in a later one
+        # (spans of 5, 12 and 8 steps over 5 windows, or shards of 2 and
+        # 3): the error names layer 0, as a layer-by-layer unroll would
+        monkeypatch.setattr(network, "SPAN_BYTES", 5 * 4 * 6 * 5 * 8)
+        hidden = [4, 5, 6]
+        for keep_cache in (True, False):
+            with sharding(workers, "csr"):
+                model = build_model(1, hidden, seed=0)
+                steps = poison_states(monkeypatch, hidden, {(2, 0), (0, 13)})
+                with pytest.raises(DivergenceError) as info:
+                    forward_batch(model, np.ones((5, 20, 1)), keep_cache=keep_cache)
+            assert (info.value.layer, info.value.timestep) == (0, 13)
+            assert {width for _, width in steps} == ({5} if workers == 1 else {2, 3})
 
 
 class TestServing:
@@ -523,6 +524,29 @@ class TestServing:
         assert peak < gate_buffer
 
 
+    def test_serving_memory_does_not_grow_with_window_length(self):
+        # each layer keeps one span of hidden states, so windows 4x as long
+        # add to the peak little more than the unroll's time-major copy of
+        # the longer windows (it measures 1.0x); two layers of (T, H, B)
+        # hidden states would add 2 x 7.5 MiB, 32x that
+        import tracemalloc
+
+        batch, hidden, features = 256, 32, 2
+        model = build_model(features, [hidden] * 3, seed=0, density=SPARSE)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n_steps in (40, 160):
+            windows = rng.random((batch, n_steps, features))
+            forward_batch(model, windows)  # builds the products
+            tracemalloc.start()
+            try:
+                forward_batch(model, windows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        longer = batch * (160 - 40) * features * 8
+        assert peaks[1] - peaks[0] < 1.5 * longer
+
 @contextlib.contextmanager
 def sharding(workers, mix):
     """``workers`` CPUs, shards and masked-outer splits of any width, and
@@ -532,6 +556,42 @@ def sharding(workers, mix):
             mock.patch.object(linalg, "SPLIT_COLUMN_WORK", 0), \
             mock.patch.object(network, "MIN_SHARD_CELLS", 1), route_mix(mix):
         yield
+
+
+def unrolled(layer, xs):
+    """A layer's (T, H, B) hidden states over its (T, D, B) input, unrolled
+    a step at a time over buffers that hold every step."""
+    n_steps, _, width = xs.shape
+    gates = np.empty((n_steps, 4 * layer.hidden_dim, width))
+    h, c = (np.empty((n_steps, layer.hidden_dim, width)) for _ in range(2))
+    ops = layer.products()
+    recurrent, _ = ops.h.bind(False, h, gates)
+    _, project = ops.x.bind(False, xs, gates)
+    for t in range(n_steps):
+        project(t, t, 1)
+        gates[t] += layer.b[:, None]
+        cell_forward(recurrent, (t - 1, t) if t else None, gates[t], c[t - 1] if t else None,
+                     c[t], np.empty_like(c[t]), h[t])
+    return h
+
+
+def poison_states(monkeypatch, hidden, poison):
+    """Make ``cell_forward`` write NaN into the hidden state of each
+    (layer, timestep) of ``poison``, in every shard; a layer is known by
+    its width in ``hidden``.  Returns the steps run so far per (layer,
+    shard width), which it counts."""
+    real, steps = cell_forward, {}
+
+    def poisoned(*args):
+        real(*args)
+        h = args[-1]
+        key = hidden.index(h.shape[0]), h.shape[1]
+        steps[key] = steps.get(key, 0) + 1
+        if (key[0], steps[key] - 1) in poison:
+            h[0] = np.nan
+
+    monkeypatch.setattr(network, "cell_forward", poisoned)
+    return steps
 
 
 def forward_and_grads(model, windows, douts):

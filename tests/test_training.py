@@ -21,7 +21,7 @@ from rclstm.network import (StackedRclstm, backward_sequence, build_model,
 from rclstm.synth import sine_series
 from rclstm.training import (OptimizerState, TrainingConfig, clip_gradients,
                              evaluate_model, fit, model_params, optimizer_step,
-                             predict_batch)
+                             predict_batch, train_loop)
 
 from route_mixes import route_mix
 
@@ -106,6 +106,29 @@ class TestClipGradients:
             clip_gradients(grads, 2.5)
             norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
             assert norm <= 2.5 + 1e-12
+
+    def test_overflowing_norm_names_the_parameter(self):
+        # finite gradients whose sum of squares overflows would all be
+        # scaled by 0, and the step would do nothing without a word
+        grads = {"b": np.array([1.0]), "w": np.array([1e200, 1.0])}
+        with pytest.raises(DivergenceError, match="^gradient norm overflows in w$"):
+            clip_gradients(grads, 5.0)
+
+    def test_non_finite_entry_left_for_the_optimizer(self):
+        grads = {"w": np.array([np.inf, 1.0])}
+        clip_gradients(grads, 5.0)
+        assert np.array_equal(grads["w"], [np.inf, 1.0])
+        with pytest.raises(DivergenceError, match="non-finite gradient in w"):
+            optimizer_step({"w": np.zeros(2)}, grads, OptimizerState(), TrainingConfig())
+
+    def test_overflowing_norm_names_epoch_and_batch(self):
+        def batch_grads(idx):
+            return 0.0, {"w": np.array([1e200 if idx[0] >= 4 else 1.0, 1.0])}
+
+        config = TrainingConfig(epochs=1, batch_size=4, shuffle=False)
+        with pytest.raises(DivergenceError) as info:
+            train_loop(8, config, {"w": np.zeros(2)}, batch_grads)
+        assert str(info.value) == "gradient norm overflows in w at epoch 0, batch 1"
 
 
 class TestFit:
